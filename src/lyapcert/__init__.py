@@ -12,7 +12,6 @@ from .lyapunov import (DEFAULT_TOLERANCE, LyapunovSeries, MonotonicityReport,
 from .methods import (HB, KINDS, NAG, NAGGS, TMM, IterationState, MethodSpec,
                       TwoStepCoefficients, coefficient_arrays,
                       optimal_hyperparams, scalar_coefficients, step_general,
-                      step_quadratic, step_quadratic_eigenbasis,
                       theoretical_rate)
 from .problems import (Objective, QuadraticProblem, cosine_counterexample,
                        exp_norm_objective, generate_quadratic, load_problem,
@@ -21,7 +20,7 @@ from .spectral import (ComplexPair, CoordinateAnalysis, IneligibleError,
                        SchurFactors, SpectralCertificate, analyze,
                        certificate_csv_text, certificate_report_text,
                        companion_matrix, eigenvalues_2x2, is_conjugate_pair,
-                       schur_2x2, symmetric_eigendecomposition)
+                       schur_2x2)
 from .svgplot import Panel, Series, render_svg
 from .scenarios import (SCENARIOS, SUITABLE, ScenarioConfig, ScenarioResult,
                         find_cosine_witness, find_tmm_witness,
@@ -47,7 +46,6 @@ __all__ = [
     "optimal_hyperparams", "parse_config_file", "per_coordinate_V",
     "read_trace_csv", "render_svg", "rosenbrock_objective", "run_scenario",
     "run_trace", "save_problem", "scalar_V", "scalar_coefficients",
-    "schur_2x2", "series_from_csv", "step_general", "step_quadratic",
-    "step_quadratic_eigenbasis", "symmetric_eigendecomposition",
-    "theoretical_rate", "vector_V", "__version__",
+    "schur_2x2", "series_from_csv", "step_general", "theoretical_rate",
+    "vector_V", "__version__",
 ]

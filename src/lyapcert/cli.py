@@ -19,7 +19,7 @@ import numpy as np
 from .lyapunov import check_monotone
 from .methods import HB, NAG, NAGGS, TMM, MethodSpec, optimal_hyperparams
 from .problems import generate_quadratic, load_problem, save_problem
-from .scenarios import (SCENARIOS, ScenarioConfig, parse_config_file,
+from .scenarios import (SCENARIOS, ScenarioConfig, _x0, parse_config_file,
                         run_scenario)
 from .spectral import analyze, certificate_csv_text, certificate_report_text
 from .trace import export_csv, run_trace, series_from_csv
@@ -57,13 +57,24 @@ def _parse_bool(text: str) -> bool:
     raise UsageError(f"expected a boolean, got {text!r}")
 
 
-# config-file value converters, keyed like the flags
-_CONVERT = {
-    "dim": int, "iters": int, "seed": int,
-    "mu": float, "L": float, "alpha": float, "beta": float, "gamma": float,
-    "x0-scale": float, "tolerance": float,
-    "optimal": _parse_bool, "method": parse_method,
-    "out": str, "problem": str, "scenario": str, "trace": str,
+# every flag, keyed like its config-file key; a config value goes through
+# the flag's ``type``, and the ``optimal`` switch reads a boolean
+_FLAGS = {
+    "dim": dict(type=int, help="problem dimension / grid size"),
+    "mu": dict(type=float, help="smallest curvature"),
+    "L": dict(type=float, help="largest curvature"),
+    "method": dict(type=parse_method, help="hb | nag | tmm | nag-gs"),
+    "alpha": dict(type=float, help="step size"),
+    "beta": dict(type=float, help="momentum"),
+    "gamma": dict(type=float, help="second momentum (tmm only)"),
+    "optimal": dict(action="store_const", const=True,
+                    help="use tuned hyperparameters for [mu, L]"),
+    "iters": dict(type=int, help="iteration count (>= 3)"),
+    "seed": dict(type=int, help="random seed"),
+    "out": dict(type=str, help="output path (file or directory)"),
+    "x0-scale": dict(type=float, help="initial distance from the minimizer"),
+    "tolerance": dict(type=float, help="comparison tolerance"),
+    "problem": dict(type=str, help="problem .npz written by 'generate'"),
 }
 
 
@@ -71,7 +82,7 @@ def _merged(args, config: dict, key: str, default=None):
     """Flag value if given, else config-file value, else default."""
     val = getattr(args, key.replace("-", "_"), None)
     if val is None and key in config:
-        val = _CONVERT[key](config[key])
+        val = _FLAGS[key].get("type", _parse_bool)(config[key])
     return default if val is None else val
 
 
@@ -96,12 +107,6 @@ def _method_spec(args, config, mu, L) -> MethodSpec:
     gamma = _merged(args, config, "gamma", 0.0)
     return MethodSpec(kind, alpha=alpha, beta=beta,
                       gamma=gamma if kind == TMM else 0.0)
-
-
-def _start_point(minimizer: np.ndarray, scale: float, seed: int) -> np.ndarray:
-    rng = np.random.default_rng([seed, 1])
-    v = rng.standard_normal(minimizer.shape[0])
-    return minimizer + scale * v / np.linalg.norm(v)
 
 
 def _cmd_generate(args, config) -> int:
@@ -159,7 +164,7 @@ def _cmd_run(args, config) -> int:
     seed = _merged(args, config, "seed", 0)
     scale = _merged(args, config, "x0-scale", 10.0)
     out = _require(_merged(args, config, "out"), "--out")
-    x0 = _start_point(problem.minimizer, scale, seed)
+    x0 = _x0(problem.minimizer, scale, seed)
     trace = run_trace(problem, spec, x0, iters, seed=seed)
     export_csv(trace, out)
     rep = check_monotone(trace.lyapunov_series(_merged(args, config, "tolerance", 1e-9)))
@@ -222,25 +227,8 @@ def _add_common(sub: argparse.ArgumentParser, *names) -> None:
     # clobbering a value parsed before the subcommand
     sub.add_argument("--config", type=str, default=argparse.SUPPRESS,
                      help="flat key = value file mirroring the flags")
-    table = {
-        "dim": dict(type=int, help="problem dimension / grid size"),
-        "mu": dict(type=float, help="smallest curvature"),
-        "L": dict(type=float, help="largest curvature"),
-        "method": dict(type=parse_method, help="hb | nag | tmm | nag-gs"),
-        "alpha": dict(type=float, help="step size"),
-        "beta": dict(type=float, help="momentum"),
-        "gamma": dict(type=float, help="second momentum (tmm only)"),
-        "optimal": dict(action="store_const", const=True,
-                        help="use tuned hyperparameters for [mu, L]"),
-        "iters": dict(type=int, help="iteration count (>= 3)"),
-        "seed": dict(type=int, help="random seed"),
-        "out": dict(type=str, help="output path (file or directory)"),
-        "x0-scale": dict(type=float, help="initial distance from the minimizer"),
-        "tolerance": dict(type=float, help="comparison tolerance"),
-        "problem": dict(type=str, help="problem .npz written by 'generate'"),
-    }
     for name in names:
-        sub.add_argument(f"--{name}", default=None, **table[name])
+        sub.add_argument(f"--{name}", default=None, **_FLAGS[name])
 
 
 def build_parser() -> argparse.ArgumentParser:

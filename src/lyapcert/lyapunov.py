@@ -95,6 +95,8 @@ class MonotonicityReport:
         if self.monotone:
             return (f"monotone decrease: yes (max ratio "
                     f"{self.max_ratio:.6g} over positive values)")
+        if not self.violations:
+            return "monotone decrease: NO (non-finite V)"
         first = self.violations[0]
         return (
             f"monotone decrease: NO ({len(self.violations)} violations); first at "
@@ -104,30 +106,32 @@ class MonotonicityReport:
 
 
 def check_monotone(series: LyapunovSeries) -> MonotonicityReport:
-    """Flag every k with V_{k+1} > V_k + tol * max(1, |V_k|).
+    """Flag every k with V_{k+1} > V_k + tol * max(1, |V_k|), and every step
+    into or out of a NaN or infinite V; a series holding one is never monotone.
 
     ``max_ratio`` is the largest V_{k+1} / V_k over positive V_k (nan when the
     series has no positive value with a successor).
     """
     v = series.values
+    finite = np.isfinite(v)
     tol = series.tolerance
     violations = []
     max_ratio = math.nan
     for j in range(v.shape[0] - 1):
-        allowed = v[j] + tol * max(1.0, abs(v[j]))
-        if v[j + 1] > allowed:
+        allowed = v[j] + tol * max(1.0, abs(v[j])) if finite[j] else math.nan
+        if v[j + 1] > allowed or not (finite[j] and finite[j + 1]):
             violations.append(Violation(
                 index=series.start_index + j,
                 v_prev=float(v[j]),
                 v_next=float(v[j + 1]),
                 excess=float(v[j + 1] - allowed),
             ))
-        if v[j] > 0:
+        if finite[j] and v[j] > 0:
             r = v[j + 1] / v[j]
             if math.isnan(max_ratio) or r > max_ratio:
                 max_ratio = r
     return MonotonicityReport(
-        monotone=not violations,
+        monotone=not violations and bool(finite.all()),
         violations=tuple(violations),
         max_ratio=max_ratio,
     )

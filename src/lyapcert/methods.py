@@ -1,4 +1,4 @@
-"""Two-step momentum methods: hyperparameters, coefficients, step engines.
+"""Two-step momentum methods: hyperparameters, coefficients, oracle step.
 
 Each method reduces, on a quadratic and per eigen-coordinate, to the scalar
 recurrence ``x_{k+1} = a x_k + b x_{k-1}`` around the minimizer.  The
@@ -16,11 +16,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
-from .problems import Objective, QuadraticProblem
+from .problems import Objective
 
 HB = "HB"
 NAG = "NAG"
@@ -164,31 +164,6 @@ def theoretical_rate(spec: MethodSpec, mu: float) -> float:
     if spec.kind == TMM:
         return math.sqrt(spec.beta - spec.alpha * spec.gamma * mu)
     return spec.beta
-
-
-def step_quadratic_eigenbasis(coeffs: Sequence[TwoStepCoefficients],
-                              state: IterationState) -> IterationState:
-    """Advance one step in the eigenbasis, coordinate-wise recurrence."""
-    d = state.current.shape[0]
-    if len(coeffs) != d:
-        raise ValueError("one coefficient pair per coordinate required")
-    a = np.array([c.a for c in coeffs])
-    b = np.array([c.b for c in coeffs])
-    nxt = a * state.current + b * state.previous
-    return IterationState(current=nxt, previous=state.current)
-
-
-def step_quadratic(p: QuadraticProblem, spec: MethodSpec,
-                   state: IterationState) -> IterationState:
-    """Advance one step on a quadratic via its eigenbasis recurrence."""
-    if state.current.shape[0] != p.dim:
-        raise ValueError("state dimension does not match the problem")
-    a, b = coefficient_arrays(spec, p.eigvals)
-    q, xs = p.eigvecs, p.minimizer
-    cur = q.T @ (state.current - xs)
-    prev = q.T @ (state.previous - xs)
-    nxt = q @ (a * cur + b * prev) + xs
-    return IterationState(current=nxt, previous=state.current)
 
 
 def step_general(obj: Objective, spec: MethodSpec, state: IterationState) -> IterationState:

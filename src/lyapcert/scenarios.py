@@ -122,6 +122,15 @@ def _spectrum_series(certs: dict) -> list:
     return series
 
 
+def _write_certificate(out: str, stem: str, cert, artifacts: list) -> None:
+    """Write ``<stem>_certificate.csv`` and ``<stem>_certificate.txt``."""
+    for ext, render in (("csv", certificate_csv_text), ("txt", certificate_report_text)):
+        path = os.path.join(out, f"{stem}_certificate.{ext}")
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(render(cert))
+        artifacts.append(path)
+
+
 def _write_family_artifacts(name: str, out: str, traces: dict, certs: dict,
                             artifacts: list) -> None:
     for kind, trace in traces.items():
@@ -129,13 +138,7 @@ def _write_family_artifacts(name: str, out: str, traces: dict, certs: dict,
         export_csv(trace, p)
         artifacts.append(p)
     for kind, cert in certs.items():
-        pc = os.path.join(out, f"{name}_{kind.lower()}_certificate.csv")
-        with open(pc, "w", encoding="utf-8", newline="") as fh:
-            fh.write(certificate_csv_text(cert))
-        pr = os.path.join(out, f"{name}_{kind.lower()}_certificate.txt")
-        with open(pr, "w", encoding="utf-8", newline="") as fh:
-            fh.write(certificate_report_text(cert))
-        artifacts.extend([pc, pr])
+        _write_certificate(out, f"{name}_{kind.lower()}", cert, artifacts)
     panels = {
         "gap": Panel(title=f"{name}: objective gap", kind="line-log",
                      ylabel="f(x_k) - f*",
@@ -349,13 +352,7 @@ def _run_cosine(cfg: ScenarioConfig) -> ScenarioResult:
     # certificate over the [mu, L] interval as a 33-point grid (quadratic view)
     grid = np.linspace(obj.mu, obj.lipschitz, 33)
     cert = analyze(spec, grid)
-    pc = os.path.join(cfg.out, f"{cfg.name}_hb_certificate.csv")
-    with open(pc, "w", encoding="utf-8", newline="") as fh:
-        fh.write(certificate_csv_text(cert))
-    pr = os.path.join(cfg.out, f"{cfg.name}_hb_certificate.txt")
-    with open(pr, "w", encoding="utf-8", newline="") as fh:
-        fh.write(certificate_report_text(cert))
-    artifacts.extend([pc, pr])
+    _write_certificate(cfg.out, f"{cfg.name}_hb", cert, artifacts)
     lines.append(f"quadratic-view certificate on [mu, L]: eligible="
                  f"{'yes' if cert.eligible else 'no'} radius={cert.spectral_radius:.6g} "
                  f"(the violation above is what that certificate cannot promise here)")
@@ -379,13 +376,7 @@ def _run_tmm_witness(cfg: ScenarioConfig) -> ScenarioResult:
 
     spec = optimal_hyperparams(TMM, mu, L)
     cert = analyze(spec, generate_quadratic(dim, mu, L, cfg.seed).eigvals)
-    pc = os.path.join(cfg.out, f"{cfg.name}_tmm_certificate.csv")
-    with open(pc, "w", encoding="utf-8", newline="") as fh:
-        fh.write(certificate_csv_text(cert))
-    pr = os.path.join(cfg.out, f"{cfg.name}_tmm_certificate.txt")
-    with open(pr, "w", encoding="utf-8", newline="") as fh:
-        fh.write(certificate_report_text(cert))
-    artifacts.extend([pc, pr])
+    _write_certificate(cfg.out, f"{cfg.name}_tmm", cert, artifacts)
     lines.append(f"certificate: eligible={'yes' if cert.eligible else 'no'} "
                  f"radius={cert.spectral_radius:.6g}")
 

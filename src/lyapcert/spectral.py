@@ -155,58 +155,6 @@ def analyze(spec: MethodSpec, eigvals: np.ndarray, tol: float = DEFAULT_TOL) -> 
     )
 
 
-def symmetric_eigendecomposition(W: np.ndarray, tol: float = 1e-13,
-                                 max_sweeps: int = 60) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a symmetric matrix by cyclic Jacobi rotations.
-
-    Returns (Q, eigvals) with eigvals ascending and W = Q diag(eigvals) Q'.
-    Dense desk-scale routine; rejects non-symmetric input.
-    """
-    A = np.array(W, dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ValueError("W must be square")
-    scale = max(1.0, float(np.abs(A).max()))
-    if np.abs(A - A.T).max() > 1e-10 * scale:
-        raise ValueError("W must be symmetric")
-    A = (A + A.T) / 2.0
-    n = A.shape[0]
-    Q = np.eye(n)
-    if n == 1:
-        return Q, np.array([A[0, 0]])
-    fro = max(np.linalg.norm(A), 1e-300)
-    for _ in range(max_sweeps):
-        off = math.sqrt(max(np.sum(np.triu(A, 1) ** 2) * 2.0, 0.0))
-        if off <= tol * fro:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = A[p, q]
-                if apq == 0.0:
-                    continue
-                tau = (A[q, q] - A[p, p]) / (2.0 * apq)
-                t = math.copysign(1.0, tau) / (abs(tau) + math.sqrt(1.0 + tau * tau))
-                cth = 1.0 / math.sqrt(1.0 + t * t)
-                sth = t * cth
-                # rotate columns p, q of A, then rows (A stays symmetric)
-                cp = A[:, p].copy()
-                cq = A[:, q].copy()
-                A[:, p] = cth * cp - sth * cq
-                A[:, q] = sth * cp + cth * cq
-                rp = A[p, :].copy()
-                rq = A[q, :].copy()
-                A[p, :] = cth * rp - sth * rq
-                A[q, :] = sth * rp + cth * rq
-                A[p, q] = 0.0
-                A[q, p] = 0.0
-                qp = Q[:, p].copy()
-                qq = Q[:, q].copy()
-                Q[:, p] = cth * qp - sth * qq
-                Q[:, q] = sth * qp + cth * qq
-    vals = np.diag(A).copy()
-    order = np.argsort(vals, kind="stable")
-    return Q[:, order], vals[order]
-
-
 def certificate_csv_text(cert: SpectralCertificate) -> str:
     """One row per coordinate: lambda_W, a, b, Re/Im of the dominant eigenvalue,
     its modulus, and the conjugate-pair flag (1/0)."""

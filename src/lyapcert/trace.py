@@ -1,9 +1,11 @@
 """Iteration traces: run a method, record metrics, serialize to CSV.
 
-Quadratic targets advance in the eigenbasis so the recorded Lyapunov values
-keep full relative accuracy all the way down to underflow; full-space
-iterates are reconstructed for output.  Objective targets use the literal
-method updates via the gradient oracle.
+One step loop serves both targets; only the row engine differs.  Quadratic
+targets advance in the eigenbasis so the recorded Lyapunov values keep full
+relative accuracy all the way down to underflow; full-space iterates are
+reconstructed for output.  Objective targets use the literal method updates
+via the gradient oracle.  The step loop stores each row with its distance
+and checks it; V and the gap come from one vectorized pass afterwards.
 """
 
 from __future__ import annotations
@@ -14,9 +16,9 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .lyapunov import LyapunovSeries, DEFAULT_TOLERANCE, per_coordinate_V, vector_V
+from .lyapunov import LyapunovSeries, DEFAULT_TOLERANCE
 from .methods import NAGGS, IterationState, MethodSpec, coefficient_arrays, step_general
-from .problems import Objective, QuadraticProblem, evaluate
+from .problems import Objective, QuadraticProblem
 
 DIVERGENCE_THRESHOLD = 1e12
 
@@ -26,7 +28,7 @@ class Trace:
     """Recorded iterates and per-iterate metrics of one run.
 
     Row k holds iterate x_k; ``lyapunov[k]`` is defined from k = 2 on (NaN
-    before that and on truncated rows).
+    before that).
     """
 
     iterates: np.ndarray
@@ -43,7 +45,6 @@ class Trace:
 
     def lyapunov_series(self, tolerance: float = DEFAULT_TOLERANCE) -> LyapunovSeries:
         vals = self.lyapunov[2:]
-        vals = vals[~np.isnan(vals)]
         if vals.shape[0] < 1:
             raise ValueError("trace too short for a Lyapunov series")
         return LyapunovSeries(values=vals, start_index=2, tolerance=tolerance)
@@ -64,15 +65,103 @@ def run_trace(target: Union[QuadraticProblem, Objective], spec: MethodSpec,
     if iters < 3:
         raise ValueError("iters must be >= 3 so V is defined at least once")
     x0 = np.asarray(x0, dtype=float)
+    starts = [x0]
     if x1 is not None:
         x1 = np.asarray(x1, dtype=float)
         if x1.shape != x0.shape:
             raise ValueError("x1 must match x0's dimension")
-    if isinstance(target, QuadraticProblem):
-        return _run_quadratic(target, spec, x0, iters, x1, v_floor, seed,
-                              divergence_threshold)
-    return _run_objective(target, spec, x0, iters, x1, v_floor, seed,
-                          divergence_threshold)
+        starts.append(x1)
+    quadratic = isinstance(target, QuadraticProblem)
+    if target.minimizer is None:
+        raise ValueError("objective needs a known minimizer to compute metrics")
+    if x0.shape != (target.dim,):
+        raise ValueError("x0 has wrong dimension")
+    xs = np.asarray(target.minimizer, dtype=float)
+    # quadratic rows are centred eigen-coordinates; oracle rows are x itself
+    engine = (_eigenbasis_rows(target, spec, starts) if quadratic
+              else _oracle_rows(target, spec, starts))
+
+    rows, dists = [], []
+    window = ()  # centred rows k-2, k-1, k
+    diverged = False
+    for k, x in enumerate(engine):
+        if k >= len(starts) and not np.all(np.isfinite(x)):
+            raise ValueError("non-finite iterate produced")
+        rows.append(x)
+        z = x if quadratic else x - xs
+        window = window[-2:] + (z,)
+        dists.append(math.sqrt(z.dot(z)))  # np.linalg.norm(z), to the bit
+        diverged = diverged or dists[-1] > divergence_threshold
+        if k + 1 < len(starts):
+            continue
+        if diverged or len(rows) == iters:
+            break
+        if v_floor is not None and k >= 2 and _lyapunov_rows(*window) < v_floor:
+            break
+
+    R = np.vstack(rows)
+    del rows, window  # free the row list before the metric temporaries
+    Z = R if quadratic else R - xs
+    lyap = np.full(R.shape[0], math.nan)
+    lyap[2:] = _lyapunov_rows(Z[:-2], Z[1:-1], Z[2:])
+    if quadratic:
+        gaps = 0.5 * np.sum(target.eigvals * Z * Z, axis=1)
+        iterates = R @ target.eigvecs.T + xs
+    else:
+        values = np.array([float(target.value(x)) for x in R])
+        if not np.all(np.isfinite(values)):
+            raise ValueError("non-finite objective value from the oracle")
+        gaps = values - float(target.value(xs))
+        iterates = R
+    return Trace(
+        iterates=iterates,
+        objective_gap=gaps,
+        distance=np.array(dists),
+        lyapunov=lyap,
+        method=spec,
+        descriptor=_descriptor(target, spec),
+        seed=seed,
+        diverged=diverged,
+    )
+
+
+def _lyapunov_rows(z_km2: np.ndarray, z_km1: np.ndarray, z_k: np.ndarray):
+    """V = sum_i z_{k-1,i}^2 - z_{k,i} z_{k-2,i} over the last axis; row-wise
+    on stacked rows, with the same summation (and bytes) as one row at a time."""
+    terms = z_km1 * z_km1
+    terms -= z_k * z_km2
+    return np.sum(terms, axis=-1)
+
+
+def _eigenbasis_rows(p: QuadraticProblem, spec: MethodSpec, starts):
+    """Centred eigen-coordinates of the starts, then a x_k + b x_{k-1} forever."""
+    a, b = coefficient_arrays(spec, p.eigvals)
+    cur = prev = p.eigvecs.T @ (starts[0] - p.minimizer)
+    yield cur
+    if len(starts) > 1:
+        cur = p.eigvecs.T @ (starts[1] - p.minimizer)
+        yield cur
+    while True:
+        cur, prev = a * cur + b * prev, cur
+        yield cur
+
+
+def _oracle_rows(obj: Objective, spec: MethodSpec, starts):
+    """The starts, then literal method steps through the gradient oracle."""
+    prev, cur = starts[0], starts[-1]
+    aux = None
+    if spec.kind == NAGGS:
+        if len(starts) == 1:
+            aux = cur
+        elif spec.beta == 1.0:
+            raise ValueError("cannot reconstruct NAG-GS auxiliary state for beta = 1")
+        else:  # the averaged y behind x1 = beta x0 + (1 - beta) y
+            aux = (cur - spec.beta * prev) / (1.0 - spec.beta)
+    state = IterationState(current=cur, previous=prev, auxiliary=aux)
+    yield from starts
+    while True:
+        state = step_general(obj, spec, state)
+        yield state.current
 
 
 def _descriptor(target, spec: MethodSpec) -> dict:
@@ -84,127 +173,6 @@ def _descriptor(target, spec: MethodSpec) -> dict:
         d["L"] = target.lipschitz
     d["kind"] = "quadratic" if isinstance(target, QuadraticProblem) else "objective"
     return d
-
-
-def _run_quadratic(p: QuadraticProblem, spec: MethodSpec, x0, iters, x1,
-                   v_floor, seed, divergence_threshold) -> Trace:
-    if x0.shape != (p.dim,):
-        raise ValueError("x0 has wrong dimension")
-    a, b = coefficient_arrays(spec, p.eigvals)
-    q, xs, lam = p.eigvecs, p.minimizer, p.eigvals
-
-    cur = q.T @ (x0 - xs)
-    rows = [cur]
-    if x1 is not None:
-        prev = cur
-        cur = q.T @ (x1 - xs)
-        rows.append(cur)
-    else:
-        prev = cur
-
-    gaps, dists, lyap = [], [], []
-
-    def push_metrics(xhat) -> bool:
-        gaps.append(0.5 * float(np.sum(lam * xhat * xhat)))
-        dists.append(float(np.linalg.norm(xhat)))
-        k = len(gaps) - 1
-        if k >= 2:
-            lyap.append(float(np.sum(per_coordinate_V(rows[k], rows[k - 1], rows[k - 2]))))
-        else:
-            lyap.append(math.nan)
-        return dists[-1] > divergence_threshold
-
-    stop = False
-    for r in rows:
-        stop = push_metrics(r) or stop
-    diverged = stop
-    while not stop and len(rows) < iters:
-        cur, prev = a * cur + b * prev, cur
-        if not np.all(np.isfinite(cur)):
-            raise ValueError("non-finite iterate produced")
-        rows.append(cur)
-        if push_metrics(cur):
-            diverged = True
-            break
-        if v_floor is not None and not math.isnan(lyap[-1]) and lyap[-1] < v_floor:
-            break
-
-    xhat = np.vstack(rows)
-    iterates = xhat @ q.T + xs
-    return Trace(
-        iterates=iterates,
-        objective_gap=np.array(gaps),
-        distance=np.array(dists),
-        lyapunov=np.array(lyap),
-        method=spec,
-        descriptor=_descriptor(p, spec),
-        seed=seed,
-        diverged=diverged,
-    )
-
-
-def _run_objective(obj: Objective, spec: MethodSpec, x0, iters, x1,
-                   v_floor, seed, divergence_threshold) -> Trace:
-    if obj.minimizer is None:
-        raise ValueError("objective needs a known minimizer to compute metrics")
-    if x0.shape != (obj.dim,):
-        raise ValueError("x0 has wrong dimension")
-    xs = np.asarray(obj.minimizer, dtype=float)
-    f_star = float(obj.value(xs))
-
-    if x1 is not None:
-        aux = None
-        if spec.kind == NAGGS:
-            if spec.beta == 1.0:
-                raise ValueError("cannot reconstruct NAG-GS auxiliary state for beta = 1")
-            aux = (x1 - spec.beta * x0) / (1.0 - spec.beta)
-        state = IterationState(current=x1, previous=x0, auxiliary=aux)
-        rows = [x0, x1]
-    else:
-        aux = x0 if spec.kind == NAGGS else None
-        state = IterationState(current=x0, previous=x0, auxiliary=aux)
-        rows = [x0]
-
-    gaps, dists, lyap = [], [], []
-
-    def push_metrics(x) -> bool:
-        val = float(obj.value(x))
-        if not math.isfinite(val):
-            raise ValueError("non-finite objective value from the oracle")
-        gaps.append(val - f_star)
-        dists.append(float(np.linalg.norm(x - xs)))
-        k = len(gaps) - 1
-        if k >= 2:
-            lyap.append(vector_V(rows[k], rows[k - 1], rows[k - 2], xs))
-        else:
-            lyap.append(math.nan)
-        return dists[-1] > divergence_threshold
-
-    stop = False
-    for r in rows:
-        stop = push_metrics(r) or stop
-    diverged = stop
-    while not stop and len(rows) < iters:
-        state = step_general(obj, spec, state)
-        if not np.all(np.isfinite(state.current)):
-            raise ValueError("non-finite iterate from the gradient oracle")
-        rows.append(state.current)
-        if push_metrics(state.current):
-            diverged = True
-            break
-        if v_floor is not None and not math.isnan(lyap[-1]) and lyap[-1] < v_floor:
-            break
-
-    return Trace(
-        iterates=np.vstack(rows),
-        objective_gap=np.array(gaps),
-        distance=np.array(dists),
-        lyapunov=np.array(lyap),
-        method=spec,
-        descriptor=_descriptor(obj, spec),
-        seed=seed,
-        diverged=diverged,
-    )
 
 
 def export_csv(trace: Trace, path) -> None:
@@ -223,8 +191,7 @@ def read_trace_csv(path) -> dict:
     """Parse a trace CSV back into metric arrays (lyapunov NaN where empty)."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = [ln.strip() for ln in fh if ln.strip()]
-    header = lines[0].split(",")
-    if header != ["iter", "objective_gap", "distance", "lyapunov"]:
+    if not lines or lines[0].split(",") != ["iter", "objective_gap", "distance", "lyapunov"]:
         raise ValueError("not a trace CSV")
     gaps, dists, lyap = [], [], []
     for ln in lines[1:]:
@@ -242,11 +209,12 @@ def read_trace_csv(path) -> dict:
 
 
 def series_from_csv(path, tolerance: float = DEFAULT_TOLERANCE) -> LyapunovSeries:
-    """Rebuild the Lyapunov series of an exported trace."""
+    """Rebuild the Lyapunov series of an exported trace: every value from the
+    first defined one on, so a later empty or NaN cell fails the check."""
     data = read_trace_csv(path)
     vals = data["lyapunov"]
     defined = np.where(~np.isnan(vals))[0]
     if defined.shape[0] < 1:
         raise ValueError("trace CSV holds no Lyapunov values")
     start = int(defined[0])
-    return LyapunovSeries(values=vals[defined], start_index=start, tolerance=tolerance)
+    return LyapunovSeries(values=vals[start:], start_index=start, tolerance=tolerance)

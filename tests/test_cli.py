@@ -5,8 +5,8 @@ import sys
 import numpy as np
 import pytest
 
-from lyapcert import load_problem, read_trace_csv
-from lyapcert.cli import UsageError, main, parse_method
+from lyapcert import cli, load_problem, parse_config_file, read_trace_csv
+from lyapcert.cli import UsageError, build_parser, main, parse_method
 
 VIOLATING_CSV = (
     "iter,objective_gap,distance,lyapunov\n"
@@ -155,6 +155,21 @@ class TestRunAndCheck:
         rc = main(["check", str(tmp_path / "nope.csv")])
         assert rc == 1
 
+    def test_check_empty_file_is_runtime_error(self, tmp_path, capsys):
+        path = tmp_path / "empty.csv"
+        path.write_text("", encoding="utf-8")
+        rc = main(["check", str(path)])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_check_flags_nan_value(self, tmp_path, capsys):
+        path = tmp_path / "nan.csv"
+        path.write_text(VIOLATING_CSV.replace("3,1,1,2", "3,1,1,nan\n4,1,1,0.5"),
+                        encoding="utf-8")
+        rc = main(["check", str(path)])
+        assert rc == 1
+        assert "monotone decrease: NO" in capsys.readouterr().out
+
 
 class TestScenarioCommand:
     def test_scenario_runs_and_reports(self, tmp_path, capsys):
@@ -227,6 +242,28 @@ class TestConfigFile:
         rc = main(["analyze", "--config", cfg])
         assert rc == 1
         assert "expected 'key = value'" in capsys.readouterr().err
+
+    # one sample per flag: config text and the value the flag must read
+    EVERY_KEY = {
+        "dim": ("7", 7), "mu": ("0.5", 0.5), "L": ("12", 12.0),
+        "method": ("nag-gs", "NAGGS"), "alpha": ("0.25", 0.25),
+        "beta": ("0.75", 0.75), "gamma": ("0.125", 0.125),
+        "optimal": ("false", False), "iters": ("30", 30), "seed": ("5", 5),
+        "out": ("o.csv", "o.csv"), "x0-scale": ("2.5", 2.5),
+        "tolerance": ("1e-6", 1e-6), "problem": ("p.npz", "p.npz"),
+    }
+
+    def test_config_reads_every_flag(self, tmp_path):
+        assert set(self.EVERY_KEY) == set(cli._FLAGS)
+        config = parse_config_file(self.write_config(tmp_path, "".join(
+            f"{key} = {text}\n" for key, (text, _) in self.EVERY_KEY.items())))
+        args = build_parser().parse_args(["analyze"])
+        for key, (_, expected) in self.EVERY_KEY.items():
+            got = cli._merged(args, config, key)
+            assert got == expected and type(got) is type(expected), key
+        assert cli._merged(args, {"optimal": "yes"}, "optimal") is True
+        # on the command line the switch takes no value
+        assert build_parser().parse_args(["analyze", "--optimal"]).optimal is True
 
     def test_bad_config_value(self, tmp_path, capsys):
         cfg = self.write_config(tmp_path, "method = sgd\nmu = 1\nL = 9\noptimal = yes\n")

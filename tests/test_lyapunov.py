@@ -154,6 +154,15 @@ class TestCheckMonotone:
         nan_rep = check_monotone(LyapunovSeries(values=np.array([-1.0, -2.0])))
         assert math.isnan(nan_rep.max_ratio)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_value_is_not_monotone(self, bad):
+        for vals in ([1.0, bad, 2.0], [bad, 1.0], [1.0, bad], [bad]):
+            rep = check_monotone(LyapunovSeries(values=np.array(vals)))
+            assert not rep.monotone, vals
+            assert rep.describe().startswith("monotone decrease: NO"), vals
+        rep = check_monotone(LyapunovSeries(values=np.array([1.0, bad, 0.5])))
+        assert [v.index for v in rep.violations] == [2, 3]
+
 
 class TestContractionIdentity:
     def test_holds_for_arbitrary_coefficients(self, rng):

@@ -3,9 +3,8 @@ import pytest
 
 from lyapcert import (HB, KINDS, NAG, NAGGS, TMM, IneligibleError,
                       IterationState, MethodSpec, coefficient_arrays,
-                      generate_quadratic, optimal_hyperparams,
-                      scalar_coefficients, step_general, step_quadratic,
-                      step_quadratic_eigenbasis, theoretical_rate)
+                      generate_quadratic, optimal_hyperparams, run_trace,
+                      scalar_coefficients, step_general, theoretical_rate)
 
 
 class TestMethodSpecValidation:
@@ -170,64 +169,53 @@ class TestTheoreticalRate:
 
 
 class TestStepEngines:
+    """The eigenbasis recurrence runs inside ``run_trace``; the oracle step is
+    ``step_general``."""
+
     def test_eigenbasis_hand_example(self):
-        from lyapcert import TwoStepCoefficients
-        state = IterationState(current=np.array([1.0]), previous=np.array([1.0]))
-        nxt = step_quadratic_eigenbasis([TwoStepCoefficients(2.0 / 9.0, -1.0 / 9.0)], state)
-        assert nxt.current[0] == pytest.approx(1.0 / 9.0, rel=1e-15)
-        assert nxt.previous[0] == 1.0
-
-    def test_eigenbasis_zero_coefficients(self):
-        from lyapcert import TwoStepCoefficients
-        state = IterationState(current=np.array([3.0, -2.0]), previous=np.array([1.0, 1.0]))
-        nxt = step_quadratic_eigenbasis([TwoStepCoefficients(0.0, 0.0)] * 2, state)
-        assert np.all(nxt.current == 0.0)
-
-    def test_eigenbasis_origin_fixed_point(self):
-        from lyapcert import TwoStepCoefficients
-        state = IterationState(current=np.zeros(2), previous=np.zeros(2))
-        nxt = step_quadratic_eigenbasis([TwoStepCoefficients(0.5, -0.2)] * 2, state)
-        assert np.all(nxt.current == 0.0)
+        # HB alpha=4/9, beta=1/9 at lam=2 gives (a, b) = (2/9, -1/9): from
+        # equal starts 1, 1 the first step lands on 2/9 - 1/9 = 1/9
+        p = generate_quadratic(1, 2.0, 2.0, seed=0)
+        spec = MethodSpec(HB, alpha=4.0 / 9.0, beta=1.0 / 9.0)
+        tr = run_trace(p, spec, p.minimizer + 1.0, 3)
+        assert tr.distance[0] == 1.0
+        assert tr.distance[1] == pytest.approx(1.0 / 9.0, rel=1e-15)
+        assert tr.iterates[1, 0] - p.minimizer[0] == pytest.approx(1.0 / 9.0, rel=1e-14)
 
     def test_step_quadratic_first_step_is_gradient_step(self):
+        # equal starts make a + b the whole first step: 1 - h lam, a gradient
+        # step of size h = alpha (alpha (1 - beta) for NAG-GS), on both engines
         p = generate_quadratic(6, 1.0, 10.0, seed=2)
-        spec = MethodSpec(HB, alpha=0.1, beta=0.5)
         x0 = p.minimizer + np.linspace(-1, 1, 6)
-        state = IterationState(current=x0, previous=x0)
-        nxt = step_quadratic(p, spec, state)
-        expected = x0 - 0.1 * p.gradient(x0)
-        assert np.allclose(nxt.current, expected, atol=1e-12)
-
-    def test_step_quadratic_fixed_point(self):
-        p = generate_quadratic(5, 1.0, 7.0, seed=3)
-        spec = optimal_hyperparams(NAG, 1.0, 7.0)
-        state = IterationState(current=p.minimizer.copy(), previous=p.minimizer.copy())
-        nxt = step_quadratic(p, spec, state)
-        assert np.allclose(nxt.current, p.minimizer, atol=1e-10)
+        for kind in KINDS:
+            al, be, ga = (0.1, 0.5, 0.05 if kind == TMM else 0.0)
+            spec = MethodSpec(kind, alpha=al, beta=be, gamma=ga)
+            h = al * (1.0 - be) if kind == NAGGS else al
+            expected = x0 - h * p.gradient(x0)
+            for target in (p, p.as_objective()):
+                tr = run_trace(target, spec, x0, 3)
+                assert np.allclose(tr.iterates[1], expected, atol=1e-12), kind
 
     def test_step_quadratic_matches_eigenbasis_conjugation(self, rng):
         p = generate_quadratic(8, 1.0, 12.0, seed=4)
+        q = p.eigvecs
         for kind in KINDS:
             spec = optimal_hyperparams(kind, 1.0, 12.0)
             a, b = coefficient_arrays(spec, p.eigvals)
             x_prev = p.minimizer + rng.standard_normal(8)
             x_cur = p.minimizer + rng.standard_normal(8)
-            full = step_quadratic(p, spec, IterationState(x_cur, x_prev))
-            q = p.eigvecs
-            hat_cur = q.T @ (x_cur - p.minimizer)
-            hat_prev = q.T @ (x_prev - p.minimizer)
-            hat_next = a * hat_cur + b * hat_prev
-            assert np.allclose(q.T @ (full.current - p.minimizer), hat_next, atol=1e-10)
+            tr = run_trace(p, spec, x_prev, 3, x1=x_cur)
+            hat_next = a * (q.T @ (x_cur - p.minimizer)) + b * (q.T @ (x_prev - p.minimizer))
+            assert np.allclose(q.T @ (tr.iterates[2] - p.minimizer), hat_next, atol=1e-10)
 
     def test_hb_general_matches_quadratic(self, rng):
         p = generate_quadratic(5, 1.0, 9.0, seed=6)
-        obj = p.as_objective()
         spec = MethodSpec(HB, alpha=0.15, beta=0.4)
         x_prev = p.minimizer + rng.standard_normal(5)
         x_cur = p.minimizer + rng.standard_normal(5)
-        g = step_general(obj, spec, IterationState(x_cur, x_prev))
-        q = step_quadratic(p, spec, IterationState(x_cur, x_prev))
-        assert np.allclose(g.current, q.current, atol=1e-12)
+        g = run_trace(p.as_objective(), spec, x_prev, 12, x1=x_cur)
+        q = run_trace(p, spec, x_prev, 12, x1=x_cur)
+        assert np.allclose(g.iterates, q.iterates, atol=1e-12)
 
     def test_nag_beta_zero_is_gradient_descent(self, rng):
         obj = generate_quadratic(4, 1.0, 6.0, seed=7).as_objective()

@@ -4,9 +4,8 @@ import pytest
 from lyapcert import (HB, NAG, NAGGS, TMM, IneligibleError, MethodSpec,
                       TwoStepCoefficients, analyze, certificate_csv_text,
                       certificate_report_text, companion_matrix,
-                      eigenvalues_2x2, generate_quadratic, is_conjugate_pair,
-                      optimal_hyperparams, scalar_coefficients, schur_2x2,
-                      symmetric_eigendecomposition)
+                      eigenvalues_2x2, is_conjugate_pair,
+                      optimal_hyperparams, scalar_coefficients, schur_2x2)
 from conftest import power_radius, random_eligible_coeffs
 
 
@@ -212,33 +211,3 @@ class TestCertificateSerialization:
         report = certificate_report_text(analyze(spec, np.array([1.0, 2.5, 4.0])))
         assert "eligible: yes" in report
         assert "spectral_radius" in report
-
-
-class TestSymmetricEigendecomposition:
-    def test_identity(self):
-        q, vals = symmetric_eigendecomposition(np.eye(4))
-        assert np.allclose(vals, 1.0)
-        assert np.max(np.abs(q @ q.T - np.eye(4))) <= 1e-12
-
-    def test_diagonal_sorted(self):
-        q, vals = symmetric_eigendecomposition(np.diag([3.0, 1.0]))
-        assert np.allclose(vals, [1.0, 3.0])
-        assert np.max(np.abs(np.abs(q) - np.eye(2)[:, ::-1])) <= 1e-12
-
-    def test_round_trip_against_generator(self):
-        p = generate_quadratic(50, 1.0, 25.0, seed=6)
-        q, vals = symmetric_eigendecomposition(p.W)
-        assert np.max(np.abs(vals - p.eigvals)) <= 1e-8
-        rec = (q * vals) @ q.T
-        assert np.linalg.norm(rec - p.W) <= 1e-8 * np.linalg.norm(p.W)
-
-    def test_matches_library_eigensolver(self, rng):
-        m = rng.standard_normal((20, 20))
-        w = (m + m.T) / 2.0
-        q, vals = symmetric_eigendecomposition(w)
-        ref = np.linalg.eigvalsh(w)
-        assert np.max(np.abs(vals - ref)) <= 1e-9 * max(1.0, np.max(np.abs(ref)))
-
-    def test_rejects_nonsymmetric(self):
-        with pytest.raises(ValueError):
-            symmetric_eigendecomposition(np.array([[1.0, 2.0], [0.0, 1.0]]))

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from lyapcert import (HB, NAG, NAGGS, TMM, MethodSpec, Objective,
-                      check_monotone, export_csv, generate_quadratic,
-                      optimal_hyperparams, read_trace_csv, run_trace,
-                      series_from_csv)
+from lyapcert import (HB, KINDS, NAG, NAGGS, TMM, MethodSpec, Objective,
+                      check_monotone, coefficient_arrays, export_csv,
+                      generate_quadratic, optimal_hyperparams,
+                      per_coordinate_V, read_trace_csv, run_trace,
+                      series_from_csv, vector_V)
 
 
 def offset_start(p, seed=0, scale=1.0):
@@ -117,11 +118,12 @@ class TestRunTraceObjective:
         p = generate_quadratic(6, 1.0, 10.0, seed=4)
         spec = MethodSpec(kind, **params)
         x0 = offset_start(p, seed=7)
-        tr_q = run_trace(p, spec, x0, 30)
-        tr_o = run_trace(p.as_objective(), spec, x0, 30)
-        assert tr_o.descriptor["kind"] == "objective"
-        assert np.max(np.abs(tr_q.iterates - tr_o.iterates)) <= 1e-8
-        assert np.max(np.abs(tr_q.distance - tr_o.distance)) <= 1e-8
+        for x1 in (None, offset_start(p, seed=8)):
+            tr_q = run_trace(p, spec, x0, 30, x1=x1)
+            tr_o = run_trace(p.as_objective(), spec, x0, 30, x1=x1)
+            assert tr_o.descriptor["kind"] == "objective"
+            assert np.max(np.abs(tr_q.iterates - tr_o.iterates)) <= 1e-8
+            assert np.max(np.abs(tr_q.distance - tr_o.distance)) <= 1e-8
 
     def test_objective_divergence_flags(self):
         p = generate_quadratic(2, 1.0, 4.0, seed=0)
@@ -129,6 +131,67 @@ class TestRunTraceObjective:
         tr = run_trace(p.as_objective(), spec, offset_start(p), 500)
         assert tr.diverged
         assert len(tr) < 500
+
+
+class TestMetricsPassBitIdentity:
+    """The vectorized metrics equal a per-row reference to the last bit, so
+    engine edits cannot silently change exported CSV bytes."""
+
+    @staticmethod
+    def eigen_rows(p, spec, x0, x1, n):
+        a, b = coefficient_arrays(spec, p.eigvals)
+        q, xs = p.eigvecs, p.minimizer
+        prev = cur = q.T @ (x0 - xs)
+        rows = [cur]
+        if x1 is not None:
+            cur = q.T @ (x1 - xs)
+            rows.append(cur)
+        while len(rows) < n:
+            cur, prev = a * cur + b * prev, cur
+            rows.append(cur)
+        return rows
+
+    def assert_matches(self, tr, gaps, rows, v_of):
+        n = len(tr)
+        dists = [float(np.linalg.norm(z)) for z in rows]
+        lyap = [np.nan, np.nan] + [v_of(k) for k in range(2, n)]
+        assert np.array_equal(tr.objective_gap, np.array(gaps))
+        assert np.array_equal(tr.distance, np.array(dists))
+        assert np.array_equal(tr.lyapunov, np.array(lyap), equal_nan=True)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("variant", ["equal", "x1", "v_floor"])
+    def test_quadratic(self, kind, variant):
+        p = generate_quadratic(37, 1.0, 50.0, seed=3)
+        spec = optimal_hyperparams(kind, 1.0, 50.0)
+        x0 = offset_start(p, seed=1, scale=3.0)
+        x1 = offset_start(p, seed=2, scale=3.0) if variant == "x1" else None
+        v_floor = 1e-6 if variant == "v_floor" else None
+        tr = run_trace(p, spec, x0, 400, x1=x1, v_floor=v_floor)
+        if v_floor is not None:
+            assert len(tr) < 400 and tr.lyapunov[-1] < v_floor
+        z = self.eigen_rows(p, spec, x0, x1, len(tr))
+        gaps = [0.5 * float(np.sum(p.eigvals * r * r)) for r in z]
+        self.assert_matches(tr, gaps, z, lambda k: float(np.sum(
+            per_coordinate_V(z[k], z[k - 1], z[k - 2]))))
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("variant", ["equal", "x1", "v_floor"])
+    def test_objective(self, kind, variant):
+        p = generate_quadratic(5, 1.0, 10.0, seed=5)
+        obj = p.as_objective()
+        spec = MethodSpec(kind, alpha=0.1, beta=0.5, gamma=0.05 if kind == TMM else 0.0)
+        x0 = offset_start(p, seed=1)
+        x1 = offset_start(p, seed=2) if variant == "x1" else None
+        v_floor = 1e-8 if variant == "v_floor" else None
+        tr = run_trace(obj, spec, x0, 300, x1=x1, v_floor=v_floor)
+        if v_floor is not None:
+            assert len(tr) < 300 and tr.lyapunov[-1] < v_floor
+        x, xs = tr.iterates, p.minimizer
+        f_star = float(obj.value(xs))
+        gaps = [float(obj.value(r)) - f_star for r in x]
+        self.assert_matches(tr, gaps, [r - xs for r in x], lambda k: vector_V(
+            x[k], x[k - 1], x[k - 2], xs))
 
 
 class TestLyapunovSeriesAccess:
