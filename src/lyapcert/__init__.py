@@ -16,11 +16,10 @@ from .methods import (HB, KINDS, NAG, NAGGS, TMM, IterationState, MethodSpec,
 from .problems import (Objective, QuadraticProblem, cosine_counterexample,
                        exp_norm_objective, generate_quadratic, load_problem,
                        rosenbrock_objective, save_problem)
-from .spectral import (ComplexPair, CoordinateAnalysis, IneligibleError,
-                       SchurFactors, SpectralCertificate, analyze,
-                       certificate_csv_text, certificate_report_text,
-                       companion_matrix, eigenvalues_2x2, is_conjugate_pair,
-                       schur_2x2)
+from .spectral import (ComplexPair, IneligibleError, SchurFactors,
+                       SpectralCertificate, analyze, certificate_csv_text,
+                       certificate_report_text, companion_matrix,
+                       eigenvalues_2x2, is_conjugate_pair, schur_2x2)
 from .svgplot import Panel, Series, render_svg
 from .scenarios import (SCENARIOS, SUITABLE, ScenarioConfig, ScenarioResult,
                         find_cosine_witness, find_tmm_witness,
@@ -32,7 +31,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "DEFAULT_TOLERANCE", "DIVERGENCE_THRESHOLD", "HB", "KINDS", "NAG",
-    "NAGGS", "TMM", "ComplexPair", "CoordinateAnalysis", "IneligibleError",
+    "NAGGS", "TMM", "ComplexPair", "IneligibleError",
     "IterationState", "LyapunovSeries", "MethodSpec", "MonotonicityReport",
     "Objective", "Panel", "QuadraticProblem", "SCENARIOS", "SUITABLE",
     "ScenarioConfig",

@@ -16,12 +16,13 @@ import sys
 
 import numpy as np
 
-from .lyapunov import check_monotone
+from .lyapunov import DEFAULT_TOLERANCE, check_monotone
 from .methods import HB, NAG, NAGGS, TMM, MethodSpec, optimal_hyperparams
 from .problems import generate_quadratic, load_problem, save_problem
 from .scenarios import (SCENARIOS, ScenarioConfig, _x0, parse_config_file,
                         run_scenario)
-from .spectral import analyze, certificate_csv_text, certificate_report_text
+from .spectral import (DEFAULT_TOL, analyze, certificate_csv_text,
+                       certificate_report_text)
 from .trace import export_csv, run_trace, series_from_csv
 
 _METHOD_NAMES = {
@@ -48,6 +49,14 @@ def parse_method(text: str) -> str:
     return _METHOD_NAMES[key]
 
 
+def _count(name: str, low: int):
+    def parse(text: str) -> int:
+        if not text.strip().lstrip("+-").isdecimal() or int(text) < low:
+            raise UsageError(f"{name} must be an integer >= {low}, got {text!r}")
+        return int(text)
+    return parse
+
+
 def _parse_bool(text: str) -> bool:
     key = text.strip().lower()
     if key in ("1", "true", "yes", "on"):
@@ -60,7 +69,7 @@ def _parse_bool(text: str) -> bool:
 # every flag, keyed like its config-file key; a config value goes through
 # the flag's ``type``, and the ``optimal`` switch reads a boolean
 _FLAGS = {
-    "dim": dict(type=int, help="problem dimension / grid size"),
+    "dim": dict(type=_count("dim", 1), help="problem dimension / grid size"),
     "mu": dict(type=float, help="smallest curvature"),
     "L": dict(type=float, help="largest curvature"),
     "method": dict(type=parse_method, help="hb | nag | tmm | nag-gs"),
@@ -69,7 +78,7 @@ _FLAGS = {
     "gamma": dict(type=float, help="second momentum (tmm only)"),
     "optimal": dict(action="store_const", const=True,
                     help="use tuned hyperparameters for [mu, L]"),
-    "iters": dict(type=int, help="iteration count (>= 3)"),
+    "iters": dict(type=_count("iters", 3), help="iteration count (>= 3)"),
     "seed": dict(type=int, help="random seed"),
     "out": dict(type=str, help="output path (file or directory)"),
     "x0-scale": dict(type=float, help="initial distance from the minimizer"),
@@ -134,7 +143,7 @@ def _load_or_generate(args, config):
 
 
 def _cmd_analyze(args, config) -> int:
-    tol = _merged(args, config, "tolerance", 1e-12)
+    tol = _merged(args, config, "tolerance", DEFAULT_TOL)
     path = _merged(args, config, "problem")
     if path is not None:
         problem = load_problem(path)
@@ -167,7 +176,8 @@ def _cmd_run(args, config) -> int:
     x0 = _x0(problem.minimizer, scale, seed)
     trace = run_trace(problem, spec, x0, iters, seed=seed)
     export_csv(trace, out)
-    rep = check_monotone(trace.lyapunov_series(_merged(args, config, "tolerance", 1e-9)))
+    tol = _merged(args, config, "tolerance", DEFAULT_TOLERANCE)
+    rep = check_monotone(trace.lyapunov_series(tol))
     print(f"rows={len(trace)} final_gap={trace.objective_gap[-1]:.6g} "
           f"final_distance={trace.distance[-1]:.6g} "
           f"diverged={'yes' if trace.diverged else 'no'}")
@@ -198,7 +208,7 @@ def _cmd_scenario(args, config) -> int:
         iters=_merged(args, config, "iters"),
         seed=_merged(args, config, "seed", 0),
         x0_scale=_merged(args, config, "x0-scale"),
-        tolerance=_merged(args, config, "tolerance", 1e-9),
+        tolerance=_merged(args, config, "tolerance", DEFAULT_TOLERANCE),
     )
     result = run_scenario(cfg)
     with open(result.report_path, "r", encoding="utf-8") as fh:
@@ -211,7 +221,7 @@ def _cmd_check(args, config) -> int:
     path = args.trace or config.get("trace")
     if path is None:
         raise UsageError("missing trace CSV path")
-    tol = _merged(args, config, "tolerance", 1e-9)
+    tol = _merged(args, config, "tolerance", DEFAULT_TOLERANCE)
     series = series_from_csv(path, tolerance=tol)
     rep = check_monotone(series)
     print(rep.describe())

@@ -87,13 +87,24 @@ class QuadraticProblem:
         return self.mu > 0
 
     def evaluate(self, x: np.ndarray) -> float:
-        return evaluate(self, x)
+        """Objective value ``0.5 x'Wx - linear'x + constant``."""
+        x = self._point(x)
+        return float(0.5 * (x @ (self.W @ x)) - self.linear @ x + self.constant)
 
     def gradient(self, x: np.ndarray) -> np.ndarray:
-        return gradient(self, x)
+        """Gradient ``Wx - linear``."""
+        return self.W @ self._point(x) - self.linear
 
     def as_objective(self) -> "Objective":
-        return as_objective(self)
+        """Wrap the quadratic behind the value/gradient oracle interface."""
+        return Objective(dim=self.dim, value=self.evaluate, gradient=self.gradient,
+                         minimizer=self.minimizer, mu=self.mu, lipschitz=self.lipschitz)
+
+    def _point(self, x: np.ndarray) -> np.ndarray:
+        x = np.asarray(x, dtype=float)
+        if x.shape != (self.dim,):
+            raise ValueError("x has wrong dimension")
+        return x
 
 
 @dataclass(frozen=True)
@@ -147,34 +158,6 @@ def generate_quadratic(dim: int, mu: float, L: float, seed: int) -> QuadraticPro
         minimizer=minimizer,
         mu=float(eigvals[0]),
         lipschitz=float(eigvals[-1]),
-    )
-
-
-def evaluate(p: QuadraticProblem, x: np.ndarray) -> float:
-    """Objective value ``0.5 x'Wx - linear'x + constant``."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (p.dim,):
-        raise ValueError("x has wrong dimension")
-    return float(0.5 * (x @ (p.W @ x)) - p.linear @ x + p.constant)
-
-
-def gradient(p: QuadraticProblem, x: np.ndarray) -> np.ndarray:
-    """Gradient ``Wx - linear``."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (p.dim,):
-        raise ValueError("x has wrong dimension")
-    return p.W @ x - p.linear
-
-
-def as_objective(p: QuadraticProblem) -> Objective:
-    """Wrap a quadratic behind the value/gradient oracle interface."""
-    return Objective(
-        dim=p.dim,
-        value=lambda x: evaluate(p, x),
-        gradient=lambda x: gradient(p, x),
-        minimizer=p.minimizer,
-        mu=p.mu,
-        lipschitz=p.lipschitz,
     )
 
 

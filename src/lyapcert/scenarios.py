@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .lyapunov import check_monotone
+from .lyapunov import DEFAULT_TOLERANCE, check_monotone
 from .methods import (HB, NAG, NAGGS, TMM, KINDS, MethodSpec, optimal_hyperparams)
 from .problems import (cosine_counterexample, exp_norm_objective,
                        generate_quadratic, rosenbrock_objective)
@@ -51,7 +51,7 @@ class ScenarioConfig:
     iters: Optional[int] = None
     seed: int = 0
     x0_scale: Optional[float] = None
-    tolerance: float = 1e-9
+    tolerance: float = DEFAULT_TOLERANCE
 
 
 @dataclass
@@ -111,14 +111,13 @@ def _has_strict_increase(values: np.ndarray) -> bool:
 
 
 def _spectrum_series(certs: dict) -> list:
+    # both eigenvalues of each coordinate, dominant first
     series = []
     for kind, cert in certs.items():
-        re, im = [], []
-        for rec in cert.per_coordinate:
-            for lam in (rec.eigenpair.lambda1, rec.eigenpair.lambda2):
-                re.append(lam.real)
-                im.append(lam.imag)
-        series.append(Series(label=LABELS[kind], x=np.array(re), y=np.array(im)))
+        r = cert.per_coordinate
+        series.append(Series(label=LABELS[kind],
+                             x=np.column_stack([r.re, r.re2]).ravel(),
+                             y=np.column_stack([r.im, -r.im]).ravel()))
     return series
 
 
@@ -179,10 +178,10 @@ def _write_report(name: str, out: str, lines: list, verdicts: dict,
 
 def _run_quadratic_family(cfg: ScenarioConfig, *, dim: int, mu: float, L: float,
                           iters: int, optimal: bool, v_floor, verdict_mode: str) -> ScenarioResult:
-    dim = cfg.dim or dim
+    dim = cfg.dim if cfg.dim is not None else dim
     mu = cfg.mu if cfg.mu is not None else mu
     L = cfg.L if cfg.L is not None else L
-    iters = cfg.iters or iters
+    iters = cfg.iters if cfg.iters is not None else iters
     scale = cfg.x0_scale if cfg.x0_scale is not None else 10.0
     tol = cfg.tolerance
     os.makedirs(cfg.out, exist_ok=True)
@@ -235,7 +234,7 @@ def _run_quadratic_family(cfg: ScenarioConfig, *, dim: int, mu: float, L: float,
     elif verdict_mode == "mu0":
         for kind in specs:
             cert = certs[kind]
-            unit = abs(cert.per_coordinate[0].rate - 1.0) <= 1e-9
+            unit = abs(float(cert.per_coordinate.rate[0]) - 1.0) <= 1e-9
             verdicts[f"{kind.lower()}_certificate_ineligible"] = not cert.eligible
             verdicts[f"{kind.lower()}_unit_eigenvalue_at_zero"] = unit
         for kind in specs:
@@ -254,7 +253,7 @@ def _run_quadratic_family(cfg: ScenarioConfig, *, dim: int, mu: float, L: float,
 
 
 def find_cosine_witness(seed: int = 0, seeds: int = 100, iters: int = 400,
-                        tolerance: float = 1e-9):
+                        tolerance: float = DEFAULT_TOLERANCE):
     """Search seeded starts in [-2, 2] for a V violation of tuned HB on the
     cosine objective.  Returns (seed_index, x0, trace, report) or None."""
     obj = cosine_counterexample()
@@ -271,7 +270,7 @@ def find_cosine_witness(seed: int = 0, seeds: int = 100, iters: int = 400,
 
 def find_tmm_witness(seed: int = 0, dim: int = 2, mu: float = 1.0, L: float = 4.0,
                      seeds: int = 100, iters: int = 80, scale: float = 10.0,
-                     tolerance: float = 1e-9):
+                     tolerance: float = DEFAULT_TOLERANCE):
     """Search seeded (x0, x1) pairs for a V violation of tuned TMM on a
     quadratic whose spectrum includes L.  Equal starts provably cannot violate
     (per-coordinate V2 = alpha*lambda*(-b)*x0^2 >= 0), so both iterates are
@@ -298,7 +297,7 @@ def find_tmm_witness(seed: int = 0, dim: int = 2, mu: float = 1.0, L: float = 4.
 
 def _run_cosine(cfg: ScenarioConfig) -> ScenarioResult:
     os.makedirs(cfg.out, exist_ok=True)
-    iters = cfg.iters or 400
+    iters = cfg.iters if cfg.iters is not None else 400
     tol = cfg.tolerance
     obj = cosine_counterexample()
     spec = optimal_hyperparams(HB, obj.mu, obj.lipschitz)
@@ -364,10 +363,10 @@ def _run_cosine(cfg: ScenarioConfig) -> ScenarioResult:
 
 def _run_tmm_witness(cfg: ScenarioConfig) -> ScenarioResult:
     os.makedirs(cfg.out, exist_ok=True)
-    dim = cfg.dim or 2
+    dim = cfg.dim if cfg.dim is not None else 2
     mu = cfg.mu if cfg.mu is not None else 1.0
     L = cfg.L if cfg.L is not None else 4.0
-    iters = cfg.iters or 80
+    iters = cfg.iters if cfg.iters is not None else 80
     scale = cfg.x0_scale if cfg.x0_scale is not None else 10.0
     tol = cfg.tolerance
     artifacts: list = []
@@ -407,7 +406,7 @@ def _run_tmm_witness(cfg: ScenarioConfig) -> ScenarioResult:
 def _run_objective_family(cfg: ScenarioConfig, *, objective, name_lines: list,
                           specs: dict, iters: int, scale: float) -> ScenarioResult:
     os.makedirs(cfg.out, exist_ok=True)
-    iters = cfg.iters or iters
+    iters = cfg.iters if cfg.iters is not None else iters
     scale = cfg.x0_scale if cfg.x0_scale is not None else scale
     tol = cfg.tolerance
     if cfg.method is not None:
@@ -459,7 +458,7 @@ def _run_expnorm(cfg):
     specs = {k: MethodSpec(k, alpha=0.02, beta=0.3,
                            gamma=0.05 if k == TMM else 0.0) for k in KINDS}
     return _run_objective_family(
-        cfg, objective=exp_norm_objective(cfg.dim or 2),
+        cfg, objective=exp_norm_objective(cfg.dim if cfg.dim is not None else 2),
         name_lines=["objective: exp(|x|^2), small-step runs (no global smoothness bound)"],
         specs=specs, iters=600, scale=0.8)
 

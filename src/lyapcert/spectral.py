@@ -40,26 +40,19 @@ class SchurFactors:
 
 
 @dataclass(frozen=True)
-class CoordinateAnalysis:
-    lambda_w: float
-    coeffs: TwoStepCoefficients
-    eigenpair: ComplexPair
-    conjugate_pair: bool
-    rate: float
-
-
-@dataclass(frozen=True)
 class SpectralCertificate:
     """Per-coordinate eigenstructure of a method on a spectrum.
 
     ``eligible`` means every coordinate carries a conjugate eigenvalue pair
     and the overall spectral radius is strictly below one; that is exactly
     the premise under which the three-point Lyapunov value is guaranteed to
-    decrease monotonically.
+    decrease monotonically.  ``per_coordinate`` is a record array, one row
+    per coordinate: ``lambda_w, a, b``, the dominant eigenvalue ``re, im``,
+    the other one ``re2, -im``, its modulus ``rate``, and ``conjugate_pair``.
     """
 
     method: MethodSpec
-    per_coordinate: tuple
+    per_coordinate: np.recarray
     spectral_radius: float
     eligible: bool
 
@@ -125,7 +118,8 @@ def schur_2x2(c: TwoStepCoefficients, tol: float = DEFAULT_TOL) -> SchurFactors:
 
 
 def analyze(spec: MethodSpec, eigvals: np.ndarray, tol: float = DEFAULT_TOL) -> SpectralCertificate:
-    """Certificate for a method over a problem spectrum (one record per coordinate)."""
+    """Certificate for a method over a problem spectrum: the arithmetic of
+    ``is_conjugate_pair`` and ``eigenvalues_2x2`` on whole columns at once."""
     lam = np.asarray(eigvals, dtype=float)
     if lam.ndim != 1 or lam.shape[0] < 1:
         raise ValueError("eigvals must be a nonempty vector")
@@ -133,60 +127,67 @@ def analyze(spec: MethodSpec, eigvals: np.ndarray, tol: float = DEFAULT_TOL) -> 
         raise ValueError("eigenvalues must be nonnegative")
     if np.any(np.diff(lam) < 0):
         raise ValueError("eigvals must be sorted nondecreasing")
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ValueError("tolerance must be finite and nonnegative")
     a, b = coefficient_arrays(spec, lam)
-    records = []
-    radius = 0.0
-    all_conj = True
-    for i in range(lam.shape[0]):
-        c = TwoStepCoefficients(a=float(a[i]), b=float(b[i]))
-        pair = eigenvalues_2x2(c, tol)
-        conj = is_conjugate_pair(c, tol)
-        rate = abs(pair.lambda1)
-        records.append(CoordinateAnalysis(
-            lambda_w=float(lam[i]), coeffs=c, eigenpair=pair,
-            conjugate_pair=conj, rate=rate))
-        radius = max(radius, rate)
-        all_conj = all_conj and conj
+    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
+        raise ValueError("coefficients must be finite")
+    # |a| > 1e154 overflows a*a to inf; like the scalar reference, no warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        d = a * a + 4.0 * b
+        conj = d <= tol * np.maximum(np.maximum(1.0, a * a), np.abs(4.0 * b))
+        s = np.sqrt(np.abs(d))
+        # real split: roots (a +- sqrt(d)) / 2, the larger modulus first
+        l1, l2 = (a + s) / 2.0, (a - s) / 2.0
+        swap = np.abs(l2) > np.abs(l1)
+        re = np.where(conj, a / 2.0, np.where(swap, l2, l1))
+        re2 = np.where(conj, a / 2.0, np.where(swap, l1, l2))
+        im = np.where(conj & (d < 0.0), s / 2.0, 0.0)
+        rate = np.hypot(re, im)
+    radius = float(rate.max())
     return SpectralCertificate(
         method=spec,
-        per_coordinate=tuple(records),
+        per_coordinate=np.rec.fromarrays(
+            [lam, a, b, re, im, re2, rate, conj],
+            names="lambda_w,a,b,re,im,re2,rate,conjugate_pair"),
         spectral_radius=radius,
-        eligible=bool(all_conj and radius < 1.0),
+        eligible=bool(conj.all() and radius < 1.0),
     )
 
 
 def certificate_csv_text(cert: SpectralCertificate) -> str:
     """One row per coordinate: lambda_W, a, b, Re/Im of the dominant eigenvalue,
     its modulus, and the conjugate-pair flag (1/0)."""
+    r = cert.per_coordinate
     lines = ["lambda_W,a,b,re_lambda,im_lambda,modulus,conjugate_pair"]
-    for rec in cert.per_coordinate:
-        l1 = rec.eigenpair.lambda1
-        lines.append(
-            f"{rec.lambda_w:.17g},{rec.coeffs.a:.17g},{rec.coeffs.b:.17g},"
-            f"{l1.real:.17g},{l1.imag:.17g},{rec.rate:.17g},"
-            f"{1 if rec.conjugate_pair else 0}"
-        )
+    for lam, a, b, re, im, rate, conj in zip(
+            r.lambda_w.tolist(), r.a.tolist(), r.b.tolist(), r.re.tolist(),
+            r.im.tolist(), r.rate.tolist(), r.conjugate_pair.tolist()):
+        lines.append(f"{lam:.17g},{a:.17g},{b:.17g},{re:.17g},{im:.17g},"
+                     f"{rate:.17g},{1 if conj else 0}")
     return "\n".join(lines) + "\n"
 
 
 def certificate_report_text(cert: SpectralCertificate) -> str:
     """Line-oriented human-readable certificate summary."""
-    m = cert.method
+    m, r = cert.method, cert.per_coordinate
     lines = [
         f"method: {m.kind}  alpha={m.alpha:.12g}  beta={m.beta:.12g}  gamma={m.gamma:.12g}",
-        f"coordinates: {len(cert.per_coordinate)}",
+        f"coordinates: {len(r)}",
         f"spectral_radius: {cert.spectral_radius:.12g}",
         f"eligible: {'yes' if cert.eligible else 'no'}",
     ]
-    bad = [r for r in cert.per_coordinate if not r.conjugate_pair]
-    if bad:
-        worst = ", ".join(f"{r.lambda_w:.6g}" for r in bad[:8])
-        more = "" if len(bad) <= 8 else f" (+{len(bad) - 8} more)"
+    bad = r.lambda_w[~r.conjugate_pair]
+    if bad.size:
+        worst = ", ".join(f"{lam:.6g}" for lam in bad[:8].tolist())
+        more = "" if bad.size <= 8 else f" (+{bad.size - 8} more)"
         lines.append(f"real-split coordinates at lambda: {worst}{more}")
     lines.append("idx  lambda_W        a               b               |lambda|       conjugate")
-    for i, r in enumerate(cert.per_coordinate):
+    for i, (lam, a, b, rate, conj) in enumerate(zip(
+            r.lambda_w.tolist(), r.a.tolist(), r.b.tolist(), r.rate.tolist(),
+            r.conjugate_pair.tolist())):
         lines.append(
-            f"{i:<4d} {r.lambda_w:<15.8g} {r.coeffs.a:<15.8g} {r.coeffs.b:<15.8g} "
-            f"{r.rate:<14.8g} {'yes' if r.conjugate_pair else 'no'}"
+            f"{i:<4d} {lam:<15.8g} {a:<15.8g} {b:<15.8g} "
+            f"{rate:<14.8g} {'yes' if conj else 'no'}"
         )
     return "\n".join(lines) + "\n"

@@ -1,3 +1,4 @@
+import os
 import shutil
 import subprocess
 import sys
@@ -101,6 +102,20 @@ class TestAnalyze:
         assert rc == 2
         assert "--method" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--tolerance", "nan", "tolerance must be finite and nonnegative"),
+        ("--tolerance", "-1", "tolerance must be finite and nonnegative"),
+        ("--mu", "nan", "coefficients must be finite"),
+    ])
+    def test_bad_number_is_runtime_error(self, capsys, flag, value, message):
+        argv = ["analyze", "--method", "hb", "--alpha", "0.15", "--beta", "0.5",
+                "--mu", "1", "--L", "10", flag, value]
+        rc = main(argv)
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.err == f"error: {message}\n"
+        assert "eligible" not in captured.out
+
     def test_bad_method_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:
             main(["analyze", "--method", "sgd", "--optimal",
@@ -192,6 +207,37 @@ class TestScenarioCommand:
         assert "missing scenario name" in capsys.readouterr().err
 
 
+class TestCountFlags:
+    @pytest.mark.parametrize("argv", [
+        ["scenario", "nonoptimal", "--dim", "0", "--iters", "0"],
+        ["scenario", "nonoptimal", "--iters", "2"],
+        ["analyze", "--method", "hb", "--optimal", "--mu", "1", "--L", "10",
+         "--dim", "-3"],
+        ["run", "--method", "hb", "--optimal", "--iters", "0", "--out", "t.csv"],
+        ["generate", "--dim", "0", "--out", "p.npz"],
+        ["generate", "--dim", "two", "--out", "p.npz"],
+    ])
+    def test_out_of_range_flag_is_usage_error(self, tmp_path, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("body,message", [
+        ("dim = 0\n", "dim must be an integer >= 1, got '0'"),
+        ("iters = 2\n", "iters must be an integer >= 3, got '2'"),
+        ("dim = 2.5\n", "dim must be an integer >= 1, got '2.5'"),
+    ])
+    def test_out_of_range_config_is_usage_error(self, tmp_path, capsys, body, message):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"out = {tmp_path / 'art'}\n" + body, encoding="utf-8")
+        rc = main(["scenario", "nonoptimal", "--config", str(cfg)])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "art").exists()
+
+
 class TestConfigFile:
     def write_config(self, tmp_path, body):
         path = tmp_path / "run.cfg"
@@ -276,7 +322,11 @@ class TestInstalledEntryPoint:
     def test_help_via_subprocess(self):
         exe = shutil.which("lyapcert")
         cmd = [exe, "--help"] if exe else [sys.executable, "-m", "lyapcert.cli", "--help"]
-        proc = subprocess.run(cmd, capture_output=True, text=True)
+        # the child imports the package under test, installed or not
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(cmd, capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=path))
         assert proc.returncode == 0
         for word in ("generate", "analyze", "run", "scenario", "check"):
             assert word in proc.stdout

@@ -103,6 +103,16 @@ class TestQuadraticScenarios:
         with pytest.raises(ValueError, match="unknown method kind"):
             run_quick("nonoptimal", tmp_path, dim=4, iters=150, method="hb")
 
+    @pytest.mark.parametrize("name", ["nonoptimal", "tmm-witness", "expnorm"])
+    def test_zero_dim_is_not_the_default(self, tmp_path, name):
+        with pytest.raises(ValueError, match="dim must be >= 1"):
+            run_quick(name, tmp_path, dim=0)
+
+    @pytest.mark.parametrize("name", ["nonoptimal", "cosine", "tmm-witness", "expnorm"])
+    def test_zero_iters_is_not_the_default(self, tmp_path, name):
+        with pytest.raises(ValueError, match="iters must be >= 3"):
+            run_quick(name, tmp_path, iters=0)
+
     def test_deterministic_artifacts(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         run_quick("nonoptimal", a, dim=4, iters=120)

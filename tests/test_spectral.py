@@ -1,11 +1,14 @@
+import hashlib
+
 import numpy as np
 import pytest
 
-from lyapcert import (HB, NAG, NAGGS, TMM, IneligibleError, MethodSpec,
+from lyapcert import (HB, KINDS, NAG, NAGGS, TMM, IneligibleError, MethodSpec,
                       TwoStepCoefficients, analyze, certificate_csv_text,
-                      certificate_report_text, companion_matrix,
+                      certificate_report_text, coefficient_arrays, companion_matrix,
                       eigenvalues_2x2, is_conjugate_pair,
                       optimal_hyperparams, scalar_coefficients, schur_2x2)
+from lyapcert import spectral
 from conftest import power_radius, random_eligible_coeffs
 
 
@@ -146,11 +149,59 @@ class TestAnalyze:
         spec = MethodSpec(HB, alpha=0.1, beta=beta)
         cert = analyze(spec, np.array([0.0, 1.0, 2.0]))
         rec = cert.per_coordinate[0]
-        moduli = sorted([abs(rec.eigenpair.lambda1), abs(rec.eigenpair.lambda2)])
+        moduli = sorted([abs(complex(rec.re, rec.im)), abs(complex(rec.re2, -rec.im))])
         assert moduli[1] == pytest.approx(1.0, abs=1e-12)
         assert moduli[0] == pytest.approx(beta, abs=1e-12)
         assert rec.rate == pytest.approx(1.0, abs=1e-12)
         assert not cert.eligible
+
+    @pytest.mark.parametrize("tol", [0.0, spectral.DEFAULT_TOL, 1e-6])
+    def test_columns_match_scalar_reference(self, rng, monkeypatch, tol):
+        n = 400
+        a = rng.uniform(-3.0, 3.0, n)
+        b = rng.uniform(-3.0, 1.0, n)
+        # eligible pairs, b = 0, exact double roots (discriminant 0), and
+        # discriminants inside and just outside the +-tol band (relative to
+        # max(1, a^2, |4b|))
+        a[:100] = rng.uniform(-1.9, 1.9, 100)
+        b[:100] = -(a[:100] ** 2 / 4.0 + rng.uniform(0.0, 1.0, 100))
+        b[100:120] = 0.0
+        a[117:121], b[117:121] = [2.0, -2.0, 1.0, 0.0], [-1.0, -1.0, -0.25, 0.0]
+        band = np.max([np.ones(n), a * a], axis=0) * rng.uniform(-2.0, 2.0, n)
+        b[121:260] = (band[121:260] * max(tol, 1e-12) - a[121:260] ** 2) / 4.0
+        lam = np.sort(rng.uniform(0.0, 10.0, n))
+        lam[:4] = 0.0
+        for i, kind in enumerate(KINDS):  # each method's coefficients at lambda = 0
+            spec = MethodSpec(kind, alpha=0.1, beta=0.4, gamma=0.1 if kind == TMM else 0.0)
+            a[i], b[i] = (float(v[0]) for v in coefficient_arrays(spec, lam[:1]))
+        monkeypatch.setattr(spectral, "coefficient_arrays", lambda spec, eig: (a, b))
+        cert = analyze(MethodSpec(HB, alpha=0.1), lam, tol=tol)
+        r = cert.per_coordinate
+        coeffs = [TwoStepCoefficients(ai, bi) for ai, bi in zip(a.tolist(), b.tolist())]
+        pairs = [eigenvalues_2x2(c, tol) for c in coeffs]
+        conj = [is_conjugate_pair(c, tol) for c in coeffs]
+        assert len(r) == n
+        assert np.array_equal(r.lambda_w, lam)
+        assert np.array_equal(r.a, a) and np.array_equal(r.b, b)
+        assert np.array_equal(r.re, [p.lambda1.real for p in pairs])
+        assert np.array_equal(r.im, [p.lambda1.imag for p in pairs])
+        assert np.array_equal(r.re2, [p.lambda2.real for p in pairs])
+        assert np.array_equal(-r.im, [p.lambda2.imag for p in pairs])
+        assert np.array_equal(r.rate, [abs(p.lambda1) for p in pairs])
+        assert np.array_equal(r.conjugate_pair, conj)
+        assert 0 < sum(conj) < n
+        assert cert.spectral_radius == r.rate.max()
+        assert cert.eligible == (all(conj) and cert.spectral_radius < 1.0)
+
+    @pytest.mark.parametrize("tol", [-1e-12, float("nan"), float("inf")])
+    def test_rejects_bad_tolerance(self, tol):
+        with pytest.raises(ValueError, match="tolerance"):
+            analyze(MethodSpec(HB, alpha=0.1, beta=0.1), np.array([1.0, 2.0]), tol=tol)
+
+    def test_rejects_non_finite_coefficients(self):
+        spec = MethodSpec(HB, alpha=0.1, beta=0.1)
+        with pytest.raises(ValueError, match="coefficients must be finite"):
+            analyze(spec, np.array([1.0, np.nan]))
 
     def test_rejects_bad_spectra(self):
         spec = MethodSpec(HB, alpha=0.1, beta=0.1)
@@ -205,6 +256,19 @@ class TestCertificateSerialization:
         assert lam == 2.5
         assert mod == pytest.approx(1.0 / 3.0, abs=1e-12)
         assert re * re + im * im == pytest.approx(mod * mod, rel=1e-12)
+
+    def test_golden_digest_tuned_methods(self):
+        # CSV + report bytes of the four tuned certificates (TMM's report
+        # lists real-split coordinates with "(+23 more)"), fixed at the
+        # scalar per-coordinate implementation
+        digest = hashlib.sha256()
+        grid = np.linspace(1.0, 1000.0, 257)
+        for kind in KINDS:
+            cert = analyze(optimal_hyperparams(kind, 1.0, 1000.0), grid)
+            digest.update(certificate_csv_text(cert).encode())
+            digest.update(certificate_report_text(cert).encode())
+        assert digest.hexdigest() == \
+            "4331732306dcb728da3a63328fa5a6f234676369f6de7b155c17155c64cddd65"
 
     def test_report_mentions_verdict(self):
         spec = optimal_hyperparams(HB, 1.0, 4.0)
