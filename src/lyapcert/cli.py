@@ -152,9 +152,12 @@ def _cmd_analyze(args, config) -> int:
     else:
         mu = _require(_merged(args, config, "mu"), "--mu (or --problem)")
         L = _require(_merged(args, config, "L"), "--L (or --problem)")
+    spec = _method_spec(args, config, mu, L)  # tuned: rejects non-finite mu, L
+    if path is None:
         npts = _merged(args, config, "dim", 100)
-        eigvals = np.linspace(mu, L, npts) if npts > 1 else np.array([L])
-    spec = _method_spec(args, config, mu, L)
+        # a non-finite end gives non-finite coefficients, which analyze rejects
+        with np.errstate(invalid="ignore"):
+            eigvals = np.linspace(mu, L, npts) if npts > 1 else np.array([L])
     cert = analyze(spec, eigvals, tol=tol)
     out = _merged(args, config, "out")
     if out is not None:

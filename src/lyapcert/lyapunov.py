@@ -109,29 +109,26 @@ def check_monotone(series: LyapunovSeries) -> MonotonicityReport:
     """Flag every k with V_{k+1} > V_k + tol * max(1, |V_k|), and every step
     into or out of a NaN or infinite V; a series holding one is never monotone.
 
-    ``max_ratio`` is the largest V_{k+1} / V_k over positive V_k (nan when the
-    series has no positive value with a successor).
+    ``max_ratio`` is the largest V_{k+1} / V_k over positive V_k, NaN ratios
+    skipped (nan when no such ratio is left); the first of equal maxima wins.
     """
     v = series.values
     finite = np.isfinite(v)
-    tol = series.tolerance
-    violations = []
-    max_ratio = math.nan
-    for j in range(v.shape[0] - 1):
-        allowed = v[j] + tol * max(1.0, abs(v[j])) if finite[j] else math.nan
-        if v[j + 1] > allowed or not (finite[j] and finite[j + 1]):
-            violations.append(Violation(
-                index=series.start_index + j,
-                v_prev=float(v[j]),
-                v_next=float(v[j + 1]),
-                excess=float(v[j + 1] - allowed),
-            ))
-        if finite[j] and v[j] > 0:
-            r = v[j + 1] / v[j]
-            if math.isnan(max_ratio) or r > max_ratio:
-                max_ratio = r
+    prev, nxt = v[:-1], v[1:]
+    positive = finite[:-1] & (prev > 0)
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite steps are flagged
+        allowed = prev + series.tolerance * np.maximum(1.0, np.abs(prev))
+        allowed[~finite[:-1]] = math.nan
+        excess = nxt - allowed
+        flagged = (nxt > allowed) | ~(finite[:-1] & finite[1:])
+        ratios = nxt[positive] / prev[positive]
+    ratios = ratios[~np.isnan(ratios)]
+    violations = tuple(
+        Violation(index=series.start_index + j, v_prev=float(prev[j]),
+                  v_next=float(nxt[j]), excess=float(excess[j]))
+        for j in np.flatnonzero(flagged).tolist())
     return MonotonicityReport(
         monotone=not violations and bool(finite.all()),
-        violations=tuple(violations),
-        max_ratio=max_ratio,
+        violations=violations,
+        max_ratio=float(ratios[ratios.argmax()]) if ratios.size else math.nan,
     )

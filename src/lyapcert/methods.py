@@ -20,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from .problems import Objective
+from .problems import Objective, _require_finite_bounds
 
 HB = "HB"
 NAG = "NAG"
@@ -95,6 +95,7 @@ def optimal_hyperparams(kind: str, mu: float, L: float) -> MethodSpec:
     """
     if kind not in KINDS:
         raise ValueError(f"unknown method kind {kind!r}")
+    _require_finite_bounds(mu, L)
     if mu <= 0:
         raise ValueError("mu must be positive for tuned hyperparameters")
     if L < mu:

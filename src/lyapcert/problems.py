@@ -119,6 +119,13 @@ class Objective:
     lipschitz: Optional[float] = None
 
 
+def _require_finite_bounds(mu: float, L: float) -> None:
+    """Reject a NaN or infinite spectrum bound by name."""
+    for name, value in (("mu", mu), ("L", L)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+
+
 def generate_quadratic(dim: int, mu: float, L: float, seed: int) -> QuadraticProblem:
     """Build a random quadratic with an equally spaced spectrum on [mu, L].
 
@@ -129,6 +136,7 @@ def generate_quadratic(dim: int, mu: float, L: float, seed: int) -> QuadraticPro
     """
     if dim < 1:
         raise ValueError("dim must be >= 1")
+    _require_finite_bounds(mu, L)
     if mu < 0:
         raise ValueError("mu must be >= 0")
     if L <= mu and not (dim == 1 and L == mu):

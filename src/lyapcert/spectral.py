@@ -65,14 +65,24 @@ def _discriminant_scale(a: float, b: float) -> tuple[float, float]:
     return a * a + 4.0 * b, max(1.0, a * a, abs(4.0 * b))
 
 
+def _half_root(a, b):
+    """sqrt(a^2 + 4b) / 2 from coefficients scaled to at most one in modulus,
+    for when a^2 or 4b overflows; NaN for a complex pair."""
+    s = np.maximum(np.abs(a), 2.0 * np.sqrt(np.abs(b)))
+    t = a / s
+    with np.errstate(invalid="ignore"):
+        return s * np.sqrt(t * t + 4.0 * (b / s) / s) / 2.0
+
+
 def is_conjugate_pair(c: TwoStepCoefficients, tol: float = DEFAULT_TOL) -> bool:
     """True iff the eigenvalues form a conjugate pair (repeated real allowed).
 
     The discriminant test is relative, a^2 + 4b <= tol * max(1, a^2, |4b|),
     so boundary coordinates that land at +-1e-16 in floats classify stably.
+    A coordinate where a^2 or 4b overflows is never counted as a pair.
     """
     d, scale = _discriminant_scale(c.a, c.b)
-    return d <= tol * scale
+    return d <= tol * scale and math.isfinite(scale)
 
 
 def eigenvalues_2x2(c: TwoStepCoefficients, tol: float = DEFAULT_TOL) -> ComplexPair:
@@ -82,6 +92,9 @@ def eigenvalues_2x2(c: TwoStepCoefficients, tol: float = DEFAULT_TOL) -> Complex
     is clamped to zero so the reported moduli match sqrt(-b) exactly.
     """
     d, scale = _discriminant_scale(c.a, c.b)
+    if not math.isfinite(scale):  # a^2 or 4b overflows: a real split, rescaled
+        l1 = c.a / 2.0 + math.copysign(float(_half_root(c.a, c.b)), c.a)
+        return ComplexPair(complex(l1, 0.0), complex(-c.b / l1, 0.0))
     if d > tol * scale:
         r = math.sqrt(d)
         l1, l2 = (c.a + r) / 2.0, (c.a - r) / 2.0
@@ -125,8 +138,9 @@ def analyze(spec: MethodSpec, eigvals: np.ndarray, tol: float = DEFAULT_TOL) -> 
         raise ValueError("eigvals must be a nonempty vector")
     if np.any(lam < 0):
         raise ValueError("eigenvalues must be nonnegative")
-    if np.any(np.diff(lam) < 0):
-        raise ValueError("eigvals must be sorted nondecreasing")
+    with np.errstate(invalid="ignore"):  # inf - inf: non-finite coefficients, below
+        if np.any(np.diff(lam) < 0):
+            raise ValueError("eigvals must be sorted nondecreasing")
     if not (math.isfinite(tol) and tol >= 0.0):
         raise ValueError("tolerance must be finite and nonnegative")
     a, b = coefficient_arrays(spec, lam)
@@ -135,10 +149,15 @@ def analyze(spec: MethodSpec, eigvals: np.ndarray, tol: float = DEFAULT_TOL) -> 
     # |a| > 1e154 overflows a*a to inf; like the scalar reference, no warning
     with np.errstate(over="ignore", invalid="ignore"):
         d = a * a + 4.0 * b
-        conj = d <= tol * np.maximum(np.maximum(1.0, a * a), np.abs(4.0 * b))
+        scale = np.maximum(np.maximum(1.0, a * a), np.abs(4.0 * b))
+        big = ~np.isfinite(scale)
+        conj = (d <= tol * scale) & ~big
         s = np.sqrt(np.abs(d))
         # real split: roots (a +- sqrt(d)) / 2, the larger modulus first
         l1, l2 = (a + s) / 2.0, (a - s) / 2.0
+        if big.any():  # the larger root from rescaled coefficients, then -b / it
+            l1[big] = a[big] / 2.0 + np.copysign(_half_root(a[big], b[big]), a[big])
+            l2[big] = -b[big] / l1[big]
         swap = np.abs(l2) > np.abs(l1)
         re = np.where(conj, a / 2.0, np.where(swap, l2, l1))
         re2 = np.where(conj, a / 2.0, np.where(swap, l1, l2))

@@ -1,11 +1,16 @@
 """Iteration traces: run a method, record metrics, serialize to CSV.
 
-One step loop serves both targets; only the row engine differs.  Quadratic
+One driver serves both targets; only the row engine differs.  Quadratic
 targets advance in the eigenbasis so the recorded Lyapunov values keep full
-relative accuracy all the way down to underflow; full-space iterates are
-reconstructed for output.  Objective targets use the literal method updates
-via the gradient oracle.  The step loop stores each row with its distance
-and checks it; V and the gap come from one vectorized pass afterwards.
+relative accuracy all the way down to underflow: the engine runs nothing but
+the recurrence z_{k+1} = a z_k + b z_{k-1}, a block of rows at a time, and
+the driver checks each finished block as arrays (non-finite rows,
+divergence, the V floor), cutting the run at the first hit, in the order a
+step-by-step loop would meet them.  Objective targets take the literal
+method updates through the gradient oracle, one step per block, so no
+gradient is evaluated past the stop.  Gap and V come from one vectorized
+pass afterwards; the full-space iterates of a quadratic run are built from
+the stored eigen-coordinates only when ``Trace.iterates`` is read.
 """
 
 from __future__ import annotations
@@ -21,17 +26,20 @@ from .methods import NAGGS, IterationState, MethodSpec, coefficient_arrays, step
 from .problems import Objective, QuadraticProblem
 
 DIVERGENCE_THRESHOLD = 1e12
+_CHUNK = 512  # quadratic rows advanced between two checks
 
 
 @dataclass
 class Trace:
-    """Recorded iterates and per-iterate metrics of one run.
+    """Recorded rows and per-iterate metrics of one run.
 
-    Row k holds iterate x_k; ``lyapunov[k]`` is defined from k = 2 on (NaN
-    before that).
+    ``rows`` holds the centred eigen-coordinates of a quadratic run, or the
+    iterates themselves for an objective; ``frame`` is the (eigvecs,
+    minimizer) pair that maps quadratic rows back to x, and None otherwise.
+    ``lyapunov[k]`` is defined from k = 2 on (NaN before that).
     """
 
-    iterates: np.ndarray
+    rows: np.ndarray
     objective_gap: np.ndarray
     distance: np.ndarray
     lyapunov: np.ndarray
@@ -39,9 +47,18 @@ class Trace:
     descriptor: dict = field(default_factory=dict)
     seed: Optional[int] = None
     diverged: bool = False
+    frame: Optional[tuple] = None
 
     def __len__(self) -> int:
-        return self.iterates.shape[0]
+        return self.rows.shape[0]
+
+    @property
+    def iterates(self) -> np.ndarray:
+        """Row k is x_k; a quadratic trace rebuilds it on every read."""
+        if self.frame is None:
+            return self.rows
+        eigvecs, minimizer = self.frame
+        return self.rows @ eigvecs.T + minimizer
 
     def lyapunov_series(self, tolerance: float = DEFAULT_TOLERANCE) -> LyapunovSeries:
         vals = self.lyapunov[2:]
@@ -77,44 +94,66 @@ def run_trace(target: Union[QuadraticProblem, Objective], spec: MethodSpec,
     if x0.shape != (target.dim,):
         raise ValueError("x0 has wrong dimension")
     xs = np.asarray(target.minimizer, dtype=float)
-    # quadratic rows are centred eigen-coordinates; oracle rows are x itself
-    engine = (_eigenbasis_rows(target, spec, starts) if quadratic
-              else _oracle_rows(target, spec, starts))
+    # quadratic rows are centred eigen-coordinates; oracle rows are x itself,
+    # one step per block so no gradient is taken past the stopping row
+    if quadratic:
+        block, advance = _eigenbasis_engine(target, spec, starts)
+        chunk = _CHUNK
+    else:
+        block, advance = _oracle_engine(target, spec, starts)
+        chunk = 1
 
     rows, dists = [], []
-    window = ()  # centred rows k-2, k-1, k
-    diverged = False
-    for k, x in enumerate(engine):
-        if k >= len(starts) and not np.all(np.isfinite(x)):
-            raise ValueError("non-finite iterate produced")
-        rows.append(x)
-        z = x if quadratic else x - xs
-        window = window[-2:] + (z,)
-        dists.append(math.sqrt(z.dot(z)))  # np.linalg.norm(z), to the bit
-        diverged = diverged or dists[-1] > divergence_threshold
-        if k + 1 < len(starts):
-            continue
-        if diverged or len(rows) == iters:
-            break
-        if v_floor is not None and k >= 2 and _lyapunov_rows(*window) < v_floor:
-            break
+    tail = block[:0]  # centred rows n-2 and n-1, for V at the block's first rows
+    n = 0  # rows recorded before this block
+    # quadratic rows past the stop may overflow; they are cut before any output
+    with np.errstate(over="ignore", invalid="ignore"):
+        while True:
+            m = block.shape[0]
+            Z = block if quadratic else block - xs
+            dist = [math.sqrt(z.dot(z)) for z in Z]  # np.linalg.norm(z), to the bit
+            # the run stops on the block's row ``stop`` (m: it goes on) at the
+            # first row beyond the threshold (a start: at the last start), the
+            # iters-th row, or the first V below the floor
+            far = next((j for j, d in enumerate(dist) if d > divergence_threshold), m)
+            stop = max(far, len(starts) - 1 - n) if far < m else m
+            if n + m == iters:
+                stop = min(stop, m - 1)
+            if v_floor is not None:
+                W = np.concatenate([tail, Z])
+                v = _lyapunov_rows(W[:-2], W[1:-1], W[2:])
+                stop = min(stop, m - v.shape[0] + _first(v < v_floor))
+                tail = W[-2:]
+            # a non-finite row up to the stop raises (starts are not checked);
+            # only a row with a non-finite norm can hold a non-finite entry
+            bad = next((j for j, d in enumerate(dist[:stop + 1]) if not math.isfinite(d)
+                        and not np.isfinite(Z[j]).all()), m) if n else m
+            if bad < m:
+                raise ValueError("non-finite iterate produced")
+            if stop < m:
+                rows.append(block[:stop + 1])
+                dists += dist[:stop + 1]
+                diverged = far <= stop
+                break
+            rows.append(block)
+            dists += dist
+            n += m
+            block = advance(min(chunk, iters - n))
 
-    R = np.vstack(rows)
-    del rows, window  # free the row list before the metric temporaries
+    R = np.concatenate(rows)
+    del rows, tail  # free the blocks before the metric temporaries
     Z = R if quadratic else R - xs
     lyap = np.full(R.shape[0], math.nan)
     lyap[2:] = _lyapunov_rows(Z[:-2], Z[1:-1], Z[2:])
     if quadratic:
         gaps = 0.5 * np.sum(target.eigvals * Z * Z, axis=1)
-        iterates = R @ target.eigvecs.T + xs
     else:
         values = np.array([float(target.value(x)) for x in R])
         if not np.all(np.isfinite(values)):
             raise ValueError("non-finite objective value from the oracle")
         gaps = values - float(target.value(xs))
-        iterates = R
     return Trace(
-        iterates=iterates,
+        rows=R,
         objective_gap=gaps,
         distance=np.array(dists),
         lyapunov=lyap,
@@ -122,7 +161,13 @@ def run_trace(target: Union[QuadraticProblem, Objective], spec: MethodSpec,
         descriptor=_descriptor(target, spec),
         seed=seed,
         diverged=diverged,
+        frame=(target.eigvecs, xs) if quadratic else None,
     )
+
+
+def _first(mask: np.ndarray) -> int:
+    """Index of the first True in ``mask``, or its length when none is."""
+    return int(mask.argmax()) if mask.any() else mask.shape[0]
 
 
 def _lyapunov_rows(z_km2: np.ndarray, z_km1: np.ndarray, z_k: np.ndarray):
@@ -133,21 +178,27 @@ def _lyapunov_rows(z_km2: np.ndarray, z_km1: np.ndarray, z_k: np.ndarray):
     return np.sum(terms, axis=-1)
 
 
-def _eigenbasis_rows(p: QuadraticProblem, spec: MethodSpec, starts):
-    """Centred eigen-coordinates of the starts, then a x_k + b x_{k-1} forever."""
+def _eigenbasis_engine(p: QuadraticProblem, spec: MethodSpec, starts):
+    """Centred eigen-coordinates of the starts, and ``advance(n)``, the next
+    n rows of a x_k + b x_{k-1}."""
     a, b = coefficient_arrays(spec, p.eigvals)
-    cur = prev = p.eigvecs.T @ (starts[0] - p.minimizer)
-    yield cur
-    if len(starts) > 1:
-        cur = p.eigvecs.T @ (starts[1] - p.minimizer)
-        yield cur
-    while True:
-        cur, prev = a * cur + b * prev, cur
-        yield cur
+    first = np.stack([p.eigvecs.T @ (x - p.minimizer) for x in starts])
+    prev, cur = first[0], first[-1]
+
+    def advance(n: int) -> np.ndarray:
+        nonlocal prev, cur
+        block = np.empty((n, cur.shape[0]))
+        for row in block:
+            np.add(a * cur, b * prev, out=row)
+            prev, cur = cur, row
+        return block
+
+    return first, advance
 
 
-def _oracle_rows(obj: Objective, spec: MethodSpec, starts):
-    """The starts, then literal method steps through the gradient oracle."""
+def _oracle_engine(obj: Objective, spec: MethodSpec, starts):
+    """The starts, and ``advance(n)``, the next n literal method steps through
+    the gradient oracle."""
     prev, cur = starts[0], starts[-1]
     aux = None
     if spec.kind == NAGGS:
@@ -158,10 +209,16 @@ def _oracle_rows(obj: Objective, spec: MethodSpec, starts):
         else:  # the averaged y behind x1 = beta x0 + (1 - beta) y
             aux = (cur - spec.beta * prev) / (1.0 - spec.beta)
     state = IterationState(current=cur, previous=prev, auxiliary=aux)
-    yield from starts
-    while True:
-        state = step_general(obj, spec, state)
-        yield state.current
+
+    def advance(n: int) -> np.ndarray:
+        nonlocal state
+        block = np.empty((n, cur.shape[0]))
+        for row in block:
+            state = step_general(obj, spec, state)
+            row[:] = state.current
+        return block
+
+    return np.stack(starts), advance
 
 
 def _descriptor(target, spec: MethodSpec) -> dict:

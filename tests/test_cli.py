@@ -116,6 +116,21 @@ class TestAnalyze:
         assert captured.err == f"error: {message}\n"
         assert "eligible" not in captured.out
 
+    @pytest.mark.parametrize("command", ["analyze", "run"])
+    @pytest.mark.parametrize("flag,value", [("--mu", "nan"), ("--L", "inf"), ("--L", "nan")])
+    def test_non_finite_bound_is_named(self, tmp_path, capsys, command, flag, value):
+        # fails before the eigenvalue grid or the problem is built: no numpy
+        # warning reaches stderr, only the error line
+        argv = [command, "--method", "hb", "--optimal", "--mu", "1", "--L", "10",
+                flag, value, "--dim", "5"]
+        if command == "run":
+            argv += ["--iters", "10", "--out", str(tmp_path / "t.csv")]
+        rc = main(argv)
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.err == f"error: {flag[2:]} must be finite, got {value}\n"
+        assert captured.out == ""
+
     def test_bad_method_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:
             main(["analyze", "--method", "sgd", "--optimal",

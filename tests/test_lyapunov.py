@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from lyapcert import (HB, NAG, IneligibleError, LyapunovSeries, MethodSpec,
-                      TwoStepCoefficients, check_monotone, coefficient_arrays,
+                      MonotonicityReport, TwoStepCoefficients, Violation,
+                      check_monotone, coefficient_arrays,
                       contraction_factor, generate_quadratic,
                       optimal_hyperparams, per_coordinate_V, run_trace,
                       scalar_V, scalar_coefficients, vector_V)
@@ -162,6 +163,71 @@ class TestCheckMonotone:
             assert rep.describe().startswith("monotone decrease: NO"), vals
         rep = check_monotone(LyapunovSeries(values=np.array([1.0, bad, 0.5])))
         assert [v.index for v in rep.violations] == [2, 3]
+
+
+def loop_check_monotone(series):
+    """``check_monotone`` one step at a time, as a per-step reference."""
+    v = series.values
+    finite = np.isfinite(v)
+    tol = series.tolerance
+    violations = []
+    max_ratio = math.nan
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(v.shape[0] - 1):
+            allowed = v[j] + tol * max(1.0, abs(v[j])) if finite[j] else math.nan
+            if v[j + 1] > allowed or not (finite[j] and finite[j + 1]):
+                violations.append(Violation(
+                    index=series.start_index + j, v_prev=float(v[j]),
+                    v_next=float(v[j + 1]), excess=float(v[j + 1] - allowed)))
+            if finite[j] and v[j] > 0:
+                r = v[j + 1] / v[j]
+                if math.isnan(max_ratio) or r > max_ratio:
+                    max_ratio = r
+    return MonotonicityReport(monotone=not violations and bool(finite.all()),
+                              violations=tuple(violations), max_ratio=max_ratio)
+
+
+class TestCheckMonotoneMatchesLoop:
+    """The vectorized check equals the per-step loop, bit for bit."""
+
+    @staticmethod
+    def bits(rep):
+        """The violations as bytes: NaN equals NaN, -0.0 differs from 0.0."""
+        return np.array([[x.index, x.v_prev, x.v_next, x.excess] for x in rep.violations],
+                        dtype=float).tobytes()
+
+    def assert_same(self, series):
+        got, want = check_monotone(series), loop_check_monotone(series)
+        assert got.monotone == want.monotone
+        assert [x.index for x in got.violations] == [x.index for x in want.violations]
+        assert self.bits(got) == self.bits(want)
+        assert np.float64(got.max_ratio).tobytes() == np.float64(want.max_ratio).tobytes()
+        assert got.describe() == want.describe()
+
+    def test_random_series(self, rng):
+        specials = [math.nan, math.inf, -math.inf, 0.0, -0.0, 1.0, 1e308, -1e308, 5e-324]
+        for trial in range(400):
+            n = int(rng.integers(1, 25))
+            vals = rng.standard_normal(n) * 10.0 ** rng.uniform(-12, 3)
+            if trial % 3:  # near-monotone runs: ratios near one, small increases
+                vals = np.cumprod(rng.uniform(0.5, 1.0 + 1e-9, n)) * np.sign(vals[0])
+            for j in rng.choice(n, size=int(rng.integers(0, 3)), replace=True):
+                vals[j] = specials[int(rng.integers(len(specials)))]
+            tol = [0.0, 1e-9, 0.5][trial % 3]
+            self.assert_same(LyapunovSeries(values=vals, start_index=2 + trial % 4,
+                                            tolerance=tol))
+
+    @pytest.mark.parametrize("vals", [
+        [1.0], [math.nan], [math.inf], [-1.0, -2.0, -3.0], [0.0, 0.0, 0.0],
+        [2.0, 2.0, 2.0], [1.0, math.nan, 0.5], [math.nan, 1.0, 0.5],
+        [1.0, 0.5, math.nan], [math.inf, 1.0, 0.5], [1.0, 0.5, -math.inf],
+        [1.0, math.inf, 0.5], [4.0, math.nan, 2.0, 1.0], [2.0, math.nan, 1.0, 3.0],
+        [-0.0, 0.0], [1.0, -0.0, 0.0], [1.0, 0.0, 2.0, -0.0], [1.0, -0.0, 2.0, 0.0],
+        [1e308, 1e308, -1e308], [1e-300, 1e300], [5e-324, 1.0],
+    ])
+    def test_edge_series(self, vals):
+        for tol in (0.0, 1e-9):
+            self.assert_same(LyapunovSeries(values=np.array(vals), tolerance=tol))
 
 
 class TestContractionIdentity:

@@ -193,6 +193,38 @@ class TestAnalyze:
         assert cert.spectral_radius == r.rate.max()
         assert cert.eligible == (all(conj) and cert.spectral_radius < 1.0)
 
+    def test_overflowing_coefficients_are_not_a_pair(self):
+        # HB, alpha = 0.1, beta = 0 on [1, 1e300]: at lambda = 5e299, a = -5e298
+        # and b = 0, so a^2 overflows; the roots are -5e298 and 0
+        spec = MethodSpec(HB, alpha=0.1)
+        c = scalar_coefficients(spec, 5e299)
+        assert (c.a, c.b) == (-5e298, 0.0)
+        assert not is_conjugate_pair(c)
+        pair = eigenvalues_2x2(c)
+        assert (pair.lambda1, pair.lambda2) == (-5e298, 0.0)
+        r = analyze(spec, np.linspace(1.0, 1e300, 3)).per_coordinate
+        assert not r.conjugate_pair.any()
+        assert (r.re[1], r.re2[1], r.im[1], r.rate[1]) == (-5e298, 0.0, 0.0, 5e298)
+
+    def test_overflowing_columns_match_scalar_reference(self, monkeypatch):
+        # a^2 or 4b beyond the largest double, with real and complex roots
+        a = np.array([-5e298, 1e308, 0.0, 0.0, -1.7e308, 1e200, 1.7e308, 2e154, 0.5])
+        b = np.array([0.0, -1e308, -1e308, 1e308, 0.0, 1e300, 1.7e308, -1e308, 0.1])
+        monkeypatch.setattr(spectral, "coefficient_arrays", lambda spec, eig: (a, b))
+        r = analyze(MethodSpec(HB, alpha=0.1), np.arange(9.0)).per_coordinate
+        coeffs = [TwoStepCoefficients(ai, bi) for ai, bi in zip(a.tolist(), b.tolist())]
+        pairs = [eigenvalues_2x2(c) for c in coeffs]
+        assert not any(is_conjugate_pair(c) for c in coeffs[:-1])
+        assert np.array_equal(r.conjugate_pair, [is_conjugate_pair(c) for c in coeffs])
+        for col, want in ((r.re, [p.lambda1.real for p in pairs]),
+                          (r.im, [p.lambda1.imag for p in pairs]),
+                          (r.re2, [p.lambda2.real for p in pairs]),
+                          (r.rate, [abs(p.lambda1) for p in pairs])):
+            assert np.array_equal(col, want, equal_nan=True)
+        # roots of z^2 - a z - b: the sum is a and the product -b
+        assert (r.re[1], r.re2[1]) == (1e308, 1.0)
+        assert (r.re[3], r.re2[3]) == (1e154, -1e154)
+
     @pytest.mark.parametrize("tol", [-1e-12, float("nan"), float("inf")])
     def test_rejects_bad_tolerance(self, tol):
         with pytest.raises(ValueError, match="tolerance"):

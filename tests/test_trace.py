@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
+from lyapcert import trace as trace_module
 from lyapcert import (HB, KINDS, NAG, NAGGS, TMM, MethodSpec, Objective,
-                      check_monotone, coefficient_arrays, export_csv,
+                      QuadraticProblem, check_monotone, coefficient_arrays, export_csv,
                       generate_quadratic, optimal_hyperparams,
                       per_coordinate_V, read_trace_csv, run_trace,
                       series_from_csv, vector_V)
@@ -192,6 +195,204 @@ class TestMetricsPassBitIdentity:
         gaps = [float(obj.value(r)) - f_star for r in x]
         self.assert_matches(tr, gaps, [r - xs for r in x], lambda k: vector_V(
             x[k], x[k - 1], x[k - 2], xs))
+
+
+def per_step_reference(p, spec, x0, iters, x1=None, v_floor=None,
+                       threshold=trace_module.DIVERGENCE_THRESHOLD):
+    """The quadratic driver as one step at a time: each row is checked as it
+    is made (non-finite, then divergence, then the iteration count, then the
+    V floor), and the metrics and iterates come from the stored rows."""
+    a, b = coefficient_arrays(spec, p.eigvals)
+    q, xs = p.eigvecs, p.minimizer
+    nstarts = 1 if x1 is None else 2
+    prev = cur = q.T @ (x0 - xs)
+    rows, diverged = [], False
+    with np.errstate(over="ignore", invalid="ignore"):  # warnings are not under test
+        for k in range(10 ** 9):
+            if k == 1 and x1 is not None:
+                cur = q.T @ (x1 - xs)
+            elif k >= nstarts:
+                cur, prev = a * cur + b * prev, cur
+                if not np.all(np.isfinite(cur)):
+                    raise ValueError("non-finite iterate produced")
+            rows.append(cur)
+            diverged = diverged or math.sqrt(cur.dot(cur)) > threshold
+            if k + 1 < nstarts:
+                continue
+            if diverged or len(rows) == iters:
+                break
+            if v_floor is not None and k >= 2 and np.sum(
+                    per_coordinate_V(rows[-1], rows[-2], rows[-3])) < v_floor:
+                break
+        Z = np.vstack(rows)
+        lyap = np.full(len(rows), np.nan)
+        lyap[2:] = trace_module._lyapunov_rows(Z[:-2], Z[1:-1], Z[2:])
+        return dict(rows=len(rows), diverged=diverged,
+                    distance=np.array([math.sqrt(z.dot(z)) for z in rows]),
+                    lyapunov=lyap, gap=0.5 * np.sum(p.eigvals * Z * Z, axis=1),
+                    iterates=Z @ q.T + xs)
+
+
+class TestChunkedDriver:
+    """The chunked quadratic engine stops, flags and raises on the same row
+    as a per-step loop, and every column keeps its bits."""
+
+    CHUNK = trace_module._CHUNK
+
+    @staticmethod
+    def assert_same(tr, ref):
+        assert len(tr) == ref["rows"]
+        assert tr.diverged == ref["diverged"]
+        assert np.array_equal(tr.distance, ref["distance"])
+        assert np.array_equal(tr.lyapunov, ref["lyapunov"], equal_nan=True)
+        assert np.array_equal(tr.objective_gap, ref["gap"])
+        assert np.array_equal(tr.iterates, ref["iterates"], equal_nan=True)
+
+    @staticmethod
+    def stop_rows(with_x1):
+        """Row 2, the last row of the first stepped chunk, the first of the next."""
+        first = 2 if with_x1 else 1
+        return [2, first + TestChunkedDriver.CHUNK - 1, first + TestChunkedDriver.CHUNK]
+
+    @staticmethod
+    def converging(with_x1):
+        # equal starts keep every V positive, so V falls by beta each step
+        p = generate_quadratic(6, 1.0, 100.0, seed=3)
+        x0 = offset_start(p, seed=4, scale=5.0)
+        return p, optimal_hyperparams(HB, 1.0, 100.0), x0, (x0.copy() if with_x1 else None)
+
+    @staticmethod
+    def diverging(with_x1, scale=1.0):
+        # HB with a step past 2/L: a root below -1 on every coordinate; the
+        # distance grows at every step, from x1 = 1.5 x0 (centred) too
+        p = generate_quadratic(3, 1.0, 1.1, seed=5)
+        x0 = offset_start(p, seed=6, scale=scale)
+        x1 = p.minimizer + 1.5 * (x0 - p.minimizer) if with_x1 else None
+        return p, MethodSpec(HB, alpha=3.1, beta=0.5), x0, x1
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("with_x1", [False, True])
+    def test_iteration_counts(self, kind, with_x1):
+        p = generate_quadratic(9, 1.0, 100.0, seed=1)
+        spec = optimal_hyperparams(kind, 1.0, 100.0)
+        x0 = offset_start(p, seed=2)
+        x1 = offset_start(p, seed=3) if with_x1 else None
+        for iters in (3, self.CHUNK - 1, self.CHUNK, self.CHUNK + 1, 2 * self.CHUNK + 3):
+            tr = run_trace(p, spec, x0, iters, x1=x1)
+            assert len(tr) == iters
+            self.assert_same(tr, per_step_reference(p, spec, x0, iters, x1=x1))
+
+    @pytest.mark.parametrize("with_x1", [False, True])
+    def test_v_floor_stop_rows(self, with_x1):
+        p, spec, x0, x1 = self.converging(with_x1)
+        V = per_step_reference(p, spec, x0, 3 * self.CHUNK, x1=x1)["lyapunov"]
+        for row in self.stop_rows(with_x1):
+            v_floor = np.min(V[2:row], initial=np.inf)
+            assert V[row] < v_floor
+            tr = run_trace(p, spec, x0, 3 * self.CHUNK, x1=x1, v_floor=v_floor)
+            assert len(tr) == row + 1 and not tr.diverged
+            self.assert_same(tr, per_step_reference(p, spec, x0, 3 * self.CHUNK,
+                                                    x1=x1, v_floor=v_floor))
+
+    @pytest.mark.parametrize("with_x1", [False, True])
+    def test_divergence_stop_rows(self, with_x1):
+        p, spec, x0, x1 = self.diverging(with_x1)
+        rows = self.stop_rows(with_x1)
+        dist = per_step_reference(p, spec, x0, rows[-1] + 1, x1=x1,
+                                  threshold=math.inf)["distance"]
+        for row in rows:
+            threshold = dist[:row].max()
+            assert dist[row] > threshold
+            tr = run_trace(p, spec, x0, 3 * self.CHUNK, x1=x1,
+                           divergence_threshold=threshold)
+            assert len(tr) == row + 1 and tr.diverged
+            self.assert_same(tr, per_step_reference(p, spec, x0, 3 * self.CHUNK,
+                                                    x1=x1, threshold=threshold))
+
+    def overflowing(self, with_x1, row):
+        """The diverging run, with its starts scaled so that ``row`` is its
+        first non-finite row."""
+
+        def rows_made(log2_scale, iters):
+            p, spec, x0, x1 = self.diverging(with_x1, scale=2.0 ** log2_scale)
+            try:
+                return per_step_reference(p, spec, x0, iters, x1=x1, threshold=math.inf)["rows"]
+            except ValueError:
+                return None
+
+        lo, hi = 0.0, 1023.99  # log2 of the start scale: finite rows up to ``row`` at lo
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            if rows_made(mid, row + 1) is None:
+                hi = mid
+            else:
+                lo = mid
+        assert rows_made(hi, row + 1) is None and rows_made(hi, row) == row
+        return self.diverging(with_x1, scale=2.0 ** hi)
+
+    @pytest.mark.parametrize("with_x1", [False, True])
+    def test_non_finite_rows(self, with_x1):
+        for row in self.stop_rows(with_x1):
+            p, spec, x0, x1 = self.overflowing(with_x1, row)
+            for iters in (row + 1, 3 * self.CHUNK):
+                with pytest.raises(ValueError, match="non-finite"):
+                    run_trace(p, spec, x0, iters, x1=x1, divergence_threshold=math.inf)
+                with pytest.raises(ValueError, match="non-finite"):
+                    per_step_reference(p, spec, x0, iters, x1=x1, threshold=math.inf)
+            if row < 3:
+                continue
+            # a run one row shorter never makes the non-finite row
+            with np.errstate(over="ignore", invalid="ignore"):  # metrics of huge rows
+                tr = run_trace(p, spec, x0, row, x1=x1, divergence_threshold=math.inf)
+                ref = per_step_reference(p, spec, x0, row, x1=x1, threshold=math.inf)
+            assert len(tr) == row and not tr.diverged
+            self.assert_same(tr, ref)
+
+    @staticmethod
+    def one_step_overflow(start, second=None):
+        """A 1-d run about the origin that multiplies x by 1 - 1e160 per step."""
+        p = QuadraticProblem(dim=1, W=np.eye(1), linear=np.zeros(1), constant=0.0,
+                             eigvals=np.ones(1), eigvecs=np.eye(1),
+                             minimizer=np.zeros(1), mu=1.0, lipschitz=1.0)
+        x1 = None if second is None else np.array([second])
+        return p, MethodSpec(HB, alpha=1e160), np.array([start]), x1
+
+    @pytest.mark.parametrize("with_x1", [False, True])
+    def test_non_finite_row_against_a_stop(self, with_x1):
+        # the first stepped row is non-finite and the first beyond the
+        # threshold: the non-finite check comes first
+        p, spec, x0, x1 = self.one_step_overflow(1e150, 1e150 if with_x1 else None)
+        with pytest.raises(ValueError, match="non-finite"):
+            run_trace(p, spec, x0, 100, x1=x1, divergence_threshold=1e151)
+        with pytest.raises(ValueError, match="non-finite"):
+            per_step_reference(p, spec, x0, 100, x1=x1, threshold=1e151)
+        # rows 1e-170, -1e-10, 1e150, inf: a divergence or V-floor stop on
+        # row 2 returns normally, though the chunk went on to make row 3 (which
+        # is beyond the threshold too, but after the stop)
+        p, spec, x0, x1 = self.one_step_overflow(
+            1e-170, (1.0 - 1e160) * 1e-170 if with_x1 else None)
+        for kw, diverged in ((dict(threshold=1e100), True),
+                             (dict(threshold=1e200, v_floor=1e-30), False)):
+            tr = run_trace(p, spec, x0, 100, x1=x1, v_floor=kw.get("v_floor"),
+                           divergence_threshold=kw["threshold"])
+            assert len(tr) == 3 and tr.diverged == diverged
+            self.assert_same(tr, per_step_reference(p, spec, x0, 100, x1=x1, **kw))
+
+    @pytest.mark.parametrize("with_x1", [False, True])
+    @pytest.mark.parametrize("start", [1e150, math.inf])
+    def test_start_beyond_threshold(self, with_x1, start):
+        # a start is never checked for finiteness; beyond the threshold it
+        # ends the run at the last start
+        p, spec, x0, x1 = self.one_step_overflow(start, 1.0 if with_x1 else None)
+        tr = run_trace(p, spec, x0, 100, x1=x1, divergence_threshold=1e100)
+        assert len(tr) == (2 if with_x1 else 1) and tr.diverged
+        self.assert_same(tr, per_step_reference(p, spec, x0, 100, x1=x1, threshold=1e100))
+
+    def test_huge_iters_with_early_stop(self):
+        p, spec, x0, _ = self.converging(False)
+        tr = run_trace(p, spec, x0, 10 ** 9, v_floor=1e-6)
+        assert len(tr) < 100
+        self.assert_same(tr, per_step_reference(p, spec, x0, 10 ** 9, v_floor=1e-6))
 
 
 class TestLyapunovSeriesAccess:
