@@ -13,12 +13,14 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import fields
 
 import numpy as np
 
 from .lyapunov import DEFAULT_TOLERANCE, check_monotone
 from .methods import HB, NAG, NAGGS, TMM, MethodSpec, optimal_hyperparams
-from .problems import generate_quadratic, load_problem, save_problem
+from .problems import (_require_finite_bounds, generate_quadratic, load_problem,
+                       save_problem)
 from .scenarios import (SCENARIOS, ScenarioConfig, _x0, parse_config_file,
                         run_scenario)
 from .spectral import (DEFAULT_TOL, analyze, certificate_csv_text,
@@ -154,10 +156,9 @@ def _cmd_analyze(args, config) -> int:
         L = _require(_merged(args, config, "L"), "--L (or --problem)")
     spec = _method_spec(args, config, mu, L)  # tuned: rejects non-finite mu, L
     if path is None:
+        _require_finite_bounds(mu, L)
         npts = _merged(args, config, "dim", 100)
-        # a non-finite end gives non-finite coefficients, which analyze rejects
-        with np.errstate(invalid="ignore"):
-            eigvals = np.linspace(mu, L, npts) if npts > 1 else np.array([L])
+        eigvals = np.linspace(mu, L, npts) if npts > 1 else np.array([L])
     cert = analyze(spec, eigvals, tol=tol)
     out = _merged(args, config, "out")
     if out is not None:
@@ -197,22 +198,12 @@ def _cmd_scenario(args, config) -> int:
         known = ", ".join(sorted(SCENARIOS))
         raise UsageError(f"unknown scenario {name!r} (known: {known})")
     out = _merged(args, config, "out", os.path.join("artifacts", name))
-    cfg = ScenarioConfig(
-        name=name,
-        out=out,
-        dim=_merged(args, config, "dim"),
-        mu=_merged(args, config, "mu"),
-        L=_merged(args, config, "L"),
-        method=_merged(args, config, "method"),
-        alpha=_merged(args, config, "alpha"),
-        beta=_merged(args, config, "beta"),
-        gamma=_merged(args, config, "gamma"),
-        optimal=_merged(args, config, "optimal"),
-        iters=_merged(args, config, "iters"),
-        seed=_merged(args, config, "seed", 0),
-        x0_scale=_merged(args, config, "x0-scale"),
-        tolerance=_merged(args, config, "tolerance", DEFAULT_TOLERANCE),
-    )
+    # unset fields keep the dataclass defaults (seed, tolerance) or the
+    # scenario's own
+    values = {f.name: _merged(args, config, f.name.replace("_", "-"))
+              for f in fields(ScenarioConfig) if f.name not in ("name", "out")}
+    cfg = ScenarioConfig(name=name, out=out,
+                         **{k: v for k, v in values.items() if v is not None})
     result = run_scenario(cfg)
     with open(result.report_path, "r", encoding="utf-8") as fh:
         sys.stdout.write(fh.read())

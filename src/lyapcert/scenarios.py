@@ -1,7 +1,8 @@
 """Named experiment scenarios: problems, runs, artifacts and verdicts.
 
-Every scenario writes trace CSVs, certificate files where a spectrum exists,
-SVG panels and a text report into an output directory, and returns verdicts.
+Every scenario computes its traces, certificates (where a spectrum exists),
+SVG panels, report lines and verdicts, and hands them to one writer,
+``_finish``, which writes the files into the output directory.
 A scenario whose setup is certificate-eligible fails loudly when any V
 violation beyond tolerance shows up.
 """
@@ -10,7 +11,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -21,7 +22,7 @@ from .problems import (cosine_counterexample, exp_norm_objective,
                        generate_quadratic, rosenbrock_objective)
 from .spectral import analyze, certificate_csv_text, certificate_report_text
 from .svgplot import Panel, Series, render_svg
-from .trace import Trace, export_csv, run_trace
+from .trace import export_csv, run_trace
 
 LABELS = {HB: "HB", NAG: "NAG", TMM: "TMM", NAGGS: "NAG-GS"}
 
@@ -61,7 +62,6 @@ class ScenarioResult:
     verdicts: dict
     artifacts: list = field(default_factory=list)
     report_path: Optional[str] = None
-    notes: list = field(default_factory=list)
 
 
 def parse_config_file(path) -> dict:
@@ -85,21 +85,24 @@ def _x0(xstar: np.ndarray, scale: float, seed: int, tag: int = 1) -> np.ndarray:
     return xstar + scale * v / np.linalg.norm(v)
 
 
-def _specs(cfg: ScenarioConfig, mu: float, L: float, default_optimal: bool,
-           kinds=None) -> dict:
-    kinds = list(kinds if kinds is not None else KINDS)
+def _defaults(cfg: ScenarioConfig, **values) -> ScenarioConfig:
+    """``cfg`` with each field that is None set from ``values``."""
+    return replace(cfg, **{k: v for k, v in values.items() if getattr(cfg, k) is None})
+
+
+def _specs(cfg: ScenarioConfig) -> dict:
+    kinds = KINDS
     if cfg.method is not None:
         if cfg.method not in KINDS:
             raise ValueError(f"unknown method kind {cfg.method!r} (known: {', '.join(KINDS)})")
         kinds = [cfg.method]
-    optimal = default_optimal if cfg.optimal is None else cfg.optimal
     specs = {}
     for kind in kinds:
         if cfg.alpha is not None:
             specs[kind] = MethodSpec(kind, alpha=cfg.alpha, beta=cfg.beta or 0.0,
                                      gamma=(cfg.gamma or 0.0) if kind == TMM else 0.0)
-        elif optimal:
-            specs[kind] = optimal_hyperparams(kind, mu, L)
+        elif cfg.optimal:
+            specs[kind] = optimal_hyperparams(kind, cfg.mu, cfg.L)
         else:
             al, be, ga = SUITABLE[kind]
             specs[kind] = MethodSpec(kind, alpha=al, beta=be, gamma=ga)
@@ -110,146 +113,154 @@ def _has_strict_increase(values: np.ndarray) -> bool:
     return bool(np.any(np.diff(values) > 0))
 
 
-def _spectrum_series(certs: dict) -> list:
-    # both eigenvalues of each coordinate, dominant first
-    series = []
-    for kind, cert in certs.items():
-        r = cert.per_coordinate
-        series.append(Series(label=LABELS[kind],
-                             x=np.column_stack([r.re, r.re2]).ravel(),
-                             y=np.column_stack([r.im, -r.im]).ravel()))
-    return series
+def _first_violation(rep) -> str:
+    v = rep.violations[0]
+    return (f"first violation at k={v.index} V {v.v_prev:.6g} -> {v.v_next:.6g} "
+            f"(excess {v.excess:.3g})")
 
 
-def _write_certificate(out: str, stem: str, cert, artifacts: list) -> None:
-    """Write ``<stem>_certificate.csv`` and ``<stem>_certificate.txt``."""
-    for ext, render in (("csv", certificate_csv_text), ("txt", certificate_report_text)):
-        path = os.path.join(out, f"{stem}_certificate.{ext}")
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(render(cert))
-        artifacts.append(path)
-
-
-def _write_family_artifacts(name: str, out: str, traces: dict, certs: dict,
-                            artifacts: list) -> None:
-    for kind, trace in traces.items():
-        p = os.path.join(out, f"{name}_{kind.lower()}_trace.csv")
-        export_csv(trace, p)
-        artifacts.append(p)
-    for kind, cert in certs.items():
-        _write_certificate(out, f"{name}_{kind.lower()}", cert, artifacts)
+def _panels(name: str, traces: dict, certs: dict) -> dict:
     panels = {
         "gap": Panel(title=f"{name}: objective gap", kind="line-log",
                      ylabel="f(x_k) - f*",
-                     series=[Series(LABELS[k], traces[k].objective_gap) for k in traces]),
+                     series=[Series(LABELS[k], tr.objective_gap) for k, tr in traces.items()]),
         "distance": Panel(title=f"{name}: distance to minimizer", kind="line-log",
                           ylabel="|x_k - x*|",
-                          series=[Series(LABELS[k], traces[k].distance) for k in traces]),
+                          series=[Series(LABELS[k], tr.distance) for k, tr in traces.items()]),
         "lyapunov": Panel(title=f"{name}: Lyapunov value", kind="line-log",
                           ylabel="V_k",
-                          series=[Series(LABELS[k], traces[k].lyapunov[2:]) for k in traces]),
+                          series=[Series(LABELS[k], tr.lyapunov[2:]) for k, tr in traces.items()]),
     }
     if certs:
+        # both eigenvalues of each coordinate, dominant first
+        series = []
+        for kind, cert in certs.items():
+            r = cert.per_coordinate
+            series.append(Series(label=LABELS[kind],
+                                 x=np.column_stack([r.re, r.re2]).ravel(),
+                                 y=np.column_stack([r.im, -r.im]).ravel()))
         panels["spectrum"] = Panel(title=f"{name}: iteration-matrix spectrum",
                                    kind="scatter", xlabel="Re", ylabel="Im",
-                                   unit_circle=True, series=_spectrum_series(certs))
-    for key, panel in panels.items():
-        p = os.path.join(out, f"{name}_{key}.svg")
-        render_svg([panel], p, columns=1)
-        artifacts.append(p)
-    p = os.path.join(out, f"{name}_overview.svg")
-    render_svg(list(panels.values()), p)
-    artifacts.append(p)
+                                   unit_circle=True, series=series)
+    return panels
 
 
-def _write_report(name: str, out: str, lines: list, verdicts: dict,
-                  artifacts: list) -> str:
-    path = os.path.join(out, f"{name}_report.txt")
-    body = [f"scenario: {name}"]
-    body.extend(lines)
-    for key, ok in verdicts.items():
-        body.append(f"verdict {key}: {'PASS' if ok else 'FAIL'}")
-    body.append(f"overall: {'PASS' if all(verdicts.values()) else 'FAIL'}")
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("\n".join(body) + "\n")
-    artifacts.append(path)
-    return path
+def _finish(cfg: ScenarioConfig, lines: list, verdicts: dict, traces: dict,
+            certs: dict, panels: dict) -> ScenarioResult:
+    """Write every artifact of a scenario into ``cfg.out`` and return its result.
 
-
-def _run_quadratic_family(cfg: ScenarioConfig, *, dim: int, mu: float, L: float,
-                          iters: int, optimal: bool, v_floor, verdict_mode: str) -> ScenarioResult:
-    dim = cfg.dim if cfg.dim is not None else dim
-    mu = cfg.mu if cfg.mu is not None else mu
-    L = cfg.L if cfg.L is not None else L
-    iters = cfg.iters if cfg.iters is not None else iters
-    scale = cfg.x0_scale if cfg.x0_scale is not None else 10.0
-    tol = cfg.tolerance
-    os.makedirs(cfg.out, exist_ok=True)
-
-    problem = generate_quadratic(dim, mu, L, cfg.seed)
-    x0 = _x0(problem.minimizer, scale, cfg.seed)
-    specs = _specs(cfg, mu, L, optimal)
-    traces, certs, reports = {}, {}, {}
-    for kind, spec in specs.items():
-        traces[kind] = run_trace(problem, spec, x0, iters, v_floor=v_floor, seed=cfg.seed)
-        certs[kind] = analyze(spec, problem.eigvals)
-        reports[kind] = check_monotone(traces[kind].lyapunov_series(tol))
-
+    Traces and certificates are keyed by method kind, panels by file key:
+    ``<name>_<kind>_trace.csv`` per trace, ``<name>_<kind>_certificate.csv``
+    and ``.txt`` per certificate, ``<name>_<key>.svg`` per panel,
+    ``<name>_overview.svg`` of all panels when there are several, and
+    ``<name>_report.txt`` with the lines and verdicts.
+    """
+    stem = os.path.join(cfg.out, cfg.name)
     artifacts: list = []
-    _write_family_artifacts(cfg.name, cfg.out, traces, certs, artifacts)
 
-    lines = [f"config: dim={dim} mu={mu:g} L={L:g} iters={iters} seed={cfg.seed} "
-             f"x0_scale={scale:g} tolerance={tol:g}"]
-    for kind in specs:
-        cert, rep, tr = certs[kind], reports[kind], traces[kind]
-        terminal = tr.lyapunov[-1] if not math.isnan(tr.lyapunov[-1]) else math.nan
+    def write(path: str, text: str) -> None:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        artifacts.append(path)
+
+    for kind, trace in traces.items():
+        artifacts.append(f"{stem}_{kind.lower()}_trace.csv")
+        export_csv(trace, artifacts[-1])
+    for kind, cert in certs.items():
+        write(f"{stem}_{kind.lower()}_certificate.csv", certificate_csv_text(cert))
+        write(f"{stem}_{kind.lower()}_certificate.txt", certificate_report_text(cert))
+    for key, panel in panels.items():
+        artifacts.append(f"{stem}_{key}.svg")
+        render_svg([panel], artifacts[-1], columns=1)
+    if len(panels) > 1:
+        artifacts.append(f"{stem}_overview.svg")
+        render_svg(list(panels.values()), artifacts[-1])
+    ok = all(verdicts.values())
+    body = [f"scenario: {cfg.name}", *lines]
+    body += [f"verdict {key}: {'PASS' if v else 'FAIL'}" for key, v in verdicts.items()]
+    body.append(f"overall: {'PASS' if ok else 'FAIL'}")
+    write(f"{stem}_report.txt", "\n".join(body) + "\n")
+    return ScenarioResult(name=cfg.name, ok=ok, verdicts=verdicts,
+                          artifacts=artifacts, report_path=artifacts[-1])
+
+
+def _quadratic_runs(cfg: ScenarioConfig, v_floor):
+    """Run every method of ``cfg`` on its quadratic; return the traces,
+    certificates, monotonicity reports, report lines and panels."""
+    problem = generate_quadratic(cfg.dim, cfg.mu, cfg.L, cfg.seed)
+    x0 = _x0(problem.minimizer, cfg.x0_scale, cfg.seed)
+    traces, certs, reports = {}, {}, {}
+    for kind, spec in _specs(cfg).items():
+        traces[kind] = run_trace(problem, spec, x0, cfg.iters, v_floor=v_floor, seed=cfg.seed)
+        certs[kind] = analyze(spec, problem.eigvals)
+        reports[kind] = check_monotone(traces[kind].lyapunov_series(cfg.tolerance))
+
+    lines = [f"config: dim={cfg.dim} mu={cfg.mu:g} L={cfg.L:g} iters={cfg.iters} "
+             f"seed={cfg.seed} x0_scale={cfg.x0_scale:g} tolerance={cfg.tolerance:g}"]
+    for kind, tr in traces.items():
+        cert = certs[kind]
         lines.append(
             f"{LABELS[kind]}: eligible={'yes' if cert.eligible else 'no'} "
             f"radius={cert.spectral_radius:.6g} rows={len(tr)} "
-            f"terminal_V={terminal:.6g} {rep.describe()}")
+            f"terminal_V={tr.lyapunov[-1]:.6g} {reports[kind].describe()}")
+    return traces, certs, reports, lines, _panels(cfg.name, traces, certs)
 
+
+def _run_fig1(cfg):
+    cfg = _defaults(cfg, dim=107, mu=1.0, L=1000.0, iters=2000, optimal=True, x0_scale=10.0)
+    traces, certs, reports, lines, panels = _quadratic_runs(cfg, None)
     verdicts = {}
-    if verdict_mode == "fig1":
-        for kind in (HB, NAG, NAGGS):
-            if kind in specs:
-                verdicts[f"{kind.lower()}_certificate_eligible"] = certs[kind].eligible
-                verdicts[f"{kind.lower()}_V_monotone"] = reports[kind].monotone
-        for kind in (HB, NAG):
-            if kind in specs:
-                verdicts[f"{kind.lower()}_distance_has_increase"] = \
-                    _has_strict_increase(traces[kind].distance)
-    elif verdict_mode == "eligible-monotone":
-        for kind in specs:
-            if certs[kind].eligible:
-                verdicts[f"{kind.lower()}_V_monotone"] = reports[kind].monotone
-                if v_floor is not None:
-                    verdicts[f"{kind.lower()}_terminal_V_below_floor"] = \
-                        bool(traces[kind].lyapunov[-1] < v_floor)
-        if not any(certs[k].eligible for k in specs):
-            verdicts["some_certificate_eligible"] = False
-    elif verdict_mode == "all-eligible":
-        for kind in specs:
+    for kind in (HB, NAG, NAGGS):
+        if kind in traces:
             verdicts[f"{kind.lower()}_certificate_eligible"] = certs[kind].eligible
             verdicts[f"{kind.lower()}_V_monotone"] = reports[kind].monotone
-    elif verdict_mode == "mu0":
-        for kind in specs:
-            cert = certs[kind]
-            unit = abs(float(cert.per_coordinate.rate[0]) - 1.0) <= 1e-9
-            verdicts[f"{kind.lower()}_certificate_ineligible"] = not cert.eligible
-            verdicts[f"{kind.lower()}_unit_eigenvalue_at_zero"] = unit
-        for kind in specs:
-            vals = traces[kind].lyapunov[2:]
-            vals = vals[~np.isnan(vals)]
-            drop = float(vals[0] / max(abs(vals[-1]), 1e-300)) if vals.size else math.nan
-            lines.append(f"{LABELS[kind]}: V drops by factor {drop:.3g} before the "
-                         f"floating-point floor; oscillation beyond that is roundoff")
-    else:
-        raise ValueError(f"unknown verdict mode {verdict_mode}")
+    for kind in (HB, NAG):
+        if kind in traces:
+            verdicts[f"{kind.lower()}_distance_has_increase"] = \
+                _has_strict_increase(traces[kind].distance)
+    return _finish(cfg, lines, verdicts, traces, certs, panels)
 
-    report_path = _write_report(cfg.name, cfg.out, lines, verdicts, artifacts)
-    return ScenarioResult(name=cfg.name, ok=all(verdicts.values()),
-                          verdicts=verdicts, artifacts=artifacts,
-                          report_path=report_path)
+
+def _run_quadratic(cfg):
+    cfg = _defaults(cfg, dim=100, mu=1.0, L=1000.0, iters=2000, optimal=True, x0_scale=10.0)
+    v_floor = 1e-9
+    traces, certs, reports, lines, panels = _quadratic_runs(cfg, v_floor)
+    verdicts = {}
+    for kind, cert in certs.items():
+        if cert.eligible:
+            verdicts[f"{kind.lower()}_V_monotone"] = reports[kind].monotone
+            verdicts[f"{kind.lower()}_terminal_V_below_floor"] = \
+                bool(traces[kind].lyapunov[-1] < v_floor)
+    if not any(cert.eligible for cert in certs.values()):
+        verdicts["some_certificate_eligible"] = False
+    return _finish(cfg, lines, verdicts, traces, certs, panels)
+
+
+def _run_nonoptimal(cfg):
+    cfg = _defaults(cfg, dim=50, mu=1.0, L=10.0, iters=2000, optimal=False, x0_scale=10.0)
+    traces, certs, reports, lines, panels = _quadratic_runs(cfg, 1e-9)
+    verdicts = {}
+    for kind, cert in certs.items():
+        verdicts[f"{kind.lower()}_certificate_eligible"] = cert.eligible
+        verdicts[f"{kind.lower()}_V_monotone"] = reports[kind].monotone
+    return _finish(cfg, lines, verdicts, traces, certs, panels)
+
+
+def _run_convex_mu0(cfg):
+    cfg = _defaults(cfg, dim=50, mu=0.0, L=10.0, iters=1000, optimal=False, x0_scale=10.0)
+    traces, certs, _, lines, panels = _quadratic_runs(cfg, None)
+    verdicts = {}
+    for kind, cert in certs.items():
+        unit = abs(float(cert.per_coordinate.rate[0]) - 1.0) <= 1e-9
+        verdicts[f"{kind.lower()}_certificate_ineligible"] = not cert.eligible
+        verdicts[f"{kind.lower()}_unit_eigenvalue_at_zero"] = unit
+    for kind, tr in traces.items():
+        vals = tr.lyapunov[2:]
+        vals = vals[~np.isnan(vals)]
+        drop = float(vals[0] / max(abs(vals[-1]), 1e-300)) if vals.size else math.nan
+        lines.append(f"{LABELS[kind]}: V drops by factor {drop:.3g} before the "
+                     f"floating-point floor; oscillation beyond that is roundoff")
+    return _finish(cfg, lines, verdicts, traces, certs, panels)
 
 
 def find_cosine_witness(seed: int = 0, seeds: int = 100, iters: int = 400,
@@ -296,39 +307,27 @@ def find_tmm_witness(seed: int = 0, dim: int = 2, mu: float = 1.0, L: float = 4.
 
 
 def _run_cosine(cfg: ScenarioConfig) -> ScenarioResult:
-    os.makedirs(cfg.out, exist_ok=True)
-    iters = cfg.iters if cfg.iters is not None else 400
-    tol = cfg.tolerance
+    cfg = _defaults(cfg, iters=400)
+    iters, tol = cfg.iters, cfg.tolerance
     obj = cosine_counterexample()
     spec = optimal_hyperparams(HB, obj.mu, obj.lipschitz)
-    artifacts: list = []
     lines = [f"objective: x^2 + (1.99/400) cos(20x), mu={obj.mu:g}, L={obj.lipschitz:g}",
              f"method: HB tuned for [mu, L] (alpha={spec.alpha:.12g}, beta={spec.beta:.12g})",
              f"search: 100 starts uniform in [-2, 2], {iters} iterates, tolerance {tol:g}"]
 
     found = find_cosine_witness(seed=cfg.seed, iters=iters, tolerance=tol)
     verdicts = {"violation_found": found is not None}
+    traces, panels = {}, {}
     if found is not None:
         s, x0, trace, rep = found
-        first = rep.violations[0]
-        lines.append(f"witness: seed={s} x0={x0[0]:.12g} first violation at k={first.index} "
-                     f"V {first.v_prev:.6g} -> {first.v_next:.6g} (excess {first.excess:.3g})")
-        p = os.path.join(cfg.out, f"{cfg.name}_hb_trace.csv")
-        export_csv(trace, p)
-        artifacts.append(p)
-        panels = [
-            Panel(title="cosine: Lyapunov value", kind="line-log", ylabel="V_k",
-                  series=[Series("HB", trace.lyapunov[2:])]),
-            Panel(title="cosine: distance to minimizer", kind="line-log",
-                  ylabel="|x_k - x*|", series=[Series("HB", trace.distance)]),
-        ]
-        for panel, key in zip(panels, ("lyapunov", "distance")):
-            sp = os.path.join(cfg.out, f"{cfg.name}_{key}.svg")
-            render_svg([panel], sp, columns=1)
-            artifacts.append(sp)
-        sp = os.path.join(cfg.out, f"{cfg.name}_overview.svg")
-        render_svg(panels, sp)
-        artifacts.append(sp)
+        lines.append(f"witness: seed={s} x0={x0[0]:.12g} {_first_violation(rep)}")
+        traces[HB] = trace
+        panels = {
+            "lyapunov": Panel(title="cosine: Lyapunov value", kind="line-log", ylabel="V_k",
+                              series=[Series("HB", trace.lyapunov[2:])]),
+            "distance": Panel(title="cosine: distance to minimizer", kind="line-log",
+                              ylabel="|x_k - x*|", series=[Series("HB", trace.distance)]),
+        }
 
         # exploratory: walk beta down from the tuned value until V turns monotone
         boundary = None
@@ -349,127 +348,72 @@ def _run_cosine(cfg: ScenarioConfig) -> ScenarioResult:
                      "the expected counterexample behaviour")
 
     # certificate over the [mu, L] interval as a 33-point grid (quadratic view)
-    grid = np.linspace(obj.mu, obj.lipschitz, 33)
-    cert = analyze(spec, grid)
-    _write_certificate(cfg.out, f"{cfg.name}_hb", cert, artifacts)
+    cert = analyze(spec, np.linspace(obj.mu, obj.lipschitz, 33))
     lines.append(f"quadratic-view certificate on [mu, L]: eligible="
                  f"{'yes' if cert.eligible else 'no'} radius={cert.spectral_radius:.6g} "
                  f"(the violation above is what that certificate cannot promise here)")
-
-    report_path = _write_report(cfg.name, cfg.out, lines, verdicts, artifacts)
-    return ScenarioResult(name=cfg.name, ok=all(verdicts.values()), verdicts=verdicts,
-                          artifacts=artifacts, report_path=report_path)
+    return _finish(cfg, lines, verdicts, traces, {HB: cert}, panels)
 
 
 def _run_tmm_witness(cfg: ScenarioConfig) -> ScenarioResult:
-    os.makedirs(cfg.out, exist_ok=True)
-    dim = cfg.dim if cfg.dim is not None else 2
-    mu = cfg.mu if cfg.mu is not None else 1.0
-    L = cfg.L if cfg.L is not None else 4.0
-    iters = cfg.iters if cfg.iters is not None else 80
-    scale = cfg.x0_scale if cfg.x0_scale is not None else 10.0
-    tol = cfg.tolerance
-    artifacts: list = []
-    lines = [f"problem: quadratic dim={dim} spectrum [{mu:g}, {L:g}] seed={cfg.seed}",
+    cfg = _defaults(cfg, dim=2, mu=1.0, L=4.0, iters=80, x0_scale=10.0)
+    lines = [f"problem: quadratic dim={cfg.dim} spectrum [{cfg.mu:g}, {cfg.L:g}] "
+             f"seed={cfg.seed}",
              "method: TMM tuned; search over seeded random (x0, x1) pairs"]
 
-    spec = optimal_hyperparams(TMM, mu, L)
-    cert = analyze(spec, generate_quadratic(dim, mu, L, cfg.seed).eigvals)
-    _write_certificate(cfg.out, f"{cfg.name}_tmm", cert, artifacts)
+    spec = optimal_hyperparams(TMM, cfg.mu, cfg.L)
+    cert = analyze(spec, generate_quadratic(cfg.dim, cfg.mu, cfg.L, cfg.seed).eigvals)
     lines.append(f"certificate: eligible={'yes' if cert.eligible else 'no'} "
                  f"radius={cert.spectral_radius:.6g}")
 
-    found = find_tmm_witness(seed=cfg.seed, dim=dim, mu=mu, L=L, iters=iters,
-                             scale=scale, tolerance=tol)
+    found = find_tmm_witness(seed=cfg.seed, dim=cfg.dim, mu=cfg.mu, L=cfg.L,
+                             iters=cfg.iters, scale=cfg.x0_scale, tolerance=cfg.tolerance)
     verdicts = {"violation_found": found is not None}
+    traces, panels = {}, {}
     if found is not None:
         s, trace, rep = found
-        first = rep.violations[0]
-        lines.append(f"witness: seed={s} first violation at k={first.index} "
-                     f"V {first.v_prev:.6g} -> {first.v_next:.6g} (excess {first.excess:.3g})")
-        p = os.path.join(cfg.out, f"{cfg.name}_tmm_trace.csv")
-        export_csv(trace, p)
-        artifacts.append(p)
-        panel = Panel(title="TMM witness: Lyapunov value", kind="line-log",
-                      ylabel="V_k", series=[Series("TMM", trace.lyapunov[2:])])
-        sp = os.path.join(cfg.out, f"{cfg.name}_lyapunov.svg")
-        render_svg([panel], sp, columns=1)
-        artifacts.append(sp)
+        lines.append(f"witness: seed={s} {_first_violation(rep)}")
+        traces[TMM] = trace
+        panels["lyapunov"] = Panel(title="TMM witness: Lyapunov value", kind="line-log",
+                                   ylabel="V_k", series=[Series("TMM", trace.lyapunov[2:])])
     else:
         lines.append("no violation found; recorded for investigation instead of assumed")
-
-    report_path = _write_report(cfg.name, cfg.out, lines, verdicts, artifacts)
-    return ScenarioResult(name=cfg.name, ok=all(verdicts.values()), verdicts=verdicts,
-                          artifacts=artifacts, report_path=report_path)
+    return _finish(cfg, lines, verdicts, traces, {TMM: cert}, panels)
 
 
-def _run_objective_family(cfg: ScenarioConfig, *, objective, name_lines: list,
-                          specs: dict, iters: int, scale: float) -> ScenarioResult:
-    os.makedirs(cfg.out, exist_ok=True)
-    iters = cfg.iters if cfg.iters is not None else iters
-    scale = cfg.x0_scale if cfg.x0_scale is not None else scale
-    tol = cfg.tolerance
+def _run_objective_family(cfg: ScenarioConfig, objective, title: str,
+                          alpha: float, beta: float) -> ScenarioResult:
+    specs = {k: MethodSpec(k, alpha=alpha, beta=beta, gamma=0.05 if k == TMM else 0.0)
+             for k in KINDS}
     if cfg.method is not None:
         specs = {cfg.method: specs[cfg.method]}
-    x0 = _x0(np.asarray(objective.minimizer, dtype=float), scale, cfg.seed)
+    x0 = _x0(np.asarray(objective.minimizer, dtype=float), cfg.x0_scale, cfg.seed)
     traces, verdicts = {}, {}
-    lines = list(name_lines)
-    lines.append(f"config: iters={iters} seed={cfg.seed} x0_scale={scale:g}")
+    lines = [title, f"config: iters={cfg.iters} seed={cfg.seed} x0_scale={cfg.x0_scale:g}"]
     for kind, spec in specs.items():
         # no V floor here: slow small-step iterates keep V near zero from the
         # start, which says nothing about convergence
-        tr = run_trace(objective, spec, x0, iters, seed=cfg.seed)
+        tr = run_trace(objective, spec, x0, cfg.iters, seed=cfg.seed)
         traces[kind] = tr
-        rep = check_monotone(tr.lyapunov_series(tol))
+        rep = check_monotone(tr.lyapunov_series(cfg.tolerance))
         verdicts[f"{kind.lower()}_completed"] = not tr.diverged
         lines.append(f"{LABELS[kind]}: rows={len(tr)} diverged={'yes' if tr.diverged else 'no'} "
                      f"final_gap={tr.objective_gap[-1]:.6g} {rep.describe()}")
-
-    artifacts: list = []
-    _write_family_artifacts(cfg.name, cfg.out, traces, {}, artifacts)
-    report_path = _write_report(cfg.name, cfg.out, lines, verdicts, artifacts)
-    return ScenarioResult(name=cfg.name, ok=all(verdicts.values()), verdicts=verdicts,
-                          artifacts=artifacts, report_path=report_path)
-
-
-def _run_fig1(cfg):
-    return _run_quadratic_family(cfg, dim=107, mu=1.0, L=1000.0, iters=2000,
-                                 optimal=True, v_floor=None, verdict_mode="fig1")
-
-
-def _run_quadratic(cfg):
-    return _run_quadratic_family(cfg, dim=100, mu=1.0, L=1000.0, iters=2000,
-                                 optimal=True, v_floor=1e-9,
-                                 verdict_mode="eligible-monotone")
-
-
-def _run_nonoptimal(cfg):
-    return _run_quadratic_family(cfg, dim=50, mu=1.0, L=10.0, iters=2000,
-                                 optimal=False, v_floor=1e-9,
-                                 verdict_mode="all-eligible")
-
-
-def _run_convex_mu0(cfg):
-    return _run_quadratic_family(cfg, dim=50, mu=0.0, L=10.0, iters=1000,
-                                 optimal=False, v_floor=None, verdict_mode="mu0")
+    return _finish(cfg, lines, verdicts, traces, {}, _panels(cfg.name, traces, {}))
 
 
 def _run_expnorm(cfg):
-    specs = {k: MethodSpec(k, alpha=0.02, beta=0.3,
-                           gamma=0.05 if k == TMM else 0.0) for k in KINDS}
+    cfg = _defaults(cfg, dim=2, iters=600, x0_scale=0.8)
     return _run_objective_family(
-        cfg, objective=exp_norm_objective(cfg.dim if cfg.dim is not None else 2),
-        name_lines=["objective: exp(|x|^2), small-step runs (no global smoothness bound)"],
-        specs=specs, iters=600, scale=0.8)
+        cfg, exp_norm_objective(cfg.dim),
+        "objective: exp(|x|^2), small-step runs (no global smoothness bound)", 0.02, 0.3)
 
 
 def _run_rosenbrock(cfg):
-    specs = {k: MethodSpec(k, alpha=5e-4, beta=0.5,
-                           gamma=0.05 if k == TMM else 0.0) for k in KINDS}
+    cfg = _defaults(cfg, iters=4000, x0_scale=0.5)
     return _run_objective_family(
-        cfg, objective=rosenbrock_objective(),
-        name_lines=["objective: Rosenbrock, small-step runs near the minimizer"],
-        specs=specs, iters=4000, scale=0.5)
+        cfg, rosenbrock_objective(),
+        "objective: Rosenbrock, small-step runs near the minimizer", 5e-4, 0.5)
 
 
 SCENARIOS = {
@@ -489,4 +433,5 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
     if cfg.name not in SCENARIOS:
         known = ", ".join(sorted(SCENARIOS))
         raise ValueError(f"unknown scenario {cfg.name!r} (known: {known})")
+    os.makedirs(cfg.out, exist_ok=True)
     return SCENARIOS[cfg.name](cfg)

@@ -13,6 +13,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+_PANEL_WIDTH = 460
+_PANEL_HEIGHT = 340
 _COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
 
@@ -42,8 +44,7 @@ class Panel:
     unit_circle: bool = False
 
 
-def render_svg(panels: Sequence[Panel], path, *, panel_width: int = 460,
-               panel_height: int = 340, columns: int = 2) -> None:
+def render_svg(panels: Sequence[Panel], path, *, columns: int = 2) -> None:
     """Render panels into one standalone SVG file (grid layout)."""
     panels = list(panels)
     if not panels:
@@ -55,21 +56,21 @@ def render_svg(panels: Sequence[Panel], path, *, panel_width: int = 460,
             raise ValueError(f"unknown panel kind {p.kind!r}")
     cols = min(columns, len(panels))
     rows = (len(panels) + cols - 1) // cols
-    width = cols * panel_width
-    height = rows * panel_height
+    width = cols * _PANEL_WIDTH
+    height = rows * _PANEL_HEIGHT
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
         f'viewBox="0 0 {width} {height}" font-family="Helvetica, Arial, sans-serif">',
         f'<rect x="0" y="0" width="{width}" height="{height}" fill="#ffffff"/>',
     ]
     for i, p in enumerate(panels):
-        tx = (i % cols) * panel_width
-        ty = (i // cols) * panel_height
+        tx = (i % cols) * _PANEL_WIDTH
+        ty = (i // cols) * _PANEL_HEIGHT
         parts.append(f'<g class="panel" transform="translate({tx},{ty})">')
         if p.kind == "line-log":
-            parts.extend(_line_log_panel(p, panel_width, panel_height))
+            parts.extend(_line_log_panel(p, _PANEL_WIDTH, _PANEL_HEIGHT))
         else:
-            parts.extend(_scatter_panel(p, panel_width, panel_height))
+            parts.extend(_scatter_panel(p, _PANEL_WIDTH, _PANEL_HEIGHT))
         parts.append("</g>")
     parts.append("</svg>")
     with open(path, "w", encoding="utf-8", newline="") as fh:

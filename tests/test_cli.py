@@ -105,7 +105,7 @@ class TestAnalyze:
     @pytest.mark.parametrize("flag,value,message", [
         ("--tolerance", "nan", "tolerance must be finite and nonnegative"),
         ("--tolerance", "-1", "tolerance must be finite and nonnegative"),
-        ("--mu", "nan", "coefficients must be finite"),
+        ("--mu", "nan", "mu must be finite, got nan"),
     ])
     def test_bad_number_is_runtime_error(self, capsys, flag, value, message):
         argv = ["analyze", "--method", "hb", "--alpha", "0.15", "--beta", "0.5",
@@ -116,13 +116,16 @@ class TestAnalyze:
         assert captured.err == f"error: {message}\n"
         assert "eligible" not in captured.out
 
-    @pytest.mark.parametrize("command", ["analyze", "run"])
+    @pytest.mark.parametrize("command", [
+        "analyze", "run", pytest.param("analyze --alpha 0.1", id="analyze-alpha")])
     @pytest.mark.parametrize("flag,value", [("--mu", "nan"), ("--L", "inf"), ("--L", "nan")])
     def test_non_finite_bound_is_named(self, tmp_path, capsys, command, flag, value):
         # fails before the eigenvalue grid or the problem is built: no numpy
         # warning reaches stderr, only the error line
-        argv = [command, "--method", "hb", "--optimal", "--mu", "1", "--L", "10",
+        argv = [*command.split(), "--method", "hb", "--mu", "1", "--L", "10",
                 flag, value, "--dim", "5"]
+        if "--alpha" not in command:
+            argv.append("--optimal")
         if command == "run":
             argv += ["--iters", "10", "--out", str(tmp_path / "t.csv")]
         rc = main(argv)

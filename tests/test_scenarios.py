@@ -1,3 +1,4 @@
+import hashlib
 import os
 
 import numpy as np
@@ -103,12 +104,12 @@ class TestQuadraticScenarios:
         with pytest.raises(ValueError, match="unknown method kind"):
             run_quick("nonoptimal", tmp_path, dim=4, iters=150, method="hb")
 
-    @pytest.mark.parametrize("name", ["nonoptimal", "tmm-witness", "expnorm"])
+    @pytest.mark.parametrize("name", sorted(set(SCENARIOS) - {"cosine", "rosenbrock"}))
     def test_zero_dim_is_not_the_default(self, tmp_path, name):
         with pytest.raises(ValueError, match="dim must be >= 1"):
             run_quick(name, tmp_path, dim=0)
 
-    @pytest.mark.parametrize("name", ["nonoptimal", "cosine", "tmm-witness", "expnorm"])
+    @pytest.mark.parametrize("name", sorted(SCENARIOS))
     def test_zero_iters_is_not_the_default(self, tmp_path, name):
         with pytest.raises(ValueError, match="iters must be >= 3"):
             run_quick(name, tmp_path, iters=0)
@@ -173,3 +174,257 @@ class TestObjectiveScenarios:
         assert all(res.verdicts.values())
         text = report_text(res)
         assert "diverged=no" in text
+
+
+# the quick sizes of the scenario tests above
+QUICK = {
+    "fig1": dict(dim=8, iters=300),
+    "quadratic": dict(dim=5, mu=1.0, L=16.0, iters=400),
+    "nonoptimal": dict(dim=5, iters=200),
+    "convex-mu0": dict(dim=5, iters=150),
+    "cosine": dict(iters=60),
+    "tmm-witness": dict(),
+    "expnorm": dict(iters=80),
+    "rosenbrock": dict(iters=150),
+}
+
+DIGESTS = {
+    "fig1": {
+        "fig1_distance.svg":
+            "2e48b9cfafe93136b0929c7d376d0eb658affb2f0844cbae0d449e03feab73a9",
+        "fig1_gap.svg":
+            "54c677c99398a54194f499ae037205c3338d481b69354c775294f718aa48e468",
+        "fig1_hb_certificate.csv":
+            "a2c0a89413eb7db93a8ebf7fba925f268c79a54331b435489c1e4ba7e2d08487",
+        "fig1_hb_certificate.txt":
+            "1a83762504f864399363e7d8074951eecc5083c03dc66a5236dd4f4841db299d",
+        "fig1_hb_trace.csv":
+            "c9a95b3d884f84e2381613e19627eb2a939168a6e47e1b8c74ea7c6d09877d9d",
+        "fig1_lyapunov.svg":
+            "467e071452768383ff0298c15bf982394611556bb8adecca1c3fa1b534f4bef5",
+        "fig1_nag_certificate.csv":
+            "08420dc1079ef9f4fabe66f7d4c1af5fb9ebe8246e46467d751ac88adffa8253",
+        "fig1_nag_certificate.txt":
+            "9e2ede89d10bc8131b2956b3f0bde2b53d0ae3dd59793bca1c6208098964aafc",
+        "fig1_nag_trace.csv":
+            "9735bcd1d6a6ba62df4d7cc7490069d0ab34ed863338c89fa8fcbd6c22c00877",
+        "fig1_naggs_certificate.csv":
+            "fe74c5f19d6f75181f8d122f61f38ec387846f67d4ff6678096dd69c3df4e197",
+        "fig1_naggs_certificate.txt":
+            "f2f06379b9f75b68c329343b555c033ea108f20dab309578a4e7afd600ae27ba",
+        "fig1_naggs_trace.csv":
+            "ade3bb1ea1438cb06b673690e8680da9c6223a75d239e7fc478467dee584e943",
+        "fig1_overview.svg":
+            "a5d8005f5a692e3ee009b2d0f6959bec1f47b2e2012b5c106005cedb3d0f42a5",
+        "fig1_report.txt":
+            "663d63338334a8321e37a042af41c717e34708bb700c9a05ae2955b0872066fb",
+        "fig1_spectrum.svg":
+            "20ebd84019b084b5faf35ad292a002c1ba1baac77a42a846ff8de1232cf8f192",
+        "fig1_tmm_certificate.csv":
+            "522ae9b0306bc4fa537fa088019848f6ef4e65160fa993a5262f81f6bf96b3f9",
+        "fig1_tmm_certificate.txt":
+            "c650173e0049afd2a224deacd59cacabe7b2b879b7bcf4bb52c306421c50e886",
+        "fig1_tmm_trace.csv":
+            "503f23ea110ab4b914af6a35c4fe96b9a86a2f7edbfe5bcbf2efbb8de025534a",
+    },
+    "quadratic": {
+        "quadratic_distance.svg":
+            "6e76ddebc0c985fd7918fb7c703ede0bdc7ae0b63601f7e949a6d13778530092",
+        "quadratic_gap.svg":
+            "062a624d8fae12578032fb8da0c1b3a14c7a1507af8077b227f74948728779de",
+        "quadratic_hb_certificate.csv":
+            "6b5a789b16ee3835f8d33fbdced568e5c9db86e80241dd34efaa16222fcc2e39",
+        "quadratic_hb_certificate.txt":
+            "4faf809e96c3654e95fb8a53271a3fe5c23e0f26e94c74ae69b4861b5bb8e487",
+        "quadratic_hb_trace.csv":
+            "d4be831a68c2100b28ca4554eda43d89bdec6b1d31796bbcebb47921e6c51ed8",
+        "quadratic_lyapunov.svg":
+            "d26fee91979a2a4f5550f471d655dbaaa27fc1f6395008a2c6f05a8e90ee89d1",
+        "quadratic_nag_certificate.csv":
+            "0ddb3ad091cc1bc472599958d36438f21c846f6e6bc09787234a07690f818f53",
+        "quadratic_nag_certificate.txt":
+            "efaa8a3a8b5c1dc5efd1b28dc9dec477517737492d9dc59c69f6a311514d9d1d",
+        "quadratic_nag_trace.csv":
+            "c41f75dda54b34fba8d09cd6e245b4ded149e7ad22a19c8cec808022bd8a672e",
+        "quadratic_naggs_certificate.csv":
+            "6855c9b840d2c27a46428908ad8aa243520a0e5c13e32ca3b09969f0a808ff8c",
+        "quadratic_naggs_certificate.txt":
+            "57d043a4481dce42e78f9ff05e7f29a02168af99a05f5194ad354dd1f750701f",
+        "quadratic_naggs_trace.csv":
+            "5371926d8693cdacfdda7ad1cdb3c956e767c796d842f895e28b15f933846e49",
+        "quadratic_overview.svg":
+            "2c0690306f86cded3c441467ca35a27231251b7b746e7156172ccd1c6b508235",
+        "quadratic_report.txt":
+            "514d004e282c783b6a7585d9845601e5726e1f67bc8876575e5d034b139ec5a1",
+        "quadratic_spectrum.svg":
+            "e3ee8314380800ed51cb6d823bb9368b677ac9b235b0a622cca657138165dfae",
+        "quadratic_tmm_certificate.csv":
+            "8e766f06aa504fcd594b6bd505bb1cf160d501ee446887086b926403b7f378f8",
+        "quadratic_tmm_certificate.txt":
+            "4da7b8001635b71654b4cd0ecdb80963c58e17e1f8e622a898317507591e4fc7",
+        "quadratic_tmm_trace.csv":
+            "4e7352b5bfd4e6716c702ff8721c1eba6fba70a3e8d3cf24aff26e3955124870",
+    },
+    "nonoptimal": {
+        "nonoptimal_distance.svg":
+            "b4eb44ef705df92fc12c235df577a5e1d5dfaa1b0b05fc5408d54b6b7d55742d",
+        "nonoptimal_gap.svg":
+            "00ace7644286d05172be4811d999e530e70fa6c423ef472d0885f5598855f394",
+        "nonoptimal_hb_certificate.csv":
+            "ac3e6b8057050f3a1683968245d770b6451e7a208c07e772a1d49167ed0237b0",
+        "nonoptimal_hb_certificate.txt":
+            "2bd09503ce7e20bf4706b86cdc7df42f45e66691792da403ba9be41a1774d85d",
+        "nonoptimal_hb_trace.csv":
+            "946de6ac599468236a77566999c27c46440464cd0972426a6f4f13dab422cd37",
+        "nonoptimal_lyapunov.svg":
+            "62992642651ab774bb6703f36456f6da1e675847b024c498bc39de3203912d51",
+        "nonoptimal_nag_certificate.csv":
+            "97ceeb5b6c1008a0215dcc4427f837c0aa17c71b7f38fc4426c1dcacdc52ff3d",
+        "nonoptimal_nag_certificate.txt":
+            "118c2bdf242e4b7743497514e6882e20b05d5391517b9de25282dafca070aab7",
+        "nonoptimal_nag_trace.csv":
+            "f51544eb21d9a85080378c10399be07eccdf58e585a329e69c25c266faeda529",
+        "nonoptimal_naggs_certificate.csv":
+            "276eaaf80394795240e8fa4161f146c78eb8d6dcc6e2a2cad1f9d7c1c18956de",
+        "nonoptimal_naggs_certificate.txt":
+            "5880b6ed346348e29b77c692f6e3f02c2f8132a7baecf626df6e2691d92fa08b",
+        "nonoptimal_naggs_trace.csv":
+            "27edee9b0a031572798dffa5af28b2664f1cdf63ff68cd5c0655de684dbeae88",
+        "nonoptimal_overview.svg":
+            "378168104bdb01d2aea14227ff7937f9bcc0c89d7b0c23f3379e9068d586b0cd",
+        "nonoptimal_report.txt":
+            "dac24a7b03793eba6a6a752520fe6b635a322b715568c6f515d2d72a1cf0bd3d",
+        "nonoptimal_spectrum.svg":
+            "862c44116244f5bf110942e86565ec135c1dcbd1e79f548c466b70378150729d",
+        "nonoptimal_tmm_certificate.csv":
+            "e531d576bdee72dc968ee197760d9ded209436b9eb5924b961aaecaa5f9d107f",
+        "nonoptimal_tmm_certificate.txt":
+            "1c494b68313ff5dc52aeb2d163e910b9fbe785f35e9ec729820309b1baa6195b",
+        "nonoptimal_tmm_trace.csv":
+            "71ac3315597d0b0ebf250eaaeec01bf44d984be87d41e0f68c16a9692d91639e",
+    },
+    "convex-mu0": {
+        "convex-mu0_distance.svg":
+            "219392230862e7a063d9551534641dd4f05de6929fee70b1aaf7dca31ebb14ba",
+        "convex-mu0_gap.svg":
+            "66b515caf9afdac339e5a3bf3365f3cd08cb1d1c668bc93dd74b49b6d2b71e5e",
+        "convex-mu0_hb_certificate.csv":
+            "5c2a95dc1db6cf160697a7cd3ca05e5fcfce899e624140ccec1e15a4a3ba0e5a",
+        "convex-mu0_hb_certificate.txt":
+            "b37fc73e2acaf9ecf57ef295bb9904447eb25b381f74c5c921b20dbf88847fe8",
+        "convex-mu0_hb_trace.csv":
+            "cc5acd8a725dc3bf65d1369da095a30bb766ecd989fec4e3b1264a1236f5472e",
+        "convex-mu0_lyapunov.svg":
+            "49fc95034fee6a0195b62b7b28be46fde31e5ca7a71620fdd01a8b36b086b132",
+        "convex-mu0_nag_certificate.csv":
+            "f45eb3ccc145ccdadc45b8b5c4f81a9ad1ddde762f24ea2a4ea52bd8a28b1f36",
+        "convex-mu0_nag_certificate.txt":
+            "4e860303995c8b3574db33fbbbed8023aaa7f62b48d00d359fef9a3fc656328b",
+        "convex-mu0_nag_trace.csv":
+            "075dcf98a3d8186f44978c39ebbf888be9de9ab5e461d2743af88851e0aae86e",
+        "convex-mu0_naggs_certificate.csv":
+            "1b1551b3b4ca074cf66e6e44f72d3f0dc61cfd94aeeed57c39f99e76b8d547e4",
+        "convex-mu0_naggs_certificate.txt":
+            "8c8d16c44ec39a1653bbf5e16065554478ed884ed1291e162baf71f8ef35813d",
+        "convex-mu0_naggs_trace.csv":
+            "d11ed61339c2bae4e28ad55814dc9798496d4d0dd1b591797a7ebd95f8577c65",
+        "convex-mu0_overview.svg":
+            "42c09529e350f9f951eb4d0633ebcfd21312b157b255349244053135918a6294",
+        "convex-mu0_report.txt":
+            "9e0c9b2cb5ce81f09060c1c07ab3c3d45e7591910308bb26dd6108ec78329989",
+        "convex-mu0_spectrum.svg":
+            "07d51c1421380dc239353bd80bcd077c2a4de0792a8cef234485f472c1849f1f",
+        "convex-mu0_tmm_certificate.csv":
+            "165ca03d29b9503648920526ba98dc7adac56281da64c40a48c0b1d07de5b3bb",
+        "convex-mu0_tmm_certificate.txt":
+            "9b5637cf3c9fee3d143d1c7e8a61a6a68fe00df1fcdcea141506fe037d336390",
+        "convex-mu0_tmm_trace.csv":
+            "ab479e34875204f2edff30ffa7d33b6b914a6fd2a52edcff90071b3e54fdbb79",
+    },
+    "cosine": {
+        "cosine_distance.svg":
+            "adbb680b3ea1a5dc3de1815b9c819bb1c4cda38d914257ad80dd8a18044fec70",
+        "cosine_hb_certificate.csv":
+            "f39076f5ff8537d24d29cda4f4bb79caa0418e5724131e31e3954503fb2647bb",
+        "cosine_hb_certificate.txt":
+            "2a669f1a329be5f60b15dc534ea52c5543144a7fd5e0c691d146d584321046ab",
+        "cosine_hb_trace.csv":
+            "45d967a9f7d120687aca44a024508e75a9779cd21b84334482b0c608d6845e01",
+        "cosine_lyapunov.svg":
+            "3f1645348a912d32b175ca3da57c920b6cb04c03bf05fff2324bb85cbcfe3238",
+        "cosine_overview.svg":
+            "143a9db2d1c24a3056bc53800f9a07c48a19d218ebb1e8bd6b888e554f0ca678",
+        "cosine_report.txt":
+            "32a743f97bfbf50c13e2cf3e5571c2881161a8843696f6525eaac7adc94c5e16",
+    },
+    "tmm-witness": {
+        "tmm-witness_lyapunov.svg":
+            "11603075fe6d6fcf29b07d72f5bdb66295e72148aa7f68b9392f663fcca730f8",
+        "tmm-witness_report.txt":
+            "910d66c66f59e0fde4a97d1bab5cc01190ebe46d5058ed4aa8448698a6648069",
+        "tmm-witness_tmm_certificate.csv":
+            "fe90c0d7f178bdac12361f07ff4372f310d633f6cc5b32f52925dbcb0a7e641a",
+        "tmm-witness_tmm_certificate.txt":
+            "a4c9cc3030585538a1d378bc335e1bc5d75b81257f069ad224e62aeec6fb1998",
+        "tmm-witness_tmm_trace.csv":
+            "cc3bd4a00461605e2fbf6ba999655a77a7a9df400e5c5b79d21239e975338184",
+    },
+    "expnorm": {
+        "expnorm_distance.svg":
+            "37a66391a4c35e3a4b60e6579239d20ef1f2e7c8a85e81e794b2bd5e6c69ee30",
+        "expnorm_gap.svg":
+            "ac4f32026c466c5fae48f78e5db8b0d3ab3a5ed0a8f7f3f15fda4cead381790a",
+        "expnorm_hb_trace.csv":
+            "6bca7497e6dc2f24d7692b496be814049b2c69daa279bc305d238b50cc87de3e",
+        "expnorm_lyapunov.svg":
+            "5c0448197c1dc104b1333d09ccbb89f5a4e82bbef4890495395be977061624c5",
+        "expnorm_nag_trace.csv":
+            "c88e7b269cc623e7f3254a14c40e43d5c79bae9d01a3fd2a590eeb616256ad04",
+        "expnorm_naggs_trace.csv":
+            "518969e6ae55221c96807817558d6bb9e098bfd2824b7110e6fc626586da0379",
+        "expnorm_overview.svg":
+            "e8ae0b62821804d7dbf9b64c07eeda75f894dbc99967cb973325e254827fa49b",
+        "expnorm_report.txt":
+            "729746c14c29d07011c1afa0ac8c93c3813eb887600494abee7789d310bcb1fa",
+        "expnorm_tmm_trace.csv":
+            "dff7b4ee67f916a1497661fba75917dd7973093929e9bcf660628aa310e7a860",
+    },
+    "rosenbrock": {
+        "rosenbrock_distance.svg":
+            "720b7cd5017ab66143cf8679820d79b3323c3e3563aef0b41a9654bb8572109b",
+        "rosenbrock_gap.svg":
+            "ee72047ab223f7c76ac45986d35fefee650db452b590de368dbd5cba2cb132d7",
+        "rosenbrock_hb_trace.csv":
+            "ed1e9c6065be321c83cbfa718e98ffe4ae0104d2107e6da5050d890a42e3554d",
+        "rosenbrock_lyapunov.svg":
+            "64b31f818771058640c92eb152eac73d655f3246d8b09e8e6444cab5767a16c4",
+        "rosenbrock_nag_trace.csv":
+            "737e5cbdcc6cdf3befb416d0d0109c0e6e8097fa101d5bc214a9bf1c01315b36",
+        "rosenbrock_naggs_trace.csv":
+            "d5b81d844fb71fc184dfdcfcd4f52dbfdeebd4952c2952d6538a6d64fca87eb9",
+        "rosenbrock_overview.svg":
+            "f3cf3995ef36356f4f30da07f890ef77443da4d0fbd0a3740a44d553a7a34378",
+        "rosenbrock_report.txt":
+            "4a6396cb1493a647ad76a5dec618b44dd1f45fef856f14b4837f9d8280171b0a",
+        "rosenbrock_tmm_trace.csv":
+            "8f1a3405b5d606602df3d44d5583231a3dfe7a0fa40b44814cb83a7038b16516",
+    },
+}
+
+
+class TestArtifactBytes:
+    """Every artifact of every scenario at the quick sizes, by sha256.
+
+    The digests were taken with numpy 2.4.6 on x86-64; another numpy may
+    change the random problems and so the bytes.  A change to them must be
+    named and explained, not just re-recorded.
+    """
+
+    @pytest.mark.parametrize("name", sorted(QUICK))
+    def test_digests(self, tmp_path, name):
+        res = run_quick(name, tmp_path, **QUICK[name])
+        listed = sorted(os.path.basename(p) for p in res.artifacts)
+        assert listed == sorted(os.listdir(tmp_path))
+        digests = {f: hashlib.sha256((tmp_path / f).read_bytes()).hexdigest()
+                   for f in listed}
+        assert digests == DIGESTS[name]
