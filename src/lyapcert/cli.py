@@ -19,13 +19,13 @@ import numpy as np
 
 from .lyapunov import DEFAULT_TOLERANCE, check_monotone
 from .methods import HB, NAG, NAGGS, TMM, MethodSpec, optimal_hyperparams
-from .problems import (_require_finite_bounds, generate_quadratic, load_problem,
+from .problems import (_require_spectrum, generate_quadratic, load_problem,
                        save_problem)
 from .scenarios import (SCENARIOS, ScenarioConfig, _x0, parse_config_file,
                         run_scenario)
 from .spectral import (DEFAULT_TOL, analyze, certificate_csv_text,
                        certificate_report_text)
-from .trace import export_csv, run_trace, series_from_csv
+from .trace import _blocks, _series, _stream_csv, series_from_csv
 
 _METHOD_NAMES = {
     "hb": HB, "heavy-ball": HB,
@@ -156,7 +156,7 @@ def _cmd_analyze(args, config) -> int:
         L = _require(_merged(args, config, "L"), "--L (or --problem)")
     spec = _method_spec(args, config, mu, L)  # tuned: rejects non-finite mu, L
     if path is None:
-        _require_finite_bounds(mu, L)
+        _require_spectrum(mu, L)
         npts = _merged(args, config, "dim", 100)
         eigvals = np.linspace(mu, L, npts) if npts > 1 else np.array([L])
     cert = analyze(spec, eigvals, tol=tol)
@@ -178,16 +178,15 @@ def _cmd_run(args, config) -> int:
     scale = _merged(args, config, "x0-scale", 10.0)
     out = _require(_merged(args, config, "out"), "--out")
     x0 = _x0(problem.minimizer, scale, seed)
-    trace = run_trace(problem, spec, x0, iters, seed=seed)
-    export_csv(trace, out)
+    rows, last, lyap = _stream_csv(_blocks(problem, spec, x0, iters), out)
     tol = _merged(args, config, "tolerance", DEFAULT_TOLERANCE)
-    rep = check_monotone(trace.lyapunov_series(tol))
-    print(f"rows={len(trace)} final_gap={trace.objective_gap[-1]:.6g} "
-          f"final_distance={trace.distance[-1]:.6g} "
-          f"diverged={'yes' if trace.diverged else 'no'}")
+    rep = check_monotone(_series(lyap, tol))
+    print(f"rows={rows} final_gap={last.objective_gap[-1]:.6g} "
+          f"final_distance={last.distance[-1]:.6g} "
+          f"diverged={'yes' if last.diverged else 'no'}")
     print(rep.describe())
     print(f"trace -> {out}")
-    return 1 if trace.diverged else 0
+    return 1 if last.diverged else 0
 
 
 def _cmd_scenario(args, config) -> int:

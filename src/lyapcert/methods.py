@@ -118,24 +118,28 @@ def optimal_hyperparams(kind: str, mu: float, L: float) -> MethodSpec:
 
 
 def coefficient_arrays(spec: MethodSpec, eigvals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized scalar_coefficients over an eigenvalue array."""
+    """Vectorized scalar_coefficients over an eigenvalue array; raises if a
+    coefficient is not finite (e.g. alpha * lam overflows)."""
     lam = np.asarray(eigvals, dtype=float)
     if np.any(lam < 0):
         raise ValueError("eigenvalues must be nonnegative")
     al, be, ga = spec.alpha, spec.beta, spec.gamma
-    if spec.kind == HB:
-        a = 1.0 - al * lam + be
-        b = np.full_like(lam, -be)
-    elif spec.kind == NAG:
-        s = 1.0 - al * lam
-        a = s * (1.0 + be)
-        b = -s * be
-    elif spec.kind == TMM:
-        a = 1.0 + be - al * (1.0 + ga) * lam
-        b = al * ga * lam - be
-    else:  # NAGGS
-        a = 2.0 * be + (1.0 - be) ** 2 - al * (1.0 - be) * lam
-        b = np.full_like(lam, -be * be)
+    with np.errstate(over="ignore", invalid="ignore"):  # caught below
+        if spec.kind == HB:
+            a = 1.0 - al * lam + be
+            b = np.full_like(lam, -be)
+        elif spec.kind == NAG:
+            s = 1.0 - al * lam
+            a = s * (1.0 + be)
+            b = -s * be
+        elif spec.kind == TMM:
+            a = 1.0 + be - al * (1.0 + ga) * lam
+            b = al * ga * lam - be
+        else:  # NAGGS
+            a = 2.0 * be + (1.0 - be) ** 2 - al * (1.0 - be) * lam
+            b = np.full_like(lam, -be * be)
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise ValueError("coefficients must be finite")
     # + 0.0 turns negative zeros (e.g. -s * be when s underflows to 0.0)
     # into plain zeros so serialized coefficients never read "-0"
     return a + 0.0, b + 0.0

@@ -126,6 +126,16 @@ def _require_finite_bounds(mu: float, L: float) -> None:
             raise ValueError(f"{name} must be finite, got {value}")
 
 
+def _require_spectrum(mu: float, L: float) -> None:
+    """Reject bounds that span no eigenvalue grid: non-finite, a negative
+    ``mu``, or an ``L - mu`` beyond the largest double."""
+    _require_finite_bounds(mu, L)
+    if mu < 0:
+        raise ValueError("mu must be >= 0")
+    if not math.isfinite(L - mu):
+        raise ValueError(f"L - mu must be finite, got {L - mu}")
+
+
 def generate_quadratic(dim: int, mu: float, L: float, seed: int) -> QuadraticProblem:
     """Build a random quadratic with an equally spaced spectrum on [mu, L].
 
@@ -136,9 +146,7 @@ def generate_quadratic(dim: int, mu: float, L: float, seed: int) -> QuadraticPro
     """
     if dim < 1:
         raise ValueError("dim must be >= 1")
-    _require_finite_bounds(mu, L)
-    if mu < 0:
-        raise ValueError("mu must be >= 0")
+    _require_spectrum(mu, L)
     if L <= mu and not (dim == 1 and L == mu):
         raise ValueError("L must exceed mu (mu == L only for dim == 1)")
     if L <= 0:

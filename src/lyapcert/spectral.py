@@ -138,14 +138,12 @@ def analyze(spec: MethodSpec, eigvals: np.ndarray, tol: float = DEFAULT_TOL) -> 
         raise ValueError("eigvals must be a nonempty vector")
     if np.any(lam < 0):
         raise ValueError("eigenvalues must be nonnegative")
-    with np.errstate(invalid="ignore"):  # inf - inf: non-finite coefficients, below
+    with np.errstate(invalid="ignore"):  # inf - inf: coefficient_arrays rejects it
         if np.any(np.diff(lam) < 0):
             raise ValueError("eigvals must be sorted nondecreasing")
     if not (math.isfinite(tol) and tol >= 0.0):
         raise ValueError("tolerance must be finite and nonnegative")
     a, b = coefficient_arrays(spec, lam)
-    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
-        raise ValueError("coefficients must be finite")
     # |a| > 1e154 overflows a*a to inf; like the scalar reference, no warning
     with np.errstate(over="ignore", invalid="ignore"):
         d = a * a + 4.0 * b

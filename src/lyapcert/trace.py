@@ -1,23 +1,33 @@
 """Iteration traces: run a method, record metrics, serialize to CSV.
 
-One driver serves both targets; only the row engine differs.  Quadratic
-targets advance in the eigenbasis so the recorded Lyapunov values keep full
-relative accuracy all the way down to underflow: the engine runs nothing but
-the recurrence z_{k+1} = a z_k + b z_{k-1}, a block of rows at a time, and
-the driver checks each finished block as arrays (non-finite rows,
-divergence, the V floor), cutting the run at the first hit, in the order a
-step-by-step loop would meet them.  Objective targets take the literal
-method updates through the gradient oracle, one step per block, so no
-gradient is evaluated past the stop.  Gap and V come from one vectorized
-pass afterwards; the full-space iterates of a quadratic run are built from
-the stored eigen-coordinates only when ``Trace.iterates`` is read.
+One driver, ``_blocks``, is the only step loop; only the row engine differs.
+Quadratic targets advance in the eigenbasis so the recorded Lyapunov values
+keep full relative accuracy all the way down to underflow: the engine runs
+nothing but the recurrence z_{k+1} = a z_k + b z_{k-1}, a block of rows at a
+time.  Objective targets take the literal method updates through the
+gradient oracle; their engine ends a block at the first row beyond the
+divergence threshold (and steps one row per block under a V floor), so no
+gradient is evaluated past the stop.  The driver checks each finished block
+as arrays (non-finite rows, divergence, the V floor), cutting the run at the
+first hit in the order a step-by-step loop would meet them, and hands the
+block on with its gap, distance and V, computed once per block from a
+two-row carry.
+
+``run_trace`` joins the blocks into a ``Trace``; the full-space iterates of a
+quadratic run are built from the stored eigen-coordinates only when
+``Trace.iterates`` is read.  ``lyapcert run`` streams instead: each block's
+CSV lines are written as the block arrives and only the V column is kept, so
+its memory does not grow with the rows' width, and ``read_trace_csv`` parses
+one line at a time.
 """
 
 from __future__ import annotations
 
 import math
+import os
+from array import array
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Iterator, NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -26,7 +36,7 @@ from .methods import NAGGS, IterationState, MethodSpec, coefficient_arrays, step
 from .problems import Objective, QuadraticProblem
 
 DIVERGENCE_THRESHOLD = 1e12
-_CHUNK = 512  # quadratic rows advanced between two checks
+_CHUNK = 512  # rows advanced between two checks
 
 
 @dataclass
@@ -61,10 +71,15 @@ class Trace:
         return self.rows @ eigvecs.T + minimizer
 
     def lyapunov_series(self, tolerance: float = DEFAULT_TOLERANCE) -> LyapunovSeries:
-        vals = self.lyapunov[2:]
-        if vals.shape[0] < 1:
-            raise ValueError("trace too short for a Lyapunov series")
-        return LyapunovSeries(values=vals, start_index=2, tolerance=tolerance)
+        return _series(self.lyapunov, tolerance)
+
+
+def _series(lyapunov: np.ndarray, tolerance: float) -> LyapunovSeries:
+    """The V values of a run's lyapunov column, from row 2 on."""
+    vals = lyapunov[2:]
+    if vals.shape[0] < 1:
+        raise ValueError("trace too short for a Lyapunov series")
+    return LyapunovSeries(values=vals, start_index=2, tolerance=tolerance)
 
 
 def run_trace(target: Union[QuadraticProblem, Objective], spec: MethodSpec,
@@ -79,6 +94,36 @@ def run_trace(target: Union[QuadraticProblem, Objective], spec: MethodSpec,
     the showcase scenarios.  Divergence (distance beyond the threshold) stops
     the run and flags the trace instead of raising.
     """
+    blocks = list(_blocks(target, spec, x0, iters, x1, v_floor, divergence_threshold))
+    quadratic = isinstance(target, QuadraticProblem)
+    return Trace(
+        rows=np.concatenate([blk.rows for blk in blocks]),
+        objective_gap=np.concatenate([blk.objective_gap for blk in blocks]),
+        distance=np.concatenate([blk.distance for blk in blocks]),
+        lyapunov=np.concatenate([blk.lyapunov for blk in blocks]),
+        method=spec,
+        descriptor=_descriptor(target, spec),
+        seed=seed,
+        diverged=blocks[-1].diverged,
+        frame=(target.eigvecs, np.asarray(target.minimizer, dtype=float)) if quadratic else None,
+    )
+
+
+class _Block(NamedTuple):
+    """Consecutive finished rows of a run with their metrics; ``diverged`` is
+    set on the last block of a run stopped by divergence."""
+
+    rows: np.ndarray
+    objective_gap: np.ndarray
+    distance: np.ndarray
+    lyapunov: np.ndarray
+    diverged: bool
+
+
+def _blocks(target, spec: MethodSpec, x0, iters: int, x1=None, v_floor=None,
+            divergence_threshold: float = DIVERGENCE_THRESHOLD) -> Iterator[_Block]:
+    """The only step loop: yield a run's rows block by block, each checked
+    and with its gap, distance and V, up to and including the stopping row."""
     if iters < 3:
         raise ValueError("iters must be >= 3 so V is defined at least once")
     x0 = np.asarray(x0, dtype=float)
@@ -95,74 +140,61 @@ def run_trace(target: Union[QuadraticProblem, Objective], spec: MethodSpec,
         raise ValueError("x0 has wrong dimension")
     xs = np.asarray(target.minimizer, dtype=float)
     # quadratic rows are centred eigen-coordinates; oracle rows are x itself,
-    # one step per block so no gradient is taken past the stopping row
+    # and no gradient is taken past the stopping row: the oracle engine ends
+    # a block at a row beyond the threshold, and steps one row per block
+    # when V may stop the run
+    chunk = _CHUNK
     if quadratic:
         block, advance = _eigenbasis_engine(target, spec, starts)
-        chunk = _CHUNK
     else:
-        block, advance = _oracle_engine(target, spec, starts)
-        chunk = 1
+        block, advance = _oracle_engine(target, spec, starts, divergence_threshold)
+        if v_floor is not None:
+            chunk = 1
+        f_star = float(target.value(xs))
+        bad_value = False
 
-    rows, dists = [], []
     tail = block[:0]  # centred rows n-2 and n-1, for V at the block's first rows
     n = 0  # rows recorded before this block
-    # quadratic rows past the stop may overflow; they are cut before any output
-    with np.errstate(over="ignore", invalid="ignore"):
-        while True:
+    while True:
+        # rows past the stop may overflow; they are cut before any output.
+        # No yield inside: the error state must not leak to the consumer.
+        with np.errstate(over="ignore", invalid="ignore"):
+            if n:
+                block = advance(min(chunk, iters - n))
             m = block.shape[0]
             Z = block if quadratic else block - xs
-            dist = [math.sqrt(z.dot(z)) for z in Z]  # np.linalg.norm(z), to the bit
+            dist = np.array([math.sqrt(z.dot(z)) for z in Z])  # np.linalg.norm(z), to the bit
+            W = np.concatenate([tail, Z])
+            v = _lyapunov_rows(W[:-2], W[1:-1], W[2:])  # V of the block's last len(v) rows
+            tail = W[-2:]
             # the run stops on the block's row ``stop`` (m: it goes on) at the
             # first row beyond the threshold (a start: at the last start), the
             # iters-th row, or the first V below the floor
-            far = next((j for j, d in enumerate(dist) if d > divergence_threshold), m)
+            far = _first(dist > divergence_threshold)
             stop = max(far, len(starts) - 1 - n) if far < m else m
             if n + m == iters:
                 stop = min(stop, m - 1)
             if v_floor is not None:
-                W = np.concatenate([tail, Z])
-                v = _lyapunov_rows(W[:-2], W[1:-1], W[2:])
                 stop = min(stop, m - v.shape[0] + _first(v < v_floor))
-                tail = W[-2:]
+            k = min(stop + 1, m)  # rows kept
             # a non-finite row up to the stop raises (starts are not checked);
             # only a row with a non-finite norm can hold a non-finite entry
-            bad = next((j for j, d in enumerate(dist[:stop + 1]) if not math.isfinite(d)
-                        and not np.isfinite(Z[j]).all()), m) if n else m
-            if bad < m:
+            if n and not np.isfinite(dist[:k]).all() and not np.isfinite(Z[:k]).all():
                 raise ValueError("non-finite iterate produced")
-            if stop < m:
-                rows.append(block[:stop + 1])
-                dists += dist[:stop + 1]
-                diverged = far <= stop
-                break
-            rows.append(block)
-            dists += dist
-            n += m
-            block = advance(min(chunk, iters - n))
-
-    R = np.concatenate(rows)
-    del rows, tail  # free the blocks before the metric temporaries
-    Z = R if quadratic else R - xs
-    lyap = np.full(R.shape[0], math.nan)
-    lyap[2:] = _lyapunov_rows(Z[:-2], Z[1:-1], Z[2:])
-    if quadratic:
-        gaps = 0.5 * np.sum(target.eigvals * Z * Z, axis=1)
-    else:
-        values = np.array([float(target.value(x)) for x in R])
-        if not np.all(np.isfinite(values)):
-            raise ValueError("non-finite objective value from the oracle")
-        gaps = values - float(target.value(xs))
-    return Trace(
-        rows=R,
-        objective_gap=gaps,
-        distance=np.array(dists),
-        lyapunov=lyap,
-        method=spec,
-        descriptor=_descriptor(target, spec),
-        seed=seed,
-        diverged=diverged,
-        frame=(target.eigvecs, xs) if quadratic else None,
-    )
+            if v.shape[0] < m:  # rows 0 and 1 have no V
+                v = np.concatenate([np.full(m - v.shape[0], math.nan), v])
+            if quadratic:
+                gap = 0.5 * np.sum(target.eigvals * Z[:k] * Z[:k], axis=1)
+            else:
+                values = [float(target.value(x)) for x in block[:k]]
+                bad_value = bad_value or not all(map(math.isfinite, values))
+                gap = np.array(values) - f_star
+                if stop < m and bad_value:
+                    raise ValueError("non-finite objective value from the oracle")
+        yield _Block(block[:k], gap, dist[:k], v[:k], diverged=far <= stop < m)
+        if stop < m:
+            return
+        n += m
 
 
 def _first(mask: np.ndarray) -> int:
@@ -196,10 +228,12 @@ def _eigenbasis_engine(p: QuadraticProblem, spec: MethodSpec, starts):
     return first, advance
 
 
-def _oracle_engine(obj: Objective, spec: MethodSpec, starts):
+def _oracle_engine(obj: Objective, spec: MethodSpec, starts, threshold: float):
     """The starts, and ``advance(n)``, the next n literal method steps through
-    the gradient oracle."""
+    the gradient oracle, or fewer: up to the first row whose distance from
+    the minimizer is not within ``threshold``."""
     prev, cur = starts[0], starts[-1]
+    xs = np.asarray(obj.minimizer, dtype=float)
     aux = None
     if spec.kind == NAGGS:
         if len(starts) == 1:
@@ -213,9 +247,12 @@ def _oracle_engine(obj: Objective, spec: MethodSpec, starts):
     def advance(n: int) -> np.ndarray:
         nonlocal state
         block = np.empty((n, cur.shape[0]))
-        for row in block:
+        for i, row in enumerate(block):
             state = step_general(obj, spec, state)
             row[:] = state.current
+            z = row - xs
+            if not math.sqrt(z.dot(z)) <= threshold:
+                return block[:i + 1]
         return block
 
     return np.stack(starts), advance
@@ -232,37 +269,72 @@ def _descriptor(target, spec: MethodSpec) -> dict:
     return d
 
 
+_CSV_HEADER = "iter,objective_gap,distance,lyapunov\n"
+
+
+def _csv_lines(k0: int, gap: np.ndarray, dist: np.ndarray, lyap: np.ndarray) -> str:
+    """CSV lines of rows k0, k0+1, ...: 17 significant digits, LF endings,
+    the lyapunov cell empty where undefined."""
+    return "".join(
+        f"{k},{g:.17g},{d:.17g},{'' if math.isnan(v) else f'{v:.17g}'}\n"
+        for k, g, d, v in zip(range(k0, k0 + len(gap)), gap.tolist(),
+                              dist.tolist(), lyap.tolist()))
+
+
 def export_csv(trace: Trace, path) -> None:
     """Write ``iter,objective_gap,distance,lyapunov`` rows, 17 significant
     digits, LF line endings; the lyapunov cell is empty where undefined."""
-    lines = ["iter,objective_gap,distance,lyapunov"]
-    for k in range(len(trace)):
-        v = trace.lyapunov[k]
-        cell = "" if math.isnan(v) else f"{v:.17g}"
-        lines.append(f"{k},{trace.objective_gap[k]:.17g},{trace.distance[k]:.17g},{cell}")
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(_CSV_HEADER)
+        fh.write(_csv_lines(0, trace.objective_gap, trace.distance, trace.lyapunov))
+
+
+def _stream_csv(blocks: Iterator[_Block], path):
+    """Write the CSV of a run as its blocks arrive, holding no rows.
+
+    The lines go to a temporary file beside ``path``, which replaces ``path``
+    only once the run is complete; a run that raises leaves ``path`` as it
+    was.  Returns the row count, the last block and the V column.
+    """
+    path = os.fspath(path)
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="") as fh:
+            fh.write(_CSV_HEADER)
+            n, lyap = 0, []
+            for blk in blocks:
+                fh.write(_csv_lines(n, blk.objective_gap, blk.distance, blk.lyapunov))
+                n += blk.rows.shape[0]
+                lyap.append(blk.lyapunov)
+        os.replace(tmp, path)
+    except BaseException as exc:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        if isinstance(exc, OSError):  # name the file asked for, not the temporary one
+            raise OSError(exc.errno, exc.strerror, path) from None
+        raise
+    return n, blk, np.concatenate(lyap)
 
 
 def read_trace_csv(path) -> dict:
-    """Parse a trace CSV back into metric arrays (lyapunov NaN where empty)."""
+    """Parse a trace CSV back into metric arrays (lyapunov NaN where empty);
+    blank lines are skipped.  Reads one line at a time."""
+    cols = gaps, dists, lyap = array("d"), array("d"), array("d")
     with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    if not lines or lines[0].split(",") != ["iter", "objective_gap", "distance", "lyapunov"]:
-        raise ValueError("not a trace CSV")
-    gaps, dists, lyap = [], [], []
-    for ln in lines[1:]:
-        parts = ln.split(",")
-        if len(parts) != 4:
-            raise ValueError("malformed trace row")
-        gaps.append(float(parts[1]))
-        dists.append(float(parts[2]))
-        lyap.append(float(parts[3]) if parts[3] else math.nan)
-    return {
-        "objective_gap": np.array(gaps),
-        "distance": np.array(dists),
-        "lyapunov": np.array(lyap),
-    }
+        lines = (ln.strip() for ln in fh)
+        if next((ln for ln in lines if ln), "").split(",") != _CSV_HEADER.strip().split(","):
+            raise ValueError("not a trace CSV")
+        for ln in lines:
+            if not ln:
+                continue
+            parts = ln.split(",")
+            if len(parts) != 4:
+                raise ValueError("malformed trace row")
+            gaps.append(float(parts[1]))
+            dists.append(float(parts[2]))
+            lyap.append(float(parts[3]) if parts[3] else math.nan)
+    return dict(zip(("objective_gap", "distance", "lyapunov"),
+                    (np.frombuffer(c, dtype=float) for c in cols)))
 
 
 def series_from_csv(path, tolerance: float = DEFAULT_TOLERANCE) -> LyapunovSeries:

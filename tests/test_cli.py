@@ -2,11 +2,16 @@ import os
 import shutil
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from lyapcert import cli, load_problem, parse_config_file, read_trace_csv
+from lyapcert import (HB, NAG, NAGGS, TMM, MethodSpec, check_monotone, cli,
+                      export_csv, generate_quadratic, load_problem,
+                      optimal_hyperparams, parse_config_file, read_trace_csv,
+                      run_trace)
+from lyapcert.scenarios import _x0
 from lyapcert.cli import UsageError, build_parser, main, parse_method
 
 VIOLATING_CSV = (
@@ -134,6 +139,32 @@ class TestAnalyze:
         assert captured.err == f"error: {flag[2:]} must be finite, got {value}\n"
         assert captured.out == ""
 
+    @pytest.mark.parametrize("bounds,message", [
+        (["--mu=-1e308", "--L", "1e308"], "mu must be >= 0"),
+        (["--mu=-1", "--L", "1"], "mu must be >= 0"),
+        (["--mu", "1e308", "--L=-1e308"], "L - mu must be finite, got -inf"),
+    ])
+    def test_grid_bounds_are_named(self, capsys, bounds, message):
+        # rejected before the eigenvalue grid is built: no numpy warning
+        rc = main(["analyze", "--method", "hb", "--alpha", "0.1", *bounds, "--dim", "5"])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("command", ["analyze", "run"])
+    def test_overflowing_coefficients_are_named(self, tmp_path, capsys, command):
+        # alpha * lambda overflows: no numpy warning, and not an iterate fault
+        out = tmp_path / "t.csv"
+        argv = [command, "--method", "hb", "--alpha", "1e308", "--L", "1e4", "--dim", "3"]
+        argv += ["--mu", "1"] if command == "analyze" else ["--iters", "10", "--out", str(out)]
+        rc = main(argv)
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.err == "error: coefficients must be finite\n"
+        assert captured.out == ""
+        assert not out.exists()
+
     def test_bad_method_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:
             main(["analyze", "--method", "sgd", "--optimal",
@@ -202,6 +233,114 @@ class TestRunAndCheck:
         rc = main(["check", str(path)])
         assert rc == 1
         assert "monotone decrease: NO" in capsys.readouterr().out
+
+
+def reference_run(tmp_path, kind, iters, *, dim=7, mu=1.0, L=50.0, spec=None,
+                  seed=0, scale=10.0):
+    """CSV bytes and stdout of ``run`` built from ``run_trace`` + ``export_csv``
+    + ``check_monotone``: the command as a whole trace in memory."""
+    problem = generate_quadratic(dim, mu, L, seed)
+    spec = spec or optimal_hyperparams(kind, mu, L)
+    tr = run_trace(problem, spec, _x0(problem.minimizer, scale, seed), iters)
+    path = tmp_path / "reference.csv"
+    export_csv(tr, path)
+    out = tmp_path / "t.csv"
+    text = (f"rows={len(tr)} final_gap={tr.objective_gap[-1]:.6g} "
+            f"final_distance={tr.distance[-1]:.6g} "
+            f"diverged={'yes' if tr.diverged else 'no'}\n"
+            f"{check_monotone(tr.lyapunov_series()).describe()}\n"
+            f"trace -> {out}\n")
+    return path.read_bytes(), text, out
+
+
+class TestStreamingRun:
+    """``run`` writes its CSV block by block without holding the trace; the
+    bytes and stdout equal the whole-trace path, and ``--out`` is replaced
+    only by a complete run."""
+
+    @pytest.mark.parametrize("kind", [HB, NAG, TMM, NAGGS])
+    @pytest.mark.parametrize("iters", [3, 511, 512, 513, 1027])
+    def test_matches_whole_trace(self, tmp_path, capsys, kind, iters):
+        csv, text, out = reference_run(tmp_path, kind, iters)
+        rc = main(["run", "--method", kind.lower(), "--optimal", "--dim", "7",
+                   "--mu", "1", "--L", "50", "--iters", str(iters), "--out", str(out)])
+        assert rc == 0
+        assert capsys.readouterr().out == text
+        assert out.read_bytes() == csv
+        assert sorted(os.listdir(tmp_path)) == ["reference.csv", "t.csv"]
+
+    def test_diverging_run_is_written(self, tmp_path, capsys):
+        # a = 1 - 0.51 * 4 = -1.04 on lambda = L: 10 grows past 1e12 in ~650 steps
+        spec = MethodSpec(HB, alpha=0.51)
+        csv, text, out = reference_run(tmp_path, HB, 2000, dim=2, L=4.0, spec=spec)
+        rc = main(["run", "--method", "hb", "--alpha", "0.51", "--dim", "2",
+                   "--mu", "1", "--L", "4", "--iters", "2000", "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().out == text
+        assert "diverged=yes" in text and text.startswith("rows=")
+        assert int(text.split()[0][5:]) > 512  # stops past the first block
+        assert out.read_bytes() == csv
+
+    @pytest.mark.parametrize("existing", [None, b"old contents\n"])
+    def test_raising_run_leaves_out_alone(self, tmp_path, capsys, monkeypatch, existing):
+        blocks = cli._blocks
+
+        def failing(*args, **kwargs):  # three blocks written, then a fault
+            for i, blk in enumerate(blocks(*args, **kwargs)):
+                if i == 3:
+                    raise ValueError("non-finite iterate produced")
+                yield blk
+
+        monkeypatch.setattr(cli, "_blocks", failing)
+        out = tmp_path / "t.csv"
+        if existing is not None:
+            out.write_bytes(existing)
+        rc = main(["run", "--method", "hb", "--optimal", "--dim", "4",
+                   "--iters", "5000", "--out", str(out)])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.err == "error: non-finite iterate produced\n"
+        assert captured.out == ""
+        assert os.listdir(tmp_path) == ([] if existing is None else ["t.csv"])
+        if existing is not None:
+            assert out.read_bytes() == existing
+
+    def test_non_finite_first_step_leaves_no_file(self, tmp_path, capsys):
+        # the start block is written, then the first step overflows
+        out = tmp_path / "t.csv"
+        rc = main(["run", "--method", "hb", "--alpha", "1e300", "--dim", "3",
+                   "--L", "1e4", "--x0-scale", "1e6", "--iters", "10", "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: non-finite iterate produced\n"
+        assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("where", ["missing-dir", "directory"])
+    def test_unwritable_out_is_named(self, tmp_path, capsys, where):
+        out = tmp_path / "nope" / "t.csv" if where == "missing-dir" else tmp_path
+        rc = main(["run", "--method", "hb", "--optimal", "--dim", "3",
+                   "--iters", "10", "--out", str(out)])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.err.startswith("error: ")
+        assert captured.err.rstrip().endswith(f"{str(out)!r}")
+        assert captured.out == ""
+        assert os.listdir(tmp_path) == []
+
+    def test_peak_memory_is_below_the_rows(self, tmp_path, capsys):
+        # the trace rows alone would be iters * dim * 8 bytes; a short run
+        # first, so one-time lazy imports are not counted
+        iters, dim = 10000, 50
+        argv = ["run", "--method", "hb", "--optimal", "--dim", str(dim), "--L", "1e4",
+                "--out", str(tmp_path / "t.csv"), "--iters"]
+        assert main([*argv, "3"]) == 0
+        tracemalloc.start()
+        try:
+            rc = main([*argv, str(iters)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == 0
+        assert peak < iters * dim * 8 / 2
 
 
 class TestScenarioCommand:

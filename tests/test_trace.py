@@ -459,3 +459,148 @@ class TestCsvRoundTrip:
         path.write_text("x,y\n1,2\n", encoding="utf-8")
         with pytest.raises(ValueError):
             read_trace_csv(path)
+
+
+class TestOracleBlocks:
+    """The oracle engine steps many rows per block, ends a block at the first
+    row beyond the threshold, and takes no gradient past the stopping row."""
+
+    @staticmethod
+    def counting(p):
+        obj = p.as_objective()
+        calls = []
+
+        def gradient(x):
+            calls.append(1)
+            return obj.gradient(x)
+
+        return Objective(dim=obj.dim, value=obj.value, gradient=gradient,
+                         minimizer=obj.minimizer, mu=obj.mu,
+                         lipschitz=obj.lipschitz), calls
+
+    @staticmethod
+    def assert_same(tr, ref):
+        assert len(tr) == len(ref) and tr.diverged == ref.diverged
+        for name in ("rows", "objective_gap", "distance", "lyapunov"):
+            assert np.array_equal(getattr(tr, name), getattr(ref, name), equal_nan=True)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("case", ["converging", "diverging", "x1", "v_floor"])
+    def test_matches_one_row_blocks(self, monkeypatch, kind, case):
+        p = generate_quadratic(4, 1.0, 10.0, seed=2)
+        alpha = 1.0 if case == "diverging" else 0.1
+        spec = MethodSpec(kind, alpha=alpha, beta=0.5, gamma=0.05 if kind == TMM else 0.0)
+        x0 = offset_start(p, seed=1)
+        kwargs = dict(x1=offset_start(p, seed=2) if case == "x1" else None,
+                      v_floor=1e-8 if case == "v_floor" else None)
+        obj, calls = self.counting(p)
+        tr = run_trace(obj, spec, x0, 1300, **kwargs)
+        assert tr.diverged == (case == "diverging")
+        assert len(tr) < 1300 if case in ("diverging", "v_floor") else len(tr) == 1300
+        # one gradient per stepped row: none past the stop
+        assert len(calls) == len(tr) - (2 if case == "x1" else 1)
+        monkeypatch.setattr(trace_module, "_CHUNK", 1)
+        self.assert_same(tr, run_trace(p.as_objective(), spec, x0, 1300, **kwargs))
+
+    def test_non_finite_gradient_raises(self):
+        p = generate_quadratic(3, 1.0, 10.0, seed=2)
+        obj = p.as_objective()
+        steps = []
+
+        def gradient(x):
+            steps.append(1)
+            return obj.gradient(x) if len(steps) < 700 else np.full(3, np.nan)
+
+        bad = Objective(dim=3, value=obj.value, gradient=gradient, minimizer=obj.minimizer)
+        with pytest.raises(ValueError, match="non-finite iterate produced"):
+            run_trace(bad, MethodSpec(HB, alpha=0.1, beta=0.5), offset_start(p), 2000)
+        assert len(steps) == 700
+
+
+def list_reader_reference(path) -> dict:
+    """The reader as it was: every stripped non-blank line in a list first."""
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = [ln.strip() for ln in fh if ln.strip()]
+    if not lines or lines[0].split(",") != ["iter", "objective_gap", "distance", "lyapunov"]:
+        raise ValueError("not a trace CSV")
+    gaps, dists, lyap = [], [], []
+    for ln in lines[1:]:
+        parts = ln.split(",")
+        if len(parts) != 4:
+            raise ValueError("malformed trace row")
+        gaps.append(float(parts[1]))
+        dists.append(float(parts[2]))
+        lyap.append(float(parts[3]) if parts[3] else math.nan)
+    return {"objective_gap": np.array(gaps), "distance": np.array(dists),
+            "lyapunov": np.array(lyap)}
+
+
+class TestReaderParity:
+    """The line-by-line reader returns what the list-based one did, and
+    fails on the same inputs with the same message."""
+
+    HEAD = "iter,objective_gap,distance,lyapunov\n"
+
+    @staticmethod
+    def outcome(fn, path):
+        try:
+            return fn(path)
+        except ValueError as exc:
+            return (type(exc), str(exc))
+
+    def assert_same(self, path):
+        got, want = self.outcome(read_trace_csv, path), self.outcome(list_reader_reference, path)
+        if isinstance(want, tuple):
+            assert got == want
+            return want
+        assert list(got) == list(want)
+        for key in want:
+            assert got[key].dtype == want[key].dtype
+            assert np.array_equal(got[key], want[key], equal_nan=True)
+        return got
+
+    @pytest.mark.parametrize("case", ["converging", "diverged", "objective", "short"])
+    def test_exported_traces(self, tmp_path, case):
+        p = generate_quadratic(5, 1.0, 50.0, seed=6)
+        spec = optimal_hyperparams(NAG, 1.0, 50.0)
+        if case == "diverged":
+            tr = run_trace(p, MethodSpec(HB, alpha=3.0, beta=0.5), offset_start(p), 900)
+        elif case == "objective":
+            tr = run_trace(p.as_objective(), spec, offset_start(p), 700)
+        else:
+            tr = run_trace(p, spec, offset_start(p), 3 if case == "short" else 1500)
+        path = tmp_path / "t.csv"
+        export_csv(tr, path)
+        got = self.assert_same(path)
+        assert np.array_equal(got["lyapunov"], tr.lyapunov, equal_nan=True)
+        assert np.array_equal(got["distance"], tr.distance)
+
+    @pytest.mark.parametrize("text", [
+        "",
+        "\n\n",
+        "x,y\n1,2\n",
+        "iter,objective_gap,distance\n0,1,1\n",
+        HEAD,
+        "\n" + HEAD + "0,1,1,\n\n1,1,1,\n   \n2,1,1,1\n\n",
+        HEAD + "0,1,1,\n1,1,1\n2,1,1,1\n",
+        HEAD + "0,1,1,\n1,1,1,,\n",
+        HEAD + "0,1,1,\n1,1,one,\n",
+        HEAD + "0,1,1,\n1,1,1,\n2,1,1,0.5\n3,1,1,\n4,1,1,0.25\n",
+        HEAD + "0,1,1,\n1,1,1,\n2,1,1,0.5\n3,1,1,nan\n4,1,1,0.25\n",
+        HEAD + "0,1,1,\r\n1,1,1,\r\n 2, 1,1,0.5 \r\n",
+    ], ids=["empty", "blank-lines-only", "foreign-header", "short-header",
+            "header-only", "blank-lines", "ragged-short", "ragged-long",
+            "bad-number", "empty-cell-after-v", "nan-cell-after-v", "crlf-spaces"])
+    def test_hand_written_files(self, tmp_path, text):
+        path = tmp_path / "t.csv"
+        path.write_bytes(text.encode("utf-8"))
+        self.assert_same(path)
+
+    def test_cell_after_first_v_fails_check(self, tmp_path):
+        for cell in ("", "nan"):
+            path = tmp_path / "t.csv"
+            path.write_text(self.HEAD + "0,1,1,\n1,1,1,\n2,1,1,0.5\n"
+                            f"3,1,1,{cell}\n4,1,1,0.25\n", encoding="utf-8")
+            series = series_from_csv(path)
+            assert series.start_index == 2 and np.isnan(series.values[1])
+            assert not check_monotone(series).monotone
