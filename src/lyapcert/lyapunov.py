@@ -13,47 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .methods import TwoStepCoefficients
-from .spectral import IneligibleError, is_conjugate_pair
-
 DEFAULT_TOLERANCE = 1e-9
-
-
-def scalar_V(x_k: float, x_km1: float, x_km2: float) -> float:
-    """V = x_{k-1}^2 - x_k x_{k-2} for one coordinate."""
-    return x_km1 * x_km1 - x_k * x_km2
-
-
-def per_coordinate_V(x_k: np.ndarray, x_km1: np.ndarray, x_km2: np.ndarray) -> np.ndarray:
-    """Coordinate-wise V for eigenbasis iterates (already centered)."""
-    x_k = np.asarray(x_k, dtype=float)
-    x_km1 = np.asarray(x_km1, dtype=float)
-    x_km2 = np.asarray(x_km2, dtype=float)
-    if not (x_k.shape == x_km1.shape == x_km2.shape):
-        raise ValueError("iterates must share a dimension")
-    return x_km1 * x_km1 - x_k * x_km2
-
-
-def vector_V(x_k: np.ndarray, x_km1: np.ndarray, x_km2: np.ndarray,
-             x_star: np.ndarray) -> float:
-    """V = ||x_{k-1} - x*||^2 - <x_k - x*, x_{k-2} - x*>.
-
-    Summed coordinate-wise after centering; in any orthonormal basis this
-    equals the sum of per-coordinate scalar values.
-    """
-    x_star = np.asarray(x_star, dtype=float)
-    return float(np.sum(per_coordinate_V(
-        np.asarray(x_k, dtype=float) - x_star,
-        np.asarray(x_km1, dtype=float) - x_star,
-        np.asarray(x_km2, dtype=float) - x_star,
-    )))
-
-
-def contraction_factor(c: TwoStepCoefficients) -> float:
-    """Exact one-step factor of V, equal to -b; requires a conjugate pair."""
-    if not is_conjugate_pair(c):
-        raise IneligibleError("contraction factor is certified only for conjugate pairs")
-    return -c.b
 
 
 @dataclass(frozen=True)

@@ -52,41 +52,6 @@ class MethodSpec:
             raise ValueError("gamma is only used by TMM")
 
 
-@dataclass(frozen=True)
-class TwoStepCoefficients:
-    """Scalar recurrence coefficients (a, b) of x_{k+1} = a x_k + b x_{k-1}."""
-
-    a: float
-    b: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.a) and math.isfinite(self.b)):
-            raise ValueError("coefficients must be finite")
-
-
-@dataclass(frozen=True)
-class IterationState:
-    """Pair of consecutive iterates; ``auxiliary`` carries NAG-GS's y sequence."""
-
-    current: np.ndarray
-    previous: np.ndarray
-    auxiliary: Optional[np.ndarray] = None
-
-    def __post_init__(self):
-        cur = np.asarray(self.current, dtype=float)
-        prev = np.asarray(self.previous, dtype=float)
-        if cur.ndim != 1 or cur.shape != prev.shape:
-            raise ValueError("current and previous must be equal-length vectors")
-        aux = self.auxiliary
-        if aux is not None:
-            aux = np.asarray(aux, dtype=float)
-            if aux.shape != cur.shape:
-                raise ValueError("auxiliary must match the iterate dimension")
-        object.__setattr__(self, "current", cur)
-        object.__setattr__(self, "previous", prev)
-        object.__setattr__(self, "auxiliary", aux)
-
-
 def optimal_hyperparams(kind: str, mu: float, L: float) -> MethodSpec:
     """Classical per-method tuned hyperparameters for a [mu, L] spectrum.
 
@@ -118,8 +83,8 @@ def optimal_hyperparams(kind: str, mu: float, L: float) -> MethodSpec:
 
 
 def coefficient_arrays(spec: MethodSpec, eigvals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized scalar_coefficients over an eigenvalue array; raises if a
-    coefficient is not finite (e.g. alpha * lam overflows)."""
+    """Recurrence coefficients (a, b) of the method on each eigenvalue; raises
+    if a coefficient is not finite (e.g. alpha * lam overflows)."""
     lam = np.asarray(eigvals, dtype=float)
     if np.any(lam < 0):
         raise ValueError("eigenvalues must be nonnegative")
@@ -145,52 +110,19 @@ def coefficient_arrays(spec: MethodSpec, eigvals: np.ndarray) -> tuple[np.ndarra
     return a + 0.0, b + 0.0
 
 
-def scalar_coefficients(spec: MethodSpec, lam: float) -> TwoStepCoefficients:
-    """Recurrence coefficients of the method on the eigenvalue ``lam``."""
-    if not math.isfinite(lam) or lam < 0:
-        raise ValueError("lam must be finite and nonnegative")
-    a, b = coefficient_arrays(spec, np.array([lam]))
-    return TwoStepCoefficients(a=float(a[0]), b=float(b[0]))
-
-
-def theoretical_rate(spec: MethodSpec, mu: float) -> float:
-    """Guaranteed contraction factor per step, valid when the coefficients at
-    ``lam = mu`` form a conjugate pair (the worst eigenvalue direction)."""
-    from .spectral import IneligibleError, is_conjugate_pair
-
-    c = scalar_coefficients(spec, mu)
-    if not is_conjugate_pair(c):
-        raise IneligibleError(
-            f"{spec.kind} coefficients at lam={mu} have real split eigenvalues")
-    if spec.kind == HB:
-        return math.sqrt(spec.beta)
-    if spec.kind == NAG:
-        return math.sqrt((1.0 - spec.alpha * mu) * spec.beta)
-    if spec.kind == TMM:
-        return math.sqrt(spec.beta - spec.alpha * spec.gamma * mu)
-    return spec.beta
-
-
-def step_general(obj: Objective, spec: MethodSpec, state: IterationState) -> IterationState:
-    """Advance one step using the literal method update and the gradient oracle."""
-    cur, prev = state.current, state.previous
-    if cur.shape[0] != obj.dim:
-        raise ValueError("state dimension does not match the objective")
+def _step(obj: Objective, spec: MethodSpec, cur: np.ndarray, prev: np.ndarray,
+          aux: Optional[np.ndarray]) -> tuple[np.ndarray, Optional[np.ndarray]]:
+    """One literal method update through the gradient oracle: x_{k+1} and
+    the auxiliary y, which only NAG-GS reads and updates."""
     al, be, ga = spec.alpha, spec.beta, spec.gamma
     if spec.kind == HB:
-        nxt = cur - al * np.asarray(obj.gradient(cur), dtype=float) + be * (cur - prev)
-        return IterationState(current=nxt, previous=cur)
+        return cur - al * np.asarray(obj.gradient(cur), dtype=float) + be * (cur - prev), aux
     if spec.kind == NAG:
         y = cur + be * (cur - prev)
-        nxt = y - al * np.asarray(obj.gradient(y), dtype=float)
-        return IterationState(current=nxt, previous=cur, auxiliary=y)
+        return y - al * np.asarray(obj.gradient(y), dtype=float), aux
     if spec.kind == TMM:
         z = (1.0 + ga) * cur - ga * prev
-        nxt = (1.0 + be) * cur - be * prev - al * np.asarray(obj.gradient(z), dtype=float)
-        return IterationState(current=nxt, previous=cur)
+        return (1.0 + be) * cur - be * prev - al * np.asarray(obj.gradient(z), dtype=float), aux
     # NAG-GS keeps the averaged sequence y as persistent auxiliary state
-    if state.auxiliary is None:
-        raise ValueError("NAG-GS requires the auxiliary y vector in the state")
-    y = be * state.auxiliary + (1.0 - be) * cur - al * np.asarray(obj.gradient(cur), dtype=float)
-    nxt = be * cur + (1.0 - be) * y
-    return IterationState(current=nxt, previous=cur, auxiliary=y)
+    y = be * aux + (1.0 - be) * cur - al * np.asarray(obj.gradient(cur), dtype=float)
+    return be * cur + (1.0 - be) * y, y

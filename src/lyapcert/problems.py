@@ -230,6 +230,9 @@ def rosenbrock_objective() -> Objective:
     return Objective(dim=2, value=value, gradient=grad, minimizer=np.array([1.0, 1.0]))
 
 
+_ARRAYS = ("W", "linear", "constant", "eigvals", "eigvecs", "minimizer")
+
+
 def save_problem(p: QuadraticProblem, path) -> None:
     """Serialize a problem to .npz (arrays plus scalars)."""
     np.savez(
@@ -244,9 +247,19 @@ def save_problem(p: QuadraticProblem, path) -> None:
 
 
 def load_problem(path) -> QuadraticProblem:
-    """Load a problem written by save_problem."""
-    data = np.load(path)
+    """Load a problem written by save_problem; a missing array or an empty
+    spectrum raises ValueError naming the file."""
+    npz = np.load(path)
+    if not isinstance(npz, np.lib.npyio.NpzFile):  # a bare .npy array
+        raise ValueError(f"{path}: not an .npz problem file")
+    with npz:
+        for k in _ARRAYS:
+            if k not in npz.files:
+                raise ValueError(f"{path}: no {k} array in the problem file")
+        data = {k: npz[k] for k in _ARRAYS}
     vals = data["eigvals"]
+    if vals.ndim != 1 or vals.shape[0] < 1:
+        raise ValueError(f"{path}: the problem has no eigenvalues")
     return QuadraticProblem(
         dim=int(vals.shape[0]),
         W=data["W"],

@@ -14,29 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .methods import MethodSpec, TwoStepCoefficients, coefficient_arrays
+from .methods import MethodSpec, coefficient_arrays
 
 DEFAULT_TOL = 1e-12
-
-
-class IneligibleError(ValueError):
-    """Raised when an operation needs the conjugate-pair premise and it fails."""
-
-
-@dataclass(frozen=True)
-class ComplexPair:
-    """Eigenvalue pair of a companion matrix, dominant modulus first."""
-
-    lambda1: complex
-    lambda2: complex
-
-
-@dataclass(frozen=True)
-class SchurFactors:
-    """Unitary U and upper-triangular T with M = U T U*."""
-
-    U: np.ndarray
-    T: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -57,14 +37,6 @@ class SpectralCertificate:
     eligible: bool
 
 
-def companion_matrix(c: TwoStepCoefficients) -> np.ndarray:
-    return np.array([[c.a, c.b], [1.0, 0.0]])
-
-
-def _discriminant_scale(a: float, b: float) -> tuple[float, float]:
-    return a * a + 4.0 * b, max(1.0, a * a, abs(4.0 * b))
-
-
 def _half_root(a, b):
     """sqrt(a^2 + 4b) / 2 from coefficients scaled to at most one in modulus,
     for when a^2 or 4b overflows; NaN for a complex pair."""
@@ -74,65 +46,16 @@ def _half_root(a, b):
         return s * np.sqrt(t * t + 4.0 * (b / s) / s) / 2.0
 
 
-def is_conjugate_pair(c: TwoStepCoefficients, tol: float = DEFAULT_TOL) -> bool:
-    """True iff the eigenvalues form a conjugate pair (repeated real allowed).
-
-    The discriminant test is relative, a^2 + 4b <= tol * max(1, a^2, |4b|),
-    so boundary coordinates that land at +-1e-16 in floats classify stably.
-    A coordinate where a^2 or 4b overflows is never counted as a pair.
-    """
-    d, scale = _discriminant_scale(c.a, c.b)
-    return d <= tol * scale and math.isfinite(scale)
-
-
-def eigenvalues_2x2(c: TwoStepCoefficients, tol: float = DEFAULT_TOL) -> ComplexPair:
-    """Eigenvalues of the companion matrix, dominant modulus first.
-
-    Within the conjugate tolerance band the positive part of the discriminant
-    is clamped to zero so the reported moduli match sqrt(-b) exactly.
-    """
-    d, scale = _discriminant_scale(c.a, c.b)
-    if not math.isfinite(scale):  # a^2 or 4b overflows: a real split, rescaled
-        l1 = c.a / 2.0 + math.copysign(float(_half_root(c.a, c.b)), c.a)
-        return ComplexPair(complex(l1, 0.0), complex(-c.b / l1, 0.0))
-    if d > tol * scale:
-        r = math.sqrt(d)
-        l1, l2 = (c.a + r) / 2.0, (c.a - r) / 2.0
-        if abs(l2) > abs(l1):
-            l1, l2 = l2, l1
-        return ComplexPair(complex(l1, 0.0), complex(l2, 0.0))
-    im = math.sqrt(-d) / 2.0 if d < 0.0 else 0.0
-    return ComplexPair(complex(c.a / 2.0, im), complex(c.a / 2.0, -im))
-
-
-def schur_2x2(c: TwoStepCoefficients, tol: float = DEFAULT_TOL) -> SchurFactors:
-    """Schur factorization M = U T U* built from the eigenvector (lambda1, 1).
-
-    Requires a conjugate pair: with lambda2 = conj(lambda1) the basis
-
-        u1 = (lambda1, 1) / n,   u2 = (1, -conj(lambda1)) / n,
-        n = sqrt(1 + |lambda1|^2)
-
-    is exactly unitary.  T has the eigenvalues on the diagonal, the lower-left
-    entry is exact zero and t12 = u1* M u2.
-    """
-    if not is_conjugate_pair(c, tol):
-        raise IneligibleError("real split eigenvalues: the conjugate basis is not unitary")
-    pair = eigenvalues_2x2(c, tol)
-    l1, l2 = pair.lambda1, pair.lambda2
-    n = math.sqrt(1.0 + abs(l1) ** 2)
-    u1 = np.array([l1, 1.0], dtype=complex) / n
-    u2 = np.array([1.0, -np.conj(l1)], dtype=complex) / n
-    U = np.column_stack([u1, u2])
-    M = companion_matrix(c).astype(complex)
-    t12 = np.conj(u1) @ (M @ u2)
-    T = np.array([[l1, t12], [0.0, l2]], dtype=complex)
-    return SchurFactors(U=U, T=T)
-
-
 def analyze(spec: MethodSpec, eigvals: np.ndarray, tol: float = DEFAULT_TOL) -> SpectralCertificate:
-    """Certificate for a method over a problem spectrum: the arithmetic of
-    ``is_conjugate_pair`` and ``eigenvalues_2x2`` on whole columns at once."""
+    """Certificate for a method over a problem spectrum, on whole columns.
+
+    A coordinate is a conjugate pair (repeated real allowed) iff its
+    discriminant passes the relative test a^2 + 4b <= tol * max(1, a^2, |4b|),
+    so boundary coordinates that land at +-1e-16 in floats classify stably;
+    a positive discriminant inside that band counts as zero (the double root
+    a/2).  A coordinate where a^2 or 4b overflows is never a pair; its real
+    roots come from rescaled coefficients.
+    """
     lam = np.asarray(eigvals, dtype=float)
     if lam.ndim != 1 or lam.shape[0] < 1:
         raise ValueError("eigvals must be a nonempty vector")
@@ -144,7 +67,7 @@ def analyze(spec: MethodSpec, eigvals: np.ndarray, tol: float = DEFAULT_TOL) -> 
     if not (math.isfinite(tol) and tol >= 0.0):
         raise ValueError("tolerance must be finite and nonnegative")
     a, b = coefficient_arrays(spec, lam)
-    # |a| > 1e154 overflows a*a to inf; like the scalar reference, no warning
+    # |a| > 1e154 overflows a*a to inf: handled below, no warning
     with np.errstate(over="ignore", invalid="ignore"):
         d = a * a + 4.0 * b
         scale = np.maximum(np.maximum(1.0, a * a), np.abs(4.0 * b))

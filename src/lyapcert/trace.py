@@ -23,6 +23,7 @@ one line at a time.
 
 from __future__ import annotations
 
+import errno
 import math
 import os
 from array import array
@@ -32,7 +33,7 @@ from typing import Iterator, NamedTuple, Optional, Union
 import numpy as np
 
 from .lyapunov import LyapunovSeries, DEFAULT_TOLERANCE
-from .methods import NAGGS, IterationState, MethodSpec, coefficient_arrays, step_general
+from .methods import NAGGS, MethodSpec, _step, coefficient_arrays
 from .problems import Objective, QuadraticProblem
 
 DIVERGENCE_THRESHOLD = 1e12
@@ -242,14 +243,14 @@ def _oracle_engine(obj: Objective, spec: MethodSpec, starts, threshold: float):
             raise ValueError("cannot reconstruct NAG-GS auxiliary state for beta = 1")
         else:  # the averaged y behind x1 = beta x0 + (1 - beta) y
             aux = (cur - spec.beta * prev) / (1.0 - spec.beta)
-    state = IterationState(current=cur, previous=prev, auxiliary=aux)
 
     def advance(n: int) -> np.ndarray:
-        nonlocal state
+        nonlocal prev, cur, aux
         block = np.empty((n, cur.shape[0]))
         for i, row in enumerate(block):
-            state = step_general(obj, spec, state)
-            row[:] = state.current
+            nxt, aux = _step(obj, spec, cur, prev, aux)
+            prev, cur = cur, nxt
+            row[:] = cur
             z = row - xs
             if not math.sqrt(z.dot(z)) <= threshold:
                 return block[:i + 1]
@@ -297,6 +298,8 @@ def _stream_csv(blocks: Iterator[_Block], path):
     was.  Returns the row count, the last block and the V column.
     """
     path = os.fspath(path)
+    if os.path.isdir(path):  # fail before the run, not at os.replace after it
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "w", encoding="utf-8", newline="") as fh:

@@ -13,12 +13,11 @@ import pytest
 from lyapcert import (HB, NAG, NAGGS, TMM, ScenarioConfig, analyze,
                       cosine_counterexample, exp_norm_objective,
                       find_cosine_witness, generate_quadratic,
-                      optimal_hyperparams, per_coordinate_V,
-                      rosenbrock_objective, run_scenario, run_trace, scalar_V,
-                      schur_2x2, vector_V)
-from lyapcert.methods import TwoStepCoefficients, coefficient_arrays
-from lyapcert.spectral import companion_matrix, eigenvalues_2x2
+                      optimal_hyperparams, rosenbrock_objective, run_scenario,
+                      run_trace)
 from conftest import fd_gradient, random_eligible_coeffs
+from reference import (companion, eigenvalues, per_coordinate_V, scalar_V,
+                       schur, vector_V)
 
 
 def verdict(num, name, ok, detail=""):
@@ -90,18 +89,17 @@ def test_04_schur_factorization_invariants():
     worst = 0.0
     for _ in range(1000):
         a, b = random_eligible_coeffs(rng)
-        c = TwoStepCoefficients(a, b)
-        f = schur_2x2(c)
-        pair = eigenvalues_2x2(c)
+        U, T = schur(a, b)
+        l1, l2 = eigenvalues(a, b)
         eye = np.eye(2)
         worst = max(
             worst,
-            float(np.max(np.abs(f.U @ f.U.conj().T - eye))),
-            float(np.max(np.abs(f.U.conj().T @ f.U - eye))),
-            float(np.max(np.abs(f.U @ f.T @ f.U.conj().T - companion_matrix(c)))),
-            abs(f.T[1, 0]),
-            abs(f.T[0, 0] - pair.lambda1),
-            abs(f.T[1, 1] - pair.lambda2),
+            float(np.max(np.abs(U @ U.conj().T - eye))),
+            float(np.max(np.abs(U.conj().T @ U - eye))),
+            float(np.max(np.abs(U @ T @ U.conj().T - companion(a, b)))),
+            abs(T[1, 0]),
+            abs(T[0, 0] - l1),
+            abs(T[1, 1] - l2),
         )
     verdict(4, "Schur factors: unitary, triangular, exact reconstruction",
             worst <= 1e-12, f"worst residual {worst:.2e} over 1000 samples")

@@ -1,0 +1,29 @@
+"""The public surface: every exported name resolves, a star import works, and
+the README's library example runs as written."""
+
+import pathlib
+import re
+
+import lyapcert
+
+README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_every_exported_name_resolves():
+    assert [name for name in lyapcert.__all__ if not hasattr(lyapcert, name)] == []
+    assert len(set(lyapcert.__all__)) == len(lyapcert.__all__)
+
+
+def test_star_import():
+    namespace = {}
+    exec("from lyapcert import *", namespace)
+    assert set(lyapcert.__all__) <= set(namespace)
+
+
+def test_readme_library_example_runs(capsys):
+    section = README.read_text(encoding="utf-8").split("\n## Library\n", 1)[1]
+    block = re.match(r"\s*```python\n(.*?)```", section, re.S).group(1)
+    exec(compile(block, str(README), "exec"), {})
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("True ")
+    assert lines[1].startswith("monotone decrease: yes")

@@ -1,3 +1,4 @@
+import errno
 import os
 import shutil
 import subprocess
@@ -11,6 +12,7 @@ from lyapcert import (HB, NAG, NAGGS, TMM, MethodSpec, check_monotone, cli,
                       export_csv, generate_quadratic, load_problem,
                       optimal_hyperparams, parse_config_file, read_trace_csv,
                       run_trace)
+from lyapcert import trace as trace_module
 from lyapcert.scenarios import _x0
 from lyapcert.cli import UsageError, build_parser, main, parse_method
 
@@ -326,6 +328,23 @@ class TestStreamingRun:
         assert captured.out == ""
         assert os.listdir(tmp_path) == []
 
+    def test_directory_out_fails_before_the_run(self, tmp_path, capsys, monkeypatch):
+        built = []
+        engine = trace_module._eigenbasis_engine
+        monkeypatch.setattr(trace_module, "_eigenbasis_engine",
+                            lambda *args: built.append(1) or engine(*args))
+        out = tmp_path / "outdir"
+        out.mkdir()
+        rc = main(["run", "--method", "hb", "--optimal", "--dim", "3",
+                   "--iters", "200000", "--out", str(out)])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.err == f"error: [Errno {errno.EISDIR}] " \
+                               f"{os.strerror(errno.EISDIR)}: {str(out)!r}\n"
+        assert captured.out == ""
+        assert built == []  # the engine was never built, so never stepped
+        assert os.listdir(tmp_path) == ["outdir"] and os.listdir(out) == []
+
     def test_peak_memory_is_below_the_rows(self, tmp_path, capsys):
         # the trace rows alone would be iters * dim * 8 bytes; a short run
         # first, so one-time lazy imports are not counted
@@ -341,6 +360,38 @@ class TestStreamingRun:
             tracemalloc.stop()
         assert rc == 0
         assert peak < iters * dim * 8 / 2
+
+
+class TestProblemFile:
+    """A problem file without arrays or a spectrum gives one error line, exit 1."""
+
+    MESSAGES = {"missing": "no eigvals array in the problem file",
+                "empty": "the problem has no eigenvalues",
+                "npy": "not an .npz problem file"}
+
+    @pytest.mark.parametrize("command", ["run", "analyze"])
+    @pytest.mark.parametrize("case", sorted(MESSAGES))
+    def test_bad_spectrum_is_named(self, tmp_path, capsys, command, case):
+        p = generate_quadratic(3, 1.0, 4.0, seed=0)
+        arrays = dict(W=p.W, linear=p.linear, constant=np.array(p.constant),
+                      eigvecs=p.eigvecs, minimizer=p.minimizer)
+        if case == "empty":
+            arrays["eigvals"] = np.zeros(0)
+        path = tmp_path / "p.npz"
+        if case == "npy":  # a bare array under the problem's name
+            with open(path, "wb") as fh:
+                np.save(fh, p.eigvals)
+        else:
+            np.savez(path, **arrays)
+        argv = [command, "--method", "hb", "--optimal", "--problem", str(path)]
+        if command == "run":
+            argv += ["--out", str(tmp_path / "t.csv")]
+        rc = main(argv)
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.err == f"error: {path}: {self.MESSAGES[case]}\n"
+        assert captured.out == ""
+        assert os.listdir(tmp_path) == ["p.npz"]
 
 
 class TestScenarioCommand:

@@ -3,13 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from lyapcert import (HB, NAG, IneligibleError, LyapunovSeries, MethodSpec,
-                      MonotonicityReport, TwoStepCoefficients, Violation,
-                      check_monotone, coefficient_arrays,
-                      contraction_factor, generate_quadratic,
-                      optimal_hyperparams, per_coordinate_V, run_trace,
-                      scalar_V, scalar_coefficients, vector_V)
+from lyapcert import (HB, NAG, LyapunovSeries, MethodSpec, MonotonicityReport,
+                      Violation, analyze, check_monotone, coefficient_arrays,
+                      generate_quadratic, optimal_hyperparams, run_trace)
 from conftest import random_eligible_coeffs
+from reference import per_coordinate_V, scalar_V, vector_V
 
 
 def iterate_scalar(a, b, x0, x1, steps):
@@ -97,22 +95,38 @@ class TestVectorV:
 
 
 class TestContractionFactor:
+    """V's one-step factor is -b; on a conjugate-pair coordinate of a
+    certificate it equals the squared modulus, rate^2."""
+
+    @staticmethod
+    def coordinate(alpha, beta, lam):
+        return analyze(MethodSpec(HB, alpha=alpha, beta=beta), np.array([lam])).per_coordinate[0]
+
     def test_hand_value(self):
-        assert contraction_factor(TwoStepCoefficients(2.0 / 9.0, -1.0 / 9.0)) \
-            == pytest.approx(1.0 / 9.0, rel=1e-15)
+        # HB alpha = 4/9, beta = 1/9 at lambda = 2: (a, b) = (2/9, -1/9)
+        r = self.coordinate(4.0 / 9.0, 1.0 / 9.0, 2.0)
+        assert r.conjugate_pair
+        assert -r.b == pytest.approx(1.0 / 9.0, rel=1e-15)
+        assert r.rate ** 2 == pytest.approx(-r.b, rel=1e-14)
 
     def test_boundary_rotation(self):
-        assert contraction_factor(TwoStepCoefficients(0.0, -1.0)) == 1.0
+        # alpha lambda = 2, beta = 1: (a, b) = (0, -1), eigenvalues +-i
+        r = self.coordinate(1.0, 1.0, 2.0)
+        assert (r.a, r.b, r.rate) == (0.0, -1.0, 1.0)
+        assert r.conjugate_pair
 
     def test_rejects_real_roots(self):
-        with pytest.raises(IneligibleError):
-            contraction_factor(TwoStepCoefficients(-0.5, 0.0))
+        # alpha lambda = 1.5, beta = 0: (a, b) = (-0.5, 0), real roots
+        r = self.coordinate(1.0, 0.0, 1.5)
+        assert (r.a, r.b) == (-0.5, 0.0)
+        assert not r.conjugate_pair
 
     def test_hb_factor_is_beta_at_every_curvature(self):
         spec = MethodSpec(HB, alpha=0.15, beta=0.5)
-        for lam in (1.0, 3.0, 7.0, 10.0):
-            c = scalar_coefficients(spec, lam)
-            assert contraction_factor(c) == pytest.approx(0.5, rel=1e-15)
+        r = analyze(spec, np.array([1.0, 3.0, 7.0, 10.0])).per_coordinate
+        assert r.conjugate_pair.all()
+        assert np.array_equal(-r.b, np.full(4, 0.5))
+        assert np.allclose(r.rate ** 2, 0.5, rtol=1e-15, atol=0.0)
 
 
 class TestCheckMonotone:

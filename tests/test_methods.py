@@ -1,10 +1,21 @@
 import numpy as np
 import pytest
 
-from lyapcert import (HB, KINDS, NAG, NAGGS, TMM, IneligibleError,
-                      IterationState, MethodSpec, coefficient_arrays,
-                      generate_quadratic, optimal_hyperparams, run_trace,
-                      scalar_coefficients, step_general, theoretical_rate)
+from lyapcert import (HB, KINDS, NAG, NAGGS, TMM, MethodSpec, analyze,
+                      coefficient_arrays, generate_quadratic,
+                      optimal_hyperparams, run_trace)
+from lyapcert.methods import _step
+
+
+def coefficients(spec, lam):
+    """(a, b) of the method at one eigenvalue, as floats."""
+    a, b = coefficient_arrays(spec, np.array([lam]))
+    return float(a[0]), float(b[0])
+
+
+def radius(spec, lam):
+    """Spectral radius of the method's companion matrix at one eigenvalue."""
+    return analyze(spec, np.array([lam])).spectral_radius
 
 
 class TestMethodSpecValidation:
@@ -75,21 +86,21 @@ class TestOptimalHyperparams:
 class TestScalarCoefficients:
     def test_hb_substitution(self):
         spec = MethodSpec(HB, alpha=4.0 / 9.0, beta=1.0 / 9.0)
-        c = scalar_coefficients(spec, 2.0)
-        assert c.a == pytest.approx(2.0 / 9.0, rel=1e-15)
-        assert c.b == pytest.approx(-1.0 / 9.0, rel=1e-15)
+        a, b = coefficients(spec, 2.0)
+        assert a == pytest.approx(2.0 / 9.0, rel=1e-15)
+        assert b == pytest.approx(-1.0 / 9.0, rel=1e-15)
 
     def test_beta_zero_is_gradient_descent(self):
         spec = MethodSpec(HB, alpha=0.3, beta=0.0)
-        c = scalar_coefficients(spec, 1.7)
-        assert c.a == pytest.approx(1.0 - 0.3 * 1.7, rel=1e-15)
-        assert c.b == 0.0
+        a, b = coefficients(spec, 1.7)
+        assert a == pytest.approx(1.0 - 0.3 * 1.7, rel=1e-15)
+        assert b == 0.0
 
     def test_tmm_optimal_at_L_degenerates(self):
         spec = optimal_hyperparams(TMM, 1.0, 4.0)
-        c = scalar_coefficients(spec, 4.0)
-        assert c.a == pytest.approx(-0.5, abs=1e-14)
-        assert c.b == pytest.approx(0.0, abs=1e-14)
+        a, b = coefficients(spec, 4.0)
+        assert a == pytest.approx(-0.5, abs=1e-14)
+        assert b == pytest.approx(0.0, abs=1e-14)
 
     def test_all_rows_against_formulas(self, rng):
         for _ in range(50):
@@ -104,23 +115,21 @@ class TestScalarCoefficients:
             for kind, (a, b) in rows.items():
                 spec = MethodSpec(kind, alpha=al, beta=be,
                                   gamma=ga if kind == TMM else 0.0)
-                c = scalar_coefficients(spec, lam)
-                assert c.a == pytest.approx(a, rel=1e-12, abs=1e-12)
-                assert c.b == pytest.approx(b, rel=1e-12, abs=1e-12)
+                got_a, got_b = coefficients(spec, lam)
+                assert got_a == pytest.approx(a, rel=1e-12, abs=1e-12)
+                assert got_b == pytest.approx(b, rel=1e-12, abs=1e-12)
 
     def test_vectorized_matches_scalar(self, rng):
         spec = MethodSpec(TMM, alpha=0.2, beta=0.4, gamma=0.1)
         lams = rng.uniform(0.0, 8.0, size=40)
         a, b = coefficient_arrays(spec, lams)
         for i, lam in enumerate(lams):
-            c = scalar_coefficients(spec, float(lam))
-            assert a[i] == pytest.approx(c.a, rel=1e-15)
-            assert b[i] == pytest.approx(c.b, rel=1e-15)
+            assert (a[i], b[i]) == coefficients(spec, float(lam))
 
     def test_rejects_negative_eigenvalue(self):
         spec = MethodSpec(HB, alpha=0.1, beta=0.1)
-        with pytest.raises(ValueError):
-            scalar_coefficients(spec, -1.0)
+        with pytest.raises(ValueError, match="nonnegative"):
+            coefficient_arrays(spec, np.array([-1.0]))
 
     def test_naggs_optimal_coincides_with_hb_optimal(self):
         # the tuned NAG-GS two-step coefficients reduce to the tuned HB ones
@@ -135,42 +144,46 @@ class TestScalarCoefficients:
 
 
 class TestTheoreticalRate:
+    """The certified rate at the worst eigenvalue has a closed form per
+    method: HB sqrt(beta), NAG sqrt((1 - alpha mu) beta), TMM
+    sqrt(beta - alpha gamma mu), NAG-GS beta."""
+
     def test_hb(self):
         spec = MethodSpec(HB, alpha=4.0 / 9.0, beta=1.0 / 9.0)
-        assert theoretical_rate(spec, 1.0) == pytest.approx(1.0 / 3.0, rel=1e-14)
+        assert radius(spec, 1.0) == pytest.approx(1.0 / 3.0, rel=1e-14)
 
     def test_naggs_is_beta(self):
         # a(mu) = 1 + beta^2 - alpha(1-beta)mu = 0.65, |a| <= 2 beta holds
         spec = MethodSpec(NAGGS, alpha=1.2, beta=0.5)
-        assert theoretical_rate(spec, 1.0) == pytest.approx(0.5, rel=1e-14)
+        assert radius(spec, 1.0) == pytest.approx(0.5, rel=1e-14)
         tuned = optimal_hyperparams(NAGGS, 1.0, 4.0)
-        assert theoretical_rate(tuned, 1.0) == pytest.approx(tuned.beta, rel=1e-14)
+        assert radius(tuned, 1.0) == pytest.approx(tuned.beta, rel=1e-14)
 
     def test_hb_beta_zero(self):
         spec = MethodSpec(HB, alpha=1.0, beta=0.0)
-        assert theoretical_rate(spec, 1.0) == 0.0
+        assert radius(spec, 1.0) == 0.0
 
     def test_nag(self):
         spec = optimal_hyperparams(NAG, 1.0, 4.0)
         expected = np.sqrt((1 - 0.25) * (1.0 / 3.0))
-        assert theoretical_rate(spec, 1.0) == pytest.approx(expected, rel=1e-14)
+        assert radius(spec, 1.0) == pytest.approx(expected, rel=1e-14)
 
-    def test_ineligible_at_mu_raises(self):
+    def test_ineligible_at_mu(self):
         spec = optimal_hyperparams(TMM, 1.0, 4.0)
         # discriminant at lambda=mu is +1/16 for these values
-        with pytest.raises(IneligibleError):
-            theoretical_rate(spec, 1.0)
+        cert = analyze(spec, np.array([1.0]))
+        assert not cert.per_coordinate.conjugate_pair[0]
+        assert not cert.eligible
 
     def test_tmm_eligible_interior(self):
         spec = optimal_hyperparams(TMM, 1.0, 4.0)
-        rate = theoretical_rate(spec, 2.5)
-        assert rate == pytest.approx(np.sqrt(1.0 / 6.0 - (3.0 / 8.0) * (1.0 / 9.0) * 2.5),
+        assert radius(spec, 2.5) == pytest.approx(np.sqrt(1.0 / 6.0 - (3.0 / 8.0) * (1.0 / 9.0) * 2.5),
                                      rel=1e-12)
 
 
 class TestStepEngines:
     """The eigenbasis recurrence runs inside ``run_trace``; the oracle step is
-    ``step_general``."""
+    ``methods._step`` on plain arrays."""
 
     def test_eigenbasis_hand_example(self):
         # HB alpha=4/9, beta=1/9 at lam=2 gives (a, b) = (2/9, -1/9): from
@@ -221,22 +234,23 @@ class TestStepEngines:
         obj = generate_quadratic(4, 1.0, 6.0, seed=7).as_objective()
         spec = MethodSpec(NAG, alpha=0.12, beta=0.0)
         x = rng.standard_normal(4)
-        nxt = step_general(obj, spec, IterationState(x, x))
-        assert np.allclose(nxt.current, x - 0.12 * obj.gradient(x), atol=1e-14)
+        nxt, _ = _step(obj, spec, x, x, None)
+        assert np.allclose(nxt, x - 0.12 * obj.gradient(x), atol=1e-14)
 
     def test_tmm_from_rest_is_gradient_step(self, rng):
         p = generate_quadratic(4, 1.0, 6.0, seed=8)
         spec = optimal_hyperparams(TMM, 1.0, 6.0)
         x = p.minimizer + rng.standard_normal(4)
-        nxt = step_general(p.as_objective(), spec, IterationState(x, x))
-        assert np.allclose(nxt.current, x - spec.alpha * p.gradient(x), atol=1e-12)
+        nxt, _ = _step(p.as_objective(), spec, x, x, None)
+        assert np.allclose(nxt, x - spec.alpha * p.gradient(x), atol=1e-12)
 
     def test_naggs_requires_auxiliary(self):
+        # run_trace rebuilds y from x1 = beta x0 + (1 - beta) y, which beta = 1
+        # leaves undetermined
         obj = generate_quadratic(3, 1.0, 5.0, seed=9).as_objective()
-        spec = MethodSpec(NAGGS, alpha=0.5, beta=0.5)
-        state = IterationState(np.zeros(3), np.zeros(3))
-        with pytest.raises(ValueError):
-            step_general(obj, spec, state)
+        spec = MethodSpec(NAGGS, alpha=0.5, beta=1.0)
+        with pytest.raises(ValueError, match="auxiliary"):
+            run_trace(obj, spec, np.zeros(3), 5, x1=np.ones(3))
 
     def test_nag_two_step_reduction_1d(self):
         # eliminating the y-sequence gives a=(1+beta)(1-alpha*lam),
@@ -249,33 +263,31 @@ class TestStepEngines:
         b = -be * (1 - al * lam)
         xs = float(p.minimizer[0])
         cur, prev = xs + 1.0, xs + 1.0
-        state = IterationState(np.array([cur]), np.array([prev]))
+        x_cur, x_prev = np.array([cur]), np.array([prev])
         for _ in range(10):
-            state = step_general(obj, spec, state)
+            x_cur, x_prev = _step(obj, spec, x_cur, x_prev, None)[0], x_cur
             cur, prev = a * (cur - xs) + b * (prev - xs) + xs, cur
-            assert state.current[0] == pytest.approx(cur, rel=1e-10, abs=1e-10)
+            assert x_cur[0] == pytest.approx(cur, rel=1e-10, abs=1e-10)
 
     def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            IterationState(np.zeros(3), np.zeros(4))
+        # run_trace checks the starts; the step itself does no validation
+        obj = generate_quadratic(3, 1.0, 5.0, seed=9).as_objective()
+        with pytest.raises(ValueError, match="x1 must match"):
+            run_trace(obj, MethodSpec(HB, alpha=0.1), np.zeros(3), 5, x1=np.zeros(4))
 
 
 class TestOptimalRateInvariants:
     def test_hb_moduli_constant_over_spectrum(self):
-        from lyapcert import eigenvalues_2x2, scalar_coefficients
         mu, L = 1.0, 4.0
         spec = optimal_hyperparams(HB, mu, L)
         target = (np.sqrt(L) - np.sqrt(mu)) / (np.sqrt(L) + np.sqrt(mu))
-        for lam in np.linspace(mu, L, 100):
-            pair = eigenvalues_2x2(scalar_coefficients(spec, float(lam)))
-            assert abs(abs(pair.lambda1) - target) <= 1e-10
+        rate = analyze(spec, np.linspace(mu, L, 100)).per_coordinate.rate
+        assert np.max(np.abs(rate - target)) <= 1e-10
 
     def test_naggs_moduli_equal_beta_star(self):
-        from lyapcert import eigenvalues_2x2, scalar_coefficients
         mu, L = 2.0, 50.0
         spec = optimal_hyperparams(NAGGS, mu, L)
         beta_star = (L - mu) / (L + mu + 2 * np.sqrt(mu * L))
         assert spec.beta == pytest.approx(beta_star, rel=1e-14)
-        for lam in np.linspace(mu, L, 100):
-            pair = eigenvalues_2x2(scalar_coefficients(spec, float(lam)))
-            assert abs(abs(pair.lambda1) - beta_star) <= 1e-10
+        rate = analyze(spec, np.linspace(mu, L, 100)).per_coordinate.rate
+        assert np.max(np.abs(rate - beta_star)) <= 1e-10

@@ -3,127 +3,119 @@ import hashlib
 import numpy as np
 import pytest
 
-from lyapcert import (HB, KINDS, NAG, NAGGS, TMM, IneligibleError, MethodSpec,
-                      TwoStepCoefficients, analyze, certificate_csv_text,
-                      certificate_report_text, coefficient_arrays, companion_matrix,
-                      eigenvalues_2x2, is_conjugate_pair,
-                      optimal_hyperparams, scalar_coefficients, schur_2x2)
+from lyapcert import (HB, KINDS, NAG, NAGGS, TMM, MethodSpec, analyze,
+                      certificate_csv_text, certificate_report_text,
+                      coefficient_arrays, optimal_hyperparams)
 from lyapcert import spectral
 from conftest import power_radius, random_eligible_coeffs
+from reference import companion, eigenvalues, is_conjugate_pair, schur
 
 
 class TestCompanionMatrix:
     def test_definition(self):
-        m = companion_matrix(TwoStepCoefficients(2.0 / 9.0, -1.0 / 9.0))
+        m = companion(2.0 / 9.0, -1.0 / 9.0)
         assert np.array_equal(m, [[2.0 / 9.0, -1.0 / 9.0], [1.0, 0.0]])
 
     def test_nilpotent_case(self):
-        m = companion_matrix(TwoStepCoefficients(0.0, 0.0))
+        m = companion(0.0, 0.0)
         assert np.array_equal(m, [[0.0, 0.0], [1.0, 0.0]])
         assert np.array_equal(m @ m, np.zeros((2, 2)))
 
     def test_hb_lambda_one(self):
-        c = scalar_coefficients(MethodSpec(HB, alpha=4.0 / 9.0, beta=1.0 / 9.0), 1.0)
-        m = companion_matrix(c)
+        a, b = coefficient_arrays(MethodSpec(HB, alpha=4.0 / 9.0, beta=1.0 / 9.0), [1.0])
+        m = companion(a[0], b[0])
         assert m[0, 0] == pytest.approx(2.0 / 3.0, rel=1e-15)
         assert m[0, 1] == pytest.approx(-1.0 / 9.0, rel=1e-15)
 
 
 class TestEigenvalues2x2:
     def test_conjugate_example(self):
-        pair = eigenvalues_2x2(TwoStepCoefficients(2.0 / 9.0, -1.0 / 9.0))
-        assert pair.lambda1.real == pytest.approx(1.0 / 9.0, rel=1e-14)
-        assert pair.lambda1.imag == pytest.approx(2.0 * np.sqrt(2.0) / 9.0, rel=1e-14)
-        assert pair.lambda2 == pair.lambda1.conjugate()
-        assert abs(pair.lambda1) ** 2 == pytest.approx(1.0 / 9.0, rel=1e-12)
+        l1, l2 = eigenvalues(2.0 / 9.0, -1.0 / 9.0)
+        assert l1.real == pytest.approx(1.0 / 9.0, rel=1e-14)
+        assert l1.imag == pytest.approx(2.0 * np.sqrt(2.0) / 9.0, rel=1e-14)
+        assert l2 == l1.conjugate()
+        assert abs(l1) ** 2 == pytest.approx(1.0 / 9.0, rel=1e-12)
 
     def test_double_root(self):
-        pair = eigenvalues_2x2(TwoStepCoefficients(2.0, -1.0))
-        assert pair.lambda1 == pytest.approx(1.0)
-        assert pair.lambda2 == pytest.approx(1.0)
+        l1, l2 = eigenvalues(2.0, -1.0)
+        assert l1 == pytest.approx(1.0)
+        assert l2 == pytest.approx(1.0)
 
     def test_real_distinct_dominant_first(self):
-        pair = eigenvalues_2x2(TwoStepCoefficients(-0.5, 0.0))
-        assert pair.lambda1 == pytest.approx(-0.5)
-        assert pair.lambda2 == 0.0
+        l1, l2 = eigenvalues(-0.5, 0.0)
+        assert l1 == pytest.approx(-0.5)
+        assert l2 == 0.0
 
     def test_vieta_holds_widely(self, rng):
         for _ in range(1000):
             a = rng.uniform(-3.0, 3.0)
             b = rng.uniform(-3.0, 3.0)
-            pair = eigenvalues_2x2(TwoStepCoefficients(a, b))
+            l1, l2 = eigenvalues(a, b)
             scale = max(1.0, abs(a), abs(b))
-            assert abs(pair.lambda1 + pair.lambda2 - a) <= 1e-12 * scale
-            assert abs(pair.lambda1 * pair.lambda2 + b) <= 1e-12 * scale
+            assert abs(l1 + l2 - a) <= 1e-12 * scale
+            assert abs(l1 * l2 + b) <= 1e-12 * scale
 
     def test_conjugate_modulus_squared_is_minus_b(self, rng):
         for _ in range(500):
             a, b = random_eligible_coeffs(rng)
-            pair = eigenvalues_2x2(TwoStepCoefficients(a, b))
-            assert abs(abs(pair.lambda1) ** 2 + b) <= 1e-12 * max(1.0, abs(b))
-            assert abs(abs(pair.lambda2) ** 2 + b) <= 1e-12 * max(1.0, abs(b))
+            l1, l2 = eigenvalues(a, b)
+            assert abs(abs(l1) ** 2 + b) <= 1e-12 * max(1.0, abs(b))
+            assert abs(abs(l2) ** 2 + b) <= 1e-12 * max(1.0, abs(b))
 
 
 class TestIsConjugatePair:
     def test_true_for_complex_pair(self):
-        assert is_conjugate_pair(TwoStepCoefficients(2.0 / 9.0, -1.0 / 9.0))
+        assert is_conjugate_pair(2.0 / 9.0, -1.0 / 9.0)
 
     def test_true_on_boundary(self):
-        assert is_conjugate_pair(TwoStepCoefficients(2.0, -1.0))
+        assert is_conjugate_pair(2.0, -1.0)
 
     def test_false_for_real_distinct(self):
-        assert not is_conjugate_pair(TwoStepCoefficients(-0.5, 0.0))
+        assert not is_conjugate_pair(-0.5, 0.0)
 
     def test_tolerance_band_absorbs_roundoff(self):
-        # a^2 + 4b a few ulps above zero must still count as a pair
-        spec = optimal_hyperparams(HB, 1.0, 4.0)
-        for lam in (1.0, 4.0):
-            c = scalar_coefficients(spec, lam)
-            assert c.a * c.a + 4 * c.b != 0.0 or True  # value may land either side
-            assert is_conjugate_pair(c)
+        # a^2 + 4b a few ulps from zero (either side) must still count as a pair
+        r = analyze(optimal_hyperparams(HB, 1.0, 4.0), np.array([1.0, 4.0])).per_coordinate
+        assert all(is_conjugate_pair(a, b) for a, b in zip(r.a.tolist(), r.b.tolist()))
+        assert r.conjugate_pair.all()
 
 
 class TestSchur2x2:
     def test_rotation_companion(self):
-        f = schur_2x2(TwoStepCoefficients(0.0, -1.0))
-        assert f.T[0, 0] == pytest.approx(1j)
-        assert f.T[1, 1] == pytest.approx(-1j)
-        assert f.T[1, 0] == 0.0
-        m = companion_matrix(TwoStepCoefficients(0.0, -1.0))
-        assert np.max(np.abs(f.U @ f.T @ f.U.conj().T - m)) <= 1e-12
+        U, T = schur(0.0, -1.0)
+        assert T[0, 0] == pytest.approx(1j)
+        assert T[1, 1] == pytest.approx(-1j)
+        assert T[1, 0] == 0.0
+        assert np.max(np.abs(U @ T @ U.conj().T - companion(0.0, -1.0))) <= 1e-12
 
     def test_hand_example_diagonal(self):
-        f = schur_2x2(TwoStepCoefficients(2.0 / 9.0, -1.0 / 9.0))
-        lam = f.T[0, 0]
-        assert lam.real == pytest.approx(1.0 / 9.0, rel=1e-12)
-        assert abs(f.T[1, 1]) ** 2 == pytest.approx(1.0 / 9.0, rel=1e-12)
+        _, T = schur(2.0 / 9.0, -1.0 / 9.0)
+        assert T[0, 0].real == pytest.approx(1.0 / 9.0, rel=1e-12)
+        assert abs(T[1, 1]) ** 2 == pytest.approx(1.0 / 9.0, rel=1e-12)
 
     def test_repeated_root_boundary(self):
-        f = schur_2x2(TwoStepCoefficients(2.0, -1.0))
-        assert f.T[0, 0] == pytest.approx(1.0)
-        assert f.T[1, 1] == pytest.approx(1.0)
-        u = f.U
-        assert np.max(np.abs(u @ u.conj().T - np.eye(2))) <= 1e-12
+        U, T = schur(2.0, -1.0)
+        assert T[0, 0] == pytest.approx(1.0)
+        assert T[1, 1] == pytest.approx(1.0)
+        assert np.max(np.abs(U @ U.conj().T - np.eye(2))) <= 1e-12
         # degenerate eigenvector: T picks up an off-diagonal entry
-        assert abs(f.T[0, 1]) > 0.1
+        assert abs(T[0, 1]) > 0.1
 
     def test_rejects_ineligible(self):
-        with pytest.raises(IneligibleError):
-            schur_2x2(TwoStepCoefficients(-0.5, 0.0))
+        with pytest.raises(ValueError, match="real split"):
+            schur(-0.5, 0.0)
 
     def test_property_suite_1000_samples(self, rng):
         for _ in range(1000):
             a, b = random_eligible_coeffs(rng)
-            c = TwoStepCoefficients(a, b)
-            f = schur_2x2(c)
-            m = companion_matrix(c)
-            pair = eigenvalues_2x2(c)
-            assert np.max(np.abs(f.U @ f.U.conj().T - np.eye(2))) <= 1e-12
-            assert np.max(np.abs(f.U.conj().T @ f.U - np.eye(2))) <= 1e-12
-            assert np.max(np.abs(f.U @ f.T @ f.U.conj().T - m)) <= 1e-12
-            assert f.T[1, 0] == 0.0
-            assert abs(f.T[0, 0] - pair.lambda1) <= 1e-12
-            assert abs(f.T[1, 1] - pair.lambda2) <= 1e-12
+            U, T = schur(a, b)
+            l1, l2 = eigenvalues(a, b)
+            assert np.max(np.abs(U @ U.conj().T - np.eye(2))) <= 1e-12
+            assert np.max(np.abs(U.conj().T @ U - np.eye(2))) <= 1e-12
+            assert np.max(np.abs(U @ T @ U.conj().T - companion(a, b))) <= 1e-12
+            assert T[1, 0] == 0.0
+            assert abs(T[0, 0] - l1) <= 1e-12
+            assert abs(T[1, 1] - l2) <= 1e-12
 
 
 class TestAnalyze:
@@ -177,17 +169,17 @@ class TestAnalyze:
         monkeypatch.setattr(spectral, "coefficient_arrays", lambda spec, eig: (a, b))
         cert = analyze(MethodSpec(HB, alpha=0.1), lam, tol=tol)
         r = cert.per_coordinate
-        coeffs = [TwoStepCoefficients(ai, bi) for ai, bi in zip(a.tolist(), b.tolist())]
-        pairs = [eigenvalues_2x2(c, tol) for c in coeffs]
-        conj = [is_conjugate_pair(c, tol) for c in coeffs]
+        coeffs = list(zip(a.tolist(), b.tolist()))
+        pairs = [eigenvalues(ai, bi, tol) for ai, bi in coeffs]
+        conj = [is_conjugate_pair(ai, bi, tol) for ai, bi in coeffs]
         assert len(r) == n
         assert np.array_equal(r.lambda_w, lam)
         assert np.array_equal(r.a, a) and np.array_equal(r.b, b)
-        assert np.array_equal(r.re, [p.lambda1.real for p in pairs])
-        assert np.array_equal(r.im, [p.lambda1.imag for p in pairs])
-        assert np.array_equal(r.re2, [p.lambda2.real for p in pairs])
-        assert np.array_equal(-r.im, [p.lambda2.imag for p in pairs])
-        assert np.array_equal(r.rate, [abs(p.lambda1) for p in pairs])
+        assert np.array_equal(r.re, [l1.real for l1, _ in pairs])
+        assert np.array_equal(r.im, [l1.imag for l1, _ in pairs])
+        assert np.array_equal(r.re2, [l2.real for _, l2 in pairs])
+        assert np.array_equal(-r.im, [l2.imag for _, l2 in pairs])
+        assert np.array_equal(r.rate, [abs(l1) for l1, _ in pairs])
         assert np.array_equal(r.conjugate_pair, conj)
         assert 0 < sum(conj) < n
         assert cert.spectral_radius == r.rate.max()
@@ -197,11 +189,10 @@ class TestAnalyze:
         # HB, alpha = 0.1, beta = 0 on [1, 1e300]: at lambda = 5e299, a = -5e298
         # and b = 0, so a^2 overflows; the roots are -5e298 and 0
         spec = MethodSpec(HB, alpha=0.1)
-        c = scalar_coefficients(spec, 5e299)
-        assert (c.a, c.b) == (-5e298, 0.0)
-        assert not is_conjugate_pair(c)
-        pair = eigenvalues_2x2(c)
-        assert (pair.lambda1, pair.lambda2) == (-5e298, 0.0)
+        a, b = (float(v[0]) for v in coefficient_arrays(spec, [5e299]))
+        assert (a, b) == (-5e298, 0.0)
+        assert not is_conjugate_pair(a, b)
+        assert eigenvalues(a, b) == (-5e298, 0.0)
         r = analyze(spec, np.linspace(1.0, 1e300, 3)).per_coordinate
         assert not r.conjugate_pair.any()
         assert (r.re[1], r.re2[1], r.im[1], r.rate[1]) == (-5e298, 0.0, 0.0, 5e298)
@@ -212,14 +203,15 @@ class TestAnalyze:
         b = np.array([0.0, -1e308, -1e308, 1e308, 0.0, 1e300, 1.7e308, -1e308, 0.1])
         monkeypatch.setattr(spectral, "coefficient_arrays", lambda spec, eig: (a, b))
         r = analyze(MethodSpec(HB, alpha=0.1), np.arange(9.0)).per_coordinate
-        coeffs = [TwoStepCoefficients(ai, bi) for ai, bi in zip(a.tolist(), b.tolist())]
-        pairs = [eigenvalues_2x2(c) for c in coeffs]
-        assert not any(is_conjugate_pair(c) for c in coeffs[:-1])
-        assert np.array_equal(r.conjugate_pair, [is_conjugate_pair(c) for c in coeffs])
-        for col, want in ((r.re, [p.lambda1.real for p in pairs]),
-                          (r.im, [p.lambda1.imag for p in pairs]),
-                          (r.re2, [p.lambda2.real for p in pairs]),
-                          (r.rate, [abs(p.lambda1) for p in pairs])):
+        coeffs = list(zip(a.tolist(), b.tolist()))
+        pairs = [eigenvalues(ai, bi) for ai, bi in coeffs]
+        conj = [is_conjugate_pair(ai, bi) for ai, bi in coeffs]
+        assert not any(conj[:-1])
+        assert np.array_equal(r.conjugate_pair, conj)
+        for col, want in ((r.re, [l1.real for l1, _ in pairs]),
+                          (r.im, [l1.imag for l1, _ in pairs]),
+                          (r.re2, [l2.real for _, l2 in pairs]),
+                          (r.rate, [abs(l1) for l1, _ in pairs])):
             assert np.array_equal(col, want, equal_nan=True)
         # roots of z^2 - a z - b: the sum is a and the product -b
         assert (r.re[1], r.re2[1]) == (1e308, 1.0)
@@ -262,8 +254,7 @@ class TestAnalyze:
     def test_power_iteration_agrees_with_radius(self, rng):
         for _ in range(10):
             a, b = random_eligible_coeffs(rng, rho_max=0.99)
-            pair = eigenvalues_2x2(TwoStepCoefficients(a, b))
-            rho = abs(pair.lambda1)
+            rho = abs(eigenvalues(a, b)[0])
             if rho < 1e-2:
                 continue
             est = power_radius(a, b, steps=2000)

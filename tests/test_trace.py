@@ -6,9 +6,10 @@ import pytest
 from lyapcert import trace as trace_module
 from lyapcert import (HB, KINDS, NAG, NAGGS, TMM, MethodSpec, Objective,
                       QuadraticProblem, check_monotone, coefficient_arrays, export_csv,
-                      generate_quadratic, optimal_hyperparams,
-                      per_coordinate_V, read_trace_csv, run_trace,
-                      series_from_csv, vector_V)
+                      generate_quadratic, optimal_hyperparams, read_trace_csv,
+                      run_trace, series_from_csv)
+from conftest import random_eligible_coeffs
+from reference import eigenvalues, per_coordinate_V, schur, vector_V
 
 
 def offset_start(p, seed=0, scale=1.0):
@@ -393,6 +394,56 @@ class TestChunkedDriver:
         tr = run_trace(p, spec, x0, 10 ** 9, v_floor=1e-6)
         assert len(tr) < 100
         self.assert_same(tr, per_step_reference(p, spec, x0, 10 ** 9, v_floor=1e-6))
+
+
+@pytest.mark.parametrize("objective", [False, True], ids=["quadratic", "objective"])
+class TestStartDimensions:
+    """``run_trace`` alone checks the dimensions of a run's starts."""
+
+    @staticmethod
+    def run(objective, x0, x1=None):
+        p = generate_quadratic(4, 1.0, 4.0, seed=0)
+        target = p.as_objective() if objective else p
+        return run_trace(target, MethodSpec(HB, alpha=0.1, beta=0.5), x0, 10, x1=x1)
+
+    def test_x0_of_wrong_dimension(self, objective):
+        for x0 in (np.zeros(3), np.zeros(5), np.zeros((4, 1))):
+            with pytest.raises(ValueError, match="x0 has wrong dimension"):
+                self.run(objective, x0)
+
+    def test_x1_of_other_shape(self, objective):
+        for x1 in (np.zeros(3), np.zeros((4, 1))):
+            with pytest.raises(ValueError, match="x1 must match x0's dimension"):
+                self.run(objective, np.zeros(4), x1)
+
+
+class TestSchurCoordinate:
+    """The paper's identity on a recorded run: with M = U T U* the Schur
+    factorization of a conjugate-pair coordinate, the last Schur coordinate
+    w_k = (U* (z_k, z_{k-1}))[1] carries V, (1 + |lambda1|^2) |w_k|^2 =
+    V_{k+1}, and w_{k+1} = lambda2 w_k, so |w_k|^2 scales by -b each step."""
+
+    def test_v_is_the_last_schur_coordinate(self, rng):
+        p = generate_quadratic(1, 1.0, 1.0, seed=0)
+        for _ in range(200):
+            a, b = random_eligible_coeffs(rng)
+            # HB on lambda = 1 has a = 1 - alpha + beta and b = -beta
+            spec = MethodSpec(HB, alpha=1.0 - a - b, beta=-b)
+            a, b = (float(v[0]) for v in coefficient_arrays(spec, p.eigvals))
+            U, _ = schur(a, b)
+            l1, l2 = eigenvalues(a, b)
+            x0, x1 = p.minimizer + rng.uniform(-5.0, 5.0, size=(2, 1))
+            tr = run_trace(p, spec, x0, 12, x1=x1)
+            z = tr.rows[:, 0]
+            w = [(U.conj().T @ [z[k], z[k - 1]])[1] for k in range(1, len(z))]
+            for k in range(1, len(z) - 1):
+                # relative to the squared size of the iterates V is made of
+                scale = z[k + 1] ** 2 + z[k] ** 2 + z[k - 1] ** 2
+                wk, wk1 = w[k - 1], w[k]
+                assert abs((1.0 + abs(l1) ** 2) * abs(wk) ** 2 - tr.lyapunov[k + 1]) \
+                    <= 1e-12 * scale
+                assert abs(wk1 - l2 * wk) ** 2 <= 1e-24 * scale
+                assert abs(abs(wk1) ** 2 - (-b) * abs(wk) ** 2) <= 1e-12 * scale
 
 
 class TestLyapunovSeriesAccess:
