@@ -288,8 +288,10 @@ def find_tmm_witness(seed: int = 0, dim: int = 2, mu: float = 1.0, L: float = 4.
     drawn randomly.  Low dimension matters: V contracts per coordinate at
     -b(lambda) regardless of eligibility, and only the ineligible lambda=mu
     coordinate can carry a negative component (start ratio inside the real
-    eigenvalue cone, ~7% of draws); in high dimension the positive bulk hides
-    it below tolerance.  Returns (seed_index, trace, report) or None."""
+    eigenvalue cone, ~7% of draws).  In high dimension the positive bulk
+    outweighs that coordinate in exact arithmetic: at d=107 no seed's exact V
+    increases, so there is no witness to find, not one hidden below the
+    tolerance.  Returns (seed_index, trace, report) or None."""
     problem = generate_quadratic(dim, mu, L, seed)
     spec = optimal_hyperparams(TMM, mu, L)
     xs = problem.minimizer

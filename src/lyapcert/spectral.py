@@ -99,13 +99,9 @@ def certificate_csv_text(cert: SpectralCertificate) -> str:
     """One row per coordinate: lambda_W, a, b, Re/Im of the dominant eigenvalue,
     its modulus, and the conjugate-pair flag (1/0)."""
     r = cert.per_coordinate
-    lines = ["lambda_W,a,b,re_lambda,im_lambda,modulus,conjugate_pair"]
-    for lam, a, b, re, im, rate, conj in zip(
-            r.lambda_w.tolist(), r.a.tolist(), r.b.tolist(), r.re.tolist(),
-            r.im.tolist(), r.rate.tolist(), r.conjugate_pair.tolist()):
-        lines.append(f"{lam:.17g},{a:.17g},{b:.17g},{re:.17g},{im:.17g},"
-                     f"{rate:.17g},{1 if conj else 0}")
-    return "\n".join(lines) + "\n"
+    cols = np.column_stack([r.lambda_w, r.a, r.b, r.re, r.im, r.rate, r.conjugate_pair])
+    return ("lambda_W,a,b,re_lambda,im_lambda,modulus,conjugate_pair\n"
+            + "%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%d\n" * len(r) % tuple(cols.ravel().tolist()))
 
 
 def certificate_report_text(cert: SpectralCertificate) -> str:
@@ -123,11 +119,7 @@ def certificate_report_text(cert: SpectralCertificate) -> str:
         more = "" if bad.size <= 8 else f" (+{bad.size - 8} more)"
         lines.append(f"real-split coordinates at lambda: {worst}{more}")
     lines.append("idx  lambda_W        a               b               |lambda|       conjugate")
-    for i, (lam, a, b, rate, conj) in enumerate(zip(
-            r.lambda_w.tolist(), r.a.tolist(), r.b.tolist(), r.rate.tolist(),
-            r.conjugate_pair.tolist())):
-        lines.append(
-            f"{i:<4d} {lam:<15.8g} {a:<15.8g} {b:<15.8g} "
-            f"{rate:<14.8g} {'yes' if conj else 'no'}"
-        )
-    return "\n".join(lines) + "\n"
+    row = "%-4d %-15.8g %-15.8g %-15.8g %-14.8g "
+    table = "".join(map((row + "no\n", row + "yes\n").__getitem__, r.conjugate_pair.tolist()))
+    cols = np.column_stack([np.arange(len(r)), r.lambda_w, r.a, r.b, r.rate])
+    return "\n".join(lines) + "\n" + table % tuple(cols.ravel().tolist())

@@ -2,7 +2,9 @@
 
 Data line series map one-to-one onto <polyline> elements; axes, ticks and
 legend swatches use <line>, scatter points use <circle class="pt">, so files
-stay easy to assert on.  No external renderer is involved.
+stay easy to assert on.  No external renderer is involved.  Pixel positions
+are computed on whole series and each series is formatted with one ``%``;
+non-finite points are left out and do not set the axis ranges.
 """
 
 from __future__ import annotations
@@ -54,6 +56,8 @@ def render_svg(panels: Sequence[Panel], path, *, columns: int = 2) -> None:
     for p in panels:
         if p.kind not in ("line-log", "scatter"):
             raise ValueError(f"unknown panel kind {p.kind!r}")
+        if any(s.x is not None and len(s.x) != len(s.y) for s in p.series):
+            raise ValueError("a series needs as many x values as y values")
     cols = min(columns, len(panels))
     rows = (len(panels) + cols - 1) // cols
     width = cols * _PANEL_WIDTH
@@ -107,14 +111,17 @@ def _legend(series, x1: int, y0: int):
 
 
 def _line_log_panel(p: Panel, w: int, h: int):
-    out, (x0, y0, x1, y1) = _frame(p, w, h, left=64, right=14, top=28, bottom=40)
+    out, box = _frame(p, w, h, left=64, right=14, top=28, bottom=40)
+    x0, y0, x1, y1 = box
     floor = p.floor
     ymin, ymax = math.inf, -math.inf
     xmax = 1.0
     clipped = []
     for s in p.series:
-        y = np.maximum(np.asarray(s.y, dtype=float), floor)
+        y = np.asarray(s.y, dtype=float)
         x = np.arange(y.shape[0], dtype=float) if s.x is None else np.asarray(s.x, dtype=float)
+        keep = np.isfinite(x) & np.isfinite(y)  # a non-finite point is not drawn
+        x, y = x[keep], np.maximum(y[keep], floor)
         clipped.append((s.label, x, y))
         if y.size:
             ymin = min(ymin, float(y.min()))
@@ -126,41 +133,55 @@ def _line_log_panel(p: Panel, w: int, h: int):
     hi = math.ceil(math.log10(ymax))
     if hi <= lo:
         hi = lo + 1
-
-    def px(x):
-        return x0 + (x1 - x0) * (x / max(xmax, 1e-300))
-
-    def py(v):
-        return y1 - (y1 - y0) * ((math.log10(v) - lo) / (hi - lo))
-
-    step = max(1, (hi - lo + 7) // 8)
-    for e in range(lo, hi + 1, step):
-        yy = py(10.0 ** e)
+    decades = range(lo, hi + 1, max(1, (hi - lo + 7) // 8))
+    for e, yy in zip(decades, _py(np.array([10.0 ** e for e in decades]), box, lo, hi)):
         out.append(f'<line x1="{x0 - 4}" y1="{yy:.2f}" x2="{x0}" y2="{yy:.2f}" stroke="#333"/>')
         out.append(f'<text x="{x0 - 7}" y="{yy + 4:.2f}" text-anchor="end" font-size="10" '
                    f'fill="#333">1e{e}</text>')
     for frac in (0.0, 0.25, 0.5, 0.75, 1.0):
         xv = xmax * frac
-        xx = px(xv)
+        xx = _px(xv, box, xmax)
         out.append(f'<line x1="{xx:.2f}" y1="{y1}" x2="{xx:.2f}" y2="{y1 + 4}" stroke="#333"/>')
         out.append(f'<text x="{xx:.2f}" y="{y1 + 15}" text-anchor="middle" font-size="10" '
                    f'fill="#333">{xv:.6g}</text>')
     for j, (label, x, y) in enumerate(clipped):
         color = _COLORS[j % len(_COLORS)]
-        pts = " ".join(f"{px(xx):.2f},{py(vv):.2f}" for xx, vv in zip(x, y))
+        pts = _polyline_points(x, y, box, lo, hi, xmax)
         out.append(f'<polyline fill="none" stroke="{color}" stroke-width="1.5" points="{pts}"/>')
     out.extend(_legend(p.series, x1, y0))
     return out
 
 
+def _px(x, box, xmax: float):
+    x0, _, x1, _ = box
+    return x0 + (x1 - x0) * (x / max(xmax, 1e-300))
+
+
+def _py(v: np.ndarray, box, lo: int, hi: int) -> np.ndarray:
+    # math.log10 per value: np.log10 may differ in the last ulp
+    _, y0, _, y1 = box
+    logs = np.fromiter(map(math.log10, v.tolist()), dtype=float, count=v.shape[0])
+    return y1 - (y1 - y0) * ((logs - lo) / (hi - lo))
+
+
+def _polyline_points(x: np.ndarray, y: np.ndarray, box, lo: int, hi: int, xmax: float) -> str:
+    """``x,y`` pixel pairs of a log-y polyline, one ``%`` for the whole series."""
+    xy = np.column_stack([_px(x, box, xmax), _py(y, box, lo, hi)])
+    return " ".join(["%.2f,%.2f"] * x.shape[0]) % tuple(xy.ravel().tolist())
+
+
 def _scatter_panel(p: Panel, w: int, h: int):
     out, (x0, y0, x1, y1) = _frame(p, w, h, left=64, right=14, top=28, bottom=40)
     r = 0.0
+    points = []
     for s in p.series:
         if s.x is None:
             raise ValueError("scatter series need explicit x values")
         xv = np.asarray(s.x, dtype=float)
         yv = np.asarray(s.y, dtype=float)
+        keep = np.isfinite(xv) & np.isfinite(yv)  # a non-finite point is not drawn
+        xv, yv = xv[keep], yv[keep]
+        points.append((xv, yv))
         if xv.size:
             r = max(r, float(np.abs(xv).max()), float(np.abs(yv).max()))
     if p.unit_circle:
@@ -188,10 +209,15 @@ def _scatter_panel(p: Panel, w: int, h: int):
         if abs(tick) <= r:
             out.append(f'<text x="{px(tick):.2f}" y="{cy + 14:.2f}" text-anchor="middle" '
                        f'font-size="10" fill="#333">{tick:g}</text>')
-    for j, s in enumerate(p.series):
-        color = _COLORS[j % len(_COLORS)]
-        for xx, yy in zip(np.asarray(s.x, dtype=float), np.asarray(s.y, dtype=float)):
-            out.append(f'<circle class="pt" cx="{px(xx):.2f}" cy="{py(yy):.2f}" r="3" '
-                       f'fill="{color}" fill-opacity="0.75"/>')
+    for j, (xv, yv) in enumerate(points):
+        if xv.size:
+            out.append(_circles(xv, yv, cx, cy, scale, _COLORS[j % len(_COLORS)]))
     out.extend(_legend(p.series, x1, y0))
     return out
+
+
+def _circles(x: np.ndarray, y: np.ndarray, cx: float, cy: float, scale: float, color: str) -> str:
+    """The ``<circle class="pt">`` lines of a scatter series, one ``%`` for all."""
+    circle = f'<circle class="pt" cx="%.2f" cy="%.2f" r="3" fill="{color}" fill-opacity="0.75"/>'
+    xy = np.column_stack([cx + x * scale, cy - y * scale])
+    return "\n".join([circle] * x.shape[0]) % tuple(xy.ravel().tolist())

@@ -271,15 +271,16 @@ def _descriptor(target, spec: MethodSpec) -> dict:
 
 
 _CSV_HEADER = "iter,objective_gap,distance,lyapunov\n"
+_CSV_ROW = "%d,%.17g,%.17g,%.17g\n"
+_CSV_ROW_NO_V = "%d,%.17g,%.17g,%.0s\n"  # takes V and prints nothing
 
 
 def _csv_lines(k0: int, gap: np.ndarray, dist: np.ndarray, lyap: np.ndarray) -> str:
     """CSV lines of rows k0, k0+1, ...: 17 significant digits, LF endings,
-    the lyapunov cell empty where undefined."""
-    return "".join(
-        f"{k},{g:.17g},{d:.17g},{'' if math.isnan(v) else f'{v:.17g}'}\n"
-        for k, g, d, v in zip(range(k0, k0 + len(gap)), gap.tolist(),
-                              dist.tolist(), lyap.tolist()))
+    the lyapunov cell empty where undefined; one ``%`` for the whole block."""
+    template = "".join(map((_CSV_ROW, _CSV_ROW_NO_V).__getitem__, np.isnan(lyap).tolist()))
+    cols = np.column_stack([np.arange(k0, k0 + gap.shape[0]), gap, dist, lyap])
+    return template % tuple(cols.ravel().tolist())
 
 
 def export_csv(trace: Trace, path) -> None:

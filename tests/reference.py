@@ -6,6 +6,8 @@ functions are the per-coordinate statements those columns are checked
 against, written out with ``math`` on Python floats: the eigenvalues of the
 companion matrix M = [[a, b], [1, 0]], the conjugate-pair test, the 2x2
 Schur factorization behind the certificate, and the three-point value V.
+The text writers at the end format one row or point at a time; the
+library's block writers must give the same bytes.
 """
 
 import math
@@ -104,3 +106,70 @@ def vector_V(x_k, x_km1, x_km2, x_star):
         np.asarray(x_km1, dtype=float) - x_star,
         np.asarray(x_km2, dtype=float) - x_star,
     )))
+
+
+# Text writers, one row or point at a time: the formatting the library's
+# block writers must reproduce byte for byte.
+
+def trace_csv_lines(k0, gap, dist, lyap):
+    """CSV lines of trace rows k0, k0+1, ...: 17 significant digits, the
+    lyapunov cell empty where V is NaN."""
+    return "".join(
+        f"{k},{g:.17g},{d:.17g},{'' if math.isnan(v) else f'{v:.17g}'}\n"
+        for k, g, d, v in zip(range(k0, k0 + len(gap)), gap.tolist(),
+                              dist.tolist(), lyap.tolist()))
+
+
+def certificate_csv_text(cert):
+    r = cert.per_coordinate
+    lines = ["lambda_W,a,b,re_lambda,im_lambda,modulus,conjugate_pair"]
+    for lam, a, b, re, im, rate, conj in zip(
+            r.lambda_w.tolist(), r.a.tolist(), r.b.tolist(), r.re.tolist(),
+            r.im.tolist(), r.rate.tolist(), r.conjugate_pair.tolist()):
+        lines.append(f"{lam:.17g},{a:.17g},{b:.17g},{re:.17g},{im:.17g},"
+                     f"{rate:.17g},{1 if conj else 0}")
+    return "\n".join(lines) + "\n"
+
+
+def certificate_report_text(cert):
+    m, r = cert.method, cert.per_coordinate
+    lines = [
+        f"method: {m.kind}  alpha={m.alpha:.12g}  beta={m.beta:.12g}  gamma={m.gamma:.12g}",
+        f"coordinates: {len(r)}",
+        f"spectral_radius: {cert.spectral_radius:.12g}",
+        f"eligible: {'yes' if cert.eligible else 'no'}",
+    ]
+    bad = r.lambda_w[~r.conjugate_pair]
+    if bad.size:
+        worst = ", ".join(f"{lam:.6g}" for lam in bad[:8].tolist())
+        more = "" if bad.size <= 8 else f" (+{bad.size - 8} more)"
+        lines.append(f"real-split coordinates at lambda: {worst}{more}")
+    lines.append("idx  lambda_W        a               b               |lambda|       conjugate")
+    for i, (lam, a, b, rate, conj) in enumerate(zip(
+            r.lambda_w.tolist(), r.a.tolist(), r.b.tolist(), r.rate.tolist(),
+            r.conjugate_pair.tolist())):
+        lines.append(
+            f"{i:<4d} {lam:<15.8g} {a:<15.8g} {b:<15.8g} "
+            f"{rate:<14.8g} {'yes' if conj else 'no'}"
+        )
+    return "\n".join(lines) + "\n"
+
+
+def svg_polyline_points(x, y, box, lo, hi, xmax):
+    """``points`` of a line-log polyline: x linear, y in decades lo..hi."""
+    x0, y0, x1, y1 = box
+
+    def px(x):
+        return x0 + (x1 - x0) * (x / max(xmax, 1e-300))
+
+    def py(v):
+        return y1 - (y1 - y0) * ((math.log10(v) - lo) / (hi - lo))
+
+    return " ".join(f"{px(xx):.2f},{py(vv):.2f}" for xx, vv in zip(x, y))
+
+
+def svg_circles(x, y, cx, cy, scale, color):
+    """The ``<circle class="pt">`` lines of one scatter series."""
+    return [f'<circle class="pt" cx="{cx + xx * scale:.2f}" cy="{cy - yy * scale:.2f}" r="3" '
+            f'fill="{color}" fill-opacity="0.75"/>'
+            for xx, yy in zip(x, y)]

@@ -55,6 +55,74 @@ class TestLinePanels:
         assert "1e-4" in text
 
 
+class TestNonFiniteValues:
+    """NaN and inf points are left out of the drawing and the axis ranges;
+    each series keeps its one polyline."""
+
+    @staticmethod
+    def polyline_points(text):
+        start = text.index('points="') + len('points="')
+        pts = text[start:text.index('"', start)]
+        return pts.split(" ") if pts else []
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_bad_point_is_skipped(self, tmp_path, bad):
+        panel = Panel(title="t", series=[Series("v", np.array([bad, 1.0, 1e-3, 1e-6]))])
+        path = tmp_path / "a.svg"
+        text = render_text([panel], path)
+        ET.parse(path)
+        assert text.count("<polyline") == 1
+        assert "nan" not in text.lower() and "inf" not in text.lower()
+        assert len(self.polyline_points(text)) == 3
+        # the range is the finite one, 1e-6..1, not the 1e-16..1 fallback
+        assert ">1e-6</text>" in text and ">1e0</text>" in text
+        assert ">1e-16</text>" not in text
+
+    def test_same_as_the_finite_points_alone(self, tmp_path):
+        x = np.arange(6.0)
+        y = np.array([1.0, np.nan, 0.1, np.inf, 1e-2, 1e-4])
+        keep = np.isfinite(y)
+        with_bad = render_text([Panel(title="t", series=[Series("v", y, x=x)])],
+                               tmp_path / "a.svg")
+        finite = render_text([Panel(title="t", series=[Series("v", y[keep], x=x[keep])])],
+                             tmp_path / "b.svg")
+        assert with_bad == finite
+
+    def test_all_nan_falls_back_to_floor(self, tmp_path):
+        panel = Panel(title="t", series=[Series("v", np.full(4, np.nan))])
+        text = render_text([panel], tmp_path / "a.svg")
+        assert text.count("<polyline") == 1
+        assert self.polyline_points(text) == []
+        assert ">1e-16</text>" in text and ">1e0</text>" in text
+
+    def test_nan_series_beside_a_finite_one(self, tmp_path):
+        panel = Panel(title="t", series=[Series("a", np.geomspace(1.0, 1e-4, 5)),
+                                         Series("b", np.full(3, np.nan))])
+        text = render_text([panel], tmp_path / "a.svg")
+        assert text.count("<polyline") == 2
+        assert ">1e-4</text>" in text and "nan" not in text.lower()
+
+    def test_scatter_skips_bad_points(self, tmp_path):
+        panel = Panel(title="s", kind="scatter", series=[
+            Series("a", x=np.array([0.5, np.nan, np.inf, 0.1]),
+                   y=np.array([0.2, 0.0, 0.3, -np.inf])),
+            Series("b", x=np.array([np.nan]), y=np.array([1.0]))])
+        path = tmp_path / "a.svg"
+        text = render_text([panel], path)
+        ET.parse(path)
+        assert text.count('<circle class="pt"') == 1
+        assert "nan" not in text.lower() and "inf" not in text.lower()
+        finite = Panel(title="s", kind="scatter", series=[
+            Series("a", x=np.array([0.5]), y=np.array([0.2])),
+            Series("b", x=np.array([]), y=np.array([]))])
+        assert text == render_text([finite], tmp_path / "b.svg")
+
+    def test_unequal_lengths_are_named(self, tmp_path):
+        panel = Panel(title="t", series=[Series("v", np.ones(3), x=np.arange(4.0))])
+        with pytest.raises(ValueError, match="as many x values"):
+            render_svg([panel], tmp_path / "a.svg")
+
+
 class TestScatterPanels:
     def test_points_and_unit_circle(self, tmp_path):
         panel = Panel(
