@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -21,66 +22,70 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class QuadraticProblem:
-    """Convex quadratic ``0.5 x'Wx - linear'x + constant`` with known eigenfactors.
+    """Convex quadratic ``0.5 x'Wx - linear'x + constant`` given by its
+    eigendecomposition.
 
-    ``W = eigvecs @ diag(eigvals) @ eigvecs.T`` with ``eigvals`` nondecreasing,
-    ``mu = eigvals[0]`` and ``lipschitz = eigvals[-1]``.  ``minimizer`` is the
-    point used to form ``linear = W @ minimizer``; it is the unique minimizer
-    when ``mu > 0`` and one of infinitely many when ``mu == 0``.
+    ``eigvals`` is nondecreasing and ``W = eigvecs @ diag(eigvals) @
+    eigvecs.T``; ``mu = eigvals[0]``, ``lipschitz = eigvals[-1]`` and
+    ``linear = W @ minimizer``.  ``minimizer`` is the unique minimizer when
+    ``mu > 0`` and one of infinitely many when ``mu == 0``.  ``W`` and
+    ``linear`` are computed on first read.
     """
 
-    dim: int
-    W: np.ndarray
-    linear: np.ndarray
-    constant: float
     eigvals: np.ndarray
     eigvecs: np.ndarray
     minimizer: np.ndarray
-    mu: float
-    lipschitz: float
+    constant: float = 0.0
 
     def __post_init__(self):
-        d = self.dim
-        if d < 1:
-            raise ValueError("dim must be >= 1")
-        W = np.asarray(self.W, dtype=float)
-        vals = np.asarray(self.eigvals, dtype=float)
-        vecs = np.asarray(self.eigvecs, dtype=float)
-        lin = np.asarray(self.linear, dtype=float)
-        mini = np.asarray(self.minimizer, dtype=float)
-        if W.shape != (d, d) or vecs.shape != (d, d):
-            raise ValueError("W and eigvecs must be dim x dim")
-        if vals.shape != (d,) or lin.shape != (d,) or mini.shape != (d,):
-            raise ValueError("eigvals, linear and minimizer must be dim-vectors")
-        scale = max(1.0, float(np.abs(W).max()))
-        if np.abs(W - W.T).max() > 1e-10 * scale:
-            raise ValueError("W must be symmetric")
-        if np.any(np.diff(vals) < 0):
+        vals = _readonly(self.eigvals)
+        vecs = _readonly(self.eigvecs)
+        mini = _readonly(self.minimizer)
+        if vals.ndim != 1 or vals.shape[0] < 1:
+            raise ValueError("eigvals must be a nonempty vector")
+        d = vals.shape[0]
+        if vecs.shape != (d, d):
+            raise ValueError("eigvecs must be dim x dim")
+        if mini.shape != (d,):
+            raise ValueError("minimizer must be a dim-vector")
+        # comparisons are written so that a NaN fails them
+        if not np.all(np.diff(vals) >= 0):
             raise ValueError("eigvals must be nondecreasing")
-        if vals[0] < 0:
+        if not vals[0] >= 0:
             raise ValueError("eigvals must be nonnegative")
-        if not (math.isclose(self.mu, vals[0], rel_tol=0, abs_tol=1e-12 * scale)
-                and math.isclose(self.lipschitz, vals[-1], rel_tol=0, abs_tol=1e-12 * scale)):
-            raise ValueError("mu and lipschitz must equal the extreme eigenvalues")
-        if self.lipschitz <= 0:
+        if not vals[-1] > 0:
             raise ValueError("lipschitz must be positive")
-        ortho = np.abs(vecs.T @ vecs - np.eye(d)).max()
-        if ortho > _ORTHOGONALITY_TOL:
+        if not np.abs(vecs.T @ vecs - np.eye(d)).max() <= _ORTHOGONALITY_TOL:
             raise ValueError("eigvecs must be orthogonal")
-        recon = (vecs * vals) @ vecs.T
-        err = np.linalg.norm(W - recon) / max(np.linalg.norm(W), 1e-300)
-        if err > _RECONSTRUCTION_TOL:
-            raise ValueError("W does not match its eigenfactors")
-        if self.mu > 0:
-            resid = np.linalg.norm(W @ mini - lin)
-            if resid > _RESIDUAL_TOL * max(np.linalg.norm(lin), 1e-300):
-                raise ValueError("minimizer does not solve W x = linear")
         # freeze arrays so instances are safe to share
-        object.__setattr__(self, "W", _readonly(W))
-        object.__setattr__(self, "linear", _readonly(lin))
-        object.__setattr__(self, "eigvals", _readonly(vals))
-        object.__setattr__(self, "eigvecs", _readonly(vecs))
-        object.__setattr__(self, "minimizer", _readonly(mini))
+        object.__setattr__(self, "eigvals", vals)
+        object.__setattr__(self, "eigvecs", vecs)
+        object.__setattr__(self, "minimizer", mini)
+
+    @property
+    def dim(self) -> int:
+        return self.eigvals.shape[0]
+
+    @property
+    def mu(self) -> float:
+        return float(self.eigvals[0])
+
+    @property
+    def lipschitz(self) -> float:
+        return float(self.eigvals[-1])
+
+    @cached_property
+    def W(self) -> np.ndarray:
+        W = (self.eigvecs * self.eigvals) @ self.eigvecs.T
+        W = (W + W.T) / 2.0
+        W.flags.writeable = False
+        return W
+
+    @cached_property
+    def linear(self) -> np.ndarray:
+        linear = self.W @ self.minimizer
+        linear.flags.writeable = False
+        return linear
 
     @property
     def unique_minimizer(self) -> bool:
@@ -161,20 +166,7 @@ def generate_quadratic(dim: int, mu: float, L: float, seed: int) -> QuadraticPro
     signs = np.where(np.diag(r) < 0, -1.0, 1.0)
     q = q * signs
     minimizer = rng.standard_normal(dim)
-    W = (q * eigvals) @ q.T
-    W = (W + W.T) / 2.0
-    linear = W @ minimizer
-    return QuadraticProblem(
-        dim=dim,
-        W=W,
-        linear=linear,
-        constant=0.0,
-        eigvals=eigvals,
-        eigvecs=q,
-        minimizer=minimizer,
-        mu=float(eigvals[0]),
-        lipschitz=float(eigvals[-1]),
-    )
+    return QuadraticProblem(eigvals, q, minimizer)
 
 
 def cosine_counterexample() -> Objective:
@@ -247,8 +239,11 @@ def save_problem(p: QuadraticProblem, path) -> None:
 
 
 def load_problem(path) -> QuadraticProblem:
-    """Load a problem written by save_problem; a missing array or an empty
-    spectrum raises ValueError naming the file."""
+    """Load a problem written by save_problem.
+
+    The file's ``W`` and ``linear`` must agree with its eigenfactors: a
+    missing array, an empty spectrum or a disagreement raises ValueError.
+    The problem returned derives ``W`` and ``linear`` from the factors."""
     npz = np.load(path)
     if not isinstance(npz, np.lib.npyio.NpzFile):  # a bare .npy array
         raise ValueError(f"{path}: not an .npz problem file")
@@ -260,14 +255,21 @@ def load_problem(path) -> QuadraticProblem:
     vals = data["eigvals"]
     if vals.ndim != 1 or vals.shape[0] < 1:
         raise ValueError(f"{path}: the problem has no eigenvalues")
-    return QuadraticProblem(
-        dim=int(vals.shape[0]),
-        W=data["W"],
-        linear=data["linear"],
-        constant=float(data["constant"]),
-        eigvals=vals,
-        eigvecs=data["eigvecs"],
-        minimizer=data["minimizer"],
-        mu=float(vals[0]),
-        lipschitz=float(vals[-1]),
-    )
+    d = vals.shape[0]
+    W = np.asarray(data["W"], dtype=float)
+    lin = np.asarray(data["linear"], dtype=float)
+    if W.shape != (d, d) or data["eigvecs"].shape != (d, d):
+        raise ValueError("W and eigvecs must be dim x dim")
+    if lin.shape != (d,) or data["minimizer"].shape != (d,):
+        raise ValueError("eigvals, linear and minimizer must be dim-vectors")
+    # comparisons are written so that a NaN fails them
+    if not np.abs(W - W.T).max() <= 1e-10 * max(1.0, float(np.abs(W).max())):
+        raise ValueError("W must be symmetric")
+    p = QuadraticProblem(vals, data["eigvecs"], data["minimizer"], float(data["constant"]))
+    recon = (p.eigvecs * p.eigvals) @ p.eigvecs.T
+    if not np.linalg.norm(W - recon) / max(np.linalg.norm(W), 1e-300) <= _RECONSTRUCTION_TOL:
+        raise ValueError("W does not match its eigenfactors")
+    if p.mu > 0 and not (np.linalg.norm(W @ p.minimizer - lin)
+                         <= _RESIDUAL_TOL * max(np.linalg.norm(lin), 1e-300)):
+        raise ValueError("minimizer does not solve W x = linear")
+    return p

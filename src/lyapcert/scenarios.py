@@ -191,7 +191,7 @@ def _quadratic_runs(cfg: ScenarioConfig, v_floor):
     x0 = _x0(problem.minimizer, cfg.x0_scale, cfg.seed)
     traces, certs, reports = {}, {}, {}
     for kind, spec in _specs(cfg).items():
-        traces[kind] = run_trace(problem, spec, x0, cfg.iters, v_floor=v_floor, seed=cfg.seed)
+        traces[kind] = run_trace(problem, spec, x0, cfg.iters, v_floor=v_floor)
         certs[kind] = analyze(spec, problem.eigvals)
         reports[kind] = check_monotone(traces[kind].lyapunov_series(cfg.tolerance))
 
@@ -272,7 +272,7 @@ def find_cosine_witness(seed: int = 0, seeds: int = 100, iters: int = 400,
     for s in range(seeds):
         rng = np.random.default_rng([seed, s, 11])
         x0 = rng.uniform(-2.0, 2.0, size=1)
-        trace = run_trace(obj, spec, x0, iters, seed=s)
+        trace = run_trace(obj, spec, x0, iters)
         rep = check_monotone(trace.lyapunov_series(tolerance))
         if not rep.monotone:
             return s, x0, trace, rep
@@ -301,7 +301,7 @@ def find_tmm_witness(seed: int = 0, dim: int = 2, mu: float = 1.0, L: float = 4.
         w = rng.standard_normal(dim)
         x0 = xs + scale * v / np.linalg.norm(v)
         x1 = xs + scale * w / np.linalg.norm(w)
-        trace = run_trace(problem, spec, x0, iters, x1=x1, seed=s)
+        trace = run_trace(problem, spec, x0, iters, x1=x1)
         rep = check_monotone(trace.lyapunov_series(tolerance))
         if not rep.monotone:
             return s, trace, rep
@@ -336,7 +336,7 @@ def _run_cosine(cfg: ScenarioConfig) -> ScenarioResult:
         for j in range(0, 21):
             beta_j = spec.beta * (1.0 - j / 20.0)
             spec_j = MethodSpec(HB, alpha=spec.alpha, beta=beta_j)
-            tr_j = run_trace(obj, spec_j, x0, iters, seed=s)
+            tr_j = run_trace(obj, spec_j, x0, iters)
             if check_monotone(tr_j.lyapunov_series(tol)).monotone:
                 boundary = beta_j
                 break
@@ -395,7 +395,7 @@ def _run_objective_family(cfg: ScenarioConfig, objective, title: str,
     for kind, spec in specs.items():
         # no V floor here: slow small-step iterates keep V near zero from the
         # start, which says nothing about convergence
-        tr = run_trace(objective, spec, x0, cfg.iters, seed=cfg.seed)
+        tr = run_trace(objective, spec, x0, cfg.iters)
         traces[kind] = tr
         rep = check_monotone(tr.lyapunov_series(cfg.tolerance))
         verdicts[f"{kind.lower()}_completed"] = not tr.diverged

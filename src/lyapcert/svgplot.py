@@ -10,13 +10,14 @@ non-finite points are left out and do not set the axis ranges.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
 _PANEL_WIDTH = 460
 _PANEL_HEIGHT = 340
+_FLOOR = 1e-16  # line-log panels draw values below this at this value
 _COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
 
@@ -42,7 +43,6 @@ class Panel:
     kind: str = "line-log"
     xlabel: str = "iteration"
     ylabel: str = ""
-    floor: float = 1e-16
     unit_circle: bool = False
 
 
@@ -113,7 +113,6 @@ def _legend(series, x1: int, y0: int):
 def _line_log_panel(p: Panel, w: int, h: int):
     out, box = _frame(p, w, h, left=64, right=14, top=28, bottom=40)
     x0, y0, x1, y1 = box
-    floor = p.floor
     ymin, ymax = math.inf, -math.inf
     xmax = 1.0
     clipped = []
@@ -121,14 +120,14 @@ def _line_log_panel(p: Panel, w: int, h: int):
         y = np.asarray(s.y, dtype=float)
         x = np.arange(y.shape[0], dtype=float) if s.x is None else np.asarray(s.x, dtype=float)
         keep = np.isfinite(x) & np.isfinite(y)  # a non-finite point is not drawn
-        x, y = x[keep], np.maximum(y[keep], floor)
+        x, y = x[keep], np.maximum(y[keep], _FLOOR)
         clipped.append((s.label, x, y))
         if y.size:
             ymin = min(ymin, float(y.min()))
             ymax = max(ymax, float(y.max()))
             xmax = max(xmax, float(x.max()))
     if not math.isfinite(ymin):
-        ymin, ymax = floor, 1.0
+        ymin, ymax = _FLOOR, 1.0
     lo = math.floor(math.log10(ymin))
     hi = math.ceil(math.log10(ymax))
     if hi <= lo:

@@ -27,8 +27,8 @@ import errno
 import math
 import os
 from array import array
-from dataclasses import dataclass, field
-from typing import Iterator, NamedTuple, Optional, Union
+from dataclasses import dataclass
+from typing import Iterable, Iterator, NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -55,8 +55,6 @@ class Trace:
     distance: np.ndarray
     lyapunov: np.ndarray
     method: MethodSpec
-    descriptor: dict = field(default_factory=dict)
-    seed: Optional[int] = None
     diverged: bool = False
     frame: Optional[tuple] = None
 
@@ -85,7 +83,7 @@ def _series(lyapunov: np.ndarray, tolerance: float) -> LyapunovSeries:
 
 def run_trace(target: Union[QuadraticProblem, Objective], spec: MethodSpec,
               x0: np.ndarray, iters: int, *, x1: Optional[np.ndarray] = None,
-              v_floor: Optional[float] = None, seed: Optional[int] = None,
+              v_floor: Optional[float] = None,
               divergence_threshold: float = DIVERGENCE_THRESHOLD) -> Trace:
     """Run ``iters`` recorded iterates (x0 included) and collect metrics.
 
@@ -103,8 +101,6 @@ def run_trace(target: Union[QuadraticProblem, Objective], spec: MethodSpec,
         distance=np.concatenate([blk.distance for blk in blocks]),
         lyapunov=np.concatenate([blk.lyapunov for blk in blocks]),
         method=spec,
-        descriptor=_descriptor(target, spec),
-        seed=seed,
         diverged=blocks[-1].diverged,
         frame=(target.eigvecs, np.asarray(target.minimizer, dtype=float)) if quadratic else None,
     )
@@ -259,17 +255,6 @@ def _oracle_engine(obj: Objective, spec: MethodSpec, starts, threshold: float):
     return np.stack(starts), advance
 
 
-def _descriptor(target, spec: MethodSpec) -> dict:
-    d = {"method": spec.kind, "alpha": spec.alpha, "beta": spec.beta,
-         "gamma": spec.gamma, "dim": target.dim}
-    if target.mu is not None:
-        d["mu"] = target.mu
-    if getattr(target, "lipschitz", None) is not None:
-        d["L"] = target.lipschitz
-    d["kind"] = "quadratic" if isinstance(target, QuadraticProblem) else "objective"
-    return d
-
-
 _CSV_HEADER = "iter,objective_gap,distance,lyapunov\n"
 _CSV_ROW = "%d,%.17g,%.17g,%.17g\n"
 _CSV_ROW_NO_V = "%d,%.17g,%.17g,%.0s\n"  # takes V and prints nothing
@@ -285,14 +270,14 @@ def _csv_lines(k0: int, gap: np.ndarray, dist: np.ndarray, lyap: np.ndarray) -> 
 
 def export_csv(trace: Trace, path) -> None:
     """Write ``iter,objective_gap,distance,lyapunov`` rows, 17 significant
-    digits, LF line endings; the lyapunov cell is empty where undefined."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(_CSV_HEADER)
-        fh.write(_csv_lines(0, trace.objective_gap, trace.distance, trace.lyapunov))
+    digits, LF line endings; the lyapunov cell is empty where undefined.
+    The file appears whole or not at all, as with ``lyapcert run``."""
+    _stream_csv([trace], path)  # a Trace has the four columns of a block
 
 
-def _stream_csv(blocks: Iterator[_Block], path):
-    """Write the CSV of a run as its blocks arrive, holding no rows.
+def _stream_csv(blocks: Iterable[_Block], path):
+    """Write the CSV of a run as its blocks arrive, holding no rows; a whole
+    ``Trace`` may stand in as a single block.
 
     The lines go to a temporary file beside ``path``, which replaces ``path``
     only once the run is complete; a run that raises leaves ``path`` as it

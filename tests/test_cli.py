@@ -364,12 +364,14 @@ class TestStreamingRun:
 
 
 class TestOutputPins:
-    """sha256 of the output file plus stdout of ``run`` and ``analyze`` at
-    sizes the scenario digests do not reach: three CSV blocks (the first with
-    its two rows without V) and a 10001-row certificate, whose index column
-    outgrows its width.  Recorded with the row-at-a-time writers, numpy 2.4.6
-    on x86-64; ``TestStreamingRun`` compares ``run`` with ``export_csv``,
-    which share one formatter, so only a pin catches a formatting change."""
+    """sha256 of the output file plus stdout of ``run``, ``analyze`` and
+    ``generate`` at sizes the scenario digests do not reach: three CSV blocks
+    (the first with its two rows without V), a 10001-row certificate, whose
+    index column outgrows its width, and the ``.npz`` of a 50-d and a 1-d
+    problem.  Recorded with the row-at-a-time writers and with ``W`` and
+    ``linear`` built inside ``generate_quadratic``, numpy 2.4.6 on x86-64;
+    ``TestStreamingRun`` compares ``run`` with ``export_csv``, which share
+    one formatter, so only a pin catches a formatting change."""
 
     RUN = {
         HB: "f3e2c0a1b0098030bd3145ebdaf6e21e4e6af2a2c7de26f181c0215bf006a879",
@@ -393,6 +395,16 @@ class TestOutputPins:
     def test_run(self, tmp_path, capsys, monkeypatch, kind):
         argv = ["run", "--method", kind.lower(), "--optimal", "--dim", "20", "--iters", "1027"]
         assert self.digest(argv, "t.csv", capsys, monkeypatch, tmp_path) == (0, self.RUN[kind])
+
+    GENERATE = {
+        "50": "140b074ae971378b1e0f05e665004cc69951ee946460f63a88af65ce3397ce0c",
+        "1": "3e9c9210fe1259917ae32cf5396707033517733b7eff1e8d407c46d34e32719a",
+    }
+
+    @pytest.mark.parametrize("dim", ["50", "1"])
+    def test_generate(self, tmp_path, capsys, monkeypatch, dim):
+        argv = ["generate", "--dim", dim, "--seed", "0"]
+        assert self.digest(argv, "p.npz", capsys, monkeypatch, tmp_path) == (0, self.GENERATE[dim])
 
     @pytest.mark.parametrize("kind", [HB, TMM])
     def test_analyze(self, tmp_path, capsys, monkeypatch, kind):
@@ -429,6 +441,49 @@ class TestProblemFile:
         captured = capsys.readouterr()
         assert rc == 1
         assert captured.err == f"error: {path}: {self.MESSAGES[case]}\n"
+        assert captured.out == ""
+        assert os.listdir(tmp_path) == ["p.npz"]
+
+
+class TestProblemFileChecks:
+    """A problem file whose W or linear disagrees with its eigenfactors, or
+    whose eigvecs are not orthogonal, gives one error line and exit 1."""
+
+    MESSAGES = {"nonsymmetric": "W must be symmetric",
+                "off_factors": "W does not match its eigenfactors",
+                "residual": "minimizer does not solve W x = linear",
+                "nonorthogonal": "eigvecs must be orthogonal"}
+
+    @staticmethod
+    def arrays(case):
+        p = generate_quadratic(3, 1.0, 4.0, seed=0)
+        arrays = dict(W=p.W, linear=p.linear, constant=np.array(p.constant),
+                      eigvals=p.eigvals, eigvecs=p.eigvecs, minimizer=p.minimizer)
+        if case == "nonsymmetric":
+            arrays["W"] = p.W + np.triu(np.ones((3, 3)), 1)
+        elif case == "off_factors":
+            arrays["W"] = 2.0 * p.W
+        elif case == "residual":  # mu = 1 > 0, so the minimizer is checked
+            arrays["linear"] = p.linear + 1.0
+        else:  # a symmetric W built from a non-orthogonal basis
+            vecs = p.eigvecs.copy()
+            vecs[:, 0] *= 2.0
+            W = (vecs * p.eigvals) @ vecs.T
+            arrays.update(W=W, linear=W @ p.minimizer, eigvecs=vecs)
+        return arrays
+
+    @pytest.mark.parametrize("command", ["run", "analyze"])
+    @pytest.mark.parametrize("case", sorted(MESSAGES))
+    def test_disagreement_is_named(self, tmp_path, capsys, command, case):
+        path = tmp_path / "p.npz"
+        np.savez(path, **self.arrays(case))
+        argv = [command, "--method", "hb", "--optimal", "--problem", str(path)]
+        if command == "run":
+            argv += ["--out", str(tmp_path / "t.csv")]
+        rc = main(argv)
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.err == f"error: {self.MESSAGES[case]}\n"
         assert captured.out == ""
         assert os.listdir(tmp_path) == ["p.npz"]
 

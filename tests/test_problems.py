@@ -72,12 +72,44 @@ class TestGenerateQuadratic:
             generate_quadratic(3, 2.0, 1.0, seed=0)
 
 
+class TestQuadraticProblem:
+    """The constructor takes the eigendecomposition; everything else is read
+    from it, and only what is given is checked."""
+
+    def test_derived_values(self):
+        p = generate_quadratic(6, 2.0, 7.0, seed=3)
+        assert (p.dim, p.mu, p.lipschitz, p.constant) == (6, 2.0, 7.0, 0.0)
+        assert p.W is p.W  # computed once
+        for a in (p.W, p.linear, p.eigvals, p.eigvecs, p.minimizer):
+            assert not a.flags.writeable
+        assert np.array_equal(p.W, p.W.T)
+        assert np.array_equal(p.linear, p.W @ p.minimizer)
+
+    @pytest.mark.parametrize("kwargs,message", [
+        (dict(eigvals=np.zeros(0), eigvecs=np.eye(0), minimizer=np.zeros(0)),
+         "nonempty"),
+        (dict(eigvals=np.ones(2), eigvecs=np.eye(3), minimizer=np.zeros(2)),
+         "eigvecs must be dim x dim"),
+        (dict(eigvals=np.ones(2), eigvecs=np.eye(2), minimizer=np.zeros(3)),
+         "minimizer must be a dim-vector"),
+        (dict(eigvals=np.array([2.0, 1.0]), eigvecs=np.eye(2), minimizer=np.zeros(2)),
+         "nondecreasing"),
+        (dict(eigvals=np.array([-1.0, 1.0]), eigvecs=np.eye(2), minimizer=np.zeros(2)),
+         "nonnegative"),
+        (dict(eigvals=np.zeros(2), eigvecs=np.eye(2), minimizer=np.zeros(2)),
+         "lipschitz must be positive"),
+        (dict(eigvals=np.ones(2), eigvecs=2.0 * np.eye(2), minimizer=np.zeros(2)),
+         "orthogonal"),
+    ])
+    def test_rejects_bad_factors(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            QuadraticProblem(**kwargs)
+
+
 class TestEvaluateGradient:
     def _scalar_problem(self):
         return QuadraticProblem(
-            dim=1, W=np.array([[2.0]]), linear=np.zeros(1), constant=0.0,
-            eigvals=np.array([2.0]), eigvecs=np.eye(1),
-            minimizer=np.zeros(1), mu=2.0, lipschitz=2.0)
+            eigvals=np.array([2.0]), eigvecs=np.eye(1), minimizer=np.zeros(1))
 
     def test_scalar_value(self):
         p = self._scalar_problem()
@@ -88,11 +120,11 @@ class TestEvaluateGradient:
         assert p.gradient(np.array([3.0])).tolist() == [6.0]
 
     def test_hand_evaluated_2d(self):
-        w = np.array([[1.0, 0.0], [0.0, 4.0]])
         p = QuadraticProblem(
-            dim=2, W=w, linear=np.array([1.0, 4.0]), constant=0.0,
             eigvals=np.array([1.0, 4.0]), eigvecs=np.eye(2),
-            minimizer=np.array([1.0, 1.0]), mu=1.0, lipschitz=4.0)
+            minimizer=np.array([1.0, 1.0]))
+        assert p.W.tolist() == [[1.0, 0.0], [0.0, 4.0]]
+        assert p.linear.tolist() == [1.0, 4.0]
         assert p.evaluate(np.array([1.0, 1.0])) == pytest.approx(-2.5)
 
     def test_gradient_zero_at_minimizer(self):
@@ -207,3 +239,28 @@ class TestSerialization:
         x = rng.standard_normal(7)
         assert q.evaluate(x) == pytest.approx(p.evaluate(x))
         assert np.allclose(q.gradient(x), p.gradient(x))
+
+    def test_loaded_problem_derives_w_from_its_factors(self, tmp_path):
+        # a W within the reconstruction tolerance loads; the problem's W is
+        # the one its factors give, bit for bit
+        p = generate_quadratic(5, 1.0, 6.0, seed=2)
+        path = tmp_path / "p.npz"
+        np.savez(path, W=p.W * (1 + 1e-13), linear=p.linear, constant=np.array(0.0),
+                 eigvals=p.eigvals, eigvecs=p.eigvecs, minimizer=p.minimizer)
+        assert np.array_equal(load_problem(path).W, p.W)
+
+    @pytest.mark.parametrize("name,value,message", [
+        ("eigvals", np.array([1.0, np.nan, 4.0]), "eigvals must be nondecreasing"),
+        ("eigvecs", np.full((3, 3), np.nan), "eigvecs must be orthogonal"),
+        ("W", np.full((3, 3), np.nan), "W must be symmetric"),
+        ("minimizer", np.full(3, np.nan), "minimizer does not solve"),
+    ])
+    def test_nan_in_the_file_is_rejected(self, tmp_path, name, value, message):
+        p = generate_quadratic(3, 1.0, 4.0, seed=0)
+        arrays = dict(W=p.W, linear=p.linear, constant=np.array(0.0),
+                      eigvals=p.eigvals, eigvecs=p.eigvecs, minimizer=p.minimizer)
+        arrays[name] = value
+        path = tmp_path / "p.npz"
+        np.savez(path, **arrays)
+        with pytest.raises(ValueError, match=message):
+            load_problem(path)

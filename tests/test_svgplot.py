@@ -48,12 +48,6 @@ class TestLinePanels:
         assert "1e-16" in text
         assert "nan" not in text.lower()
 
-    def test_custom_floor(self, tmp_path):
-        panel = Panel(title="t", floor=1e-4,
-                      series=[Series("v", np.array([1.0, 0.0]))])
-        text = render_text([panel], tmp_path / "a.svg")
-        assert "1e-4" in text
-
 
 class TestNonFiniteValues:
     """NaN and inf points are left out of the drawing and the axis ranges;

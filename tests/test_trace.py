@@ -1,4 +1,5 @@
 import math
+import os
 
 import numpy as np
 import pytest
@@ -93,16 +94,6 @@ class TestRunTraceQuadratic:
         assert tr.lyapunov[-1] < 1e-6
         assert np.nanmin(tr.lyapunov[:-1]) >= 1e-6
 
-    def test_descriptor_records_the_run(self):
-        p = generate_quadratic(4, 1.0, 4.0, seed=0)
-        spec = optimal_hyperparams(HB, 1.0, 4.0)
-        tr = run_trace(p, spec, offset_start(p), 10, seed=99)
-        assert tr.descriptor["kind"] == "quadratic"
-        assert tr.descriptor["dim"] == 4
-        assert tr.descriptor["mu"] == 1.0
-        assert tr.descriptor["L"] == 4.0
-        assert tr.seed == 99
-
 
 class TestRunTraceObjective:
     def test_rejects_objective_without_minimizer(self):
@@ -125,7 +116,6 @@ class TestRunTraceObjective:
         for x1 in (None, offset_start(p, seed=8)):
             tr_q = run_trace(p, spec, x0, 30, x1=x1)
             tr_o = run_trace(p.as_objective(), spec, x0, 30, x1=x1)
-            assert tr_o.descriptor["kind"] == "objective"
             assert np.max(np.abs(tr_q.iterates - tr_o.iterates)) <= 1e-8
             assert np.max(np.abs(tr_q.distance - tr_o.distance)) <= 1e-8
 
@@ -352,9 +342,7 @@ class TestChunkedDriver:
     @staticmethod
     def one_step_overflow(start, second=None):
         """A 1-d run about the origin that multiplies x by 1 - 1e160 per step."""
-        p = QuadraticProblem(dim=1, W=np.eye(1), linear=np.zeros(1), constant=0.0,
-                             eigvals=np.ones(1), eigvecs=np.eye(1),
-                             minimizer=np.zeros(1), mu=1.0, lipschitz=1.0)
+        p = QuadraticProblem(eigvals=np.ones(1), eigvecs=np.eye(1), minimizer=np.zeros(1))
         x1 = None if second is None else np.array([second])
         return p, MethodSpec(HB, alpha=1e160), np.array([start]), x1
 
@@ -504,6 +492,16 @@ class TestCsvRoundTrip:
         export_csv(self.make_trace(), p1)
         export_csv(self.make_trace(), p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_failed_export_leaves_the_file_as_it_was(self, tmp_path):
+        tr = self.make_trace()
+        tr.distance = tr.distance[:-1]  # columns that do not stack
+        path = tmp_path / "t.csv"
+        path.write_text("old\n", encoding="utf-8")
+        with pytest.raises(ValueError):
+            export_csv(tr, path)
+        assert path.read_text(encoding="utf-8") == "old\n"
+        assert os.listdir(tmp_path) == ["t.csv"]
 
     def test_rejects_foreign_csv(self, tmp_path):
         path = tmp_path / "bad.csv"
