@@ -116,8 +116,7 @@ def _method_spec(args, config, mu, L) -> MethodSpec:
     _require(alpha, "--alpha (or --optimal)")
     beta = _merged(args, config, "beta", 0.0)
     gamma = _merged(args, config, "gamma", 0.0)
-    return MethodSpec(kind, alpha=alpha, beta=beta,
-                      gamma=gamma if kind == TMM else 0.0)
+    return MethodSpec(kind, alpha=alpha, beta=beta, gamma=gamma)
 
 
 def _cmd_generate(args, config) -> int:

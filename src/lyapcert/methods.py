@@ -1,22 +1,27 @@
 """Two-step momentum methods: hyperparameters, coefficients, oracle step.
 
-Each method reduces, on a quadratic and per eigen-coordinate, to the scalar
-recurrence ``x_{k+1} = a x_k + b x_{k-1}`` around the minimizer.  The
-coefficient rows implemented here (general hyperparameters, eigenvalue
-``lam``):
+Every method is a member of one three-parameter family (Lessard, Recht and
+Packard, 2016).  With d_k = x_k - x_{k-1}:
 
-    HB      a = 1 - alpha lam + beta            b = -beta
-    NAG     a = (1 - alpha lam)(1 + beta)       b = -(1 - alpha lam) beta
-    TMM     a = 1 + beta - alpha(1+gamma) lam   b = alpha gamma lam - beta
-    NAG-GS  a = 2 beta + (1-beta)^2
-                - alpha (1-beta) lam            b = -beta^2
+    x_{k+1} = x_k + beta d_k - alpha grad f(x_k + gamma d_k)
+
+A ``MethodSpec`` holds the method's own hyperparameters; ``_family`` maps
+them to the family's (alpha, beta, gamma):
+
+    HB      (alpha,            beta,     0)
+    NAG     (alpha,            beta,     beta)
+    TMM     (alpha,            beta,     gamma)
+    NAG-GS  (alpha (1 - beta), beta^2,   0)   its averaged sequence y eliminated
+
+On a quadratic, per eigen-coordinate with eigenvalue ``lam``, the family is
+the scalar recurrence ``x_{k+1} = a x_k + b x_{k-1}`` around the minimizer
+with ``a = 1 + beta - alpha (1 + gamma) lam`` and ``b = alpha gamma lam - beta``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -82,47 +87,38 @@ def optimal_hyperparams(kind: str, mu: float, L: float) -> MethodSpec:
     return MethodSpec(NAGGS, alpha=(2.0 + 2.0 * math.sqrt(L / mu)) / denom, beta=(L - mu) / denom)
 
 
+def _family(spec: MethodSpec) -> tuple[float, float, float]:
+    """The family's (alpha, beta, gamma) for ``spec``: the only place a
+    method's update rule is spelled out."""
+    if spec.kind == NAG:
+        return spec.alpha, spec.beta, spec.beta
+    if spec.kind == NAGGS:
+        return spec.alpha * (1.0 - spec.beta), spec.beta * spec.beta, 0.0
+    return spec.alpha, spec.beta, spec.gamma  # HB's gamma is 0
+
+
 def coefficient_arrays(spec: MethodSpec, eigvals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Recurrence coefficients (a, b) of the method on each eigenvalue; raises
     if a coefficient is not finite (e.g. alpha * lam overflows)."""
     lam = np.asarray(eigvals, dtype=float)
     if np.any(lam < 0):
         raise ValueError("eigenvalues must be nonnegative")
-    al, be, ga = spec.alpha, spec.beta, spec.gamma
+    al, be, ga = _family(spec)
     with np.errstate(over="ignore", invalid="ignore"):  # caught below
-        if spec.kind == HB:
-            a = 1.0 - al * lam + be
-            b = np.full_like(lam, -be)
-        elif spec.kind == NAG:
-            s = 1.0 - al * lam
-            a = s * (1.0 + be)
-            b = -s * be
-        elif spec.kind == TMM:
-            a = 1.0 + be - al * (1.0 + ga) * lam
-            b = al * ga * lam - be
-        else:  # NAGGS
-            a = 2.0 * be + (1.0 - be) ** 2 - al * (1.0 - be) * lam
-            b = np.full_like(lam, -be * be)
+        a = 1.0 + be - al * (1.0 + ga) * lam
+        b = al * ga * lam - be
     if not (np.isfinite(a).all() and np.isfinite(b).all()):
         raise ValueError("coefficients must be finite")
-    # + 0.0 turns negative zeros (e.g. -s * be when s underflows to 0.0)
-    # into plain zeros so serialized coefficients never read "-0"
+    # + 0.0 turns negative zeros (e.g. alpha gamma lam - beta at lam = 0 with
+    # gamma < 0 and beta = 0) into plain zeros so serialized coefficients
+    # never read "-0"
     return a + 0.0, b + 0.0
 
 
-def _step(obj: Objective, spec: MethodSpec, cur: np.ndarray, prev: np.ndarray,
-          aux: Optional[np.ndarray]) -> tuple[np.ndarray, Optional[np.ndarray]]:
-    """One literal method update through the gradient oracle: x_{k+1} and
-    the auxiliary y, which only NAG-GS reads and updates."""
-    al, be, ga = spec.alpha, spec.beta, spec.gamma
-    if spec.kind == HB:
-        return cur - al * np.asarray(obj.gradient(cur), dtype=float) + be * (cur - prev), aux
-    if spec.kind == NAG:
-        y = cur + be * (cur - prev)
-        return y - al * np.asarray(obj.gradient(y), dtype=float), aux
-    if spec.kind == TMM:
-        z = (1.0 + ga) * cur - ga * prev
-        return (1.0 + be) * cur - be * prev - al * np.asarray(obj.gradient(z), dtype=float), aux
-    # NAG-GS keeps the averaged sequence y as persistent auxiliary state
-    y = be * aux + (1.0 - be) * cur - al * np.asarray(obj.gradient(cur), dtype=float)
-    return be * cur + (1.0 - be) * y, y
+def _step(obj: Objective, family: tuple[float, float, float], cur: np.ndarray,
+          prev: np.ndarray) -> np.ndarray:
+    """x_{k+1} of the family member ``family = (alpha, beta, gamma)`` through
+    the gradient oracle, on plain arrays."""
+    al, be, ga = family
+    d = cur - prev
+    return cur + be * d - al * np.asarray(obj.gradient(cur + ga * d), dtype=float)

@@ -20,7 +20,7 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuadraticProblem:
     """Convex quadratic ``0.5 x'Wx - linear'x + constant`` given by its
     eigendecomposition.
@@ -29,7 +29,8 @@ class QuadraticProblem:
     eigvecs.T``; ``mu = eigvals[0]``, ``lipschitz = eigvals[-1]`` and
     ``linear = W @ minimizer``.  ``minimizer`` is the unique minimizer when
     ``mu > 0`` and one of infinitely many when ``mu == 0``.  ``W`` and
-    ``linear`` are computed on first read.
+    ``linear`` are computed on first read.  Problems compare and hash by
+    identity, as array fields have no single truth value.
     """
 
     eigvals: np.ndarray
@@ -112,9 +113,10 @@ class QuadraticProblem:
         return x
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Objective:
-    """Black-box objective given by value and gradient oracles."""
+    """Black-box objective given by value and gradient oracles; compared and
+    hashed by identity."""
 
     dim: int
     value: Callable[[np.ndarray], float]

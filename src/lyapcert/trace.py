@@ -4,14 +4,14 @@ One driver, ``_blocks``, is the only step loop; only the row engine differs.
 Quadratic targets advance in the eigenbasis so the recorded Lyapunov values
 keep full relative accuracy all the way down to underflow: the engine runs
 nothing but the recurrence z_{k+1} = a z_k + b z_{k-1}, a block of rows at a
-time.  Objective targets take the literal method updates through the
-gradient oracle; their engine ends a block at the first row beyond the
-divergence threshold (and steps one row per block under a V floor), so no
-gradient is evaluated past the stop.  The driver checks each finished block
-as arrays (non-finite rows, divergence, the V floor), cutting the run at the
-first hit in the order a step-by-step loop would meet them, and hands the
-block on with its gap, distance and V, computed once per block from a
-two-row carry.
+time.  Objective targets take the family update of ``methods._step``
+through the gradient oracle, with no state beyond the last two iterates;
+their engine ends a block at the first row beyond the divergence threshold
+(and steps one row per block under a V floor), so no gradient is evaluated
+past the stop.  The driver checks each finished block as arrays
+(non-finite rows, divergence, the V floor), cutting the run at the first hit
+in the order a step-by-step loop would meet them, and hands the block on
+with its gap, distance and V, computed once per block from a two-row carry.
 
 ``run_trace`` joins the blocks into a ``Trace``; the full-space iterates of a
 quadratic run are built from the stored eigen-coordinates only when
@@ -33,7 +33,7 @@ from typing import Iterable, Iterator, NamedTuple, Optional, Union
 import numpy as np
 
 from .lyapunov import LyapunovSeries, DEFAULT_TOLERANCE
-from .methods import NAGGS, MethodSpec, _step, coefficient_arrays
+from .methods import MethodSpec, _family, _step, coefficient_arrays
 from .problems import Objective, QuadraticProblem
 
 DIVERGENCE_THRESHOLD = 1e12
@@ -226,26 +226,18 @@ def _eigenbasis_engine(p: QuadraticProblem, spec: MethodSpec, starts):
 
 
 def _oracle_engine(obj: Objective, spec: MethodSpec, starts, threshold: float):
-    """The starts, and ``advance(n)``, the next n literal method steps through
-    the gradient oracle, or fewer: up to the first row whose distance from
-    the minimizer is not within ``threshold``."""
+    """The starts, and ``advance(n)``, the next n method steps through the
+    gradient oracle, or fewer: up to the first row whose distance from the
+    minimizer is not within ``threshold``."""
     prev, cur = starts[0], starts[-1]
     xs = np.asarray(obj.minimizer, dtype=float)
-    aux = None
-    if spec.kind == NAGGS:
-        if len(starts) == 1:
-            aux = cur
-        elif spec.beta == 1.0:
-            raise ValueError("cannot reconstruct NAG-GS auxiliary state for beta = 1")
-        else:  # the averaged y behind x1 = beta x0 + (1 - beta) y
-            aux = (cur - spec.beta * prev) / (1.0 - spec.beta)
+    family = _family(spec)
 
     def advance(n: int) -> np.ndarray:
-        nonlocal prev, cur, aux
+        nonlocal prev, cur
         block = np.empty((n, cur.shape[0]))
         for i, row in enumerate(block):
-            nxt, aux = _step(obj, spec, cur, prev, aux)
-            prev, cur = cur, nxt
+            prev, cur = cur, _step(obj, family, cur, prev)
             row[:] = cur
             z = row - xs
             if not math.sqrt(z.dot(z)) <= threshold:

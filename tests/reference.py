@@ -5,9 +5,10 @@ The library computes coefficients, eigenvalues and V on whole columns
 functions are the per-coordinate statements those columns are checked
 against, written out with ``math`` on Python floats: the eigenvalues of the
 companion matrix M = [[a, b], [1, 0]], the conjugate-pair test, the 2x2
-Schur factorization behind the certificate, and the three-point value V.
-The text writers at the end format one row or point at a time; the
-library's block writers must give the same bytes.
+Schur factorization behind the certificate, the three-point value V, and
+NAG-GS in its literal two-sequence form.  The text writers at the end
+format one row or point at a time; the library's block writers must give
+the same bytes.
 """
 
 import math
@@ -106,6 +107,25 @@ def vector_V(x_k, x_km1, x_km2, x_star):
         np.asarray(x_km1, dtype=float) - x_star,
         np.asarray(x_km2, dtype=float) - x_star,
     )))
+
+
+def naggs_iterates(gradient, alpha, beta, starts, rows):
+    """Rows x_0, x_1, ... of NAG-GS in its own two-sequence form,
+
+        y_{k+1} = beta y_k + (1 - beta) x_k - alpha grad f(x_k)
+        x_{k+1} = beta x_k + (1 - beta) y_{k+1},
+
+    from ``starts`` = (x0,) with y = x0, or (x0, x1) with the y behind
+    x1 = beta x0 + (1 - beta) y (beta != 1).  The library runs the same method
+    as the family member (alpha (1 - beta), beta^2, 0), with y eliminated.
+    """
+    xs = [np.asarray(x, dtype=float) for x in starts]
+    y = xs[0] if len(xs) == 1 else (xs[1] - beta * xs[0]) / (1.0 - beta)
+    while len(xs) < rows:
+        x = xs[-1]
+        y = beta * y + (1.0 - beta) * x - alpha * np.asarray(gradient(x), dtype=float)
+        xs.append(beta * x + (1.0 - beta) * y)
+    return np.stack(xs)
 
 
 # Text writers, one row or point at a time: the formatting the library's

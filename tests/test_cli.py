@@ -99,6 +99,18 @@ class TestAnalyze:
         assert rc == 0
         assert "coordinates: 5" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("method", ["hb", "nag", "nag-gs"])
+    @pytest.mark.parametrize("command", ["analyze", "run"])
+    def test_gamma_outside_tmm_is_an_error(self, tmp_path, capsys, method, command):
+        # not certified as gamma = 0: TMM is the family member that takes gamma
+        out = tmp_path / "o.csv"
+        rc = main([command, "--method", method, "--alpha", "0.1", "--beta", "0.2",
+                   "--gamma", "0.3", "--mu", "1", "--L", "4", "--out", str(out)])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.err == "error: gamma is only used by TMM\n"
+        assert captured.out == "" and not out.exists()
+
     def test_optimal_conflicts_with_alpha(self, capsys):
         rc = main(["analyze", "--method", "hb", "--optimal", "--alpha", "0.1",
                    "--mu", "1", "--L", "4"])
@@ -370,17 +382,18 @@ class TestOutputPins:
     index column outgrows its width, and the ``.npz`` of a 50-d and a 1-d
     problem.  Recorded with the row-at-a-time writers and with ``W`` and
     ``linear`` built inside ``generate_quadratic``, numpy 2.4.6 on x86-64;
+    the HB and NAG pins re-taken with the family's coefficient formula;
     ``TestStreamingRun`` compares ``run`` with ``export_csv``, which share
     one formatter, so only a pin catches a formatting change."""
 
     RUN = {
-        HB: "f3e2c0a1b0098030bd3145ebdaf6e21e4e6af2a2c7de26f181c0215bf006a879",
-        NAG: "4ec21b3d3db360b14eb8b72945e0617490c8f59dc30c4ce252efe1f3612545ef",
+        HB: "2b5acf9ebae275e5b4a659aa8789acba7880d064bf8881dc672d5a60f96e0ab9",
+        NAG: "0f5c16f79e333e80e01624dc9e16c87823f326ae6a39909d751f6d3ccb47b64b",
         TMM: "446abaeab7ff625d0178942a5284c16f3ccf7369d08215a11a1d96d6d657e32d",
         NAGGS: "d1de5b4f5e90ce8ec0b57116e7c6c3446699c4623890bacfeff4bb81bc0e2e2f",
     }
     ANALYZE = {
-        HB: (0, "3a039809fcaa18d69f71cf987a5405b5833c494df6f3125acc66af816003a2fd"),
+        HB: (0, "5347799462c838d4ffbac929afc078ab8607ec0e44e9afbce4a78766c52ee527"),
         TMM: (1, "3ebeb3484decd3074b05efde477b3ca3c849937604340fe903dd95c947f8920e"),
     }
 

@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 
 from lyapcert import (HB, KINDS, NAG, NAGGS, TMM, MethodSpec, analyze,
-                      coefficient_arrays, generate_quadratic,
-                      optimal_hyperparams, run_trace)
-from lyapcert.methods import _step
+                      coefficient_arrays, cosine_counterexample,
+                      generate_quadratic, optimal_hyperparams,
+                      rosenbrock_objective, run_trace)
+from lyapcert.methods import _family, _step
+from reference import naggs_iterates
 
 
 def coefficients(spec, lam):
@@ -234,23 +236,15 @@ class TestStepEngines:
         obj = generate_quadratic(4, 1.0, 6.0, seed=7).as_objective()
         spec = MethodSpec(NAG, alpha=0.12, beta=0.0)
         x = rng.standard_normal(4)
-        nxt, _ = _step(obj, spec, x, x, None)
+        nxt = _step(obj, _family(spec), x, x)
         assert np.allclose(nxt, x - 0.12 * obj.gradient(x), atol=1e-14)
 
     def test_tmm_from_rest_is_gradient_step(self, rng):
         p = generate_quadratic(4, 1.0, 6.0, seed=8)
         spec = optimal_hyperparams(TMM, 1.0, 6.0)
         x = p.minimizer + rng.standard_normal(4)
-        nxt, _ = _step(p.as_objective(), spec, x, x, None)
+        nxt = _step(p.as_objective(), _family(spec), x, x)
         assert np.allclose(nxt, x - spec.alpha * p.gradient(x), atol=1e-12)
-
-    def test_naggs_requires_auxiliary(self):
-        # run_trace rebuilds y from x1 = beta x0 + (1 - beta) y, which beta = 1
-        # leaves undetermined
-        obj = generate_quadratic(3, 1.0, 5.0, seed=9).as_objective()
-        spec = MethodSpec(NAGGS, alpha=0.5, beta=1.0)
-        with pytest.raises(ValueError, match="auxiliary"):
-            run_trace(obj, spec, np.zeros(3), 5, x1=np.ones(3))
 
     def test_nag_two_step_reduction_1d(self):
         # eliminating the y-sequence gives a=(1+beta)(1-alpha*lam),
@@ -265,7 +259,7 @@ class TestStepEngines:
         cur, prev = xs + 1.0, xs + 1.0
         x_cur, x_prev = np.array([cur]), np.array([prev])
         for _ in range(10):
-            x_cur, x_prev = _step(obj, spec, x_cur, x_prev, None)[0], x_cur
+            x_cur, x_prev = _step(obj, _family(spec), x_cur, x_prev), x_cur
             cur, prev = a * (cur - xs) + b * (prev - xs) + xs, cur
             assert x_cur[0] == pytest.approx(cur, rel=1e-10, abs=1e-10)
 
@@ -274,6 +268,39 @@ class TestStepEngines:
         obj = generate_quadratic(3, 1.0, 5.0, seed=9).as_objective()
         with pytest.raises(ValueError, match="x1 must match"):
             run_trace(obj, MethodSpec(HB, alpha=0.1), np.zeros(3), 5, x1=np.zeros(4))
+
+
+class TestFamily:
+    """Every method runs as x_{k+1} = x_k + beta d_k - alpha grad f(x_k + gamma d_k);
+    the literal forms it replaces give the same iterates."""
+
+    @pytest.mark.parametrize("x1", [None, np.array([0.71, 1.38])], ids=["equal", "unequal"])
+    def test_naggs_matches_two_sequence_form(self, x1):
+        # the y-sequence eliminated: rosenbrock, the rosenbrock scenario's
+        # hyperparameters, 4000 steps
+        obj = rosenbrock_objective()
+        alpha, beta = 5e-4, 0.5
+        x0 = np.array([0.7, 1.4])
+        tr = run_trace(obj, MethodSpec(NAGGS, alpha=alpha, beta=beta), x0, 4001, x1=x1)
+        assert len(tr) == 4001 and not tr.diverged
+        starts = (x0,) if x1 is None else (x0, x1)
+        ref = naggs_iterates(obj.gradient, alpha, beta, starts, len(tr))
+        assert np.max(np.abs(tr.rows - ref)) <= 1e-13
+
+    @pytest.mark.parametrize("engine", ["eigenbasis", "oracle", "cosine"])
+    def test_nag_is_tmm_with_gamma_beta(self, engine, rng):
+        p = generate_quadratic(6, 1.0, 30.0, seed=11)
+        target = {"eigenbasis": p, "oracle": p.as_objective(),
+                  "cosine": cosine_counterexample()}[engine]
+        nag = optimal_hyperparams(NAG, 1.0, 30.0)
+        tmm = MethodSpec(TMM, alpha=nag.alpha, beta=nag.beta, gamma=nag.beta)
+        x0 = np.asarray(target.minimizer) + rng.standard_normal(target.dim)
+        x1 = np.asarray(target.minimizer) + rng.standard_normal(target.dim)
+        for start in ({}, {"x1": x1}):
+            a = run_trace(target, nag, x0, 300, **start)
+            b = run_trace(target, tmm, x0, 300, **start)
+            assert np.array_equal(a.rows, b.rows)
+            assert np.array_equal(a.lyapunov, b.lyapunov, equal_nan=True)
 
 
 class TestOptimalRateInvariants:

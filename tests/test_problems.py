@@ -85,6 +85,15 @@ class TestQuadraticProblem:
         assert np.array_equal(p.W, p.W.T)
         assert np.array_equal(p.linear, p.W @ p.minimizer)
 
+    def test_identity_equality_and_hash(self):
+        # array fields have no single truth value: problems compare by identity
+        p = generate_quadratic(3, 1.0, 4.0, seed=0)
+        obj = rosenbrock_objective()
+        assert p == p and obj == obj
+        assert p != generate_quadratic(3, 1.0, 4.0, seed=0)
+        assert p.as_objective() != p.as_objective()
+        assert len({p, obj, p}) == 2
+
     @pytest.mark.parametrize("kwargs,message", [
         (dict(eigvals=np.zeros(0), eigvecs=np.eye(0), minimizer=np.zeros(0)),
          "nonempty"),

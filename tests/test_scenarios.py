@@ -195,19 +195,19 @@ DIGESTS = {
         "fig1_gap.svg":
             "54c677c99398a54194f499ae037205c3338d481b69354c775294f718aa48e468",
         "fig1_hb_certificate.csv":
-            "a2c0a89413eb7db93a8ebf7fba925f268c79a54331b435489c1e4ba7e2d08487",
+            "3c9efdb38dc4566f01244d4b62f0ee82b662023e8480381875c90d5cb06b223b",
         "fig1_hb_certificate.txt":
             "1a83762504f864399363e7d8074951eecc5083c03dc66a5236dd4f4841db299d",
         "fig1_hb_trace.csv":
-            "c9a95b3d884f84e2381613e19627eb2a939168a6e47e1b8c74ea7c6d09877d9d",
+            "a21027d7376fd1cf7a5161dc81482775e9ceb5a9d65c9e5ddf47d9d2e35ee938",
         "fig1_lyapunov.svg":
             "467e071452768383ff0298c15bf982394611556bb8adecca1c3fa1b534f4bef5",
         "fig1_nag_certificate.csv":
-            "08420dc1079ef9f4fabe66f7d4c1af5fb9ebe8246e46467d751ac88adffa8253",
+            "9368174bd6c9efa595e402ff6f6779da5ddbb88d261f1a2bfdb02170297c89a3",
         "fig1_nag_certificate.txt":
-            "9e2ede89d10bc8131b2956b3f0bde2b53d0ae3dd59793bca1c6208098964aafc",
+            "6a6b8bbef5bc807f37d29960cdb00325f7bf717302cee9d76b631d72ab0d787d",
         "fig1_nag_trace.csv":
-            "9735bcd1d6a6ba62df4d7cc7490069d0ab34ed863338c89fa8fcbd6c22c00877",
+            "a03a52b585c4b971bb83380b56c00d8af1f8662be93f6e1d9c8b0125b741f410",
         "fig1_naggs_certificate.csv":
             "fe74c5f19d6f75181f8d122f61f38ec387846f67d4ff6678096dd69c3df4e197",
         "fig1_naggs_certificate.txt":
@@ -233,11 +233,11 @@ DIGESTS = {
         "quadratic_gap.svg":
             "062a624d8fae12578032fb8da0c1b3a14c7a1507af8077b227f74948728779de",
         "quadratic_hb_certificate.csv":
-            "6b5a789b16ee3835f8d33fbdced568e5c9db86e80241dd34efaa16222fcc2e39",
+            "85dc16e8186171380c0a84a42b512b42a12039e4523ef3b43944272e8f149cae",
         "quadratic_hb_certificate.txt":
-            "4faf809e96c3654e95fb8a53271a3fe5c23e0f26e94c74ae69b4861b5bb8e487",
+            "e4bdf200c2d27317c321ef87e1cbabf042cf467d939b026b5a4c66c9ebae2b17",
         "quadratic_hb_trace.csv":
-            "d4be831a68c2100b28ca4554eda43d89bdec6b1d31796bbcebb47921e6c51ed8",
+            "a800b1c4c1b801676e1a69f7670da1a487730359ece89fc138df4755fbfe74d9",
         "quadratic_lyapunov.svg":
             "d26fee91979a2a4f5550f471d655dbaaa27fc1f6395008a2c6f05a8e90ee89d1",
         "quadratic_nag_certificate.csv":
@@ -279,11 +279,11 @@ DIGESTS = {
         "nonoptimal_lyapunov.svg":
             "62992642651ab774bb6703f36456f6da1e675847b024c498bc39de3203912d51",
         "nonoptimal_nag_certificate.csv":
-            "97ceeb5b6c1008a0215dcc4427f837c0aa17c71b7f38fc4426c1dcacdc52ff3d",
+            "06b272ef0f14bafe0faa1aadde3e6841f632e94f1198aed0d055bc86c15cbdab",
         "nonoptimal_nag_certificate.txt":
-            "118c2bdf242e4b7743497514e6882e20b05d5391517b9de25282dafca070aab7",
+            "eff6b33f15d946eefce13f73166e215c0224708f9c12cdf395ed92574bfb0b2e",
         "nonoptimal_nag_trace.csv":
-            "f51544eb21d9a85080378c10399be07eccdf58e585a329e69c25c266faeda529",
+            "db922aa9f8f20bfa7103a0bd36e371ce911fb1e7d87298ea040a4519b9fb36a4",
         "nonoptimal_naggs_certificate.csv":
             "276eaaf80394795240e8fa4161f146c78eb8d6dcc6e2a2cad1f9d7c1c18956de",
         "nonoptimal_naggs_certificate.txt":
@@ -317,11 +317,11 @@ DIGESTS = {
         "convex-mu0_lyapunov.svg":
             "49fc95034fee6a0195b62b7b28be46fde31e5ca7a71620fdd01a8b36b086b132",
         "convex-mu0_nag_certificate.csv":
-            "f45eb3ccc145ccdadc45b8b5c4f81a9ad1ddde762f24ea2a4ea52bd8a28b1f36",
+            "b77c055c87db28a5fc90e02c79c5f67dc5348f58abfb8c20a8ca186dde9f8443",
         "convex-mu0_nag_certificate.txt":
-            "4e860303995c8b3574db33fbbbed8023aaa7f62b48d00d359fef9a3fc656328b",
+            "bf7ad15cee9ec032082c3766d61ba05723b9e13069938a9adedd77f96233d67d",
         "convex-mu0_nag_trace.csv":
-            "075dcf98a3d8186f44978c39ebbf888be9de9ab5e461d2743af88851e0aae86e",
+            "39937b991a8efff7fb2945d67669f62b0d89e20c4ec232a00107a13c904d79f8",
         "convex-mu0_naggs_certificate.csv":
             "1b1551b3b4ca074cf66e6e44f72d3f0dc61cfd94aeeed57c39f99e76b8d547e4",
         "convex-mu0_naggs_certificate.txt":
@@ -349,7 +349,7 @@ DIGESTS = {
         "cosine_hb_certificate.txt":
             "2a669f1a329be5f60b15dc534ea52c5543144a7fd5e0c691d146d584321046ab",
         "cosine_hb_trace.csv":
-            "45d967a9f7d120687aca44a024508e75a9779cd21b84334482b0c608d6845e01",
+            "f0a9fa92d01e5961ae18ef20f42495bdcf7fbac341543d61769a14c6b76cca6d",
         "cosine_lyapunov.svg":
             "3f1645348a912d32b175ca3da57c920b6cb04c03bf05fff2324bb85cbcfe3238",
         "cosine_overview.svg":
@@ -375,19 +375,19 @@ DIGESTS = {
         "expnorm_gap.svg":
             "ac4f32026c466c5fae48f78e5db8b0d3ab3a5ed0a8f7f3f15fda4cead381790a",
         "expnorm_hb_trace.csv":
-            "6bca7497e6dc2f24d7692b496be814049b2c69daa279bc305d238b50cc87de3e",
+            "9af7832d7e1498204f72d62d34abdeb2cf595d715913fcfe05d4ae91d26c6b81",
         "expnorm_lyapunov.svg":
             "5c0448197c1dc104b1333d09ccbb89f5a4e82bbef4890495395be977061624c5",
         "expnorm_nag_trace.csv":
             "c88e7b269cc623e7f3254a14c40e43d5c79bae9d01a3fd2a590eeb616256ad04",
         "expnorm_naggs_trace.csv":
-            "518969e6ae55221c96807817558d6bb9e098bfd2824b7110e6fc626586da0379",
+            "dcc003afc3ec38b5d76c607e568be03b467f9d3208b3ae1e2388cbdd6388a512",
         "expnorm_overview.svg":
             "e8ae0b62821804d7dbf9b64c07eeda75f894dbc99967cb973325e254827fa49b",
         "expnorm_report.txt":
             "729746c14c29d07011c1afa0ac8c93c3813eb887600494abee7789d310bcb1fa",
         "expnorm_tmm_trace.csv":
-            "dff7b4ee67f916a1497661fba75917dd7973093929e9bcf660628aa310e7a860",
+            "e0917e1406dc834c96408a4fa936f39406da75c5b3dda2740d197ef353d8920e",
     },
     "rosenbrock": {
         "rosenbrock_distance.svg":
@@ -395,19 +395,19 @@ DIGESTS = {
         "rosenbrock_gap.svg":
             "ee72047ab223f7c76ac45986d35fefee650db452b590de368dbd5cba2cb132d7",
         "rosenbrock_hb_trace.csv":
-            "ed1e9c6065be321c83cbfa718e98ffe4ae0104d2107e6da5050d890a42e3554d",
+            "119bde173f4c36e0c87c73e38d4eec9f7c94af18639252953ac6e8e1656bd7b3",
         "rosenbrock_lyapunov.svg":
             "64b31f818771058640c92eb152eac73d655f3246d8b09e8e6444cab5767a16c4",
         "rosenbrock_nag_trace.csv":
             "737e5cbdcc6cdf3befb416d0d0109c0e6e8097fa101d5bc214a9bf1c01315b36",
         "rosenbrock_naggs_trace.csv":
-            "d5b81d844fb71fc184dfdcfcd4f52dbfdeebd4952c2952d6538a6d64fca87eb9",
+            "b975f41375c172a1cbd4b4dff507b1e5a12de4312d367937357b73fb932970ce",
         "rosenbrock_overview.svg":
             "f3cf3995ef36356f4f30da07f890ef77443da4d0fbd0a3740a44d553a7a34378",
         "rosenbrock_report.txt":
             "4a6396cb1493a647ad76a5dec618b44dd1f45fef856f14b4837f9d8280171b0a",
         "rosenbrock_tmm_trace.csv":
-            "8f1a3405b5d606602df3d44d5583231a3dfe7a0fa40b44814cb83a7038b16516",
+            "5b48a6ab01af2f126bc669650da2054b78db3246587fd32a36ab5f20804d1822",
     },
 }
 

@@ -283,7 +283,8 @@ class TestCertificateSerialization:
     def test_golden_digest_tuned_methods(self):
         # CSV + report bytes of the four tuned certificates (TMM's report
         # lists real-split coordinates with "(+23 more)"), fixed at the
-        # scalar per-coordinate implementation
+        # scalar per-coordinate implementation; re-taken when HB and NAG moved
+        # to the family's coefficient formula (last-ulp evaluation order)
         digest = hashlib.sha256()
         grid = np.linspace(1.0, 1000.0, 257)
         for kind in KINDS:
@@ -291,7 +292,7 @@ class TestCertificateSerialization:
             digest.update(certificate_csv_text(cert).encode())
             digest.update(certificate_report_text(cert).encode())
         assert digest.hexdigest() == \
-            "4331732306dcb728da3a63328fa5a6f234676369f6de7b155c17155c64cddd65"
+            "80451215c224530383ca5672d84e38e2a6bf12b46f2ee9d514cfb81d984f9f21"
 
     def test_report_mentions_verdict(self):
         spec = optimal_hyperparams(HB, 1.0, 4.0)
