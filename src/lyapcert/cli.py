@@ -103,13 +103,20 @@ def _require(value, flag: str):
     return value
 
 
+def _optimal(args, config) -> bool:
+    """The ``optimal`` switch; tuned values leave no hyperparameter to set."""
+    optimal = _merged(args, config, "optimal", False)
+    given = [f"--{k}" for k in ("alpha", "beta", "gamma")
+             if _merged(args, config, k) is not None]
+    if optimal and given:
+        raise UsageError(f"--optimal conflicts with explicit {', '.join(given)}")
+    return optimal
+
+
 def _method_spec(args, config, mu, L) -> MethodSpec:
     kind = _require(_merged(args, config, "method"), "--method")
-    optimal = _merged(args, config, "optimal", False)
     alpha = _merged(args, config, "alpha")
-    if optimal:
-        if alpha is not None:
-            raise UsageError("--optimal conflicts with explicit --alpha")
+    if _optimal(args, config):
         _require(mu, "--mu (needed by --optimal)")
         _require(L, "--L (needed by --optimal)")
         return optimal_hyperparams(kind, mu, L)
@@ -195,6 +202,7 @@ def _cmd_scenario(args, config) -> int:
     if name not in SCENARIOS:
         known = ", ".join(sorted(SCENARIOS))
         raise UsageError(f"unknown scenario {name!r} (known: {known})")
+    _optimal(args, config)
     out = _merged(args, config, "out", os.path.join("artifacts", name))
     # unset fields keep the dataclass defaults (seed, tolerance) or the
     # scenario's own

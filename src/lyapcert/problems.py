@@ -56,7 +56,10 @@ class QuadraticProblem:
             raise ValueError("eigvals must be nonnegative")
         if not vals[-1] > 0:
             raise ValueError("lipschitz must be positive")
-        if not np.abs(vecs.T @ vecs - np.eye(d)).max() <= _ORTHOGONALITY_TOL:
+        # |vecs'vecs - I| in place on the one Gram matrix, without an identity
+        gram = vecs.T @ vecs
+        gram.flat[::d + 1] -= 1.0
+        if not np.abs(gram, out=gram).max() <= _ORTHOGONALITY_TOL:
             raise ValueError("eigvecs must be orthogonal")
         # freeze arrays so instances are safe to share
         object.__setattr__(self, "eigvals", vals)
@@ -163,10 +166,10 @@ def generate_quadratic(dim: int, mu: float, L: float, seed: int) -> QuadraticPro
         eigvals = np.array([float(L)])
     else:
         eigvals = np.linspace(mu, L, dim)
-    raw = rng.standard_normal((dim, dim))
-    q, r = np.linalg.qr(raw)
-    signs = np.where(np.diag(r) < 0, -1.0, 1.0)
-    q = q * signs
+    # only Q outlives the factorisation: its column signs are read off R
+    q, r = np.linalg.qr(rng.standard_normal((dim, dim)))
+    q *= np.where(np.diag(r) < 0, -1.0, 1.0)
+    del r
     minimizer = rng.standard_normal(dim)
     return QuadraticProblem(eigvals, q, minimizer)
 
@@ -243,9 +246,12 @@ def save_problem(p: QuadraticProblem, path) -> None:
 def load_problem(path) -> QuadraticProblem:
     """Load a problem written by save_problem.
 
-    The file's ``W`` and ``linear`` must agree with its eigenfactors: a
-    missing array, an empty spectrum or a disagreement raises ValueError.
-    The problem returned derives ``W`` and ``linear`` from the factors."""
+    Every array must be real, ``constant`` a 0-d number and ``eigvals`` a
+    vector; the file's ``W`` and ``linear`` must agree with its eigenfactors:
+    a missing or malformed array, an empty spectrum or a disagreement raises
+    ValueError.  The problem returned derives ``W`` and ``linear`` from the
+    factors.  The checks hold at most one d x d work array beside ``W`` and
+    the factors."""
     npz = np.load(path)
     if not isinstance(npz, np.lib.npyio.NpzFile):  # a bare .npy array
         raise ValueError(f"{path}: not an .npz problem file")
@@ -254,8 +260,15 @@ def load_problem(path) -> QuadraticProblem:
             if k not in npz.files:
                 raise ValueError(f"{path}: no {k} array in the problem file")
         data = {k: npz[k] for k in _ARRAYS}
+    for k in _ARRAYS:  # before any conversion to float
+        if data[k].dtype.kind not in "biuf":
+            raise ValueError(f"{path}: {k} must be real")
+    if data["constant"].ndim != 0:
+        raise ValueError(f"{path}: constant must be a 0-d number")
     vals = data["eigvals"]
-    if vals.ndim != 1 or vals.shape[0] < 1:
+    if vals.ndim != 1:
+        raise ValueError(f"{path}: eigvals must be a vector")
+    if vals.shape[0] < 1:
         raise ValueError(f"{path}: the problem has no eigenvalues")
     d = vals.shape[0]
     W = np.asarray(data["W"], dtype=float)
@@ -265,11 +278,16 @@ def load_problem(path) -> QuadraticProblem:
     if lin.shape != (d,) or data["minimizer"].shape != (d,):
         raise ValueError("eigvals, linear and minimizer must be dim-vectors")
     # comparisons are written so that a NaN fails them
-    if not np.abs(W - W.T).max() <= 1e-10 * max(1.0, float(np.abs(W).max())):
+    scale = max(1.0, float(np.abs(W).max()))
+    asym = W - W.T
+    if not np.abs(asym, out=asym).max() <= 1e-10 * scale:
         raise ValueError("W must be symmetric")
-    p = QuadraticProblem(vals, data["eigvecs"], data["minimizer"], float(data["constant"]))
+    del asym
+    # the problem holds the only copy of the eigenvectors
+    p = QuadraticProblem(vals, data.pop("eigvecs"), data["minimizer"], float(data["constant"]))
     recon = (p.eigvecs * p.eigvals) @ p.eigvecs.T
-    if not np.linalg.norm(W - recon) / max(np.linalg.norm(W), 1e-300) <= _RECONSTRUCTION_TOL:
+    np.subtract(W, recon, out=recon)
+    if not np.linalg.norm(recon) / max(np.linalg.norm(W), 1e-300) <= _RECONSTRUCTION_TOL:
         raise ValueError("W does not match its eigenfactors")
     if p.mu > 0 and not (np.linalg.norm(W @ p.minimizer - lin)
                          <= _RESIDUAL_TOL * max(np.linalg.norm(lin), 1e-300)):

@@ -99,8 +99,9 @@ def _specs(cfg: ScenarioConfig) -> dict:
     specs = {}
     for kind in kinds:
         if cfg.alpha is not None:
-            specs[kind] = MethodSpec(kind, alpha=cfg.alpha, beta=cfg.beta or 0.0,
-                                     gamma=(cfg.gamma or 0.0) if kind == TMM else 0.0)
+            # one --gamma serves TMM among all kinds; a named kind takes it as given
+            gamma = (cfg.gamma or 0.0) if kind == TMM or cfg.method is not None else 0.0
+            specs[kind] = MethodSpec(kind, alpha=cfg.alpha, beta=cfg.beta or 0.0, gamma=gamma)
         elif cfg.optimal:
             specs[kind] = optimal_hyperparams(kind, cfg.mu, cfg.L)
         else:

@@ -5,6 +5,8 @@ finite differences for gradients, power iteration for spectral radii, and
 direct recurrence iteration for coefficient sampling.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -48,6 +50,19 @@ def power_radius(a, b, steps=2000, seed=0):
         if k >= burn:
             acc += np.log(n)
     return float(np.exp(acc / (steps - burn)))
+
+
+def peak_bytes(fn) -> int:
+    """Peak bytes that ``fn()`` holds at once beyond what was allocated
+    before the call, as numpy reports its buffers to tracemalloc."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.fixture

@@ -427,11 +427,17 @@ class TestOutputPins:
 
 
 class TestProblemFile:
-    """A problem file without arrays or a spectrum gives one error line, exit 1."""
+    """A problem file without arrays or a spectrum, or with an array of the
+    wrong kind, gives one error line, exit 1, and no traceback or warning."""
 
     MESSAGES = {"missing": "no eigvals array in the problem file",
                 "empty": "the problem has no eigenvalues",
-                "npy": "not an .npz problem file"}
+                "npy": "not an .npz problem file",
+                "constant_vector": "constant must be a 0-d number",
+                "constant_1": "constant must be a 0-d number",
+                "complex_eigvecs": "eigvecs must be real",
+                "complex_constant": "constant must be real",
+                "eigvals_2d": "eigvals must be a vector"}
 
     @pytest.mark.parametrize("command", ["run", "analyze"])
     @pytest.mark.parametrize("case", sorted(MESSAGES))
@@ -439,8 +445,20 @@ class TestProblemFile:
         p = generate_quadratic(3, 1.0, 4.0, seed=0)
         arrays = dict(W=p.W, linear=p.linear, constant=np.array(p.constant),
                       eigvecs=p.eigvecs, minimizer=p.minimizer)
+        if case != "missing":
+            arrays["eigvals"] = p.eigvals
         if case == "empty":
             arrays["eigvals"] = np.zeros(0)
+        elif case == "constant_vector":
+            arrays["constant"] = np.zeros(3)
+        elif case == "constant_1":
+            arrays["constant"] = np.zeros(1)
+        elif case == "complex_eigvecs":  # a tiny imaginary part, not dropped
+            arrays["eigvecs"] = p.eigvecs + 1e-30j
+        elif case == "complex_constant":
+            arrays["constant"] = np.array(1.0 + 0.0j)
+        elif case == "eigvals_2d":
+            arrays["eigvals"] = p.eigvals[None, :]
         path = tmp_path / "p.npz"
         if case == "npy":  # a bare array under the problem's name
             with open(path, "wb") as fh:
@@ -501,6 +519,50 @@ class TestProblemFileChecks:
         assert os.listdir(tmp_path) == ["p.npz"]
 
 
+class TestOptimalConflicts:
+    """--optimal leaves no hyperparameter to set: with any explicit alpha,
+    beta or gamma, from flags or a config file, it is a usage error."""
+
+    ARGV = {"analyze": ["analyze", "--mu", "1", "--L", "4"],
+            "run": ["run", "--dim", "3", "--iters", "10"],
+            "scenario": ["scenario", "quadratic", "--dim", "3", "--iters", "10"]}
+    VALUES = {"alpha": "0.1", "beta": "0.9", "gamma": "0.3"}
+
+    @pytest.mark.parametrize("source", ["flags", "config"])
+    @pytest.mark.parametrize("given", [
+        ("alpha",), ("beta",), ("gamma",), ("alpha", "beta"), ("alpha", "gamma"),
+        ("beta", "gamma"), ("alpha", "beta", "gamma")])
+    @pytest.mark.parametrize("command", sorted(ARGV))
+    def test_is_a_usage_error(self, tmp_path, capsys, command, given, source):
+        out = tmp_path / "out"
+        settings = {"method": "hb", "optimal": "yes", "out": str(out),
+                    **{k: self.VALUES[k] for k in given}}
+        argv = list(self.ARGV[command])
+        if source == "flags":
+            for key, value in settings.items():
+                argv += [f"--{key}"] if key == "optimal" else [f"--{key}", value]
+        else:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text("".join(f"{k} = {v}\n" for k, v in settings.items()),
+                           encoding="utf-8")
+            argv += ["--config", str(cfg)]
+        rc = main(argv)
+        captured = capsys.readouterr()
+        flags = ", ".join(f"--{k}" for k in given)
+        assert rc == 2
+        assert captured.err == f"error: --optimal conflicts with explicit {flags}\n"
+        assert captured.out == "" and not out.exists()
+
+    @pytest.mark.parametrize("command", sorted(ARGV))
+    def test_optimal_off_in_config_takes_explicit_values(self, tmp_path, capsys, command):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("optimal = no\n", encoding="utf-8")
+        argv = self.ARGV[command] + ["--config", str(cfg), "--method", "hb", "--alpha",
+                                     "0.1", "--beta", "0.2", "--out", str(tmp_path / "o")]
+        assert main(argv) in (0, 1)
+        assert "error" not in capsys.readouterr().err
+
+
 class TestScenarioCommand:
     def test_scenario_runs_and_reports(self, tmp_path, capsys):
         rc = main(["scenario", "nonoptimal", "--dim", "4", "--iters", "150",
@@ -510,6 +572,15 @@ class TestScenarioCommand:
         assert "overall: PASS" in out
         assert "artifacts:" in out
         assert (tmp_path / "art" / "nonoptimal_report.txt").is_file()
+
+    def test_gamma_for_one_named_kind_outside_tmm_is_an_error(self, tmp_path, capsys):
+        # not run as gamma = 0, as analyze and run refuse it too
+        rc = main(["scenario", "nonoptimal", "--method", "hb", "--alpha", "0.1",
+                   "--beta", "0.2", "--gamma", "0.3", "--out", str(tmp_path / "art")])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.err == "error: gamma is only used by TMM\n"
+        assert captured.out == "" and not [f for f in tmp_path.rglob("*") if f.is_file()]
 
     def test_unknown_scenario(self, capsys):
         rc = main(["scenario", "nope"])

@@ -4,7 +4,7 @@ import pytest
 from lyapcert import (Objective, QuadraticProblem, cosine_counterexample,
                       exp_norm_objective, generate_quadratic, load_problem,
                       rosenbrock_objective, save_problem)
-from conftest import fd_gradient
+from conftest import fd_gradient, peak_bytes
 
 
 class TestGenerateQuadratic:
@@ -273,3 +273,28 @@ class TestSerialization:
         np.savez(path, **arrays)
         with pytest.raises(ValueError, match=message):
             load_problem(path)
+
+
+class TestPeakMemory:
+    """The problem layer holds its factors plus one d x d work array per
+    check; generate_quadratic's floor is numpy's QR (input, copy, Q, R)."""
+
+    D = 400
+    UNIT = D * D * 8  # bytes of one d x d array
+
+    def test_constructor(self):
+        p = generate_quadratic(self.D, 1.0, 100.0, seed=0)
+        vals, vecs, mini = p.eigvals, np.array(p.eigvecs), p.minimizer
+        # the frozen copy of eigvecs and the Gram matrix
+        peak = peak_bytes(lambda: QuadraticProblem(vals, vecs, mini))
+        assert peak <= 2.1 * self.UNIT
+
+    def test_generate_quadratic(self):
+        peak = peak_bytes(lambda: generate_quadratic(self.D, 1.0, 100.0, seed=0))
+        assert peak <= 4.2 * self.UNIT
+
+    def test_load_problem(self, tmp_path):
+        path = tmp_path / "p.npz"
+        save_problem(generate_quadratic(self.D, 1.0, 100.0, seed=0), path)
+        # W and the factors, plus the reconstruction and its product temporary
+        assert peak_bytes(lambda: load_problem(path)) <= 4.1 * self.UNIT

@@ -1,12 +1,14 @@
 import hashlib
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from lyapcert import (SCENARIOS, SUITABLE, MethodSpec, ScenarioConfig, analyze,
-                      find_cosine_witness, find_tmm_witness, parse_config_file,
-                      run_scenario)
+from lyapcert import (HB, NAG, NAGGS, SCENARIOS, SUITABLE, TMM, MethodSpec,
+                      ScenarioConfig, analyze, find_cosine_witness, find_tmm_witness,
+                      parse_config_file, run_scenario)
+from lyapcert.scenarios import _specs
 
 
 def run_quick(name, out, **overrides):
@@ -52,6 +54,19 @@ class TestCatalog:
         for kind, (al, be, ga) in SUITABLE.items():
             cert = analyze(MethodSpec(kind, alpha=al, beta=be, gamma=ga), grid)
             assert cert.eligible, kind
+
+    def test_gamma_serves_tmm_among_all_kinds(self):
+        cfg = ScenarioConfig(name="nonoptimal", out="unused", alpha=0.1, beta=0.2, gamma=0.3)
+        assert {k: s.gamma for k, s in _specs(cfg).items()} == {
+            HB: 0.0, NAG: 0.0, TMM: 0.3, NAGGS: 0.0}
+
+    @pytest.mark.parametrize("kind", [HB, NAG, NAGGS])
+    def test_gamma_for_one_named_kind_is_passed_on(self, kind):
+        cfg = ScenarioConfig(name="nonoptimal", out="unused", method=kind,
+                             alpha=0.1, beta=0.2, gamma=0.3)
+        with pytest.raises(ValueError, match="gamma is only used by TMM"):
+            _specs(cfg)
+        assert _specs(replace(cfg, method=TMM))[TMM].gamma == 0.3
 
 
 class TestQuadraticScenarios:

@@ -187,6 +187,22 @@ class TestMetricsPassBitIdentity:
         self.assert_matches(tr, gaps, [r - xs for r in x], lambda k: vector_V(
             x[k], x[k - 1], x[k - 2], xs))
 
+    @pytest.mark.parametrize("dim", [1, 2, 3, 7, 16, 33, 100, 107, 2000])
+    def test_row_norms(self, dim):
+        # magnitudes up to e^+-700 (overflow and underflow of the square),
+        # subnormals, signed zeros and non-finite entries
+        rng = np.random.default_rng(dim)
+        specials = np.array([0.0, -0.0, 5e-324, -2.5e-310, np.nan, np.inf, -np.inf])
+        for _ in range(20):
+            m = int(rng.integers(1, 40))
+            Z = rng.standard_normal((m, dim)) * np.exp(rng.uniform(-700, 700, (m, 1)))
+            hit = rng.random((m, dim)) < rng.choice([0.0, 0.01, 0.5])
+            Z[hit] = rng.choice(specials, size=int(hit.sum()))
+            with np.errstate(over="ignore", invalid="ignore"):  # as in _blocks
+                want = np.array([np.linalg.norm(z) for z in Z])
+                got = trace_module._row_norms(Z)
+            assert np.array_equal(got, want, equal_nan=True)
+
 
 def per_step_reference(p, spec, x0, iters, x1=None, v_floor=None,
                        threshold=trace_module.DIVERGENCE_THRESHOLD):
