@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._g17 import csv_rows
 from .methods import MethodSpec, coefficient_arrays
 
 DEFAULT_TOL = 1e-12
@@ -99,9 +100,9 @@ def certificate_csv_text(cert: SpectralCertificate) -> str:
     """One row per coordinate: lambda_W, a, b, Re/Im of the dominant eigenvalue,
     its modulus, and the conjugate-pair flag (1/0)."""
     r = cert.per_coordinate
-    cols = np.column_stack([r.lambda_w, r.a, r.b, r.re, r.im, r.rate, r.conjugate_pair])
     return ("lambda_W,a,b,re_lambda,im_lambda,modulus,conjugate_pair\n"
-            + "%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%d\n" * len(r) % tuple(cols.ravel().tolist()))
+            + "".join(csv_rows([r.lambda_w, r.a, r.b, r.re, r.im, r.rate,
+                                r.conjugate_pair.astype(float)])))
 
 
 def certificate_report_text(cert: SpectralCertificate) -> str:

@@ -32,6 +32,7 @@ from typing import Iterable, Iterator, NamedTuple, Optional, Union
 
 import numpy as np
 
+from ._g17 import csv_rows
 from .lyapunov import LyapunovSeries, DEFAULT_TOLERANCE
 from .methods import MethodSpec, _family, _step, coefficient_arrays
 from .problems import Objective, QuadraticProblem
@@ -148,28 +149,29 @@ def _blocks(target, spec: MethodSpec, x0, iters: int, x1=None, v_floor=None,
     # when V may stop the run
     chunk = _CHUNK
     if quadratic:
-        block, advance = _eigenbasis_engine(target, spec, starts)
+        W, advance = _eigenbasis_engine(target, spec, starts)
     else:
-        block, advance = _oracle_engine(target, spec, starts, divergence_threshold)
+        W, advance = _oracle_engine(target, spec, starts, divergence_threshold)
         if v_floor is not None:
             chunk = 1
         f_star = float(target.value(xs))
         bad_value = False
 
-    tail = block[:0]  # centred rows n-2 and n-1, for V at the block's first rows
     n = 0  # rows recorded before this block
     while True:
         # rows past the stop may overflow; they are cut before any output.
         # No yield inside: the error state must not leak to the consumer.
         with np.errstate(over="ignore", invalid="ignore"):
-            if n:
-                block = advance(min(chunk, iters - n))
+            if n:  # the block, after rows n-2 and n-1 (x_{-1} = x0 for one start)
+                W = advance(min(chunk, iters - n))
+            block = W[2:] if n else W
             m = block.shape[0]
-            Z = block if quadratic else block - xs
+            Wz = W if quadratic else W - xs
+            Z = Wz[-m:]
             dist = _row_norms(Z)
-            W = np.concatenate([tail, Z])
-            v = _lyapunov_rows(W[:-2], W[1:-1], W[2:])  # V of the block's last len(v) rows
-            tail = W[-2:]
+            v = _lyapunov_rows(Wz[:-2], Wz[1:-1], Wz[2:])  # V of the block's last len(v) rows
+            if n == 1:  # row 1 has no V
+                v[0] = math.nan
             # the run stops on the block's row ``stop`` (m: it goes on) at the
             # first row beyond the threshold (a start: at the last start), the
             # iters-th row, or the first V below the floor
@@ -184,7 +186,7 @@ def _blocks(target, spec: MethodSpec, x0, iters: int, x1=None, v_floor=None,
             # only a row with a non-finite norm can hold a non-finite entry
             if n and not np.isfinite(dist[:k]).all() and not np.isfinite(Z[:k]).all():
                 raise ValueError("non-finite iterate produced")
-            if v.shape[0] < m:  # rows 0 and 1 have no V
+            if v.shape[0] < m:  # the starts have no V
                 v = np.concatenate([np.full(m - v.shape[0], math.nan), v])
             if quadratic:
                 gap = 0.5 * np.sum(target.eigvals * Z[:k] * Z[:k], axis=1)
@@ -214,56 +216,67 @@ def _lyapunov_rows(z_km2: np.ndarray, z_km1: np.ndarray, z_k: np.ndarray):
 
 
 def _eigenbasis_engine(p: QuadraticProblem, spec: MethodSpec, starts):
-    """Centred eigen-coordinates of the starts, and ``advance(n)``, the next
-    n rows of a x_k + b x_{k-1}."""
-    a, b = coefficient_arrays(spec, p.eigvals)
+    """Centred eigen-coordinates of the starts, and ``advance(n)``: the last
+    two rows so far, then the next n rows of a z_k + b z_{k-1}."""
+    ba = np.stack(coefficient_arrays(spec, p.eigvals)[::-1])
     first = np.stack([p.eigvecs.T @ (x - p.minimizer) for x in starts])
-    prev, cur = first[0], first[-1]
+    last = first[[0, -1]]  # z_{k-1}, z_k
+    work = np.empty_like(ba)
+    bz, az = work
 
     def advance(n: int) -> np.ndarray:
-        nonlocal prev, cur
-        block = np.empty((n, cur.shape[0]))
-        for row in block:
-            np.add(a * cur, b * prev, out=row)
-            prev, cur = cur, row
-        return block
+        # row k+1 = b z_{k-1} + a z_k from the window (z_{k-1}, z_k) above
+        # it: each product and the sum rounded once, as in a z_k + b z_{k-1}
+        nonlocal last
+        rows = np.empty((n + 2, ba.shape[1]))
+        rows[:2] = last
+        pairs = np.ndarray((n, 2, rows.shape[1]), buffer=rows,
+                           strides=(rows.strides[0],) + rows.strides)
+        for pair, row in zip(pairs, rows[2:]):
+            np.multiply(ba, pair, out=work)
+            np.add(bz, az, out=row)
+        last = rows[-2:].copy()
+        return rows
 
     return first, advance
 
 
 def _oracle_engine(obj: Objective, spec: MethodSpec, starts, threshold: float):
-    """The starts, and ``advance(n)``, the next n method steps through the
-    gradient oracle, or fewer: up to the first row whose distance from the
-    minimizer is not within ``threshold``."""
+    """The starts, and ``advance(n)``: the last two iterates so far, then the
+    next n method steps through the gradient oracle, or fewer: up to the
+    first row whose distance from the minimizer is not within ``threshold``."""
     prev, cur = starts[0], starts[-1]
     xs = np.asarray(obj.minimizer, dtype=float)
     family = _family(spec)
 
     def advance(n: int) -> np.ndarray:
         nonlocal prev, cur
-        block = np.empty((n, cur.shape[0]))
-        for i, row in enumerate(block):
+        rows = np.empty((n + 2, cur.shape[0]))
+        rows[0], rows[1] = prev, cur
+        for i, row in enumerate(rows[2:]):
             prev, cur = cur, _step(obj, family, cur, prev)
             row[:] = cur
             z = row - xs
             if not math.sqrt(z.dot(z)) <= threshold:
-                return block[:i + 1]
-        return block
+                return rows[:i + 3]
+        return rows
 
     return np.stack(starts), advance
 
 
 _CSV_HEADER = "iter,objective_gap,distance,lyapunov\n"
-_CSV_ROW = "%d,%.17g,%.17g,%.17g\n"
-_CSV_ROW_NO_V = "%d,%.17g,%.17g,%.0s\n"  # takes V and prints nothing
 
 
 def _csv_lines(k0: int, gap: np.ndarray, dist: np.ndarray, lyap: np.ndarray) -> str:
     """CSV lines of rows k0, k0+1, ...: 17 significant digits, LF endings,
-    the lyapunov cell empty where undefined; one ``%`` for the whole block."""
-    template = "".join(map((_CSV_ROW, _CSV_ROW_NO_V).__getitem__, np.isnan(lyap).tolist()))
-    cols = np.column_stack([np.arange(k0, k0 + gap.shape[0]), gap, dist, lyap])
-    return template % tuple(cols.ravel().tolist())
+    the lyapunov cell empty where undefined."""
+    return "".join(_csv_chunks(k0, gap, dist, lyap))
+
+
+def _csv_chunks(k0: int, gap: np.ndarray, dist: np.ndarray, lyap: np.ndarray):
+    """The text of ``_csv_lines`` as consecutive strings of a bounded size."""
+    k = np.arange(k0, k0 + gap.shape[0], dtype=float)  # '%.17g' of k is '%d' below 1e17
+    return csv_rows([k, gap, dist, lyap], empty=np.isnan(lyap))
 
 
 def export_csv(trace: Trace, path) -> None:
@@ -290,7 +303,7 @@ def _stream_csv(blocks: Iterable[_Block], path):
             fh.write(_CSV_HEADER)
             n, lyap = 0, []
             for blk in blocks:
-                fh.write(_csv_lines(n, blk.objective_gap, blk.distance, blk.lyapunov))
+                fh.writelines(_csv_chunks(n, blk.objective_gap, blk.distance, blk.lyapunov))
                 n += blk.rows.shape[0]
                 lyap.append(blk.lyapunov)
         os.replace(tmp, path)
@@ -305,23 +318,62 @@ def _stream_csv(blocks: Iterable[_Block], path):
 
 def read_trace_csv(path) -> dict:
     """Parse a trace CSV back into metric arrays (lyapunov NaN where empty);
-    blank lines are skipped.  Reads one line at a time."""
-    cols = gaps, dists, lyap = array("d"), array("d"), array("d")
+    blank lines are skipped.
+
+    ``_parse_lines`` defines the format.  It reads the header and the leading
+    rows with an empty lyapunov cell; numpy's C parser reads the rest in
+    chunks of about 1 MB of text, and a chunk counts only if every row parses
+    as four numbers.  Otherwise the whole file is read again with
+    ``_parse_lines``, so the result and any error are always its own.
+    """
     with open(path, "r", encoding="utf-8") as fh:
-        lines = (ln.strip() for ln in fh)
-        if next((ln for ln in lines if ln), "").split(",") != _CSV_HEADER.strip().split(","):
-            raise ValueError("not a trace CSV")
-        for ln in lines:
-            if not ln:
-                continue
-            parts = ln.split(",")
-            if len(parts) != 4:
-                raise ValueError("malformed trace row")
-            gaps.append(float(parts[1]))
-            dists.append(float(parts[2]))
-            lyap.append(float(parts[3]) if parts[3] else math.nan)
+        cols, first = _parse_lines(fh, until_v=True)
+        if first is not None and not _load_rows(first, fh, cols):
+            fh.seek(0)
+            cols, _ = _parse_lines(fh)
     return dict(zip(("objective_gap", "distance", "lyapunov"),
                     (np.frombuffer(c, dtype=float) for c in cols)))
+
+
+def _parse_lines(fh, until_v: bool = False):
+    """The gap, distance and lyapunov columns of a trace CSV, one line at a
+    time.  With ``until_v``, stop before the first row whose lyapunov cell
+    is filled and return that line as well (None if there is none)."""
+    cols = gaps, dists, lyap = array("d"), array("d"), array("d")
+    lines = (ln.strip() for ln in fh)
+    if next((ln for ln in lines if ln), "").split(",") != _CSV_HEADER.strip().split(","):
+        raise ValueError("not a trace CSV")
+    for ln in lines:
+        if not ln:
+            continue
+        parts = ln.split(",")
+        if len(parts) != 4:
+            raise ValueError("malformed trace row")
+        if until_v and parts[3]:
+            return cols, ln
+        gaps.append(float(parts[1]))
+        dists.append(float(parts[2]))
+        lyap.append(float(parts[3]) if parts[3] else math.nan)
+    return cols, None
+
+
+def _load_rows(first: str, fh, cols) -> bool:
+    """Append the line ``first`` and the rest of ``fh`` to ``cols`` through
+    ``np.loadtxt``; False, with ``cols`` partly filled, as soon as a chunk
+    is not all rows of four numbers."""
+    lines = [first + "\n"]
+    while lines:
+        if any(map(str.strip, lines)):  # loadtxt warns on a chunk of blank lines
+            try:
+                rows = np.loadtxt(lines, delimiter=",", dtype=float, comments=None, ndmin=2)
+            except ValueError:
+                return False
+            if rows.shape[1:] != (4,):
+                return False
+            for col, j in zip(cols, (1, 2, 3)):
+                col.frombytes(np.ascontiguousarray(rows[:, j]).view(np.uint8))
+        lines = fh.readlines(1 << 14)
+    return True
 
 
 def series_from_csv(path, tolerance: float = DEFAULT_TOLERANCE) -> LyapunovSeries:
