@@ -208,6 +208,9 @@ def _cmd_scenario(args, config) -> int:
     # scenario's own
     values = {f.name: _merged(args, config, f.name.replace("_", "-"))
               for f in fields(ScenarioConfig) if f.name not in ("name", "out")}
+    for key in ("beta", "gamma"):  # without --alpha a scenario runs its own values
+        if values[key] is not None and values["alpha"] is None:
+            raise UsageError(f"--{key} needs --alpha")
     cfg = ScenarioConfig(name=name, out=out,
                          **{k: v for k, v in values.items() if v is not None})
     result = run_scenario(cfg)

@@ -18,9 +18,9 @@ import numpy as np
 
 from .lyapunov import DEFAULT_TOLERANCE, check_monotone
 from .methods import (HB, NAG, NAGGS, TMM, KINDS, MethodSpec, optimal_hyperparams)
-from .problems import (cosine_counterexample, exp_norm_objective,
+from .problems import (QuadraticProblem, cosine_counterexample, exp_norm_objective,
                        generate_quadratic, rosenbrock_objective)
-from .spectral import analyze, certificate_csv_text, certificate_report_text
+from .spectral import SpectralCertificate, analyze, certificate_csv_text, certificate_report_text
 from .svgplot import Panel, Series, render_svg
 from .trace import export_csv, run_trace
 
@@ -110,10 +110,6 @@ def _specs(cfg: ScenarioConfig) -> dict:
     return specs
 
 
-def _has_strict_increase(values: np.ndarray) -> bool:
-    return bool(np.any(np.diff(values) > 0))
-
-
 def _first_violation(rep) -> str:
     v = rep.violations[0]
     return (f"first violation at k={v.index} V {v.v_prev:.6g} -> {v.v_next:.6g} "
@@ -156,6 +152,7 @@ def _finish(cfg: ScenarioConfig, lines: list, verdicts: dict, traces: dict,
     ``<name>_overview.svg`` of all panels when there are several, and
     ``<name>_report.txt`` with the lines and verdicts.
     """
+    os.makedirs(cfg.out, exist_ok=True)
     stem = os.path.join(cfg.out, cfg.name)
     artifacts: list = []
 
@@ -215,10 +212,10 @@ def _run_fig1(cfg):
         if kind in traces:
             verdicts[f"{kind.lower()}_certificate_eligible"] = certs[kind].eligible
             verdicts[f"{kind.lower()}_V_monotone"] = reports[kind].monotone
-    for kind in (HB, NAG):
-        if kind in traces:
-            verdicts[f"{kind.lower()}_distance_has_increase"] = \
-                _has_strict_increase(traces[kind].distance)
+    # the distance oscillates or not depending on the start: an observation
+    for kind, tr in traces.items():
+        rises = int(np.count_nonzero(np.diff(tr.distance) > 0))
+        lines.append(f"{LABELS[kind]}: distance rises at {rises} of {len(tr) - 1} steps")
     return _finish(cfg, lines, verdicts, traces, certs, panels)
 
 
@@ -280,33 +277,29 @@ def find_cosine_witness(seed: int = 0, seeds: int = 100, iters: int = 400,
     return None
 
 
-def find_tmm_witness(seed: int = 0, dim: int = 2, mu: float = 1.0, L: float = 4.0,
-                     seeds: int = 100, iters: int = 80, scale: float = 10.0,
-                     tolerance: float = DEFAULT_TOLERANCE):
-    """Search seeded (x0, x1) pairs for a V violation of tuned TMM on a
-    quadratic whose spectrum includes L.  Equal starts provably cannot violate
-    (per-coordinate V2 = alpha*lambda*(-b)*x0^2 >= 0), so both iterates are
-    drawn randomly.  Low dimension matters: V contracts per coordinate at
-    -b(lambda) regardless of eligibility, and only the ineligible lambda=mu
-    coordinate can carry a negative component (start ratio inside the real
-    eigenvalue cone, ~7% of draws).  In high dimension the positive bulk
-    outweighs that coordinate in exact arithmetic: at d=107 no seed's exact V
-    increases, so there is no witness to find, not one hidden below the
-    tolerance.  Returns (seed_index, trace, report) or None."""
-    problem = generate_quadratic(dim, mu, L, seed)
-    spec = optimal_hyperparams(TMM, mu, L)
+def find_tmm_witness(problem: QuadraticProblem, cert: SpectralCertificate, iters: int,
+                     scale: float = 10.0, tolerance: float = DEFAULT_TOLERANCE):
+    """Run and judge the start whose V increases, read off ``cert``, the
+    certificate of a method on ``problem``.
+
+    On a real-split coordinate i with roots l1, l2 the start z_0 = s,
+    z_1 = s (l1 + l2) / 2 (s = ``scale``, every other coordinate zero) has
+    V_2 = z_1^2 - z_2 z_0 = -s^2 (l1 - l2)^2 / 4 < 0, and V_{k+1} = -b V_k
+    then rises toward 0 at every step where -b lies in (0, 1).  The
+    coordinate is the real-split one with the largest -b, which contracts
+    slowest, so V rises for longest (for tuned TMM, lambda = mu).  Returns
+    (coordinate, trace, report), or None when every coordinate is a
+    conjugate pair: then V >= 0 from every start.
+    """
+    r = cert.per_coordinate
+    if r.conjugate_pair.all():
+        return None
+    i = int(np.where(r.conjugate_pair, -np.inf, -r.b).argmax())
+    step = scale * problem.eigvecs[:, i]
     xs = problem.minimizer
-    for s in range(seeds):
-        rng = np.random.default_rng([seed, s, 7])
-        v = rng.standard_normal(dim)
-        w = rng.standard_normal(dim)
-        x0 = xs + scale * v / np.linalg.norm(v)
-        x1 = xs + scale * w / np.linalg.norm(w)
-        trace = run_trace(problem, spec, x0, iters, x1=x1)
-        rep = check_monotone(trace.lyapunov_series(tolerance))
-        if not rep.monotone:
-            return s, trace, rep
-    return None
+    trace = run_trace(problem, cert.method, xs + step, iters,
+                      x1=xs + (r.re[i] + r.re2[i]) / 2.0 * step)
+    return i, trace, check_monotone(trace.lyapunov_series(tolerance))
 
 
 def _run_cosine(cfg: ScenarioConfig) -> ScenarioResult:
@@ -359,28 +352,32 @@ def _run_cosine(cfg: ScenarioConfig) -> ScenarioResult:
 
 
 def _run_tmm_witness(cfg: ScenarioConfig) -> ScenarioResult:
-    cfg = _defaults(cfg, dim=2, mu=1.0, L=4.0, iters=80, x0_scale=10.0)
+    cfg = _defaults(cfg, dim=107, mu=1.0, L=1000.0, iters=80, x0_scale=10.0)
+    problem = generate_quadratic(cfg.dim, cfg.mu, cfg.L, cfg.seed)
+    cert = analyze(optimal_hyperparams(TMM, cfg.mu, cfg.L), problem.eigvals)
     lines = [f"problem: quadratic dim={cfg.dim} spectrum [{cfg.mu:g}, {cfg.L:g}] "
              f"seed={cfg.seed}",
-             "method: TMM tuned; search over seeded random (x0, x1) pairs"]
+             "method: TMM tuned; start on the real-split coordinate with the largest -b: "
+             "z_0 = x0_scale, z_1 = x0_scale*(l1+l2)/2",
+             f"certificate: eligible={'yes' if cert.eligible else 'no'} "
+             f"radius={cert.spectral_radius:.6g}"]
 
-    spec = optimal_hyperparams(TMM, cfg.mu, cfg.L)
-    cert = analyze(spec, generate_quadratic(cfg.dim, cfg.mu, cfg.L, cfg.seed).eigvals)
-    lines.append(f"certificate: eligible={'yes' if cert.eligible else 'no'} "
-                 f"radius={cert.spectral_radius:.6g}")
-
-    found = find_tmm_witness(seed=cfg.seed, dim=cfg.dim, mu=cfg.mu, L=cfg.L,
-                             iters=cfg.iters, scale=cfg.x0_scale, tolerance=cfg.tolerance)
-    verdicts = {"violation_found": found is not None}
+    found = find_tmm_witness(problem, cert, cfg.iters, cfg.x0_scale, cfg.tolerance)
+    verdicts = {"violation_found": found is not None and not found[2].monotone}
     traces, panels = {}, {}
     if found is not None:
-        s, trace, rep = found
-        lines.append(f"witness: seed={s} {_first_violation(rep)}")
+        i, trace, rep = found
+        v2 = trace.lyapunov[2]
+        lines.append(f"witness: coordinate {i} lambda={cert.per_coordinate.lambda_w[i]:.6g} "
+                     f"V_2={v2:.6g} {'<' if v2 < 0 else '>='} 0 "
+                     + (rep.describe() if rep.monotone else _first_violation(rep)))
         traces[TMM] = trace
+        # the log panel draws values below 1e-16 at its floor, so plot -V
         panels["lyapunov"] = Panel(title="TMM witness: Lyapunov value", kind="line-log",
-                                   ylabel="V_k", series=[Series("TMM", trace.lyapunov[2:])])
+                                   ylabel="-V_k", series=[Series("TMM", -trace.lyapunov[2:])])
     else:
-        lines.append("no violation found; recorded for investigation instead of assumed")
+        lines.append("no real-split coordinate: every coordinate is a conjugate pair, "
+                     "so V >= 0 from every start")
     return _finish(cfg, lines, verdicts, traces, {TMM: cert}, panels)
 
 
@@ -436,5 +433,4 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
     if cfg.name not in SCENARIOS:
         known = ", ".join(sorted(SCENARIOS))
         raise ValueError(f"unknown scenario {cfg.name!r} (known: {known})")
-    os.makedirs(cfg.out, exist_ok=True)
     return SCENARIOS[cfg.name](cfg)

@@ -17,8 +17,8 @@ with its gap, distance and V, computed once per block from a two-row carry.
 quadratic run are built from the stored eigen-coordinates only when
 ``Trace.iterates`` is read.  ``lyapcert run`` streams instead: each block's
 CSV lines are written as the block arrives and only the V column is kept, so
-its memory does not grow with the rows' width, and ``read_trace_csv`` parses
-one line at a time.
+its memory does not grow with the rows' width, and ``read_trace_csv`` reads
+the file back a chunk of lines at a time.
 """
 
 from __future__ import annotations
@@ -322,7 +322,7 @@ def read_trace_csv(path) -> dict:
 
     ``_parse_lines`` defines the format.  It reads the header and the leading
     rows with an empty lyapunov cell; numpy's C parser reads the rest in
-    chunks of about 1 MB of text, and a chunk counts only if every row parses
+    chunks of about 16 KB of text, and a chunk counts only if every row parses
     as four numbers.  Otherwise the whole file is read again with
     ``_parse_lines``, so the result and any error are always its own.
     """

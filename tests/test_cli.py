@@ -580,7 +580,24 @@ class TestScenarioCommand:
         captured = capsys.readouterr()
         assert rc == 1
         assert captured.err == "error: gamma is only used by TMM\n"
-        assert captured.out == "" and not [f for f in tmp_path.rglob("*") if f.is_file()]
+        assert captured.out == "" and not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("method", [[], ["--method", "hb"]])
+    @pytest.mark.parametrize("key", ["beta", "gamma"])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_momentum_without_alpha_is_usage_error(self, tmp_path, capsys, method, key, source):
+        # without --alpha every scenario runs its own hyperparameters
+        argv = ["scenario", "nonoptimal", *method, "--out", str(tmp_path / "art")]
+        if source == "flag":
+            argv += [f"--{key}", "0.9"]
+        else:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text(f"{key} = 0.9\n", encoding="utf-8")
+            argv += ["--config", str(cfg)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: --{key} needs --alpha\n" and captured.out == ""
+        assert not (tmp_path / "art").exists()
 
     def test_unknown_scenario(self, capsys):
         rc = main(["scenario", "nope"])

@@ -1,5 +1,6 @@
 import hashlib
 import os
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -7,7 +8,9 @@ import pytest
 
 from lyapcert import (HB, NAG, NAGGS, SCENARIOS, SUITABLE, TMM, MethodSpec,
                       ScenarioConfig, analyze, find_cosine_witness, find_tmm_witness,
-                      parse_config_file, run_scenario)
+                      generate_quadratic, optimal_hyperparams, parse_config_file,
+                      run_scenario)
+from lyapcert.cli import main
 from lyapcert.scenarios import _specs
 
 
@@ -75,12 +78,12 @@ class TestQuadraticScenarios:
         assert res.ok
         assert res.verdicts["hb_certificate_eligible"]
         assert res.verdicts["nag_V_monotone"]
-        assert res.verdicts["hb_distance_has_increase"]
-        assert res.verdicts["nag_distance_has_increase"]
+        assert not [key for key in res.verdicts if "distance" in key]
         for path in res.artifacts:
             assert os.path.isfile(path)
         text = report_text(res)
         assert "overall: PASS" in text
+        assert re.search(r"^HB: distance rises at [1-9]\d* of 299 steps$", text, re.M)
         assert "TMM: eligible=no" in text
         assert os.path.isfile(tmp_path / "fig1_spectrum.svg")
         assert os.path.isfile(tmp_path / "fig1_overview.svg")
@@ -129,6 +132,13 @@ class TestQuadraticScenarios:
         with pytest.raises(ValueError, match="iters must be >= 3"):
             run_quick(name, tmp_path, iters=0)
 
+    @pytest.mark.parametrize("seed", [13, 14])
+    def test_fig1_passes_where_nag_distance_never_rises(self, tmp_path, capsys, seed):
+        rc = main(["scenario", "fig1", "--seed", str(seed), "--out", str(tmp_path)])
+        out = capsys.readouterr().out
+        assert rc == 0 and "overall: PASS" in out
+        assert "NAG: distance rises at 0 of 1999 steps" in out
+
     def test_deterministic_artifacts(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         run_quick("nonoptimal", a, dim=4, iters=120)
@@ -164,13 +174,37 @@ class TestWitnessScenarios:
         assert not rep.monotone
         assert -2.0 <= x0[0] <= 2.0
 
-    def test_find_tmm_witness_needs_unequal_starts(self):
-        found = find_tmm_witness(iters=60)
-        assert found is not None
-        s, trace, rep = found
-        assert not rep.monotone
-        first = rep.violations[0]
-        assert first.v_next > first.v_prev
+    @pytest.mark.parametrize("flags", [["--seed", "0"], ["--seed", "13"], ["--seed", "7919"],
+                                       ["--dim", "2"], ["--dim", "107"]],
+                             ids=["seed0", "seed13", "seed7919", "dim2", "dim107"])
+    def test_tmm_witness_exits_0_at_every_size(self, tmp_path, capsys, flags):
+        rc = main(["scenario", "tmm-witness", *flags, "--out", str(tmp_path)])
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert "verdict violation_found: PASS" in out
+        assert re.search(r"^witness: coordinate 0 lambda=1 V_2=-0\.0234439 < 0 "
+                         r"first violation at k=2 ", out, re.M)
+
+    def test_find_tmm_witness_starts_on_the_real_split(self):
+        s, mu, L = 10.0, 1.0, 1000.0
+        for dim in (2, 107):
+            problem = generate_quadratic(dim, mu, L, seed=0)
+            cert = analyze(optimal_hyperparams(TMM, mu, L), problem.eigvals)
+            r = cert.per_coordinate
+            i, trace, rep = find_tmm_witness(problem, cert, 400, scale=s)
+            # lambda = mu contracts slowest among the real-split coordinates
+            assert i == 0 and not r.conjugate_pair[i]
+            # V_2 cancels terms of size s^2 (a/2)^2 <= s^2, each rounded a few times
+            v2 = -s * s * (r.re[i] - r.re2[i]) ** 2 / 4.0
+            assert trace.lyapunov[2] == pytest.approx(v2, rel=0, abs=64 * np.finfo(float).eps * s * s)
+            # V_{k+1} = -b V_k with -b = 0.908: negative, rising at every step
+            v = trace.lyapunov[2:]
+            assert (v < 0).all() and (np.diff(v) > 0).all()
+            assert not rep.monotone
+            flagged = [viol.index for viol in rep.violations]
+            assert flagged == list(range(2, 2 + len(flagged)))
+            eligible = analyze(optimal_hyperparams(HB, mu, L), problem.eigvals)
+            assert find_tmm_witness(problem, eligible, 400, scale=s) is None
 
 
 class TestObjectiveScenarios:
@@ -232,7 +266,7 @@ DIGESTS = {
         "fig1_overview.svg":
             "a5d8005f5a692e3ee009b2d0f6959bec1f47b2e2012b5c106005cedb3d0f42a5",
         "fig1_report.txt":
-            "663d63338334a8321e37a042af41c717e34708bb700c9a05ae2955b0872066fb",
+            "48ab512c7aac10d6bd0878a2c5a5971cabbb44b2511083cc69c356418e11b678",
         "fig1_spectrum.svg":
             "20ebd84019b084b5faf35ad292a002c1ba1baac77a42a846ff8de1232cf8f192",
         "fig1_tmm_certificate.csv":
@@ -374,15 +408,15 @@ DIGESTS = {
     },
     "tmm-witness": {
         "tmm-witness_lyapunov.svg":
-            "11603075fe6d6fcf29b07d72f5bdb66295e72148aa7f68b9392f663fcca730f8",
+            "9e08c51991187861962e53811c27e6dcb31cefcb15823a293262406dc50191e1",
         "tmm-witness_report.txt":
-            "910d66c66f59e0fde4a97d1bab5cc01190ebe46d5058ed4aa8448698a6648069",
+            "336a82759202c1f1871030b91a258bef288ef93f80454273a4a5d5c6304aab9b",
         "tmm-witness_tmm_certificate.csv":
-            "fe90c0d7f178bdac12361f07ff4372f310d633f6cc5b32f52925dbcb0a7e641a",
+            "8292709c52b4b9e1bd0e3fa377002a528a3fa1b3b3f0e39ffa0902787d8cbeaf",
         "tmm-witness_tmm_certificate.txt":
-            "a4c9cc3030585538a1d378bc335e1bc5d75b81257f069ad224e62aeec6fb1998",
+            "235e3d404af3919ad606cd44a1d6b6a4db8043ad764b45f5d7caca25ccbe0fcf",
         "tmm-witness_tmm_trace.csv":
-            "cc3bd4a00461605e2fbf6ba999655a77a7a9df400e5c5b79d21239e975338184",
+            "f6787fa7083f05e1697d84ab8773029e0181d38c7c7c8031c66f13dea3524e53",
     },
     "expnorm": {
         "expnorm_distance.svg":

@@ -10,7 +10,9 @@ import pytest
 
 from lyapcert import (HB, KINDS, TMM, MethodSpec, analyze, certificate_csv_text,
                       certificate_report_text, optimal_hyperparams)
-from lyapcert import svgplot
+from lyapcert import _g17, svgplot
+from lyapcert import trace as trace_module
+from lyapcert.cli import main
 from lyapcert.spectral import SpectralCertificate
 from lyapcert.trace import _csv_lines
 import reference
@@ -103,6 +105,40 @@ class TestCertificateText:
         cert = analyze(optimal_hyperparams(HB, 1.0, 4.0), np.array([0.0, 1.0]))
         rows = certificate_csv_text(cert).splitlines()[1:]
         assert [row.rsplit(",", 1)[1] for row in rows] == ["0", "1"]
+
+
+class TestBlockSizes:
+    """The bytes do not depend on how many rows the trace driver advances at
+    a time or how many rows ``csv_rows`` formats at a time."""
+
+    @pytest.fixture
+    def run_csv(self, tmp_path, capsys):
+        def run():
+            path = tmp_path / "t.csv"
+            assert main(["run", "--method", "nag", "--optimal", "--dim", "300", "--mu", "1",
+                         "--L", "1e4", "--iters", "2000", "--out", str(path)]) == 0
+            capsys.readouterr()
+            return path.read_bytes()
+        return run
+
+    def test_run_csv(self, monkeypatch, run_csv):
+        want = run_csv()
+        assert want.count(b"\n") == 2001
+        # a block of at most _ROWS rows is formatted in one piece, so the
+        # pairs with rows > chunk repeat the pair (chunk, chunk)
+        for chunk, rows in itertools.product([1, 3, 512, 5000], [1, 7, 512]):
+            if rows > chunk:
+                continue
+            monkeypatch.setattr(trace_module, "_CHUNK", chunk)
+            monkeypatch.setattr(_g17, "_ROWS", rows)
+            assert run_csv() == want, (chunk, rows)
+
+    def test_certificate_csv(self, monkeypatch):
+        cert = analyze(optimal_hyperparams(TMM, 1.0, 1000.0), np.linspace(1.0, 1000.0, 2000))
+        want = certificate_csv_text(cert)
+        for rows in (1, 7, 512):
+            monkeypatch.setattr(_g17, "_ROWS", rows)
+            assert certificate_csv_text(cert) == want, rows
 
 
 BOX = (64, 28, 446, 300)
