@@ -17,12 +17,12 @@ from dataclasses import fields
 
 import numpy as np
 
-from .lyapunov import DEFAULT_TOLERANCE, check_monotone
+from .lyapunov import DEFAULT_TOLERANCE, _require_tolerance, check_monotone
 from .methods import HB, NAG, NAGGS, TMM, MethodSpec, optimal_hyperparams
 from .problems import (_require_spectrum, generate_quadratic, load_problem,
                        save_problem)
-from .scenarios import (SCENARIOS, ScenarioConfig, _x0, parse_config_file,
-                        run_scenario)
+from .scenarios import (SCENARIOS, ScenarioConfig, _with_row, _x0,
+                        parse_config_file, run_scenario)
 from .spectral import (DEFAULT_TOL, analyze, certificate_csv_text,
                        certificate_report_text)
 from .trace import _blocks, _series, _stream_csv, series_from_csv
@@ -183,9 +183,10 @@ def _cmd_run(args, config) -> int:
     seed = _merged(args, config, "seed", 0)
     scale = _merged(args, config, "x0-scale", 10.0)
     out = _require(_merged(args, config, "out"), "--out")
+    tol = _merged(args, config, "tolerance", DEFAULT_TOLERANCE)
+    _require_tolerance(tol)  # before the run writes ``out``
     x0 = _x0(problem.minimizer, scale, seed)
     rows, last, lyap = _stream_csv(_blocks(problem, spec, x0, iters), out)
-    tol = _merged(args, config, "tolerance", DEFAULT_TOLERANCE)
     rep = check_monotone(_series(lyap, tol))
     print(f"rows={rows} final_gap={last.objective_gap[-1]:.6g} "
           f"final_distance={last.distance[-1]:.6g} "
@@ -202,17 +203,17 @@ def _cmd_scenario(args, config) -> int:
     if name not in SCENARIOS:
         known = ", ".join(sorted(SCENARIOS))
         raise UsageError(f"unknown scenario {name!r} (known: {known})")
-    _optimal(args, config)
     out = _merged(args, config, "out", os.path.join("artifacts", name))
-    # unset fields keep the dataclass defaults (seed, tolerance) or the
-    # scenario's own
+    # unset fields keep the dataclass defaults (seed, tolerance) or the row's
     values = {f.name: _merged(args, config, f.name.replace("_", "-"))
               for f in fields(ScenarioConfig) if f.name not in ("name", "out")}
+    cfg = ScenarioConfig(name=name, out=out,
+                         **{k: v for k, v in values.items() if v is not None})
+    _with_row(cfg)  # a flag the scenario does not read is refused first (exit 1)
+    _optimal(args, config)
     for key in ("beta", "gamma"):  # without --alpha a scenario runs its own values
         if values[key] is not None and values["alpha"] is None:
             raise UsageError(f"--{key} needs --alpha")
-    cfg = ScenarioConfig(name=name, out=out,
-                         **{k: v for k, v in values.items() if v is not None})
     result = run_scenario(cfg)
     with open(result.report_path, "r", encoding="utf-8") as fh:
         sys.stdout.write(fh.read())

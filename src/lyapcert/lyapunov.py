@@ -16,6 +16,11 @@ import numpy as np
 DEFAULT_TOLERANCE = 1e-9
 
 
+def _require_tolerance(tol: float) -> None:
+    if not (math.isfinite(tol) and tol >= 0.0):  # NaN or inf would pass every step
+        raise ValueError("tolerance must be finite and nonnegative")
+
+
 @dataclass(frozen=True)
 class LyapunovSeries:
     """V values along a trace, starting at iterate index ``start_index``."""
@@ -30,8 +35,7 @@ class LyapunovSeries:
             raise ValueError("series must hold at least one value")
         if self.start_index < 2:
             raise ValueError("V needs three iterates, so start_index >= 2")
-        if self.tolerance < 0:
-            raise ValueError("tolerance must be nonnegative")
+        _require_tolerance(self.tolerance)
         object.__setattr__(self, "values", vals)
 
 

@@ -33,11 +33,13 @@ SUITABLE = {
     TMM: (0.15, 0.5, 0.05),
     NAGGS: (0.5, 0.6, 0.0),
 }
+COSINE_SEEDS = 100  # seeded starts the cosine witness search tries
 
 
 @dataclass
 class ScenarioConfig:
-    """User-adjustable knobs; None fields fall back to scenario defaults."""
+    """User-adjustable knobs.  A field left None takes the default of its
+    scenario's row in ``SCENARIOS``; a set one outside the row is refused."""
 
     name: str
     out: str
@@ -85,19 +87,15 @@ def _x0(xstar: np.ndarray, scale: float, seed: int, tag: int = 1) -> np.ndarray:
     return xstar + scale * v / np.linalg.norm(v)
 
 
-def _defaults(cfg: ScenarioConfig, **values) -> ScenarioConfig:
-    """``cfg`` with each field that is None set from ``values``."""
-    return replace(cfg, **{k: v for k, v in values.items() if getattr(cfg, k) is None})
+def _kinds(cfg: ScenarioConfig) -> tuple:
+    if cfg.method not in (None, *KINDS):
+        raise ValueError(f"unknown method kind {cfg.method!r} (known: {', '.join(KINDS)})")
+    return KINDS if cfg.method is None else (cfg.method,)
 
 
 def _specs(cfg: ScenarioConfig) -> dict:
-    kinds = KINDS
-    if cfg.method is not None:
-        if cfg.method not in KINDS:
-            raise ValueError(f"unknown method kind {cfg.method!r} (known: {', '.join(KINDS)})")
-        kinds = [cfg.method]
     specs = {}
-    for kind in kinds:
+    for kind in _kinds(cfg):
         if cfg.alpha is not None:
             # one --gamma serves TMM among all kinds; a named kind takes it as given
             gamma = (cfg.gamma or 0.0) if kind == TMM or cfg.method is not None else 0.0
@@ -169,7 +167,7 @@ def _finish(cfg: ScenarioConfig, lines: list, verdicts: dict, traces: dict,
         write(f"{stem}_{kind.lower()}_certificate.txt", certificate_report_text(cert))
     for key, panel in panels.items():
         artifacts.append(f"{stem}_{key}.svg")
-        render_svg([panel], artifacts[-1], columns=1)
+        render_svg([panel], artifacts[-1])
     if len(panels) > 1:
         artifacts.append(f"{stem}_overview.svg")
         render_svg(list(panels.values()), artifacts[-1])
@@ -205,7 +203,6 @@ def _quadratic_runs(cfg: ScenarioConfig, v_floor):
 
 
 def _run_fig1(cfg):
-    cfg = _defaults(cfg, dim=107, mu=1.0, L=1000.0, iters=2000, optimal=True, x0_scale=10.0)
     traces, certs, reports, lines, panels = _quadratic_runs(cfg, None)
     verdicts = {}
     for kind in (HB, NAG, NAGGS):
@@ -220,7 +217,6 @@ def _run_fig1(cfg):
 
 
 def _run_quadratic(cfg):
-    cfg = _defaults(cfg, dim=100, mu=1.0, L=1000.0, iters=2000, optimal=True, x0_scale=10.0)
     v_floor = 1e-9
     traces, certs, reports, lines, panels = _quadratic_runs(cfg, v_floor)
     verdicts = {}
@@ -235,7 +231,6 @@ def _run_quadratic(cfg):
 
 
 def _run_nonoptimal(cfg):
-    cfg = _defaults(cfg, dim=50, mu=1.0, L=10.0, iters=2000, optimal=False, x0_scale=10.0)
     traces, certs, reports, lines, panels = _quadratic_runs(cfg, 1e-9)
     verdicts = {}
     for kind, cert in certs.items():
@@ -245,7 +240,6 @@ def _run_nonoptimal(cfg):
 
 
 def _run_convex_mu0(cfg):
-    cfg = _defaults(cfg, dim=50, mu=0.0, L=10.0, iters=1000, optimal=False, x0_scale=10.0)
     traces, certs, _, lines, panels = _quadratic_runs(cfg, None)
     verdicts = {}
     for kind, cert in certs.items():
@@ -261,13 +255,12 @@ def _run_convex_mu0(cfg):
     return _finish(cfg, lines, verdicts, traces, certs, panels)
 
 
-def find_cosine_witness(seed: int = 0, seeds: int = 100, iters: int = 400,
-                        tolerance: float = DEFAULT_TOLERANCE):
-    """Search seeded starts in [-2, 2] for a V violation of tuned HB on the
-    cosine objective.  Returns (seed_index, x0, trace, report) or None."""
+def find_cosine_witness(seed: int = 0, iters: int = 400, tolerance: float = DEFAULT_TOLERANCE):
+    """Search ``COSINE_SEEDS`` seeded starts in [-2, 2] for a V violation of tuned
+    HB on the cosine objective.  Returns (seed_index, x0, trace, report) or None."""
     obj = cosine_counterexample()
     spec = optimal_hyperparams(HB, obj.mu, obj.lipschitz)
-    for s in range(seeds):
+    for s in range(COSINE_SEEDS):
         rng = np.random.default_rng([seed, s, 11])
         x0 = rng.uniform(-2.0, 2.0, size=1)
         trace = run_trace(obj, spec, x0, iters)
@@ -303,13 +296,13 @@ def find_tmm_witness(problem: QuadraticProblem, cert: SpectralCertificate, iters
 
 
 def _run_cosine(cfg: ScenarioConfig) -> ScenarioResult:
-    cfg = _defaults(cfg, iters=400)
     iters, tol = cfg.iters, cfg.tolerance
     obj = cosine_counterexample()
     spec = optimal_hyperparams(HB, obj.mu, obj.lipschitz)
     lines = [f"objective: x^2 + (1.99/400) cos(20x), mu={obj.mu:g}, L={obj.lipschitz:g}",
              f"method: HB tuned for [mu, L] (alpha={spec.alpha:.12g}, beta={spec.beta:.12g})",
-             f"search: 100 starts uniform in [-2, 2], {iters} iterates, tolerance {tol:g}"]
+             f"search: {COSINE_SEEDS} starts uniform in [-2, 2], {iters} iterates, "
+             f"tolerance {tol:g}"]
 
     found = find_cosine_witness(seed=cfg.seed, iters=iters, tolerance=tol)
     verdicts = {"violation_found": found is not None}
@@ -326,22 +319,18 @@ def _run_cosine(cfg: ScenarioConfig) -> ScenarioResult:
         }
 
         # exploratory: walk beta down from the tuned value until V turns monotone
-        boundary = None
         for j in range(0, 21):
             beta_j = spec.beta * (1.0 - j / 20.0)
-            spec_j = MethodSpec(HB, alpha=spec.alpha, beta=beta_j)
-            tr_j = run_trace(obj, spec_j, x0, iters)
+            tr_j = run_trace(obj, MethodSpec(HB, alpha=spec.alpha, beta=beta_j), x0, iters)
             if check_monotone(tr_j.lyapunov_series(tol)).monotone:
-                boundary = beta_j
+                lines.append(f"exploratory: from this x0, V turns monotone at beta <= "
+                             f"{beta_j:.12g} (tuned beta {spec.beta:.12g})")
                 break
-        if boundary is not None:
-            lines.append(f"exploratory: from this x0, V turns monotone at beta <= "
-                         f"{boundary:.12g} (tuned beta {spec.beta:.12g})")
         else:
             lines.append("exploratory: no monotone beta found on the sweep down to 0")
     else:
-        lines.append("no violation found across 100 seeded starts; this contradicts "
-                     "the expected counterexample behaviour")
+        lines.append(f"no violation found across {COSINE_SEEDS} seeded starts; this "
+                     "contradicts the expected counterexample behaviour")
 
     # certificate over the [mu, L] interval as a 33-point grid (quadratic view)
     cert = analyze(spec, np.linspace(obj.mu, obj.lipschitz, 33))
@@ -352,7 +341,6 @@ def _run_cosine(cfg: ScenarioConfig) -> ScenarioResult:
 
 
 def _run_tmm_witness(cfg: ScenarioConfig) -> ScenarioResult:
-    cfg = _defaults(cfg, dim=107, mu=1.0, L=1000.0, iters=80, x0_scale=10.0)
     problem = generate_quadratic(cfg.dim, cfg.mu, cfg.L, cfg.seed)
     cert = analyze(optimal_hyperparams(TMM, cfg.mu, cfg.L), problem.eigvals)
     lines = [f"problem: quadratic dim={cfg.dim} spectrum [{cfg.mu:g}, {cfg.L:g}] "
@@ -384,9 +372,7 @@ def _run_tmm_witness(cfg: ScenarioConfig) -> ScenarioResult:
 def _run_objective_family(cfg: ScenarioConfig, objective, title: str,
                           alpha: float, beta: float) -> ScenarioResult:
     specs = {k: MethodSpec(k, alpha=alpha, beta=beta, gamma=0.05 if k == TMM else 0.0)
-             for k in KINDS}
-    if cfg.method is not None:
-        specs = {cfg.method: specs[cfg.method]}
+             for k in _kinds(cfg)}
     x0 = _x0(np.asarray(objective.minimizer, dtype=float), cfg.x0_scale, cfg.seed)
     traces, verdicts = {}, {}
     lines = [title, f"config: iters={cfg.iters} seed={cfg.seed} x0_scale={cfg.x0_scale:g}"]
@@ -403,34 +389,53 @@ def _run_objective_family(cfg: ScenarioConfig, objective, title: str,
 
 
 def _run_expnorm(cfg):
-    cfg = _defaults(cfg, dim=2, iters=600, x0_scale=0.8)
     return _run_objective_family(
         cfg, exp_norm_objective(cfg.dim),
         "objective: exp(|x|^2), small-step runs (no global smoothness bound)", 0.02, 0.3)
 
 
 def _run_rosenbrock(cfg):
-    cfg = _defaults(cfg, iters=4000, x0_scale=0.5)
     return _run_objective_family(
         cfg, rosenbrock_objective(),
         "objective: Rosenbrock, small-step runs near the minimizer", 5e-4, 0.5)
 
 
+# unset, a quadratic scenario runs all four methods with its own values
+_HYPER = dict(method=None, alpha=None, beta=None, gamma=None)
+
+# name: (runner, settings), where settings maps every field the scenario
+# reads, besides ``seed`` and ``tolerance``, to its default
 SCENARIOS = {
-    "fig1": _run_fig1,
-    "quadratic": _run_quadratic,
-    "nonoptimal": _run_nonoptimal,
-    "convex-mu0": _run_convex_mu0,
-    "cosine": _run_cosine,
-    "tmm-witness": _run_tmm_witness,
-    "expnorm": _run_expnorm,
-    "rosenbrock": _run_rosenbrock,
+    "fig1": (_run_fig1, dict(dim=107, mu=1.0, L=1000.0, iters=2000, optimal=True,
+                             x0_scale=10.0, **_HYPER)),
+    "quadratic": (_run_quadratic, dict(dim=100, mu=1.0, L=1000.0, iters=2000, optimal=True,
+                                       x0_scale=10.0, **_HYPER)),
+    "nonoptimal": (_run_nonoptimal, dict(dim=50, mu=1.0, L=10.0, iters=2000, optimal=False,
+                                         x0_scale=10.0, **_HYPER)),
+    "convex-mu0": (_run_convex_mu0, dict(dim=50, mu=0.0, L=10.0, iters=1000, optimal=False,
+                                         x0_scale=10.0, **_HYPER)),
+    "cosine": (_run_cosine, dict(iters=400)),
+    "tmm-witness": (_run_tmm_witness, dict(dim=107, mu=1.0, L=1000.0, iters=80, x0_scale=10.0)),
+    "expnorm": (_run_expnorm, dict(dim=2, iters=600, x0_scale=0.8, method=None)),
+    "rosenbrock": (_run_rosenbrock, dict(iters=4000, x0_scale=0.5, method=None)),
 }
+
+
+def _with_row(cfg: ScenarioConfig) -> ScenarioConfig:
+    """``cfg`` with each unset setting of its scenario's row at the row's
+    default; a set field outside the row is refused, naming its flag."""
+    if cfg.name not in SCENARIOS:
+        known = ", ".join(sorted(SCENARIOS))
+        raise ValueError(f"unknown scenario {cfg.name!r} (known: {known})")
+    row = SCENARIOS[cfg.name][1]
+    unread = [f"--{key.replace('_', '-')}" for key, value in vars(cfg).items()
+              if value is not None and key not in (*row, "name", "out", "seed", "tolerance")]
+    if unread:
+        raise ValueError(f"scenario {cfg.name} does not take {', '.join(unread)}")
+    return replace(cfg, **{k: v for k, v in row.items() if getattr(cfg, k) is None})
 
 
 def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
     """Run a scenario from the catalog; artifact files land in ``cfg.out``."""
-    if cfg.name not in SCENARIOS:
-        known = ", ".join(sorted(SCENARIOS))
-        raise ValueError(f"unknown scenario {cfg.name!r} (known: {known})")
-    return SCENARIOS[cfg.name](cfg)
+    cfg = _with_row(cfg)
+    return SCENARIOS[cfg.name][0](cfg)

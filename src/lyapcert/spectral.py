@@ -9,12 +9,12 @@ eigen-coordinate of a quadratic.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._g17 import csv_rows
+from .lyapunov import _require_tolerance
 from .methods import MethodSpec, coefficient_arrays
 
 DEFAULT_TOL = 1e-12
@@ -65,8 +65,7 @@ def analyze(spec: MethodSpec, eigvals: np.ndarray, tol: float = DEFAULT_TOL) -> 
     with np.errstate(invalid="ignore"):  # inf - inf: coefficient_arrays rejects it
         if np.any(np.diff(lam) < 0):
             raise ValueError("eigvals must be sorted nondecreasing")
-    if not (math.isfinite(tol) and tol >= 0.0):
-        raise ValueError("tolerance must be finite and nonnegative")
+    _require_tolerance(tol)
     a, b = coefficient_arrays(spec, lam)
     # |a| > 1e154 overflows a*a to inf: handled below, no warning
     with np.errstate(over="ignore", invalid="ignore"):

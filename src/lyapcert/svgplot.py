@@ -46,8 +46,8 @@ class Panel:
     unit_circle: bool = False
 
 
-def render_svg(panels: Sequence[Panel], path, *, columns: int = 2) -> None:
-    """Render panels into one standalone SVG file (grid layout)."""
+def render_svg(panels: Sequence[Panel], path) -> None:
+    """Render panels into one standalone SVG file, a grid two panels wide."""
     panels = list(panels)
     if not panels:
         raise ValueError("at least one panel required")
@@ -58,7 +58,7 @@ def render_svg(panels: Sequence[Panel], path, *, columns: int = 2) -> None:
             raise ValueError(f"unknown panel kind {p.kind!r}")
         if any(s.x is not None and len(s.x) != len(s.y) for s in p.series):
             raise ValueError("a series needs as many x values as y values")
-    cols = min(columns, len(panels))
+    cols = min(2, len(panels))
     rows = (len(panels) + cols - 1) // cols
     width = cols * _PANEL_WIDTH
     height = rows * _PANEL_HEIGHT

@@ -6,12 +6,12 @@ keep full relative accuracy all the way down to underflow: the engine runs
 nothing but the recurrence z_{k+1} = a z_k + b z_{k-1}, a block of rows at a
 time.  Objective targets take the family update of ``methods._step``
 through the gradient oracle, with no state beyond the last two iterates;
-their engine ends a block at the first row beyond the divergence threshold
-(and steps one row per block under a V floor), so no gradient is evaluated
-past the stop.  The driver checks each finished block as arrays
-(non-finite rows, divergence, the V floor), cutting the run at the first hit
-in the order a step-by-step loop would meet them, and hands the block on
-with its gap, distance and V, computed once per block from a two-row carry.
+their engine ends a block at the first row beyond the divergence threshold,
+so no gradient is evaluated past the stop.  ``_blocks`` checks each finished
+block as arrays (non-finite rows, divergence, on quadratics the V floor),
+cutting the run at the first hit in the order a step-by-step loop would
+meet them, and hands the block on with its gap, distance and V, computed
+once per block from a two-row carry.
 
 ``run_trace`` joins the blocks into a ``Trace``; the full-space iterates of a
 quadratic run are built from the stored eigen-coordinates only when
@@ -37,7 +37,7 @@ from .lyapunov import LyapunovSeries, DEFAULT_TOLERANCE
 from .methods import MethodSpec, _family, _step, coefficient_arrays
 from .problems import Objective, QuadraticProblem
 
-DIVERGENCE_THRESHOLD = 1e12
+DIVERGENCE_THRESHOLD = 1e12  # read at call time
 _CHUNK = 512  # rows advanced between two checks
 
 
@@ -55,7 +55,6 @@ class Trace:
     objective_gap: np.ndarray
     distance: np.ndarray
     lyapunov: np.ndarray
-    method: MethodSpec
     diverged: bool = False
     frame: Optional[tuple] = None
 
@@ -84,24 +83,22 @@ def _series(lyapunov: np.ndarray, tolerance: float) -> LyapunovSeries:
 
 def run_trace(target: Union[QuadraticProblem, Objective], spec: MethodSpec,
               x0: np.ndarray, iters: int, *, x1: Optional[np.ndarray] = None,
-              v_floor: Optional[float] = None,
-              divergence_threshold: float = DIVERGENCE_THRESHOLD) -> Trace:
+              v_floor: Optional[float] = None) -> Trace:
     """Run ``iters`` recorded iterates (x0 included) and collect metrics.
 
     ``x1`` overrides the default equal start x_{-1} = x0 (under which the
     first step of every method is a plain gradient step).  ``v_floor`` stops
-    the run once V drops below it, mirroring the measurement floor used by
-    the showcase scenarios.  Divergence (distance beyond the threshold) stops
-    the run and flags the trace instead of raising.
+    a quadratic run once V drops below it, the showcase scenarios' floor.
+    Divergence (distance beyond ``DIVERGENCE_THRESHOLD``) stops the run and
+    flags the trace instead of raising.
     """
-    blocks = list(_blocks(target, spec, x0, iters, x1, v_floor, divergence_threshold))
+    blocks = list(_blocks(target, spec, x0, iters, x1, v_floor))
     quadratic = isinstance(target, QuadraticProblem)
     return Trace(
         rows=np.concatenate([blk.rows for blk in blocks]),
         objective_gap=np.concatenate([blk.objective_gap for blk in blocks]),
         distance=np.concatenate([blk.distance for blk in blocks]),
         lyapunov=np.concatenate([blk.lyapunov for blk in blocks]),
-        method=spec,
         diverged=blocks[-1].diverged,
         frame=(target.eigvecs, np.asarray(target.minimizer, dtype=float)) if quadratic else None,
     )
@@ -124,8 +121,7 @@ def _row_norms(Z: np.ndarray) -> np.ndarray:
     return np.sqrt(np.matmul(Z[:, None, :], Z[:, :, None]).ravel())
 
 
-def _blocks(target, spec: MethodSpec, x0, iters: int, x1=None, v_floor=None,
-            divergence_threshold: float = DIVERGENCE_THRESHOLD) -> Iterator[_Block]:
+def _blocks(target, spec: MethodSpec, x0, iters: int, x1=None, v_floor=None) -> Iterator[_Block]:
     """The only step loop: yield a run's rows block by block, each checked
     and with its gap, distance and V, up to and including the stopping row."""
     if iters < 3:
@@ -138,6 +134,8 @@ def _blocks(target, spec: MethodSpec, x0, iters: int, x1=None, v_floor=None,
             raise ValueError("x1 must match x0's dimension")
         starts.append(x1)
     quadratic = isinstance(target, QuadraticProblem)
+    if v_floor is not None and not quadratic:
+        raise ValueError("v_floor applies to quadratic runs only")
     if target.minimizer is None:
         raise ValueError("objective needs a known minimizer to compute metrics")
     if x0.shape != (target.dim,):
@@ -145,15 +143,11 @@ def _blocks(target, spec: MethodSpec, x0, iters: int, x1=None, v_floor=None,
     xs = np.asarray(target.minimizer, dtype=float)
     # quadratic rows are centred eigen-coordinates; oracle rows are x itself,
     # and no gradient is taken past the stopping row: the oracle engine ends
-    # a block at a row beyond the threshold, and steps one row per block
-    # when V may stop the run
-    chunk = _CHUNK
+    # a block at a row beyond the threshold
     if quadratic:
         W, advance = _eigenbasis_engine(target, spec, starts)
     else:
-        W, advance = _oracle_engine(target, spec, starts, divergence_threshold)
-        if v_floor is not None:
-            chunk = 1
+        W, advance = _oracle_engine(target, spec, starts)
         f_star = float(target.value(xs))
         bad_value = False
 
@@ -163,7 +157,7 @@ def _blocks(target, spec: MethodSpec, x0, iters: int, x1=None, v_floor=None,
         # No yield inside: the error state must not leak to the consumer.
         with np.errstate(over="ignore", invalid="ignore"):
             if n:  # the block, after rows n-2 and n-1 (x_{-1} = x0 for one start)
-                W = advance(min(chunk, iters - n))
+                W = advance(min(_CHUNK, iters - n))
             block = W[2:] if n else W
             m = block.shape[0]
             Wz = W if quadratic else W - xs
@@ -175,7 +169,7 @@ def _blocks(target, spec: MethodSpec, x0, iters: int, x1=None, v_floor=None,
             # the run stops on the block's row ``stop`` (m: it goes on) at the
             # first row beyond the threshold (a start: at the last start), the
             # iters-th row, or the first V below the floor
-            far = _first(dist > divergence_threshold)
+            far = _first(dist > DIVERGENCE_THRESHOLD)
             stop = max(far, len(starts) - 1 - n) if far < m else m
             if n + m == iters:
                 stop = min(stop, m - 1)
@@ -241,10 +235,10 @@ def _eigenbasis_engine(p: QuadraticProblem, spec: MethodSpec, starts):
     return first, advance
 
 
-def _oracle_engine(obj: Objective, spec: MethodSpec, starts, threshold: float):
+def _oracle_engine(obj: Objective, spec: MethodSpec, starts):
     """The starts, and ``advance(n)``: the last two iterates so far, then the
-    next n method steps through the gradient oracle, or fewer: up to the
-    first row whose distance from the minimizer is not within ``threshold``."""
+    next n method steps through the gradient oracle, or fewer: up to the first
+    row whose distance from the minimizer is not within the threshold."""
     prev, cur = starts[0], starts[-1]
     xs = np.asarray(obj.minimizer, dtype=float)
     family = _family(spec)
@@ -257,7 +251,7 @@ def _oracle_engine(obj: Objective, spec: MethodSpec, starts, threshold: float):
             prev, cur = cur, _step(obj, family, cur, prev)
             row[:] = cur
             z = row - xs
-            if not math.sqrt(z.dot(z)) <= threshold:
+            if not math.sqrt(z.dot(z)) <= DIVERGENCE_THRESHOLD:
                 return rows[:i + 3]
         return rows
 
@@ -267,14 +261,10 @@ def _oracle_engine(obj: Objective, spec: MethodSpec, starts, threshold: float):
 _CSV_HEADER = "iter,objective_gap,distance,lyapunov\n"
 
 
-def _csv_lines(k0: int, gap: np.ndarray, dist: np.ndarray, lyap: np.ndarray) -> str:
-    """CSV lines of rows k0, k0+1, ...: 17 significant digits, LF endings,
-    the lyapunov cell empty where undefined."""
-    return "".join(_csv_chunks(k0, gap, dist, lyap))
-
-
 def _csv_chunks(k0: int, gap: np.ndarray, dist: np.ndarray, lyap: np.ndarray):
-    """The text of ``_csv_lines`` as consecutive strings of a bounded size."""
+    """CSV lines of rows k0, k0+1, ...: 17 significant digits, LF endings,
+    the lyapunov cell empty where undefined; as consecutive strings of a
+    bounded size."""
     k = np.arange(k0, k0 + gap.shape[0], dtype=float)  # '%.17g' of k is '%d' below 1e17
     return csv_rows([k, gap, dist, lyap], empty=np.isnan(lyap))
 

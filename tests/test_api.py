@@ -1,5 +1,6 @@
-"""The public surface: every exported name resolves, a star import works, and
-the README's library example runs as written."""
+"""The public surface: every exported name resolves, a star import works,
+the README's library example runs as written, and its scenario table lists
+the flags each scenario takes."""
 
 import pathlib
 import re
@@ -27,3 +28,11 @@ def test_readme_library_example_runs(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[0].startswith("True ")
     assert lines[1].startswith("monotone decrease: yes")
+
+
+def test_readme_scenario_flags_match_the_table():
+    section = README.read_text(encoding="utf-8").split("\n## Scenarios\n", 1)[1]
+    rows = re.findall(r"^\| `([\w-]+)` +\| ([^|]*)\|", section, re.M)
+    listed = {name: set(re.findall(r"--([\w-]+)", flags)) for name, flags in rows}
+    assert listed == {name: {key.replace("_", "-") for key in row}
+                      for name, (_, row) in lyapcert.SCENARIOS.items()}

@@ -9,7 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from lyapcert import (HB, NAG, NAGGS, TMM, MethodSpec, check_monotone, cli,
+from lyapcert import (HB, NAG, NAGGS, SCENARIOS, TMM, MethodSpec, check_monotone, cli,
                       export_csv, generate_quadratic, load_problem,
                       optimal_hyperparams, parse_config_file, read_trace_csv,
                       run_trace)
@@ -563,6 +563,39 @@ class TestOptimalConflicts:
         assert "error" not in capsys.readouterr().err
 
 
+UP_CSV = VIOLATING_CSV.replace("3,1,1,2\n", "3,1,1,5\n4,1,1,9\n")
+
+
+class TestBadTolerance:
+    """A NaN or infinite tolerance would let every rise pass as monotone."""
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+    @pytest.mark.parametrize("command", ["check", "run", "scenario"])
+    def test_refused(self, tmp_path, capsys, command, value):
+        up = tmp_path / "up.csv"
+        up.write_text(UP_CSV, encoding="utf-8")
+        out = tmp_path / "out"
+        argv = {"check": ["check", str(up)],
+                "run": ["run", "--method", "hb", "--optimal", "--dim", "3",
+                        "--iters", "10", "--out", str(out)],
+                "scenario": ["scenario", "nonoptimal", "--dim", "3", "--iters", "10",
+                             "--out", str(out)]}[command]
+        assert main([*argv, "--tolerance", value]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: tolerance must be finite and nonnegative\n"
+        assert captured.out == "" and not out.exists()
+        assert main(["check", str(up)]) == 1  # V 1 -> 5 -> 9 rises
+        assert "monotone decrease: NO (2 violations)" in capsys.readouterr().out
+
+
+# a value for each flag a scenario row may hold (``--optimal`` takes none)
+ROW_FLAGS = {"dim": "3", "mu": "1", "L": "9", "method": "hb", "alpha": "0.1",
+             "beta": "0.2", "gamma": "0.3", "optimal": None, "iters": "20",
+             "x0-scale": "1"}
+UNREAD = [(name, flag) for name, (_, row) in sorted(SCENARIOS.items())
+          for flag in ROW_FLAGS if flag.replace("-", "_") not in row]
+
+
 class TestScenarioCommand:
     def test_scenario_runs_and_reports(self, tmp_path, capsys):
         rc = main(["scenario", "nonoptimal", "--dim", "4", "--iters", "150",
@@ -598,6 +631,33 @@ class TestScenarioCommand:
         captured = capsys.readouterr()
         assert captured.err == f"error: --{key} needs --alpha\n" and captured.out == ""
         assert not (tmp_path / "art").exists()
+
+    def test_unread_pairs(self):
+        # with --seed and --tolerance, which every scenario reads: 69 of 96
+        # (scenario, flag) pairs are taken
+        counts = {name: sum(n == name for n, _ in UNREAD) for name in SCENARIOS}
+        assert counts == {"fig1": 0, "quadratic": 0, "nonoptimal": 0, "convex-mu0": 0,
+                          "cosine": 9, "tmm-witness": 5, "expnorm": 6, "rosenbrock": 7}
+        assert len(SCENARIOS) * (len(ROW_FLAGS) + 2) - len(UNREAD) == 69
+
+    @pytest.mark.parametrize("name,flag", UNREAD, ids=[f"{n}--{f}" for n, f in UNREAD])
+    def test_unread_flag_is_refused(self, tmp_path, capsys, name, flag):
+        # refused before anything runs, not run with the scenario's own value
+        value = ROW_FLAGS[flag]
+        out = tmp_path / "art"
+        argv = ["scenario", name, f"--{flag}", *([value] if value else []), "--out", str(out)]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: scenario {name} does not take --{flag}\n"
+        assert captured.out == "" and not out.exists()
+
+    def test_unread_config_key_is_refused(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("scenario = cosine\ndim = 5\nmu = 3\n", encoding="utf-8")
+        assert main(["scenario", "--config", str(cfg), "--out", str(tmp_path / "art")]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: scenario cosine does not take --dim, --mu\n"
+        assert captured.out == "" and not (tmp_path / "art").exists()
 
     def test_unknown_scenario(self, capsys):
         rc = main(["scenario", "nope"])

@@ -332,6 +332,12 @@ class TestLyapunovSeriesValidation:
         with pytest.raises(ValueError):
             LyapunovSeries(values=np.array([1.0]), tolerance=-1e-9)
 
+    @pytest.mark.parametrize("tol", [math.nan, math.inf])
+    def test_rejects_non_finite_tolerance(self, tol):
+        # a NaN or infinite allowance would pass every step, 1 -> 5 -> 9 too
+        with pytest.raises(ValueError, match="tolerance must be finite and nonnegative"):
+            LyapunovSeries(values=np.array([1.0, 5.0, 9.0]), tolerance=tol)
+
     def test_rejects_matrix(self):
         with pytest.raises(ValueError):
             LyapunovSeries(values=np.ones((2, 2)))

@@ -1,7 +1,8 @@
 import hashlib
 import os
+import pathlib
 import re
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from lyapcert import (HB, NAG, NAGGS, SCENARIOS, SUITABLE, TMM, MethodSpec,
                       generate_quadratic, optimal_hyperparams, parse_config_file,
                       run_scenario)
 from lyapcert.cli import main
-from lyapcert.scenarios import _specs
+from lyapcert.scenarios import _specs, _with_row
 
 
 def run_quick(name, out, **overrides):
@@ -477,3 +478,41 @@ class TestArtifactBytes:
         digests = {f: hashlib.sha256((tmp_path / f).read_bytes()).hexdigest()
                    for f in listed}
         assert digests == DIGESTS[name]
+
+
+class TestSettingsTable:
+    """Each scenario's row in ``SCENARIOS`` is the whole of what it reads."""
+
+    @staticmethod
+    def artifacts(out, name, **settings):
+        res = run_quick(name, out, **settings)
+        return {os.path.basename(p): pathlib.Path(p).read_bytes() for p in res.artifacts}
+
+    @pytest.mark.parametrize("name", sorted(QUICK))
+    def test_row_defaults_are_the_defaults(self, tmp_path, name):
+        # a runner with a default of its own would tell these apart
+        unset = self.artifacts(tmp_path / "unset", name, **QUICK[name])
+        for key, default in SCENARIOS[name][1].items():
+            if default is None or key in QUICK[name]:
+                continue
+            explicit = {**QUICK[name], key: default}
+            assert self.artifacts(tmp_path / key, name, **explicit) == unset, key
+
+    # a set value for each setting
+    SAMPLES = dict(dim=3, mu=1.0, L=9.0, method=HB, alpha=0.1, beta=0.2, gamma=0.0,
+                   optimal=False, iters=20, x0_scale=1.0)
+
+    @pytest.mark.parametrize("name", sorted(SCENARIOS))
+    def test_row_is_what_is_taken(self, name):
+        row = SCENARIOS[name][1]
+        assert set(self.SAMPLES) == {f.name for f in fields(ScenarioConfig)} - {
+            "name", "out", "seed", "tolerance"}
+        for key, value in self.SAMPLES.items():
+            cfg = ScenarioConfig(name=name, out="unused", **{key: value})
+            if key in row:
+                assert getattr(_with_row(cfg), key) == value
+            else:
+                with pytest.raises(ValueError, match=f"^scenario {name} does not take "
+                                                     f"--{key.replace('_', '-')}$"):
+                    _with_row(cfg)
+

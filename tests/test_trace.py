@@ -170,17 +170,14 @@ class TestMetricsPassBitIdentity:
             per_coordinate_V(z[k], z[k - 1], z[k - 2]))))
 
     @pytest.mark.parametrize("kind", KINDS)
-    @pytest.mark.parametrize("variant", ["equal", "x1", "v_floor"])
+    @pytest.mark.parametrize("variant", ["equal", "x1"])
     def test_objective(self, kind, variant):
         p = generate_quadratic(5, 1.0, 10.0, seed=5)
         obj = p.as_objective()
         spec = MethodSpec(kind, alpha=0.1, beta=0.5, gamma=0.05 if kind == TMM else 0.0)
         x0 = offset_start(p, seed=1)
         x1 = offset_start(p, seed=2) if variant == "x1" else None
-        v_floor = 1e-8 if variant == "v_floor" else None
-        tr = run_trace(obj, spec, x0, 300, x1=x1, v_floor=v_floor)
-        if v_floor is not None:
-            assert len(tr) < 300 and tr.lyapunov[-1] < v_floor
+        tr = run_trace(obj, spec, x0, 300, x1=x1)
         x, xs = tr.iterates, p.minimizer
         f_star = float(obj.value(xs))
         gaps = [float(obj.value(r)) - f_star for r in x]
@@ -302,7 +299,7 @@ class TestChunkedDriver:
                                                     x1=x1, v_floor=v_floor))
 
     @pytest.mark.parametrize("with_x1", [False, True])
-    def test_divergence_stop_rows(self, with_x1):
+    def test_divergence_stop_rows(self, monkeypatch, with_x1):
         p, spec, x0, x1 = self.diverging(with_x1)
         rows = self.stop_rows(with_x1)
         dist = per_step_reference(p, spec, x0, rows[-1] + 1, x1=x1,
@@ -310,8 +307,8 @@ class TestChunkedDriver:
         for row in rows:
             threshold = dist[:row].max()
             assert dist[row] > threshold
-            tr = run_trace(p, spec, x0, 3 * self.CHUNK, x1=x1,
-                           divergence_threshold=threshold)
+            monkeypatch.setattr(trace_module, "DIVERGENCE_THRESHOLD", threshold)
+            tr = run_trace(p, spec, x0, 3 * self.CHUNK, x1=x1)
             assert len(tr) == row + 1 and tr.diverged
             self.assert_same(tr, per_step_reference(p, spec, x0, 3 * self.CHUNK,
                                                     x1=x1, threshold=threshold))
@@ -338,19 +335,20 @@ class TestChunkedDriver:
         return self.diverging(with_x1, scale=2.0 ** hi)
 
     @pytest.mark.parametrize("with_x1", [False, True])
-    def test_non_finite_rows(self, with_x1):
+    def test_non_finite_rows(self, monkeypatch, with_x1):
+        monkeypatch.setattr(trace_module, "DIVERGENCE_THRESHOLD", math.inf)
         for row in self.stop_rows(with_x1):
             p, spec, x0, x1 = self.overflowing(with_x1, row)
             for iters in (row + 1, 3 * self.CHUNK):
                 with pytest.raises(ValueError, match="non-finite"):
-                    run_trace(p, spec, x0, iters, x1=x1, divergence_threshold=math.inf)
+                    run_trace(p, spec, x0, iters, x1=x1)
                 with pytest.raises(ValueError, match="non-finite"):
                     per_step_reference(p, spec, x0, iters, x1=x1, threshold=math.inf)
             if row < 3:
                 continue
             # a run one row shorter never makes the non-finite row
             with np.errstate(over="ignore", invalid="ignore"):  # metrics of huge rows
-                tr = run_trace(p, spec, x0, row, x1=x1, divergence_threshold=math.inf)
+                tr = run_trace(p, spec, x0, row, x1=x1)
                 ref = per_step_reference(p, spec, x0, row, x1=x1, threshold=math.inf)
             assert len(tr) == row and not tr.diverged
             self.assert_same(tr, ref)
@@ -363,12 +361,13 @@ class TestChunkedDriver:
         return p, MethodSpec(HB, alpha=1e160), np.array([start]), x1
 
     @pytest.mark.parametrize("with_x1", [False, True])
-    def test_non_finite_row_against_a_stop(self, with_x1):
+    def test_non_finite_row_against_a_stop(self, monkeypatch, with_x1):
         # the first stepped row is non-finite and the first beyond the
         # threshold: the non-finite check comes first
         p, spec, x0, x1 = self.one_step_overflow(1e150, 1e150 if with_x1 else None)
+        monkeypatch.setattr(trace_module, "DIVERGENCE_THRESHOLD", 1e151)
         with pytest.raises(ValueError, match="non-finite"):
-            run_trace(p, spec, x0, 100, x1=x1, divergence_threshold=1e151)
+            run_trace(p, spec, x0, 100, x1=x1)
         with pytest.raises(ValueError, match="non-finite"):
             per_step_reference(p, spec, x0, 100, x1=x1, threshold=1e151)
         # rows 1e-170, -1e-10, 1e150, inf: a divergence or V-floor stop on
@@ -378,18 +377,19 @@ class TestChunkedDriver:
             1e-170, (1.0 - 1e160) * 1e-170 if with_x1 else None)
         for kw, diverged in ((dict(threshold=1e100), True),
                              (dict(threshold=1e200, v_floor=1e-30), False)):
-            tr = run_trace(p, spec, x0, 100, x1=x1, v_floor=kw.get("v_floor"),
-                           divergence_threshold=kw["threshold"])
+            monkeypatch.setattr(trace_module, "DIVERGENCE_THRESHOLD", kw["threshold"])
+            tr = run_trace(p, spec, x0, 100, x1=x1, v_floor=kw.get("v_floor"))
             assert len(tr) == 3 and tr.diverged == diverged
             self.assert_same(tr, per_step_reference(p, spec, x0, 100, x1=x1, **kw))
 
     @pytest.mark.parametrize("with_x1", [False, True])
     @pytest.mark.parametrize("start", [1e150, math.inf])
-    def test_start_beyond_threshold(self, with_x1, start):
+    def test_start_beyond_threshold(self, monkeypatch, with_x1, start):
         # a start is never checked for finiteness; beyond the threshold it
         # ends the run at the last start
         p, spec, x0, x1 = self.one_step_overflow(start, 1.0 if with_x1 else None)
-        tr = run_trace(p, spec, x0, 100, x1=x1, divergence_threshold=1e100)
+        monkeypatch.setattr(trace_module, "DIVERGENCE_THRESHOLD", 1e100)
+        tr = run_trace(p, spec, x0, 100, x1=x1)
         assert len(tr) == (2 if with_x1 else 1) and tr.diverged
         self.assert_same(tr, per_step_reference(p, spec, x0, 100, x1=x1, threshold=1e100))
 
@@ -550,22 +550,30 @@ class TestOracleBlocks:
             assert np.array_equal(getattr(tr, name), getattr(ref, name), equal_nan=True)
 
     @pytest.mark.parametrize("kind", KINDS)
-    @pytest.mark.parametrize("case", ["converging", "diverging", "x1", "v_floor"])
+    @pytest.mark.parametrize("case", ["converging", "diverging", "x1"])
     def test_matches_one_row_blocks(self, monkeypatch, kind, case):
         p = generate_quadratic(4, 1.0, 10.0, seed=2)
         alpha = 1.0 if case == "diverging" else 0.1
         spec = MethodSpec(kind, alpha=alpha, beta=0.5, gamma=0.05 if kind == TMM else 0.0)
         x0 = offset_start(p, seed=1)
-        kwargs = dict(x1=offset_start(p, seed=2) if case == "x1" else None,
-                      v_floor=1e-8 if case == "v_floor" else None)
+        x1 = offset_start(p, seed=2) if case == "x1" else None
         obj, calls = self.counting(p)
-        tr = run_trace(obj, spec, x0, 1300, **kwargs)
+        tr = run_trace(obj, spec, x0, 1300, x1=x1)
         assert tr.diverged == (case == "diverging")
-        assert len(tr) < 1300 if case in ("diverging", "v_floor") else len(tr) == 1300
+        assert len(tr) < 1300 if case == "diverging" else len(tr) == 1300
         # one gradient per stepped row: none past the stop
         assert len(calls) == len(tr) - (2 if case == "x1" else 1)
         monkeypatch.setattr(trace_module, "_CHUNK", 1)
-        self.assert_same(tr, run_trace(p.as_objective(), spec, x0, 1300, **kwargs))
+        self.assert_same(tr, run_trace(p.as_objective(), spec, x0, 1300, x1=x1))
+
+    def test_v_floor_is_refused(self):
+        # the V floor stops quadratic runs only; an objective run has none
+        p = generate_quadratic(4, 1.0, 10.0, seed=2)
+        obj, calls = self.counting(p)
+        with pytest.raises(ValueError, match="v_floor applies to quadratic runs only"):
+            run_trace(obj, MethodSpec(HB, alpha=0.1, beta=0.5), offset_start(p, seed=1),
+                      100, v_floor=1e-8)
+        assert calls == []
 
     def test_non_finite_gradient_raises(self):
         p = generate_quadratic(3, 1.0, 10.0, seed=2)

@@ -14,7 +14,7 @@ from lyapcert import _g17, svgplot
 from lyapcert import trace as trace_module
 from lyapcert.cli import main
 from lyapcert.spectral import SpectralCertificate
-from lyapcert.trace import _csv_lines
+from lyapcert.trace import _csv_chunks
 import reference
 
 # every value class a double can hold, plus ones whose 17-digit forms need all
@@ -36,6 +36,10 @@ def assert_same_text(got: str, want: str):
         pairs = itertools.zip_longest(got.splitlines(True), want.splitlines(True))
         i, (g, w) = next((i, p) for i, p in enumerate(pairs) if p[0] != p[1])
         pytest.fail(f"line {i}: {g!r} != {w!r}")
+
+
+def _csv_lines(k0, gap, dist, lyap):
+    return "".join(_csv_chunks(k0, gap, dist, lyap))
 
 
 class TestTraceCsvLines:
