@@ -81,7 +81,13 @@ def parse_config_file(path) -> dict:
     return out
 
 
+def _require_finite_scale(scale: float) -> None:
+    if not math.isfinite(scale):  # a NaN or inf start would surface as a bad iterate
+        raise ValueError(f"x0-scale must be finite, got {scale}")
+
+
 def _x0(xstar: np.ndarray, scale: float, seed: int, tag: int = 1) -> np.ndarray:
+    _require_finite_scale(scale)
     rng = np.random.default_rng([seed, tag])
     v = rng.standard_normal(xstar.shape[0])
     return xstar + scale * v / np.linalg.norm(v)
@@ -284,6 +290,7 @@ def find_tmm_witness(problem: QuadraticProblem, cert: SpectralCertificate, iters
     (coordinate, trace, report), or None when every coordinate is a
     conjugate pair: then V >= 0 from every start.
     """
+    _require_finite_scale(scale)
     r = cert.per_coordinate
     if r.conjugate_pair.all():
         return None

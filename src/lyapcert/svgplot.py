@@ -15,6 +15,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from ._files import whole_file
+
 _PANEL_WIDTH = 460
 _PANEL_HEIGHT = 340
 _FLOOR = 1e-16  # line-log panels draw values below this at this value
@@ -47,7 +49,12 @@ class Panel:
 
 
 def render_svg(panels: Sequence[Panel], path) -> None:
-    """Render panels into one standalone SVG file, a grid two panels wide."""
+    """Render panels into one standalone SVG file, a grid two panels wide.
+
+    Every panel is checked before the file is opened.  The document is then
+    written a panel at a time, so only one panel's text is held at once, and
+    ``path`` appears only when it is complete.
+    """
     panels = list(panels)
     if not panels:
         raise ValueError("at least one panel required")
@@ -58,27 +65,26 @@ def render_svg(panels: Sequence[Panel], path) -> None:
             raise ValueError(f"unknown panel kind {p.kind!r}")
         if any(s.x is not None and len(s.x) != len(s.y) for s in p.series):
             raise ValueError("a series needs as many x values as y values")
+        if p.kind == "scatter" and any(s.x is None for s in p.series):
+            raise ValueError("scatter series need explicit x values")
     cols = min(2, len(panels))
     rows = (len(panels) + cols - 1) // cols
     width = cols * _PANEL_WIDTH
     height = rows * _PANEL_HEIGHT
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}" font-family="Helvetica, Arial, sans-serif">',
-        f'<rect x="0" y="0" width="{width}" height="{height}" fill="#ffffff"/>',
-    ]
-    for i, p in enumerate(panels):
-        tx = (i % cols) * _PANEL_WIDTH
-        ty = (i // cols) * _PANEL_HEIGHT
-        parts.append(f'<g class="panel" transform="translate({tx},{ty})">')
-        if p.kind == "line-log":
-            parts.extend(_line_log_panel(p, _PANEL_WIDTH, _PANEL_HEIGHT))
-        else:
-            parts.extend(_scatter_panel(p, _PANEL_WIDTH, _PANEL_HEIGHT))
-        parts.append("</g>")
-    parts.append("</svg>")
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("\n".join(parts) + "\n")
+    # print writes each part and separator in turn: the text of
+    # "\n".join(parts) + "\n" without the joined copy
+    with whole_file(path) as fh:
+        print(f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
+              f'viewBox="0 0 {width} {height}" font-family="Helvetica, Arial, sans-serif">',
+              f'<rect x="0" y="0" width="{width}" height="{height}" fill="#ffffff"/>',
+              sep="\n", file=fh)
+        for i, p in enumerate(panels):
+            tx = (i % cols) * _PANEL_WIDTH
+            ty = (i // cols) * _PANEL_HEIGHT
+            draw = _line_log_panel if p.kind == "line-log" else _scatter_panel
+            print(f'<g class="panel" transform="translate({tx},{ty})">',
+                  *draw(p, _PANEL_WIDTH, _PANEL_HEIGHT), "</g>", sep="\n", file=fh)
+        print("</svg>", file=fh)
 
 
 def _frame(p: Panel, w: int, h: int, left: int, right: int, top: int, bottom: int):
@@ -174,8 +180,6 @@ def _scatter_panel(p: Panel, w: int, h: int):
     r = 0.0
     points = []
     for s in p.series:
-        if s.x is None:
-            raise ValueError("scatter series need explicit x values")
         xv = np.asarray(s.x, dtype=float)
         yv = np.asarray(s.y, dtype=float)
         keep = np.isfinite(xv) & np.isfinite(yv)  # a non-finite point is not drawn

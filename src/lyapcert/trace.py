@@ -13,25 +13,24 @@ cutting the run at the first hit in the order a step-by-step loop would
 meet them, and hands the block on with its gap, distance and V, computed
 once per block from a two-row carry.
 
-``run_trace`` joins the blocks into a ``Trace``; the full-space iterates of a
-quadratic run are built from the stored eigen-coordinates only when
-``Trace.iterates`` is read.  ``lyapcert run`` streams instead: each block's
-CSV lines are written as the block arrives and only the V column is kept, so
-its memory does not grow with the rows' width, and ``read_trace_csv`` reads
-the file back a chunk of lines at a time.
+``run_trace`` keeps the metric columns of the blocks and drops their rows: a
+quadratic ``Trace`` stores the arguments of its ``_blocks`` call and replays
+it whenever ``rows`` or ``iterates`` is read, so its memory does not grow
+with the rows' width.  ``lyapcert run`` streams instead: each block's CSV
+lines are written as the block arrives and only the V column is kept, and
+``read_trace_csv`` reads the file back a chunk of lines at a time.
 """
 
 from __future__ import annotations
 
-import errno
 import math
-import os
 from array import array
 from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple, Optional, Union
 
 import numpy as np
 
+from ._files import whole_file
 from ._g17 import csv_rows
 from .lyapunov import LyapunovSeries, DEFAULT_TOLERANCE
 from .methods import MethodSpec, _family, _step, coefficient_arrays
@@ -43,31 +42,43 @@ _CHUNK = 512  # rows advanced between two checks
 
 @dataclass
 class Trace:
-    """Recorded rows and per-iterate metrics of one run.
+    """Per-iterate metrics of one run, and its rows on request.
 
-    ``rows`` holds the centred eigen-coordinates of a quadratic run, or the
-    iterates themselves for an objective; ``frame`` is the (eigvecs,
-    minimizer) pair that maps quadratic rows back to x, and None otherwise.
-    ``lyapunov[k]`` is defined from k = 2 on (NaN before that).
+    ``objective_gap``, ``distance`` and ``lyapunov`` hold one value per
+    recorded iterate; ``lyapunov[k]`` is defined from k = 2 on (NaN before
+    that).  ``run`` is the argument tuple of the ``_blocks`` call that made
+    the trace.  An objective run keeps its iterates in ``x``; a quadratic run
+    keeps no row at all (``x`` is None), and ``rows``, its centred
+    eigen-coordinates, are computed again by replaying ``run`` on every read.
+    The engine is deterministic, so each read gives the same bits.
     """
 
-    rows: np.ndarray
     objective_gap: np.ndarray
     distance: np.ndarray
     lyapunov: np.ndarray
-    diverged: bool = False
-    frame: Optional[tuple] = None
+    diverged: bool
+    run: tuple
+    x: Optional[np.ndarray] = None
 
     def __len__(self) -> int:
-        return self.rows.shape[0]
+        return self.objective_gap.shape[0]
+
+    @property
+    def rows(self) -> np.ndarray:
+        """The centred eigen-coordinates of a quadratic run, rebuilt on every
+        read (not kept: that is the memory a trace saves); an objective
+        run's iterates."""
+        if self.x is not None:
+            return self.x
+        return np.concatenate([blk.rows for blk in _blocks(*self.run)])
 
     @property
     def iterates(self) -> np.ndarray:
         """Row k is x_k; a quadratic trace rebuilds it on every read."""
-        if self.frame is None:
-            return self.rows
-        eigvecs, minimizer = self.frame
-        return self.rows @ eigvecs.T + minimizer
+        if self.x is not None:
+            return self.x
+        problem = self.run[0]
+        return self.rows @ problem.eigvecs.T + problem.minimizer
 
     def lyapunov_series(self, tolerance: float = DEFAULT_TOLERANCE) -> LyapunovSeries:
         return _series(self.lyapunov, tolerance)
@@ -92,16 +103,20 @@ def run_trace(target: Union[QuadraticProblem, Objective], spec: MethodSpec,
     Divergence (distance beyond ``DIVERGENCE_THRESHOLD``) stops the run and
     flags the trace instead of raising.
     """
-    blocks = list(_blocks(target, spec, x0, iters, x1, v_floor))
-    quadratic = isinstance(target, QuadraticProblem)
-    return Trace(
-        rows=np.concatenate([blk.rows for blk in blocks]),
-        objective_gap=np.concatenate([blk.objective_gap for blk in blocks]),
-        distance=np.concatenate([blk.distance for blk in blocks]),
-        lyapunov=np.concatenate([blk.lyapunov for blk in blocks]),
-        diverged=blocks[-1].diverged,
-        frame=(target.eigvecs, np.asarray(target.minimizer, dtype=float)) if quadratic else None,
-    )
+    # copies of the starts: a caller changing its arrays later must not
+    # change the rows a quadratic trace replays
+    run = (target, spec, np.array(x0, dtype=float), iters,
+           None if x1 is None else np.array(x1, dtype=float), v_floor)
+    keep_rows = not isinstance(target, QuadraticProblem)
+    gap, dist, lyap, rows = [], [], [], []
+    for blk in _blocks(*run):
+        gap.append(blk.objective_gap)
+        dist.append(blk.distance)
+        lyap.append(blk.lyapunov)
+        if keep_rows:
+            rows.append(blk.rows)
+    return Trace(np.concatenate(gap), np.concatenate(dist), np.concatenate(lyap),
+                 blk.diverged, run, np.concatenate(rows) if keep_rows else None)
 
 
 class _Block(NamedTuple):
@@ -284,25 +299,13 @@ def _stream_csv(blocks: Iterable[_Block], path):
     only once the run is complete; a run that raises leaves ``path`` as it
     was.  Returns the row count, the last block and the V column.
     """
-    path = os.fspath(path)
-    if os.path.isdir(path):  # fail before the run, not at os.replace after it
-        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
-    tmp = f"{path}.{os.getpid()}.tmp"
-    try:
-        with open(tmp, "w", encoding="utf-8", newline="") as fh:
-            fh.write(_CSV_HEADER)
-            n, lyap = 0, []
-            for blk in blocks:
-                fh.writelines(_csv_chunks(n, blk.objective_gap, blk.distance, blk.lyapunov))
-                n += blk.rows.shape[0]
-                lyap.append(blk.lyapunov)
-        os.replace(tmp, path)
-    except BaseException as exc:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        if isinstance(exc, OSError):  # name the file asked for, not the temporary one
-            raise OSError(exc.errno, exc.strerror, path) from None
-        raise
+    with whole_file(path) as fh:
+        fh.write(_CSV_HEADER)
+        n, lyap = 0, []
+        for blk in blocks:
+            fh.writelines(_csv_chunks(n, blk.objective_gap, blk.distance, blk.lyapunov))
+            n += blk.objective_gap.shape[0]
+            lyap.append(blk.lyapunov)
     return n, blk, np.concatenate(lyap)
 
 

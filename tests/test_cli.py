@@ -588,6 +588,23 @@ class TestBadTolerance:
         assert "monotone decrease: NO (2 violations)" in capsys.readouterr().out
 
 
+class TestBadX0Scale:
+    """A NaN or infinite start scale is named, not met later as a bad iterate
+    or objective value."""
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("command", ["run", "tmm-witness", "expnorm"])
+    def test_refused(self, tmp_path, capsys, command, value):
+        out = tmp_path / "out"
+        argv = {"run": ["run", "--method", "hb", "--optimal", "--dim", "3", "--iters", "10"],
+                "tmm-witness": ["scenario", "tmm-witness", "--dim", "5", "--iters", "10"],
+                "expnorm": ["scenario", "expnorm", "--iters", "10"]}[command]
+        assert main([*argv, f"--x0-scale={value}", "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: x0-scale must be finite, got {value}\n"
+        assert captured.out == "" and not out.exists()
+
+
 # a value for each flag a scenario row may hold (``--optimal`` takes none)
 ROW_FLAGS = {"dim": "3", "mu": "1", "L": "9", "method": "hb", "alpha": "0.1",
              "beta": "0.2", "gamma": "0.3", "optimal": None, "iters": "20",

@@ -1,3 +1,4 @@
+import os
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -156,6 +157,36 @@ class TestValidation:
         panel = Panel(title="t", kind="pie", series=[Series("a", np.ones(2))])
         with pytest.raises(ValueError, match="kind"):
             render_svg([panel], tmp_path / "a.svg")
+
+
+    LINE = Panel(title="ok", series=[Series("a", np.ones(3))])
+    # panel lists render_svg refuses, each with its message; the later cases
+    # are refused only after a panel that renders
+    REJECTED = {
+        "no-panels": ([], "at least one panel required"),
+        "no-series": ([Panel(title="t", series=[])], "at least one series required"),
+        "kind": ([LINE, Panel(title="t", kind="pie", series=[Series("a", np.ones(2))])],
+                 "unknown panel kind 'pie'"),
+        "x-length": ([LINE, Panel(title="t", series=[Series("v", np.ones(3), x=np.arange(4.0))])],
+                     "as many x values"),
+        "scatter-x": ([LINE, Panel(title="s", kind="scatter", series=[Series("a", np.ones(3))])],
+                      "scatter series need explicit x values"),
+        "not-numbers": ([LINE, Panel(title="t", series=[Series("a", np.array(["1", "x"]))])],
+                        "could not convert"),
+    }
+
+    @pytest.mark.parametrize("existing", [False, True])
+    @pytest.mark.parametrize("case", sorted(REJECTED))
+    def test_rejected_panels_leave_no_file(self, tmp_path, case, existing):
+        panels, message = self.REJECTED[case]
+        path = tmp_path / "a.svg"
+        if existing:
+            path.write_text("before", encoding="utf-8")
+        with pytest.raises(ValueError, match=message):
+            render_svg(panels, path)
+        assert os.listdir(tmp_path) == (["a.svg"] if existing else [])
+        if existing:
+            assert path.read_text(encoding="utf-8") == "before"
 
 
 class TestWellFormedOutput:

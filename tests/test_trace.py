@@ -1,14 +1,15 @@
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from lyapcert import trace as trace_module
 from lyapcert import (HB, KINDS, NAG, NAGGS, TMM, MethodSpec, Objective,
-                      QuadraticProblem, check_monotone, coefficient_arrays, export_csv,
-                      generate_quadratic, optimal_hyperparams, read_trace_csv,
-                      run_trace, series_from_csv)
+                      QuadraticProblem, analyze, check_monotone, coefficient_arrays,
+                      export_csv, find_tmm_witness, generate_quadratic, optimal_hyperparams,
+                      read_trace_csv, run_trace, series_from_csv)
 from conftest import random_eligible_coeffs
 from reference import eigenvalues, per_coordinate_V, schur, vector_V
 
@@ -234,7 +235,7 @@ def per_step_reference(p, spec, x0, iters, x1=None, v_floor=None,
         return dict(rows=len(rows), diverged=diverged,
                     distance=np.array([math.sqrt(z.dot(z)) for z in rows]),
                     lyapunov=lyap, gap=0.5 * np.sum(p.eigvals * Z * Z, axis=1),
-                    iterates=Z @ q.T + xs)
+                    eigen=Z, iterates=Z @ q.T + xs)
 
 
 class TestChunkedDriver:
@@ -250,6 +251,7 @@ class TestChunkedDriver:
         assert np.array_equal(tr.distance, ref["distance"])
         assert np.array_equal(tr.lyapunov, ref["lyapunov"], equal_nan=True)
         assert np.array_equal(tr.objective_gap, ref["gap"])
+        assert np.array_equal(tr.rows, ref["eigen"], equal_nan=True)
         assert np.array_equal(tr.iterates, ref["iterates"], equal_nan=True)
 
     @staticmethod
@@ -398,6 +400,69 @@ class TestChunkedDriver:
         tr = run_trace(p, spec, x0, 10 ** 9, v_floor=1e-6)
         assert len(tr) < 100
         self.assert_same(tr, per_step_reference(p, spec, x0, 10 ** 9, v_floor=1e-6))
+
+
+class TestRowsOnRead:
+    """A quadratic trace holds its metric columns and no rows: ``rows`` and
+    ``iterates`` replay the run on every read, to the bits of a run that
+    kept them."""
+
+    @staticmethod
+    def assert_replayed(tr, ref):
+        assert all(np.ndim(v) <= 1 for v in vars(tr).values() if isinstance(v, np.ndarray))
+        first = tr.rows
+        assert tr.rows is not first  # computed again, not cached
+        for rows in (first, tr.rows):
+            assert np.array_equal(rows, ref["eigen"], equal_nan=True)
+        assert np.array_equal(tr.iterates, ref["iterates"], equal_nan=True)
+        assert len(tr) == ref["rows"] and tr.diverged == ref["diverged"]
+
+    def test_v_floor_stop(self):
+        p, spec, x0, _ = TestChunkedDriver.converging(False)
+        tr = run_trace(p, spec, x0, 2000, v_floor=1e-6)
+        assert len(tr) < 2000 and not tr.diverged
+        self.assert_replayed(tr, per_step_reference(p, spec, x0, 2000, v_floor=1e-6))
+
+    @pytest.mark.parametrize("start,second,rows", [
+        (1e150, None, 1), (1e150, 1.0, 2), (1e-170, (1.0 - 1e160) * 1e-170, 3)])
+    def test_divergence_stop(self, monkeypatch, start, second, rows):
+        p, spec, x0, x1 = TestChunkedDriver.one_step_overflow(start, second)
+        monkeypatch.setattr(trace_module, "DIVERGENCE_THRESHOLD", 1e100)
+        tr = run_trace(p, spec, x0, 100, x1=x1)
+        assert len(tr) == rows and tr.diverged
+        self.assert_replayed(tr, per_step_reference(p, spec, x0, 100, x1=x1, threshold=1e100))
+
+    def test_second_start(self):
+        p = generate_quadratic(12, 1.0, 100.0, seed=0)
+        cert = analyze(optimal_hyperparams(TMM, 1.0, 100.0), p.eigvals)
+        i, tr, _ = find_tmm_witness(p, cert, 80)
+        r, step = cert.per_coordinate, 10.0 * p.eigvecs[:, i]  # the witness's starts
+        x0, x1 = p.minimizer + step, p.minimizer + (r.re[i] + r.re2[i]) / 2.0 * step
+        self.assert_replayed(tr, per_step_reference(p, cert.method, x0, 80, x1=x1))
+
+    def test_starts_are_copied(self):
+        p, spec, x0, _ = TestChunkedDriver.converging(False)
+        tr = run_trace(p, spec, x0, 50)
+        want = tr.rows
+        x0 += 1.0
+        assert np.array_equal(tr.rows, want)
+
+    def test_peak_memory_is_below_the_rows(self):
+        # a trace holding its rows would need iters * dim * 8 bytes (4.8 MB);
+        # a short run first, so one-time lazy imports are not counted
+        iters, dim = 3000, 200
+        p = generate_quadratic(dim, 1.0, 1e4, seed=0)
+        spec = optimal_hyperparams(HB, 1.0, 1e4)
+        x0 = offset_start(p, scale=10.0)
+        run_trace(p, spec, x0, 3)
+        tracemalloc.start()
+        try:
+            tr = run_trace(p, spec, x0, iters)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(tr) == iters
+        assert peak < iters * dim * 8
 
 
 @pytest.mark.parametrize("objective", [False, True], ids=["quadratic", "objective"])
