@@ -2,7 +2,9 @@
 
 Subcommands: generate, analyze, run, scenario, check.  Every flag can also be
 supplied through ``--config FILE`` (flat ``key = value`` lines, ``#`` comments,
-keys named like the flags); explicit flags take precedence over the file.
+keys named like the flags); explicit flags take precedence over the file,
+and a key the subcommand has no flag for is refused.  ``COMMANDS`` holds
+each subcommand's flags and defaults.
 
 Exit codes: 0 success, 1 verdict failure (ineligible certificate, diverged
 run, violated monotonicity, failed scenario), 2 usage error.
@@ -13,10 +15,11 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import fields
+from dataclasses import MISSING, fields
 
 import numpy as np
 
+from ._files import whole_file
 from .lyapunov import DEFAULT_TOLERANCE, _require_tolerance, check_monotone
 from .methods import HB, NAG, NAGGS, TMM, MethodSpec, optimal_hyperparams
 from .problems import (_require_spectrum, generate_quadratic, load_problem,
@@ -53,7 +56,9 @@ def parse_method(text: str) -> str:
 
 def _count(name: str, low: int):
     def parse(text: str) -> int:
-        if not text.strip().lstrip("+-").isdecimal() or int(text) < low:
+        digits = text.strip()
+        digits = digits[1:] if digits.startswith(("+", "-")) else digits
+        if not digits.isdecimal() or int(text) < low:
             raise UsageError(f"{name} must be an integer >= {low}, got {text!r}")
         return int(text)
     return parse
@@ -89,12 +94,29 @@ _FLAGS = {
 }
 
 
-def _merged(args, config: dict, key: str, default=None):
-    """Flag value if given, else config-file value, else default."""
+def _merged(args, config: dict, key: str):
+    """Flag value if given, else config-file value, else None."""
     val = getattr(args, key.replace("-", "_"), None)
     if val is None and key in config:
         val = _FLAGS[key].get("type", _parse_bool)(config[key])
-    return default if val is None else val
+    return val
+
+
+def _resolve(args, config: dict, row: dict, positional) -> dict:
+    """Every option of ``row``: flag, else config value, else the row's
+    default; options that exclude each other are refused here."""
+    given = {key: val for key in row
+             if (val := _merged(args, config, key)) is not None}
+    clash = [f"--{key}" for key in ("dim", "mu", "L") if key in given]
+    if "problem" in given and clash:
+        raise UsageError(f"--problem conflicts with {', '.join(clash)}")
+    clash = [f"--{key}" for key in ("alpha", "beta", "gamma") if key in given]
+    if given.get("optimal") and clash:
+        raise UsageError(f"--optimal conflicts with explicit {', '.join(clash)}")
+    options = {**row, **given}
+    if positional is not None:
+        options[positional] = getattr(args, positional) or config.get(positional)
+    return options
 
 
 def _require(value, flag: str):
@@ -103,72 +125,42 @@ def _require(value, flag: str):
     return value
 
 
-def _optimal(args, config) -> bool:
-    """The ``optimal`` switch; tuned values leave no hyperparameter to set."""
-    optimal = _merged(args, config, "optimal", False)
-    given = [f"--{k}" for k in ("alpha", "beta", "gamma")
-             if _merged(args, config, k) is not None]
-    if optimal and given:
-        raise UsageError(f"--optimal conflicts with explicit {', '.join(given)}")
-    return optimal
-
-
-def _method_spec(args, config, mu, L) -> MethodSpec:
-    kind = _require(_merged(args, config, "method"), "--method")
-    alpha = _merged(args, config, "alpha")
-    if _optimal(args, config):
-        _require(mu, "--mu (needed by --optimal)")
-        _require(L, "--L (needed by --optimal)")
+def _method_spec(o: dict, mu, L) -> MethodSpec:
+    kind = _require(o["method"], "--method")
+    if o["optimal"]:
         return optimal_hyperparams(kind, mu, L)
-    _require(alpha, "--alpha (or --optimal)")
-    beta = _merged(args, config, "beta", 0.0)
-    gamma = _merged(args, config, "gamma", 0.0)
-    return MethodSpec(kind, alpha=alpha, beta=beta, gamma=gamma)
+    alpha = _require(o["alpha"], "--alpha (or --optimal)")
+    return MethodSpec(kind, alpha=alpha, beta=o["beta"], gamma=o["gamma"])
 
 
-def _cmd_generate(args, config) -> int:
-    dim = _merged(args, config, "dim", 50)
-    mu = _merged(args, config, "mu", 1.0)
-    L = _merged(args, config, "L", 10.0)
-    seed = _merged(args, config, "seed", 0)
-    out = _require(_merged(args, config, "out"), "--out")
-    problem = generate_quadratic(dim, mu, L, seed)
-    save_problem(problem, out)
-    print(f"wrote quadratic problem: dim={dim} spectrum=[{mu:g}, {L:g}] "
-          f"seed={seed} -> {out}")
+def _cmd_generate(o: dict) -> int:
+    """generate a quadratic problem file"""
+    out = _require(o["out"], "--out")
+    save_problem(generate_quadratic(o["dim"], o["mu"], o["L"], o["seed"]), out)
+    print(f"wrote quadratic problem: dim={o['dim']} spectrum=[{o['mu']:g}, {o['L']:g}] "
+          f"seed={o['seed']} -> {out}")
     return 0
 
 
-def _load_or_generate(args, config):
-    path = _merged(args, config, "problem")
-    if path is not None:
-        return load_problem(path)
-    dim = _merged(args, config, "dim", 50)
-    mu = _merged(args, config, "mu", 1.0)
-    L = _merged(args, config, "L", 10.0)
-    seed = _merged(args, config, "seed", 0)
-    return generate_quadratic(dim, mu, L, seed)
-
-
-def _cmd_analyze(args, config) -> int:
-    tol = _merged(args, config, "tolerance", DEFAULT_TOL)
-    path = _merged(args, config, "problem")
+def _cmd_analyze(o: dict) -> int:
+    """certificate for a method on a spectrum"""
+    path = o["problem"]
     if path is not None:
         problem = load_problem(path)
         eigvals = problem.eigvals
         mu, L = problem.mu, problem.lipschitz
     else:
-        mu = _require(_merged(args, config, "mu"), "--mu (or --problem)")
-        L = _require(_merged(args, config, "L"), "--L (or --problem)")
-    spec = _method_spec(args, config, mu, L)  # tuned: rejects non-finite mu, L
+        mu = _require(o["mu"], "--mu (or --problem)")
+        L = _require(o["L"], "--L (or --problem)")
+    spec = _method_spec(o, mu, L)  # tuned: rejects non-finite mu, L
     if path is None:
         _require_spectrum(mu, L)
-        npts = _merged(args, config, "dim", 100)
+        npts = o["dim"]
         eigvals = np.linspace(mu, L, npts) if npts > 1 else np.array([L])
-    cert = analyze(spec, eigvals, tol=tol)
-    out = _merged(args, config, "out")
+    cert = analyze(spec, eigvals, tol=o["tolerance"])
+    out = o["out"]
     if out is not None:
-        with open(out, "w", encoding="utf-8", newline="") as fh:
+        with whole_file(out) as fh:
             fh.write(certificate_csv_text(cert))
     sys.stdout.write(certificate_report_text(cert))
     if out is not None:
@@ -176,18 +168,16 @@ def _cmd_analyze(args, config) -> int:
     return 0 if cert.eligible else 1
 
 
-def _cmd_run(args, config) -> int:
-    problem = _load_or_generate(args, config)
-    spec = _method_spec(args, config, problem.mu, problem.lipschitz)
-    iters = _merged(args, config, "iters", 2000)
-    seed = _merged(args, config, "seed", 0)
-    scale = _merged(args, config, "x0-scale", 10.0)
-    out = _require(_merged(args, config, "out"), "--out")
-    tol = _merged(args, config, "tolerance", DEFAULT_TOLERANCE)
-    _require_tolerance(tol)  # before the run writes ``out``
-    x0 = _x0(problem.minimizer, scale, seed)
-    rows, last, lyap = _stream_csv(_blocks(problem, spec, x0, iters), out)
-    rep = check_monotone(_series(lyap, tol))
+def _cmd_run(o: dict) -> int:
+    """run one method and export the trace CSV"""
+    problem = (load_problem(o["problem"]) if o["problem"] is not None
+               else generate_quadratic(o["dim"], o["mu"], o["L"], o["seed"]))
+    spec = _method_spec(o, problem.mu, problem.lipschitz)
+    out = _require(o["out"], "--out")
+    _require_tolerance(o["tolerance"])  # before the run writes ``out``
+    x0 = _x0(problem.minimizer, o["x0-scale"], o["seed"])
+    rows, last, lyap = _stream_csv(_blocks(problem, spec, x0, o["iters"]), out)
+    rep = check_monotone(_series(lyap, o["tolerance"]))
     print(f"rows={rows} final_gap={last.objective_gap[-1]:.6g} "
           f"final_distance={last.distance[-1]:.6g} "
           f"diverged={'yes' if last.diverged else 'no'}")
@@ -196,37 +186,34 @@ def _cmd_run(args, config) -> int:
     return 1 if last.diverged else 0
 
 
-def _cmd_scenario(args, config) -> int:
-    name = args.name or config.get("scenario")
+def _cmd_scenario(o: dict) -> int:
+    """run a named scenario end to end"""
+    name = o.pop("scenario")
     if name is None:
         raise UsageError("missing scenario name")
     if name not in SCENARIOS:
         known = ", ".join(sorted(SCENARIOS))
         raise UsageError(f"unknown scenario {name!r} (known: {known})")
-    out = _merged(args, config, "out", os.path.join("artifacts", name))
-    # unset fields keep the dataclass defaults (seed, tolerance) or the row's
-    values = {f.name: _merged(args, config, f.name.replace("_", "-"))
-              for f in fields(ScenarioConfig) if f.name not in ("name", "out")}
-    cfg = ScenarioConfig(name=name, out=out,
-                         **{k: v for k, v in values.items() if v is not None})
+    if o["out"] is None:
+        o["out"] = os.path.join("artifacts", name)
+    cfg = ScenarioConfig(name=name, **{k.replace("-", "_"): v for k, v in o.items()})
     _with_row(cfg)  # a flag the scenario does not read is refused first (exit 1)
-    _optimal(args, config)
     for key in ("beta", "gamma"):  # without --alpha a scenario runs its own values
-        if values[key] is not None and values["alpha"] is None:
+        if o[key] is not None and o["alpha"] is None:
             raise UsageError(f"--{key} needs --alpha")
     result = run_scenario(cfg)
     with open(result.report_path, "r", encoding="utf-8") as fh:
         sys.stdout.write(fh.read())
-    print(f"artifacts: {len(result.artifacts)} files in {out}")
+    print(f"artifacts: {len(result.artifacts)} files in {cfg.out}")
     return 0 if result.ok else 1
 
 
-def _cmd_check(args, config) -> int:
-    path = args.trace or config.get("trace")
+def _cmd_check(o: dict) -> int:
+    """monotonicity verdict for a trace CSV"""
+    path = o["trace"]
     if path is None:
         raise UsageError("missing trace CSV path")
-    tol = _merged(args, config, "tolerance", DEFAULT_TOLERANCE)
-    series = series_from_csv(path, tolerance=tol)
+    series = series_from_csv(path, tolerance=o["tolerance"])
     rep = check_monotone(series)
     print(rep.describe())
     for v in rep.violations[:10]:
@@ -236,13 +223,27 @@ def _cmd_check(args, config) -> int:
     return 0 if rep.monotone else 1
 
 
-def _add_common(sub: argparse.ArgumentParser, *names) -> None:
-    # accepted after the subcommand too; SUPPRESS keeps the subparser from
-    # clobbering a value parsed before the subcommand
-    sub.add_argument("--config", type=str, default=argparse.SUPPRESS,
-                     help="flat key = value file mirroring the flags")
-    for name in names:
-        sub.add_argument(f"--{name}", default=None, **_FLAGS[name])
+# the method options ``_method_spec`` reads, shared by analyze and run
+_SPEC = dict(method=None, alpha=None, beta=0.0, gamma=0.0, optimal=False)
+
+# name: (handler, positional, {flag: default}); a default of None is "unset",
+# and the positional is also a config key.  The scenario row is
+# ``ScenarioConfig``'s fields, so unset options take the scenario's own row.
+COMMANDS = {
+    "generate": (_cmd_generate, None, dict(dim=50, mu=1.0, L=10.0, seed=0, out=None)),
+    "analyze": (_cmd_analyze, None, dict(**_SPEC, mu=None, L=None, dim=100, problem=None,
+                                         tolerance=DEFAULT_TOL, out=None)),
+    "run": (_cmd_run, None, {**_SPEC, "dim": 50, "mu": 1.0, "L": 10.0, "iters": 2000,
+                             "seed": 0, "x0-scale": 10.0, "problem": None,
+                             "tolerance": DEFAULT_TOLERANCE, "out": None}),
+    "scenario": (_cmd_scenario, "scenario",
+                 {f.name.replace("_", "-"): None if f.default is MISSING else f.default
+                  for f in fields(ScenarioConfig) if f.name != "name"}),
+    "check": (_cmd_check, "trace", dict(tolerance=DEFAULT_TOLERANCE)),
+}
+
+_POSITIONALS = {"scenario": f"one of: {', '.join(sorted(SCENARIOS))}",
+                "trace": "trace CSV path"}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -253,47 +254,33 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", type=str, default=None,
                         help="flat key = value file mirroring the flags")
     subs = parser.add_subparsers(dest="command", required=True)
-
-    g = subs.add_parser("generate", help="generate a quadratic problem file")
-    _add_common(g, "dim", "mu", "L", "seed", "out")
-
-    a = subs.add_parser("analyze", help="certificate for a method on a spectrum")
-    _add_common(a, "method", "alpha", "beta", "gamma", "optimal",
-                "mu", "L", "dim", "problem", "tolerance", "out")
-
-    r = subs.add_parser("run", help="run one method and export the trace CSV")
-    _add_common(r, "method", "alpha", "beta", "gamma", "optimal", "dim",
-                "mu", "L", "iters", "seed", "x0-scale", "problem",
-                "tolerance", "out")
-
-    s = subs.add_parser("scenario", help="run a named scenario end to end")
-    s.add_argument("name", nargs="?", default=None,
-                   help=f"one of: {', '.join(sorted(SCENARIOS))}")
-    _add_common(s, "dim", "mu", "L", "method", "alpha", "beta", "gamma",
-                "optimal", "iters", "seed", "x0-scale", "tolerance", "out")
-
-    c = subs.add_parser("check", help="monotonicity verdict for a trace CSV")
-    c.add_argument("trace", nargs="?", default=None, help="trace CSV path")
-    _add_common(c, "tolerance")
-
+    for name, (handler, positional, row) in COMMANDS.items():
+        sub = subs.add_parser(name, help=handler.__doc__, description=handler.__doc__)
+        if positional is not None:
+            sub.add_argument(positional, nargs="?", default=None,
+                             help=_POSITIONALS[positional])
+        # accepted after the subcommand too; SUPPRESS keeps the subparser
+        # from clobbering a value parsed before the subcommand
+        sub.add_argument("--config", type=str, default=argparse.SUPPRESS,
+                         help="flat key = value file mirroring the flags")
+        for key, default in row.items():
+            spec = dict(_FLAGS[key])
+            if default is not None:
+                spec["help"] += f" (default: {default})"
+            sub.add_argument(f"--{key}", default=None, **spec)
     return parser
 
 
-_COMMANDS = {
-    "generate": _cmd_generate,
-    "analyze": _cmd_analyze,
-    "run": _cmd_run,
-    "scenario": _cmd_scenario,
-    "check": _cmd_check,
-}
-
-
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    handler, positional, row = COMMANDS[args.command]
     try:
         config = parse_config_file(args.config) if args.config else {}
-        return _COMMANDS[args.command](args, config)
+        unread = [key for key in config if key not in row and key != positional]
+        if unread:  # refused before anything runs, as an unknown flag is
+            raise UsageError(f"{args.command} does not read config "
+                             f"key{'s' * (len(unread) > 1)} {', '.join(unread)}")
+        return handler(_resolve(args, config, row, positional))
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -16,6 +16,7 @@ from typing import Optional
 
 import numpy as np
 
+from ._files import whole_file
 from .lyapunov import DEFAULT_TOLERANCE, check_monotone
 from .methods import (HB, NAG, NAGGS, TMM, KINDS, MethodSpec, optimal_hyperparams)
 from .problems import (QuadraticProblem, cosine_counterexample, exp_norm_objective,
@@ -67,17 +68,20 @@ class ScenarioResult:
 
 
 def parse_config_file(path) -> dict:
-    """Flat ``key = value`` format with # comments; keys mirror CLI flags."""
+    """Flat ``key = value`` format with # comments; keys mirror CLI flags,
+    and a key given twice is refused."""
     out = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
-            if "=" not in line:
+            key, sep, val = (part.strip() for part in line.partition("="))
+            if not (sep and key):
                 raise ValueError(f"{path}:{lineno}: expected 'key = value'")
-            key, val = line.split("=", 1)
-            out[key.strip()] = val.strip()
+            if key in out:
+                raise ValueError(f"{path}:{lineno}: key {key!r} given twice")
+            out[key] = val
     return out
 
 
@@ -161,7 +165,7 @@ def _finish(cfg: ScenarioConfig, lines: list, verdicts: dict, traces: dict,
     artifacts: list = []
 
     def write(path: str, text: str) -> None:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
+        with whole_file(path) as fh:
             fh.write(text)
         artifacts.append(path)
 

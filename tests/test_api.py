@@ -1,11 +1,13 @@
 """The public surface: every exported name resolves, a star import works,
-the README's library example runs as written, and its scenario table lists
-the flags each scenario takes."""
+the README's library example runs as written, its scenario table lists
+the flags each scenario takes, and its config table lists each subcommand's
+keys and defaults."""
 
 import pathlib
 import re
 
 import lyapcert
+from lyapcert import cli
 
 README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
 
@@ -36,3 +38,16 @@ def test_readme_scenario_flags_match_the_table():
     listed = {name: set(re.findall(r"--([\w-]+)", flags)) for name, flags in rows}
     assert listed == {name: {key.replace("_", "-") for key in row}
                       for name, (_, row) in lyapcert.SCENARIOS.items()}
+
+
+def test_readme_config_table_matches_the_commands():
+    section = README.read_text(encoding="utf-8").split("\n### Config files\n", 1)[1]
+    section = section.split("\n## Scenarios\n", 1)[0]
+    rows = re.findall(r"^\| `([\w-]+)` \| (.*?) \| (.*?) \|$", section, re.M)
+    listed = {name: (re.findall(r"`([\w-]+)`", positional), cells.split())
+              for name, positional, cells in rows}
+    assert listed == {
+        name: ([positional] if positional else [],
+               [f"`{key}`" if default is None else f"`{key}={default}`"
+                for key, default in row.items()])
+        for name, (_, positional, row) in cli.COMMANDS.items()}

@@ -1,6 +1,9 @@
+import contextlib
 import errno
 import hashlib
+import importlib
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -704,10 +707,26 @@ class TestCountFlags:
         assert exc.value.code == 2
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("value", ["+-5", "-+5", "++5", "--5"])
+    def test_one_sign_at_most(self, tmp_path, capsys, value):
+        # the value is named, not met by int() as an invalid literal
+        with pytest.raises(SystemExit) as exc:
+            main(["generate", f"--dim={value}", "--out", str(tmp_path / "p.npz")])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith(
+            f"error: argument --dim: dim must be an integer >= 1, got {value!r}\n")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_one_sign_is_read(self, tmp_path, capsys):
+        assert main(["generate", "--dim=+3", "--out", str(tmp_path / "p.npz")]) == 0
+        assert load_problem(tmp_path / "p.npz").dim == 3
+
     @pytest.mark.parametrize("body,message", [
         ("dim = 0\n", "dim must be an integer >= 1, got '0'"),
         ("iters = 2\n", "iters must be an integer >= 3, got '2'"),
         ("dim = 2.5\n", "dim must be an integer >= 1, got '2.5'"),
+        ("dim = +-5\n", "dim must be an integer >= 1, got '+-5'"),
+        ("iters = -+5\n", "iters must be an integer >= 3, got '-+5'"),
     ])
     def test_out_of_range_config_is_usage_error(self, tmp_path, capsys, body, message):
         cfg = tmp_path / "run.cfg"
@@ -796,6 +815,179 @@ class TestConfigFile:
         rc = main(["analyze", "--config", cfg])
         assert rc == 2
         assert "unknown method" in capsys.readouterr().err
+
+    def test_repeated_key_is_refused(self, tmp_path, capsys):
+        # not run with the last value
+        cfg = self.write_config(tmp_path, "dim = 5\n# again\n dim=7\n")
+        out = tmp_path / "p.npz"
+        assert main(["generate", "--config", cfg, "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {cfg}:3: key 'dim' given twice\n"
+        assert captured.out == "" and not out.exists()
+
+
+# (command, key) pairs of every flag against every subcommand's row
+TABLE_PAIRS = [(name, key) for name in cli.COMMANDS for key in cli._FLAGS]
+UNREAD_KEYS = [(n, k) for n, k in TABLE_PAIRS if k not in cli.COMMANDS[n][2]]
+READ_KEYS = [(n, k) for n, k in TABLE_PAIRS if k in cli.COMMANDS[n][2]]
+
+
+class TestCommandTable:
+    """``COMMANDS`` is the one list of each subcommand's options: it builds
+    the parser, and a config key outside a row is refused before anything
+    runs, as a flag outside it is."""
+
+    write_config = TestConfigFile.write_config
+    EVERY_KEY = TestConfigFile.EVERY_KEY
+
+    def test_pair_counts(self):
+        counts = {name: sum(n == name for n, _ in UNREAD_KEYS) for name in cli.COMMANDS}
+        assert counts == {"generate": 9, "analyze": 3, "run": 0, "scenario": 1, "check": 13}
+        assert len(READ_KEYS) == 44
+
+    @pytest.mark.parametrize("name,key", UNREAD_KEYS, ids=[f"{n}-{k}" for n, k in UNREAD_KEYS])
+    def test_unread_key_is_refused(self, tmp_path, capsys, name, key):
+        out = tmp_path / "out"
+        trace = tmp_path / "t.csv"
+        trace.write_text(VIOLATING_CSV, encoding="utf-8")
+        argv = {"generate": ["generate", "--out", str(out)],
+                "analyze": ["analyze", "--method", "hb", "--optimal", "--mu", "1",
+                            "--L", "4", "--out", str(out)],
+                "scenario": ["scenario", "nonoptimal", "--dim", "3", "--iters", "10",
+                             "--out", str(out)],
+                "check": ["check", str(trace)]}[name]
+        cfg = self.write_config(tmp_path, f"{key} = {self.EVERY_KEY[key][0]}\n")
+        assert main([*argv, "--config", cfg]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {name} does not read config key {key}\n"
+        assert captured.out == ""
+        assert sorted(os.listdir(tmp_path)) == ["run.cfg", "t.csv"]
+
+    @pytest.mark.parametrize("name,key", READ_KEYS, ids=[f"{n}-{k}" for n, k in READ_KEYS])
+    def test_read_key_reaches_the_handler(self, tmp_path, monkeypatch, name, key):
+        seen = []
+        _, positional, row = cli.COMMANDS[name]
+        monkeypatch.setitem(cli.COMMANDS, name, (seen.append, positional, row))
+        text, expected = self.EVERY_KEY[key]
+        assert main([name, "--config", self.write_config(tmp_path, f"{key} = {text}\n")]) is None
+        assert seen[0][key] == expected and type(seen[0][key]) is type(expected)
+        assert {k: v for k, v in seen[0].items() if k not in (key, positional)} == \
+            {k: v for k, v in row.items() if k != key}
+
+    def test_positional_keys(self, tmp_path, capsys):
+        cfg = self.write_config(tmp_path, "trace = t.csv\n")
+        assert main(["run", "--config", cfg]) == 2
+        assert capsys.readouterr().err == "error: run does not read config key trace\n"
+        cfg = self.write_config(tmp_path, "scenario = fig1\ntrace = t.csv\nitres = 7\n")
+        assert main(["check", "--config", cfg]) == 2
+        assert capsys.readouterr().err == \
+            "error: check does not read config keys scenario, itres\n"
+
+    def test_typo_in_scenario_config(self, tmp_path, capsys):
+        cfg = self.write_config(tmp_path, "itres = 7\n")
+        out = tmp_path / "art"
+        assert main(["scenario", "nonoptimal", "--config", cfg, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: scenario does not read config key itres\n"
+        assert captured.out == "" and not out.exists()
+
+    @pytest.mark.parametrize("name", sorted(cli.COMMANDS))
+    def test_help_lists_the_row(self, capsys, name):
+        with pytest.raises(SystemExit) as exc:
+            main([name, "--help"])
+        assert exc.value.code == 0
+        text = capsys.readouterr().out
+        listed = re.findall(r"^  (--[\w-]+)", text, re.M)
+        assert listed == ["--config", *(f"--{key}" for key in cli.COMMANDS[name][2])]
+        assert cli.COMMANDS[name][0].__doc__ in text
+
+    @pytest.mark.parametrize("command", ["run", "analyze"])
+    @pytest.mark.parametrize("given", [("dim",), ("mu",), ("L",), ("dim", "mu", "L")])
+    @pytest.mark.parametrize("source", ["flags", "config"])
+    def test_problem_conflicts_with_its_shape(self, tmp_path, capsys, command, given, source):
+        # refused before the file is read: it does not exist
+        out = tmp_path / "out.csv"
+        argv = [command, "--method", "hb", "--optimal", "--problem",
+                str(tmp_path / "missing.npz"), "--out", str(out)]
+        settings = {"dim": "9", "mu": "3", "L": "77"}
+        if source == "flags":
+            for key in given:
+                argv += [f"--{key}", settings[key]]
+        else:
+            argv += ["--config", self.write_config(
+                tmp_path, "".join(f"{k} = {settings[k]}\n" for k in given))]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        flags = ", ".join(f"--{k}" for k in given)
+        assert captured.err == f"error: --problem conflicts with {flags}\n"
+        assert captured.out == "" and not out.exists()
+
+
+class _HalfWrites:
+    """A text handle that writes half of what it is given, then fails as a
+    full disk does."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def write(self, text):
+        self.fh.write(text[:len(text) // 2])
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+def _half_writes(module, monkeypatch):
+    real = module.whole_file
+
+    @contextlib.contextmanager
+    def whole_file(path):
+        with real(path) as fh:
+            yield _HalfWrites(fh)
+
+    monkeypatch.setattr(module, "whole_file", whole_file)
+
+
+class TestTextArtifactsWholeOrNot:
+    """``analyze --out`` and a scenario's certificate and report files go
+    through the one writer: a write that fails part way leaves no file, and
+    an existing file as it was."""
+
+    @pytest.mark.parametrize("existing", [None, b"old contents\n"])
+    def test_analyze_out(self, tmp_path, capsys, monkeypatch, existing):
+        _half_writes(cli, monkeypatch)
+        out = tmp_path / "c.csv"
+        if existing is not None:
+            out.write_bytes(existing)
+        rc = main(["analyze", "--method", "hb", "--optimal", "--mu", "1", "--L", "4",
+                   "--out", str(out)])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.err == f"error: [Errno {errno.ENOSPC}] " \
+                               f"{os.strerror(errno.ENOSPC)}: {str(out)!r}\n"
+        assert captured.out == ""
+        assert os.listdir(tmp_path) == ([] if existing is None else ["c.csv"])
+        if existing is not None:
+            assert out.read_bytes() == existing
+
+    @pytest.mark.parametrize("existing", [None, b"old contents\n"])
+    def test_scenario_certificate(self, tmp_path, capsys, monkeypatch, existing):
+        _half_writes(importlib.import_module("lyapcert.scenarios"), monkeypatch)
+        art = tmp_path / "art"
+        cert = art / "nonoptimal_hb_certificate.csv"
+        if existing is not None:
+            art.mkdir()
+            cert.write_bytes(existing)
+        rc = main(["scenario", "nonoptimal", "--dim", "3", "--iters", "10",
+                   "--out", str(art)])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.err == f"error: [Errno {errno.ENOSPC}] " \
+                               f"{os.strerror(errno.ENOSPC)}: {str(cert)!r}\n"
+        # the traces were written before the first certificate, nothing after
+        left = sorted(os.listdir(art))
+        assert left == sorted([f"nonoptimal_{k}_trace.csv" for k in ("hb", "nag", "tmm", "naggs")]
+                              + ([] if existing is None else [cert.name]))
+        if existing is not None:
+            assert cert.read_bytes() == existing
 
 
 class TestInstalledEntryPoint:

@@ -42,6 +42,17 @@ class TestParseConfigFile:
         with pytest.raises(ValueError, match=r":2:"):
             parse_config_file(p)
 
+    @pytest.mark.parametrize("line,message", [
+        ("= 5", "expected 'key = value'"), ("  =", "expected 'key = value'"),
+        ("dim = 7", "key 'dim' given twice")])
+    def test_keyless_or_repeated_line(self, tmp_path, line, message):
+        # not a key named '', nor the last of two values
+        p = tmp_path / "c.cfg"
+        p.write_text(f"dim = 5\n{line}\n", encoding="utf-8")
+        with pytest.raises(ValueError) as exc:
+            parse_config_file(p)
+        assert str(exc.value) == f"{p}:2: {message}"
+
 
 class TestCatalog:
     def test_scenario_names(self):
