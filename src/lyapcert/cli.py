@@ -86,7 +86,7 @@ _FLAGS = {
     "optimal": dict(action="store_const", const=True,
                     help="use tuned hyperparameters for [mu, L]"),
     "iters": dict(type=_count("iters", 3), help="iteration count (>= 3)"),
-    "seed": dict(type=int, help="random seed"),
+    "seed": dict(type=_count("seed", 0), help="random seed (>= 0)"),
     "out": dict(type=str, help="output path (file or directory)"),
     "x0-scale": dict(type=float, help="initial distance from the minimizer"),
     "tolerance": dict(type=float, help="comparison tolerance"),

@@ -175,12 +175,13 @@ def _finish(cfg: ScenarioConfig, lines: list, verdicts: dict, traces: dict,
     for kind, cert in certs.items():
         write(f"{stem}_{kind.lower()}_certificate.csv", certificate_csv_text(cert))
         write(f"{stem}_{kind.lower()}_certificate.txt", certificate_report_text(cert))
-    for key, panel in panels.items():
-        artifacts.append(f"{stem}_{key}.svg")
-        render_svg([panel], artifacts[-1])
-    if len(panels) > 1:
+    own = [f"{stem}_{key}.svg" for key in panels]
+    artifacts += own
+    if len(panels) > 1:  # each panel is drawn once, for its own file and the overview
         artifacts.append(f"{stem}_overview.svg")
-        render_svg(list(panels.values()), artifacts[-1])
+        render_svg(list(panels.values()), artifacts[-1], own)
+    elif panels:
+        render_svg(list(panels.values()), own[0])
     ok = all(verdicts.values())
     body = [f"scenario: {cfg.name}", *lines]
     body += [f"verdict {key}: {'PASS' if v else 'FAIL'}" for key, v in verdicts.items()]

@@ -5,11 +5,20 @@ legend swatches use <line>, scatter points use <circle class="pt">, so files
 stay easy to assert on.  No external renderer is involved.  Pixel positions
 are computed on whole series and each series is formatted with one ``%``;
 non-finite points are left out and do not set the axis ranges.
+
+A line keeps at most four points per pixel column: of each maximal run of
+consecutive points whose x falls in one column (the floor of its pixel x),
+the first, lowest, highest and last, in index order (the M4 rule of Jugel
+et al., VLDB 2014), so the drawn line is the same at the plot's resolution.
+A series over its index therefore keeps at most 4 * 383 points, whatever
+its length.  Each panel is drawn once, also when it goes to its own file
+and to a file of all panels.
 """
 
 from __future__ import annotations
 
 import math
+from contextlib import ExitStack
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -48,18 +57,23 @@ class Panel:
     unit_circle: bool = False
 
 
-def render_svg(panels: Sequence[Panel], path) -> None:
+def render_svg(panels: Sequence[Panel], path, panel_paths: Sequence = ()) -> None:
     """Render panels into one standalone SVG file, a grid two panels wide.
 
-    Every panel is checked before the file is opened.  The document is then
-    written a panel at a time, so only one panel's text is held at once, and
-    ``path`` appears only when it is complete.
+    ``panel_paths``, if given, names one more file per panel, which holds
+    that panel alone.  Every panel is checked before any file is opened and
+    then drawn once, its text written to ``path`` and to its own file; only
+    one panel's text is held at a time, and the files appear only when all
+    of them are complete.
     """
     panels = list(panels)
+    panel_paths = list(panel_paths)
     if not panels:
         raise ValueError("at least one panel required")
     if not any(len(p.series) for p in panels):
         raise ValueError("at least one series required")
+    if panel_paths and len(panel_paths) != len(panels):
+        raise ValueError("panel_paths needs one path per panel")
     for p in panels:
         if p.kind not in ("line-log", "scatter"):
             raise ValueError(f"unknown panel kind {p.kind!r}")
@@ -68,23 +82,29 @@ def render_svg(panels: Sequence[Panel], path) -> None:
         if p.kind == "scatter" and any(s.x is None for s in p.series):
             raise ValueError("scatter series need explicit x values")
     cols = min(2, len(panels))
-    rows = (len(panels) + cols - 1) // cols
-    width = cols * _PANEL_WIDTH
-    height = rows * _PANEL_HEIGHT
-    # print writes each part and separator in turn: the text of
-    # "\n".join(parts) + "\n" without the joined copy
-    with whole_file(path) as fh:
-        print(f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-              f'viewBox="0 0 {width} {height}" font-family="Helvetica, Arial, sans-serif">',
-              f'<rect x="0" y="0" width="{width}" height="{height}" fill="#ffffff"/>',
-              sep="\n", file=fh)
+    with ExitStack() as files:
+        fh = files.enter_context(whole_file(path))
+        own = [files.enter_context(whole_file(p)) for p in panel_paths]
+        print(_svg_open(cols, (len(panels) + cols - 1) // cols), file=fh)
         for i, p in enumerate(panels):
+            draw = _line_log_panel if p.kind == "line-log" else _scatter_panel
+            body = "\n".join(draw(p, _PANEL_WIDTH, _PANEL_HEIGHT))
             tx = (i % cols) * _PANEL_WIDTH
             ty = (i // cols) * _PANEL_HEIGHT
-            draw = _line_log_panel if p.kind == "line-log" else _scatter_panel
-            print(f'<g class="panel" transform="translate({tx},{ty})">',
-                  *draw(p, _PANEL_WIDTH, _PANEL_HEIGHT), "</g>", sep="\n", file=fh)
+            print(f'<g class="panel" transform="translate({tx},{ty})">', body, "</g>",
+                  sep="\n", file=fh)
+            if own:
+                print(_svg_open(1, 1), '<g class="panel" transform="translate(0,0)">', body,
+                      "</g>", "</svg>", sep="\n", file=own[i])
         print("</svg>", file=fh)
+
+
+def _svg_open(cols: int, rows: int) -> str:
+    width = cols * _PANEL_WIDTH
+    height = rows * _PANEL_HEIGHT
+    return (f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
+            f'viewBox="0 0 {width} {height}" font-family="Helvetica, Arial, sans-serif">\n'
+            f'<rect x="0" y="0" width="{width}" height="{height}" fill="#ffffff"/>')
 
 
 def _frame(p: Panel, w: int, h: int, left: int, right: int, top: int, bottom: int):
@@ -151,7 +171,8 @@ def _line_log_panel(p: Panel, w: int, h: int):
                    f'fill="#333">{xv:.6g}</text>')
     for j, (label, x, y) in enumerate(clipped):
         color = _COLORS[j % len(_COLORS)]
-        pts = _polyline_points(x, y, box, lo, hi, xmax)
+        keep = _m4(np.floor(_px(x, box, xmax)), y)
+        pts = _polyline_points(x[keep], y[keep], box, lo, hi, xmax)
         out.append(f'<polyline fill="none" stroke="{color}" stroke-width="1.5" points="{pts}"/>')
     out.extend(_legend(p.series, x1, y0))
     return out
@@ -167,6 +188,26 @@ def _py(v: np.ndarray, box, lo: int, hi: int) -> np.ndarray:
     _, y0, _, y1 = box
     logs = np.fromiter(map(math.log10, v.tolist()), dtype=float, count=v.shape[0])
     return y1 - (y1 - y0) * ((logs - lo) / (hi - lo))
+
+
+def _m4(col: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Indices of the points a line keeps: of each maximal run of consecutive
+    points with one pixel column ``col``, the first, lowest, highest and last
+    (the first of equal values), in index order; a run of at most four points
+    is kept whole."""
+    n = col.shape[0]
+    if n <= 4:
+        return np.arange(n)
+    starts = np.flatnonzero(np.r_[True, col[1:] != col[:-1]])
+    lengths = np.diff(np.r_[starts, n])
+    run = np.repeat(np.arange(starts.shape[0]), lengths)
+    keep = np.repeat(lengths <= 4, lengths)
+    keep[starts] = True
+    keep[starts + lengths - 1] = True
+    for extreme in (np.minimum, np.maximum):
+        hits = np.flatnonzero(y == np.repeat(extreme.reduceat(y, starts), lengths))
+        keep[hits[np.r_[True, run[hits[1:]] != run[hits[:-1]]]]] = True
+    return np.flatnonzero(keep)
 
 
 def _polyline_points(x: np.ndarray, y: np.ndarray, box, lo: int, hi: int, xmax: float) -> str:

@@ -7,8 +7,9 @@ against, written out with ``math`` on Python floats: the eigenvalues of the
 companion matrix M = [[a, b], [1, 0]], the conjugate-pair test, the 2x2
 Schur factorization behind the certificate, the three-point value V, and
 NAG-GS in its literal two-sequence form.  The text writers at the end
-format one row or point at a time; the library's block writers must give
-the same bytes.
+format one row or point at a time, and ``svg_m4`` picks a polyline's points
+one pixel column at a time; the library's block writers must give the same
+bytes.
 """
 
 import math
@@ -186,6 +187,30 @@ def svg_polyline_points(x, y, box, lo, hi, xmax):
         return y1 - (y1 - y0) * ((math.log10(v) - lo) / (hi - lo))
 
     return " ".join(f"{px(xx):.2f},{py(vv):.2f}" for xx, vv in zip(x, y))
+
+
+def svg_m4(x, y, box, xmax):
+    """Indices of the points a line-log polyline keeps of its drawn points:
+    of each maximal run of consecutive points in one pixel column, the
+    first, lowest, highest and last, the first of equal values; a run of at
+    most four points is kept whole."""
+    x0, _, x1, _ = box
+    cols = [math.floor(x0 + (x1 - x0) * (xx / max(xmax, 1e-300))) for xx in x]
+    kept = []
+    i = 0
+    while i < len(cols):
+        j = i
+        while j + 1 < len(cols) and cols[j + 1] == cols[i]:
+            j += 1
+        run = range(i, j + 1)
+        if len(run) <= 4:
+            kept.extend(run)
+        else:  # min and max return the first of equal values
+            lowest = min(run, key=lambda k: y[k])
+            highest = max(run, key=lambda k: y[k])
+            kept.extend(sorted({i, lowest, highest, j}))
+        i = j + 1
+    return kept
 
 
 def svg_circles(x, y, cx, cy, scale, color):

@@ -717,6 +717,24 @@ class TestCountFlags:
             f"error: argument --dim: dim must be an integer >= 1, got {value!r}\n")
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("value", ["-3", "+-3", "1.5", "x"])
+    def test_seed_is_named(self, tmp_path, capsys, value):
+        # a negative seed is refused here, not by numpy without the flag's name
+        with pytest.raises(SystemExit) as exc:
+            main(["generate", f"--seed={value}", "--out", str(tmp_path / "p.npz")])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith(
+            f"error: argument --seed: seed must be an integer >= 0, got {value!r}\n")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_seed_config_key_is_named(self, tmp_path, capsys):
+        cfg = tmp_path / "g.cfg"
+        cfg.write_text("seed = -3\n", encoding="utf-8")
+        rc = main(["generate", "--config", str(cfg), "--out", str(tmp_path / "p.npz")])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: seed must be an integer >= 0, got '-3'\n"
+        assert sorted(os.listdir(tmp_path)) == ["g.cfg"]
+
     def test_one_sign_is_read(self, tmp_path, capsys):
         assert main(["generate", "--dim=+3", "--out", str(tmp_path / "p.npz")]) == 0
         assert load_problem(tmp_path / "p.npz").dim == 3
@@ -727,6 +745,7 @@ class TestCountFlags:
         ("dim = 2.5\n", "dim must be an integer >= 1, got '2.5'"),
         ("dim = +-5\n", "dim must be an integer >= 1, got '+-5'"),
         ("iters = -+5\n", "iters must be an integer >= 3, got '-+5'"),
+        ("seed = -3\n", "seed must be an integer >= 0, got '-3'"),
     ])
     def test_out_of_range_config_is_usage_error(self, tmp_path, capsys, body, message):
         cfg = tmp_path / "run.cfg"

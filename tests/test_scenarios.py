@@ -1,3 +1,5 @@
+import contextlib
+import errno
 import hashlib
 import os
 import pathlib
@@ -11,6 +13,7 @@ from lyapcert import (HB, NAG, NAGGS, SCENARIOS, SUITABLE, TMM, MethodSpec,
                       ScenarioConfig, Trace, analyze, find_cosine_witness, find_tmm_witness,
                       generate_quadratic, optimal_hyperparams, parse_config_file,
                       run_scenario)
+from lyapcert import svgplot
 from lyapcert.cli import main
 from lyapcert.scenarios import _specs, _with_row
 
@@ -495,6 +498,75 @@ class TestArtifactBytes:
         digests = {f: hashlib.sha256((tmp_path / f).read_bytes()).hexdigest()
                    for f in listed}
         assert digests == DIGESTS[name]
+
+
+def panel_bodies(text):
+    """The text inside each ``<g class="panel">`` of an SVG, in order."""
+    return [part.split("\n", 1)[1].split("\n</g>\n", 1)[0]
+            for part in text.split('<g class="panel"')[1:]]
+
+
+class TestDrawOnce:
+    """A scenario draws each panel one time, for its own file and the overview."""
+
+    # the quick sizes, and fig1 long enough that its lines drop points
+    SIZES = {**QUICK, "fig1-long": dict(dim=8, iters=3000)}
+
+    @staticmethod
+    def svgs(res):
+        own = [p for p in res.artifacts if p.endswith(".svg") and not p.endswith("_overview.svg")]
+        overview = [p for p in res.artifacts if p.endswith("_overview.svg")]
+        return own, overview
+
+    @pytest.mark.parametrize("case", sorted(SIZES))
+    def test_overview_holds_the_panel_files(self, tmp_path, case):
+        res = run_quick(case.removesuffix("-long"), tmp_path, **self.SIZES[case])
+        own, overview = self.svgs(res)
+        bodies = [panel_bodies(pathlib.Path(p).read_text(encoding="utf-8")) for p in own]
+        assert all(len(b) == 1 for b in bodies)
+        if len(own) > 1:
+            text = pathlib.Path(overview[0]).read_text(encoding="utf-8")
+            assert panel_bodies(text) == [b[0] for b in bodies]
+        else:
+            assert overview == []
+
+    @pytest.mark.parametrize("name", sorted(QUICK))
+    def test_each_panel_drawn_once(self, tmp_path, monkeypatch, name):
+        titles = []
+        for attr in ("_line_log_panel", "_scatter_panel"):
+            def draw(p, w, h, real=getattr(svgplot, attr)):
+                titles.append(p.title)
+                return real(p, w, h)
+            monkeypatch.setattr(svgplot, attr, draw)
+        own, _ = self.svgs(run_quick(name, tmp_path, **QUICK[name]))
+        assert len(titles) == len(set(titles)) == len(own)
+
+    @pytest.mark.parametrize("existing", [False, True])
+    def test_failed_write_leaves_no_svg(self, tmp_path, monkeypatch, existing):
+        # the spectrum file, written last, fails as a full disk does
+        real = svgplot.whole_file
+
+        class FullDisk:
+            def write(self, text):
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        @contextlib.contextmanager
+        def whole_file(path):
+            with real(path) as fh:
+                yield FullDisk() if path.endswith("_spectrum.svg") else fh
+
+        monkeypatch.setattr(svgplot, "whole_file", whole_file)
+        names = [f"fig1_{key}.svg" for key in ("gap", "distance", "lyapunov", "spectrum",
+                                               "overview")]
+        if existing:
+            for name in names:
+                (tmp_path / name).write_text("before", encoding="utf-8")
+        with pytest.raises(OSError, match=os.strerror(errno.ENOSPC)):
+            run_quick("fig1", tmp_path, **QUICK["fig1"])
+        left = sorted(f for f in os.listdir(tmp_path) if not f.endswith((".csv", ".txt")))
+        assert left == (sorted(names) if existing else [])
+        for name in left:
+            assert (tmp_path / name).read_text(encoding="utf-8") == "before"
 
 
 class TestSettingsTable:

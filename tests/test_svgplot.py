@@ -1,10 +1,12 @@
+import math
 import os
 import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
 
-from lyapcert import Panel, Series, render_svg
+from lyapcert import Panel, Series, render_svg, svgplot
+import reference
 
 
 def render_text(panels, path, **kw):
@@ -204,3 +206,148 @@ class TestWellFormedOutput:
         ns = {"svg": "http://www.w3.org/2000/svg"}
         assert len(root.findall(".//svg:polyline", ns)) == 2
         assert len(root.findall(".//svg:g[@class='panel']", ns)) == 2
+
+
+BOX = (64, 28, 446, 300)  # the plot box of a line-log panel
+COLUMNS = 383  # its pixel columns, 64..446
+
+
+def random_series(rng, n, explicit_x):
+    """y spanning the floor with ties, NaN and inf; x unset, or explicit and
+    non-monotone with NaN and inf of its own."""
+    y = 10.0 ** rng.uniform(-22.0, 3.0, n)
+    ties = rng.random(n) < 0.3
+    y[ties] = rng.choice([0.0, -1.0, 1e-16, 1e-3, 1.0], size=int(ties.sum()))
+    y[rng.random(n) < 0.05] = rng.choice([np.nan, np.inf, -np.inf])
+    if not explicit_x:
+        return y, None
+    x = np.cumsum(rng.normal(0.3, 1.0, n))
+    x[rng.random(n) < 0.05] = rng.choice([np.nan, np.inf])
+    return y, x
+
+
+def drawn(y, x):
+    """The points a line-log panel of this one series draws, before the
+    column rule, and the panel's decades and x range."""
+    x = np.arange(y.shape[0], dtype=float) if x is None else x
+    keep = np.isfinite(x) & np.isfinite(y)
+    x, y = x[keep], np.maximum(y[keep], 1e-16)
+    if not y.size:
+        return x, y, -16, 0, 1.0
+    lo = math.floor(math.log10(y.min()))
+    hi = max(math.ceil(math.log10(y.max())), lo + 1)
+    return x, y, lo, hi, max(1.0, float(x.max()))
+
+
+def kept(x, y, xmax):
+    cols = np.floor(svgplot._px(x, BOX, xmax))
+    return cols, svgplot._m4(cols, y)
+
+
+def polyline(text):
+    start = text.index('points="') + len('points="')
+    return text[start:text.index('"', start)]
+
+
+def runs(cols):
+    """Lengths of the maximal runs of equal consecutive values."""
+    if not cols.size:
+        return np.array([], dtype=int)
+    starts = np.flatnonzero(np.r_[True, cols[1:] != cols[:-1]])
+    return np.diff(np.r_[starts, cols.size])
+
+
+CASES = [(seed, n, explicit) for seed in range(4) for n in (0, 3, 50, 700, 5000)
+         for explicit in (False, True)]
+
+
+class TestPixelColumns:
+    """A line keeps the first, lowest, highest and last point of each run of
+    consecutive points in one pixel column (M4)."""
+
+    @pytest.mark.parametrize("seed, n, explicit", CASES)
+    def test_same_as_the_reference(self, tmp_path, seed, n, explicit):
+        y, x = random_series(np.random.default_rng(seed), n, explicit)
+        dx, dy, lo, hi, xmax = drawn(y, x)
+        want = reference.svg_m4(dx.tolist(), dy.tolist(), BOX, xmax)
+        assert kept(dx, dy, xmax)[1].tolist() == want
+        text = render_text([Panel(title="t", series=[Series("v", y, x=x)])],
+                           tmp_path / "a.svg")
+        assert polyline(text) == reference.svg_polyline_points(
+            dx[want], dy[want], BOX, lo, hi, xmax)
+
+    def test_ties_keep_the_first(self):
+        cols = np.zeros(8)
+        y = np.array([3.0, 1.0, 5.0, 1.0, 5.0, 2.0, 1.0, 4.0])
+        assert svgplot._m4(cols, y).tolist() == [0, 1, 2, 7]
+        assert reference.svg_m4([0.0] * 8, y.tolist(), BOX, 1e6) == [0, 1, 2, 7]
+
+    @pytest.mark.parametrize("n", [383, 1000, 1500])
+    def test_four_per_column_keeps_every_point(self, tmp_path, n):
+        y, _ = random_series(np.random.default_rng(n), n, False)
+        dx, dy, lo, hi, xmax = drawn(y, None)
+        assert runs(kept(dx, dy, xmax)[0]).max() <= 4
+        text = render_text([Panel(title="t", series=[Series("v", y)])], tmp_path / "a.svg")
+        assert polyline(text) == reference.svg_polyline_points(dx, dy, BOX, lo, hi, xmax)
+
+    @pytest.mark.parametrize("seed, n, explicit", CASES)
+    def test_column_extents_are_kept(self, seed, n, explicit):
+        y, x = random_series(np.random.default_rng(seed), n, explicit)
+        dx, dy, lo, hi, xmax = drawn(y, x)
+        cols, keep = kept(dx, dy, xmax)
+        py = svgplot._py(dy, BOX, lo, hi)
+        for c in np.unique(cols):
+            every, left = py[cols == c], py[keep][cols[keep] == c]
+            assert (left.min(), left.max()) == (every.min(), every.max())
+
+    @pytest.mark.parametrize("seed, n, explicit", CASES)
+    def test_at_most_four_per_column(self, seed, n, explicit):
+        y, x = random_series(np.random.default_rng(seed), n, explicit)
+        dx, dy, _, _, xmax = drawn(y, x)
+        cols, keep = kept(dx, dy, xmax)
+        # each run keeps at most 4 of its points, all of them when it has no more
+        every, left = runs(cols), runs(cols[keep])
+        assert every.shape == left.shape
+        assert (left <= np.minimum(every, 4)).all()
+        assert (left == every)[every <= 4].all()
+        if not explicit:  # over its index, a column is one run
+            assert np.unique(cols[keep], return_counts=True)[1].max(initial=0) <= 4
+
+    def test_points_bounded_whatever_the_length(self, tmp_path):
+        rng = np.random.default_rng(7)
+        series = [Series(f"s{j}", 10.0 ** rng.uniform(-20.0, 2.0, 200_000)) for j in range(2)]
+        text = render_text([Panel(title="t", series=series)], tmp_path / "a.svg")
+        lines = [line for line in text.splitlines() if line.startswith("<polyline")]
+        assert len(lines) == 2
+        for line in lines:
+            assert 2 * COLUMNS <= len(polyline(line).split(" ")) <= 4 * COLUMNS
+
+
+class TestDrawOnce:
+    """``panel_paths`` gives each panel a file of its own beside the file of
+    all panels; each panel is drawn one time for both."""
+
+    PANELS = [Panel(title="lines", series=[Series("a", np.geomspace(1.0, 1e-9, 3000))]),
+              Panel(title="pts", kind="scatter", unit_circle=True,
+                    series=[Series("b", x=np.array([0.3, -0.3]), y=np.array([0.4, -0.4]))]),
+              Panel(title="more", series=[Series("c", np.geomspace(2.0, 1e-3, 40))])]
+
+    def test_each_file_as_rendered_alone(self, tmp_path, monkeypatch):
+        drawn_titles = []
+        for name in ("_line_log_panel", "_scatter_panel"):
+            def draw(p, w, h, real=getattr(svgplot, name)):
+                drawn_titles.append(p.title)
+                return real(p, w, h)
+            monkeypatch.setattr(svgplot, name, draw)
+        own = [tmp_path / f"{i}.svg" for i in range(3)]
+        render_svg(self.PANELS, tmp_path / "all.svg", own)
+        assert drawn_titles == ["lines", "pts", "more"]
+        alone = render_text(self.PANELS, tmp_path / "b.svg")
+        assert (tmp_path / "all.svg").read_text(encoding="utf-8") == alone
+        for path, panel in zip(own, self.PANELS):
+            assert path.read_text(encoding="utf-8") == render_text([panel], tmp_path / "c.svg")
+
+    def test_one_path_per_panel(self, tmp_path):
+        with pytest.raises(ValueError, match="one path per panel"):
+            render_svg(self.PANELS, tmp_path / "all.svg", [tmp_path / "0.svg"])
+        assert os.listdir(tmp_path) == []
