@@ -8,7 +8,7 @@ function, and ships a trace/scenario harness with CSV and SVG output.
 """
 
 from .lyapunov import (DEFAULT_TOLERANCE, LyapunovSeries, MonotonicityReport,
-                       Violation, check_monotone)
+                       check_monotone)
 from .methods import (HB, KINDS, NAG, NAGGS, TMM, MethodSpec,
                       coefficient_arrays, optimal_hyperparams)
 from .problems import (Objective, QuadraticProblem, cosine_counterexample,
@@ -30,7 +30,7 @@ __all__ = [
     "NAGGS", "TMM", "LyapunovSeries", "MethodSpec", "MonotonicityReport",
     "Objective", "Panel", "QuadraticProblem", "SCENARIOS", "SUITABLE",
     "ScenarioConfig", "ScenarioResult", "Series", "SpectralCertificate",
-    "Trace", "Violation", "analyze", "certificate_csv_text",
+    "Trace", "analyze", "certificate_csv_text",
     "certificate_report_text", "check_monotone", "coefficient_arrays",
     "cosine_counterexample", "exp_norm_objective", "export_csv",
     "find_cosine_witness", "find_tmm_witness", "generate_quadratic",

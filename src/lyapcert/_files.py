@@ -9,8 +9,9 @@ from contextlib import contextmanager
 
 @contextmanager
 def whole_file(path):
-    """A text handle (UTF-8, LF line endings) on a temporary file beside
-    ``path``, which replaces ``path`` once the ``with`` block completes.
+    """A text handle (UTF-8, LF line endings; its ``buffer`` takes bytes) on
+    a temporary file beside ``path``, which replaces ``path`` once the
+    ``with`` block completes.
 
     If the block raises, ``path`` is left as it was and the temporary file
     is removed; an ``OSError`` names ``path``, not the temporary file.

@@ -24,7 +24,7 @@ from .lyapunov import DEFAULT_TOLERANCE, _require_tolerance, check_monotone
 from .methods import HB, NAG, NAGGS, TMM, MethodSpec, optimal_hyperparams
 from .problems import (_require_spectrum, generate_quadratic, load_problem,
                        save_problem)
-from .scenarios import (SCENARIOS, ScenarioConfig, _with_row, _x0,
+from .scenarios import (SCENARIOS, ScenarioConfig, _NeedsAlpha, _x0,
                         parse_config_file, run_scenario)
 from .spectral import (DEFAULT_TOL, analyze, certificate_csv_text,
                        certificate_report_text)
@@ -197,11 +197,10 @@ def _cmd_scenario(o: dict) -> int:
     if o["out"] is None:
         o["out"] = os.path.join("artifacts", name)
     cfg = ScenarioConfig(name=name, **{k.replace("-", "_"): v for k, v in o.items()})
-    _with_row(cfg)  # a flag the scenario does not read is refused first (exit 1)
-    for key in ("beta", "gamma"):  # without --alpha a scenario runs its own values
-        if o[key] is not None and o["alpha"] is None:
-            raise UsageError(f"--{key} needs --alpha")
-    result = run_scenario(cfg)
+    try:
+        result = run_scenario(cfg)
+    except _NeedsAlpha as exc:  # a lone --beta or --gamma is a usage error (exit 2)
+        raise UsageError(str(exc)) from None
     with open(result.report_path, "r", encoding="utf-8") as fh:
         sys.stdout.write(fh.read())
     print(f"artifacts: {len(result.artifacts)} files in {cfg.out}")
@@ -216,10 +215,10 @@ def _cmd_check(o: dict) -> int:
     series = series_from_csv(path, tolerance=o["tolerance"])
     rep = check_monotone(series)
     print(rep.describe())
-    for v in rep.violations[:10]:
-        print(f"  k={v.index}: V {v.v_prev:.9g} -> {v.v_next:.9g} (excess {v.excess:.3g})")
-    if len(rep.violations) > 10:
-        print(f"  ... {len(rep.violations) - 10} more")
+    for k, v_prev, v_next, excess in zip(rep.index[:10], rep.v_prev, rep.v_next, rep.excess):
+        print(f"  k={k}: V {v_prev:.9g} -> {v_next:.9g} (excess {excess:.3g})")
+    if rep.index.size > 10:
+        print(f"  ... {rep.index.size - 10} more")
     return 0 if rep.monotone else 1
 
 

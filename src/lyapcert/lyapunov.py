@@ -39,33 +39,29 @@ class LyapunovSeries:
         object.__setattr__(self, "values", vals)
 
 
-@dataclass(frozen=True)
-class Violation:
-    """A step where V_{k+1} exceeded V_k beyond tolerance (index is k)."""
-
-    index: int
-    v_prev: float
-    v_next: float
-    excess: float
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MonotonicityReport:
+    """The verdict and every flagged step k as columns, ``index`` ascending:
+    V_k (``v_prev``), V_{k+1} (``v_next``) and V_{k+1} minus the allowed
+    value (``excess``, nan after a non-finite V_k)."""
+
     monotone: bool
-    violations: tuple
+    index: np.ndarray
+    v_prev: np.ndarray
+    v_next: np.ndarray
+    excess: np.ndarray
     max_ratio: float
 
     def describe(self) -> str:
         if self.monotone:
             return (f"monotone decrease: yes (max ratio "
                     f"{self.max_ratio:.6g} over positive values)")
-        if not self.violations:
+        if not self.index.size:
             return "monotone decrease: NO (non-finite V)"
-        first = self.violations[0]
         return (
-            f"monotone decrease: NO ({len(self.violations)} violations); first at "
-            f"k={first.index}: V={first.v_prev:.9g} -> {first.v_next:.9g} "
-            f"(excess {first.excess:.3g}); max ratio {self.max_ratio:.6g}"
+            f"monotone decrease: NO ({self.index.size} violations); first at "
+            f"k={self.index[0]}: V={self.v_prev[0]:.9g} -> {self.v_next[0]:.9g} "
+            f"(excess {self.excess[0]:.3g}); max ratio {self.max_ratio:.6g}"
         )
 
 
@@ -83,16 +79,15 @@ def check_monotone(series: LyapunovSeries) -> MonotonicityReport:
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite steps are flagged
         allowed = prev + series.tolerance * np.maximum(1.0, np.abs(prev))
         allowed[~finite[:-1]] = math.nan
-        excess = nxt - allowed
-        flagged = (nxt > allowed) | ~(finite[:-1] & finite[1:])
+        j = np.flatnonzero((nxt > allowed) | ~(finite[:-1] & finite[1:]))
+        excess = nxt[j] - allowed[j]
         ratios = nxt[positive] / prev[positive]
     ratios = ratios[~np.isnan(ratios)]
-    violations = tuple(
-        Violation(index=series.start_index + j, v_prev=float(prev[j]),
-                  v_next=float(nxt[j]), excess=float(excess[j]))
-        for j in np.flatnonzero(flagged).tolist())
     return MonotonicityReport(
-        monotone=not violations and bool(finite.all()),
-        violations=violations,
+        monotone=not j.size and bool(finite.all()),
+        index=series.start_index + j,
+        v_prev=prev[j],
+        v_next=nxt[j],
+        excess=excess,
         max_ratio=float(ratios[ratios.argmax()]) if ratios.size else math.nan,
     )

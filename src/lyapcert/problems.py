@@ -9,6 +9,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from ._files import whole_file
+
 _RECONSTRUCTION_TOL = 1e-10
 _ORTHOGONALITY_TOL = 1e-10
 _RESIDUAL_TOL = 1e-8
@@ -231,16 +233,18 @@ _ARRAYS = ("W", "linear", "constant", "eigvals", "eigvecs", "minimizer")
 
 
 def save_problem(p: QuadraticProblem, path) -> None:
-    """Serialize a problem to .npz (arrays plus scalars)."""
-    np.savez(
-        path,
-        W=p.W,
-        linear=p.linear,
-        constant=np.array(p.constant),
-        eigvals=p.eigvals,
-        eigvecs=p.eigvecs,
-        minimizer=p.minimizer,
-    )
+    """Serialize a problem as an .npz archive (arrays plus scalars) to
+    exactly ``path``, whole or not at all; no suffix is added."""
+    with whole_file(path) as fh:
+        np.savez(
+            fh.buffer,
+            W=p.W,
+            linear=p.linear,
+            constant=np.array(p.constant),
+            eigvals=p.eigvals,
+            eigvecs=p.eigvecs,
+            minimizer=p.minimizer,
+        )
 
 
 def load_problem(path) -> QuadraticProblem:

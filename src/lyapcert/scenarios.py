@@ -119,9 +119,8 @@ def _specs(cfg: ScenarioConfig) -> dict:
 
 
 def _first_violation(rep) -> str:
-    v = rep.violations[0]
-    return (f"first violation at k={v.index} V {v.v_prev:.6g} -> {v.v_next:.6g} "
-            f"(excess {v.excess:.3g})")
+    return (f"first violation at k={rep.index[0]} V {rep.v_prev[0]:.6g} -> "
+            f"{rep.v_next[0]:.6g} (excess {rep.excess[0]:.3g})")
 
 
 def _panels(name: str, traces: dict, certs: dict) -> dict:
@@ -433,9 +432,14 @@ SCENARIOS = {
 }
 
 
+class _NeedsAlpha(ValueError):
+    """A scenario was given beta or gamma without alpha."""
+
+
 def _with_row(cfg: ScenarioConfig) -> ScenarioConfig:
     """``cfg`` with each unset setting of its scenario's row at the row's
-    default; a set field outside the row is refused, naming its flag."""
+    default; a set field outside the row is refused, naming its flag, and so
+    is beta or gamma without alpha (``_NeedsAlpha``)."""
     if cfg.name not in SCENARIOS:
         known = ", ".join(sorted(SCENARIOS))
         raise ValueError(f"unknown scenario {cfg.name!r} (known: {known})")
@@ -444,6 +448,9 @@ def _with_row(cfg: ScenarioConfig) -> ScenarioConfig:
               if value is not None and key not in (*row, "name", "out", "seed", "tolerance")]
     if unread:
         raise ValueError(f"scenario {cfg.name} does not take {', '.join(unread)}")
+    for key in ("beta", "gamma"):  # without alpha a scenario runs its own values
+        if getattr(cfg, key) is not None and cfg.alpha is None:
+            raise _NeedsAlpha(f"--{key} needs --alpha")
     return replace(cfg, **{k: v for k, v in row.items() if getattr(cfg, k) is None})
 
 

@@ -144,10 +144,9 @@ def test_08_cosine_monotonicity_witness():
         verdict(8, "tuned HB on the cosine objective violates V-monotonicity",
                 False, "no violation across 100 seeded starts")
     s, x0, trace, rep = found
-    first = rep.violations[0]
     verdict(8, "tuned HB on the cosine objective violates V-monotonicity",
             not rep.monotone,
-            f"seed={s} x0={x0[0]:.6g} first violation k={first.index}")
+            f"seed={s} x0={x0[0]:.6g} first violation k={rep.index[0]}")
 
 
 def test_09_modulus_equalization_contrast():

@@ -56,6 +56,40 @@ class TestGenerate:
         assert p.eigvals[0] == pytest.approx(1.0)
         assert p.eigvals[-1] == pytest.approx(9.0)
 
+    def test_out_without_suffix_round_trips(self, tmp_path, capsys, monkeypatch):
+        # the file lands at --out exactly, where analyze --problem reads it
+        monkeypatch.chdir(tmp_path)
+        assert main(["generate", "--dim", "3", "--out", "prob"]) == 0
+        assert capsys.readouterr().out.endswith(" -> prob\n")
+        assert os.listdir(tmp_path) == ["prob"]
+        assert main(["analyze", "--method", "hb", "--optimal", "--problem", "prob"]) == 0
+        want = generate_quadratic(3, 1.0, 10.0, seed=0)
+        assert np.array_equal(load_problem("prob").eigvals, want.eigvals)
+
+    @pytest.mark.parametrize("existing", [None, b"old contents\n"])
+    def test_failed_save_leaves_no_file(self, tmp_path, capsys, monkeypatch, existing):
+        real = np.lib.format.write_array
+        calls = []
+
+        def write_array(fh, array, **kwargs):  # the third array meets a full disk
+            calls.append(1)
+            real(fh, array, **kwargs)
+            if len(calls) == 3:
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr(np.lib.format, "write_array", write_array)
+        out = tmp_path / "p.npz"
+        if existing is not None:
+            out.write_bytes(existing)
+        assert main(["generate", "--dim", "3", "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: [Errno {errno.ENOSPC}] " \
+                               f"{os.strerror(errno.ENOSPC)}: {str(out)!r}\n"
+        assert captured.out == "" and len(calls) == 3
+        assert os.listdir(tmp_path) == ([] if existing is None else ["p.npz"])
+        if existing is not None:
+            assert out.read_bytes() == existing
+
     def test_missing_out(self, capsys):
         rc = main(["generate", "--dim", "6"])
         assert rc == 2
@@ -227,6 +261,30 @@ class TestRunAndCheck:
         assert rc == 1
         assert "NO" in out
         assert "k=2" in out
+
+    def test_check_lists_first_ten(self, tmp_path, capsys):
+        # 13 flagged steps, two beside a NaN: the first ten, then a count
+        vals = ["1", "2", "1.5", "3.25", "-0", "0", "1e-12", "7", "nan", "4", "5", "6",
+                "7", "8", "9", "10", "11", "12.000000001"]
+        path = tmp_path / "many.csv"
+        path.write_text(VIOLATING_CSV.split("2,1,1,1")[0]
+                        + "".join(f"{k},1,1,{v}\n" for k, v in enumerate(vals, start=2)),
+                        encoding="utf-8")
+        assert main(["check", str(path)]) == 1
+        assert capsys.readouterr().out == (
+            "monotone decrease: NO (13 violations); first at k=2: V=1 -> 2 (excess 1); "
+            "max ratio 7e+12\n"
+            "  k=2: V 1 -> 2 (excess 1)\n"
+            "  k=4: V 1.5 -> 3.25 (excess 1.75)\n"
+            "  k=8: V 1e-12 -> 7 (excess 7)\n"
+            "  k=9: V 7 -> nan (excess nan)\n"
+            "  k=10: V nan -> 4 (excess nan)\n"
+            "  k=11: V 4 -> 5 (excess 1)\n"
+            "  k=12: V 5 -> 6 (excess 1)\n"
+            "  k=13: V 6 -> 7 (excess 1)\n"
+            "  k=14: V 7 -> 8 (excess 1)\n"
+            "  k=15: V 8 -> 9 (excess 1)\n"
+            "  ... 3 more\n")
 
     def test_check_missing_path(self, capsys):
         rc = main(["check"])

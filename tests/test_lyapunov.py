@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from lyapcert import (HB, NAG, LyapunovSeries, MethodSpec, MonotonicityReport,
-                      Violation, analyze, check_monotone, coefficient_arrays,
+                      analyze, check_monotone, coefficient_arrays,
                       generate_quadratic, optimal_hyperparams, run_trace)
 from conftest import random_eligible_coeffs
 from reference import per_coordinate_V, scalar_V, vector_V
@@ -134,19 +134,17 @@ class TestCheckMonotone:
         vals = 2.0 * 0.5 ** np.arange(20)
         rep = check_monotone(LyapunovSeries(values=vals))
         assert rep.monotone
-        assert rep.violations == ()
+        assert rep.index.size == rep.excess.size == 0
         assert rep.max_ratio == pytest.approx(0.5, rel=1e-12)
         assert "yes" in rep.describe()
 
     def test_single_violation(self):
         rep = check_monotone(LyapunovSeries(values=np.array([1.0, 2.0])))
         assert not rep.monotone
-        assert len(rep.violations) == 1
-        v = rep.violations[0]
-        assert v.index == 2
-        assert v.v_prev == 1.0
-        assert v.v_next == 2.0
-        assert v.excess == pytest.approx(1.0, abs=1e-8)
+        assert rep.index.tolist() == [2]
+        assert rep.v_prev.tolist() == [1.0]
+        assert rep.v_next.tolist() == [2.0]
+        assert rep.excess.tolist() == [pytest.approx(1.0, abs=1e-8)]
         assert rep.max_ratio == pytest.approx(2.0)
         assert "NO" in rep.describe()
 
@@ -161,7 +159,7 @@ class TestCheckMonotone:
     def test_indices_respect_start(self):
         rep = check_monotone(LyapunovSeries(values=np.array([3.0, 1.0, 2.0]),
                                             start_index=5))
-        assert [v.index for v in rep.violations] == [6]
+        assert rep.index.tolist() == [6]
 
     def test_max_ratio_over_positive_values(self):
         rep = check_monotone(LyapunovSeries(values=np.array([4.0, 2.0, 1.0])))
@@ -176,7 +174,7 @@ class TestCheckMonotone:
             assert not rep.monotone, vals
             assert rep.describe().startswith("monotone decrease: NO"), vals
         rep = check_monotone(LyapunovSeries(values=np.array([1.0, bad, 0.5])))
-        assert [v.index for v in rep.violations] == [2, 3]
+        assert rep.index.tolist() == [2, 3]
 
 
 def loop_check_monotone(series):
@@ -184,37 +182,41 @@ def loop_check_monotone(series):
     v = series.values
     finite = np.isfinite(v)
     tol = series.tolerance
-    violations = []
+    flagged = []  # (index, v_prev, v_next, excess) of each flagged step
     max_ratio = math.nan
     with np.errstate(over="ignore", invalid="ignore"):
         for j in range(v.shape[0] - 1):
             allowed = v[j] + tol * max(1.0, abs(v[j])) if finite[j] else math.nan
             if v[j + 1] > allowed or not (finite[j] and finite[j + 1]):
-                violations.append(Violation(
-                    index=series.start_index + j, v_prev=float(v[j]),
-                    v_next=float(v[j + 1]), excess=float(v[j + 1] - allowed)))
+                flagged.append((series.start_index + j, float(v[j]),
+                                float(v[j + 1]), float(v[j + 1] - allowed)))
             if finite[j] and v[j] > 0:
                 r = v[j + 1] / v[j]
                 if math.isnan(max_ratio) or r > max_ratio:
                     max_ratio = r
-    return MonotonicityReport(monotone=not violations and bool(finite.all()),
-                              violations=tuple(violations), max_ratio=max_ratio)
+    index, v_prev, v_next, excess = zip(*flagged) if flagged else ((),) * 4
+    return MonotonicityReport(monotone=not flagged and bool(finite.all()),
+                              index=np.array(index, dtype=np.intp),
+                              v_prev=np.array(v_prev, dtype=float),
+                              v_next=np.array(v_next, dtype=float),
+                              excess=np.array(excess, dtype=float), max_ratio=max_ratio)
 
 
 class TestCheckMonotoneMatchesLoop:
     """The vectorized check equals the per-step loop, bit for bit."""
 
     @staticmethod
-    def bits(rep):
-        """The violations as bytes: NaN equals NaN, -0.0 differs from 0.0."""
-        return np.array([[x.index, x.v_prev, x.v_next, x.excess] for x in rep.violations],
-                        dtype=float).tobytes()
+    def columns(rep):
+        """Each column's dtype and bytes: NaN equals NaN, -0.0 differs from 0.0."""
+        cols = (rep.index, rep.v_prev, rep.v_next, rep.excess)
+        assert all(isinstance(c, np.ndarray) and c.ndim == 1 for c in cols)
+        return [(c.dtype, c.tobytes()) for c in cols]
 
     def assert_same(self, series):
         got, want = check_monotone(series), loop_check_monotone(series)
         assert got.monotone == want.monotone
-        assert [x.index for x in got.violations] == [x.index for x in want.violations]
-        assert self.bits(got) == self.bits(want)
+        assert got.index.tolist() == want.index.tolist()
+        assert self.columns(got) == self.columns(want)
         assert np.float64(got.max_ratio).tobytes() == np.float64(want.max_ratio).tobytes()
         assert got.describe() == want.describe()
 
@@ -242,6 +244,15 @@ class TestCheckMonotoneMatchesLoop:
     def test_edge_series(self, vals):
         for tol in (0.0, 1e-9):
             self.assert_same(LyapunovSeries(values=np.array(vals), tolerance=tol))
+
+    def test_many_flagged_steps(self, rng):
+        # a rise at every even step: 1e5 flagged steps, held as columns
+        vals = np.tile([1.0, 2.0], 100_000) * rng.uniform(0.9, 1.1, 200_000)
+        rep = check_monotone(LyapunovSeries(values=vals))
+        for col in (rep.index, rep.v_prev, rep.v_next, rep.excess):
+            assert isinstance(col, np.ndarray) and col.shape == (100_000,)
+        assert np.array_equal(rep.index, np.arange(2, 200_001, 2))
+        self.assert_same(LyapunovSeries(values=vals))
 
 
 class TestContractionIdentity:

@@ -216,8 +216,7 @@ class TestWitnessScenarios:
             v = trace.lyapunov[2:]
             assert (v < 0).all() and (np.diff(v) > 0).all()
             assert not rep.monotone
-            flagged = [viol.index for viol in rep.violations]
-            assert flagged == list(range(2, 2 + len(flagged)))
+            assert rep.index.tolist() == list(range(2, 2 + rep.index.size))
             eligible = analyze(optimal_hyperparams(HB, mu, L), problem.eigvals)
             assert find_tmm_witness(problem, eligible, 400, scale=s) is None
 
@@ -597,11 +596,28 @@ class TestSettingsTable:
         assert set(self.SAMPLES) == {f.name for f in fields(ScenarioConfig)} - {
             "name", "out", "seed", "tolerance"}
         for key, value in self.SAMPLES.items():
-            cfg = ScenarioConfig(name=name, out="unused", **{key: value})
+            given = {key: value}
+            if key in ("beta", "gamma") and key in row:  # refused without alpha
+                given["alpha"] = self.SAMPLES["alpha"]
+            cfg = ScenarioConfig(name=name, out="unused", **given)
             if key in row:
                 assert getattr(_with_row(cfg), key) == value
             else:
                 with pytest.raises(ValueError, match=f"^scenario {name} does not take "
                                                      f"--{key.replace('_', '-')}$"):
                     _with_row(cfg)
+
+    @pytest.mark.parametrize("key", ["beta", "gamma"])
+    def test_momentum_without_alpha_is_refused(self, tmp_path, key):
+        # without alpha a scenario runs its own hyperparameters, so the
+        # library refuses what the CLI refuses, before anything is written
+        out = tmp_path / "art"
+        for name, (_, row) in SCENARIOS.items():
+            if key not in row:
+                continue
+            cfg = ScenarioConfig(name=name, out=str(out), **{key: 0.3})
+            with pytest.raises(ValueError, match=f"^--{key} needs --alpha$"):
+                run_scenario(cfg)
+            assert not out.exists()
+            assert getattr(_with_row(replace(cfg, alpha=0.1)), key) == 0.3
 
