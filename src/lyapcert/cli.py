@@ -177,11 +177,11 @@ def _cmd_run(o: dict) -> int:
     _require_tolerance(o["tolerance"])  # before the run writes ``out``
     x0 = _x0(problem.minimizer, o["x0-scale"], o["seed"])
     rows, last, lyap = _stream_csv(_blocks(problem, spec, x0, o["iters"]), out)
-    rep = check_monotone(_series(lyap, o["tolerance"]))
+    # the summary first: a run cut before V is defined still shows it
     print(f"rows={rows} final_gap={last.objective_gap[-1]:.6g} "
           f"final_distance={last.distance[-1]:.6g} "
           f"diverged={'yes' if last.diverged else 'no'}")
-    print(rep.describe())
+    print(check_monotone(_series(lyap, o["tolerance"])).describe())
     print(f"trace -> {out}")
     return 1 if last.diverged else 0
 

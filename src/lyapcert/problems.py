@@ -93,30 +93,6 @@ class QuadraticProblem:
         linear.flags.writeable = False
         return linear
 
-    @property
-    def unique_minimizer(self) -> bool:
-        return self.mu > 0
-
-    def evaluate(self, x: np.ndarray) -> float:
-        """Objective value ``0.5 x'Wx - linear'x + constant``."""
-        x = self._point(x)
-        return float(0.5 * (x @ (self.W @ x)) - self.linear @ x + self.constant)
-
-    def gradient(self, x: np.ndarray) -> np.ndarray:
-        """Gradient ``Wx - linear``."""
-        return self.W @ self._point(x) - self.linear
-
-    def as_objective(self) -> "Objective":
-        """Wrap the quadratic behind the value/gradient oracle interface."""
-        return Objective(dim=self.dim, value=self.evaluate, gradient=self.gradient,
-                         minimizer=self.minimizer, mu=self.mu, lipschitz=self.lipschitz)
-
-    def _point(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.dim,):
-            raise ValueError("x has wrong dimension")
-        return x
-
 
 @dataclass(frozen=True, eq=False)
 class Objective:
@@ -196,6 +172,15 @@ def cosine_counterexample() -> Objective:
                      minimizer=np.zeros(1), mu=0.01, lipschitz=3.99)
 
 
+def _inf_on_overflow(fn: Callable[..., float], *args) -> float:
+    """``fn(*args)``, with ``inf`` where it overflows instead of an error, so
+    the trace driver reports the non-finite value or iterate it leads to."""
+    try:
+        return fn(*args)
+    except OverflowError:
+        return math.inf
+
+
 def exp_norm_objective(dim: int = 2) -> Objective:
     """Convex objective exp(||x||^2); gradient 2 exp(||x||^2) x, minimizer 0."""
     if dim < 1:
@@ -203,11 +188,11 @@ def exp_norm_objective(dim: int = 2) -> Objective:
 
     def value(x: np.ndarray) -> float:
         x = np.asarray(x, dtype=float)
-        return float(math.exp(float(x @ x)))
+        return _inf_on_overflow(math.exp, float(x @ x))
 
     def grad(x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        return 2.0 * math.exp(float(x @ x)) * x
+        return 2.0 * _inf_on_overflow(math.exp, float(x @ x)) * x
 
     return Objective(dim=dim, value=value, gradient=grad, minimizer=np.zeros(dim))
 
@@ -217,7 +202,9 @@ def rosenbrock_objective() -> Objective:
 
     def value(x: np.ndarray) -> float:
         a, b = float(x[0]), float(x[1])
-        return (1.0 - a) ** 2 + 100.0 * (b - a * a) ** 2
+        # pow(t, 2) is ``t ** 2``; the product t * t can differ in the last bit
+        return (_inf_on_overflow(pow, 1.0 - a, 2)
+                + 100.0 * _inf_on_overflow(pow, b - a * a, 2))
 
     def grad(x: np.ndarray) -> np.ndarray:
         a, b = float(x[0]), float(x[1])

@@ -13,12 +13,12 @@ cutting the run at the first hit in the order a step-by-step loop would
 meet them, and hands the block on with its gap, distance and V, computed
 once per block from a two-row carry.
 
-``run_trace`` keeps the metric columns of the blocks and drops their rows: a
-quadratic ``Trace`` stores the arguments of its ``_blocks`` call and replays
-it whenever ``rows`` or ``iterates`` is read, so its memory does not grow
-with the rows' width.  ``lyapcert run`` streams instead: each block's CSV
-lines are written as the block arrives and only the V column is kept, and
-``read_trace_csv`` reads the file back a chunk of lines at a time.
+``run_trace`` keeps the metric columns of the blocks and drops their rows:
+a ``Trace``, on either target, stores the arguments of its ``_blocks`` call
+and replays it whenever ``rows`` or ``iterates`` is read, so its memory does
+not grow with the rows' width.  ``lyapcert run`` streams instead: each
+block's CSV lines are written as the block arrives and only the V column is
+kept, and ``read_trace_csv`` reads the file back a chunk of lines at a time.
 """
 
 from __future__ import annotations
@@ -47,10 +47,10 @@ class Trace:
     ``objective_gap``, ``distance`` and ``lyapunov`` hold one value per
     recorded iterate; ``lyapunov[k]`` is defined from k = 2 on (NaN before
     that).  ``run`` is the argument tuple of the ``_blocks`` call that made
-    the trace.  An objective run keeps its iterates in ``x``; a quadratic run
-    keeps no row at all (``x`` is None), and ``rows``, its centred
-    eigen-coordinates, are computed again by replaying ``run`` on every read.
-    The engine is deterministic, so each read gives the same bits.
+    the trace.  A trace keeps no row: ``rows`` and ``iterates`` are computed
+    again by replaying ``run`` on every read.  The engines are deterministic
+    (an objective's oracles are taken to be functions of their argument), so
+    each read gives the same bits.
     """
 
     objective_gap: np.ndarray
@@ -58,27 +58,24 @@ class Trace:
     lyapunov: np.ndarray
     diverged: bool
     run: tuple
-    x: Optional[np.ndarray] = None
 
     def __len__(self) -> int:
         return self.objective_gap.shape[0]
 
     @property
     def rows(self) -> np.ndarray:
-        """The centred eigen-coordinates of a quadratic run, rebuilt on every
-        read (not kept: that is the memory a trace saves); an objective
-        run's iterates."""
-        if self.x is not None:
-            return self.x
+        """The engine's rows, rebuilt on every read (not kept: that is the
+        memory a trace saves): centred eigen-coordinates of a quadratic run,
+        the iterates of an objective run."""
         return np.concatenate([blk.rows for blk in _blocks(*self.run)])
 
     @property
     def iterates(self) -> np.ndarray:
-        """Row k is x_k; a quadratic trace rebuilds it on every read."""
-        if self.x is not None:
-            return self.x
-        problem = self.run[0]
-        return self.rows @ problem.eigvecs.T + problem.minimizer
+        """Row k is x_k, rebuilt on every read."""
+        target = self.run[0]
+        if not isinstance(target, QuadraticProblem):
+            return self.rows
+        return self.rows @ target.eigvecs.T + target.minimizer
 
     def lyapunov_series(self, tolerance: float = DEFAULT_TOLERANCE) -> LyapunovSeries:
         return _series(self.lyapunov, tolerance)
@@ -104,19 +101,16 @@ def run_trace(target: Union[QuadraticProblem, Objective], spec: MethodSpec,
     flags the trace instead of raising.
     """
     # copies of the starts: a caller changing its arrays later must not
-    # change the rows a quadratic trace replays
+    # change the rows a trace replays
     run = (target, spec, np.array(x0, dtype=float), iters,
            None if x1 is None else np.array(x1, dtype=float), v_floor)
-    keep_rows = not isinstance(target, QuadraticProblem)
-    gap, dist, lyap, rows = [], [], [], []
+    gap, dist, lyap = [], [], []
     for blk in _blocks(*run):
         gap.append(blk.objective_gap)
         dist.append(blk.distance)
         lyap.append(blk.lyapunov)
-        if keep_rows:
-            rows.append(blk.rows)
     return Trace(np.concatenate(gap), np.concatenate(dist), np.concatenate(lyap),
-                 blk.diverged, run, np.concatenate(rows) if keep_rows else None)
+                 blk.diverged, run)
 
 
 class _Block(NamedTuple):

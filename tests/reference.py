@@ -6,15 +6,19 @@ functions are the per-coordinate statements those columns are checked
 against, written out with ``math`` on Python floats: the eigenvalues of the
 companion matrix M = [[a, b], [1, 0]], the conjugate-pair test, the 2x2
 Schur factorization behind the certificate, the three-point value V, and
-NAG-GS in its literal two-sequence form.  The text writers at the end
-format one row or point at a time, and ``svg_m4`` picks a polyline's points
-one pixel column at a time; the library's block writers must give the same
-bytes.
+NAG-GS in its literal two-sequence form.  ``quadratic_objective`` puts a
+quadratic problem behind the value/gradient oracles in the full space, so
+the eigenbasis engine can be checked against the oracle engine.  The text
+writers at the end format one row or point at a time, and ``svg_m4`` picks
+a polyline's points one pixel column at a time; the library's block writers
+must give the same bytes.
 """
 
 import math
 
 import numpy as np
+
+from lyapcert import Objective
 
 DEFAULT_TOL = 1e-12
 
@@ -127,6 +131,22 @@ def naggs_iterates(gradient, alpha, beta, starts, rows):
         y = beta * y + (1.0 - beta) * x - alpha * np.asarray(gradient(x), dtype=float)
         xs.append(beta * x + (1.0 - beta) * y)
     return np.stack(xs)
+
+
+def quadratic_objective(p):
+    """The problem ``0.5 x'Wx - linear'x + constant`` of a ``QuadraticProblem``
+    through the full-space oracles: value as written, gradient ``Wx - linear``."""
+    W, linear = p.W, p.linear
+
+    def value(x):
+        x = np.asarray(x, dtype=float)
+        return float(0.5 * (x @ (W @ x)) - linear @ x + p.constant)
+
+    def gradient(x):
+        return W @ np.asarray(x, dtype=float) - linear
+
+    return Objective(dim=p.dim, value=value, gradient=gradient,
+                     minimizer=p.minimizer, mu=p.mu, lipschitz=p.lipschitz)
 
 
 # Text writers, one row or point at a time: the formatting the library's

@@ -16,8 +16,8 @@ from lyapcert import (HB, NAG, NAGGS, TMM, ScenarioConfig, analyze,
                       optimal_hyperparams, rosenbrock_objective, run_scenario,
                       run_trace)
 from conftest import fd_gradient, random_eligible_coeffs
-from reference import (companion, eigenvalues, per_coordinate_V, scalar_V,
-                       schur, vector_V)
+from reference import (companion, eigenvalues, per_coordinate_V,
+                       quadratic_objective, scalar_V, schur, vector_V)
 
 
 def verdict(num, name, ok, detail=""):
@@ -164,7 +164,7 @@ def test_09_modulus_equalization_contrast():
 
 def test_10_gradient_oracle_consistency():
     rng = np.random.default_rng(1010)
-    quad = generate_quadratic(20, 1.0, 10.0, seed=5).as_objective()
+    quad = quadratic_objective(generate_quadratic(20, 1.0, 10.0, seed=5))
     targets = [
         ("quadratic", quad, lambda: rng.standard_normal(20)),
         ("cosine", cosine_counterexample(), lambda: rng.uniform(-3, 3, size=1)),

@@ -1,4 +1,5 @@
-"""The public surface: every exported name resolves, a star import works,
+"""The public surface: every exported name resolves, the exported names and
+the public attributes of a problem and a trace are pinned, a star import works,
 the README's library example runs as written, its scenario table lists
 the flags each scenario takes, and its config table lists each subcommand's
 keys and defaults."""
@@ -15,6 +16,31 @@ README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
 def test_every_exported_name_resolves():
     assert [name for name in lyapcert.__all__ if not hasattr(lyapcert, name)] == []
     assert len(set(lyapcert.__all__)) == len(lyapcert.__all__)
+
+
+def public(obj):
+    return sorted(name for name in dir(obj) if not name.startswith("_"))
+
+
+def test_public_surface_is_pinned():
+    # a name added to or dropped from the API shows here, in the diff
+    assert sorted(lyapcert.__all__) == [
+        "DEFAULT_TOLERANCE", "DIVERGENCE_THRESHOLD", "HB", "KINDS", "LyapunovSeries",
+        "MethodSpec", "MonotonicityReport", "NAG", "NAGGS", "Objective", "Panel",
+        "QuadraticProblem", "SCENARIOS", "SUITABLE", "ScenarioConfig", "ScenarioResult",
+        "Series", "SpectralCertificate", "TMM", "Trace", "__version__", "analyze",
+        "certificate_csv_text", "certificate_report_text", "check_monotone",
+        "coefficient_arrays", "cosine_counterexample", "exp_norm_objective", "export_csv",
+        "find_cosine_witness", "find_tmm_witness", "generate_quadratic", "load_problem",
+        "optimal_hyperparams", "parse_config_file", "read_trace_csv", "render_svg",
+        "rosenbrock_objective", "run_scenario", "run_trace", "save_problem",
+        "series_from_csv"]
+    p = lyapcert.generate_quadratic(2, 1.0, 2.0, seed=0)
+    assert public(p) == ["W", "constant", "dim", "eigvals", "eigvecs", "linear",
+                         "lipschitz", "minimizer", "mu"]
+    tr = lyapcert.run_trace(p, lyapcert.MethodSpec(lyapcert.HB, alpha=0.5), p.minimizer, 3)
+    assert public(tr) == ["distance", "diverged", "iterates", "lyapunov", "lyapunov_series",
+                          "objective_gap", "rows", "run"]
 
 
 def test_star_import():

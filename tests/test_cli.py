@@ -244,6 +244,19 @@ class TestRunAndCheck:
         assert rc == 1
         assert "diverged=yes" in capsys.readouterr().out
 
+    def test_run_cut_before_v_still_summarizes(self, tmp_path, capsys):
+        # a start beyond the divergence threshold ends the run at row 0: the
+        # summary line comes before the V series that cannot be built
+        out = tmp_path / "d.csv"
+        rc = main(["run", "--method", "hb", "--optimal", "--x0-scale", "1e13",
+                   "--out", str(out)])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert re.fullmatch(r"rows=1 final_gap=\S+ final_distance=1e\+13 diverged=yes\n",
+                            captured.out)
+        assert captured.err == "error: trace too short for a Lyapunov series\n"
+        assert read_trace_csv(out)["distance"].shape == (1,)
+
     def test_check_clean_trace(self, tmp_path, capsys):
         out = tmp_path / "trace.csv"
         main(["run", "--method", "hb", "--optimal", "--dim", "6", "--mu", "1",
@@ -737,6 +750,26 @@ class TestScenarioCommand:
         assert captured.err == "error: scenario cosine does not take --dim, --mu\n"
         assert captured.out == "" and not (tmp_path / "art").exists()
 
+    @pytest.mark.parametrize("name,scale", [("expnorm", "30"), ("rosenbrock", "1e200")])
+    def test_oracle_overflow_is_named(self, tmp_path, capsys, name, scale):
+        # exp(|x|^2) and the Rosenbrock squares overflow to inf, not an error
+        rc = main(["scenario", name, "--x0-scale", scale, "--out", str(tmp_path / "art")])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert re.fullmatch(r"error: non-finite [^\n]+\n", captured.err)
+        assert captured.out == "" and os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("argv,line", [
+        (["cosine", "--iters", "3"], "no violation found across 100 seeded starts; "),
+        (["tmm-witness", "--dim", "1", "--mu", "1", "--L", "1"], "no real-split coordinate: "),
+    ], ids=["cosine", "tmm-witness"])
+    def test_no_witness_fails(self, tmp_path, capsys, argv, line):
+        rc = main(["scenario", *argv, "--out", str(tmp_path / "art")])
+        out = capsys.readouterr().out
+        assert rc == 1
+        assert any(ln.startswith(line) for ln in out.splitlines())
+        assert "verdict violation_found: FAIL\n" in out
+
     def test_unknown_scenario(self, capsys):
         rc = main(["scenario", "nope"])
         assert rc == 2
@@ -892,6 +925,13 @@ class TestConfigFile:
         rc = main(["analyze", "--config", cfg])
         assert rc == 2
         assert "unknown method" in capsys.readouterr().err
+
+    def test_boolean_key_needs_a_boolean(self, tmp_path, capsys):
+        cfg = self.write_config(tmp_path, "method = hb\noptimal = maybe\n")
+        assert main(["analyze", "--config", cfg]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: expected a boolean, got 'maybe'\n"
+        assert captured.out == ""
 
     def test_repeated_key_is_refused(self, tmp_path, capsys):
         # not run with the last value

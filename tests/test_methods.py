@@ -6,7 +6,7 @@ from lyapcert import (HB, KINDS, NAG, NAGGS, TMM, MethodSpec, analyze,
                       generate_quadratic, optimal_hyperparams,
                       rosenbrock_objective, run_trace)
 from lyapcert.methods import _family, _step
-from reference import naggs_iterates
+from reference import naggs_iterates, quadratic_objective
 
 
 def coefficients(spec, lam):
@@ -206,8 +206,8 @@ class TestStepEngines:
             al, be, ga = (0.1, 0.5, 0.05 if kind == TMM else 0.0)
             spec = MethodSpec(kind, alpha=al, beta=be, gamma=ga)
             h = al * (1.0 - be) if kind == NAGGS else al
-            expected = x0 - h * p.gradient(x0)
-            for target in (p, p.as_objective()):
+            expected = x0 - h * quadratic_objective(p).gradient(x0)
+            for target in (p, quadratic_objective(p)):
                 tr = run_trace(target, spec, x0, 3)
                 assert np.allclose(tr.iterates[1], expected, atol=1e-12), kind
 
@@ -228,12 +228,12 @@ class TestStepEngines:
         spec = MethodSpec(HB, alpha=0.15, beta=0.4)
         x_prev = p.minimizer + rng.standard_normal(5)
         x_cur = p.minimizer + rng.standard_normal(5)
-        g = run_trace(p.as_objective(), spec, x_prev, 12, x1=x_cur)
+        g = run_trace(quadratic_objective(p), spec, x_prev, 12, x1=x_cur)
         q = run_trace(p, spec, x_prev, 12, x1=x_cur)
         assert np.allclose(g.iterates, q.iterates, atol=1e-12)
 
     def test_nag_beta_zero_is_gradient_descent(self, rng):
-        obj = generate_quadratic(4, 1.0, 6.0, seed=7).as_objective()
+        obj = quadratic_objective(generate_quadratic(4, 1.0, 6.0, seed=7))
         spec = MethodSpec(NAG, alpha=0.12, beta=0.0)
         x = rng.standard_normal(4)
         nxt = _step(obj, _family(spec), x, x)
@@ -243,15 +243,16 @@ class TestStepEngines:
         p = generate_quadratic(4, 1.0, 6.0, seed=8)
         spec = optimal_hyperparams(TMM, 1.0, 6.0)
         x = p.minimizer + rng.standard_normal(4)
-        nxt = _step(p.as_objective(), _family(spec), x, x)
-        assert np.allclose(nxt, x - spec.alpha * p.gradient(x), atol=1e-12)
+        obj = quadratic_objective(p)
+        nxt = _step(obj, _family(spec), x, x)
+        assert np.allclose(nxt, x - spec.alpha * obj.gradient(x), atol=1e-12)
 
     def test_nag_two_step_reduction_1d(self):
         # eliminating the y-sequence gives a=(1+beta)(1-alpha*lam),
         # b=-beta(1-alpha*lam); compare engines over several steps
         lam, al, be = 3.0, 0.2, 0.6
         p = generate_quadratic(1, lam, lam, seed=0)
-        obj = p.as_objective()
+        obj = quadratic_objective(p)
         spec = MethodSpec(NAG, alpha=al, beta=be)
         a = (1 + be) * (1 - al * lam)
         b = -be * (1 - al * lam)
@@ -265,7 +266,7 @@ class TestStepEngines:
 
     def test_dimension_mismatch(self):
         # run_trace checks the starts; the step itself does no validation
-        obj = generate_quadratic(3, 1.0, 5.0, seed=9).as_objective()
+        obj = quadratic_objective(generate_quadratic(3, 1.0, 5.0, seed=9))
         with pytest.raises(ValueError, match="x1 must match"):
             run_trace(obj, MethodSpec(HB, alpha=0.1), np.zeros(3), 5, x1=np.zeros(4))
 
@@ -290,7 +291,7 @@ class TestFamily:
     @pytest.mark.parametrize("engine", ["eigenbasis", "oracle", "cosine"])
     def test_nag_is_tmm_with_gamma_beta(self, engine, rng):
         p = generate_quadratic(6, 1.0, 30.0, seed=11)
-        target = {"eigenbasis": p, "oracle": p.as_objective(),
+        target = {"eigenbasis": p, "oracle": quadratic_objective(p),
                   "cosine": cosine_counterexample()}[engine]
         nag = optimal_hyperparams(NAG, 1.0, 30.0)
         tmm = MethodSpec(TMM, alpha=nag.alpha, beta=nag.beta, gamma=nag.beta)

@@ -6,12 +6,14 @@ import numpy as np
 import pytest
 
 from lyapcert import trace as trace_module
+from lyapcert.methods import _family, _step
 from lyapcert import (HB, KINDS, NAG, NAGGS, TMM, MethodSpec, Objective,
                       QuadraticProblem, analyze, check_monotone, coefficient_arrays,
-                      export_csv, find_tmm_witness, generate_quadratic, optimal_hyperparams,
-                      read_trace_csv, run_trace, series_from_csv)
+                      exp_norm_objective, export_csv, find_tmm_witness, generate_quadratic,
+                      optimal_hyperparams, read_trace_csv, run_trace, series_from_csv)
 from conftest import random_eligible_coeffs
-from reference import eigenvalues, per_coordinate_V, schur, vector_V
+from reference import (eigenvalues, per_coordinate_V, quadratic_objective, schur,
+                       vector_V)
 
 
 def offset_start(p, seed=0, scale=1.0):
@@ -116,14 +118,14 @@ class TestRunTraceObjective:
         x0 = offset_start(p, seed=7)
         for x1 in (None, offset_start(p, seed=8)):
             tr_q = run_trace(p, spec, x0, 30, x1=x1)
-            tr_o = run_trace(p.as_objective(), spec, x0, 30, x1=x1)
+            tr_o = run_trace(quadratic_objective(p), spec, x0, 30, x1=x1)
             assert np.max(np.abs(tr_q.iterates - tr_o.iterates)) <= 1e-8
             assert np.max(np.abs(tr_q.distance - tr_o.distance)) <= 1e-8
 
     def test_objective_divergence_flags(self):
         p = generate_quadratic(2, 1.0, 4.0, seed=0)
         spec = MethodSpec(HB, alpha=3.0, beta=0.5)
-        tr = run_trace(p.as_objective(), spec, offset_start(p), 500)
+        tr = run_trace(quadratic_objective(p), spec, offset_start(p), 500)
         assert tr.diverged
         assert len(tr) < 500
 
@@ -174,7 +176,7 @@ class TestMetricsPassBitIdentity:
     @pytest.mark.parametrize("variant", ["equal", "x1"])
     def test_objective(self, kind, variant):
         p = generate_quadratic(5, 1.0, 10.0, seed=5)
-        obj = p.as_objective()
+        obj = quadratic_objective(p)
         spec = MethodSpec(kind, alpha=0.1, beta=0.5, gamma=0.05 if kind == TMM else 0.0)
         x0 = offset_start(p, seed=1)
         x1 = offset_start(p, seed=2) if variant == "x1" else None
@@ -402,10 +404,27 @@ class TestChunkedDriver:
         self.assert_same(tr, per_step_reference(p, spec, x0, 10 ** 9, v_floor=1e-6))
 
 
+def oracle_reference(obj, spec, x0, iters, x1=None,
+                     threshold=trace_module.DIVERGENCE_THRESHOLD):
+    """The objective driver as one ``_step`` at a time: the iterates up to the
+    first one beyond the threshold (a start: the last start) or the
+    iters-th, and whether the run diverged."""
+    rows = [x0] if x1 is None else [x0, x1]
+    far = [not np.linalg.norm(x - obj.minimizer) <= threshold for x in rows]
+    diverged = any(far)
+    prev, cur, family = x0, rows[-1], _family(spec)
+    while not diverged and len(rows) < iters:
+        prev, cur = cur, _step(obj, family, cur, prev)
+        rows.append(cur)
+        diverged = not np.linalg.norm(cur - obj.minimizer) <= threshold
+    rows = np.stack(rows)
+    return dict(rows=len(rows), diverged=diverged, eigen=rows, iterates=rows)
+
+
 class TestRowsOnRead:
-    """A quadratic trace holds its metric columns and no rows: ``rows`` and
+    """A trace holds its metric columns and no rows: ``rows`` and
     ``iterates`` replay the run on every read, to the bits of a run that
-    kept them."""
+    kept them, on a quadratic and through an objective's oracles."""
 
     @staticmethod
     def assert_replayed(tr, ref):
@@ -447,22 +466,48 @@ class TestRowsOnRead:
         x0 += 1.0
         assert np.array_equal(tr.rows, want)
 
-    def test_peak_memory_is_below_the_rows(self):
-        # a trace holding its rows would need iters * dim * 8 bytes (4.8 MB);
-        # a short run first, so one-time lazy imports are not counted
-        iters, dim = 3000, 200
-        p = generate_quadratic(dim, 1.0, 1e4, seed=0)
-        spec = optimal_hyperparams(HB, 1.0, 1e4)
-        x0 = offset_start(p, scale=10.0)
-        run_trace(p, spec, x0, 3)
+    @pytest.mark.parametrize("case", ["converging", "diverging", "x1", "expnorm"])
+    def test_objective(self, case):
+        # over two chunks: rows from several blocks, and a stop inside one
+        p = generate_quadratic(4, 1.0, 10.0, seed=2)
+        obj = exp_norm_objective(4) if case == "expnorm" else quadratic_objective(p)
+        spec = MethodSpec(NAG, alpha=1.0 if case == "diverging" else 0.1, beta=0.5)
+        x0 = offset_start(p, seed=1)
+        if case == "expnorm":
+            x0 = 0.1 * (x0 - p.minimizer)
+        x1 = x0 + 0.1 if case == "x1" else None
+        tr = run_trace(obj, spec, x0, 2 * trace_module._CHUNK + 3, x1=x1)
+        assert tr.diverged == (case == "diverging")
+        self.assert_replayed(tr, oracle_reference(obj, spec, x0, 2 * trace_module._CHUNK + 3,
+                                                  x1=x1))
+
+    @staticmethod
+    def peak_of_run(target, spec, x0, iters):
+        """Peak traced bytes of one run, after a short run first, so one-time
+        lazy imports are not counted."""
+        run_trace(target, spec, x0, 3)
         tracemalloc.start()
         try:
-            tr = run_trace(p, spec, x0, iters)
+            tr = run_trace(target, spec, x0, iters)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert len(tr) == iters
-        assert peak < iters * dim * 8
+        return peak
+
+    def test_peak_memory_is_below_the_rows(self):
+        # a trace holding its rows would need iters * dim * 8 bytes (4.8 MB)
+        iters, dim = 3000, 200
+        p = generate_quadratic(dim, 1.0, 1e4, seed=0)
+        spec = optimal_hyperparams(HB, 1.0, 1e4)
+        assert self.peak_of_run(p, spec, offset_start(p, scale=10.0), iters) < iters * dim * 8
+
+    def test_objective_peak_memory_is_below_the_rows(self):
+        iters, dim = 3000, 200
+        p = generate_quadratic(dim, 1.0, 1e4, seed=0)
+        spec = optimal_hyperparams(HB, 1.0, 1e4)
+        obj = quadratic_objective(p)
+        assert self.peak_of_run(obj, spec, offset_start(p, scale=10.0), iters) < iters * dim * 8
 
 
 @pytest.mark.parametrize("objective", [False, True], ids=["quadratic", "objective"])
@@ -472,7 +517,7 @@ class TestStartDimensions:
     @staticmethod
     def run(objective, x0, x1=None):
         p = generate_quadratic(4, 1.0, 4.0, seed=0)
-        target = p.as_objective() if objective else p
+        target = quadratic_objective(p) if objective else p
         return run_trace(target, MethodSpec(HB, alpha=0.1, beta=0.5), x0, 10, x1=x1)
 
     def test_x0_of_wrong_dimension(self, objective):
@@ -584,6 +629,13 @@ class TestCsvRoundTrip:
         assert path.read_text(encoding="utf-8") == "old\n"
         assert os.listdir(tmp_path) == ["t.csv"]
 
+    def test_series_needs_a_lyapunov_value(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("iter,objective_gap,distance,lyapunov\n0,1,1,\n1,1,1,\n",
+                        encoding="utf-8")
+        with pytest.raises(ValueError, match="trace CSV holds no Lyapunov values"):
+            series_from_csv(path)
+
     def test_rejects_foreign_csv(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("x,y\n1,2\n", encoding="utf-8")
@@ -597,7 +649,7 @@ class TestOracleBlocks:
 
     @staticmethod
     def counting(p):
-        obj = p.as_objective()
+        obj = quadratic_objective(p)
         calls = []
 
         def gradient(x):
@@ -629,7 +681,7 @@ class TestOracleBlocks:
         # one gradient per stepped row: none past the stop
         assert len(calls) == len(tr) - (2 if case == "x1" else 1)
         monkeypatch.setattr(trace_module, "_CHUNK", 1)
-        self.assert_same(tr, run_trace(p.as_objective(), spec, x0, 1300, x1=x1))
+        self.assert_same(tr, run_trace(quadratic_objective(p), spec, x0, 1300, x1=x1))
 
     def test_v_floor_is_refused(self):
         # the V floor stops quadratic runs only; an objective run has none
@@ -642,7 +694,7 @@ class TestOracleBlocks:
 
     def test_non_finite_gradient_raises(self):
         p = generate_quadratic(3, 1.0, 10.0, seed=2)
-        obj = p.as_objective()
+        obj = quadratic_objective(p)
         steps = []
 
         def gradient(x):
@@ -653,6 +705,17 @@ class TestOracleBlocks:
         with pytest.raises(ValueError, match="non-finite iterate produced"):
             run_trace(bad, MethodSpec(HB, alpha=0.1, beta=0.5), offset_start(p), 2000)
         assert len(steps) == 700
+
+    def test_non_finite_value_raises(self):
+        # the values are NaN away from the minimizer: the run goes on to its
+        # last row, then raises
+        def value(x):
+            return float(x @ x) if abs(x[0]) < 0.5 else math.nan
+
+        obj = Objective(dim=1, value=value, gradient=lambda x: 2.0 * x,
+                        minimizer=np.zeros(1))
+        with pytest.raises(ValueError, match="non-finite objective value from the oracle"):
+            run_trace(obj, MethodSpec(HB, alpha=0.1, beta=0.5), np.array([1.0]), 600)
 
 
 def list_reader_reference(path) -> dict:
@@ -704,7 +767,7 @@ class TestReaderParity:
         if case == "diverged":
             tr = run_trace(p, MethodSpec(HB, alpha=3.0, beta=0.5), offset_start(p), 900)
         elif case == "objective":
-            tr = run_trace(p.as_objective(), spec, offset_start(p), 700)
+            tr = run_trace(quadratic_objective(p), spec, offset_start(p), 700)
         else:
             tr = run_trace(p, spec, offset_start(p), 3 if case == "short" else 1500)
         path = tmp_path / "t.csv"
@@ -726,9 +789,11 @@ class TestReaderParity:
         HEAD + "0,1,1,\n1,1,1,\n2,1,1,0.5\n3,1,1,\n4,1,1,0.25\n",
         HEAD + "0,1,1,\n1,1,1,\n2,1,1,0.5\n3,1,1,nan\n4,1,1,0.25\n",
         HEAD + "0,1,1,\r\n1,1,1,\r\n 2, 1,1,0.5 \r\n",
+        HEAD + "0,1,1,\n1,1,1,\n2,1,1,0.5,9\n",
     ], ids=["empty", "blank-lines-only", "foreign-header", "short-header",
             "header-only", "blank-lines", "ragged-short", "ragged-long",
-            "bad-number", "empty-cell-after-v", "nan-cell-after-v", "crlf-spaces"])
+            "bad-number", "empty-cell-after-v", "nan-cell-after-v", "crlf-spaces",
+            "wide-row-with-v"])
     def test_hand_written_files(self, tmp_path, text):
         path = tmp_path / "t.csv"
         path.write_bytes(text.encode("utf-8"))
