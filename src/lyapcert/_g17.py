@@ -65,18 +65,18 @@ def _powers() -> tuple:
 
 @functools.cache
 def _layout_tables() -> tuple:
-    """Slots 1-5 of fixed notation below 1 by -X; slots 39-43 by X + 324,
-    with a blank last column; the place values of six digits; 16^i; and '0'
-    for digit i when the first s digits show, by (i, s)."""
-    prefix = [("0." + "0" * (z - 1)).ljust(5, "\0") for z in range(5)]
+    """Slots 1-5 of fixed notation below 1 by -X, with a blank column 0;
+    slots 39-43 by X + 324, with a blank last column; the place values of
+    six digits; 16^i; and the digit index i as a column."""
+    prefix = ["\0" * 5] + [("0." + "0" * (z - 1)).ljust(5, "\0") for z in range(1, 5)]
     exp = [("e%+04d" % X).replace("+0", "+\0").replace("-0", "-\0")
            for X in range(-324, 309)] + ["\0" * 5]
     prefix, exp = (np.frombuffer("".join(t).encode("ascii"), dtype=np.uint8)
                    .reshape(len(t), 5).T.copy() for t in (prefix, exp))
     place = np.array([[10.0 ** j] for j in range(5, -1, -1)], dtype=np.float32)
     hexes = np.array([16.0 ** i for i in range(17)], dtype=np.float32)
-    zero = np.array([[48.0 * (i < s) for s in range(18)] for i in range(17)], dtype=np.float32)
-    return prefix, exp, place, hexes, zero
+    digit = np.arange(17, dtype=np.float32)[:, None]
+    return prefix, exp, place, hexes, digit
 
 
 def _scaled(ax: np.ndarray, X: np.ndarray):
@@ -149,7 +149,7 @@ def _layout(D: np.ndarray, X: np.ndarray, neg: np.ndarray, zero: np.ndarray) -> 
     holds for -4 <= X < 17 and keeps every integer digit; trailing zeros of
     the fraction and a bare point are dropped; the exponent has at least two
     digits.  Zero is D = X = 0."""
-    prefix, exp, place, hexes, zeros = _layout_tables()
+    prefix, exp, place, hexes, digit = _layout_tables()
     n = D.shape[0]
     # three parts of six digits (the first with a leading zero), exact in
     # float32, as are the quotients floor(part / 10^j)
@@ -166,14 +166,12 @@ def _layout(D: np.ndarray, X: np.ndarray, neg: np.ndarray, zero: np.ndarray) -> 
     nsig[zero] = 1.0
     fixed = (X >= -4) & (X < 17)
     whole = fixed & (X >= 0)
-    shown = np.maximum(nsig, np.where(whole, X + 1, 0)).astype(np.intp)
-    q += zeros[:, shown]  # a digit past those shown is 0 and stays NUL
+    shown = np.maximum(nsig, np.where(whole, X + 1, 0))
+    q += (digit < shown) * np.float32(48.0)  # a digit past those shown is 0 and stays NUL
 
     out = np.empty((WIDTH, n), dtype=np.uint8)
     out[0] = np.where(neg, _MINUS, _NUL)
-    out[1:6] = 0
-    at = np.flatnonzero(fixed & (X < 0))
-    out[1:6, at] = prefix[:, -X[at]]
+    out[1:6] = prefix[:, np.where(fixed & (X < 0), -X, 0)]
     out[6:40:2] = q
     out[7] = np.where(~fixed & (nsig > 1), _POINT, _NUL)
     out[9:39:2] = 0

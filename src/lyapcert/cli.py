@@ -13,6 +13,7 @@ run, violated monotonicity, failed scenario), 2 usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from dataclasses import MISSING, fields
@@ -245,7 +246,12 @@ _POSITIONALS = {"scenario": f"one of: {', '.join(sorted(SCENARIOS))}",
                 "trace": "trace CSV path"}
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, from ``COMMANDS`` and ``_FLAGS``.
+
+    Built once per process: both tables are constant, so every call returns
+    the same parser, which ``main`` reuses; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="lyapcert",
         description="Spectral certificates and Lyapunov traces for two-step "

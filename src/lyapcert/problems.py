@@ -241,8 +241,9 @@ def load_problem(path) -> QuadraticProblem:
     vector; the file's ``W`` and ``linear`` must agree with its eigenfactors:
     a missing or malformed array, an empty spectrum or a disagreement raises
     ValueError.  The problem returned derives ``W`` and ``linear`` from the
-    factors.  The checks hold at most one d x d work array beside ``W`` and
-    the factors."""
+    factors.  The reconstruction of ``W`` is formed as B B' with B =
+    eigvecs * sqrt(eigvals), one symmetric product; the checks hold at most
+    two d x d work arrays beside ``W`` and the factors, B and the product."""
     npz = np.load(path)
     if not isinstance(npz, np.lib.npyio.NpzFile):  # a bare .npy array
         raise ValueError(f"{path}: not an .npz problem file")
@@ -276,7 +277,11 @@ def load_problem(path) -> QuadraticProblem:
     del asym
     # the problem holds the only copy of the eigenvectors
     p = QuadraticProblem(vals, data.pop("eigvecs"), data["minimizer"], float(data["constant"]))
-    recon = (p.eigvecs * p.eigvals) @ p.eigvecs.T
+    # B B' with B = eigvecs * sqrt(eigvals) (nonnegative, checked above) is
+    # one symmetric product, half the flops of (eigvecs * eigvals) @ eigvecs.T
+    root = p.eigvecs * np.sqrt(p.eigvals)
+    recon = root @ root.T
+    del root
     np.subtract(W, recon, out=recon)
     if not np.linalg.norm(recon) / max(np.linalg.norm(W), 1e-300) <= _RECONSTRUCTION_TOL:
         raise ValueError("W does not match its eigenfactors")

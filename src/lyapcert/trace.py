@@ -158,7 +158,6 @@ def _blocks(target, spec: MethodSpec, x0, iters: int, x1=None, v_floor=None) -> 
     else:
         W, advance = _oracle_engine(target, spec, starts)
         f_star = float(target.value(xs))
-        bad_value = False
 
     n = 0  # rows recorded before this block
     while True:
@@ -195,10 +194,9 @@ def _blocks(target, spec: MethodSpec, x0, iters: int, x1=None, v_floor=None) -> 
                 gap = 0.5 * np.sum(target.eigvals * Z[:k] * Z[:k], axis=1)
             else:
                 values = [float(target.value(x)) for x in block[:k]]
-                bad_value = bad_value or not all(map(math.isfinite, values))
-                gap = np.array(values) - f_star
-                if stop < m and bad_value:
+                if not all(map(math.isfinite, values)):
                     raise ValueError("non-finite objective value from the oracle")
+                gap = np.array(values) - f_star
         yield _Block(block[:k], gap, dist[:k], v[:k], diverged=far <= stop < m)
         if stop < m:
             return

@@ -5,10 +5,23 @@ finite differences for gradients, power iteration for spectral radii, and
 direct recurrence iteration for coefficient sampling.
 """
 
+import tempfile
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import settings
+from hypothesis.configuration import set_hypothesis_home_dir
+
+# property tests draw the same examples on every run and keep no example
+# database; the cache of constants that hypothesis reads from the sources
+# while tests are collected goes to the system's temporary directory, not
+# to a .hypothesis/ directory in the working directory
+settings.register_profile("lyapcert", derandomize=True, database=None, deadline=None,
+                          max_examples=100)
+settings.load_profile("lyapcert")
+set_hypothesis_home_dir(Path(tempfile.gettempdir()) / "lyapcert-hypothesis")
 
 
 def fd_gradient(value, x, h=None):

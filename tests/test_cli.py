@@ -962,6 +962,13 @@ class TestCommandTable:
         assert counts == {"generate": 9, "analyze": 3, "run": 0, "scenario": 1, "check": 13}
         assert len(READ_KEYS) == 44
 
+    def test_parser_is_built_once(self):
+        # one parser serves every call in a process, and a parse leaves no
+        # value behind for the next one
+        assert build_parser() is build_parser()
+        assert build_parser().parse_args(["run", "--dim", "3"]).dim == 3
+        assert build_parser().parse_args(["run"]).dim is None
+
     @pytest.mark.parametrize("name,key", UNREAD_KEYS, ids=[f"{n}-{k}" for n, k in UNREAD_KEYS])
     def test_unread_key_is_refused(self, tmp_path, capsys, name, key):
         out = tmp_path / "out"

@@ -253,6 +253,26 @@ class TestSerialization:
                  eigvals=p.eigvals, eigvecs=p.eigvecs, minimizer=p.minimizer)
         assert np.array_equal(load_problem(path).W, p.W)
 
+    @pytest.mark.parametrize("mu,scale,top,message", [
+        (1.0, 1 + 2e-10, None, "W does not match its eigenfactors"),
+        (1.0, 1 + 5e-11, None, None),
+        (0.0, 1.0, None, None),
+        (1.0, 1.0, np.inf, "W does not match its eigenfactors"),
+    ], ids=["W-off-by-2e-10", "W-off-by-5e-11", "mu-zero", "eigvals-end-in-inf"])
+    def test_reconstruction_check_at_its_boundary(self, tmp_path, mu, scale, top, message):
+        # the relative tolerance is 1e-10, far above the roundoff of the
+        # reconstruction, so neither side of it moves with how it is formed
+        p = generate_quadratic(50, mu, 10.0, seed=0)
+        vals = p.eigvals if top is None else np.append(p.eigvals[:-1], top)
+        path = tmp_path / "p.npz"
+        np.savez(path, W=p.W * scale, linear=p.linear, constant=np.array(0.0),
+                 eigvals=vals, eigvecs=p.eigvecs, minimizer=p.minimizer)
+        if message is None:
+            assert np.array_equal(load_problem(path).W, p.W)
+        else:
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                load_problem(path)
+
     @pytest.mark.parametrize("name,shape,message", [
         ("W", (2, 2), "W and eigvecs must be dim x dim"),
         ("eigvecs", (3, 2), "W and eigvecs must be dim x dim"),

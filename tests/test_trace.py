@@ -707,15 +707,33 @@ class TestOracleBlocks:
         assert len(steps) == 700
 
     def test_non_finite_value_raises(self):
-        # the values are NaN away from the minimizer: the run goes on to its
-        # last row, then raises
-        def value(x):
-            return float(x @ x) if abs(x[0]) < 0.5 else math.nan
+        # a non-finite value ends the run in the block that meets it: no
+        # block is stepped after the one holding the first bad row
+        spec = MethodSpec(HB, alpha=0.1, beta=0.5)
+        calls = []
 
-        obj = Objective(dim=1, value=value, gradient=lambda x: 2.0 * x,
-                        minimizer=np.zeros(1))
-        with pytest.raises(ValueError, match="non-finite objective value from the oracle"):
-            run_trace(obj, MethodSpec(HB, alpha=0.1, beta=0.5), np.array([1.0]), 600)
+        def gradient(x):
+            calls.append(1)
+            return 2.0 * x
+
+        def gradients_taken(value, iters):
+            calls.clear()
+            obj = Objective(dim=1, value=value, gradient=gradient, minimizer=np.zeros(1))
+            with pytest.raises(ValueError, match="non-finite objective value from the oracle"):
+                run_trace(obj, spec, np.array([1.0]), iters)
+            return len(calls)
+
+        # NaN away from the minimizer: row 0 is bad, and no gradient is taken
+        assert gradients_taken(lambda x: float(x @ x) if abs(x[0]) < 0.5 else math.nan,
+                               600) == 0
+        # NaN within 1e-3 of the minimizer, first met at row ``bad``
+        good = Objective(dim=1, value=lambda x: float(x @ x), gradient=lambda x: 2.0 * x,
+                         minimizer=np.zeros(1))
+        bad = int(np.argmax(run_trace(good, spec, np.array([1.0]), 2000).distance < 1e-3))
+        assert bad > 0
+        taken = gradients_taken(lambda x: float(x @ x) if abs(x[0]) >= 1e-3 else math.nan,
+                                2000)
+        assert bad <= taken < bad + trace_module._CHUNK
 
 
 def list_reader_reference(path) -> dict:

@@ -7,6 +7,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from lyapcert import (HB, KINDS, TMM, MethodSpec, analyze, certificate_csv_text,
                       certificate_report_text, optimal_hyperparams)
@@ -172,3 +173,25 @@ class TestSvgPoints:
                 got = svgplot._circles(x, y, 255.0, 164.0, scale, "#1f77b4")
                 want = reference.svg_circles(x, y, 255.0, 164.0, scale, "#1f77b4")
             assert_same_text(got, "\n".join(want))
+
+
+def g17_text(x: float) -> str:
+    return bytes(_g17.g17_fields(x)).replace(b"\0", b"").decode("ascii")
+
+
+class TestG17Property:
+    """``g17_fields`` against Python's ``'%.17g'`` on drawn values, beyond the
+    fixed ``EDGE`` ones: any double, integers (zero-padded digits) and
+    fractions in [1e-5, 1) (the ``0.000`` prefix slots)."""
+
+    @given(st.floats(allow_nan=True, allow_infinity=True))
+    def test_any_double(self, x):
+        assert g17_text(x) == "%.17g" % x
+
+    @given(st.integers(-10 ** 17 + 1, 10 ** 17 - 1))
+    def test_integers_below_1e17(self, n):
+        assert g17_text(float(n)) == "%.17g" % float(n)
+
+    @given(st.floats(1e-5, 1.0, exclude_max=True))
+    def test_fixed_notation_below_one(self, x):
+        assert g17_text(x) == "%.17g" % x
