@@ -177,7 +177,7 @@ def _cmd_run(o: dict) -> int:
     out = _require(o["out"], "--out")
     _require_tolerance(o["tolerance"])  # before the run writes ``out``
     x0 = _x0(problem.minimizer, o["x0-scale"], o["seed"])
-    rows, last, lyap = _stream_csv(_blocks(problem, spec, x0, o["iters"]), out)
+    rows, last, lyap = _stream_csv(_blocks(problem, (spec,), x0, o["iters"]), out)
     # the summary first: a run cut before V is defined still shows it
     print(f"rows={rows} final_gap={last.objective_gap[-1]:.6g} "
           f"final_distance={last.distance[-1]:.6g} "

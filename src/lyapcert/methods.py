@@ -1,4 +1,4 @@
-"""Two-step momentum methods: hyperparameters, coefficients, oracle step.
+"""Two-step momentum methods: hyperparameters, coefficients, family map.
 
 Every method is a member of one three-parameter family (Lessard, Recht and
 Packard, 2016).  With d_k = x_k - x_{k-1}:
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .problems import Objective, _require_finite_bounds
+from .problems import _require_finite_bounds
 
 HB = "HB"
 NAG = "NAG"
@@ -114,11 +114,3 @@ def coefficient_arrays(spec: MethodSpec, eigvals: np.ndarray) -> tuple[np.ndarra
     # never read "-0"
     return a + 0.0, b + 0.0
 
-
-def _step(obj: Objective, family: tuple[float, float, float], cur: np.ndarray,
-          prev: np.ndarray) -> np.ndarray:
-    """x_{k+1} of the family member ``family = (alpha, beta, gamma)`` through
-    the gradient oracle, on plain arrays."""
-    al, be, ga = family
-    d = cur - prev
-    return cur + be * d - al * np.asarray(obj.gradient(cur + ga * d), dtype=float)

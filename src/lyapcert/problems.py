@@ -234,6 +234,19 @@ def save_problem(p: QuadraticProblem, path) -> None:
         )
 
 
+def _asymmetry_within(W: np.ndarray, tol: float) -> bool:
+    """Whether every |W_ij - W_ji| is at most ``tol`` (False on a NaN),
+    comparing the rows of each band with the columns of its transpose from
+    the diagonal on: no d x d temporary, and no strided pass over all of W."""
+    band = 128  # rows at a time
+    with np.errstate(invalid="ignore"):  # inf - inf is a NaN, which fails
+        for i in range(0, W.shape[0], band):
+            diff = W[i:i + band, i:] - W[i:, i:i + band].T
+            if not np.abs(diff, out=diff).max() <= tol:
+                return False
+    return True
+
+
 def load_problem(path) -> QuadraticProblem:
     """Load a problem written by save_problem.
 
@@ -243,7 +256,8 @@ def load_problem(path) -> QuadraticProblem:
     ValueError.  The problem returned derives ``W`` and ``linear`` from the
     factors.  The reconstruction of ``W`` is formed as B B' with B =
     eigvecs * sqrt(eigvals), one symmetric product; the checks hold at most
-    two d x d work arrays beside ``W`` and the factors, B and the product."""
+    two d x d work arrays beside ``W`` and the factors, B and the product.
+    Symmetry is checked a band of rows at a time."""
     npz = np.load(path)
     if not isinstance(npz, np.lib.npyio.NpzFile):  # a bare .npy array
         raise ValueError(f"{path}: not an .npz problem file")
@@ -270,11 +284,8 @@ def load_problem(path) -> QuadraticProblem:
     if lin.shape != (d,) or data["minimizer"].shape != (d,):
         raise ValueError("eigvals, linear and minimizer must be dim-vectors")
     # comparisons are written so that a NaN fails them
-    scale = max(1.0, float(np.abs(W).max()))
-    asym = W - W.T
-    if not np.abs(asym, out=asym).max() <= 1e-10 * scale:
+    if not _asymmetry_within(W, 1e-10 * max(1.0, float(W.max()), -float(W.min()))):
         raise ValueError("W must be symmetric")
-    del asym
     # the problem holds the only copy of the eigenvectors
     p = QuadraticProblem(vals, data.pop("eigvecs"), data["minimizer"], float(data["constant"]))
     # B B' with B = eigvecs * sqrt(eigvals) (nonnegative, checked above) is

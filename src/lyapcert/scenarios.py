@@ -23,7 +23,7 @@ from .problems import (QuadraticProblem, cosine_counterexample, exp_norm_objecti
                        generate_quadratic, rosenbrock_objective)
 from .spectral import SpectralCertificate, analyze, certificate_csv_text, certificate_report_text
 from .svgplot import Panel, Series, render_svg
-from .trace import export_csv, run_trace
+from .trace import _run_traces, export_csv, run_trace
 
 LABELS = {HB: "HB", NAG: "NAG", TMM: "TMM", NAGGS: "NAG-GS"}
 
@@ -191,15 +191,18 @@ def _finish(cfg: ScenarioConfig, lines: list, verdicts: dict, traces: dict,
 
 
 def _quadratic_runs(cfg: ScenarioConfig, v_floor):
-    """Run every method of ``cfg`` on its quadratic; return the traces,
-    certificates, monotonicity reports, report lines and panels."""
+    """Run every method of ``cfg`` on its quadratic, side by side in one
+    batch; return the traces, certificates, monotonicity reports, report
+    lines and panels."""
     problem = generate_quadratic(cfg.dim, cfg.mu, cfg.L, cfg.seed)
     x0 = _x0(problem.minimizer, cfg.x0_scale, cfg.seed)
+    specs = _specs(cfg)
     traces, certs, reports = {}, {}, {}
-    for kind, spec in _specs(cfg).items():
-        traces[kind] = run_trace(problem, spec, x0, cfg.iters, v_floor=v_floor)
+    runs = _run_traces(problem, list(specs.values()), x0, cfg.iters, v_floor=v_floor)
+    for trace, (kind, spec) in zip(runs, specs.items()):
+        traces[kind] = trace
         certs[kind] = analyze(spec, problem.eigvals)
-        reports[kind] = check_monotone(traces[kind].lyapunov_series(cfg.tolerance))
+        reports[kind] = check_monotone(trace.lyapunov_series(cfg.tolerance))
 
     lines = [f"config: dim={cfg.dim} mu={cfg.mu:g} L={cfg.L:g} iters={cfg.iters} "
              f"seed={cfg.seed} x0_scale={cfg.x0_scale:g} tolerance={cfg.tolerance:g}"]
@@ -330,7 +333,7 @@ def _run_cosine(cfg: ScenarioConfig) -> ScenarioResult:
         }
 
         # exploratory: walk beta down from the tuned value until V turns monotone
-        for j in range(0, 21):
+        for j in range(1, 21):  # j = 0 is the tuned beta: the witness run
             beta_j = spec.beta * (1.0 - j / 20.0)
             tr_j = run_trace(obj, MethodSpec(HB, alpha=spec.alpha, beta=beta_j), x0, iters)
             if check_monotone(tr_j.lyapunov_series(tol)).monotone:
@@ -387,10 +390,9 @@ def _run_objective_family(cfg: ScenarioConfig, objective, title: str,
     x0 = _x0(np.asarray(objective.minimizer, dtype=float), cfg.x0_scale, cfg.seed)
     traces, verdicts = {}, {}
     lines = [title, f"config: iters={cfg.iters} seed={cfg.seed} x0_scale={cfg.x0_scale:g}"]
-    for kind, spec in specs.items():
-        # no V floor here: slow small-step iterates keep V near zero from the
-        # start, which says nothing about convergence
-        tr = run_trace(objective, spec, x0, cfg.iters)
+    # no V floor here: slow small-step iterates keep V near zero from the
+    # start, which says nothing about convergence
+    for tr, kind in zip(_run_traces(objective, list(specs.values()), x0, cfg.iters), specs):
         traces[kind] = tr
         rep = check_monotone(tr.lyapunov_series(cfg.tolerance))
         verdicts[f"{kind.lower()}_completed"] = not tr.diverged

@@ -1,24 +1,33 @@
 """Iteration traces: run a method, record metrics, serialize to CSV.
 
 One driver, ``_blocks``, is the only step loop; only the row engine differs.
+It advances one or more runs that share a target, start(s), ``iters`` and V
+floor side by side: a block is a (rows, runs, dim) array, one run per method
+spec, and holds no more rows x runs than a block of one run does.
 Quadratic targets advance in the eigenbasis so the recorded Lyapunov values
 keep full relative accuracy all the way down to underflow: the engine runs
 nothing but the recurrence z_{k+1} = a z_k + b z_{k-1}, a block of rows at a
-time.  Objective targets take the family update of ``methods._step``
-through the gradient oracle, with no state beyond the last two iterates;
-their engine ends a block at the first row beyond the divergence threshold,
-so no gradient is evaluated past the stop.  ``_blocks`` checks each finished
-block as arrays (non-finite rows, divergence, on quadratics the V floor),
-cutting the run at the first hit in the order a step-by-step loop would
-meet them, and hands the block on with its gap, distance and V, computed
-once per block from a two-row carry.
+time, with the coefficients of all runs as one (2, runs, dim) array, so one
+multiply and one add make a row of every run.  Objective targets take the
+family update of ``methods`` for all runs in one set of ufunc calls
+and call the gradient oracle once per run and row, with no state beyond the
+last two iterates; a run takes no gradient at a row beyond the divergence
+threshold, so none is evaluated past its stop.  ``_blocks`` checks each
+finished block as arrays (non-finite rows, divergence, on quadratics the V
+floor), cutting each run at its first hit in the order a step-by-step loop
+would meet them, and hands each run's part on with its gap, distance and V,
+computed once per block from a two-row carry.  A run leaves the others at
+its stop; a run that fails raises once the runs before it have finished,
+so a batch raises what its runs, made one after another, would raise first.
 
-``run_trace`` keeps the metric columns of the blocks and drops their rows:
-a ``Trace``, on either target, stores the arguments of its ``_blocks`` call
-and replays it whenever ``rows`` or ``iterates`` is read, so its memory does
-not grow with the rows' width.  ``lyapcert run`` streams instead: each
-block's CSV lines are written as the block arrives and only the V column is
-kept, and ``read_trace_csv`` reads the file back a chunk of lines at a time.
+``run_trace`` is the batch of one; the scenarios run their methods as one
+batch through ``_run_traces``.  A trace keeps the metric columns of its
+blocks and drops their rows: a ``Trace``, on either target, stores the
+arguments of its own run and replays it alone whenever ``rows`` or
+``iterates`` is read, so its memory does not grow with the rows' width.
+``lyapcert run`` streams instead: each block's CSV lines are written as the
+block arrives and only the V column is kept, and ``read_trace_csv`` reads
+the file back a chunk of lines at a time.
 """
 
 from __future__ import annotations
@@ -33,11 +42,11 @@ import numpy as np
 from ._files import whole_file
 from ._g17 import csv_rows
 from .lyapunov import LyapunovSeries, DEFAULT_TOLERANCE
-from .methods import MethodSpec, _family, _step, coefficient_arrays
+from .methods import MethodSpec, _family, coefficient_arrays
 from .problems import Objective, QuadraticProblem
 
 DIVERGENCE_THRESHOLD = 1e12  # read at call time
-_CHUNK = 512  # rows advanced between two checks
+_CHUNK = 512  # rows x runs advanced between two checks
 
 
 @dataclass
@@ -46,9 +55,10 @@ class Trace:
 
     ``objective_gap``, ``distance`` and ``lyapunov`` hold one value per
     recorded iterate; ``lyapunov[k]`` is defined from k = 2 on (NaN before
-    that).  ``run`` is the argument tuple of the ``_blocks`` call that made
-    the trace.  A trace keeps no row: ``rows`` and ``iterates`` are computed
-    again by replaying ``run`` on every read.  The engines are deterministic
+    that).  ``run`` is the argument tuple (target, spec, x0, iters, x1,
+    v_floor) of the run, alone, that made the trace.  A trace keeps no row:
+    ``rows`` and ``iterates`` are computed again by replaying ``run`` on
+    every read.  The engines are deterministic
     (an objective's oracles are taken to be functions of their argument), so
     each read gives the same bits.
     """
@@ -67,7 +77,8 @@ class Trace:
         """The engine's rows, rebuilt on every read (not kept: that is the
         memory a trace saves): centred eigen-coordinates of a quadratic run,
         the iterates of an objective run."""
-        return np.concatenate([blk.rows for blk in _blocks(*self.run)])
+        target, spec, *rest = self.run
+        return np.concatenate([blk.rows for blk in _blocks(target, (spec,), *rest)])
 
     @property
     def iterates(self) -> np.ndarray:
@@ -100,39 +111,66 @@ def run_trace(target: Union[QuadraticProblem, Objective], spec: MethodSpec,
     Divergence (distance beyond ``DIVERGENCE_THRESHOLD``) stops the run and
     flags the trace instead of raising.
     """
+    [trace] = _run_traces(target, (spec,), x0, iters, x1=x1, v_floor=v_floor)
+    return trace
+
+
+def _run_traces(target, specs, x0, iters: int, *, x1=None, v_floor=None) -> Iterator[Trace]:
+    """``run_trace`` of each of ``specs`` (a sequence) on one target from one
+    start, the runs advanced side by side by one ``_blocks`` call.  The
+    traces come in the order of ``specs``, each once it and those before it
+    are complete, so a caller that judges each as it comes meets the errors
+    of calls made one after another, in the same order."""
     # copies of the starts: a caller changing its arrays later must not
     # change the rows a trace replays
-    run = (target, spec, np.array(x0, dtype=float), iters,
-           None if x1 is None else np.array(x1, dtype=float), v_floor)
-    gap, dist, lyap = [], [], []
-    for blk in _blocks(*run):
-        gap.append(blk.objective_gap)
-        dist.append(blk.distance)
-        lyap.append(blk.lyapunov)
-    return Trace(np.concatenate(gap), np.concatenate(dist), np.concatenate(lyap),
-                 blk.diverged, run)
+    x0 = np.array(x0, dtype=float)
+    x1 = None if x1 is None else np.array(x1, dtype=float)
+    cols = [([], [], []) for _ in specs]
+    # the diverged flag of each complete run not yet handed out; r: the next
+    diverged, r = {}, 0
+    for blk in _blocks(target, specs, x0, iters, x1, v_floor):
+        for col, c in zip(cols[blk.run], (blk.objective_gap, blk.distance, blk.lyapunov)):
+            col.append(c)
+        if blk.last:
+            diverged[blk.run] = blk.diverged
+        while r in diverged:
+            yield Trace(*map(np.concatenate, cols[r]), diverged.pop(r),
+                        (target, specs[r], x0, iters, x1, v_floor))
+            cols[r] = None
+            r += 1
 
 
 class _Block(NamedTuple):
-    """Consecutive finished rows of a run with their metrics; ``diverged`` is
-    set on the last block of a run stopped by divergence."""
+    """Consecutive finished rows of the run at index ``run`` of a ``_blocks``
+    call, with their metrics; ``last`` is set on the run's last block, and
+    ``diverged`` too when divergence stopped the run."""
 
+    run: int
     rows: np.ndarray
     objective_gap: np.ndarray
     distance: np.ndarray
     lyapunov: np.ndarray
+    last: bool
     diverged: bool
 
 
 def _row_norms(Z: np.ndarray) -> np.ndarray:
     """Each row's ``np.linalg.norm``, to the bit: the root of its dot with
-    itself, taken for all rows in one call."""
-    return np.sqrt(np.matmul(Z[:, None, :], Z[:, :, None]).ravel())
+    itself, taken for all rows (of any leading shape) in one call."""
+    return np.sqrt(np.matmul(Z[..., None, :], Z[..., :, None])[..., 0, 0])
 
 
-def _blocks(target, spec: MethodSpec, x0, iters: int, x1=None, v_floor=None) -> Iterator[_Block]:
-    """The only step loop: yield a run's rows block by block, each checked
-    and with its gap, distance and V, up to and including the stopping row."""
+def _blocks(target, specs, x0, iters: int, x1=None, v_floor=None) -> Iterator[_Block]:
+    """The only step loop: advance the runs of ``specs`` side by side and
+    yield each run's rows block by block, each checked and with its gap,
+    distance and V, up to and including the run's stopping row.
+
+    A run leaves the others at its stop.  A run that fails (its coefficients,
+    or a non-finite iterate or objective value) leaves too, and its error is
+    raised once no run before it is still going: the error that the runs,
+    made one after another, would raise first.  An exception raised by an
+    oracle itself goes up at once.
+    """
     if iters < 3:
         raise ValueError("iters must be >= 3 so V is defined at least once")
     x0 = np.asarray(x0, dtype=float)
@@ -151,55 +189,86 @@ def _blocks(target, spec: MethodSpec, x0, iters: int, x1=None, v_floor=None) -> 
         raise ValueError("x0 has wrong dimension")
     xs = np.asarray(target.minimizer, dtype=float)
     # quadratic rows are centred eigen-coordinates; oracle rows are x itself,
-    # and no gradient is taken past the stopping row: the oracle engine ends
-    # a block at a row beyond the threshold
+    # and no gradient is taken past the stopping row: the oracle engine stops
+    # a run at a row beyond the threshold
+    failed = {}  # run -> the error that ended it
     if quadratic:
-        W, advance = _eigenbasis_engine(target, spec, starts)
+        coeffs = {}
+        for r, spec in enumerate(specs):
+            try:
+                coeffs[r] = coefficient_arrays(spec, target.eigvals)
+            except ValueError as exc:
+                failed[r] = exc
+        if 0 in failed:  # the first run fails before its first row
+            raise failed[0]
+        alive = list(coeffs)  # the engine's runs, in order
+        W, advance = _eigenbasis_engine(target, list(coeffs.values()), starts)
     else:
-        W, advance = _oracle_engine(target, spec, starts)
+        alive = list(range(len(specs)))
+        W, advance = _oracle_engine(target, [_family(s) for s in specs], starts)
         f_star = float(target.value(xs))
 
-    n = 0  # rows recorded before this block
+    n, keep = 0, None  # rows recorded before this block; the runs going on
+    ends = [len(starts)] * len(alive)  # the rows each run has in the block
     while True:
-        # rows past the stop may overflow; they are cut before any output.
+        if failed and (not alive or min(failed) < alive[0]):
+            raise failed[min(failed)]
+        if not alive:
+            return
+        # rows past a stop may overflow; they are cut before any output.
         # No yield inside: the error state must not leak to the consumer.
         with np.errstate(over="ignore", invalid="ignore"):
             if n:  # the block, after rows n-2 and n-1 (x_{-1} = x0 for one start)
-                W = advance(min(_CHUNK, iters - n))
-            block = W[2:] if n else W
+                W, ends = advance(min(max(1, _CHUNK // len(alive)), iters - n), keep)
+            block = W[2:] if n else W  # a row, then a run: (rows, runs, dim)
             m = block.shape[0]
             Wz = W if quadratic else W - xs
             Z = Wz[-m:]
             dist = _row_norms(Z)
-            v = _lyapunov_rows(Wz[:-2], Wz[1:-1], Wz[2:])  # V of the block's last len(v) rows
+            v = _lyapunov_rows(Wz[:-2], Wz[1:-1], Wz[2:])  # V of the block's last rows
             if n == 1:  # row 1 has no V
                 v[0] = math.nan
-            # the run stops on the block's row ``stop`` (m: it goes on) at the
-            # first row beyond the threshold (a start: at the last start), the
-            # iters-th row, or the first V below the floor
-            far = _first(dist > DIVERGENCE_THRESHOLD)
-            stop = max(far, len(starts) - 1 - n) if far < m else m
-            if n + m == iters:
-                stop = min(stop, m - 1)
-            if v_floor is not None:
-                stop = min(stop, m - v.shape[0] + _first(v < v_floor))
-            k = min(stop + 1, m)  # rows kept
-            # a non-finite row up to the stop raises (starts are not checked);
-            # only a row with a non-finite norm can hold a non-finite entry
-            if n and not np.isfinite(dist[:k]).all() and not np.isfinite(Z[:k]).all():
-                raise ValueError("non-finite iterate produced")
             if v.shape[0] < m:  # the starts have no V
-                v = np.concatenate([np.full(m - v.shape[0], math.nan), v])
+                v = np.concatenate([np.full((m - v.shape[0], v.shape[1]), math.nan), v])
             if quadratic:
-                gap = 0.5 * np.sum(target.eigvals * Z[:k] * Z[:k], axis=1)
-            else:
-                values = [float(target.value(x)) for x in block[:k]]
-                if not all(map(math.isfinite, values)):
-                    raise ValueError("non-finite objective value from the oracle")
-                gap = np.array(values) - f_star
-        yield _Block(block[:k], gap, dist[:k], v[:k], diverged=far <= stop < m)
-        if stop < m:
-            return
+                gaps = 0.5 * np.sum(target.eigvals * Z * Z, axis=-1)
+            out, keep = [], []
+            for pos, (r, mr) in enumerate(zip(alive, ends)):
+                # the run stops on the block's row ``stop`` (mr, the rows it
+                # made: it goes on) at the first row beyond the threshold (a
+                # start: at the last start), the iters-th row, or the first V
+                # below the floor
+                far = _first(dist[:mr, pos] > DIVERGENCE_THRESHOLD)
+                stop = max(far, len(starts) - 1 - n) if far < mr else mr
+                if n + mr == iters:
+                    stop = min(stop, mr - 1)
+                if v_floor is not None:
+                    stop = min(stop, _first(v[:, pos] < v_floor))
+                k = min(stop + 1, mr)  # rows kept
+                # the first row up to the stop with a non-finite entry, or an
+                # objective value, raises (starts are not checked); only a
+                # row with a non-finite norm can hold a non-finite entry
+                bad = k
+                if n and not (np.isfinite(dist[:k, pos]).all() or np.isfinite(Z[:k, pos]).all()):
+                    bad = _first(~np.isfinite(Z[:k, pos]).all(axis=-1))
+                    failed[r] = ValueError("non-finite iterate produced")
+                if quadratic:
+                    gap = gaps[:k, pos]
+                else:
+                    values = [float(target.value(x)) for x in block[:bad, pos]]
+                    if not all(map(math.isfinite, values)):
+                        failed[r] = ValueError("non-finite objective value from the oracle")
+                    gap = np.array(values) - f_star
+                if r in failed:
+                    continue
+                out.append(_Block(r, block[:k, pos], gap, dist[:k, pos], v[:k, pos],
+                                  last=stop < mr, diverged=far <= stop < mr))
+                if stop == mr:
+                    keep.append(pos)
+        yield from out
+        alive = [alive[pos] for pos in keep]
+        if len(keep) == len(ends):
+            keep = None
         n += m
 
 
@@ -216,53 +285,84 @@ def _lyapunov_rows(z_km2: np.ndarray, z_km1: np.ndarray, z_k: np.ndarray):
     return np.sum(terms, axis=-1)
 
 
-def _eigenbasis_engine(p: QuadraticProblem, spec: MethodSpec, starts):
-    """Centred eigen-coordinates of the starts, and ``advance(n)``: the last
-    two rows so far, then the next n rows of a z_k + b z_{k-1}."""
-    ba = np.stack(coefficient_arrays(spec, p.eigvals)[::-1])
+def _eigenbasis_engine(p: QuadraticProblem, coeffs: list, starts):
+    """Centred eigen-coordinates of the starts, for each run of the
+    recurrence coefficients ``coeffs`` (a pair (a, b) per run), and
+    ``advance(n, keep)``: for the runs at positions ``keep`` (all when None),
+    the last two rows so far, then the next n rows of a z_k + b z_{k-1};
+    with the rows each run made (all n)."""
+    ba = np.stack([np.stack(ab[::-1]) for ab in coeffs], axis=1)  # (b|a, run, coordinate)
     first = np.stack([p.eigvecs.T @ (x - p.minimizer) for x in starts])
+    first = np.repeat(first[:, None], len(coeffs), axis=1)
     last = first[[0, -1]]  # z_{k-1}, z_k
     work = np.empty_like(ba)
-    bz, az = work
 
-    def advance(n: int) -> np.ndarray:
+    def advance(n: int, keep) -> tuple:
         # row k+1 = b z_{k-1} + a z_k from the window (z_{k-1}, z_k) above
         # it: each product and the sum rounded once, as in a z_k + b z_{k-1}
-        nonlocal last
-        rows = np.empty((n + 2, ba.shape[1]))
+        nonlocal ba, last, work
+        if keep is not None:
+            ba, last, work = ba[:, keep], last[:, keep], work[:, keep]
+        bz, az = work
+        rows = np.empty((n + 2,) + last.shape[1:])
         rows[:2] = last
-        pairs = np.ndarray((n, 2, rows.shape[1]), buffer=rows,
+        pairs = np.ndarray((n, 2) + rows.shape[1:], buffer=rows,
                            strides=(rows.strides[0],) + rows.strides)
         for pair, row in zip(pairs, rows[2:]):
             np.multiply(ba, pair, out=work)
             np.add(bz, az, out=row)
         last = rows[-2:].copy()
-        return rows
+        return rows, [n] * rows.shape[1]
 
     return first, advance
 
 
-def _oracle_engine(obj: Objective, spec: MethodSpec, starts):
-    """The starts, and ``advance(n)``: the last two iterates so far, then the
-    next n method steps through the gradient oracle, or fewer: up to the first
-    row whose distance from the minimizer is not within the threshold."""
-    prev, cur = starts[0], starts[-1]
+def _oracle_engine(obj: Objective, families: list, starts):
+    """The starts, for each run of the family members ``families`` (an
+    (alpha, beta, gamma) per run), and ``advance(n, keep)``: for the runs at
+    positions ``keep`` (all when None), the last two iterates so far, then
+    the next n method steps through the gradient oracle, with the rows each
+    run made.  A run takes no gradient at a row whose distance from the
+    minimizer is not within the threshold: its rows end there, and the block
+    ends where no run is left."""
     xs = np.asarray(obj.minimizer, dtype=float)
-    family = _family(spec)
+    first = np.repeat(np.stack(starts)[:, None], len(families), axis=1)
+    # one coefficient per entry: same-shape ufuncs, cheaper than broadcasting;
+    # and no in-place ufunc, slow on one-entry rows
+    al, be, ga = np.array(families).T[:, :, None].repeat(xs.shape[0], axis=2)
+    prev, cur = first[0], first[-1]
 
-    def advance(n: int) -> np.ndarray:
-        nonlocal prev, cur
-        rows = np.empty((n + 2, cur.shape[0]))
+    def advance(n: int, keep) -> tuple:
+        # x_{k+1} = x_k + beta d_k - alpha grad f(x_k + gamma d_k), the
+        # family update of ``methods``, for all runs at once; the oracle
+        # once per run
+        nonlocal al, be, ga, prev, cur
+        if keep is not None:
+            al, be, ga, prev, cur = (a[keep] for a in (al, be, ga, prev, cur))
+        rows = np.empty((n + 2,) + cur.shape)
         rows[0], rows[1] = prev, cur
+        prev, cur = rows[0], rows[1]
+        grad = np.empty_like(cur)
+        live = list(range(cur.shape[0]))
+        ends = [n] * len(live)
         for i, row in enumerate(rows[2:]):
-            prev, cur = cur, _step(obj, family, cur, prev)
-            row[:] = cur
-            z = row - xs
-            if not math.sqrt(z.dot(z)) <= DIVERGENCE_THRESHOLD:
-                return rows[:i + 3]
-        return rows
+            d = cur - prev
+            y = ga * d + cur
+            z = cur - xs  # the rows above the block were judged by the driver
+            for pos in live[:]:
+                zr = z[pos]
+                if i and not math.sqrt(zr.dot(zr)) <= DIVERGENCE_THRESHOLD:
+                    live.remove(pos)
+                    ends[pos] = i
+                else:
+                    grad[pos] = obj.gradient(y[pos])
+            if not live:
+                return rows[:i + 2], ends
+            np.subtract(be * d + cur, al * grad, out=row)
+            prev, cur = cur, row
+        return rows, ends
 
-    return np.stack(starts), advance
+    return first, advance
 
 
 _CSV_HEADER = "iter,objective_gap,distance,lyapunov\n"

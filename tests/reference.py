@@ -149,6 +149,16 @@ def quadratic_objective(p):
                      minimizer=p.minimizer, mu=p.mu, lipschitz=p.lipschitz)
 
 
+def family_step(obj, family, cur, prev):
+    """x_{k+1} = x_k + beta d_k - alpha grad f(x_k + gamma d_k) of the family
+    member ``family = (alpha, beta, gamma)`` through the gradient oracle, on
+    plain arrays: one step of one run, the update the trace driver makes for
+    all its runs at once."""
+    al, be, ga = family
+    d = cur - prev
+    return cur + be * d - al * np.asarray(obj.gradient(cur + ga * d), dtype=float)
+
+
 # Text writers, one row or point at a time: the formatting the library's
 # block writers must reproduce byte for byte.
 

@@ -5,8 +5,8 @@ from lyapcert import (HB, KINDS, NAG, NAGGS, TMM, MethodSpec, analyze,
                       coefficient_arrays, cosine_counterexample,
                       generate_quadratic, optimal_hyperparams,
                       rosenbrock_objective, run_trace)
-from lyapcert.methods import _family, _step
-from reference import naggs_iterates, quadratic_objective
+from lyapcert.methods import _family
+from reference import family_step, naggs_iterates, quadratic_objective
 
 
 def coefficients(spec, lam):
@@ -184,8 +184,8 @@ class TestTheoreticalRate:
 
 
 class TestStepEngines:
-    """The eigenbasis recurrence runs inside ``run_trace``; the oracle step is
-    ``methods._step`` on plain arrays."""
+    """The eigenbasis recurrence runs inside ``run_trace``; the oracle step of
+    one run is ``reference.family_step`` on plain arrays."""
 
     def test_eigenbasis_hand_example(self):
         # HB alpha=4/9, beta=1/9 at lam=2 gives (a, b) = (2/9, -1/9): from
@@ -236,7 +236,7 @@ class TestStepEngines:
         obj = quadratic_objective(generate_quadratic(4, 1.0, 6.0, seed=7))
         spec = MethodSpec(NAG, alpha=0.12, beta=0.0)
         x = rng.standard_normal(4)
-        nxt = _step(obj, _family(spec), x, x)
+        nxt = family_step(obj, _family(spec), x, x)
         assert np.allclose(nxt, x - 0.12 * obj.gradient(x), atol=1e-14)
 
     def test_tmm_from_rest_is_gradient_step(self, rng):
@@ -244,7 +244,7 @@ class TestStepEngines:
         spec = optimal_hyperparams(TMM, 1.0, 6.0)
         x = p.minimizer + rng.standard_normal(4)
         obj = quadratic_objective(p)
-        nxt = _step(obj, _family(spec), x, x)
+        nxt = family_step(obj, _family(spec), x, x)
         assert np.allclose(nxt, x - spec.alpha * obj.gradient(x), atol=1e-12)
 
     def test_nag_two_step_reduction_1d(self):
@@ -260,7 +260,7 @@ class TestStepEngines:
         cur, prev = xs + 1.0, xs + 1.0
         x_cur, x_prev = np.array([cur]), np.array([prev])
         for _ in range(10):
-            x_cur, x_prev = _step(obj, _family(spec), x_cur, x_prev), x_cur
+            x_cur, x_prev = family_step(obj, _family(spec), x_cur, x_prev), x_cur
             cur, prev = a * (cur - xs) + b * (prev - xs) + xs, cur
             assert x_cur[0] == pytest.approx(cur, rel=1e-10, abs=1e-10)
 

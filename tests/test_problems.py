@@ -273,6 +273,31 @@ class TestSerialization:
             with pytest.raises(ValueError, match=f"^{message}$"):
                 load_problem(path)
 
+    @pytest.mark.parametrize("case", ["under", "over", "nan", "inf"])
+    def test_symmetry_check_in_its_last_band(self, tmp_path, case):
+        # d = 300 spans three 128-row bands of the check, and the pair
+        # (260, 299) lies in the last; the verdict is that of the check as one
+        # d x d difference, |W - W'| <= 1e-10 max(1, |W|)
+        p = generate_quadratic(300, 1.0, 10.0, seed=0)
+        W = np.array(p.W)
+        tol = 1e-10 * max(1.0, float(np.abs(W).max()))
+        shift = {"under": 0.99 * tol, "over": 1.01 * tol, "nan": np.nan, "inf": np.inf}[case]
+        W[299, 260] = W[260, 299] + shift
+        if case == "inf":
+            W[260, 299] = np.inf
+        with np.errstate(invalid="ignore"):  # inf - inf
+            one_difference = bool(np.abs(W - W.T).max()
+                                  <= 1e-10 * max(1.0, float(np.abs(W).max())))
+        assert one_difference == (case == "under")
+        path = tmp_path / "p.npz"
+        np.savez(path, W=W, linear=p.linear, constant=np.array(0.0),
+                 eigvals=p.eigvals, eigvecs=p.eigvecs, minimizer=p.minimizer)
+        if one_difference:
+            load_problem(path)
+        else:  # refused with the message alone: no warning on inf - inf
+            with pytest.raises(ValueError, match="^W must be symmetric$"):
+                load_problem(path)
+
     @pytest.mark.parametrize("name,shape,message", [
         ("W", (2, 2), "W and eigvecs must be dim x dim"),
         ("eigvecs", (3, 2), "W and eigvecs must be dim x dim"),

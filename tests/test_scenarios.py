@@ -13,7 +13,7 @@ from lyapcert import (HB, NAG, NAGGS, SCENARIOS, SUITABLE, TMM, MethodSpec,
                       ScenarioConfig, Trace, analyze, find_cosine_witness, find_tmm_witness,
                       generate_quadratic, optimal_hyperparams, parse_config_file,
                       run_scenario)
-from lyapcert import svgplot
+from lyapcert import scenarios, svgplot
 from lyapcert.cli import main
 from lyapcert.scenarios import _specs, _with_row
 
@@ -172,6 +172,21 @@ class TestWitnessScenarios:
         text = report_text(res)
         assert "witness: seed=" in text
         assert "certificate" in text
+
+    def test_cosine_runs_no_start_twice(self, tmp_path, monkeypatch):
+        # the sweep's first beta is below the tuned one: the witness run is
+        # not made again
+        made, run_trace = [], scenarios.run_trace
+
+        def recording(target, spec, x0, iters, **kw):
+            made.append((spec.beta, float(x0[0])))
+            return run_trace(target, spec, x0, iters, **kw)
+
+        monkeypatch.setattr(scenarios, "run_trace", recording)
+        for seed in (0, 7919):  # the sweep ends at some beta, or runs down to 0
+            made.clear()
+            assert run_quick("cosine", tmp_path, seed=seed).verdicts["violation_found"]
+            assert len(made) > 2 and len(set(made)) == len(made)
 
     def test_tmm_witness_scenario(self, tmp_path):
         res = run_quick("tmm-witness", tmp_path)

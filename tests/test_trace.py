@@ -4,16 +4,18 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from lyapcert import trace as trace_module
-from lyapcert.methods import _family, _step
+from lyapcert.methods import _family
 from lyapcert import (HB, KINDS, NAG, NAGGS, TMM, MethodSpec, Objective,
                       QuadraticProblem, analyze, check_monotone, coefficient_arrays,
                       exp_norm_objective, export_csv, find_tmm_witness, generate_quadratic,
-                      optimal_hyperparams, read_trace_csv, run_trace, series_from_csv)
+                      optimal_hyperparams, read_trace_csv, rosenbrock_objective, run_trace,
+                      series_from_csv)
 from conftest import random_eligible_coeffs
-from reference import (eigenvalues, per_coordinate_V, quadratic_objective, schur,
-                       vector_V)
+from reference import (eigenvalues, family_step, per_coordinate_V, quadratic_objective,
+                       schur, vector_V)
 
 
 def offset_start(p, seed=0, scale=1.0):
@@ -406,7 +408,7 @@ class TestChunkedDriver:
 
 def oracle_reference(obj, spec, x0, iters, x1=None,
                      threshold=trace_module.DIVERGENCE_THRESHOLD):
-    """The objective driver as one ``_step`` at a time: the iterates up to the
+    """The objective driver as one ``family_step`` at a time: the iterates up to the
     first one beyond the threshold (a start: the last start) or the
     iters-th, and whether the run diverged."""
     rows = [x0] if x1 is None else [x0, x1]
@@ -414,7 +416,7 @@ def oracle_reference(obj, spec, x0, iters, x1=None,
     diverged = any(far)
     prev, cur, family = x0, rows[-1], _family(spec)
     while not diverged and len(rows) < iters:
-        prev, cur = cur, _step(obj, family, cur, prev)
+        prev, cur = cur, family_step(obj, family, cur, prev)
         rows.append(cur)
         diverged = not np.linalg.norm(cur - obj.minimizer) <= threshold
     rows = np.stack(rows)
@@ -734,6 +736,166 @@ class TestOracleBlocks:
         taken = gradients_taken(lambda x: float(x @ x) if abs(x[0]) >= 1e-3 else math.nan,
                                 2000)
         assert bad <= taken < bad + trace_module._CHUNK
+
+    def test_the_first_bad_row_names_the_error(self):
+        # the value is NaN from |x| < 1e-3 on and the gradient inf from
+        # |x| < 1e-4 on: a bad value rows before the first non-finite iterate,
+        # in the same block, names the error, whatever the block size
+        spec = MethodSpec(HB, alpha=0.1, beta=0.5)
+        good = Objective(dim=1, value=lambda x: float(x @ x), gradient=lambda x: 2.0 * x,
+                         minimizer=np.zeros(1))
+        dist = run_trace(good, spec, np.array([1.0]), 2000).distance
+        nan_value, inf_gradient = int(np.argmax(dist < 1e-3)), int(np.argmax(dist < 1e-4))
+        assert 0 < nan_value < inf_gradient < trace_module._CHUNK
+        bad = Objective(dim=1, value=lambda x: float(x @ x) if abs(x[0]) >= 1e-3 else math.nan,
+                        gradient=lambda x: 2.0 * x if abs(x[0]) >= 1e-4 else np.full(1, np.inf),
+                        minimizer=np.zeros(1))
+        with pytest.raises(ValueError, match="^non-finite objective value from the oracle$"):
+            run_trace(bad, spec, np.array([1.0]), 2000)
+
+
+def solo_outcome(target, specs, x0, iters, **kw):
+    """``run_trace`` of each spec, one after another: the traces, or the
+    first error raised (type and message)."""
+    try:
+        return [run_trace(target, spec, x0, iters, **kw) for spec in specs]
+    except ValueError as exc:
+        return (type(exc), str(exc))
+
+
+def batch_outcome(target, specs, x0, iters, x1=None, v_floor=None):
+    """The traces of one batched call and the rows each run had in its
+    blocks, or the error raised (type and message)."""
+    try:
+        traces = list(trace_module._run_traces(target, specs, x0, iters, x1=x1,
+                                               v_floor=v_floor))
+        rows = [[] for _ in specs]
+        for blk in trace_module._blocks(target, specs, x0, iters, x1, v_floor):
+            rows[blk.run].append(blk.rows)
+        return traces, [np.concatenate(r) for r in rows]
+    except ValueError as exc:
+        return (type(exc), str(exc))
+
+
+@st.composite
+def method_specs(draw):
+    """A spec of any kind, its certificate eligible or not."""
+    kind = draw(st.sampled_from(KINDS))
+    alpha = draw(st.floats(1e-4, 3.0))
+    beta = draw(st.floats(-0.5 if kind == TMM else 0.0, 1.2))
+    gamma = draw(st.floats(-0.5, 1.0)) if kind == TMM else 0.0
+    return MethodSpec(kind, alpha=alpha, beta=beta, gamma=gamma)
+
+
+class TestBatchedRuns:
+    """Runs advanced side by side in one ``_blocks`` call: each trace, its
+    rows and the error raised equal those of ``run_trace`` one after another,
+    whatever block each run stops in."""
+
+    QUADRATIC = generate_quadratic(5, 1.0, 10.0, seed=3)
+
+    @staticmethod
+    def assert_same(target, specs, x0, iters, x1=None, v_floor=None):
+        want = solo_outcome(target, specs, x0, iters, x1=x1, v_floor=v_floor)
+        got = batch_outcome(target, specs, x0, iters, x1, v_floor)
+        if isinstance(want, tuple):
+            assert got == want
+            return None
+        traces, rows = got
+        assert len(traces) == len(want)
+        for tr, blk_rows, ref in zip(traces, rows, want):
+            assert len(tr) == len(ref) and tr.diverged == ref.diverged
+            for name in ("objective_gap", "distance", "lyapunov", "rows"):
+                assert np.array_equal(getattr(tr, name), getattr(ref, name), equal_nan=True)
+            assert np.array_equal(blk_rows, ref.rows, equal_nan=True)
+        return want
+
+    @given(specs=st.lists(method_specs(), min_size=1, max_size=4),
+           iters=st.integers(3, 700), x1=st.booleans(),
+           v_floor=st.sampled_from([None, 1e-3, 1e-8]), scale=st.floats(0.1, 20.0))
+    def test_quadratic(self, specs, iters, x1, v_floor, scale):
+        p = self.QUADRATIC
+        x0 = offset_start(p, seed=1, scale=scale)
+        self.assert_same(p, specs, x0, iters, offset_start(p, seed=2) if x1 else None, v_floor)
+
+    @given(specs=st.lists(method_specs(), min_size=1, max_size=4),
+           iters=st.integers(3, 400), rosenbrock=st.booleans(), scale=st.floats(0.05, 3.0))
+    def test_objective(self, specs, iters, rosenbrock, scale):
+        obj = rosenbrock_objective() if rosenbrock else exp_norm_objective(2)
+        x0 = obj.minimizer + scale * np.array([0.6, -0.8])
+        self.assert_same(obj, specs, x0, iters)
+
+    @staticmethod
+    def last_blocks(target, specs, x0, iters, v_floor=None):
+        """For each run, the round of blocks (one block per run going on)
+        holding its last block, that block's rows, and the most rows a block
+        of that round has."""
+        rounds, prev, last, most = 0, len(specs), {}, {}
+        for blk in trace_module._blocks(target, specs, x0, iters, None, v_floor):
+            rounds += blk.run <= prev
+            prev = blk.run
+            most[rounds] = max(most.get(rounds, 0), len(blk.rows))
+            if blk.last:
+                last[blk.run] = (rounds, len(blk.rows))
+        return [(r, rows, most[r]) for r, rows in (last[i] for i in range(len(specs)))]
+
+    def test_v_floor_stops_in_different_blocks(self):
+        # tuned HB, tuned NAG and HB tuned for a wider spectrum contract ever
+        # more slowly: three stops in three different blocks
+        p = generate_quadratic(6, 1.0, 100.0, seed=3)
+        specs = [optimal_hyperparams(HB, 1.0, 100.0), optimal_hyperparams(NAG, 1.0, 100.0),
+                 optimal_hyperparams(HB, 0.1, 100.0)]
+        x0 = offset_start(p, seed=4, scale=5.0)
+        want = self.assert_same(p, specs, x0, 5000, v_floor=1e-60)
+        assert all(len(tr) < 5000 and tr.lyapunov[-1] < 1e-60 for tr in want)
+        ends = self.last_blocks(p, specs, x0, 5000, v_floor=1e-60)
+        assert len({r for r, _, _ in ends}) == 3
+
+    def test_divergence_mid_block_takes_the_solo_gradients(self):
+        p = generate_quadratic(4, 1.0, 10.0, seed=2)
+        obj, calls = TestOracleBlocks.counting(p)
+        specs = [MethodSpec(NAG, alpha=0.1, beta=0.5), MethodSpec(HB, alpha=0.25, beta=0.2),
+                 MethodSpec(TMM, alpha=0.1, beta=0.5, gamma=0.05)]
+        x0 = offset_start(p, seed=1)
+        solo = []
+        for spec in specs:
+            calls.clear()
+            tr = run_trace(obj, spec, x0, 1300)
+            assert tr.diverged == (spec.kind == HB)
+            assert len(calls) == len(tr) - 1  # one gradient per stepped row
+            solo.append(len(calls))
+        calls.clear()
+        runs = list(trace_module._run_traces(obj, specs, x0, 1300))
+        assert len(calls) == sum(solo)
+        assert [len(tr) for tr in runs] == [n + 1 for n in solo]
+        self.assert_same(obj, specs, x0, 1300)
+        (r_nag, _, _), (r_hb, rows, most), _ = self.last_blocks(obj, specs, x0, 1300)
+        assert r_hb < r_nag and rows < most  # HB leaves inside a block the others go on past
+
+    @pytest.mark.parametrize("objective", [False, True], ids=["quadratic", "objective"])
+    def test_iters_at_block_edges(self, objective):
+        p = generate_quadratic(4, 1.0, 10.0, seed=2)
+        target = quadratic_objective(p) if objective else p
+        specs = [MethodSpec(k, alpha=0.1, beta=0.5, gamma=0.05 if k == TMM else 0.0)
+                 for k in KINDS]
+        block = trace_module._CHUNK // len(specs)
+        for iters in (block, block + 1, block + 2, 2 * block + 1, 3 * block + 1):
+            for tr in self.assert_same(target, specs, offset_start(p, seed=1), iters):
+                assert len(tr) == iters
+
+    def test_the_first_error_in_spec_order_is_raised(self, monkeypatch):
+        # rows 1, 1 - 1e160, inf: the overflowing run fails on row 2
+        monkeypatch.setattr(trace_module, "DIVERGENCE_THRESHOLD", math.inf)
+        p, overflow, x0, _ = TestChunkedDriver.one_step_overflow(1.0)
+        fine = MethodSpec(HB, alpha=0.5)
+        coeffs = MethodSpec(TMM, alpha=1e300, gamma=1e300)  # a coefficient overflows
+        with np.errstate(over="ignore"):
+            for specs, message in (([fine, overflow], "non-finite iterate produced"),
+                                   ([overflow, fine], "non-finite iterate produced"),
+                                   ([fine, coeffs, overflow], "coefficients must be finite"),
+                                   ([overflow, coeffs], "non-finite iterate produced")):
+                assert solo_outcome(p, specs, x0, 100) == (ValueError, message)
+                self.assert_same(p, specs, x0, 100)
 
 
 def list_reader_reference(path) -> dict:
