@@ -75,19 +75,26 @@ def check_monotone(series: LyapunovSeries) -> MonotonicityReport:
     v = series.values
     finite = np.isfinite(v)
     prev, nxt = v[:-1], v[1:]
-    positive = finite[:-1] & (prev > 0)
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite steps are flagged
-        allowed = prev + series.tolerance * np.maximum(1.0, np.abs(prev))
+        # prev + tol * max(1, |prev|), built in one array
+        allowed = np.abs(prev)
+        np.maximum(allowed, 1.0, out=allowed)
+        allowed *= series.tolerance
+        allowed += prev
         allowed[~finite[:-1]] = math.nan
         j = np.flatnonzero((nxt > allowed) | ~(finite[:-1] & finite[1:]))
         excess = nxt[j] - allowed[j]
-        ratios = nxt[positive] / prev[positive]
-    ratios = ratios[~np.isnan(ratios)]
+        # the same array then holds the ratios over positive V_k, -inf
+        # elsewhere and where V_{k+1} is NaN: an all -inf maximum reads the same
+        counted = finite[:-1] & (prev > 0) & ~np.isnan(nxt)
+        ratios = allowed
+        ratios.fill(-math.inf)
+        np.divide(nxt, prev, out=ratios, where=counted)
     return MonotonicityReport(
         monotone=not j.size and bool(finite.all()),
         index=series.start_index + j,
         v_prev=prev[j],
         v_next=nxt[j],
         excess=excess,
-        max_ratio=float(ratios[ratios.argmax()]) if ratios.size else math.nan,
+        max_ratio=float(ratios[ratios.argmax()]) if counted.any() else math.nan,
     )

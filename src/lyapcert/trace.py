@@ -19,6 +19,12 @@ would meet them, and hands each run's part on with its gap, distance and V,
 computed once per block from a two-row carry.  A run leaves the others at
 its stop; a run that fails raises once the runs before it have finished,
 so a batch raises what its runs, made one after another, would raise first.
+A ``_blocks`` call allocates one rows buffer and the work arrays of the
+metrics once: each engine writes every block into that buffer, below the
+carry copied to its top, and the metrics are computed into the work arrays
+with ``out=``, so a long run allocates no block-sized array per block.  The
+rows a block hands on are a view into the buffer, valid until the next block
+is drawn; its gap, distance and V columns are arrays of their own.
 
 ``run_trace`` is the batch of one; the scenarios run their methods as one
 batch through ``_run_traces``.  A trace keeps the metric columns of its
@@ -78,7 +84,8 @@ class Trace:
         memory a trace saves): centred eigen-coordinates of a quadratic run,
         the iterates of an objective run."""
         target, spec, *rest = self.run
-        return np.concatenate([blk.rows for blk in _blocks(target, (spec,), *rest)])
+        # each block's rows are a view into the buffer the next one overwrites
+        return np.concatenate([blk.rows.copy() for blk in _blocks(target, (spec,), *rest)])
 
     @property
     def iterates(self) -> np.ndarray:
@@ -143,7 +150,9 @@ def _run_traces(target, specs, x0, iters: int, *, x1=None, v_floor=None) -> Iter
 class _Block(NamedTuple):
     """Consecutive finished rows of the run at index ``run`` of a ``_blocks``
     call, with their metrics; ``last`` is set on the run's last block, and
-    ``diverged`` too when divergence stopped the run."""
+    ``diverged`` too when divergence stopped the run.  ``rows`` is a view
+    into the call's one rows buffer, valid until the next block is drawn:
+    a consumer that keeps rows copies them."""
 
     run: int
     rows: np.ndarray
@@ -170,6 +179,10 @@ def _blocks(target, specs, x0, iters: int, x1=None, v_floor=None) -> Iterator[_B
     raised once no run before it is still going: the error that the runs,
     made one after another, would raise first.  An exception raised by an
     oracle itself goes up at once.
+
+    Every block is written into one rows buffer, allocated with the metric
+    work arrays once per call, so a block's ``rows`` are valid until the
+    next block is drawn; its metric columns are new arrays.
     """
     if iters < 3:
         raise ValueError("iters must be >= 3 so V is defined at least once")
@@ -202,36 +215,49 @@ def _blocks(target, specs, x0, iters: int, x1=None, v_floor=None) -> Iterator[_B
         if 0 in failed:  # the first run fails before its first row
             raise failed[0]
         alive = list(coeffs)  # the engine's runs, in order
-        W, advance = _eigenbasis_engine(target, list(coeffs.values()), starts)
+        first, advance = _eigenbasis_engine(target, list(coeffs.values()), starts)
     else:
         alive = list(range(len(specs)))
-        W, advance = _oracle_engine(target, [_family(s) for s in specs], starts)
+        first, advance = _oracle_engine(target, [_family(s) for s in specs], starts)
         f_star = float(target.value(xs))
 
     n, keep = 0, None  # rows recorded before this block; the runs going on
     ends = [len(starts)] * len(alive)  # the rows each run has in the block
+    # one rows buffer and the metric work arrays (two products of the V
+    # terms, then the gap's; an objective's centred rows), with room for the
+    # call's widest block, of all runs; each block is a view into them,
+    # reshaped once runs have stopped
+    size = (max(_CHUNK, len(alive)) + 2 * len(alive)) * target.dim
+    bufs = [np.empty(size) for _ in range(3 if quadratic else 4)]
     while True:
         if failed and (not alive or min(failed) < alive[0]):
             raise failed[min(failed)]
         if not alive:
             return
+        shape = (min(max(1, _CHUNK // len(alive)), iters - n) + 2, len(alive), target.dim)
+        rows, t1, t2, *wz = (b[:math.prod(shape)].reshape(shape) for b in bufs)
         # rows past a stop may overflow; they are cut before any output.
         # No yield inside: the error state must not leak to the consumer.
         with np.errstate(over="ignore", invalid="ignore"):
             if n:  # the block, after rows n-2 and n-1 (x_{-1} = x0 for one start)
-                W, ends = advance(min(max(1, _CHUNK // len(alive)), iters - n), keep)
+                W, ends = advance(rows, keep)
+            else:
+                W = rows[:len(starts)]
+                W[...] = first
             block = W[2:] if n else W  # a row, then a run: (rows, runs, dim)
             m = block.shape[0]
-            Wz = W if quadratic else W - xs
+            Wz = W if quadratic else np.subtract(W, xs, out=wz[0][:W.shape[0]])
             Z = Wz[-m:]
             dist = _row_norms(Z)
-            v = _lyapunov_rows(Wz[:-2], Wz[1:-1], Wz[2:])  # V of the block's last rows
+            z_k = Wz[2:]  # the rows with a V: the block's (none of the starts')
+            v = _lyapunov_rows(Wz[:-2], Wz[1:-1], z_k, t1[:len(z_k)], t2[:len(z_k)])
             if n == 1:  # row 1 has no V
                 v[0] = math.nan
             if v.shape[0] < m:  # the starts have no V
                 v = np.concatenate([np.full((m - v.shape[0], v.shape[1]), math.nan), v])
             if quadratic:
-                gaps = 0.5 * np.sum(target.eigvals * Z * Z, axis=-1)
+                gaps = np.multiply(target.eigvals, Z, out=t1[:m])  # (eigvals * Z) * Z
+                gaps = 0.5 * np.sum(np.multiply(gaps, Z, out=gaps), axis=-1)
             out, keep = [], []
             for pos, (r, mr) in enumerate(zip(alive, ends)):
                 # the run stops on the block's row ``stop`` (mr, the rows it
@@ -265,6 +291,8 @@ def _blocks(target, specs, x0, iters: int, x1=None, v_floor=None) -> Iterator[_B
                                   last=stop < mr, diverged=far <= stop < mr))
                 if stop == mr:
                     keep.append(pos)
+        if not keep:  # no run goes on: the work arrays go before the last blocks are read
+            del bufs, t1, t2, wz, Wz, Z, z_k
         yield from out
         alive = [alive[pos] for pos in keep]
         if len(keep) == len(ends):
@@ -277,41 +305,46 @@ def _first(mask: np.ndarray) -> int:
     return int(mask.argmax()) if mask.any() else mask.shape[0]
 
 
-def _lyapunov_rows(z_km2: np.ndarray, z_km1: np.ndarray, z_k: np.ndarray):
+def _lyapunov_rows(z_km2: np.ndarray, z_km1: np.ndarray, z_k: np.ndarray,
+                   out=None, tmp=None):
     """V = sum_i z_{k-1,i}^2 - z_{k,i} z_{k-2,i} over the last axis; row-wise
-    on stacked rows, with the same summation (and bytes) as one row at a time."""
-    terms = z_km1 * z_km1
-    terms -= z_k * z_km2
+    on stacked rows, with the same summation (and bytes) as one row at a time.
+    The terms go to ``out`` and ``tmp``, arrays of ``z_k``'s shape (new ones
+    when None)."""
+    terms = np.multiply(z_km1, z_km1, out=out)
+    terms -= np.multiply(z_k, z_km2, out=tmp)
     return np.sum(terms, axis=-1)
 
 
 def _eigenbasis_engine(p: QuadraticProblem, coeffs: list, starts):
     """Centred eigen-coordinates of the starts, for each run of the
     recurrence coefficients ``coeffs`` (a pair (a, b) per run), and
-    ``advance(n, keep)``: for the runs at positions ``keep`` (all when None),
-    the last two rows so far, then the next n rows of a z_k + b z_{k-1};
-    with the rows each run made (all n)."""
+    ``advance(rows, keep)``: for the runs at positions ``keep`` (all when
+    None), the last two rows so far, then the next rows of a z_k + b z_{k-1},
+    written into ``rows`` (a (n + 2, runs, dim) array: the one buffer a
+    ``_blocks`` call fills block after block); with the rows each run made
+    (all n)."""
     ba = np.stack([np.stack(ab[::-1]) for ab in coeffs], axis=1)  # (b|a, run, coordinate)
     first = np.stack([p.eigvecs.T @ (x - p.minimizer) for x in starts])
     first = np.repeat(first[:, None], len(coeffs), axis=1)
     last = first[[0, -1]]  # z_{k-1}, z_k
     work = np.empty_like(ba)
 
-    def advance(n: int, keep) -> tuple:
+    def advance(rows: np.ndarray, keep) -> tuple:
         # row k+1 = b z_{k-1} + a z_k from the window (z_{k-1}, z_k) above
         # it: each product and the sum rounded once, as in a z_k + b z_{k-1}
         nonlocal ba, last, work
         if keep is not None:
             ba, last, work = ba[:, keep], last[:, keep], work[:, keep]
         bz, az = work
-        rows = np.empty((n + 2,) + last.shape[1:])
-        rows[:2] = last
+        rows[:2] = last  # the carry: the last block's bottom rows, in this buffer
+        n = rows.shape[0] - 2
         pairs = np.ndarray((n, 2) + rows.shape[1:], buffer=rows,
                            strides=(rows.strides[0],) + rows.strides)
         for pair, row in zip(pairs, rows[2:]):
             np.multiply(ba, pair, out=work)
             np.add(bz, az, out=row)
-        last = rows[-2:].copy()
+        last = rows[-2:]
         return rows, [n] * rows.shape[1]
 
     return first, advance
@@ -319,12 +352,13 @@ def _eigenbasis_engine(p: QuadraticProblem, coeffs: list, starts):
 
 def _oracle_engine(obj: Objective, families: list, starts):
     """The starts, for each run of the family members ``families`` (an
-    (alpha, beta, gamma) per run), and ``advance(n, keep)``: for the runs at
-    positions ``keep`` (all when None), the last two iterates so far, then
-    the next n method steps through the gradient oracle, with the rows each
-    run made.  A run takes no gradient at a row whose distance from the
-    minimizer is not within the threshold: its rows end there, and the block
-    ends where no run is left."""
+    (alpha, beta, gamma) per run), and ``advance(rows, keep)``: for the runs
+    at positions ``keep`` (all when None), the last two iterates so far,
+    then the next method steps through the gradient oracle, written into
+    ``rows`` (a (n + 2, runs, dim) array: the one buffer a ``_blocks`` call
+    fills block after block); with the rows each run made.  A run takes no
+    gradient at a row whose distance from the minimizer is not within the
+    threshold: its rows end there, and the block ends where no run is left."""
     xs = np.asarray(obj.minimizer, dtype=float)
     first = np.repeat(np.stack(starts)[:, None], len(families), axis=1)
     # one coefficient per entry: same-shape ufuncs, cheaper than broadcasting;
@@ -332,19 +366,18 @@ def _oracle_engine(obj: Objective, families: list, starts):
     al, be, ga = np.array(families).T[:, :, None].repeat(xs.shape[0], axis=2)
     prev, cur = first[0], first[-1]
 
-    def advance(n: int, keep) -> tuple:
+    def advance(rows: np.ndarray, keep) -> tuple:
         # x_{k+1} = x_k + beta d_k - alpha grad f(x_k + gamma d_k), the
         # family update of ``methods``, for all runs at once; the oracle
         # once per run
         nonlocal al, be, ga, prev, cur
         if keep is not None:
             al, be, ga, prev, cur = (a[keep] for a in (al, be, ga, prev, cur))
-        rows = np.empty((n + 2,) + cur.shape)
-        rows[0], rows[1] = prev, cur
+        rows[0], rows[1] = prev, cur  # prev is read before row 1 is written
         prev, cur = rows[0], rows[1]
         grad = np.empty_like(cur)
         live = list(range(cur.shape[0]))
-        ends = [n] * len(live)
+        ends = [rows.shape[0] - 2] * len(live)
         for i, row in enumerate(rows[2:]):
             d = cur - prev
             y = ga * d + cur

@@ -6,7 +6,7 @@ import pytest
 from lyapcert import (HB, NAG, LyapunovSeries, MethodSpec, MonotonicityReport,
                       analyze, check_monotone, coefficient_arrays,
                       generate_quadratic, optimal_hyperparams, run_trace)
-from conftest import random_eligible_coeffs
+from conftest import peak_bytes, random_eligible_coeffs
 from reference import per_coordinate_V, scalar_V, vector_V
 
 
@@ -175,6 +175,16 @@ class TestCheckMonotone:
             assert rep.describe().startswith("monotone decrease: NO"), vals
         rep = check_monotone(LyapunovSeries(values=np.array([1.0, bad, 0.5])))
         assert rep.index.tolist() == [2, 3]
+
+    def test_peak_memory(self):
+        # the allowed values, then the ratios, in one array of the series'
+        # size, beside a few boolean masks (an eighth of it each); the
+        # out-of-place arithmetic and fancy-indexed ratio operands once held
+        # 3.4 times the series
+        vals = np.exp(-np.arange(200_000) / 1e4)
+        series = LyapunovSeries(values=vals)
+        check_monotone(series)
+        assert peak_bytes(lambda: check_monotone(series)) < 2 * vals.nbytes
 
 
 def loop_check_monotone(series):
