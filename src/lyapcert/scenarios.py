@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -190,10 +191,17 @@ def _finish(cfg: ScenarioConfig, lines: list, verdicts: dict, traces: dict,
                           artifacts=artifacts, report_path=artifacts[-1])
 
 
-def _quadratic_runs(cfg: ScenarioConfig, v_floor):
+def _run_quadratic_family(cfg: ScenarioConfig, *, v_floor=None, judged=None, tests=(),
+                          notes=(), none_judged=None) -> ScenarioResult:
     """Run every method of ``cfg`` on its quadratic, side by side in one
-    batch; return the traces, certificates, monotonicity reports, report
-    lines and panels."""
+    batch, and judge the runs as the scenario's row says.
+
+    ``v_floor`` stops a run once V falls below it.  Each method whose
+    certificate ``judged(cert)`` admits (every method when None) gets one
+    verdict ``<kind>_<suffix>`` per ``(suffix, test(cert, report, trace))``
+    in ``tests``, in that order; ``none_judged`` names a verdict that fails
+    when no method is judged.  Each ``note(trace)`` adds a line per method.
+    """
     problem = generate_quadratic(cfg.dim, cfg.mu, cfg.L, cfg.seed)
     x0 = _x0(problem.minimizer, cfg.x0_scale, cfg.seed)
     specs = _specs(cfg)
@@ -206,66 +214,34 @@ def _quadratic_runs(cfg: ScenarioConfig, v_floor):
 
     lines = [f"config: dim={cfg.dim} mu={cfg.mu:g} L={cfg.L:g} iters={cfg.iters} "
              f"seed={cfg.seed} x0_scale={cfg.x0_scale:g} tolerance={cfg.tolerance:g}"]
+    verdicts = {}
     for kind, tr in traces.items():
-        cert = certs[kind]
+        cert, rep = certs[kind], reports[kind]
         lines.append(
             f"{LABELS[kind]}: eligible={'yes' if cert.eligible else 'no'} "
             f"radius={cert.spectral_radius:.6g} rows={len(tr)} "
-            f"terminal_V={tr.lyapunov[-1]:.6g} {reports[kind].describe()}")
-    return traces, certs, reports, lines, _panels(cfg.name, traces, certs)
+            f"terminal_V={tr.lyapunov[-1]:.6g} {rep.describe()}")
+        if judged is None or judged(cert):
+            for suffix, test in tests:
+                verdicts[f"{kind.lower()}_{suffix}"] = bool(test(cert, rep, tr))
+    if none_judged is not None and not verdicts:
+        verdicts[none_judged] = False
+    lines += [f"{LABELS[kind]}: {note(tr)}" for note in notes for kind, tr in traces.items()]
+    return _finish(cfg, lines, verdicts, traces, certs, _panels(cfg.name, traces, certs))
 
 
-def _run_fig1(cfg):
-    traces, certs, reports, lines, panels = _quadratic_runs(cfg, None)
-    verdicts = {}
-    for kind in (HB, NAG, NAGGS):
-        if kind in traces:
-            verdicts[f"{kind.lower()}_certificate_eligible"] = certs[kind].eligible
-            verdicts[f"{kind.lower()}_V_monotone"] = reports[kind].monotone
+def _distance_rises(tr) -> str:
     # the distance oscillates or not depending on the start: an observation
-    for kind, tr in traces.items():
-        rises = int(np.count_nonzero(np.diff(tr.distance) > 0))
-        lines.append(f"{LABELS[kind]}: distance rises at {rises} of {len(tr) - 1} steps")
-    return _finish(cfg, lines, verdicts, traces, certs, panels)
+    rises = int(np.count_nonzero(np.diff(tr.distance) > 0))
+    return f"distance rises at {rises} of {len(tr) - 1} steps"
 
 
-def _run_quadratic(cfg):
-    v_floor = 1e-9
-    traces, certs, reports, lines, panels = _quadratic_runs(cfg, v_floor)
-    verdicts = {}
-    for kind, cert in certs.items():
-        if cert.eligible:
-            verdicts[f"{kind.lower()}_V_monotone"] = reports[kind].monotone
-            verdicts[f"{kind.lower()}_terminal_V_below_floor"] = \
-                bool(traces[kind].lyapunov[-1] < v_floor)
-    if not any(cert.eligible for cert in certs.values()):
-        verdicts["some_certificate_eligible"] = False
-    return _finish(cfg, lines, verdicts, traces, certs, panels)
-
-
-def _run_nonoptimal(cfg):
-    traces, certs, reports, lines, panels = _quadratic_runs(cfg, 1e-9)
-    verdicts = {}
-    for kind, cert in certs.items():
-        verdicts[f"{kind.lower()}_certificate_eligible"] = cert.eligible
-        verdicts[f"{kind.lower()}_V_monotone"] = reports[kind].monotone
-    return _finish(cfg, lines, verdicts, traces, certs, panels)
-
-
-def _run_convex_mu0(cfg):
-    traces, certs, _, lines, panels = _quadratic_runs(cfg, None)
-    verdicts = {}
-    for kind, cert in certs.items():
-        unit = abs(float(cert.per_coordinate.rate[0]) - 1.0) <= 1e-9
-        verdicts[f"{kind.lower()}_certificate_ineligible"] = not cert.eligible
-        verdicts[f"{kind.lower()}_unit_eigenvalue_at_zero"] = unit
-    for kind, tr in traces.items():
-        vals = tr.lyapunov[2:]
-        vals = vals[~np.isnan(vals)]
-        drop = float(vals[0] / max(abs(vals[-1]), 1e-300)) if vals.size else math.nan
-        lines.append(f"{LABELS[kind]}: V drops by factor {drop:.3g} before the "
-                     f"floating-point floor; oscillation beyond that is roundoff")
-    return _finish(cfg, lines, verdicts, traces, certs, panels)
+def _v_drop(tr) -> str:
+    vals = tr.lyapunov[2:]
+    vals = vals[~np.isnan(vals)]
+    drop = float(vals[0] / max(abs(vals[-1]), 1e-300)) if vals.size else math.nan
+    return (f"V drops by factor {drop:.3g} before the floating-point floor; "
+            "oscillation beyond that is roundoff")
 
 
 def find_cosine_witness(seed: int = 0, iters: int = 400, tolerance: float = DEFAULT_TOLERANCE):
@@ -383,8 +359,11 @@ def _run_tmm_witness(cfg: ScenarioConfig) -> ScenarioResult:
     return _finish(cfg, lines, verdicts, traces, {TMM: cert}, panels)
 
 
-def _run_objective_family(cfg: ScenarioConfig, objective, title: str,
+def _run_objective_family(cfg: ScenarioConfig, *, objective, title: str,
                           alpha: float, beta: float) -> ScenarioResult:
+    """Run every method of ``cfg`` on ``objective(cfg)`` with step ``alpha``
+    and momentum ``beta`` (TMM's gamma 0.05), side by side in one batch."""
+    objective = objective(cfg)
     specs = {k: MethodSpec(k, alpha=alpha, beta=beta, gamma=0.05 if k == TMM else 0.0)
              for k in _kinds(cfg)}
     x0 = _x0(np.asarray(objective.minimizer, dtype=float), cfg.x0_scale, cfg.seed)
@@ -401,36 +380,51 @@ def _run_objective_family(cfg: ScenarioConfig, objective, title: str,
     return _finish(cfg, lines, verdicts, traces, {}, _panels(cfg.name, traces, {}))
 
 
-def _run_expnorm(cfg):
-    return _run_objective_family(
-        cfg, exp_norm_objective(cfg.dim),
-        "objective: exp(|x|^2), small-step runs (no global smoothness bound)", 0.02, 0.3)
-
-
-def _run_rosenbrock(cfg):
-    return _run_objective_family(
-        cfg, rosenbrock_objective(),
-        "objective: Rosenbrock, small-step runs near the minimizer", 5e-4, 0.5)
-
-
 # unset, a quadratic scenario runs all four methods with its own values
 _HYPER = dict(method=None, alpha=None, beta=None, gamma=None)
+_V_FLOOR = 1e-9
 
 # name: (runner, settings), where settings maps every field the scenario
-# reads, besides ``seed`` and ``tolerance``, to its default
+# reads, besides ``seed`` and ``tolerance``, to its default.  A quadratic
+# scenario's runner names its V floor, judged methods, verdict tests
+# ``(suffix, test(cert, report, trace))`` and notes
 SCENARIOS = {
-    "fig1": (_run_fig1, dict(dim=107, mu=1.0, L=1000.0, iters=2000, optimal=True,
-                             x0_scale=10.0, **_HYPER)),
-    "quadratic": (_run_quadratic, dict(dim=100, mu=1.0, L=1000.0, iters=2000, optimal=True,
-                                       x0_scale=10.0, **_HYPER)),
-    "nonoptimal": (_run_nonoptimal, dict(dim=50, mu=1.0, L=10.0, iters=2000, optimal=False,
-                                         x0_scale=10.0, **_HYPER)),
-    "convex-mu0": (_run_convex_mu0, dict(dim=50, mu=0.0, L=10.0, iters=1000, optimal=False,
-                                         x0_scale=10.0, **_HYPER)),
+    "fig1": (partial(_run_quadratic_family, judged=lambda cert: cert.method.kind != TMM,
+                     tests=(("certificate_eligible", lambda cert, rep, tr: cert.eligible),
+                            ("V_monotone", lambda cert, rep, tr: rep.monotone)),
+                     notes=(_distance_rises,)),
+             dict(dim=107, mu=1.0, L=1000.0, iters=2000, optimal=True, x0_scale=10.0, **_HYPER)),
+    "quadratic": (partial(_run_quadratic_family, v_floor=_V_FLOOR,
+                          judged=lambda cert: cert.eligible,
+                          tests=(("V_monotone", lambda cert, rep, tr: rep.monotone),
+                                 ("terminal_V_below_floor",
+                                  lambda cert, rep, tr: tr.lyapunov[-1] < _V_FLOOR)),
+                          none_judged="some_certificate_eligible"),
+                  dict(dim=100, mu=1.0, L=1000.0, iters=2000, optimal=True, x0_scale=10.0,
+                       **_HYPER)),
+    "nonoptimal": (partial(_run_quadratic_family, v_floor=_V_FLOOR,
+                           tests=(("certificate_eligible", lambda cert, rep, tr: cert.eligible),
+                                  ("V_monotone", lambda cert, rep, tr: rep.monotone))),
+                   dict(dim=50, mu=1.0, L=10.0, iters=2000, optimal=False, x0_scale=10.0,
+                        **_HYPER)),
+    "convex-mu0": (partial(_run_quadratic_family,
+                           tests=(("certificate_ineligible",
+                                   lambda cert, rep, tr: not cert.eligible),
+                                  ("unit_eigenvalue_at_zero", lambda cert, rep, tr:
+                                   abs(float(cert.per_coordinate.rate[0]) - 1.0) <= 1e-9)),
+                           notes=(_v_drop,)),
+                   dict(dim=50, mu=0.0, L=10.0, iters=1000, optimal=False, x0_scale=10.0,
+                        **_HYPER)),
     "cosine": (_run_cosine, dict(iters=400)),
     "tmm-witness": (_run_tmm_witness, dict(dim=107, mu=1.0, L=1000.0, iters=80, x0_scale=10.0)),
-    "expnorm": (_run_expnorm, dict(dim=2, iters=600, x0_scale=0.8, method=None)),
-    "rosenbrock": (_run_rosenbrock, dict(iters=4000, x0_scale=0.5, method=None)),
+    "expnorm": (partial(_run_objective_family, objective=lambda cfg: exp_norm_objective(cfg.dim),
+                        title="objective: exp(|x|^2), small-step runs (no global smoothness "
+                              "bound)", alpha=0.02, beta=0.3),
+                dict(dim=2, iters=600, x0_scale=0.8, method=None)),
+    "rosenbrock": (partial(_run_objective_family, objective=lambda cfg: rosenbrock_objective(),
+                           title="objective: Rosenbrock, small-step runs near the minimizer",
+                           alpha=5e-4, beta=0.5),
+                   dict(iters=4000, x0_scale=0.5, method=None)),
 }
 
 

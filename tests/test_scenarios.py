@@ -1,6 +1,7 @@
 import contextlib
 import errno
 import hashlib
+import json
 import os
 import pathlib
 import re
@@ -512,6 +513,93 @@ class TestArtifactBytes:
         digests = {f: hashlib.sha256((tmp_path / f).read_bytes()).hexdigest()
                    for f in listed}
         assert digests == DIGESTS[name]
+
+
+
+class TestVerdictRows:
+    """The verdicts of each quadratic scenario, in report order, and its exit
+    code at ``--dim 20 --iters 200`` (seed 0): for all four methods and for
+    each method alone.  A scenario with no verdict passes (fig1 judges no
+    TMM run); quadratic fails when no method is eligible."""
+
+    VERDICTS = {
+        ("fig1", None): (0, "hb_certificate_eligible: PASS, hb_V_monotone: PASS, "
+                            "nag_certificate_eligible: PASS, nag_V_monotone: PASS, "
+                            "naggs_certificate_eligible: PASS, naggs_V_monotone: PASS"),
+        ("fig1", HB): (0, "hb_certificate_eligible: PASS, hb_V_monotone: PASS"),
+        ("fig1", NAG): (0, "nag_certificate_eligible: PASS, nag_V_monotone: PASS"),
+        ("fig1", TMM): (0, ""),
+        ("fig1", NAGGS): (0, "naggs_certificate_eligible: PASS, naggs_V_monotone: PASS"),
+        ("quadratic", None): (1, "hb_V_monotone: PASS, hb_terminal_V_below_floor: FAIL, "
+                                 "nag_V_monotone: PASS, nag_terminal_V_below_floor: FAIL, "
+                                 "naggs_V_monotone: PASS, naggs_terminal_V_below_floor: FAIL"),
+        ("quadratic", HB): (1, "hb_V_monotone: PASS, hb_terminal_V_below_floor: FAIL"),
+        ("quadratic", NAG): (1, "nag_V_monotone: PASS, nag_terminal_V_below_floor: FAIL"),
+        ("quadratic", TMM): (1, "some_certificate_eligible: FAIL"),
+        ("quadratic", NAGGS): (1, "naggs_V_monotone: PASS, naggs_terminal_V_below_floor: FAIL"),
+        ("nonoptimal", None): (0, "hb_certificate_eligible: PASS, hb_V_monotone: PASS, "
+                                  "nag_certificate_eligible: PASS, nag_V_monotone: PASS, "
+                                  "tmm_certificate_eligible: PASS, tmm_V_monotone: PASS, "
+                                  "naggs_certificate_eligible: PASS, naggs_V_monotone: PASS"),
+        ("nonoptimal", HB): (0, "hb_certificate_eligible: PASS, hb_V_monotone: PASS"),
+        ("nonoptimal", NAG): (0, "nag_certificate_eligible: PASS, nag_V_monotone: PASS"),
+        ("nonoptimal", TMM): (0, "tmm_certificate_eligible: PASS, tmm_V_monotone: PASS"),
+        ("nonoptimal", NAGGS): (0, "naggs_certificate_eligible: PASS, naggs_V_monotone: PASS"),
+        ("convex-mu0", None): (0, "hb_certificate_ineligible: PASS, "
+                                  "hb_unit_eigenvalue_at_zero: PASS, "
+                                  "nag_certificate_ineligible: PASS, "
+                                  "nag_unit_eigenvalue_at_zero: PASS, "
+                                  "tmm_certificate_ineligible: PASS, "
+                                  "tmm_unit_eigenvalue_at_zero: PASS, "
+                                  "naggs_certificate_ineligible: PASS, "
+                                  "naggs_unit_eigenvalue_at_zero: PASS"),
+        ("convex-mu0", HB): (0, "hb_certificate_ineligible: PASS, "
+                                "hb_unit_eigenvalue_at_zero: PASS"),
+        ("convex-mu0", NAG): (0, "nag_certificate_ineligible: PASS, "
+                                 "nag_unit_eigenvalue_at_zero: PASS"),
+        ("convex-mu0", TMM): (0, "tmm_certificate_ineligible: PASS, "
+                                 "tmm_unit_eigenvalue_at_zero: PASS"),
+        ("convex-mu0", NAGGS): (0, "naggs_certificate_ineligible: PASS, "
+                                   "naggs_unit_eigenvalue_at_zero: PASS"),
+    }
+
+    @pytest.mark.parametrize("name,method", list(VERDICTS))
+    def test_verdicts(self, tmp_path, capsys, name, method):
+        argv = ["scenario", name, "--dim", "20", "--iters", "200", "--out", str(tmp_path)]
+        rc = main(argv + (["--method", method] if method else []))
+        out = capsys.readouterr().out.splitlines()
+        verdicts = [line.removeprefix("verdict ") for line in out if line.startswith("verdict ")]
+        assert (rc, ", ".join(verdicts)) == self.VERDICTS[name, method]
+        assert f"overall: {'FAIL' if rc else 'PASS'}" in out
+
+
+DEFAULT_DIGESTS = json.loads(
+    (pathlib.Path(__file__).parent / "default_digests.json").read_text(encoding="utf-8"))
+
+
+class TestDefaultBytes:
+    """Every scenario at its default settings, seeds 0 and 7919: the sha256
+    of each artifact and of stdout, and the exit code, as
+    ``tests/default_digests.json`` records them.
+
+    The digests were taken with numpy 2.4.6 on x86-64; another numpy may
+    change the random problems and so the bytes.  A change to them must be
+    named and explained, not just re-recorded.
+    """
+
+    def test_every_scenario_and_seed(self):
+        assert sorted(DEFAULT_DIGESTS) == sorted(
+            f"scenario {name} --seed {seed}" for name in SCENARIOS for seed in (0, 7919))
+
+    @pytest.mark.parametrize("case", sorted(DEFAULT_DIGESTS))
+    def test_digests(self, tmp_path, capsys, monkeypatch, case):
+        monkeypatch.chdir(tmp_path)  # a relative --out keeps stdout fixed
+        rc = main([*case.split(), "--out", "o"])
+        stdout = capsys.readouterr().out.encode()
+        files = {f: hashlib.sha256((tmp_path / "o" / f).read_bytes()).hexdigest()
+                 for f in os.listdir(tmp_path / "o")}
+        assert dict(exit=rc, stdout=hashlib.sha256(stdout).hexdigest(),
+                    files=files) == DEFAULT_DIGESTS[case]
 
 
 def panel_bodies(text):
