@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import math
+import zipfile
+import zlib
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Optional
@@ -221,12 +223,20 @@ _ARRAYS = ("W", "linear", "constant", "eigvals", "eigvecs", "minimizer")
 
 def save_problem(p: QuadraticProblem, path) -> None:
     """Serialize a problem as an .npz archive (arrays plus scalars) to
-    exactly ``path``, whole or not at all; no suffix is added."""
+    exactly ``path``, whole or not at all; no suffix is added.  A problem
+    whose ``W`` or ``linear`` overflows is refused (ValueError naming its
+    L) before anything is written."""
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        W, linear = p.W, p.linear
+    # NaN and inf show in a max or a min, which need no temporary
+    if not all(map(math.isfinite, (W.max(), W.min(), linear.max(), linear.min()))):
+        raise ValueError(f"L = {p.lipschitz:g} is too large: W or linear of the "
+                         "problem is not finite")
     with whole_file(path) as fh:
         np.savez(
             fh.buffer,
-            W=p.W,
-            linear=p.linear,
+            W=W,
+            linear=linear,
             constant=np.array(p.constant),
             eigvals=p.eigvals,
             eigvecs=p.eigvecs,
@@ -247,6 +257,25 @@ def _asymmetry_within(W: np.ndarray, tol: float) -> bool:
     return True
 
 
+def _norm(x: np.ndarray) -> float:
+    """``np.linalg.norm(x)``, finite wherever the true norm is.  numpy sums
+    the squares, which overflow once entries pass about 1.3e154; such a norm
+    is taken again on a copy scaled by a power of two, which is exact, so
+    every other norm keeps numpy's bits."""
+    with np.errstate(over="ignore"):
+        n = np.linalg.norm(x)
+        if np.isinf(n):
+            e = math.frexp(np.abs(x).max())[1]
+            n = np.ldexp(np.linalg.norm(np.ldexp(x, -e)), e)
+    return float(n)
+
+
+# what numpy and zipfile raise on a file that is no .npz archive of arrays:
+# empty, cut short, corrupt, or a pickle, which is never loaded
+_UNREADABLE = (EOFError, NotImplementedError, RuntimeError, ValueError,
+               zipfile.BadZipFile, zlib.error)
+
+
 def load_problem(path) -> QuadraticProblem:
     """Load a problem written by save_problem.
 
@@ -257,15 +286,22 @@ def load_problem(path) -> QuadraticProblem:
     factors.  The reconstruction of ``W`` is formed as B B' with B =
     eigvecs * sqrt(eigvals), one symmetric product; the checks hold at most
     two d x d work arrays beside ``W`` and the factors, B and the product.
-    Symmetry is checked a band of rows at a time."""
-    npz = np.load(path)
-    if not isinstance(npz, np.lib.npyio.NpzFile):  # a bare .npy array
-        raise ValueError(f"{path}: not an .npz problem file")
-    with npz:
-        for k in _ARRAYS:
-            if k not in npz.files:
-                raise ValueError(f"{path}: no {k} array in the problem file")
-        data = {k: npz[k] for k in _ARRAYS}
+    Symmetry is checked a band of rows at a time, and the norms hold at
+    any finite scale.  A file that cannot be read as an .npz archive of
+    arrays raises ValueError too."""
+    # the file is opened here, so it is closed whatever np.load raises
+    with open(path, "rb") as fh:
+        try:
+            npz = np.load(fh)
+            if not isinstance(npz, np.lib.npyio.NpzFile):  # a bare .npy array
+                raise ValueError
+            with npz:
+                missing = [k for k in _ARRAYS if k not in npz.files]
+                data = {} if missing else {k: npz[k] for k in _ARRAYS}
+        except _UNREADABLE:
+            raise ValueError(f"{path}: not an .npz problem file") from None
+    if missing:
+        raise ValueError(f"{path}: no {missing[0]} array in the problem file")
     for k in _ARRAYS:  # before any conversion to float
         if data[k].dtype.kind not in "biuf":
             raise ValueError(f"{path}: {k} must be real")
@@ -294,9 +330,10 @@ def load_problem(path) -> QuadraticProblem:
     recon = root @ root.T
     del root
     np.subtract(W, recon, out=recon)
-    if not np.linalg.norm(recon) / max(np.linalg.norm(W), 1e-300) <= _RECONSTRUCTION_TOL:
+    if not _norm(recon) / max(_norm(W), 1e-300) <= _RECONSTRUCTION_TOL:
         raise ValueError("W does not match its eigenfactors")
-    if p.mu > 0 and not (np.linalg.norm(W @ p.minimizer - lin)
-                         <= _RESIDUAL_TOL * max(np.linalg.norm(lin), 1e-300)):
+    # as ratios: an inf in ``linear`` makes one a NaN, which fails
+    if p.mu > 0 and not (_norm(W @ p.minimizer - lin) / max(_norm(lin), 1e-300)
+                         <= _RESIDUAL_TOL):
         raise ValueError("minimizer does not solve W x = linear")
     return p

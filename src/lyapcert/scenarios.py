@@ -91,9 +91,9 @@ def _require_finite_scale(scale: float) -> None:
         raise ValueError(f"x0-scale must be finite, got {scale}")
 
 
-def _x0(xstar: np.ndarray, scale: float, seed: int, tag: int = 1) -> np.ndarray:
+def _x0(xstar: np.ndarray, scale: float, seed: int) -> np.ndarray:
     _require_finite_scale(scale)
-    rng = np.random.default_rng([seed, tag])
+    rng = np.random.default_rng([seed, 1])
     v = rng.standard_normal(xstar.shape[0])
     return xstar + scale * v / np.linalg.norm(v)
 

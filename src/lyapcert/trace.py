@@ -29,8 +29,8 @@ is drawn; its gap, distance and V columns are arrays of their own.
 ``run_trace`` is the batch of one; the scenarios run their methods as one
 batch through ``_run_traces``.  A trace keeps the metric columns of its
 blocks and drops their rows: a ``Trace``, on either target, stores the
-arguments of its own run and replays it alone whenever ``rows`` or
-``iterates`` is read, so its memory does not grow with the rows' width.
+arguments of its own run and replays it alone whenever ``iterates`` is
+read, so its memory does not grow with the rows' width.
 ``lyapcert run`` streams instead: each block's CSV lines are written as the
 block arrives and only the V column is kept, and ``read_trace_csv`` reads
 the file back a chunk of lines at a time.
@@ -57,14 +57,14 @@ _CHUNK = 512  # rows x runs advanced between two checks
 
 @dataclass
 class Trace:
-    """Per-iterate metrics of one run, and its rows on request.
+    """Per-iterate metrics of one run, and its iterates on request.
 
     ``objective_gap``, ``distance`` and ``lyapunov`` hold one value per
     recorded iterate; ``lyapunov[k]`` is defined from k = 2 on (NaN before
     that).  ``run`` is the argument tuple (target, spec, x0, iters, x1,
     v_floor) of the run, alone, that made the trace.  A trace keeps no row:
-    ``rows`` and ``iterates`` are computed again by replaying ``run`` on
-    every read.  The engines are deterministic
+    ``iterates`` is computed again by replaying ``run`` on every read.  The
+    engines are deterministic
     (an objective's oracles are taken to be functions of their argument), so
     each read gives the same bits.
     """
@@ -79,21 +79,16 @@ class Trace:
         return self.objective_gap.shape[0]
 
     @property
-    def rows(self) -> np.ndarray:
-        """The engine's rows, rebuilt on every read (not kept: that is the
-        memory a trace saves): centred eigen-coordinates of a quadratic run,
-        the iterates of an objective run."""
+    def iterates(self) -> np.ndarray:
+        """Row k is x_k, rebuilt on every read (not kept: that is the memory
+        a trace saves) from the engine's rows: the iterates themselves on an
+        objective, centred eigen-coordinates on a quadratic."""
         target, spec, *rest = self.run
         # each block's rows are a view into the buffer the next one overwrites
-        return np.concatenate([blk.rows.copy() for blk in _blocks(target, (spec,), *rest)])
-
-    @property
-    def iterates(self) -> np.ndarray:
-        """Row k is x_k, rebuilt on every read."""
-        target = self.run[0]
+        rows = np.concatenate([blk.rows.copy() for blk in _blocks(target, (spec,), *rest)])
         if not isinstance(target, QuadraticProblem):
-            return self.rows
-        return self.rows @ target.eigvecs.T + target.minimizer
+            return rows
+        return rows @ target.eigvecs.T + target.minimizer
 
     def lyapunov_series(self, tolerance: float = DEFAULT_TOLERANCE) -> LyapunovSeries:
         return _series(self.lyapunov, tolerance)
@@ -306,11 +301,10 @@ def _first(mask: np.ndarray) -> int:
 
 
 def _lyapunov_rows(z_km2: np.ndarray, z_km1: np.ndarray, z_k: np.ndarray,
-                   out=None, tmp=None):
+                   out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
     """V = sum_i z_{k-1,i}^2 - z_{k,i} z_{k-2,i} over the last axis; row-wise
     on stacked rows, with the same summation (and bytes) as one row at a time.
-    The terms go to ``out`` and ``tmp``, arrays of ``z_k``'s shape (new ones
-    when None)."""
+    The terms go to ``out`` and ``tmp``, work arrays of ``z_k``'s shape."""
     terms = np.multiply(z_km1, z_km1, out=out)
     terms -= np.multiply(z_k, z_km2, out=tmp)
     return np.sum(terms, axis=-1)

@@ -8,7 +8,8 @@ companion matrix M = [[a, b], [1, 0]], the conjugate-pair test, the 2x2
 Schur factorization behind the certificate, the three-point value V, and
 NAG-GS in its literal two-sequence form.  ``quadratic_objective`` puts a
 quadratic problem behind the value/gradient oracles in the full space, so
-the eigenbasis engine can be checked against the oracle engine.  The text
+the eigenbasis engine can be checked against the oracle engine, and
+``trace_rows`` replays a trace's run for the engine's rows.  The text
 writers at the end format one row or point at a time, and ``svg_m4`` picks
 a polyline's points one pixel column at a time; the library's block writers
 must give the same bytes.
@@ -19,6 +20,7 @@ import math
 import numpy as np
 
 from lyapcert import Objective
+from lyapcert.trace import _blocks
 
 DEFAULT_TOL = 1e-12
 
@@ -147,6 +149,15 @@ def quadratic_objective(p):
 
     return Objective(dim=p.dim, value=value, gradient=gradient,
                      minimizer=p.minimizer, mu=p.mu, lipschitz=p.lipschitz)
+
+
+def trace_rows(tr):
+    """The engine's rows of a trace, replayed from its ``run`` through the
+    trace driver: centred eigen-coordinates of a quadratic run, the iterates
+    of an objective run."""
+    target, spec, *rest = tr.run
+    # each block's rows are a view into the buffer the next one overwrites
+    return np.concatenate([blk.rows.copy() for blk in _blocks(target, (spec,), *rest)])
 
 
 def family_step(obj, family, cur, prev):

@@ -1,16 +1,20 @@
 """The public surface: every exported name resolves, the exported names and
 the public attributes of a problem and a trace are pinned, a star import works,
-the README's library example runs as written, its scenario table lists
+the package imports nothing beyond the standard library and numpy, the
+README's library example runs as written, its scenario table lists
 the flags each scenario takes, and its config table lists each subcommand's
 keys and defaults."""
 
+import ast
 import pathlib
 import re
+import sys
 
 import lyapcert
 from lyapcert import cli
 
 README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+PACKAGE = pathlib.Path(lyapcert.__file__).resolve().parent
 
 
 def test_every_exported_name_resolves():
@@ -40,13 +44,31 @@ def test_public_surface_is_pinned():
                          "lipschitz", "minimizer", "mu"]
     tr = lyapcert.run_trace(p, lyapcert.MethodSpec(lyapcert.HB, alpha=0.5), p.minimizer, 3)
     assert public(tr) == ["distance", "diverged", "iterates", "lyapunov", "lyapunov_series",
-                          "objective_gap", "rows", "run"]
+                          "objective_gap", "run"]
 
 
 def test_star_import():
     namespace = {}
     exec("from lyapcert import *", namespace)
     assert set(lyapcert.__all__) <= set(namespace)
+
+
+def test_imports_are_numpy_and_the_standard_library():
+    # scipy and others may be installed where the tests run, so no import
+    # error would show a stray dependency; the sources are read instead
+    allowed = set(sys.stdlib_module_names) | {"numpy", "lyapcert"}
+    stray = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:  # relative imports stay inside the package
+                continue
+            stray += [f"{path.name}:{node.lineno}: {name}" for name in names
+                      if name.split(".")[0] not in allowed]
+    assert stray == []
 
 
 def test_readme_library_example_runs(capsys):

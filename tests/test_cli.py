@@ -95,6 +95,30 @@ class TestGenerate:
         assert rc == 2
         assert "missing required --out" in capsys.readouterr().err
 
+    def test_overflowing_problem_is_refused(self, tmp_path, capsys):
+        # (W + W.T) / 2 overflows on the diagonal at L = 1e308
+        rc = main(["generate", "--dim", "3", "--mu", "0", "--L", "1e308",
+                   "--out", str(tmp_path / "p.npz")])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.err == ("error: L = 1e+308 is too large: W or linear of the "
+                                "problem is not finite\n")
+        assert captured.out == ""
+        assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("command,rc", [("analyze", 1), ("run", 0)])
+    def test_wide_spectrum_round_trips(self, tmp_path, capsys, command, rc):
+        # entries past 1.3e154: the sum of squares of each norm the load
+        # checks take overflows unless the entries are scaled first
+        path = str(tmp_path / "p.npz")
+        assert main(["generate", "--dim", "5", "--mu", "1", "--L", "1e200", "--out", path]) == 0
+        capsys.readouterr()
+        argv = [command, "--method", "hb", "--optimal", "--problem", path]
+        if command == "run":
+            argv += ["--out", str(tmp_path / "t.csv")]
+        assert main(argv) == rc  # analyze: ineligible, the spectral radius is 1
+        assert capsys.readouterr().err == ""
+
 
 class TestAnalyze:
     def test_eligible_exits_zero(self, capsys):
@@ -501,12 +525,18 @@ class TestOutputPins:
 
 
 class TestProblemFile:
-    """A problem file without arrays or a spectrum, or with an array of the
-    wrong kind, gives one error line, exit 1, and no traceback or warning."""
+    """A problem file without arrays or a spectrum, with an array of the
+    wrong kind, or that is no .npz archive of arrays (a bare array, an empty
+    file, a zip header over junk, an archive cut short, other bytes, which
+    numpy would only read as a pickle), gives one error line, exit 1, and no
+    traceback or warning."""
 
+    UNREADABLE = {"empty_file": b"", "zip_magic": b"PK\x03\x04 not a zip archive",
+                  "garbage": b"garbage", "cut": None}
     MESSAGES = {"missing": "no eigvals array in the problem file",
                 "empty": "the problem has no eigenvalues",
                 "npy": "not an .npz problem file",
+                **dict.fromkeys(UNREADABLE, "not an .npz problem file"),
                 "constant_vector": "constant must be a 0-d number",
                 "constant_1": "constant must be a 0-d number",
                 "complex_eigvecs": "eigvecs must be real",
@@ -539,6 +569,10 @@ class TestProblemFile:
                 np.save(fh, p.eigvals)
         else:
             np.savez(path, **arrays)
+        if case == "cut":  # the archive's first 1000 bytes
+            path.write_bytes(path.read_bytes()[:1000])
+        elif case in self.UNREADABLE:
+            path.write_bytes(self.UNREADABLE[case])
         argv = [command, "--method", "hb", "--optimal", "--problem", str(path)]
         if command == "run":
             argv += ["--out", str(tmp_path / "t.csv")]
@@ -557,11 +591,14 @@ class TestProblemFileChecks:
     MESSAGES = {"nonsymmetric": "W must be symmetric",
                 "off_factors": "W does not match its eigenfactors",
                 "residual": "minimizer does not solve W x = linear",
+                "wide_residual": "minimizer does not solve W x = linear",
                 "nonorthogonal": "eigvecs must be orthogonal"}
 
     @staticmethod
     def arrays(case):
-        p = generate_quadratic(3, 1.0, 4.0, seed=0)
+        # wide_residual: a linear 1.5 times the true one at a scale where the
+        # sums of squares in its norm and the residual's overflow
+        p = generate_quadratic(3, 1.0, 1e160 if case == "wide_residual" else 4.0, seed=0)
         arrays = dict(W=p.W, linear=p.linear, constant=np.array(p.constant),
                       eigvals=p.eigvals, eigvecs=p.eigvecs, minimizer=p.minimizer)
         if case == "nonsymmetric":
@@ -570,6 +607,8 @@ class TestProblemFileChecks:
             arrays["W"] = 2.0 * p.W
         elif case == "residual":  # mu = 1 > 0, so the minimizer is checked
             arrays["linear"] = p.linear + 1.0
+        elif case == "wide_residual":
+            arrays["linear"] = 1.5 * p.linear
         else:  # a symmetric W built from a non-orthogonal basis
             vecs = p.eigvecs.copy()
             vecs[:, 0] *= 2.0

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, strategies as st
 
 from lyapcert import (HB, KINDS, NAG, NAGGS, TMM, MethodSpec, analyze,
                       coefficient_arrays, cosine_counterexample,
                       generate_quadratic, optimal_hyperparams,
                       rosenbrock_objective, run_trace)
 from lyapcert.methods import _family
-from reference import family_step, naggs_iterates, quadratic_objective
+from reference import family_step, naggs_iterates, quadratic_objective, trace_rows
 
 
 def coefficients(spec, lam):
@@ -83,6 +84,23 @@ class TestOptimalHyperparams:
     def test_rejects_L_below_mu(self):
         with pytest.raises(ValueError):
             optimal_hyperparams(HB, 2.0, 1.0)
+
+    # float64 ulps.  NAG-GS's family alpha is alpha' (1 - beta'), so it
+    # carries the rounding of beta' times 1 / (1 - beta): alpha's gap is
+    # counted in ulps of alpha times (1 - beta).  beta enters the recurrence
+    # as 1 + beta, so its gap is counted in ulps of 1.  Over 3e5 random draws
+    # of the domain below, neither gap passed 7.
+    ULPS = 16
+
+    @given(mu=st.floats(1e-100, 1e100), kappa=st.floats(1.0, 1e8, exclude_min=True))
+    def test_tuned_naggs_is_tuned_hb(self, mu, kappa):
+        L = mu * kappa
+        assume(mu < L)
+        hb = _family(optimal_hyperparams(HB, mu, L))
+        naggs = _family(optimal_hyperparams(NAGGS, mu, L))
+        assert hb[2] == naggs[2] == 0.0
+        assert abs(naggs[0] - hb[0]) <= self.ULPS * np.spacing(hb[0]) / (1.0 - hb[1])
+        assert abs(naggs[1] - hb[1]) <= self.ULPS * np.finfo(float).eps
 
 
 class TestScalarCoefficients:
@@ -286,7 +304,7 @@ class TestFamily:
         assert len(tr) == 4001 and not tr.diverged
         starts = (x0,) if x1 is None else (x0, x1)
         ref = naggs_iterates(obj.gradient, alpha, beta, starts, len(tr))
-        assert np.max(np.abs(tr.rows - ref)) <= 1e-13
+        assert np.max(np.abs(trace_rows(tr) - ref)) <= 1e-13
 
     @pytest.mark.parametrize("engine", ["eigenbasis", "oracle", "cosine"])
     def test_nag_is_tmm_with_gamma_beta(self, engine, rng):
@@ -300,7 +318,7 @@ class TestFamily:
         for start in ({}, {"x1": x1}):
             a = run_trace(target, nag, x0, 300, **start)
             b = run_trace(target, tmm, x0, 300, **start)
-            assert np.array_equal(a.rows, b.rows)
+            assert np.array_equal(trace_rows(a), trace_rows(b))
             assert np.array_equal(a.lyapunov, b.lyapunov, equal_nan=True)
 
 

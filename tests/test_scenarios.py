@@ -501,11 +501,10 @@ class TestArtifactBytes:
 
     @pytest.mark.parametrize("name", sorted(QUICK))
     def test_digests(self, tmp_path, monkeypatch, name):
-        # no artifact needs a trace's rows, which a quadratic trace rebuilds
+        # no artifact needs a trace's iterates, which a trace rebuilds
         def no_rows(tr):
-            raise AssertionError("trace rows read")
+            raise AssertionError("trace iterates read")
 
-        monkeypatch.setattr(Trace, "rows", property(no_rows))
         monkeypatch.setattr(Trace, "iterates", property(no_rows))
         res = run_quick(name, tmp_path, **QUICK[name])
         listed = sorted(os.path.basename(p) for p in res.artifacts)

@@ -15,7 +15,7 @@ from lyapcert import (HB, KINDS, NAG, NAGGS, TMM, MethodSpec, Objective,
                       series_from_csv)
 from conftest import peak_bytes, random_eligible_coeffs
 from reference import (eigenvalues, family_step, per_coordinate_V, quadratic_objective,
-                       schur, vector_V)
+                       schur, trace_rows, vector_V)
 
 
 def offset_start(p, seed=0, scale=1.0):
@@ -235,7 +235,8 @@ def per_step_reference(p, spec, x0, iters, x1=None, v_floor=None,
                 break
         Z = np.vstack(rows)
         lyap = np.full(len(rows), np.nan)
-        lyap[2:] = trace_module._lyapunov_rows(Z[:-2], Z[1:-1], Z[2:])
+        lyap[2:] = trace_module._lyapunov_rows(Z[:-2], Z[1:-1], Z[2:], np.empty_like(Z[2:]),
+                                               np.empty_like(Z[2:]))
         return dict(rows=len(rows), diverged=diverged,
                     distance=np.array([math.sqrt(z.dot(z)) for z in rows]),
                     lyapunov=lyap, gap=0.5 * np.sum(p.eigvals * Z * Z, axis=1),
@@ -255,7 +256,7 @@ class TestChunkedDriver:
         assert np.array_equal(tr.distance, ref["distance"])
         assert np.array_equal(tr.lyapunov, ref["lyapunov"], equal_nan=True)
         assert np.array_equal(tr.objective_gap, ref["gap"])
-        assert np.array_equal(tr.rows, ref["eigen"], equal_nan=True)
+        assert np.array_equal(trace_rows(tr), ref["eigen"], equal_nan=True)
         assert np.array_equal(tr.iterates, ref["iterates"], equal_nan=True)
 
     @staticmethod
@@ -424,18 +425,19 @@ def oracle_reference(obj, spec, x0, iters, x1=None,
 
 
 class TestRowsOnRead:
-    """A trace holds its metric columns and no rows: ``rows`` and
-    ``iterates`` replay the run on every read, to the bits of a run that
-    kept them, on a quadratic and through an objective's oracles."""
+    """A trace holds its metric columns and no rows: ``iterates`` replays
+    the run on every read, and ``trace_rows`` replays the engine's rows from
+    ``run``, to the bits of a run that kept them, on a quadratic and through
+    an objective's oracles."""
 
     @staticmethod
     def assert_replayed(tr, ref):
         assert all(np.ndim(v) <= 1 for v in vars(tr).values() if isinstance(v, np.ndarray))
-        first = tr.rows
-        assert tr.rows is not first  # computed again, not cached
-        for rows in (first, tr.rows):
-            assert np.array_equal(rows, ref["eigen"], equal_nan=True)
-        assert np.array_equal(tr.iterates, ref["iterates"], equal_nan=True)
+        first = tr.iterates
+        assert tr.iterates is not first  # computed again, not cached
+        for iterates in (first, tr.iterates):
+            assert np.array_equal(iterates, ref["iterates"], equal_nan=True)
+        assert np.array_equal(trace_rows(tr), ref["eigen"], equal_nan=True)
         assert len(tr) == ref["rows"] and tr.diverged == ref["diverged"]
 
     def test_v_floor_stop(self):
@@ -464,9 +466,9 @@ class TestRowsOnRead:
     def test_starts_are_copied(self):
         p, spec, x0, _ = TestChunkedDriver.converging(False)
         tr = run_trace(p, spec, x0, 50)
-        want = tr.rows
+        want = trace_rows(tr)
         x0 += 1.0
-        assert np.array_equal(tr.rows, want)
+        assert np.array_equal(trace_rows(tr), want)
 
     @pytest.mark.parametrize("case", ["converging", "diverging", "x1", "expnorm"])
     def test_objective(self, case):
@@ -574,7 +576,7 @@ class TestSchurCoordinate:
             l1, l2 = eigenvalues(a, b)
             x0, x1 = p.minimizer + rng.uniform(-5.0, 5.0, size=(2, 1))
             tr = run_trace(p, spec, x0, 12, x1=x1)
-            z = tr.rows[:, 0]
+            z = trace_rows(tr)[:, 0]
             w = [(U.conj().T @ [z[k], z[k - 1]])[1] for k in range(1, len(z))]
             for k in range(1, len(z) - 1):
                 # relative to the squared size of the iterates V is made of
@@ -687,10 +689,11 @@ class TestOracleBlocks:
                          lipschitz=obj.lipschitz), calls
 
     @staticmethod
-    def assert_same(tr, ref):
+    def assert_same(tr, rows, ref):
         assert len(tr) == len(ref) and tr.diverged == ref.diverged
-        for name in ("rows", "objective_gap", "distance", "lyapunov"):
+        for name in ("objective_gap", "distance", "lyapunov"):
             assert np.array_equal(getattr(tr, name), getattr(ref, name), equal_nan=True)
+        assert np.array_equal(rows, trace_rows(ref), equal_nan=True)
 
     @pytest.mark.parametrize("kind", KINDS)
     @pytest.mark.parametrize("case", ["converging", "diverging", "x1"])
@@ -706,8 +709,9 @@ class TestOracleBlocks:
         assert len(tr) < 1300 if case == "diverging" else len(tr) == 1300
         # one gradient per stepped row: none past the stop
         assert len(calls) == len(tr) - (2 if case == "x1" else 1)
+        rows = trace_rows(tr)  # replayed before the patch, in chunked blocks
         monkeypatch.setattr(trace_module, "_CHUNK", 1)
-        self.assert_same(tr, run_trace(quadratic_objective(p), spec, x0, 1300, x1=x1))
+        self.assert_same(tr, rows, run_trace(quadratic_objective(p), spec, x0, 1300, x1=x1))
 
     def test_v_floor_is_refused(self):
         # the V floor stops quadratic runs only; an objective run has none
@@ -830,9 +834,11 @@ class TestBatchedRuns:
         assert len(traces) == len(want)
         for tr, blk_rows, ref in zip(traces, rows, want):
             assert len(tr) == len(ref) and tr.diverged == ref.diverged
-            for name in ("objective_gap", "distance", "lyapunov", "rows"):
+            for name in ("objective_gap", "distance", "lyapunov"):
                 assert np.array_equal(getattr(tr, name), getattr(ref, name), equal_nan=True)
-            assert np.array_equal(blk_rows, ref.rows, equal_nan=True)
+            ref_rows = trace_rows(ref)
+            assert np.array_equal(trace_rows(tr), ref_rows, equal_nan=True)
+            assert np.array_equal(blk_rows, ref_rows, equal_nan=True)
         return want
 
     @given(specs=st.lists(method_specs(), min_size=1, max_size=4),
