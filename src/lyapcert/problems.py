@@ -228,8 +228,7 @@ def save_problem(p: QuadraticProblem, path) -> None:
     L) before anything is written."""
     with np.errstate(over="ignore", invalid="ignore"):  # refused below
         W, linear = p.W, p.linear
-    # NaN and inf show in a max or a min, which need no temporary
-    if not all(map(math.isfinite, (W.max(), W.min(), linear.max(), linear.min()))):
+    if not (np.isfinite(W).all() and np.isfinite(linear).all()):
         raise ValueError(f"L = {p.lipschitz:g} is too large: W or linear of the "
                          "problem is not finite")
     with whole_file(path) as fh:
@@ -242,19 +241,6 @@ def save_problem(p: QuadraticProblem, path) -> None:
             eigvecs=p.eigvecs,
             minimizer=p.minimizer,
         )
-
-
-def _asymmetry_within(W: np.ndarray, tol: float) -> bool:
-    """Whether every |W_ij - W_ji| is at most ``tol`` (False on a NaN),
-    comparing the rows of each band with the columns of its transpose from
-    the diagonal on: no d x d temporary, and no strided pass over all of W."""
-    band = 128  # rows at a time
-    with np.errstate(invalid="ignore"):  # inf - inf is a NaN, which fails
-        for i in range(0, W.shape[0], band):
-            diff = W[i:i + band, i:] - W[i:, i:i + band].T
-            if not np.abs(diff, out=diff).max() <= tol:
-                return False
-    return True
 
 
 def _norm(x: np.ndarray) -> float:
@@ -286,9 +272,8 @@ def load_problem(path) -> QuadraticProblem:
     factors.  The reconstruction of ``W`` is formed as B B' with B =
     eigvecs * sqrt(eigvals), one symmetric product; the checks hold at most
     two d x d work arrays beside ``W`` and the factors, B and the product.
-    Symmetry is checked a band of rows at a time, and the norms hold at
-    any finite scale.  A file that cannot be read as an .npz archive of
-    arrays raises ValueError too."""
+    The norms hold at any finite scale.  A file that cannot be read as an
+    .npz archive of arrays raises ValueError too."""
     # the file is opened here, so it is closed whatever np.load raises
     with open(path, "rb") as fh:
         try:
@@ -320,8 +305,11 @@ def load_problem(path) -> QuadraticProblem:
     if lin.shape != (d,) or data["minimizer"].shape != (d,):
         raise ValueError("eigvals, linear and minimizer must be dim-vectors")
     # comparisons are written so that a NaN fails them
-    if not _asymmetry_within(W, 1e-10 * max(1.0, float(W.max()), -float(W.min()))):
+    with np.errstate(invalid="ignore"):  # inf - inf is a NaN, which fails
+        asym = W - W.T
+    if not np.abs(asym, out=asym).max() <= 1e-10 * max(1.0, float(W.max()), -float(W.min())):
         raise ValueError("W must be symmetric")
+    del asym
     # the problem holds the only copy of the eigenvectors
     p = QuadraticProblem(vals, data.pop("eigvecs"), data["minimizer"], float(data["constant"]))
     # B B' with B = eigvecs * sqrt(eigvals) (nonnegative, checked above) is

@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from ._files import whole_file
-from .lyapunov import DEFAULT_TOLERANCE, check_monotone
+from .lyapunov import DEFAULT_TOLERANCE, _require_tolerance, check_monotone
 from .methods import (HB, NAG, NAGGS, TMM, KINDS, MethodSpec, optimal_hyperparams)
 from .problems import (QuadraticProblem, cosine_counterexample, exp_norm_objective,
                        generate_quadratic, rosenbrock_objective)
@@ -72,7 +72,7 @@ def parse_config_file(path) -> dict:
     """Flat ``key = value`` format with # comments; keys mirror CLI flags,
     and a key given twice is refused."""
     out = {}
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:  # a byte-order mark is skipped
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -435,7 +435,8 @@ class _NeedsAlpha(ValueError):
 def _with_row(cfg: ScenarioConfig) -> ScenarioConfig:
     """``cfg`` with each unset setting of its scenario's row at the row's
     default; a set field outside the row is refused, naming its flag, and so
-    is beta or gamma without alpha (``_NeedsAlpha``)."""
+    is beta or gamma without alpha (``_NeedsAlpha``), and then a bad
+    tolerance, before anything runs."""
     if cfg.name not in SCENARIOS:
         known = ", ".join(sorted(SCENARIOS))
         raise ValueError(f"unknown scenario {cfg.name!r} (known: {known})")
@@ -447,6 +448,7 @@ def _with_row(cfg: ScenarioConfig) -> ScenarioConfig:
     for key in ("beta", "gamma"):  # without alpha a scenario runs its own values
         if getattr(cfg, key) is not None and cfg.alpha is None:
             raise _NeedsAlpha(f"--{key} needs --alpha")
+    _require_tolerance(cfg.tolerance)
     return replace(cfg, **{k: v for k, v in row.items() if getattr(cfg, k) is None})
 
 

@@ -47,7 +47,7 @@ import numpy as np
 
 from ._files import whole_file
 from ._g17 import csv_rows
-from .lyapunov import LyapunovSeries, DEFAULT_TOLERANCE
+from .lyapunov import LyapunovSeries, DEFAULT_TOLERANCE, _require_tolerance
 from .methods import MethodSpec, _family, coefficient_arrays
 from .problems import Objective, QuadraticProblem
 
@@ -438,7 +438,7 @@ def read_trace_csv(path) -> dict:
     as four numbers.  Otherwise the whole file is read again with
     ``_parse_lines``, so the result and any error are always its own.
     """
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:  # a byte-order mark is skipped
         cols, first = _parse_lines(fh, until_v=True)
         if first is not None and not _load_rows(first, fh, cols):
             fh.seek(0)
@@ -491,6 +491,7 @@ def _load_rows(first: str, fh, cols) -> bool:
 def series_from_csv(path, tolerance: float = DEFAULT_TOLERANCE) -> LyapunovSeries:
     """Rebuild the Lyapunov series of an exported trace: every value from the
     first defined one on, so a later empty or NaN cell fails the check."""
+    _require_tolerance(tolerance)  # before the file is read
     data = read_trace_csv(path)
     vals = data["lyapunov"]
     defined = np.where(~np.isnan(vals))[0]

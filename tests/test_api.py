@@ -1,13 +1,14 @@
 """The public surface: every exported name resolves, the exported names and
 the public attributes of a problem and a trace are pinned, a star import works,
 the package imports nothing beyond the standard library and numpy, the
-README's library example runs as written, its scenario table lists
-the flags each scenario takes, and its config table lists each subcommand's
-keys and defaults."""
+README's library example and shell examples run as written, its scenario
+table lists the flags each scenario takes, and its config table lists each
+subcommand's keys and defaults."""
 
 import ast
 import pathlib
 import re
+import shlex
 import sys
 
 import lyapcert
@@ -78,6 +79,20 @@ def test_readme_library_example_runs(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[0].startswith("True ")
     assert lines[1].startswith("monotone decrease: yes")
+
+
+def test_readme_shell_examples_run(tmp_path, monkeypatch, capsys):
+    text = README.read_text(encoding="utf-8")
+    examples = re.search(r"\nExamples:\n\n```\n(.*?)```", text, re.S).group(1)
+    config = re.search(r"```\n# nag\.cfg\n(.*?)```\n+```\n(.*?)```", text, re.S)
+    lines = [ln for ln in (examples + config.group(2)).splitlines()
+             if ln.startswith("lyapcert ")]
+    assert len(lines) == 7
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "nag.cfg").write_text(config.group(1), encoding="utf-8")
+    for line in lines:
+        assert cli.main(shlex.split(line, comments=True)[1:]) == 0, line
+        capsys.readouterr()
 
 
 def test_readme_scenario_flags_match_the_table():

@@ -684,7 +684,11 @@ class TestBadTolerance:
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
     @pytest.mark.parametrize("command", ["check", "run", "scenario"])
-    def test_refused(self, tmp_path, capsys, command, value):
+    def test_refused(self, tmp_path, capsys, monkeypatch, command, value):
+        def no_engine(*args):
+            raise AssertionError("an engine was built")
+
+        monkeypatch.setattr(trace_module, "_eigenbasis_engine", no_engine)
         up = tmp_path / "up.csv"
         up.write_text(UP_CSV, encoding="utf-8")
         out = tmp_path / "out"
@@ -699,6 +703,13 @@ class TestBadTolerance:
         assert captured.out == "" and not out.exists()
         assert main(["check", str(up)]) == 1  # V 1 -> 5 -> 9 rises
         assert "monotone decrease: NO (2 violations)" in capsys.readouterr().out
+
+    def test_check_refuses_before_it_reads(self, tmp_path, capsys):
+        missing = str(tmp_path / "missing.csv")
+        assert main(["check", missing, "--tolerance", "nan"]) == 1
+        assert capsys.readouterr().err == "error: tolerance must be finite and nonnegative\n"
+        assert main(["check", missing]) == 1
+        assert "missing.csv" in capsys.readouterr().err
 
 
 class TestBadX0Scale:
@@ -915,6 +926,16 @@ class TestConfigFile:
         # tuned HB on [1, 9] certifies radius 1/2 instead
         assert "spectral_radius: 0.5" in out
         assert "spectral_radius: 0.6666" not in out
+
+    def test_byte_order_mark_is_skipped(self, tmp_path, capsys):
+        body = "method = nag\noptimal = true\nmu = 1\nL = 9\n"
+        plain = self.write_config(tmp_path, body)
+        marked = tmp_path / "marked.cfg"
+        marked.write_bytes(b"\xef\xbb\xbf" + body.encode("utf-8"))
+        assert main(["analyze", "--config", plain]) == 0
+        want = capsys.readouterr()
+        assert main(["analyze", "--config", str(marked)]) == 0
+        assert capsys.readouterr() == want
 
     def test_config_before_subcommand(self, tmp_path, capsys):
         cfg = self.write_config(tmp_path, (

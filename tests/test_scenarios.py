@@ -15,6 +15,7 @@ from lyapcert import (HB, NAG, NAGGS, SCENARIOS, SUITABLE, TMM, MethodSpec,
                       generate_quadratic, optimal_hyperparams, parse_config_file,
                       run_scenario)
 from lyapcert import scenarios, svgplot
+from lyapcert import trace as trace_module
 from lyapcert.cli import main
 from lyapcert.scenarios import _specs, _with_row
 
@@ -723,3 +724,20 @@ class TestSettingsTable:
             assert not out.exists()
             assert getattr(_with_row(replace(cfg, alpha=0.1)), key) == 0.3
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -1.0])
+    def test_bad_tolerance_is_refused_before_anything_runs(self, tmp_path, monkeypatch, value):
+        def no_engine(*args):
+            raise AssertionError("an engine was built")
+
+        monkeypatch.setattr(trace_module, "_eigenbasis_engine", no_engine)
+        monkeypatch.setattr(trace_module, "_oracle_engine", no_engine)
+        out = tmp_path / "art"
+        for name in SCENARIOS:
+            with pytest.raises(ValueError, match="^tolerance must be finite and nonnegative$"):
+                run_quick(name, out, tolerance=value)
+            assert not out.exists()
+        # a usage fault is named first, as the CLI's exit 2 needs
+        with pytest.raises(ValueError, match="^--beta needs --alpha$"):
+            run_quick("fig1", out, beta=0.3, tolerance=value)
+        with pytest.raises(ValueError, match="^scenario cosine does not take --dim$"):
+            run_quick("cosine", out, dim=3, tolerance=value)

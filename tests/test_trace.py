@@ -10,9 +10,9 @@ from lyapcert import trace as trace_module
 from lyapcert.methods import _family
 from lyapcert import (HB, KINDS, NAG, NAGGS, TMM, MethodSpec, Objective,
                       QuadraticProblem, analyze, check_monotone, coefficient_arrays,
-                      exp_norm_objective, export_csv, find_tmm_witness, generate_quadratic,
-                      optimal_hyperparams, read_trace_csv, rosenbrock_objective, run_trace,
-                      series_from_csv)
+                      cosine_counterexample, exp_norm_objective, export_csv,
+                      find_tmm_witness, generate_quadratic, optimal_hyperparams,
+                      read_trace_csv, rosenbrock_objective, run_trace, series_from_csv)
 from conftest import peak_bytes, random_eligible_coeffs
 from reference import (eigenvalues, family_step, per_coordinate_V, quadratic_objective,
                        schur, trace_rows, vector_V)
@@ -670,6 +670,36 @@ class TestCsvRoundTrip:
         with pytest.raises(ValueError):
             read_trace_csv(path)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -1.0])
+    def test_series_refuses_a_bad_tolerance_before_reading(self, tmp_path, value):
+        with pytest.raises(ValueError, match="tolerance must be finite and nonnegative"):
+            series_from_csv(tmp_path / "missing.csv", tolerance=value)
+
+    # an exported trace, read by numpy's parser, and one whose empty cell
+    # after the first V sends the reader back to the line parser
+    @pytest.mark.parametrize("fallback", [False, True], ids=["exported", "line-parser"])
+    def test_byte_order_mark_is_skipped(self, tmp_path, monkeypatch, fallback):
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        if fallback:
+            plain.write_text("iter,objective_gap,distance,lyapunov\n0,1,1,\n1,1,1,\n"
+                             "2,1,1,0.5\n3,1,1,\n4,1,1,0.25\n", encoding="utf-8")
+        else:
+            export_csv(self.make_trace(), plain)
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        passes, parse = [], trace_module._parse_lines
+
+        def counted(*args, **kw):
+            passes.append(1)
+            return parse(*args, **kw)
+
+        monkeypatch.setattr(trace_module, "_parse_lines", counted)
+        want, got = read_trace_csv(plain), read_trace_csv(marked)
+        assert len(passes) == (4 if fallback else 2)
+        for key in want:
+            assert np.array_equal(got[key], want[key], equal_nan=True)
+        assert (check_monotone(series_from_csv(marked)).describe()
+                == check_monotone(series_from_csv(plain)).describe())
+
 
 class TestOracleBlocks:
     """The oracle engine steps many rows per block, ends a block at the first
@@ -780,6 +810,57 @@ class TestOracleBlocks:
                         minimizer=np.zeros(1))
         with pytest.raises(ValueError, match="^non-finite objective value from the oracle$"):
             run_trace(bad, spec, np.array([1.0]), 2000)
+
+
+class TestLawOfV:
+    """ROADMAP item 13's identity, on the rows of a run of any family member
+    (alpha, beta, gamma) on any objective: V_{k+1} = beta V_k + alpha D_k,
+    with D_k = <g_k, z_{k-1}> - <g_{k-1}, z_k>, z_k = x_k - x* and g_k the
+    gradient at y_k = x_k + gamma (x_k - x_{k-1}).  A plain relative bound
+    does not hold (V cancels far below its terms), so the residual is held
+    to 16 u times the sum of the identity's absolute terms, plus the
+    rounding of the iterates that the exact identity assumes away."""
+
+    # objective, a curvature bound for the step, the largest start offset
+    OBJECTIVES = {
+        "cosine": (cosine_counterexample(), 3.99, 5.0),
+        "expnorm": (exp_norm_objective(3), 10.0, 0.8),
+        "rosenbrock": (rosenbrock_objective(), 1500.0, 0.5),
+        "quadratic": (quadratic_objective(generate_quadratic(6, 1.0, 50.0, seed=5)), 50.0, 10.0),
+    }
+
+    @pytest.mark.parametrize("name", list(OBJECTIVES))
+    @given(kind=st.sampled_from(KINDS), step=st.floats(1e-3, 1.0), beta=st.floats(0.0, 0.99),
+           gamma=st.floats(0.0, 1.0), offset=st.floats(0.01, 1.0),
+           direction=st.integers(0, 2 ** 32 - 1), iters=st.integers(4, 300))
+    def test_residual_within_roundoff(self, name, kind, step, beta, gamma, offset,
+                                      direction, iters):
+        obj, L, scale = self.OBJECTIVES[name]
+        spec = MethodSpec(kind, alpha=step / L, beta=beta, gamma=gamma if kind == TMM else 0.0)
+        v = np.random.default_rng(direction).standard_normal(obj.dim)
+        tr = run_trace(obj, spec, obj.minimizer + offset * scale * v / np.linalg.norm(v), iters)
+        al, be, ga = _family(spec)
+        x = trace_rows(tr)
+        z = x - obj.minimizer
+        y = ga * (x - np.vstack([x[:1], x[:-1]])) + x  # x_{-1} = x_0
+        g = np.array([obj.gradient(row) for row in y[:-1]])
+        k = np.arange(2, len(tr) - 1)
+
+        def dot(a, b):
+            return np.sum(a * b, axis=1)
+
+        def abs_dot(a, b):
+            return np.sum(np.abs(a * b), axis=1)
+
+        V = tr.lyapunov
+        residual = V[k + 1] - be * V[k] - al * (dot(g[k], z[k - 1]) - dot(g[k - 1], z[k]))
+        terms = (abs_dot(z[k], z[k]) + abs_dot(z[k + 1], z[k - 1])
+                 + abs(be) * (abs_dot(z[k - 1], z[k - 1]) + abs_dot(z[k], z[k - 2]))
+                 + abs(al) * (abs_dot(g[k], z[k - 1]) + abs_dot(g[k - 1], z[k]))
+                 + (np.abs(x[k + 1]).max(axis=1) + np.abs(x[k]).max(axis=1))
+                 * (np.abs(z[k - 1]).sum(axis=1) + np.abs(z[k]).sum(axis=1)))
+        u = np.finfo(float).eps / 2
+        assert np.all(np.abs(residual) <= 16 * u * terms + np.finfo(float).tiny)
 
 
 def solo_outcome(target, specs, x0, iters, **kw):
