@@ -25,8 +25,8 @@ from .lyapunov import DEFAULT_TOLERANCE, _require_tolerance, check_monotone
 from .methods import HB, NAG, NAGGS, TMM, MethodSpec, optimal_hyperparams
 from .problems import (_require_spectrum, generate_quadratic, load_problem,
                        save_problem)
-from .scenarios import (SCENARIOS, ScenarioConfig, _NeedsAlpha, _x0,
-                        parse_config_file, run_scenario)
+from .scenarios import (SCENARIOS, ScenarioConfig, _NeedsAlpha, _require_finite_scale,
+                        _x0, parse_config_file, run_scenario)
 from .spectral import (DEFAULT_TOL, analyze, certificate_csv_text,
                        certificate_report_text)
 from .trace import _blocks, _series, _stream_csv, series_from_csv
@@ -126,10 +126,12 @@ def _require(value, flag: str):
     return value
 
 
-def _method_spec(o: dict, mu, L) -> MethodSpec:
+def _method_spec(o: dict, mu=None, L=None) -> MethodSpec | None:
+    """The method of ``o``; a tuned one needs the spectrum's (mu, L) and is
+    None without it."""
     kind = _require(o["method"], "--method")
     if o["optimal"]:
-        return optimal_hyperparams(kind, mu, L)
+        return None if mu is None else optimal_hyperparams(kind, mu, L)
     alpha = _require(o["alpha"], "--alpha (or --optimal)")
     return MethodSpec(kind, alpha=alpha, beta=o["beta"], gamma=o["gamma"])
 
@@ -146,14 +148,16 @@ def _cmd_generate(o: dict) -> int:
 def _cmd_analyze(o: dict) -> int:
     """certificate for a method on a spectrum"""
     path = o["problem"]
+    if path is None:
+        mu = _require(o["mu"], "--mu (or --problem)")
+        L = _require(o["L"], "--L (or --problem)")
+    spec = _method_spec(o)  # usage errors first, then an explicit spec's values
+    _require_tolerance(o["tolerance"])  # before a problem is read
     if path is not None:
         problem = load_problem(path)
         eigvals = problem.eigvals
         mu, L = problem.mu, problem.lipschitz
-    else:
-        mu = _require(o["mu"], "--mu (or --problem)")
-        L = _require(o["L"], "--L (or --problem)")
-    spec = _method_spec(o, mu, L)  # tuned: rejects non-finite mu, L
+    spec = spec or _method_spec(o, mu, L)  # tuned: rejects non-finite mu, L
     if path is None:
         _require_spectrum(mu, L)
         npts = o["dim"]
@@ -171,11 +175,14 @@ def _cmd_analyze(o: dict) -> int:
 
 def _cmd_run(o: dict) -> int:
     """run one method and export the trace CSV"""
+    out = _require(o["out"], "--out")
+    spec = _method_spec(o)  # usage errors first, then an explicit spec's values
+    # the values that need no problem, before one is built or read
+    _require_tolerance(o["tolerance"])
+    _require_finite_scale(o["x0-scale"])
     problem = (load_problem(o["problem"]) if o["problem"] is not None
                else generate_quadratic(o["dim"], o["mu"], o["L"], o["seed"]))
-    spec = _method_spec(o, problem.mu, problem.lipschitz)
-    out = _require(o["out"], "--out")
-    _require_tolerance(o["tolerance"])  # before the run writes ``out``
+    spec = spec or _method_spec(o, problem.mu, problem.lipschitz)
     x0 = _x0(problem.minimizer, o["x0-scale"], o["seed"])
     rows, last, lyap = _stream_csv(_blocks(problem, (spec,), x0, o["iters"]), out)
     # the summary first: a run cut before V is defined still shows it

@@ -432,60 +432,45 @@ def read_trace_csv(path) -> dict:
     """Parse a trace CSV back into metric arrays (lyapunov NaN where empty);
     blank lines are skipped.
 
-    ``_parse_lines`` defines the format.  It reads the header and the leading
-    rows with an empty lyapunov cell; numpy's C parser reads the rest in
-    chunks of about 16 KB of text, and a chunk counts only if every row parses
-    as four numbers.  Otherwise the whole file is read again with
-    ``_parse_lines``, so the result and any error are always its own.
+    ``_parse_lines`` defines the format.  After the header the rows come in
+    chunks of about 16 KB of text: numpy's C parser reads a chunk if every
+    row in it parses as four numbers, and ``_parse_lines`` reads any other
+    chunk, so the result and any error are always its own.
     """
+    cols = array("d"), array("d"), array("d")
     with open(path, "r", encoding="utf-8-sig") as fh:  # a byte-order mark is skipped
-        cols, first = _parse_lines(fh, until_v=True)
-        if first is not None and not _load_rows(first, fh, cols):
-            fh.seek(0)
-            cols, _ = _parse_lines(fh)
+        header = next((ln for ln in fh if ln.strip()), "")
+        if header.strip().split(",") != _CSV_HEADER.strip().split(","):
+            raise ValueError("not a trace CSV")
+        while lines := fh.readlines(1 << 14):
+            if not any(map(str.strip, lines)):  # loadtxt warns on a chunk of blank lines
+                continue
+            try:
+                rows = np.loadtxt(lines, delimiter=",", dtype=float, comments=None, ndmin=2)
+            except ValueError:
+                rows = None
+            if rows is None or rows.shape[1:] != (4,):
+                _parse_lines(lines, cols)
+            else:
+                for col, j in zip(cols, (1, 2, 3)):
+                    col.frombytes(np.ascontiguousarray(rows[:, j]).view(np.uint8))
     return dict(zip(("objective_gap", "distance", "lyapunov"),
                     (np.frombuffer(c, dtype=float) for c in cols)))
 
 
-def _parse_lines(fh, until_v: bool = False):
-    """The gap, distance and lyapunov columns of a trace CSV, one line at a
-    time.  With ``until_v``, stop before the first row whose lyapunov cell
-    is filled and return that line as well (None if there is none)."""
-    cols = gaps, dists, lyap = array("d"), array("d"), array("d")
-    lines = (ln.strip() for ln in fh)
-    if next((ln for ln in lines if ln), "").split(",") != _CSV_HEADER.strip().split(","):
-        raise ValueError("not a trace CSV")
-    for ln in lines:
+def _parse_lines(lines, cols) -> None:
+    """Append the gap, distance and lyapunov cells of the trace rows among
+    ``lines`` to ``cols``, one line at a time; blank lines are skipped."""
+    gaps, dists, lyap = cols
+    for ln in map(str.strip, lines):
         if not ln:
             continue
         parts = ln.split(",")
         if len(parts) != 4:
             raise ValueError("malformed trace row")
-        if until_v and parts[3]:
-            return cols, ln
         gaps.append(float(parts[1]))
         dists.append(float(parts[2]))
         lyap.append(float(parts[3]) if parts[3] else math.nan)
-    return cols, None
-
-
-def _load_rows(first: str, fh, cols) -> bool:
-    """Append the line ``first`` and the rest of ``fh`` to ``cols`` through
-    ``np.loadtxt``; False, with ``cols`` partly filled, as soon as a chunk
-    is not all rows of four numbers."""
-    lines = [first + "\n"]
-    while lines:
-        if any(map(str.strip, lines)):  # loadtxt warns on a chunk of blank lines
-            try:
-                rows = np.loadtxt(lines, delimiter=",", dtype=float, comments=None, ndmin=2)
-            except ValueError:
-                return False
-            if rows.shape[1:] != (4,):
-                return False
-            for col, j in zip(cols, (1, 2, 3)):
-                col.frombytes(np.ascontiguousarray(rows[:, j]).view(np.uint8))
-        lines = fh.readlines(1 << 14)
-    return True
 
 
 def series_from_csv(path, tolerance: float = DEFAULT_TOLERANCE) -> LyapunovSeries:

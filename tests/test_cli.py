@@ -95,6 +95,13 @@ class TestGenerate:
         assert rc == 2
         assert "missing required --out" in capsys.readouterr().err
 
+    def test_zero_spectrum_is_refused(self, tmp_path, capsys):
+        # mu == L passes for dim 1, so only the L > 0 check refuses it
+        assert main(["generate", "--dim", "1", "--mu", "0", "--L", "0",
+                     "--out", str(tmp_path / "p.npz")]) == 1
+        assert capsys.readouterr().err == "error: L must be positive\n"
+        assert os.listdir(tmp_path) == []
+
     def test_overflowing_problem_is_refused(self, tmp_path, capsys):
         # (W + W.T) / 2 overflows on the diagonal at L = 1e308
         rc = main(["generate", "--dim", "3", "--mu", "0", "--L", "1e308",
@@ -729,6 +736,51 @@ class TestBadX0Scale:
         assert captured.out == "" and not out.exists()
 
 
+class TestValuesBeforeProblem:
+    """run and analyze refuse a bad value that needs no problem before they
+    build or read one, and a usage error before that."""
+
+    @pytest.fixture(autouse=True)
+    def no_problem(self, monkeypatch):
+        def fail(*args):
+            raise AssertionError("a problem was built or read")
+
+        monkeypatch.setattr(cli, "generate_quadratic", fail)
+        monkeypatch.setattr(cli, "load_problem", fail)
+
+    @pytest.mark.parametrize("argv, message", [
+        (["run", "--method", "hb", "--optimal", "--dim", "1500", "--tolerance", "nan"],
+         "tolerance must be finite and nonnegative"),
+        (["run", "--method", "hb", "--optimal", "--problem", "p.npz", "--tolerance", "inf"],
+         "tolerance must be finite and nonnegative"),
+        (["run", "--method", "hb", "--optimal", "--x0-scale", "nan"],
+         "x0-scale must be finite, got nan"),
+        (["run", "--method", "hb", "--alpha", "-1", "--problem", "p.npz"],
+         "alpha must be positive"),
+        (["analyze", "--method", "hb", "--optimal", "--problem", "p.npz", "--tolerance", "nan"],
+         "tolerance must be finite and nonnegative"),
+        (["analyze", "--method", "nag", "--alpha", "0.1", "--beta", "-1", "--problem", "p.npz"],
+         "beta must be nonnegative for HB/NAG/NAG-GS"),
+    ], ids=["run-tolerance", "run-problem-tolerance", "run-x0-scale", "run-alpha",
+            "analyze-tolerance", "analyze-beta"])
+    def test_value_refused_first(self, tmp_path, capsys, argv, message):
+        out = tmp_path / "out"
+        assert main([*argv, "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == "" and not out.exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        (["run", "--method", "hb", "--optimal", "--tolerance", "nan"], "--out"),
+        (["run", "--method", "hb", "--x0-scale", "nan", "--out", "t.csv"],
+         "--alpha (or --optimal)"),
+        (["analyze", "--optimal", "--problem", "p.npz", "--tolerance", "nan"], "--method"),
+    ], ids=["run-out", "run-alpha", "analyze-method"])
+    def test_usage_refused_before_values(self, capsys, argv, message):
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: missing required {message}\n"
+
+
 # a value for each flag a scenario row may hold (``--optimal`` takes none)
 ROW_FLAGS = {"dim": "3", "mu": "1", "L": "9", "method": "hb", "alpha": "0.1",
              "beta": "0.2", "gamma": "0.3", "optimal": None, "iters": "20",
@@ -746,6 +798,14 @@ class TestScenarioCommand:
         assert "overall: PASS" in out
         assert "artifacts:" in out
         assert (tmp_path / "art" / "nonoptimal_report.txt").is_file()
+
+    def test_default_out_is_under_artifacts(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(["scenario", "tmm-witness", "--dim", "4", "--iters", "10"]) == 0
+        out = os.path.join("artifacts", "tmm-witness")
+        assert capsys.readouterr().out.endswith(f"artifacts: 5 files in {out}\n")
+        assert os.listdir(tmp_path) == ["artifacts"]
+        assert (tmp_path / out / "tmm-witness_report.txt").is_file()
 
     def test_gamma_for_one_named_kind_outside_tmm_is_an_error(self, tmp_path, capsys):
         # not run as gamma = 0, as analyze and run refuse it too

@@ -48,6 +48,10 @@ class TestMethodSpecValidation:
 
 
 class TestOptimalHyperparams:
+    def test_unknown_kind_is_refused(self):
+        with pytest.raises(ValueError, match="unknown method kind 'XYZ'"):
+            optimal_hyperparams("XYZ", 1.0, 2.0)
+
     def test_hb_mu1_L4(self):
         spec = optimal_hyperparams(HB, 1.0, 4.0)
         assert spec.alpha == pytest.approx(4.0 / 9.0, rel=1e-15)

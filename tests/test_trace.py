@@ -675,28 +675,38 @@ class TestCsvRoundTrip:
         with pytest.raises(ValueError, match="tolerance must be finite and nonnegative"):
             series_from_csv(tmp_path / "missing.csv", tolerance=value)
 
-    # an exported trace, read by numpy's parser, and one whose empty cell
-    # after the first V sends the reader back to the line parser
-    @pytest.mark.parametrize("fallback", [False, True], ids=["exported", "line-parser"])
-    def test_byte_order_mark_is_skipped(self, tmp_path, monkeypatch, fallback):
+    # an exported trace longer than one chunk, whose later chunks numpy's
+    # parser reads, and a hand-written one whose empty cell after the first V
+    # sends its only chunk to the line parser
+    @pytest.mark.parametrize("exported", [True, False], ids=["exported", "line-parser"])
+    def test_byte_order_mark_is_skipped(self, tmp_path, monkeypatch, exported):
         plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
-        if fallback:
+        if exported:
+            export_csv(self.make_trace(iters=600), plain)
+        else:
             plain.write_text("iter,objective_gap,distance,lyapunov\n0,1,1,\n1,1,1,\n"
                              "2,1,1,0.5\n3,1,1,\n4,1,1,0.25\n", encoding="utf-8")
-        else:
-            export_csv(self.make_trace(), plain)
         marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
-        passes, parse = [], trace_module._parse_lines
+        by_line, parse = [], trace_module._parse_lines
 
-        def counted(*args, **kw):
-            passes.append(1)
-            return parse(*args, **kw)
+        def counted(lines, cols):
+            by_line.extend(filter(None, map(str.strip, lines)))
+            return parse(lines, cols)
 
         monkeypatch.setattr(trace_module, "_parse_lines", counted)
-        want, got = read_trace_csv(plain), read_trace_csv(marked)
-        assert len(passes) == (4 if fallback else 2)
-        for key in want:
-            assert np.array_equal(got[key], want[key], equal_nan=True)
+        want = read_trace_csv(plain)
+        rows = plain.read_text(encoding="utf-8").splitlines()[1:]
+        for path in (plain, marked):
+            by_line.clear()
+            got = read_trace_csv(path)
+            if exported:  # the line parser reads the first chunk, numpy the rest
+                assert 2 <= len(by_line) < len(rows) / 2
+                assert by_line == rows[:len(by_line)]
+            else:
+                assert by_line == rows
+            for key in want:
+                assert np.array_equal(got[key], want[key], equal_nan=True)
+        assert len(want["distance"]) == len(rows) == (600 if exported else 5)
         assert (check_monotone(series_from_csv(marked)).describe()
                 == check_monotone(series_from_csv(plain)).describe())
 
@@ -1089,6 +1099,34 @@ class TestReaderParity:
     def test_hand_written_files(self, tmp_path, text):
         path = tmp_path / "t.csv"
         path.write_bytes(text.encode("utf-8"))
+        self.assert_same(path)
+
+    @classmethod
+    def chunks(cls, *rows):
+        """HEAD and then, for each row pattern in ``rows``, the lines of one
+        chunk of the reader: ``readlines(1 << 14)`` ends a chunk with the line
+        that takes it past 16 KB."""
+        text, k = cls.HEAD, 0
+        for row in rows:
+            size = 0
+            while size <= 1 << 14:
+                line = row.format(k)
+                text, size, k = text + line, size + len(line), k + 1
+        return text
+
+    # the line parser reads the first chunk (no V yet) and numpy's parser the
+    # second; a later chunk holds what numpy's parser cannot read as rows of
+    # four numbers
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("rows, tail", [
+        (("{},1,1,\n", "{},1,1,0.5\n"), "9000,1,1,\n9001,1,1,0.25\n"),
+        (("{},1,1,\n", "{},1,1,0.5\n", "{},1,1,0.5,9\n"), ""),
+        (("{},1,1,\n", "{},1,1,0.5\n"), "9000,1,1,0.5\n9001,1,x,0.25\n"),
+        (("{},1,1,\n", "{},1,1,0.5\n", "\n"), "9000,1,1,0.25\n"),
+    ], ids=["empty-v-cell", "wide-rows", "bad-number", "blank-chunk"])
+    def test_later_chunks(self, tmp_path, rows, tail):
+        path = tmp_path / "t.csv"
+        path.write_bytes((self.chunks(*rows) + tail).encode("utf-8"))
         self.assert_same(path)
 
     def test_cell_after_first_v_fails_check(self, tmp_path):
