@@ -200,16 +200,18 @@ def _run_quadratic_family(cfg: ScenarioConfig, *, v_floor=None, judged=None, tes
     certificate ``judged(cert)`` admits (every method when None) gets one
     verdict ``<kind>_<suffix>`` per ``(suffix, test(cert, report, trace))``
     in ``tests``, in that order; ``none_judged`` names a verdict that fails
-    when no method is judged.  Each ``note(trace)`` adds a line per method.
+    when no method is judged.  Each ``note(trace)`` adds a line per method,
+    and one more line, when tuned HB and tuned NAG-GS both run, says that
+    they are one method.
     """
     problem = generate_quadratic(cfg.dim, cfg.mu, cfg.L, cfg.seed)
     x0 = _x0(problem.minimizer, cfg.x0_scale, cfg.seed)
     specs = _specs(cfg)
     traces, certs, reports = {}, {}, {}
     runs = _run_traces(problem, list(specs.values()), x0, cfg.iters, v_floor=v_floor)
-    for trace, (kind, spec) in zip(runs, specs.items()):
+    for trace, kind in zip(runs, specs):
         traces[kind] = trace
-        certs[kind] = analyze(spec, problem.eigvals)
+        certs[kind] = trace.certificate
         reports[kind] = check_monotone(trace.lyapunov_series(cfg.tolerance))
 
     lines = [f"config: dim={cfg.dim} mu={cfg.mu:g} L={cfg.L:g} iters={cfg.iters} "
@@ -227,6 +229,10 @@ def _run_quadratic_family(cfg: ScenarioConfig, *, v_floor=None, judged=None, tes
     if none_judged is not None and not verdicts:
         verdicts[none_judged] = False
     lines += [f"{LABELS[kind]}: {note(tr)}" for note in notes for kind, tr in traces.items()]
+    if cfg.optimal and cfg.alpha is None and traces.keys() >= {HB, NAGGS}:
+        lines.append("NAG-GS: tuned NAG-GS is tuned HB: its family member (alpha(1 - beta), "
+                     "beta^2, 0) is HB's tuned (alpha, beta, 0) in exact arithmetic, so its "
+                     "rows and verdicts repeat HB's up to rounding")
     return _finish(cfg, lines, verdicts, traces, certs, _panels(cfg.name, traces, certs))
 
 
@@ -262,7 +268,8 @@ def find_cosine_witness(seed: int = 0, iters: int = 400, tolerance: float = DEFA
 def find_tmm_witness(problem: QuadraticProblem, cert: SpectralCertificate, iters: int,
                      scale: float = 10.0, tolerance: float = DEFAULT_TOLERANCE):
     """Run and judge the start whose V increases, read off ``cert``, the
-    certificate of a method on ``problem``.
+    certificate of a method on ``problem``'s eigenvalues, whose (a, b) the
+    run steps.
 
     On a real-split coordinate i with roots l1, l2 the start z_0 = s,
     z_1 = s (l1 + l2) / 2 (s = ``scale``, every other coordinate zero) has
@@ -280,7 +287,7 @@ def find_tmm_witness(problem: QuadraticProblem, cert: SpectralCertificate, iters
     i = int(np.where(r.conjugate_pair, -np.inf, -r.b).argmax())
     step = scale * problem.eigvecs[:, i]
     xs = problem.minimizer
-    trace = run_trace(problem, cert.method, xs + step, iters,
+    trace = run_trace(problem, cert, xs + step, iters,
                       x1=xs + (r.re[i] + r.re2[i]) / 2.0 * step)
     return i, trace, check_monotone(trace.lyapunov_series(tolerance))
 

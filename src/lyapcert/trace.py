@@ -7,9 +7,10 @@ spec, and holds no more rows x runs than a block of one run does.
 Quadratic targets advance in the eigenbasis so the recorded Lyapunov values
 keep full relative accuracy all the way down to underflow: the engine runs
 nothing but the recurrence z_{k+1} = a z_k + b z_{k-1}, a block of rows at a
-time, with the coefficients of all runs as one (2, runs, dim) array, so one
-multiply and one add make a row of every run.  Objective targets take the
-family update of ``methods`` for all runs in one set of ufunc calls
+time, with the (a, b) columns of all runs' certificates (each spec's made
+once, by ``spectral.analyze``) as one (2, runs, dim) array, so one multiply
+and one add make a row of every run.  Objective targets take the family
+update of ``methods`` for all runs in one set of ufunc calls
 and call the gradient oracle once per run and row, with no state beyond the
 last two iterates; a run takes no gradient at a row beyond the divergence
 threshold, so none is evaluated past its stop.  ``_blocks`` checks each
@@ -48,8 +49,9 @@ import numpy as np
 from ._files import whole_file
 from ._g17 import csv_rows
 from .lyapunov import LyapunovSeries, DEFAULT_TOLERANCE, _require_tolerance
-from .methods import MethodSpec, _family, coefficient_arrays
+from .methods import MethodSpec, _family
 from .problems import Objective, QuadraticProblem
+from .spectral import SpectralCertificate, analyze
 
 DIVERGENCE_THRESHOLD = 1e12  # read at call time
 _CHUNK = 512  # rows x runs advanced between two checks
@@ -61,18 +63,20 @@ class Trace:
 
     ``objective_gap``, ``distance`` and ``lyapunov`` hold one value per
     recorded iterate; ``lyapunov[k]`` is defined from k = 2 on (NaN before
-    that).  ``run`` is the argument tuple (target, spec, x0, iters, x1,
-    v_floor) of the run, alone, that made the trace.  A trace keeps no row:
-    ``iterates`` is computed again by replaying ``run`` on every read.  The
-    engines are deterministic
-    (an objective's oracles are taken to be functions of their argument), so
-    each read gives the same bits.
+    that).  ``certificate`` is the certificate whose (a, b) a quadratic run
+    stepped, None on an objective.  ``run`` is the argument tuple (target,
+    spec, x0, iters, x1, v_floor) of the run, alone, that made the trace.
+    A trace keeps no row: ``iterates`` is computed again by replaying
+    ``run`` on every read.  The engines are deterministic (an objective's
+    oracles are taken to be functions of their argument), so each read
+    gives the same bits.
     """
 
     objective_gap: np.ndarray
     distance: np.ndarray
     lyapunov: np.ndarray
     diverged: bool
+    certificate: Optional[SpectralCertificate]
     run: tuple
 
     def __len__(self) -> int:
@@ -82,8 +86,10 @@ class Trace:
     def iterates(self) -> np.ndarray:
         """Row k is x_k, rebuilt on every read (not kept: that is the memory
         a trace saves) from the engine's rows: the iterates themselves on an
-        objective, centred eigen-coordinates on a quadratic."""
+        objective, centred eigen-coordinates on a quadratic, stepped from the
+        trace's certificate, not certified again."""
         target, spec, *rest = self.run
+        spec = self.certificate or spec
         # each block's rows are a view into the buffer the next one overwrites
         rows = np.concatenate([blk.rows.copy() for blk in _blocks(target, (spec,), *rest)])
         if not isinstance(target, QuadraticProblem):
@@ -102,11 +108,12 @@ def _series(lyapunov: np.ndarray, tolerance: float) -> LyapunovSeries:
     return LyapunovSeries(values=vals, start_index=2, tolerance=tolerance)
 
 
-def run_trace(target: Union[QuadraticProblem, Objective], spec: MethodSpec,
-              x0: np.ndarray, iters: int, *, x1: Optional[np.ndarray] = None,
-              v_floor: Optional[float] = None) -> Trace:
+def run_trace(target: Union[QuadraticProblem, Objective],
+              spec: Union[MethodSpec, SpectralCertificate], x0: np.ndarray, iters: int, *,
+              x1: Optional[np.ndarray] = None, v_floor: Optional[float] = None) -> Trace:
     """Run ``iters`` recorded iterates (x0 included) and collect metrics.
 
+    On a quadratic, ``spec`` may be ``analyze(spec, target.eigvals)`` itself.
     ``x1`` overrides the default equal start x_{-1} = x0 (under which the
     first step of every method is a plain gradient step).  ``v_floor`` stops
     a quadratic run once V drops below it, the showcase scenarios' floor.
@@ -128,15 +135,15 @@ def _run_traces(target, specs, x0, iters: int, *, x1=None, v_floor=None) -> Iter
     x0 = np.array(x0, dtype=float)
     x1 = None if x1 is None else np.array(x1, dtype=float)
     cols = [([], [], []) for _ in specs]
-    # the diverged flag of each complete run not yet handed out; r: the next
-    diverged, r = {}, 0
+    # (diverged, certificate) of each complete run not yet handed out; r: the next
+    done, r = {}, 0
     for blk in _blocks(target, specs, x0, iters, x1, v_floor):
         for col, c in zip(cols[blk.run], (blk.objective_gap, blk.distance, blk.lyapunov)):
             col.append(c)
         if blk.last:
-            diverged[blk.run] = blk.diverged
-        while r in diverged:
-            yield Trace(*map(np.concatenate, cols[r]), diverged.pop(r),
+            done[blk.run] = blk.diverged, blk.certificate
+        while r in done:
+            yield Trace(*map(np.concatenate, cols[r]), *done.pop(r),
                         (target, specs[r], x0, iters, x1, v_floor))
             cols[r] = None
             r += 1
@@ -145,9 +152,9 @@ def _run_traces(target, specs, x0, iters: int, *, x1=None, v_floor=None) -> Iter
 class _Block(NamedTuple):
     """Consecutive finished rows of the run at index ``run`` of a ``_blocks``
     call, with their metrics; ``last`` is set on the run's last block, and
-    ``diverged`` too when divergence stopped the run.  ``rows`` is a view
-    into the call's one rows buffer, valid until the next block is drawn:
-    a consumer that keeps rows copies them."""
+    ``diverged`` too when divergence stopped the run; ``certificate`` is the
+    run's.  ``rows`` is a view into the call's one rows buffer, valid until
+    the next block is drawn: a consumer that keeps rows copies them."""
 
     run: int
     rows: np.ndarray
@@ -156,6 +163,7 @@ class _Block(NamedTuple):
     lyapunov: np.ndarray
     last: bool
     diverged: bool
+    certificate: Optional[SpectralCertificate]
 
 
 def _row_norms(Z: np.ndarray) -> np.ndarray:
@@ -169,7 +177,11 @@ def _blocks(target, specs, x0, iters: int, x1=None, v_floor=None) -> Iterator[_B
     yield each run's rows block by block, each checked and with its gap,
     distance and V, up to and including the run's stopping row.
 
-    A run leaves the others at its stop.  A run that fails (its coefficients,
+    A quadratic run steps the (a, b) of its spec's certificate, made once by
+    ``analyze``; a certificate may stand in for its spec if its ``lambda_w``
+    is the target's ``eigvals``, bitwise.
+
+    A run leaves the others at its stop.  A run that fails (its certificate,
     or a non-finite iterate or objective value) leaves too, and its error is
     raised once no run before it is still going: the error that the runs,
     made one after another, would raise first.  An exception raised by an
@@ -191,6 +203,8 @@ def _blocks(target, specs, x0, iters: int, x1=None, v_floor=None) -> Iterator[_B
     quadratic = isinstance(target, QuadraticProblem)
     if v_floor is not None and not quadratic:
         raise ValueError("v_floor applies to quadratic runs only")
+    if not quadratic and any(isinstance(s, SpectralCertificate) for s in specs):
+        raise ValueError("a certificate applies to quadratic runs only")
     if target.minimizer is None:
         raise ValueError("objective needs a known minimizer to compute metrics")
     if x0.shape != (target.dim,):
@@ -200,17 +214,21 @@ def _blocks(target, specs, x0, iters: int, x1=None, v_floor=None) -> Iterator[_B
     # and no gradient is taken past the stopping row: the oracle engine stops
     # a run at a row beyond the threshold
     failed = {}  # run -> the error that ended it
+    certs = {}  # run -> its certificate, on a quadratic
     if quadratic:
-        coeffs = {}
         for r, spec in enumerate(specs):
             try:
-                coeffs[r] = coefficient_arrays(spec, target.eigvals)
+                cert = (spec if isinstance(spec, SpectralCertificate)
+                        else analyze(spec, target.eigvals))
+                if cert.per_coordinate.lambda_w.tobytes() != target.eigvals.tobytes():
+                    raise ValueError("the certificate is of another spectrum")
+                certs[r] = cert
             except ValueError as exc:
                 failed[r] = exc
         if 0 in failed:  # the first run fails before its first row
             raise failed[0]
-        alive = list(coeffs)  # the engine's runs, in order
-        first, advance = _eigenbasis_engine(target, list(coeffs.values()), starts)
+        alive = list(certs)  # the engine's runs, in order
+        first, advance = _eigenbasis_engine(target, list(certs.values()), starts)
     else:
         alive = list(range(len(specs)))
         first, advance = _oracle_engine(target, [_family(s) for s in specs], starts)
@@ -283,7 +301,8 @@ def _blocks(target, specs, x0, iters: int, x1=None, v_floor=None) -> Iterator[_B
                 if r in failed:
                     continue
                 out.append(_Block(r, block[:k, pos], gap, dist[:k, pos], v[:k, pos],
-                                  last=stop < mr, diverged=far <= stop < mr))
+                                  last=stop < mr, diverged=far <= stop < mr,
+                                  certificate=certs.get(r)))
                 if stop == mr:
                     keep.append(pos)
         if not keep:  # no run goes on: the work arrays go before the last blocks are read
@@ -310,17 +329,17 @@ def _lyapunov_rows(z_km2: np.ndarray, z_km1: np.ndarray, z_k: np.ndarray,
     return np.sum(terms, axis=-1)
 
 
-def _eigenbasis_engine(p: QuadraticProblem, coeffs: list, starts):
+def _eigenbasis_engine(p: QuadraticProblem, certs: list, starts):
     """Centred eigen-coordinates of the starts, for each run of the
-    recurrence coefficients ``coeffs`` (a pair (a, b) per run), and
-    ``advance(rows, keep)``: for the runs at positions ``keep`` (all when
-    None), the last two rows so far, then the next rows of a z_k + b z_{k-1},
-    written into ``rows`` (a (n + 2, runs, dim) array: the one buffer a
-    ``_blocks`` call fills block after block); with the rows each run made
-    (all n)."""
-    ba = np.stack([np.stack(ab[::-1]) for ab in coeffs], axis=1)  # (b|a, run, coordinate)
+    certificates ``certs`` (one per run), and ``advance(rows, keep)``: for
+    the runs at positions ``keep`` (all when None), the last two rows so
+    far, then the next rows of a z_k + b z_{k-1}, written into ``rows`` (a
+    (n + 2, runs, dim) array: the one buffer a ``_blocks`` call fills block
+    after block); with the rows each run made (all n).  ``ba`` holds the
+    certificates' columns as (b|a, run, coordinate)."""
+    ba = np.stack([(c.per_coordinate.b, c.per_coordinate.a) for c in certs], axis=1)
     first = np.stack([p.eigvecs.T @ (x - p.minimizer) for x in starts])
-    first = np.repeat(first[:, None], len(coeffs), axis=1)
+    first = np.repeat(first[:, None], len(certs), axis=1)
     last = first[[0, -1]]  # z_{k-1}, z_k
     work = np.empty_like(ba)
 

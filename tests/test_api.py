@@ -1,9 +1,10 @@
 """The public surface: every exported name resolves, the exported names and
 the public attributes of a problem and a trace are pinned, a star import works,
-the package imports nothing beyond the standard library and numpy, the
-README's library example and shell examples run as written, its scenario
-table lists the flags each scenario takes, and its config table lists each
-subcommand's keys and defaults."""
+the package imports nothing beyond the standard library and numpy, only the
+spectral module computes recurrence coefficients, the README's library
+example and shell examples run as written, its scenario table lists the
+flags each scenario takes, and its config table lists each subcommand's keys
+and defaults."""
 
 import ast
 import pathlib
@@ -44,8 +45,8 @@ def test_public_surface_is_pinned():
     assert public(p) == ["W", "constant", "dim", "eigvals", "eigvecs", "linear",
                          "lipschitz", "minimizer", "mu"]
     tr = lyapcert.run_trace(p, lyapcert.MethodSpec(lyapcert.HB, alpha=0.5), p.minimizer, 3)
-    assert public(tr) == ["distance", "diverged", "iterates", "lyapunov", "lyapunov_series",
-                          "objective_gap", "run"]
+    assert public(tr) == ["certificate", "distance", "diverged", "iterates", "lyapunov",
+                          "lyapunov_series", "objective_gap", "run"]
 
 
 def test_star_import():
@@ -70,6 +71,19 @@ def test_imports_are_numpy_and_the_standard_library():
             stray += [f"{path.name}:{node.lineno}: {name}" for name in names
                       if name.split(".")[0] not in allowed]
     assert stray == []
+
+
+def test_only_the_spectral_module_computes_coefficients():
+    # the (a, b) a run steps and a certificate reports are one decision: a
+    # trace steps its certificate's columns instead of computing its own
+    calls = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                if name == "coefficient_arrays":
+                    calls.append(path.name)
+    assert calls == ["spectral.py"]
 
 
 def test_readme_library_example_runs(capsys):

@@ -869,6 +869,16 @@ class TestScenarioCommand:
         assert re.fullmatch(r"error: non-finite [^\n]+\n", captured.err)
         assert captured.out == "" and os.listdir(tmp_path) == []
 
+    def test_the_first_run_error_is_printed(self, tmp_path, capsys, monkeypatch):
+        # HB's run fails on its first stepped row, NAG's alpha (1 + beta) lambda
+        # overflows: each run is certified in run order, so HB's error comes first
+        monkeypatch.chdir(tmp_path)
+        rc = main(["scenario", "quadratic", "--alpha", "1e307", "--beta", "0.9", "--L", "10"])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.err == "error: non-finite iterate produced\n"
+        assert captured.out == "" and os.listdir(tmp_path) == []
+
     @pytest.mark.parametrize("argv,line", [
         (["cosine", "--iters", "3"], "no violation found across 100 seeded starts; "),
         (["tmm-witness", "--dim", "1", "--mu", "1", "--L", "1"], "no real-split coordinate: "),

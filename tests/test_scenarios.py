@@ -156,6 +156,16 @@ class TestQuadraticScenarios:
         assert rc == 0 and "overall: PASS" in out
         assert "NAG: distance rises at 0 of 1999 steps" in out
 
+    @pytest.mark.parametrize("name,overrides,count", [
+        ("fig1", {}, 1), ("quadratic", {}, 1), ("fig1", dict(method="HB"), 0),
+        ("quadratic", dict(method="HB"), 0), ("fig1", dict(alpha=0.001, beta=0.5), 0),
+        ("nonoptimal", {}, 0), ("convex-mu0", {}, 0)])
+    def test_tuned_naggs_is_named_as_tuned_hb(self, tmp_path, name, overrides, count):
+        # tuned NAG-GS's family member is tuned HB's in exact arithmetic
+        res = run_quick(name, tmp_path, **{**QUICK[name], **overrides})
+        lines = report_text(res).splitlines()
+        assert sum(ln.startswith("NAG-GS: tuned NAG-GS is tuned HB: ") for ln in lines) == count
+
     def test_deterministic_artifacts(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         run_quick("nonoptimal", a, dim=4, iters=120)
@@ -297,7 +307,7 @@ DIGESTS = {
         "fig1_overview.svg":
             "a5d8005f5a692e3ee009b2d0f6959bec1f47b2e2012b5c106005cedb3d0f42a5",
         "fig1_report.txt":
-            "48ab512c7aac10d6bd0878a2c5a5971cabbb44b2511083cc69c356418e11b678",
+            "659650c0a11cb0cd8eda014abfc14c667b83e7d4027bd239e725679207c5caf3",
         "fig1_spectrum.svg":
             "20ebd84019b084b5faf35ad292a002c1ba1baac77a42a846ff8de1232cf8f192",
         "fig1_tmm_certificate.csv":
@@ -335,7 +345,7 @@ DIGESTS = {
         "quadratic_overview.svg":
             "2c0690306f86cded3c441467ca35a27231251b7b746e7156172ccd1c6b508235",
         "quadratic_report.txt":
-            "514d004e282c783b6a7585d9845601e5726e1f67bc8876575e5d034b139ec5a1",
+            "7b45ac6f8cb5fd64e27c5f7459a59b578d04eb21db5614dcc38f5081828e2163",
         "quadratic_spectrum.svg":
             "e3ee8314380800ed51cb6d823bb9368b677ac9b235b0a622cca657138165dfae",
         "quadratic_tmm_certificate.csv":

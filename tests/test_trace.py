@@ -1019,6 +1019,78 @@ class TestBatchedRuns:
                 assert solo_outcome(p, specs, x0, 100) == (ValueError, message)
                 self.assert_same(p, specs, x0, 100)
 
+    def test_a_foreign_certificate_fails_in_run_order(self, monkeypatch):
+        monkeypatch.setattr(trace_module, "DIVERGENCE_THRESHOLD", math.inf)
+        p, overflow, x0, _ = TestChunkedDriver.one_step_overflow(1.0)
+        fine = MethodSpec(HB, alpha=0.5)
+        foreign = analyze(fine, np.array([2.0]))
+        with np.errstate(over="ignore"):
+            for specs, message in (([fine, foreign, overflow],
+                                    "the certificate is of another spectrum"),
+                                   ([overflow, foreign], "non-finite iterate produced")):
+                assert solo_outcome(p, specs, x0, 100) == (ValueError, message)
+                self.assert_same(p, specs, x0, 100)
+
+
+@st.composite
+def spectra(draw):
+    """A quadratic with a random nondecreasing spectrum (zeros allowed) and
+    a seeded random eigenbasis and minimizer."""
+    lam = sorted(draw(st.lists(st.floats(0.0, 1e3), min_size=1, max_size=6)))
+    lam[-1] = max(lam[-1], 1.0)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    q, _ = np.linalg.qr(rng.standard_normal((len(lam), len(lam))))
+    return QuadraticProblem(eigvals=np.array(lam), eigvecs=q,
+                            minimizer=rng.standard_normal(len(lam)))
+
+
+class TestCertificateRuns:
+    """A quadratic run steps the (a, b) of its certificate: a spec and its
+    certificate give the same bits, and the trace carries that certificate."""
+
+    @given(p=spectra(), explicit=method_specs(), tuned=st.booleans(),
+           iters=st.integers(3, 60))
+    def test_a_spec_and_its_certificate_run_alike(self, p, explicit, tuned, iters):
+        # tuned for at most a 100-fold spread: an explicit spec covers the rest
+        spec = (optimal_hyperparams(explicit.kind, max(p.mu, p.lipschitz / 100), p.lipschitz)
+                if tuned else explicit)
+        cert = analyze(spec, p.eigvals)
+        x0 = offset_start(p, seed=1)
+        by_spec, by_cert = run_trace(p, spec, x0, iters), run_trace(p, cert, x0, iters)
+        for name in ("objective_gap", "distance", "lyapunov"):
+            assert getattr(by_spec, name).tobytes() == getattr(by_cert, name).tobytes()
+        assert by_spec.diverged == by_cert.diverged and by_cert.certificate is cert
+        got, want = by_spec.certificate.per_coordinate, cert.per_coordinate
+        assert got.dtype.names == want.dtype.names
+        for name in want.dtype.names:
+            assert got[name].tobytes() == want[name].tobytes()
+        assert by_spec.certificate.method == spec
+        assert by_spec.certificate.spectral_radius == cert.spectral_radius
+        assert by_spec.certificate.eligible == cert.eligible
+
+        # a certificate of another spectrum is refused, and so is one on an objective
+        for lam in (np.nextafter(p.eigvals, np.inf), p.eigvals[:-1], np.append(p.eigvals, 1e3)):
+            if lam.shape[0]:
+                with pytest.raises(ValueError, match="another spectrum"):
+                    run_trace(p, analyze(spec, lam), x0, iters)
+        obj = quadratic_objective(p)
+        with pytest.raises(ValueError, match="quadratic runs only"):
+            run_trace(obj, cert, x0, iters)
+        assert run_trace(obj, spec, x0, iters).certificate is None
+
+    def test_iterates_replay_from_the_certificate(self, monkeypatch):
+        p = generate_quadratic(4, 1.0, 10.0, seed=0)
+        tr = run_trace(p, optimal_hyperparams(NAG, 1.0, 10.0), offset_start(p), 20)
+        want = tr.iterates
+        monkeypatch.setattr(trace_module, "analyze", None)  # no second certificate
+        assert np.array_equal(tr.iterates, want)
+
+    def test_the_witness_runs_from_its_certificate(self):
+        p = generate_quadratic(12, 1.0, 100.0, seed=0)
+        cert = analyze(optimal_hyperparams(TMM, 1.0, 100.0), p.eigvals)
+        _, tr, _ = find_tmm_witness(p, cert, 80)
+        assert tr.certificate is cert and tr.run[1] is cert
+
 
 def list_reader_reference(path) -> dict:
     """The reader as it was: every stripped non-blank line in a list first."""
