@@ -7,8 +7,7 @@ V_k = |x_{k-1} - x*|^2 - <x_k - x*, x_{k-2} - x*> a certified Lyapunov
 function, and ships a trace/scenario harness with CSV and SVG output.
 """
 
-from .lyapunov import (DEFAULT_TOLERANCE, LyapunovSeries, MonotonicityReport,
-                       check_monotone)
+from .lyapunov import LyapunovSeries, MonotonicityReport, check_monotone
 from .methods import (HB, KINDS, NAG, NAGGS, TMM, MethodSpec,
                       coefficient_arrays, optimal_hyperparams)
 from .problems import (Objective, QuadraticProblem, cosine_counterexample,
@@ -26,8 +25,8 @@ from .trace import (DIVERGENCE_THRESHOLD, Trace, export_csv, read_trace_csv,
 __version__ = "0.1.0"
 
 __all__ = [
-    "DEFAULT_TOLERANCE", "DIVERGENCE_THRESHOLD", "HB", "KINDS", "NAG",
-    "NAGGS", "TMM", "LyapunovSeries", "MethodSpec", "MonotonicityReport",
+    "DIVERGENCE_THRESHOLD", "HB", "KINDS", "NAG", "NAGGS", "TMM",
+    "LyapunovSeries", "MethodSpec", "MonotonicityReport",
     "Objective", "Panel", "QuadraticProblem", "SCENARIOS", "SUITABLE",
     "ScenarioConfig", "ScenarioResult", "Series", "SpectralCertificate",
     "Trace", "analyze", "certificate_csv_text",

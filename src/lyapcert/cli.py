@@ -16,20 +16,21 @@ import argparse
 import functools
 import os
 import sys
+from array import array
 from dataclasses import MISSING, fields
 
 import numpy as np
 
 from ._files import whole_file
-from .lyapunov import DEFAULT_TOLERANCE, _require_tolerance, check_monotone
+from .lyapunov import LyapunovSeries, check_monotone
 from .methods import HB, NAG, NAGGS, TMM, MethodSpec, optimal_hyperparams
 from .problems import (_require_spectrum, generate_quadratic, load_problem,
                        save_problem)
 from .scenarios import (SCENARIOS, ScenarioConfig, _NeedsAlpha, _require_finite_scale,
                         _x0, parse_config_file, run_scenario)
-from .spectral import (DEFAULT_TOL, analyze, certificate_csv_text,
+from .spectral import (DEFAULT_TOL, _require_tolerance, analyze, certificate_csv_text,
                        certificate_report_text)
-from .trace import _blocks, _series, _stream_csv, series_from_csv
+from .trace import _blocks, _stream_csv, series_from_csv
 
 _METHOD_NAMES = {
     "hb": HB, "heavy-ball": HB,
@@ -90,7 +91,7 @@ _FLAGS = {
     "seed": dict(type=_count("seed", 0), help="random seed (>= 0)"),
     "out": dict(type=str, help="output path (file or directory)"),
     "x0-scale": dict(type=float, help="initial distance from the minimizer"),
-    "tolerance": dict(type=float, help="comparison tolerance"),
+    "tolerance": dict(type=float, help="conjugate-pair discriminant tolerance"),
     "problem": dict(type=str, help="problem .npz written by 'generate'"),
 }
 
@@ -177,19 +178,19 @@ def _cmd_run(o: dict) -> int:
     """run one method and export the trace CSV"""
     out = _require(o["out"], "--out")
     spec = _method_spec(o)  # usage errors first, then an explicit spec's values
-    # the values that need no problem, before one is built or read
-    _require_tolerance(o["tolerance"])
-    _require_finite_scale(o["x0-scale"])
+    _require_finite_scale(o["x0-scale"])  # before a problem is built or read
     problem = (load_problem(o["problem"]) if o["problem"] is not None
                else generate_quadratic(o["dim"], o["mu"], o["L"], o["seed"]))
     spec = spec or _method_spec(o, problem.mu, problem.lipschitz)
     x0 = _x0(problem.minimizer, o["x0-scale"], o["seed"])
-    rows, last, lyap = _stream_csv(_blocks(problem, (spec,), x0, o["iters"]), out)
+    kept = array("d"), array("d")  # V and the distances, for the verdict
+    rows, last = _stream_csv(_blocks(problem, (spec,), x0, o["iters"]), out, kept)
     # the summary first: a run cut before V is defined still shows it
     print(f"rows={rows} final_gap={last.objective_gap[-1]:.6g} "
           f"final_distance={last.distance[-1]:.6g} "
           f"diverged={'yes' if last.diverged else 'no'}")
-    print(check_monotone(_series(lyap, o["tolerance"])).describe())
+    lyap, dist = map(np.frombuffer, kept)
+    print(check_monotone(LyapunovSeries(lyap[2:], dist)).describe())
     print(f"trace -> {out}")
     return 1 if last.diverged else 0
 
@@ -220,8 +221,7 @@ def _cmd_check(o: dict) -> int:
     path = o["trace"]
     if path is None:
         raise UsageError("missing trace CSV path")
-    series = series_from_csv(path, tolerance=o["tolerance"])
-    rep = check_monotone(series)
+    rep = check_monotone(series_from_csv(path))
     print(rep.describe())
     for k, v_prev, v_next, excess in zip(rep.index[:10], rep.v_prev, rep.v_next, rep.excess):
         print(f"  k={k}: V {v_prev:.9g} -> {v_next:.9g} (excess {excess:.3g})")
@@ -241,12 +241,11 @@ COMMANDS = {
     "analyze": (_cmd_analyze, None, dict(**_SPEC, mu=None, L=None, dim=100, problem=None,
                                          tolerance=DEFAULT_TOL, out=None)),
     "run": (_cmd_run, None, {**_SPEC, "dim": 50, "mu": 1.0, "L": 10.0, "iters": 2000,
-                             "seed": 0, "x0-scale": 10.0, "problem": None,
-                             "tolerance": DEFAULT_TOLERANCE, "out": None}),
+                             "seed": 0, "x0-scale": 10.0, "problem": None, "out": None}),
     "scenario": (_cmd_scenario, "scenario",
                  {f.name.replace("_", "-"): None if f.default is MISSING else f.default
                   for f in fields(ScenarioConfig) if f.name != "name"}),
-    "check": (_cmd_check, "trace", dict(tolerance=DEFAULT_TOLERANCE)),
+    "check": (_cmd_check, "trace", {}),
 }
 
 _POSITIONALS = {"scenario": f"one of: {', '.join(sorted(SCENARIOS))}",

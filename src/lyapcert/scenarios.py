@@ -4,7 +4,7 @@ Every scenario computes its traces, certificates (where a spectrum exists),
 SVG panels, report lines and verdicts, and hands them to one writer,
 ``_finish``, which writes the files into the output directory.
 A scenario whose setup is certificate-eligible fails loudly when any V
-violation beyond tolerance shows up.
+violation beyond roundoff shows up.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from ._files import whole_file
-from .lyapunov import DEFAULT_TOLERANCE, _require_tolerance, check_monotone
+from .lyapunov import check_monotone
 from .methods import (HB, NAG, NAGGS, TMM, KINDS, MethodSpec, optimal_hyperparams)
 from .problems import (QuadraticProblem, cosine_counterexample, exp_norm_objective,
                        generate_quadratic, rosenbrock_objective)
@@ -56,7 +56,6 @@ class ScenarioConfig:
     iters: Optional[int] = None
     seed: int = 0
     x0_scale: Optional[float] = None
-    tolerance: float = DEFAULT_TOLERANCE
 
 
 @dataclass
@@ -212,10 +211,10 @@ def _run_quadratic_family(cfg: ScenarioConfig, *, v_floor=None, judged=None, tes
     for trace, kind in zip(runs, specs):
         traces[kind] = trace
         certs[kind] = trace.certificate
-        reports[kind] = check_monotone(trace.lyapunov_series(cfg.tolerance))
+        reports[kind] = check_monotone(trace.lyapunov_series())
 
     lines = [f"config: dim={cfg.dim} mu={cfg.mu:g} L={cfg.L:g} iters={cfg.iters} "
-             f"seed={cfg.seed} x0_scale={cfg.x0_scale:g} tolerance={cfg.tolerance:g}"]
+             f"seed={cfg.seed} x0_scale={cfg.x0_scale:g}"]
     verdicts = {}
     for kind, tr in traces.items():
         cert, rep = certs[kind], reports[kind]
@@ -246,11 +245,10 @@ def _v_drop(tr) -> str:
     vals = tr.lyapunov[2:]
     vals = vals[~np.isnan(vals)]
     drop = float(vals[0] / max(abs(vals[-1]), 1e-300)) if vals.size else math.nan
-    return (f"V drops by factor {drop:.3g} before the floating-point floor; "
-            "oscillation beyond that is roundoff")
+    return f"V drops by factor {drop:.3g} before the floating-point floor"
 
 
-def find_cosine_witness(seed: int = 0, iters: int = 400, tolerance: float = DEFAULT_TOLERANCE):
+def find_cosine_witness(seed: int = 0, iters: int = 400):
     """Search ``COSINE_SEEDS`` seeded starts in [-2, 2] for a V violation of tuned
     HB on the cosine objective.  Returns (seed_index, x0, trace, report) or None."""
     obj = cosine_counterexample()
@@ -259,14 +257,14 @@ def find_cosine_witness(seed: int = 0, iters: int = 400, tolerance: float = DEFA
         rng = np.random.default_rng([seed, s, 11])
         x0 = rng.uniform(-2.0, 2.0, size=1)
         trace = run_trace(obj, spec, x0, iters)
-        rep = check_monotone(trace.lyapunov_series(tolerance))
+        rep = check_monotone(trace.lyapunov_series())
         if not rep.monotone:
             return s, x0, trace, rep
     return None
 
 
 def find_tmm_witness(problem: QuadraticProblem, cert: SpectralCertificate, iters: int,
-                     scale: float = 10.0, tolerance: float = DEFAULT_TOLERANCE):
+                     scale: float = 10.0):
     """Run and judge the start whose V increases, read off ``cert``, the
     certificate of a method on ``problem``'s eigenvalues, whose (a, b) the
     run steps.
@@ -289,19 +287,18 @@ def find_tmm_witness(problem: QuadraticProblem, cert: SpectralCertificate, iters
     xs = problem.minimizer
     trace = run_trace(problem, cert, xs + step, iters,
                       x1=xs + (r.re[i] + r.re2[i]) / 2.0 * step)
-    return i, trace, check_monotone(trace.lyapunov_series(tolerance))
+    return i, trace, check_monotone(trace.lyapunov_series())
 
 
 def _run_cosine(cfg: ScenarioConfig) -> ScenarioResult:
-    iters, tol = cfg.iters, cfg.tolerance
+    iters = cfg.iters
     obj = cosine_counterexample()
     spec = optimal_hyperparams(HB, obj.mu, obj.lipschitz)
     lines = [f"objective: x^2 + (1.99/400) cos(20x), mu={obj.mu:g}, L={obj.lipschitz:g}",
              f"method: HB tuned for [mu, L] (alpha={spec.alpha:.12g}, beta={spec.beta:.12g})",
-             f"search: {COSINE_SEEDS} starts uniform in [-2, 2], {iters} iterates, "
-             f"tolerance {tol:g}"]
+             f"search: {COSINE_SEEDS} starts uniform in [-2, 2], {iters} iterates"]
 
-    found = find_cosine_witness(seed=cfg.seed, iters=iters, tolerance=tol)
+    found = find_cosine_witness(seed=cfg.seed, iters=iters)
     verdicts = {"violation_found": found is not None}
     traces, panels = {}, {}
     if found is not None:
@@ -315,13 +312,13 @@ def _run_cosine(cfg: ScenarioConfig) -> ScenarioResult:
                               ylabel="|x_k - x*|", series=[Series("HB", trace.distance)]),
         }
 
-        # exploratory: walk beta down from the tuned value until V turns monotone
-        for j in range(1, 21):  # j = 0 is the tuned beta: the witness run
-            beta_j = spec.beta * (1.0 - j / 20.0)
-            tr_j = run_trace(obj, MethodSpec(HB, alpha=spec.alpha, beta=beta_j), x0, iters)
-            if check_monotone(tr_j.lyapunov_series(tol)).monotone:
+        # exploratory: walk beta down from the tuned one (j = 0: the witness run)
+        sweep = [MethodSpec(HB, alpha=spec.alpha, beta=spec.beta * (1.0 - j / 20.0))
+                 for j in range(1, 21)]
+        for spec_j, tr_j in zip(sweep, _run_traces(obj, sweep, x0, iters)):
+            if check_monotone(tr_j.lyapunov_series()).monotone:
                 lines.append(f"exploratory: from this x0, V turns monotone at beta <= "
-                             f"{beta_j:.12g} (tuned beta {spec.beta:.12g})")
+                             f"{spec_j.beta:.12g} (tuned beta {spec.beta:.12g})")
                 break
         else:
             lines.append("exploratory: no monotone beta found on the sweep down to 0")
@@ -347,7 +344,7 @@ def _run_tmm_witness(cfg: ScenarioConfig) -> ScenarioResult:
              f"certificate: eligible={'yes' if cert.eligible else 'no'} "
              f"radius={cert.spectral_radius:.6g}"]
 
-    found = find_tmm_witness(problem, cert, cfg.iters, cfg.x0_scale, cfg.tolerance)
+    found = find_tmm_witness(problem, cert, cfg.iters, cfg.x0_scale)
     verdicts = {"violation_found": found is not None and not found[2].monotone}
     traces, panels = {}, {}
     if found is not None:
@@ -380,7 +377,7 @@ def _run_objective_family(cfg: ScenarioConfig, *, objective, title: str,
     # start, which says nothing about convergence
     for tr, kind in zip(_run_traces(objective, list(specs.values()), x0, cfg.iters), specs):
         traces[kind] = tr
-        rep = check_monotone(tr.lyapunov_series(cfg.tolerance))
+        rep = check_monotone(tr.lyapunov_series())
         verdicts[f"{kind.lower()}_completed"] = not tr.diverged
         lines.append(f"{LABELS[kind]}: rows={len(tr)} diverged={'yes' if tr.diverged else 'no'} "
                      f"final_gap={tr.objective_gap[-1]:.6g} {rep.describe()}")
@@ -392,7 +389,7 @@ _HYPER = dict(method=None, alpha=None, beta=None, gamma=None)
 _V_FLOOR = 1e-9
 
 # name: (runner, settings), where settings maps every field the scenario
-# reads, besides ``seed`` and ``tolerance``, to its default.  A quadratic
+# reads, besides ``seed``, to its default.  A quadratic
 # scenario's runner names its V floor, judged methods, verdict tests
 # ``(suffix, test(cert, report, trace))`` and notes
 SCENARIOS = {
@@ -442,20 +439,18 @@ class _NeedsAlpha(ValueError):
 def _with_row(cfg: ScenarioConfig) -> ScenarioConfig:
     """``cfg`` with each unset setting of its scenario's row at the row's
     default; a set field outside the row is refused, naming its flag, and so
-    is beta or gamma without alpha (``_NeedsAlpha``), and then a bad
-    tolerance, before anything runs."""
+    is beta or gamma without alpha (``_NeedsAlpha``), before anything runs."""
     if cfg.name not in SCENARIOS:
         known = ", ".join(sorted(SCENARIOS))
         raise ValueError(f"unknown scenario {cfg.name!r} (known: {known})")
     row = SCENARIOS[cfg.name][1]
     unread = [f"--{key.replace('_', '-')}" for key, value in vars(cfg).items()
-              if value is not None and key not in (*row, "name", "out", "seed", "tolerance")]
+              if value is not None and key not in (*row, "name", "out", "seed")]
     if unread:
         raise ValueError(f"scenario {cfg.name} does not take {', '.join(unread)}")
     for key in ("beta", "gamma"):  # without alpha a scenario runs its own values
         if getattr(cfg, key) is not None and cfg.alpha is None:
             raise _NeedsAlpha(f"--{key} needs --alpha")
-    _require_tolerance(cfg.tolerance)
     return replace(cfg, **{k: v for k, v in row.items() if getattr(cfg, k) is None})
 
 

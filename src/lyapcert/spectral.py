@@ -14,10 +14,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._g17 import csv_rows
-from .lyapunov import _require_tolerance
 from .methods import MethodSpec, coefficient_arrays
 
 DEFAULT_TOL = 1e-12
+
+
+def _require_tolerance(tol: float) -> None:
+    if not (np.isfinite(tol) and tol >= 0.0):  # NaN or inf would decide every coordinate
+        raise ValueError("tolerance must be finite and nonnegative")
 
 
 @dataclass(frozen=True)

@@ -33,8 +33,8 @@ blocks and drops their rows: a ``Trace``, on either target, stores the
 arguments of its own run and replays it alone whenever ``iterates`` is
 read, so its memory does not grow with the rows' width.
 ``lyapcert run`` streams instead: each block's CSV lines are written as the
-block arrives and only the V column is kept, and ``read_trace_csv`` reads
-the file back a chunk of lines at a time.
+block arrives and only the V and distance columns are kept, and
+``read_trace_csv`` reads the file back a chunk of lines at a time.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ import numpy as np
 
 from ._files import whole_file
 from ._g17 import csv_rows
-from .lyapunov import LyapunovSeries, DEFAULT_TOLERANCE, _require_tolerance
+from .lyapunov import LyapunovSeries
 from .methods import MethodSpec, _family
 from .problems import Objective, QuadraticProblem
 from .spectral import SpectralCertificate, analyze
@@ -96,16 +96,8 @@ class Trace:
             return rows
         return rows @ target.eigvecs.T + target.minimizer
 
-    def lyapunov_series(self, tolerance: float = DEFAULT_TOLERANCE) -> LyapunovSeries:
-        return _series(self.lyapunov, tolerance)
-
-
-def _series(lyapunov: np.ndarray, tolerance: float) -> LyapunovSeries:
-    """The V values of a run's lyapunov column, from row 2 on."""
-    vals = lyapunov[2:]
-    if vals.shape[0] < 1:
-        raise ValueError("trace too short for a Lyapunov series")
-    return LyapunovSeries(values=vals, start_index=2, tolerance=tolerance)
+    def lyapunov_series(self) -> LyapunovSeries:
+        return LyapunovSeries(self.lyapunov[2:], self.distance)
 
 
 def run_trace(target: Union[QuadraticProblem, Objective],
@@ -134,19 +126,26 @@ def _run_traces(target, specs, x0, iters: int, *, x1=None, v_floor=None) -> Iter
     # change the rows a trace replays
     x0 = np.array(x0, dtype=float)
     x1 = None if x1 is None else np.array(x1, dtype=float)
-    cols = [([], [], []) for _ in specs]
+    cols = [(array("d"), array("d"), array("d")) for _ in specs]
     # (diverged, certificate) of each complete run not yet handed out; r: the next
     done, r = {}, 0
     for blk in _blocks(target, specs, x0, iters, x1, v_floor):
-        for col, c in zip(cols[blk.run], (blk.objective_gap, blk.distance, blk.lyapunov)):
-            col.append(c)
+        _extend(cols[blk.run], (blk.objective_gap, blk.distance, blk.lyapunov))
         if blk.last:
             done[blk.run] = blk.diverged, blk.certificate
         while r in done:
-            yield Trace(*map(np.concatenate, cols[r]), *done.pop(r),
+            yield Trace(*map(np.frombuffer, cols[r]), *done.pop(r),
                         (target, specs[r], x0, iters, x1, v_floor))
             cols[r] = None
             r += 1
+
+
+def _extend(cols, values) -> None:
+    """Append each array of ``values`` to its growing ``array('d')`` column in
+    ``cols``: each value is held once, and ``np.frombuffer`` reads a column
+    without a copy."""
+    for col, c in zip(cols, values):
+        col.frombytes(np.ascontiguousarray(c).view(np.uint8))
 
 
 class _Block(NamedTuple):
@@ -429,22 +428,23 @@ def export_csv(trace: Trace, path) -> None:
     _stream_csv([trace], path)  # a Trace has the four columns of a block
 
 
-def _stream_csv(blocks: Iterable[_Block], path):
+def _stream_csv(blocks: Iterable[_Block], path, kept=()):
     """Write the CSV of a run as its blocks arrive, holding no rows; a whole
-    ``Trace`` may stand in as a single block.
+    ``Trace`` may stand in as a single block.  The V and distance cells go
+    to the two ``array('d')`` columns ``kept`` too, when they are given.
 
     The lines go to a temporary file beside ``path``, which replaces ``path``
     only once the run is complete; a run that raises leaves ``path`` as it
-    was.  Returns the row count, the last block and the V column.
+    was.  Returns the row count and the last block.
     """
     with whole_file(path) as fh:
         fh.write(_CSV_HEADER)
-        n, lyap = 0, []
+        n = 0
         for blk in blocks:
             fh.writelines(_csv_chunks(n, blk.objective_gap, blk.distance, blk.lyapunov))
             n += blk.objective_gap.shape[0]
-            lyap.append(blk.lyapunov)
-    return n, blk, np.concatenate(lyap)
+            _extend(kept, (blk.lyapunov, blk.distance))
+    return n, blk
 
 
 def read_trace_csv(path) -> dict:
@@ -471,10 +471,8 @@ def read_trace_csv(path) -> dict:
             if rows is None or rows.shape[1:] != (4,):
                 _parse_lines(lines, cols)
             else:
-                for col, j in zip(cols, (1, 2, 3)):
-                    col.frombytes(np.ascontiguousarray(rows[:, j]).view(np.uint8))
-    return dict(zip(("objective_gap", "distance", "lyapunov"),
-                    (np.frombuffer(c, dtype=float) for c in cols)))
+                _extend(cols, rows[:, 1:].T)
+    return dict(zip(("objective_gap", "distance", "lyapunov"), map(np.frombuffer, cols)))
 
 
 def _parse_lines(lines, cols) -> None:
@@ -492,14 +490,14 @@ def _parse_lines(lines, cols) -> None:
         lyap.append(float(parts[3]) if parts[3] else math.nan)
 
 
-def series_from_csv(path, tolerance: float = DEFAULT_TOLERANCE) -> LyapunovSeries:
+def series_from_csv(path) -> LyapunovSeries:
     """Rebuild the Lyapunov series of an exported trace: every value from the
     first defined one on, so a later empty or NaN cell fails the check."""
-    _require_tolerance(tolerance)  # before the file is read
     data = read_trace_csv(path)
     vals = data["lyapunov"]
     defined = np.where(~np.isnan(vals))[0]
     if defined.shape[0] < 1:
         raise ValueError("trace CSV holds no Lyapunov values")
     start = int(defined[0])
-    return LyapunovSeries(values=vals[start:], start_index=start, tolerance=tolerance)
+    return LyapunovSeries(values=vals[start:], distance=data["distance"][start - 2:],
+                          start_index=start)

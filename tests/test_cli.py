@@ -307,7 +307,9 @@ class TestRunAndCheck:
         assert "k=2" in out
 
     def test_check_lists_first_ten(self, tmp_path, capsys):
-        # 13 flagged steps, two beside a NaN: the first ten, then a count
+        # 14 flagged steps, two beside a NaN, and two rises that roundoff in
+        # rows at distance 1 cannot explain (0 -> 1e-12, 12 -> 12.000000001):
+        # the first ten, then a count
         vals = ["1", "2", "1.5", "3.25", "-0", "0", "1e-12", "7", "nan", "4", "5", "6",
                 "7", "8", "9", "10", "11", "12.000000001"]
         path = tmp_path / "many.csv"
@@ -316,10 +318,11 @@ class TestRunAndCheck:
                         encoding="utf-8")
         assert main(["check", str(path)]) == 1
         assert capsys.readouterr().out == (
-            "monotone decrease: NO (13 violations); first at k=2: V=1 -> 2 (excess 1); "
+            "monotone decrease: NO (14 violations); first at k=2: V=1 -> 2 (excess 1); "
             "max ratio 7e+12\n"
             "  k=2: V 1 -> 2 (excess 1)\n"
             "  k=4: V 1.5 -> 3.25 (excess 1.75)\n"
+            "  k=7: V 0 -> 1e-12 (excess 9.86e-13)\n"
             "  k=8: V 1e-12 -> 7 (excess 7)\n"
             "  k=9: V 7 -> nan (excess nan)\n"
             "  k=10: V nan -> 4 (excess nan)\n"
@@ -327,8 +330,7 @@ class TestRunAndCheck:
             "  k=12: V 5 -> 6 (excess 1)\n"
             "  k=13: V 6 -> 7 (excess 1)\n"
             "  k=14: V 7 -> 8 (excess 1)\n"
-            "  k=15: V 8 -> 9 (excess 1)\n"
-            "  ... 3 more\n")
+            "  ... 4 more\n")
 
     def test_check_missing_path(self, capsys):
         rc = main(["check"])
@@ -487,15 +489,17 @@ class TestOutputPins:
     index column outgrows its width, and the ``.npz`` of a 50-d and a 1-d
     problem.  Recorded with the row-at-a-time writers and with ``W`` and
     ``linear`` built inside ``generate_quadratic``, numpy 2.4.6 on x86-64;
-    the HB and NAG pins re-taken with the family's coefficient formula;
-    ``TestStreamingRun`` compares ``run`` with ``export_csv``, which share
-    one formatter, so only a pin catches a formatting change."""
+    the HB and NAG pins re-taken with the family's coefficient formula, and
+    the ``run`` pins when its verdict line began to leave out the ratios of
+    V within roundoff (the CSVs unchanged); ``TestStreamingRun`` compares
+    ``run`` with ``export_csv``, which share one formatter, so only a pin
+    catches a formatting change."""
 
     RUN = {
-        HB: "2b5acf9ebae275e5b4a659aa8789acba7880d064bf8881dc672d5a60f96e0ab9",
-        NAG: "0f5c16f79e333e80e01624dc9e16c87823f326ae6a39909d751f6d3ccb47b64b",
-        TMM: "446abaeab7ff625d0178942a5284c16f3ccf7369d08215a11a1d96d6d657e32d",
-        NAGGS: "d1de5b4f5e90ce8ec0b57116e7c6c3446699c4623890bacfeff4bb81bc0e2e2f",
+        HB: "9982af6031beb3f4021ef032ecc3ff2b426e177d559c8b2c0ffa083ba35b0905",
+        NAG: "522c405a44b6af3293d5a3ce80c43f6d773892780ebaad7a3a851bb3bdbe4f88",
+        TMM: "9e30f4b4587be5b88b701f80aba8fdff81791b7f23bffaa67c42a27f0cf55173",
+        NAGGS: "c95c84d9401b4863a393c7600c422cb1bc29f0f85a2b4bda7545353e3b231ce9",
     }
     ANALYZE = {
         HB: (0, "5347799462c838d4ffbac929afc078ab8607ec0e44e9afbce4a78766c52ee527"),
@@ -687,7 +691,12 @@ UP_CSV = VIOLATING_CSV.replace("3,1,1,2\n", "3,1,1,5\n4,1,1,9\n")
 
 
 class TestBadTolerance:
-    """A NaN or infinite tolerance would let every rise pass as monotone."""
+    """A NaN or infinite tolerance would let every rise pass as monotone.
+    The monotonicity check takes none, its slack comes from the distance
+    column: run, check and scenario refuse ``--tolerance`` as an unknown
+    flag (exit 2), and ``tolerance =`` in a config file as an unread key
+    (``TestCommandTable``).  analyze's discriminant band is checked before
+    its problem is read (``TestValuesBeforeProblem``)."""
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
     @pytest.mark.parametrize("command", ["check", "run", "scenario"])
@@ -704,17 +713,21 @@ class TestBadTolerance:
                         "--iters", "10", "--out", str(out)],
                 "scenario": ["scenario", "nonoptimal", "--dim", "3", "--iters", "10",
                              "--out", str(out)]}[command]
-        assert main([*argv, "--tolerance", value]) == 1
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, f"--tolerance={value}"])
+        assert exc.value.code == 2
         captured = capsys.readouterr()
-        assert captured.err == "error: tolerance must be finite and nonnegative\n"
+        assert captured.err.endswith(f"error: unrecognized arguments: --tolerance={value}\n")
         assert captured.out == "" and not out.exists()
         assert main(["check", str(up)]) == 1  # V 1 -> 5 -> 9 rises
         assert "monotone decrease: NO (2 violations)" in capsys.readouterr().out
 
     def test_check_refuses_before_it_reads(self, tmp_path, capsys):
         missing = str(tmp_path / "missing.csv")
-        assert main(["check", missing, "--tolerance", "nan"]) == 1
-        assert capsys.readouterr().err == "error: tolerance must be finite and nonnegative\n"
+        with pytest.raises(SystemExit) as exc:
+            main(["check", missing, "--tolerance", "nan"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --tolerance nan" in capsys.readouterr().err
         assert main(["check", missing]) == 1
         assert "missing.csv" in capsys.readouterr().err
 
@@ -749,10 +762,6 @@ class TestValuesBeforeProblem:
         monkeypatch.setattr(cli, "load_problem", fail)
 
     @pytest.mark.parametrize("argv, message", [
-        (["run", "--method", "hb", "--optimal", "--dim", "1500", "--tolerance", "nan"],
-         "tolerance must be finite and nonnegative"),
-        (["run", "--method", "hb", "--optimal", "--problem", "p.npz", "--tolerance", "inf"],
-         "tolerance must be finite and nonnegative"),
         (["run", "--method", "hb", "--optimal", "--x0-scale", "nan"],
          "x0-scale must be finite, got nan"),
         (["run", "--method", "hb", "--alpha", "-1", "--problem", "p.npz"],
@@ -761,8 +770,7 @@ class TestValuesBeforeProblem:
          "tolerance must be finite and nonnegative"),
         (["analyze", "--method", "nag", "--alpha", "0.1", "--beta", "-1", "--problem", "p.npz"],
          "beta must be nonnegative for HB/NAG/NAG-GS"),
-    ], ids=["run-tolerance", "run-problem-tolerance", "run-x0-scale", "run-alpha",
-            "analyze-tolerance", "analyze-beta"])
+    ], ids=["run-x0-scale", "run-alpha", "analyze-tolerance", "analyze-beta"])
     def test_value_refused_first(self, tmp_path, capsys, argv, message):
         out = tmp_path / "out"
         assert main([*argv, "--out", str(out)]) == 1
@@ -771,7 +779,7 @@ class TestValuesBeforeProblem:
         assert captured.out == "" and not out.exists()
 
     @pytest.mark.parametrize("argv, message", [
-        (["run", "--method", "hb", "--optimal", "--tolerance", "nan"], "--out"),
+        (["run", "--method", "hb", "--optimal", "--x0-scale", "nan"], "--out"),
         (["run", "--method", "hb", "--x0-scale", "nan", "--out", "t.csv"],
          "--alpha (or --optimal)"),
         (["analyze", "--optimal", "--problem", "p.npz", "--tolerance", "nan"], "--method"),
@@ -1089,8 +1097,8 @@ class TestCommandTable:
 
     def test_pair_counts(self):
         counts = {name: sum(n == name for n, _ in UNREAD_KEYS) for name in cli.COMMANDS}
-        assert counts == {"generate": 9, "analyze": 3, "run": 0, "scenario": 1, "check": 13}
-        assert len(READ_KEYS) == 44
+        assert counts == {"generate": 9, "analyze": 3, "run": 1, "scenario": 2, "check": 14}
+        assert len(READ_KEYS) == 41
 
     def test_parser_is_built_once(self):
         # one parser serves every call in a process, and a parse leaves no
@@ -1107,6 +1115,8 @@ class TestCommandTable:
         argv = {"generate": ["generate", "--out", str(out)],
                 "analyze": ["analyze", "--method", "hb", "--optimal", "--mu", "1",
                             "--L", "4", "--out", str(out)],
+                "run": ["run", "--method", "hb", "--optimal", "--dim", "3", "--iters", "10",
+                        "--out", str(out)],
                 "scenario": ["scenario", "nonoptimal", "--dim", "3", "--iters", "10",
                              "--out", str(out)],
                 "check": ["check", str(trace)]}[name]

@@ -2,8 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, strategies as st
 
-from lyapcert import (HB, NAG, LyapunovSeries, MethodSpec, MonotonicityReport,
+from lyapcert import (HB, NAG, NAGGS, LyapunovSeries, MethodSpec, MonotonicityReport,
                       analyze, check_monotone, coefficient_arrays,
                       generate_quadratic, optimal_hyperparams, run_trace)
 from conftest import peak_bytes, random_eligible_coeffs
@@ -129,17 +130,24 @@ class TestContractionFactor:
         assert np.allclose(r.rate ** 2, 0.5, rtol=1e-15, atol=0.0)
 
 
+def flat(vals, start_index=2):
+    """The series of ``vals`` with every distance 0: the slack is tiny alone."""
+    vals = np.asarray(vals, dtype=float)
+    return LyapunovSeries(values=vals, distance=np.zeros(vals.shape[0] + 2),
+                          start_index=start_index)
+
+
 class TestCheckMonotone:
     def test_geometric_is_monotone(self):
         vals = 2.0 * 0.5 ** np.arange(20)
-        rep = check_monotone(LyapunovSeries(values=vals))
+        rep = check_monotone(flat(vals))
         assert rep.monotone
-        assert rep.index.size == rep.excess.size == 0
+        assert rep.index.size == rep.excess.size == rep.left_out == 0
         assert rep.max_ratio == pytest.approx(0.5, rel=1e-12)
         assert "yes" in rep.describe()
 
     def test_single_violation(self):
-        rep = check_monotone(LyapunovSeries(values=np.array([1.0, 2.0])))
+        rep = check_monotone(flat([1.0, 2.0]))
         assert not rep.monotone
         assert rep.index.tolist() == [2]
         assert rep.v_prev.tolist() == [1.0]
@@ -149,67 +157,112 @@ class TestCheckMonotone:
         assert "NO" in rep.describe()
 
     def test_tolerance_band(self):
-        inside = np.array([1.0, 1.0 + 5e-10])
-        outside = np.array([1.0, 1.0 + 2e-9])
-        assert check_monotone(LyapunovSeries(values=inside)).monotone
-        assert not check_monotone(LyapunovSeries(values=outside)).monotone
-        wide = LyapunovSeries(values=outside, tolerance=1e-6)
-        assert check_monotone(wide).monotone
+        # with every distance 1 the slack is 4 * 32 * u (+ tiny): 64 eps
+        eps = np.finfo(float).eps
+        inside = LyapunovSeries(values=[1.0, 1.0 + 64 * eps], distance=np.ones(4))
+        outside = LyapunovSeries(values=[1.0, 1.0 + 66 * eps], distance=np.ones(4))
+        assert check_monotone(inside).monotone
+        assert check_monotone(outside).index.tolist() == [2]
+
+    def test_small_rises_are_flagged(self):
+        # a fixed floor of 1e-9 let this series pass; its distances make
+        # the slack about 1e-25
+        vals = [1e-10, 2e-10, 8e-10]
+        for dist in (np.zeros(5), np.sqrt([1e-10, 1e-10, 1e-10, 2e-10, 8e-10])):
+            rep = check_monotone(LyapunovSeries(values=vals, distance=dist))
+            assert not rep.monotone and rep.index.tolist() == [2, 3]
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_distance_fails(self, bad):
+        # every step whose slack reads the distance is flagged, with a nan
+        # excess: no NaN slack lets a step pass quietly
+        for at, steps in ((0, [2]), (2, [2, 3]), (4, [3])):
+            dist = np.ones(5)
+            dist[at] = bad
+            rep = check_monotone(LyapunovSeries(values=[4.0, 2.0, 1.0], distance=dist))
+            assert not rep.monotone and rep.index.tolist() == steps
+            assert np.isnan(rep.excess).all()
+            assert rep.describe().startswith("monotone decrease: NO")
+        one = LyapunovSeries(values=[1.0], distance=[1.0, bad, 1.0])
+        assert check_monotone(one).describe() == "monotone decrease: NO (non-finite V or distance)"
+
+    def test_rate_leaves_out_values_within_roundoff(self):
+        # V at 1e-30 sits below the slack of distances near 1: its ratio is
+        # roundoff, left out of the rate and counted
+        vals = [1.0, 0.5, 0.25, 1e-30, 5e-31]
+        rep = check_monotone(LyapunovSeries(values=vals, distance=np.ones(7)))
+        assert rep.monotone and rep.max_ratio == 0.5 and rep.left_out == 1
+        assert rep.describe() == ("monotone decrease: yes (max ratio 0.5 over positive values, "
+                                  "1 steps within roundoff left out)")
 
     def test_indices_respect_start(self):
-        rep = check_monotone(LyapunovSeries(values=np.array([3.0, 1.0, 2.0]),
-                                            start_index=5))
+        rep = check_monotone(flat([3.0, 1.0, 2.0], start_index=5))
         assert rep.index.tolist() == [6]
 
     def test_max_ratio_over_positive_values(self):
-        rep = check_monotone(LyapunovSeries(values=np.array([4.0, 2.0, 1.0])))
+        rep = check_monotone(flat([4.0, 2.0, 1.0]))
         assert rep.max_ratio == pytest.approx(0.5)
-        nan_rep = check_monotone(LyapunovSeries(values=np.array([-1.0, -2.0])))
+        nan_rep = check_monotone(flat([-1.0, -2.0]))
         assert math.isnan(nan_rep.max_ratio)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_value_is_not_monotone(self, bad):
         for vals in ([1.0, bad, 2.0], [bad, 1.0], [1.0, bad], [bad]):
-            rep = check_monotone(LyapunovSeries(values=np.array(vals)))
+            rep = check_monotone(flat(vals))
             assert not rep.monotone, vals
             assert rep.describe().startswith("monotone decrease: NO"), vals
-        rep = check_monotone(LyapunovSeries(values=np.array([1.0, bad, 0.5])))
+        rep = check_monotone(flat([1.0, bad, 0.5]))
         assert rep.index.tolist() == [2, 3]
 
     def test_peak_memory(self):
-        # the allowed values, then the ratios, in one array of the series'
-        # size, beside a few boolean masks (an eighth of it each); the
-        # out-of-place arithmetic and fancy-indexed ratio operands once held
-        # 3.4 times the series
+        # the slack, then the allowed values, then the ratios, in one array
+        # of the series' size, beside a few boolean masks (an eighth of it
+        # each); the out-of-place arithmetic and fancy-indexed ratio
+        # operands once held 3.4 times the series
         vals = np.exp(-np.arange(200_000) / 1e4)
-        series = LyapunovSeries(values=vals)
+        series = LyapunovSeries(values=vals, distance=np.exp(-np.arange(-2, 200_000) / 2e4))
         check_monotone(series)
         assert peak_bytes(lambda: check_monotone(series)) < 2 * vals.nbytes
 
 
+_C, _U, _TINY = 32, float(np.finfo(float).eps) / 2, float(np.finfo(float).tiny)
+
+
+def slack(d):
+    """The slack of a step from its four distances d_{k-2} .. d_{k+1}, one
+    Python float at a time: 4 C u max(d)^2 + tiny, NaN when one is NaN."""
+    if any(map(math.isnan, d)):
+        return math.nan
+    m = max(d)
+    return m * m * (4 * _C * _U) + _TINY
+
+
 def loop_check_monotone(series):
     """``check_monotone`` one step at a time, as a per-step reference."""
-    v = series.values
-    finite = np.isfinite(v)
-    tol = series.tolerance
+    v, d = series.values.tolist(), series.distance.tolist()
+    finite = list(map(math.isfinite, v))
     flagged = []  # (index, v_prev, v_next, excess) of each flagged step
-    max_ratio = math.nan
-    with np.errstate(over="ignore", invalid="ignore"):
-        for j in range(v.shape[0] - 1):
-            allowed = v[j] + tol * max(1.0, abs(v[j])) if finite[j] else math.nan
-            if v[j + 1] > allowed or not (finite[j] and finite[j + 1]):
-                flagged.append((series.start_index + j, float(v[j]),
-                                float(v[j + 1]), float(v[j + 1] - allowed)))
-            if finite[j] and v[j] > 0:
-                r = v[j + 1] / v[j]
-                if math.isnan(max_ratio) or r > max_ratio:
-                    max_ratio = r
+    max_ratio, left_out = math.nan, 0
+    for j in range(len(v) - 1):
+        s = slack(d[j:j + 4])
+        judged = finite[j] and math.isfinite(s)
+        allowed = v[j] + s if judged else math.nan
+        if v[j + 1] > allowed or not (judged and finite[j + 1]):
+            flagged.append((series.start_index + j, v[j], v[j + 1], v[j + 1] - allowed))
+        if judged and 0 < v[j] <= s:
+            left_out += 1
+        if judged and v[j] > s and not math.isnan(v[j + 1]):
+            r = v[j + 1] / v[j]
+            if math.isnan(max_ratio) or r > max_ratio:
+                max_ratio = r
     index, v_prev, v_next, excess = zip(*flagged) if flagged else ((),) * 4
-    return MonotonicityReport(monotone=not flagged and bool(finite.all()),
+    monotone = not flagged and all(finite) and all(map(math.isfinite, d))
+    return MonotonicityReport(monotone=monotone,
                               index=np.array(index, dtype=np.intp),
                               v_prev=np.array(v_prev, dtype=float),
                               v_next=np.array(v_next, dtype=float),
-                              excess=np.array(excess, dtype=float), max_ratio=max_ratio)
+                              excess=np.array(excess, dtype=float), max_ratio=max_ratio,
+                              left_out=left_out)
 
 
 class TestCheckMonotoneMatchesLoop:
@@ -228,20 +281,25 @@ class TestCheckMonotoneMatchesLoop:
         assert got.index.tolist() == want.index.tolist()
         assert self.columns(got) == self.columns(want)
         assert np.float64(got.max_ratio).tobytes() == np.float64(want.max_ratio).tobytes()
+        assert got.left_out == want.left_out
         assert got.describe() == want.describe()
 
     def test_random_series(self, rng):
         specials = [math.nan, math.inf, -math.inf, 0.0, -0.0, 1.0, 1e308, -1e308, 5e-324]
         for trial in range(400):
             n = int(rng.integers(1, 25))
-            vals = rng.standard_normal(n) * 10.0 ** rng.uniform(-12, 3)
+            scale = 10.0 ** rng.uniform(-12, 3)
+            vals = rng.standard_normal(n) * scale
             if trial % 3:  # near-monotone runs: ratios near one, small increases
-                vals = np.cumprod(rng.uniform(0.5, 1.0 + 1e-9, n)) * np.sign(vals[0])
+                vals = np.cumprod(rng.uniform(0.5, 1.0 + 1e-13, n)) * np.sign(vals[0]) * scale
             for j in rng.choice(n, size=int(rng.integers(0, 3)), replace=True):
                 vals[j] = specials[int(rng.integers(len(specials)))]
-            tol = [0.0, 1e-9, 0.5][trial % 3]
-            self.assert_same(LyapunovSeries(values=vals, start_index=2 + trial % 4,
-                                            tolerance=tol))
+            # distances near sqrt(|V|) / sqrt(eps), where V is all cancellation
+            dist = rng.uniform(0.0, 1.0, n + 2) * math.sqrt(scale) * 10.0 ** rng.uniform(0, 8)
+            for j in rng.choice(n + 2, size=int(rng.integers(0, 2)), replace=True):
+                dist[j] = [math.nan, math.inf, 0.0, 1e200][int(rng.integers(4))]
+            self.assert_same(LyapunovSeries(values=vals, distance=dist,
+                                            start_index=2 + trial % 4))
 
     @pytest.mark.parametrize("vals", [
         [1.0], [math.nan], [math.inf], [-1.0, -2.0, -3.0], [0.0, 0.0, 0.0],
@@ -252,17 +310,64 @@ class TestCheckMonotoneMatchesLoop:
         [1e308, 1e308, -1e308], [1e-300, 1e300], [5e-324, 1.0],
     ])
     def test_edge_series(self, vals):
-        for tol in (0.0, 1e-9):
-            self.assert_same(LyapunovSeries(values=np.array(vals), tolerance=tol))
+        for d in (0.0, 1.0, 1e-150, 1e160):
+            self.assert_same(LyapunovSeries(values=vals, distance=np.full(len(vals) + 2, d)))
 
     def test_many_flagged_steps(self, rng):
         # a rise at every even step: 1e5 flagged steps, held as columns
         vals = np.tile([1.0, 2.0], 100_000) * rng.uniform(0.9, 1.1, 200_000)
-        rep = check_monotone(LyapunovSeries(values=vals))
+        rep = check_monotone(flat(vals))
         for col in (rep.index, rep.v_prev, rep.v_next, rep.excess):
             assert isinstance(col, np.ndarray) and col.shape == (100_000,)
         assert np.array_equal(rep.index, np.arange(2, 200_001, 2))
-        self.assert_same(LyapunovSeries(values=vals))
+        self.assert_same(flat(vals))
+
+
+def eligible_run(a, b, x0, x1, steps):
+    """V and distance of x_{k+1} = a x_k + b x_{k-1} on one coordinate, from
+    x_{-1} = ``x0``, x_0 = ``x1``: the rows the series is made of."""
+    xs = iterate_scalar(a, b, x0, x1, steps)
+    vals = np.array([scalar_V(xs[k], xs[k - 1], xs[k - 2]) for k in range(2, len(xs))])
+    return LyapunovSeries(values=vals, distance=np.abs(xs))
+
+
+class TestRoundoffBound:
+    """V of an eligible run never rises beyond the slack, from any start and
+    in any dimension, and a rise just above the slack is always flagged."""
+
+    @given(a=st.floats(-1.99, 1.99), margin=st.floats(0.0, 1.0),
+           x0=st.floats(-1e100, 1e100), x1=st.floats(-1e100, 1e100))
+    def test_eligible_scalar_run_is_never_flagged(self, a, margin, x0, x1):
+        b = -(a * a / 4.0 + margin)
+        assume(-b < 1.0)
+        rep = check_monotone(eligible_run(a, b, x0, x1, 300))
+        assert rep.monotone, rep.describe()
+
+    @given(kind=st.sampled_from([HB, NAG, NAGGS]), dim=st.integers(1, 300),
+           kappa=st.floats(1.0, 1e6, exclude_min=True), seed=st.integers(0, 2 ** 32),
+           scale=st.floats(1e-100, 1e6))
+    def test_eligible_run_is_never_flagged(self, kind, dim, kappa, seed, scale):
+        # any start: x_{-1} and x_0 drawn apart, at any scale
+        p = generate_quadratic(dim, 1.0, kappa, seed=seed)
+        spec = optimal_hyperparams(kind, 1.0, kappa)
+        rng = np.random.default_rng(seed)
+        x0, x1 = p.minimizer + scale * rng.standard_normal((2, dim))
+        tr = run_trace(p, spec, x0, 400, x1=x1)
+        assume(tr.certificate.eligible)
+        rep = check_monotone(tr.lyapunov_series())
+        assert rep.monotone, rep.describe()
+
+    @given(a=st.floats(-1.99, 1.99), margin=st.floats(0.0, 1.0),
+           x0=st.floats(-1e100, 1e100), x1=st.floats(-1e100, 1e100),
+           k=st.integers(0, 60))
+    def test_rise_above_the_slack_is_flagged(self, a, margin, x0, x1, k):
+        series = eligible_run(a, -(a * a / 4.0 + margin), x0, x1, 62)
+        v, d = series.values.copy(), series.distance
+        allowed = v[k] + slack(d[k:k + 4].tolist())
+        assume(math.isfinite(allowed))
+        v[k + 1] = np.nextafter(allowed, math.inf)
+        rep = check_monotone(LyapunovSeries(values=v, distance=d))
+        assert 2 + k in rep.index.tolist()
 
 
 class TestContractionIdentity:
@@ -307,10 +412,7 @@ class TestContractionIdentity:
         for _ in range(50):
             a, b = random_eligible_coeffs(rng)
             x0 = rng.uniform(-5.0, 5.0)
-            xs = iterate_scalar(a, b, x0, x0, 500)
-            vals = np.array([scalar_V(xs[k], xs[k - 1], xs[k - 2])
-                             for k in range(2, len(xs))])
-            assert check_monotone(LyapunovSeries(values=vals)).monotone
+            assert check_monotone(eligible_run(a, b, x0, x0, 500)).monotone
 
 
 class TestVectorRates:
@@ -343,22 +445,31 @@ class TestVectorRates:
 class TestLyapunovSeriesValidation:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
-            LyapunovSeries(values=np.array([]))
+            LyapunovSeries(values=np.array([]), distance=np.zeros(2))
 
     def test_rejects_early_start(self):
         with pytest.raises(ValueError):
-            LyapunovSeries(values=np.array([1.0]), start_index=1)
+            LyapunovSeries(values=np.array([1.0]), distance=np.zeros(3), start_index=1)
 
     def test_rejects_negative_tolerance(self):
-        with pytest.raises(ValueError):
-            LyapunovSeries(values=np.array([1.0]), tolerance=-1e-9)
+        # the slack comes from the distances: the series takes no tolerance
+        with pytest.raises(TypeError):
+            LyapunovSeries(values=np.array([1.0]), distance=np.zeros(3), tolerance=-1e-9)
 
     @pytest.mark.parametrize("tol", [math.nan, math.inf])
     def test_rejects_non_finite_tolerance(self, tol):
-        # a NaN or infinite allowance would pass every step, 1 -> 5 -> 9 too
-        with pytest.raises(ValueError, match="tolerance must be finite and nonnegative"):
-            LyapunovSeries(values=np.array([1.0, 5.0, 9.0]), tolerance=tol)
+        # a NaN or infinite allowance would pass every step, 1 -> 5 -> 9 too:
+        # no tolerance is taken, and a NaN or infinite distance fails
+        with pytest.raises(TypeError):
+            LyapunovSeries(values=np.array([1.0, 5.0, 9.0]), distance=np.zeros(5), tolerance=tol)
+        series = LyapunovSeries(values=np.array([1.0, 0.5, 0.25]), distance=np.full(5, tol))
+        assert check_monotone(series).index.tolist() == [2, 3]
+
+    @pytest.mark.parametrize("size", [0, 2, 4, 6])
+    def test_rejects_distances_of_another_length(self, size):
+        with pytest.raises(ValueError, match="two more distances than values"):
+            LyapunovSeries(values=np.ones(3), distance=np.ones(size))
 
     def test_rejects_matrix(self):
         with pytest.raises(ValueError):
-            LyapunovSeries(values=np.ones((2, 2)))
+            LyapunovSeries(values=np.ones((2, 2)), distance=np.zeros(4))

@@ -15,7 +15,6 @@ from lyapcert import (HB, NAG, NAGGS, SCENARIOS, SUITABLE, TMM, MethodSpec,
                       generate_quadratic, optimal_hyperparams, parse_config_file,
                       run_scenario)
 from lyapcert import scenarios, svgplot
-from lyapcert import trace as trace_module
 from lyapcert.cli import main
 from lyapcert.scenarios import _specs, _with_row
 
@@ -105,6 +104,16 @@ class TestQuadraticScenarios:
         assert os.path.isfile(tmp_path / "fig1_spectrum.svg")
         assert os.path.isfile(tmp_path / "fig1_overview.svg")
 
+    def test_fig1_tmm_rate_is_resolved(self, tmp_path):
+        # under a fixed floor of 1e-9 the default fig1 reported TMM's max
+        # ratio as 2.1468e+21, a ratio of roundoff; the rate now leaves out
+        # the steps whose V is within the slack, and says how many
+        line = next(ln for ln in report_text(run_quick("fig1", tmp_path)).splitlines()
+                    if ln.startswith("TMM: eligible"))
+        assert "e+21" not in line
+        assert re.search(r"monotone decrease: yes \(max ratio 0\.9\d+ over positive values, "
+                         r"[1-9]\d* steps within roundoff left out\)$", line)
+
     def test_quadratic_quick(self, tmp_path):
         res = run_quick("quadratic", tmp_path, dim=5, mu=1.0, L=16.0, iters=400)
         assert res.ok
@@ -187,18 +196,26 @@ class TestWitnessScenarios:
 
     def test_cosine_runs_no_start_twice(self, tmp_path, monkeypatch):
         # the sweep's first beta is below the tuned one: the witness run is
-        # not made again
-        made, run_trace = [], scenarios.run_trace
+        # not made again; the sweep's 20 betas run as one batch
+        made, batches = [], []
+        run_trace, run_traces = scenarios.run_trace, scenarios._run_traces
 
         def recording(target, spec, x0, iters, **kw):
             made.append((spec.beta, float(x0[0])))
             return run_trace(target, spec, x0, iters, **kw)
 
+        def recording_batch(target, specs, x0, iters, **kw):
+            batches.append(len(specs))
+            made.extend((spec.beta, float(x0[0])) for spec in specs)
+            return run_traces(target, specs, x0, iters, **kw)
+
         monkeypatch.setattr(scenarios, "run_trace", recording)
-        for seed in (0, 7919):  # the sweep ends at some beta, or runs down to 0
+        monkeypatch.setattr(scenarios, "_run_traces", recording_batch)
+        for seed in (0, 7919):
             made.clear()
+            batches.clear()
             assert run_quick("cosine", tmp_path, seed=seed).verdicts["violation_found"]
-            assert len(made) > 2 and len(set(made)) == len(made)
+            assert batches == [20] and len(set(made)) == len(made) > 20
 
     def test_tmm_witness_scenario(self, tmp_path):
         res = run_quick("tmm-witness", tmp_path)
@@ -307,7 +324,7 @@ DIGESTS = {
         "fig1_overview.svg":
             "a5d8005f5a692e3ee009b2d0f6959bec1f47b2e2012b5c106005cedb3d0f42a5",
         "fig1_report.txt":
-            "659650c0a11cb0cd8eda014abfc14c667b83e7d4027bd239e725679207c5caf3",
+            "025f077e81d21725ea3c679ae0f5a2f47d6584f328add713b9ad7009d5bdaee5",
         "fig1_spectrum.svg":
             "20ebd84019b084b5faf35ad292a002c1ba1baac77a42a846ff8de1232cf8f192",
         "fig1_tmm_certificate.csv":
@@ -345,7 +362,7 @@ DIGESTS = {
         "quadratic_overview.svg":
             "2c0690306f86cded3c441467ca35a27231251b7b746e7156172ccd1c6b508235",
         "quadratic_report.txt":
-            "7b45ac6f8cb5fd64e27c5f7459a59b578d04eb21db5614dcc38f5081828e2163",
+            "3976a655dab640ee0fcba6e0d43dcd899c4a78fbd0c6c9c71421484058e9ef2d",
         "quadratic_spectrum.svg":
             "e3ee8314380800ed51cb6d823bb9368b677ac9b235b0a622cca657138165dfae",
         "quadratic_tmm_certificate.csv":
@@ -383,7 +400,7 @@ DIGESTS = {
         "nonoptimal_overview.svg":
             "378168104bdb01d2aea14227ff7937f9bcc0c89d7b0c23f3379e9068d586b0cd",
         "nonoptimal_report.txt":
-            "dac24a7b03793eba6a6a752520fe6b635a322b715568c6f515d2d72a1cf0bd3d",
+            "7e80d644cda023fea2b649eea26a9cc81633aa6e1d34d44e49ec431998d3c349",
         "nonoptimal_spectrum.svg":
             "862c44116244f5bf110942e86565ec135c1dcbd1e79f548c466b70378150729d",
         "nonoptimal_tmm_certificate.csv":
@@ -421,7 +438,7 @@ DIGESTS = {
         "convex-mu0_overview.svg":
             "42c09529e350f9f951eb4d0633ebcfd21312b157b255349244053135918a6294",
         "convex-mu0_report.txt":
-            "9e0c9b2cb5ce81f09060c1c07ab3c3d45e7591910308bb26dd6108ec78329989",
+            "f5e7000611db09b425b1ad303b6005de8dfabdfbec917208d1202e6d566a3d81",
         "convex-mu0_spectrum.svg":
             "07d51c1421380dc239353bd80bcd077c2a4de0792a8cef234485f472c1849f1f",
         "convex-mu0_tmm_certificate.csv":
@@ -445,7 +462,7 @@ DIGESTS = {
         "cosine_overview.svg":
             "143a9db2d1c24a3056bc53800f9a07c48a19d218ebb1e8bd6b888e554f0ca678",
         "cosine_report.txt":
-            "32a743f97bfbf50c13e2cf3e5571c2881161a8843696f6525eaac7adc94c5e16",
+            "b446c96f17806feb86f9677866589af9fbb97e830163ed83d1b2e8e984117631",
     },
     "tmm-witness": {
         "tmm-witness_lyapunov.svg":
@@ -475,7 +492,7 @@ DIGESTS = {
         "expnorm_overview.svg":
             "e8ae0b62821804d7dbf9b64c07eeda75f894dbc99967cb973325e254827fa49b",
         "expnorm_report.txt":
-            "729746c14c29d07011c1afa0ac8c93c3813eb887600494abee7789d310bcb1fa",
+            "5f7198b867d527794c598bb7ef7d1ffaafcee60c9bca1a64dcc827fb9717ee6f",
         "expnorm_tmm_trace.csv":
             "e0917e1406dc834c96408a4fa936f39406da75c5b3dda2740d197ef353d8920e",
     },
@@ -495,7 +512,7 @@ DIGESTS = {
         "rosenbrock_overview.svg":
             "f3cf3995ef36356f4f30da07f890ef77443da4d0fbd0a3740a44d553a7a34378",
         "rosenbrock_report.txt":
-            "4a6396cb1493a647ad76a5dec618b44dd1f45fef856f14b4837f9d8280171b0a",
+            "ffcf913b90153d18b37681f0211c48f3049d13723aa78cf4525c51d90d2b1c57",
         "rosenbrock_tmm_trace.csv":
             "5b48a6ab01af2f126bc669650da2054b78db3246587fd32a36ab5f20804d1822",
     },
@@ -707,7 +724,7 @@ class TestSettingsTable:
     def test_row_is_what_is_taken(self, name):
         row = SCENARIOS[name][1]
         assert set(self.SAMPLES) == {f.name for f in fields(ScenarioConfig)} - {
-            "name", "out", "seed", "tolerance"}
+            "name", "out", "seed"}
         for key, value in self.SAMPLES.items():
             given = {key: value}
             if key in ("beta", "gamma") and key in row:  # refused without alpha
@@ -735,19 +752,10 @@ class TestSettingsTable:
             assert getattr(_with_row(replace(cfg, alpha=0.1)), key) == 0.3
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), -1.0])
-    def test_bad_tolerance_is_refused_before_anything_runs(self, tmp_path, monkeypatch, value):
-        def no_engine(*args):
-            raise AssertionError("an engine was built")
-
-        monkeypatch.setattr(trace_module, "_eigenbasis_engine", no_engine)
-        monkeypatch.setattr(trace_module, "_oracle_engine", no_engine)
-        out = tmp_path / "art"
+    def test_bad_tolerance_is_refused_before_anything_runs(self, tmp_path, value):
+        # every scenario judges V against the roundoff of its own rows: a
+        # config takes no tolerance
         for name in SCENARIOS:
-            with pytest.raises(ValueError, match="^tolerance must be finite and nonnegative$"):
-                run_quick(name, out, tolerance=value)
-            assert not out.exists()
-        # a usage fault is named first, as the CLI's exit 2 needs
-        with pytest.raises(ValueError, match="^--beta needs --alpha$"):
-            run_quick("fig1", out, beta=0.3, tolerance=value)
-        with pytest.raises(ValueError, match="^scenario cosine does not take --dim$"):
-            run_quick("cosine", out, dim=3, tolerance=value)
+            with pytest.raises(TypeError):
+                run_quick(name, tmp_path / "art", tolerance=value)
+        assert not (tmp_path / "art").exists()
