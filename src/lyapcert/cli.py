@@ -22,7 +22,7 @@ from dataclasses import MISSING, fields
 import numpy as np
 
 from ._files import whole_file
-from .lyapunov import LyapunovSeries, check_monotone
+from .lyapunov import check_monotone
 from .methods import HB, NAG, NAGGS, TMM, MethodSpec, optimal_hyperparams
 from .problems import (_require_spectrum, generate_quadratic, load_problem,
                        save_problem)
@@ -30,7 +30,7 @@ from .scenarios import (SCENARIOS, ScenarioConfig, _NeedsAlpha, _require_finite_
                         _x0, parse_config_file, run_scenario)
 from .spectral import (DEFAULT_TOL, _require_tolerance, analyze, certificate_csv_text,
                        certificate_report_text)
-from .trace import _blocks, _stream_csv, series_from_csv
+from .trace import _blocks, _lyapunov_series, _stream_csv, series_from_csv
 
 _METHOD_NAMES = {
     "hb": HB, "heavy-ball": HB,
@@ -190,7 +190,7 @@ def _cmd_run(o: dict) -> int:
           f"final_distance={last.distance[-1]:.6g} "
           f"diverged={'yes' if last.diverged else 'no'}")
     lyap, dist = map(np.frombuffer, kept)
-    print(check_monotone(LyapunovSeries(lyap[2:], dist)).describe())
+    print(check_monotone(_lyapunov_series(lyap, dist)).describe())
     print(f"trace -> {out}")
     return 1 if last.diverged else 0
 

@@ -190,24 +190,23 @@ def _finish(cfg: ScenarioConfig, lines: list, verdicts: dict, traces: dict,
                           artifacts=artifacts, report_path=artifacts[-1])
 
 
-def _run_quadratic_family(cfg: ScenarioConfig, *, v_floor=None, judged=None, tests=(),
-                          notes=(), none_judged=None) -> ScenarioResult:
+def _run_quadratic_family(cfg: ScenarioConfig, *, judged=None, tests=(), notes=(),
+                          none_judged=None) -> ScenarioResult:
     """Run every method of ``cfg`` on its quadratic, side by side in one
     batch, and judge the runs as the scenario's row says.
 
-    ``v_floor`` stops a run once V falls below it.  Each method whose
-    certificate ``judged(cert)`` admits (every method when None) gets one
-    verdict ``<kind>_<suffix>`` per ``(suffix, test(cert, report, trace))``
-    in ``tests``, in that order; ``none_judged`` names a verdict that fails
-    when no method is judged.  Each ``note(trace)`` adds a line per method,
-    and one more line, when tuned HB and tuned NAG-GS both run, says that
-    they are one method.
+    Each method whose certificate ``judged(cert)`` admits (every method
+    when None) gets one verdict ``<kind>_<suffix>`` per ``(suffix,
+    test(cert, report, trace))`` in ``tests``, in that order; ``none_judged``
+    names a verdict that fails when no method is judged.  Each
+    ``note(trace)`` adds a line per method, and one more line, when tuned HB
+    and tuned NAG-GS both run, says that they are one method.
     """
     problem = generate_quadratic(cfg.dim, cfg.mu, cfg.L, cfg.seed)
     x0 = _x0(problem.minimizer, cfg.x0_scale, cfg.seed)
     specs = _specs(cfg)
     traces, certs, reports = {}, {}, {}
-    runs = _run_traces(problem, list(specs.values()), x0, cfg.iters, v_floor=v_floor)
+    runs = _run_traces(problem, list(specs.values()), x0, cfg.iters)
     for trace, kind in zip(runs, specs):
         traces[kind] = trace
         certs[kind] = trace.certificate
@@ -221,7 +220,7 @@ def _run_quadratic_family(cfg: ScenarioConfig, *, v_floor=None, judged=None, tes
         lines.append(
             f"{LABELS[kind]}: eligible={'yes' if cert.eligible else 'no'} "
             f"radius={cert.spectral_radius:.6g} rows={len(tr)} "
-            f"terminal_V={tr.lyapunov[-1]:.6g} {rep.describe()}")
+            f"terminal_V={tr.lyapunov[-1]:.6g} {rep.describe()}{' diverged=yes' * tr.diverged}")
         if judged is None or judged(cert):
             for suffix, test in tests:
                 verdicts[f"{kind.lower()}_{suffix}"] = bool(test(cert, rep, tr))
@@ -373,8 +372,6 @@ def _run_objective_family(cfg: ScenarioConfig, *, objective, title: str,
     x0 = _x0(np.asarray(objective.minimizer, dtype=float), cfg.x0_scale, cfg.seed)
     traces, verdicts = {}, {}
     lines = [title, f"config: iters={cfg.iters} seed={cfg.seed} x0_scale={cfg.x0_scale:g}"]
-    # no V floor here: slow small-step iterates keep V near zero from the
-    # start, which says nothing about convergence
     for tr, kind in zip(_run_traces(objective, list(specs.values()), x0, cfg.iters), specs):
         traces[kind] = tr
         rep = check_monotone(tr.lyapunov_series())
@@ -386,30 +383,29 @@ def _run_objective_family(cfg: ScenarioConfig, *, objective, title: str,
 
 # unset, a quadratic scenario runs all four methods with its own values
 _HYPER = dict(method=None, alpha=None, beta=None, gamma=None)
-_V_FLOOR = 1e-9
+_V_FLOOR = 1e-9  # the V that quadratic's terminal_V_below_floor asks each run to reach
 
 # name: (runner, settings), where settings maps every field the scenario
-# reads, besides ``seed``, to its default.  A quadratic
-# scenario's runner names its V floor, judged methods, verdict tests
-# ``(suffix, test(cert, report, trace))`` and notes
+# reads, besides ``seed``, to its default.  A quadratic scenario's runner
+# names its judged methods, verdict tests ``(suffix, test(cert, report,
+# trace))`` and notes; every run goes to ``iters`` rows unless it diverges
 SCENARIOS = {
     "fig1": (partial(_run_quadratic_family, judged=lambda cert: cert.method.kind != TMM,
                      tests=(("certificate_eligible", lambda cert, rep, tr: cert.eligible),
                             ("V_monotone", lambda cert, rep, tr: rep.monotone)),
                      notes=(_distance_rises,)),
              dict(dim=107, mu=1.0, L=1000.0, iters=2000, optimal=True, x0_scale=10.0, **_HYPER)),
-    "quadratic": (partial(_run_quadratic_family, v_floor=_V_FLOOR,
-                          judged=lambda cert: cert.eligible,
+    "quadratic": (partial(_run_quadratic_family, judged=lambda cert: cert.eligible,
                           tests=(("V_monotone", lambda cert, rep, tr: rep.monotone),
                                  ("terminal_V_below_floor",
                                   lambda cert, rep, tr: tr.lyapunov[-1] < _V_FLOOR)),
                           none_judged="some_certificate_eligible"),
-                  dict(dim=100, mu=1.0, L=1000.0, iters=2000, optimal=True, x0_scale=10.0,
+                  dict(dim=100, mu=1.0, L=1000.0, iters=300, optimal=True, x0_scale=10.0,
                        **_HYPER)),
-    "nonoptimal": (partial(_run_quadratic_family, v_floor=_V_FLOOR,
+    "nonoptimal": (partial(_run_quadratic_family,
                            tests=(("certificate_eligible", lambda cert, rep, tr: cert.eligible),
                                   ("V_monotone", lambda cert, rep, tr: rep.monotone))),
-                   dict(dim=50, mu=1.0, L=10.0, iters=2000, optimal=False, x0_scale=10.0,
+                   dict(dim=50, mu=1.0, L=10.0, iters=40, optimal=False, x0_scale=10.0,
                         **_HYPER)),
     "convex-mu0": (partial(_run_quadratic_family,
                            tests=(("certificate_ineligible",

@@ -1,9 +1,9 @@
 """Iteration traces: run a method, record metrics, serialize to CSV.
 
 One driver, ``_blocks``, is the only step loop; only the row engine differs.
-It advances one or more runs that share a target, start(s), ``iters`` and V
-floor side by side: a block is a (rows, runs, dim) array, one run per method
-spec, and holds no more rows x runs than a block of one run does.
+It advances one or more runs that share a target, start(s) and ``iters``
+side by side: a block is a (rows, runs, dim) array, one run per method spec,
+and holds no more rows x runs than a block of one run does.
 Quadratic targets advance in the eigenbasis so the recorded Lyapunov values
 keep full relative accuracy all the way down to underflow: the engine runs
 nothing but the recurrence z_{k+1} = a z_k + b z_{k-1}, a block of rows at a
@@ -14,9 +14,9 @@ update of ``methods`` for all runs in one set of ufunc calls
 and call the gradient oracle once per run and row, with no state beyond the
 last two iterates; a run takes no gradient at a row beyond the divergence
 threshold, so none is evaluated past its stop.  ``_blocks`` checks each
-finished block as arrays (non-finite rows, divergence, on quadratics the V
-floor), cutting each run at its first hit in the order a step-by-step loop
-would meet them, and hands each run's part on with its gap, distance and V,
+finished block as arrays (non-finite rows, divergence, the iters-th row),
+cutting each run at its first hit in the order a step-by-step loop would
+meet them, and hands each run's part on with its gap, distance and V,
 computed once per block from a two-row carry.  A run leaves the others at
 its stop; a run that fails raises once the runs before it have finished,
 so a batch raises what its runs, made one after another, would raise first.
@@ -65,7 +65,7 @@ class Trace:
     recorded iterate; ``lyapunov[k]`` is defined from k = 2 on (NaN before
     that).  ``certificate`` is the certificate whose (a, b) a quadratic run
     stepped, None on an objective.  ``run`` is the argument tuple (target,
-    spec, x0, iters, x1, v_floor) of the run, alone, that made the trace.
+    spec, x0, iters, x1) of the run, alone, that made the trace.
     A trace keeps no row: ``iterates`` is computed again by replaying
     ``run`` on every read.  The engines are deterministic (an objective's
     oracles are taken to be functions of their argument), so each read
@@ -97,26 +97,32 @@ class Trace:
         return rows @ target.eigvecs.T + target.minimizer
 
     def lyapunov_series(self) -> LyapunovSeries:
-        return LyapunovSeries(self.lyapunov[2:], self.distance)
+        return _lyapunov_series(self.lyapunov, self.distance)
+
+
+def _lyapunov_series(lyapunov, distance) -> LyapunovSeries:
+    """A run's series; only divergence ends a run before row 2, V's first."""
+    if len(distance) < 3:
+        raise ValueError(f"the run diverged at row {len(distance) - 1}, before V is defined")
+    return LyapunovSeries(lyapunov[2:], distance)
 
 
 def run_trace(target: Union[QuadraticProblem, Objective],
               spec: Union[MethodSpec, SpectralCertificate], x0: np.ndarray, iters: int, *,
-              x1: Optional[np.ndarray] = None, v_floor: Optional[float] = None) -> Trace:
+              x1: Optional[np.ndarray] = None) -> Trace:
     """Run ``iters`` recorded iterates (x0 included) and collect metrics.
 
     On a quadratic, ``spec`` may be ``analyze(spec, target.eigvals)`` itself.
     ``x1`` overrides the default equal start x_{-1} = x0 (under which the
-    first step of every method is a plain gradient step).  ``v_floor`` stops
-    a quadratic run once V drops below it, the showcase scenarios' floor.
-    Divergence (distance beyond ``DIVERGENCE_THRESHOLD``) stops the run and
-    flags the trace instead of raising.
+    first step of every method is a plain gradient step).  Divergence
+    (distance beyond ``DIVERGENCE_THRESHOLD``) stops the run and flags the
+    trace instead of raising.
     """
-    [trace] = _run_traces(target, (spec,), x0, iters, x1=x1, v_floor=v_floor)
+    [trace] = _run_traces(target, (spec,), x0, iters, x1=x1)
     return trace
 
 
-def _run_traces(target, specs, x0, iters: int, *, x1=None, v_floor=None) -> Iterator[Trace]:
+def _run_traces(target, specs, x0, iters: int, *, x1=None) -> Iterator[Trace]:
     """``run_trace`` of each of ``specs`` (a sequence) on one target from one
     start, the runs advanced side by side by one ``_blocks`` call.  The
     traces come in the order of ``specs``, each once it and those before it
@@ -129,13 +135,13 @@ def _run_traces(target, specs, x0, iters: int, *, x1=None, v_floor=None) -> Iter
     cols = [(array("d"), array("d"), array("d")) for _ in specs]
     # (diverged, certificate) of each complete run not yet handed out; r: the next
     done, r = {}, 0
-    for blk in _blocks(target, specs, x0, iters, x1, v_floor):
+    for blk in _blocks(target, specs, x0, iters, x1):
         _extend(cols[blk.run], (blk.objective_gap, blk.distance, blk.lyapunov))
         if blk.last:
             done[blk.run] = blk.diverged, blk.certificate
         while r in done:
             yield Trace(*map(np.frombuffer, cols[r]), *done.pop(r),
-                        (target, specs[r], x0, iters, x1, v_floor))
+                        (target, specs[r], x0, iters, x1))
             cols[r] = None
             r += 1
 
@@ -171,7 +177,7 @@ def _row_norms(Z: np.ndarray) -> np.ndarray:
     return np.sqrt(np.matmul(Z[..., None, :], Z[..., :, None])[..., 0, 0])
 
 
-def _blocks(target, specs, x0, iters: int, x1=None, v_floor=None) -> Iterator[_Block]:
+def _blocks(target, specs, x0, iters: int, x1=None) -> Iterator[_Block]:
     """The only step loop: advance the runs of ``specs`` side by side and
     yield each run's rows block by block, each checked and with its gap,
     distance and V, up to and including the run's stopping row.
@@ -200,8 +206,6 @@ def _blocks(target, specs, x0, iters: int, x1=None, v_floor=None) -> Iterator[_B
             raise ValueError("x1 must match x0's dimension")
         starts.append(x1)
     quadratic = isinstance(target, QuadraticProblem)
-    if v_floor is not None and not quadratic:
-        raise ValueError("v_floor applies to quadratic runs only")
     if not quadratic and any(isinstance(s, SpectralCertificate) for s in specs):
         raise ValueError("a certificate applies to quadratic runs only")
     if target.minimizer is None:
@@ -274,14 +278,11 @@ def _blocks(target, specs, x0, iters: int, x1=None, v_floor=None) -> Iterator[_B
             for pos, (r, mr) in enumerate(zip(alive, ends)):
                 # the run stops on the block's row ``stop`` (mr, the rows it
                 # made: it goes on) at the first row beyond the threshold (a
-                # start: at the last start), the iters-th row, or the first V
-                # below the floor
+                # start: at the last start) or the iters-th row
                 far = _first(dist[:mr, pos] > DIVERGENCE_THRESHOLD)
                 stop = max(far, len(starts) - 1 - n) if far < mr else mr
                 if n + mr == iters:
                     stop = min(stop, mr - 1)
-                if v_floor is not None:
-                    stop = min(stop, _first(v[:, pos] < v_floor))
                 k = min(stop + 1, mr)  # rows kept
                 # the first row up to the stop with a non-finite entry, or an
                 # objective value, raises (starts are not checked); only a

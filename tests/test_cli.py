@@ -285,7 +285,7 @@ class TestRunAndCheck:
         assert rc == 1
         assert re.fullmatch(r"rows=1 final_gap=\S+ final_distance=1e\+13 diverged=yes\n",
                             captured.out)
-        assert captured.err == "error: trace too short for a Lyapunov series\n"
+        assert captured.err == "error: the run diverged at row 0, before V is defined\n"
         assert read_trace_csv(out)["distance"].shape == (1,)
 
     def test_check_clean_trace(self, tmp_path, capsys):
@@ -876,6 +876,27 @@ class TestScenarioCommand:
         assert rc == 1
         assert re.fullmatch(r"error: non-finite [^\n]+\n", captured.err)
         assert captured.out == "" and os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("argv,err", [
+        (["fig1", "--x0-scale", "1e300"], "row 0"),
+        (["rosenbrock", "--x0-scale", "1e10"], "row 1"),
+    ], ids=["fig1-start", "rosenbrock-first-step"])
+    def test_divergence_before_v_is_named(self, tmp_path, capsys, argv, err):
+        # a run that diverges before row 2 has no V series; the error says so
+        rc = main(["scenario", *argv, "--out", str(tmp_path / "art")])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.err == f"error: the run diverged at {err}, before V is defined\n"
+        assert captured.out == "" and os.listdir(tmp_path) == []
+
+    def test_diverged_run_is_named_on_its_line(self, tmp_path, capsys):
+        # radius 1.1: the run goes to the divergence threshold, and says so
+        rc = main(["scenario", "quadratic", "--method", "hb", "--alpha", "0.0021",
+                   "--out", str(tmp_path / "art")])
+        out = capsys.readouterr().out.splitlines()
+        assert rc == 1
+        [line] = [ln for ln in out if ln.startswith("HB: ")]
+        assert re.fullmatch(r"HB: eligible=no radius=1\.1 rows=288 .* diverged=yes", line)
 
     def test_the_first_run_error_is_printed(self, tmp_path, capsys, monkeypatch):
         # HB's run fails on its first stepped row, NAG's alpha (1 + beta) lambda

@@ -13,7 +13,7 @@ import pytest
 from lyapcert import (HB, NAG, NAGGS, SCENARIOS, SUITABLE, TMM, MethodSpec,
                       ScenarioConfig, Trace, analyze, find_cosine_witness, find_tmm_witness,
                       generate_quadratic, optimal_hyperparams, parse_config_file,
-                      run_scenario)
+                      read_trace_csv, run_scenario)
 from lyapcert import scenarios, svgplot
 from lyapcert.cli import main
 from lyapcert.scenarios import _specs, _with_row
@@ -184,6 +184,38 @@ class TestQuadraticScenarios:
         assert fa == fb
 
 
+class TestSizedRuns:
+    """No stop but divergence and ``iters``: at their defaults quadratic and
+    nonoptimal run every method for exactly ``iters`` rows, which is room
+    enough for quadratic's eligible runs to take V below its floor."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 7919])
+    @pytest.mark.parametrize("name", ["quadratic", "nonoptimal"])
+    def test_every_method_runs_iters_rows(self, tmp_path, name, seed):
+        res = run_quick(name, tmp_path, seed=seed)
+        assert res.ok and all(res.verdicts.values())
+        iters = SCENARIOS[name][1]["iters"]
+        assert re.findall(r" rows=(\d+) ", report_text(res)) == [str(iters)] * 4
+        if name == "quadratic":
+            assert sorted(k for k in res.verdicts if k.endswith("_terminal_V_below_floor")) == [
+                "hb_terminal_V_below_floor", "nag_terminal_V_below_floor",
+                "naggs_terminal_V_below_floor"]
+
+    @pytest.mark.parametrize("seed", [0, 7919])
+    def test_slowest_start_reaches_the_floor(self, tmp_path, monkeypatch, seed):
+        # d = 2 from the lambda = mu coordinate: tuned NAG's V first falls
+        # below the floor on row 288, the latest of any small quadratic
+        def start(xstar, scale, seed):
+            return xstar + scale * generate_quadratic(2, 1.0, 1000.0, seed).eigvecs[:, 0]
+
+        monkeypatch.setattr(scenarios, "_x0", start)
+        res = run_quick("quadratic", tmp_path, dim=2, seed=seed)
+        assert res.ok and res.verdicts["nag_terminal_V_below_floor"]
+        v = read_trace_csv(tmp_path / "quadratic_nag_trace.csv")["lyapunov"]
+        assert v.shape == (SCENARIOS["quadratic"][1]["iters"],)
+        assert int(np.argmax(v < scenarios._V_FLOOR)) == 288
+
+
 class TestWitnessScenarios:
     def test_cosine_finds_violation(self, tmp_path):
         res = run_quick("cosine", tmp_path, iters=60)
@@ -336,33 +368,33 @@ DIGESTS = {
     },
     "quadratic": {
         "quadratic_distance.svg":
-            "6e76ddebc0c985fd7918fb7c703ede0bdc7ae0b63601f7e949a6d13778530092",
+            "c31e9f07717f4c888caaf2ca2174048348ccd001d3ac8f8f12628b7266263721",
         "quadratic_gap.svg":
-            "062a624d8fae12578032fb8da0c1b3a14c7a1507af8077b227f74948728779de",
+            "98a48e34ebb0e08f692c27cfd78af76e2ddd19f6f1f4e2fbe0f3e8cc9b8f4ee5",
         "quadratic_hb_certificate.csv":
             "85dc16e8186171380c0a84a42b512b42a12039e4523ef3b43944272e8f149cae",
         "quadratic_hb_certificate.txt":
             "e4bdf200c2d27317c321ef87e1cbabf042cf467d939b026b5a4c66c9ebae2b17",
         "quadratic_hb_trace.csv":
-            "a800b1c4c1b801676e1a69f7670da1a487730359ece89fc138df4755fbfe74d9",
+            "455631a6881523967c05b8ad750f1cd6f87ec485c485db0a74a92340866c1a37",
         "quadratic_lyapunov.svg":
-            "d26fee91979a2a4f5550f471d655dbaaa27fc1f6395008a2c6f05a8e90ee89d1",
+            "64094f8faec51aff47978aee46a1884f38eeb480d3c66dbff02eac9f573f3b0e",
         "quadratic_nag_certificate.csv":
             "0ddb3ad091cc1bc472599958d36438f21c846f6e6bc09787234a07690f818f53",
         "quadratic_nag_certificate.txt":
             "efaa8a3a8b5c1dc5efd1b28dc9dec477517737492d9dc59c69f6a311514d9d1d",
         "quadratic_nag_trace.csv":
-            "c41f75dda54b34fba8d09cd6e245b4ded149e7ad22a19c8cec808022bd8a672e",
+            "32112be3ddf5f9f32811d536c0fff7baecc0ffa4473207aafd96d53f3b751810",
         "quadratic_naggs_certificate.csv":
             "6855c9b840d2c27a46428908ad8aa243520a0e5c13e32ca3b09969f0a808ff8c",
         "quadratic_naggs_certificate.txt":
             "57d043a4481dce42e78f9ff05e7f29a02168af99a05f5194ad354dd1f750701f",
         "quadratic_naggs_trace.csv":
-            "5371926d8693cdacfdda7ad1cdb3c956e767c796d842f895e28b15f933846e49",
+            "57f7e4f48fb59dc190f7902dae3fa53cb540e44f4ca90a20c73ce4cf5f6a8060",
         "quadratic_overview.svg":
-            "2c0690306f86cded3c441467ca35a27231251b7b746e7156172ccd1c6b508235",
+            "16b0217e52f215766a34a4cbccd4033895bcbb0eaad41e7cc196cb4444cdd298",
         "quadratic_report.txt":
-            "3976a655dab640ee0fcba6e0d43dcd899c4a78fbd0c6c9c71421484058e9ef2d",
+            "bbe27c445c407760566516bfdb8d4e754b6c11cdf2dbf728bb570c4e28dabec9",
         "quadratic_spectrum.svg":
             "e3ee8314380800ed51cb6d823bb9368b677ac9b235b0a622cca657138165dfae",
         "quadratic_tmm_certificate.csv":
@@ -370,37 +402,37 @@ DIGESTS = {
         "quadratic_tmm_certificate.txt":
             "4da7b8001635b71654b4cd0ecdb80963c58e17e1f8e622a898317507591e4fc7",
         "quadratic_tmm_trace.csv":
-            "4e7352b5bfd4e6716c702ff8721c1eba6fba70a3e8d3cf24aff26e3955124870",
+            "b5ab71b3786468340a0c2679331e84f4921789412e70567e12a892a40a5a925c",
     },
     "nonoptimal": {
         "nonoptimal_distance.svg":
-            "b4eb44ef705df92fc12c235df577a5e1d5dfaa1b0b05fc5408d54b6b7d55742d",
+            "0426d563fff6014359eeda7ef97da45a65597abbd99852295f271608bd2dfa2c",
         "nonoptimal_gap.svg":
-            "00ace7644286d05172be4811d999e530e70fa6c423ef472d0885f5598855f394",
+            "80fcc3c62aa7e089f3246052c1d35ccc6e7925ebd6610117dab1560b5ccdf1e8",
         "nonoptimal_hb_certificate.csv":
             "ac3e6b8057050f3a1683968245d770b6451e7a208c07e772a1d49167ed0237b0",
         "nonoptimal_hb_certificate.txt":
             "2bd09503ce7e20bf4706b86cdc7df42f45e66691792da403ba9be41a1774d85d",
         "nonoptimal_hb_trace.csv":
-            "946de6ac599468236a77566999c27c46440464cd0972426a6f4f13dab422cd37",
+            "009b760e6ef7b71d8f7e962289176655fcbeb906d0d98169ce7c91bca84c92e6",
         "nonoptimal_lyapunov.svg":
-            "62992642651ab774bb6703f36456f6da1e675847b024c498bc39de3203912d51",
+            "ddb7a0b1e179af0ee77d2bc7415e18f18749ebb03860efd9bf96b9657228311b",
         "nonoptimal_nag_certificate.csv":
             "06b272ef0f14bafe0faa1aadde3e6841f632e94f1198aed0d055bc86c15cbdab",
         "nonoptimal_nag_certificate.txt":
             "eff6b33f15d946eefce13f73166e215c0224708f9c12cdf395ed92574bfb0b2e",
         "nonoptimal_nag_trace.csv":
-            "db922aa9f8f20bfa7103a0bd36e371ce911fb1e7d87298ea040a4519b9fb36a4",
+            "c2525797d49682a1d732e4f5fe8e6a613ab5540f52fb7b0ce26452a57af6df6d",
         "nonoptimal_naggs_certificate.csv":
             "276eaaf80394795240e8fa4161f146c78eb8d6dcc6e2a2cad1f9d7c1c18956de",
         "nonoptimal_naggs_certificate.txt":
             "5880b6ed346348e29b77c692f6e3f02c2f8132a7baecf626df6e2691d92fa08b",
         "nonoptimal_naggs_trace.csv":
-            "27edee9b0a031572798dffa5af28b2664f1cdf63ff68cd5c0655de684dbeae88",
+            "afcb0dea67440d6b3bc28a3121fae290adb226d4b6e2ae1642b4ea5eb05bcb98",
         "nonoptimal_overview.svg":
-            "378168104bdb01d2aea14227ff7937f9bcc0c89d7b0c23f3379e9068d586b0cd",
+            "57d97b7d4ff445d469c62d9fb843bd7623a453e62c8a8a21ec68993f8a23b4d2",
         "nonoptimal_report.txt":
-            "7e80d644cda023fea2b649eea26a9cc81633aa6e1d34d44e49ec431998d3c349",
+            "888cd589c722b71718cc7e7f943bc82974e8ba17d1b4d7760754f8132457b556",
         "nonoptimal_spectrum.svg":
             "862c44116244f5bf110942e86565ec135c1dcbd1e79f548c466b70378150729d",
         "nonoptimal_tmm_certificate.csv":
@@ -408,7 +440,7 @@ DIGESTS = {
         "nonoptimal_tmm_certificate.txt":
             "1c494b68313ff5dc52aeb2d163e910b9fbe785f35e9ec729820309b1baa6195b",
         "nonoptimal_tmm_trace.csv":
-            "71ac3315597d0b0ebf250eaaeec01bf44d984be87d41e0f68c16a9692d91639e",
+            "d1222743f06489a1116c9fe9c9fc98c057c5544720befd752e21779c679a5b42",
     },
     "convex-mu0": {
         "convex-mu0_distance.svg":

@@ -1,6 +1,7 @@
 import math
 import os
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -91,13 +92,15 @@ class TestRunTraceQuadratic:
         with pytest.raises(ValueError):
             run_trace(p, spec, x0, 20, x1=np.zeros(3))
 
-    def test_v_floor_stops_early(self):
+    def test_takes_no_v_floor(self):
+        # a run stops at divergence or at its iters-th row, nowhere else
         p = generate_quadratic(6, 1.0, 4.0, seed=2)
         spec = optimal_hyperparams(HB, 1.0, 4.0)
-        tr = run_trace(p, spec, offset_start(p, scale=10.0), 2000, v_floor=1e-6)
-        assert len(tr) < 2000
-        assert tr.lyapunov[-1] < 1e-6
-        assert np.nanmin(tr.lyapunov[:-1]) >= 1e-6
+        x0 = offset_start(p, scale=10.0)
+        with pytest.raises(TypeError, match="v_floor"):
+            run_trace(p, spec, x0, 2000, v_floor=1e-6)
+        tr = run_trace(p, spec, x0, 2000)
+        assert len(tr) == 2000 and len(tr.run) == 5
 
 
 class TestRunTraceObjective:
@@ -159,16 +162,13 @@ class TestMetricsPassBitIdentity:
         assert np.array_equal(tr.lyapunov, np.array(lyap), equal_nan=True)
 
     @pytest.mark.parametrize("kind", KINDS)
-    @pytest.mark.parametrize("variant", ["equal", "x1", "v_floor"])
+    @pytest.mark.parametrize("variant", ["equal", "x1"])
     def test_quadratic(self, kind, variant):
         p = generate_quadratic(37, 1.0, 50.0, seed=3)
         spec = optimal_hyperparams(kind, 1.0, 50.0)
         x0 = offset_start(p, seed=1, scale=3.0)
         x1 = offset_start(p, seed=2, scale=3.0) if variant == "x1" else None
-        v_floor = 1e-6 if variant == "v_floor" else None
-        tr = run_trace(p, spec, x0, 400, x1=x1, v_floor=v_floor)
-        if v_floor is not None:
-            assert len(tr) < 400 and tr.lyapunov[-1] < v_floor
+        tr = run_trace(p, spec, x0, 400, x1=x1)
         z = self.eigen_rows(p, spec, x0, x1, len(tr))
         gaps = [0.5 * float(np.sum(p.eigvals * r * r)) for r in z]
         self.assert_matches(tr, gaps, z, lambda k: float(np.sum(
@@ -206,11 +206,11 @@ class TestMetricsPassBitIdentity:
             assert np.array_equal(got, want, equal_nan=True)
 
 
-def per_step_reference(p, spec, x0, iters, x1=None, v_floor=None,
+def per_step_reference(p, spec, x0, iters, x1=None,
                        threshold=trace_module.DIVERGENCE_THRESHOLD):
     """The quadratic driver as one step at a time: each row is checked as it
-    is made (non-finite, then divergence, then the iteration count, then the
-    V floor), and the metrics and iterates come from the stored rows."""
+    is made (non-finite, then divergence, then the iteration count), and the
+    metrics and iterates come from the stored rows."""
     a, b = coefficient_arrays(spec, p.eigvals)
     q, xs = p.eigvecs, p.minimizer
     nstarts = 1 if x1 is None else 2
@@ -229,9 +229,6 @@ def per_step_reference(p, spec, x0, iters, x1=None, v_floor=None,
             if k + 1 < nstarts:
                 continue
             if diverged or len(rows) == iters:
-                break
-            if v_floor is not None and k >= 2 and np.sum(
-                    per_coordinate_V(rows[-1], rows[-2], rows[-3])) < v_floor:
                 break
         Z = np.vstack(rows)
         lyap = np.full(len(rows), np.nan)
@@ -292,18 +289,6 @@ class TestChunkedDriver:
             tr = run_trace(p, spec, x0, iters, x1=x1)
             assert len(tr) == iters
             self.assert_same(tr, per_step_reference(p, spec, x0, iters, x1=x1))
-
-    @pytest.mark.parametrize("with_x1", [False, True])
-    def test_v_floor_stop_rows(self, with_x1):
-        p, spec, x0, x1 = self.converging(with_x1)
-        V = per_step_reference(p, spec, x0, 3 * self.CHUNK, x1=x1)["lyapunov"]
-        for row in self.stop_rows(with_x1):
-            v_floor = np.min(V[2:row], initial=np.inf)
-            assert V[row] < v_floor
-            tr = run_trace(p, spec, x0, 3 * self.CHUNK, x1=x1, v_floor=v_floor)
-            assert len(tr) == row + 1 and not tr.diverged
-            self.assert_same(tr, per_step_reference(p, spec, x0, 3 * self.CHUNK,
-                                                    x1=x1, v_floor=v_floor))
 
     @pytest.mark.parametrize("with_x1", [False, True])
     def test_divergence_stop_rows(self, monkeypatch, with_x1):
@@ -377,17 +362,18 @@ class TestChunkedDriver:
             run_trace(p, spec, x0, 100, x1=x1)
         with pytest.raises(ValueError, match="non-finite"):
             per_step_reference(p, spec, x0, 100, x1=x1, threshold=1e151)
-        # rows 1e-170, -1e-10, 1e150, inf: a divergence or V-floor stop on
-        # row 2 returns normally, though the chunk went on to make row 3 (which
-        # is beyond the threshold too, but after the stop)
+        # rows 1e-170, -1e-10, 1e150, inf: a divergence stop on row 2, with
+        # row 1 far within the threshold or just within it, returns normally,
+        # though the chunk went on to make row 3 (which is beyond the
+        # threshold too, but after the stop)
         p, spec, x0, x1 = self.one_step_overflow(
             1e-170, (1.0 - 1e160) * 1e-170 if with_x1 else None)
-        for kw, diverged in ((dict(threshold=1e100), True),
-                             (dict(threshold=1e200, v_floor=1e-30), False)):
-            monkeypatch.setattr(trace_module, "DIVERGENCE_THRESHOLD", kw["threshold"])
-            tr = run_trace(p, spec, x0, 100, x1=x1, v_floor=kw.get("v_floor"))
-            assert len(tr) == 3 and tr.diverged == diverged
-            self.assert_same(tr, per_step_reference(p, spec, x0, 100, x1=x1, **kw))
+        for threshold in (1e100, 2e-10):
+            monkeypatch.setattr(trace_module, "DIVERGENCE_THRESHOLD", threshold)
+            tr = run_trace(p, spec, x0, 100, x1=x1)
+            assert len(tr) == 3 and tr.diverged
+            self.assert_same(tr, per_step_reference(p, spec, x0, 100, x1=x1,
+                                                    threshold=threshold))
 
     @pytest.mark.parametrize("with_x1", [False, True])
     @pytest.mark.parametrize("start", [1e150, math.inf])
@@ -401,10 +387,10 @@ class TestChunkedDriver:
         self.assert_same(tr, per_step_reference(p, spec, x0, 100, x1=x1, threshold=1e100))
 
     def test_huge_iters_with_early_stop(self):
-        p, spec, x0, _ = self.converging(False)
-        tr = run_trace(p, spec, x0, 10 ** 9, v_floor=1e-6)
-        assert len(tr) < 100
-        self.assert_same(tr, per_step_reference(p, spec, x0, 10 ** 9, v_floor=1e-6))
+        p, spec, x0, _ = self.diverging(False)
+        tr = run_trace(p, spec, x0, 10 ** 9)
+        assert len(tr) < 100 and tr.diverged
+        self.assert_same(tr, per_step_reference(p, spec, x0, 10 ** 9))
 
 
 def oracle_reference(obj, spec, x0, iters, x1=None,
@@ -439,12 +425,6 @@ class TestRowsOnRead:
             assert np.array_equal(iterates, ref["iterates"], equal_nan=True)
         assert np.array_equal(trace_rows(tr), ref["eigen"], equal_nan=True)
         assert len(tr) == ref["rows"] and tr.diverged == ref["diverged"]
-
-    def test_v_floor_stop(self):
-        p, spec, x0, _ = TestChunkedDriver.converging(False)
-        tr = run_trace(p, spec, x0, 2000, v_floor=1e-6)
-        assert len(tr) < 2000 and not tr.diverged
-        self.assert_replayed(tr, per_step_reference(p, spec, x0, 2000, v_floor=1e-6))
 
     @pytest.mark.parametrize("start,second,rows", [
         (1e150, None, 1), (1e150, 1.0, 2), (1e-170, (1.0 - 1e160) * 1e-170, 3)])
@@ -757,15 +737,6 @@ class TestOracleBlocks:
         monkeypatch.setattr(trace_module, "_CHUNK", 1)
         self.assert_same(tr, rows, run_trace(quadratic_objective(p), spec, x0, 1300, x1=x1))
 
-    def test_v_floor_is_refused(self):
-        # the V floor stops quadratic runs only; an objective run has none
-        p = generate_quadratic(4, 1.0, 10.0, seed=2)
-        obj, calls = self.counting(p)
-        with pytest.raises(ValueError, match="v_floor applies to quadratic runs only"):
-            run_trace(obj, MethodSpec(HB, alpha=0.1, beta=0.5), offset_start(p, seed=1),
-                      100, v_floor=1e-8)
-        assert calls == []
-
     def test_non_finite_gradient_raises(self):
         p = generate_quadratic(3, 1.0, 10.0, seed=2)
         obj = quadratic_objective(p)
@@ -886,15 +857,14 @@ def solo_outcome(target, specs, x0, iters, **kw):
         return (type(exc), str(exc))
 
 
-def batch_outcome(target, specs, x0, iters, x1=None, v_floor=None):
+def batch_outcome(target, specs, x0, iters, x1=None):
     """The traces of one batched call and the rows each run had in its
     blocks, or the error raised (type and message).  A block's rows are
     valid until the next block is drawn, so each is copied as it comes."""
     try:
-        traces = list(trace_module._run_traces(target, specs, x0, iters, x1=x1,
-                                               v_floor=v_floor))
+        traces = list(trace_module._run_traces(target, specs, x0, iters, x1=x1))
         rows = [[] for _ in specs]
-        for blk in trace_module._blocks(target, specs, x0, iters, x1, v_floor):
+        for blk in trace_module._blocks(target, specs, x0, iters, x1):
             rows[blk.run].append(blk.rows.copy())
         return traces, [np.concatenate(r) for r in rows]
     except ValueError as exc:
@@ -919,9 +889,9 @@ class TestBatchedRuns:
     QUADRATIC = generate_quadratic(5, 1.0, 10.0, seed=3)
 
     @staticmethod
-    def assert_same(target, specs, x0, iters, x1=None, v_floor=None):
-        want = solo_outcome(target, specs, x0, iters, x1=x1, v_floor=v_floor)
-        got = batch_outcome(target, specs, x0, iters, x1, v_floor)
+    def assert_same(target, specs, x0, iters, x1=None):
+        want = solo_outcome(target, specs, x0, iters, x1=x1)
+        got = batch_outcome(target, specs, x0, iters, x1)
         if isinstance(want, tuple):
             assert got == want
             return None
@@ -938,11 +908,15 @@ class TestBatchedRuns:
 
     @given(specs=st.lists(method_specs(), min_size=1, max_size=4),
            iters=st.integers(3, 700), x1=st.booleans(),
-           v_floor=st.sampled_from([None, 1e-3, 1e-8]), scale=st.floats(0.1, 20.0))
-    def test_quadratic(self, specs, iters, x1, v_floor, scale):
+           threshold=st.sampled_from([trace_module.DIVERGENCE_THRESHOLD, 1e3, 30.0]),
+           scale=st.floats(0.1, 20.0))
+    def test_quadratic(self, specs, iters, x1, threshold, scale):
+        # a low threshold stops diverging runs in their first blocks, and
+        # may stop a run at a start
         p = self.QUADRATIC
         x0 = offset_start(p, seed=1, scale=scale)
-        self.assert_same(p, specs, x0, iters, offset_start(p, seed=2) if x1 else None, v_floor)
+        with mock.patch.object(trace_module, "DIVERGENCE_THRESHOLD", threshold):
+            self.assert_same(p, specs, x0, iters, offset_start(p, seed=2) if x1 else None)
 
     @given(specs=st.lists(method_specs(), min_size=1, max_size=4),
            iters=st.integers(3, 400), rosenbrock=st.booleans(), scale=st.floats(0.05, 3.0))
@@ -952,12 +926,12 @@ class TestBatchedRuns:
         self.assert_same(obj, specs, x0, iters)
 
     @staticmethod
-    def last_blocks(target, specs, x0, iters, v_floor=None):
+    def last_blocks(target, specs, x0, iters):
         """For each run, the round of blocks (one block per run going on)
         holding its last block, that block's rows, and the most rows a block
         of that round has."""
         rounds, prev, last, most = 0, len(specs), {}, {}
-        for blk in trace_module._blocks(target, specs, x0, iters, None, v_floor):
+        for blk in trace_module._blocks(target, specs, x0, iters):
             rounds += blk.run <= prev
             prev = blk.run
             most[rounds] = max(most.get(rounds, 0), len(blk.rows))
@@ -965,16 +939,16 @@ class TestBatchedRuns:
                 last[blk.run] = (rounds, len(blk.rows))
         return [(r, rows, most[r]) for r, rows in (last[i] for i in range(len(specs)))]
 
-    def test_v_floor_stops_in_different_blocks(self):
-        # tuned HB, tuned NAG and HB tuned for a wider spectrum contract ever
-        # more slowly: three stops in three different blocks
+    def test_divergence_stops_in_different_blocks(self):
+        # gradient steps just past 2/L: the top coordinate's root -1.1,
+        # -1.05 or -1.02 grows ever more slowly, so the runs diverge in
+        # three different blocks
         p = generate_quadratic(6, 1.0, 100.0, seed=3)
-        specs = [optimal_hyperparams(HB, 1.0, 100.0), optimal_hyperparams(NAG, 1.0, 100.0),
-                 optimal_hyperparams(HB, 0.1, 100.0)]
+        specs = [MethodSpec(HB, alpha=alpha) for alpha in (0.021, 0.0205, 0.0202)]
         x0 = offset_start(p, seed=4, scale=5.0)
-        want = self.assert_same(p, specs, x0, 5000, v_floor=1e-60)
-        assert all(len(tr) < 5000 and tr.lyapunov[-1] < 1e-60 for tr in want)
-        ends = self.last_blocks(p, specs, x0, 5000, v_floor=1e-60)
+        want = self.assert_same(p, specs, x0, 5000)
+        assert all(len(tr) < 5000 and tr.diverged for tr in want)
+        ends = self.last_blocks(p, specs, x0, 5000)
         assert len({r for r, _, _ in ends}) == 3
 
     def test_divergence_mid_block_takes_the_solo_gradients(self):
