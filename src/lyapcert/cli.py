@@ -26,8 +26,8 @@ from .lyapunov import check_monotone
 from .methods import HB, NAG, NAGGS, TMM, MethodSpec, optimal_hyperparams
 from .problems import (_require_spectrum, generate_quadratic, load_problem,
                        save_problem)
-from .scenarios import (SCENARIOS, ScenarioConfig, _NeedsAlpha, _require_finite_scale,
-                        _x0, parse_config_file, run_scenario)
+from .scenarios import (SCENARIOS, ScenarioConfig, _Refused, _require_finite_scale, _x0,
+                        parse_config_file, run_scenario)
 from .spectral import (DEFAULT_TOL, _require_tolerance, analyze, certificate_csv_text,
                        certificate_report_text)
 from .trace import _blocks, _lyapunov_series, _stream_csv, series_from_csv
@@ -200,16 +200,10 @@ def _cmd_scenario(o: dict) -> int:
     name = o.pop("scenario")
     if name is None:
         raise UsageError("missing scenario name")
-    if name not in SCENARIOS:
-        known = ", ".join(sorted(SCENARIOS))
-        raise UsageError(f"unknown scenario {name!r} (known: {known})")
     if o["out"] is None:
         o["out"] = os.path.join("artifacts", name)
     cfg = ScenarioConfig(name=name, **{k.replace("-", "_"): v for k, v in o.items()})
-    try:
-        result = run_scenario(cfg)
-    except _NeedsAlpha as exc:  # a lone --beta or --gamma is a usage error (exit 2)
-        raise UsageError(str(exc)) from None
+    result = run_scenario(cfg)
     with open(result.report_path, "r", encoding="utf-8") as fh:
         sys.stdout.write(fh.read())
     print(f"artifacts: {len(result.artifacts)} files in {cfg.out}")
@@ -292,7 +286,7 @@ def main(argv=None) -> int:
             raise UsageError(f"{args.command} does not read config "
                              f"key{'s' * (len(unread) > 1)} {', '.join(unread)}")
         return handler(_resolve(args, config, row, positional))
-    except UsageError as exc:
+    except (UsageError, _Refused) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, OSError) as exc:

@@ -56,10 +56,11 @@ class MonotonicityReport:
     left_out: int
 
     def describe(self) -> str:
-        rate = f"max ratio {self.max_ratio:.6g}"
+        counted = not math.isnan(self.max_ratio)
+        rate = f"max ratio {self.max_ratio:.6g}" if counted else "no step counted for a max ratio"
         left = f", {self.left_out} steps within roundoff left out" if self.left_out else ""
         if self.monotone:
-            return f"monotone decrease: yes ({rate} over positive values{left})"
+            return f"monotone decrease: yes ({rate}{' over positive values' * counted}{left})"
         if not self.index.size:
             return "monotone decrease: NO (non-finite V or distance)"
         return (

@@ -428,25 +428,25 @@ SCENARIOS = {
 }
 
 
-class _NeedsAlpha(ValueError):
-    """A scenario was given beta or gamma without alpha."""
+class _Refused(ValueError):
+    """A scenario setting refused before anything runs: a usage error."""
 
 
 def _with_row(cfg: ScenarioConfig) -> ScenarioConfig:
     """``cfg`` with each unset setting of its scenario's row at the row's
-    default; a set field outside the row is refused, naming its flag, and so
-    is beta or gamma without alpha (``_NeedsAlpha``), before anything runs."""
+    default; an unknown name, a set field outside the row (named by its
+    flag) and beta or gamma without alpha are ``_Refused`` before anything runs."""
     if cfg.name not in SCENARIOS:
         known = ", ".join(sorted(SCENARIOS))
-        raise ValueError(f"unknown scenario {cfg.name!r} (known: {known})")
+        raise _Refused(f"unknown scenario {cfg.name!r} (known: {known})")
     row = SCENARIOS[cfg.name][1]
     unread = [f"--{key.replace('_', '-')}" for key, value in vars(cfg).items()
               if value is not None and key not in (*row, "name", "out", "seed")]
     if unread:
-        raise ValueError(f"scenario {cfg.name} does not take {', '.join(unread)}")
+        raise _Refused(f"scenario {cfg.name} does not take {', '.join(unread)}")
     for key in ("beta", "gamma"):  # without alpha a scenario runs its own values
         if getattr(cfg, key) is not None and cfg.alpha is None:
-            raise _NeedsAlpha(f"--{key} needs --alpha")
+            raise _Refused(f"--{key} needs --alpha")
     return replace(cfg, **{k: v for k, v in row.items() if getattr(cfg, k) is None})
 
 

@@ -17,9 +17,9 @@ threshold, so none is evaluated past its stop.  ``_blocks`` checks each
 finished block as arrays (non-finite rows, divergence, the iters-th row),
 cutting each run at its first hit in the order a step-by-step loop would
 meet them, and hands each run's part on with its gap, distance and V,
-computed once per block from a two-row carry.  A run leaves the others at
-its stop; a run that fails raises once the runs before it have finished,
-so a batch raises what its runs, made one after another, would raise first.
+computed once per block from a two-row carry.  A run's lane idles from its
+stop; a run that fails raises once the runs before it have finished, so a
+batch raises what its runs, made one after another, would raise first.
 A ``_blocks`` call allocates one rows buffer and the work arrays of the
 metrics once: each engine writes every block into that buffer, below the
 carry copied to its top, and the metrics are computed into the work arrays
@@ -186,15 +186,15 @@ def _blocks(target, specs, x0, iters: int, x1=None) -> Iterator[_Block]:
     ``analyze``; a certificate may stand in for its spec if its ``lambda_w``
     is the target's ``eigvals``, bitwise.
 
-    A run leaves the others at its stop.  A run that fails (its certificate,
-    or a non-finite iterate or objective value) leaves too, and its error is
-    raised once no run before it is still going: the error that the runs,
-    made one after another, would raise first.  An exception raised by an
-    oracle itself goes up at once.
+    Run r keeps lane r of every block, to the call's end; a run that stops,
+    or fails (its certificate, or a non-finite iterate or objective value),
+    leaves it idle.  A failed run's error is raised once no run before it
+    is still going: the error that the runs, made one after another, would
+    raise first.  An exception raised by an oracle itself goes up at once.
 
-    Every block is written into one rows buffer, allocated with the metric
-    work arrays once per call, so a block's ``rows`` are valid until the
-    next block is drawn; its metric columns are new arrays.
+    Every block is written into one rows buffer, allocated in block shape
+    with the metric work arrays once per call, so a block's ``rows`` are
+    valid until the next block is drawn; its metric columns are new arrays.
     """
     if iters < 3:
         raise ValueError("iters must be >= 3 so V is defined at least once")
@@ -217,7 +217,7 @@ def _blocks(target, specs, x0, iters: int, x1=None) -> Iterator[_Block]:
     # and no gradient is taken past the stopping row: the oracle engine stops
     # a run at a row beyond the threshold
     failed = {}  # run -> the error that ended it
-    certs = {}  # run -> its certificate, on a quadratic
+    certs = [None] * len(specs)  # each run's certificate, on a quadratic
     if quadratic:
         for r, spec in enumerate(specs):
             try:
@@ -228,35 +228,30 @@ def _blocks(target, specs, x0, iters: int, x1=None) -> Iterator[_Block]:
                 certs[r] = cert
             except ValueError as exc:
                 failed[r] = exc
-        if 0 in failed:  # the first run fails before its first row
-            raise failed[0]
-        alive = list(certs)  # the engine's runs, in order
-        first, advance = _eigenbasis_engine(target, list(certs.values()), starts)
+        first, advance = _eigenbasis_engine(target, certs, starts)
     else:
-        alive = list(range(len(specs)))
         first, advance = _oracle_engine(target, [_family(s) for s in specs], starts)
         f_star = float(target.value(xs))
 
-    n, keep = 0, None  # rows recorded before this block; the runs going on
-    ends = [len(starts)] * len(alive)  # the rows each run has in the block
+    going = [r for r in range(len(specs)) if r not in failed]  # the runs going on
+    n = 0  # rows recorded before this block
+    ends = [len(starts)] * len(specs)  # the rows each run has in the block
+    step = max(1, _CHUNK // len(specs))  # the rows of a block after the starts
     # one rows buffer and the metric work arrays (two products of the V
-    # terms, then the gap's; an objective's centred rows), with room for the
-    # call's widest block, of all runs; each block is a view into them,
-    # reshaped once runs have stopped
-    size = (max(_CHUNK, len(alive)) + 2 * len(alive)) * target.dim
-    bufs = [np.empty(size) for _ in range(3 if quadratic else 4)]
+    # terms, then the gap's; an objective's centred rows) in the call's block
+    # shape, a lane per run; each block is a view of their top rows
+    bufs = [np.empty((step + 2, len(specs), target.dim)) for _ in range(3 if quadratic else 4)]
     while True:
-        if failed and (not alive or min(failed) < alive[0]):
+        if failed and (not going or min(failed) < going[0]):
             raise failed[min(failed)]
-        if not alive:
+        if not going:
             return
-        shape = (min(max(1, _CHUNK // len(alive)), iters - n) + 2, len(alive), target.dim)
-        rows, t1, t2, *wz = (b[:math.prod(shape)].reshape(shape) for b in bufs)
+        rows, t1, t2, *wz = (b[:min(step, iters - n) + 2] for b in bufs)
         # rows past a stop may overflow; they are cut before any output.
         # No yield inside: the error state must not leak to the consumer.
         with np.errstate(over="ignore", invalid="ignore"):
             if n:  # the block, after rows n-2 and n-1 (x_{-1} = x0 for one start)
-                W, ends = advance(rows, keep)
+                W, ends = advance(rows, going)
             else:
                 W = rows[:len(starts)]
                 W[...] = first
@@ -274,12 +269,13 @@ def _blocks(target, specs, x0, iters: int, x1=None) -> Iterator[_Block]:
             if quadratic:
                 gaps = np.multiply(target.eigvals, Z, out=t1[:m])  # (eigvals * Z) * Z
                 gaps = 0.5 * np.sum(np.multiply(gaps, Z, out=gaps), axis=-1)
-            out, keep = [], []
-            for pos, (r, mr) in enumerate(zip(alive, ends)):
+            out, on = [], []
+            for r in going:
+                mr = ends[r]
                 # the run stops on the block's row ``stop`` (mr, the rows it
                 # made: it goes on) at the first row beyond the threshold (a
                 # start: at the last start) or the iters-th row
-                far = _first(dist[:mr, pos] > DIVERGENCE_THRESHOLD)
+                far = _first(dist[:mr, r] > DIVERGENCE_THRESHOLD)
                 stop = max(far, len(starts) - 1 - n) if far < mr else mr
                 if n + mr == iters:
                     stop = min(stop, mr - 1)
@@ -288,29 +284,27 @@ def _blocks(target, specs, x0, iters: int, x1=None) -> Iterator[_Block]:
                 # objective value, raises (starts are not checked); only a
                 # row with a non-finite norm can hold a non-finite entry
                 bad = k
-                if n and not (np.isfinite(dist[:k, pos]).all() or np.isfinite(Z[:k, pos]).all()):
-                    bad = _first(~np.isfinite(Z[:k, pos]).all(axis=-1))
+                if n and not (np.isfinite(dist[:k, r]).all() or np.isfinite(Z[:k, r]).all()):
+                    bad = _first(~np.isfinite(Z[:k, r]).all(axis=-1))
                     failed[r] = ValueError("non-finite iterate produced")
                 if quadratic:
-                    gap = gaps[:k, pos]
+                    gap = gaps[:k, r]
                 else:
-                    values = [float(target.value(x)) for x in block[:bad, pos]]
+                    values = [float(target.value(x)) for x in block[:bad, r]]
                     if not all(map(math.isfinite, values)):
                         failed[r] = ValueError("non-finite objective value from the oracle")
                     gap = np.array(values) - f_star
                 if r in failed:
                     continue
-                out.append(_Block(r, block[:k, pos], gap, dist[:k, pos], v[:k, pos],
+                out.append(_Block(r, block[:k, r], gap, dist[:k, r], v[:k, r],
                                   last=stop < mr, diverged=far <= stop < mr,
-                                  certificate=certs.get(r)))
+                                  certificate=certs[r]))
                 if stop == mr:
-                    keep.append(pos)
-        if not keep:  # no run goes on: the work arrays go before the last blocks are read
+                    on.append(r)
+        if not on:  # no run goes on: the work arrays go before the last blocks are read
             del bufs, t1, t2, wz, Wz, Z, z_k
         yield from out
-        alive = [alive[pos] for pos in keep]
-        if len(keep) == len(ends):
-            keep = None
+        going = on
         n += m
 
 
@@ -331,25 +325,26 @@ def _lyapunov_rows(z_km2: np.ndarray, z_km1: np.ndarray, z_k: np.ndarray,
 
 def _eigenbasis_engine(p: QuadraticProblem, certs: list, starts):
     """Centred eigen-coordinates of the starts, for each run of the
-    certificates ``certs`` (one per run), and ``advance(rows, keep)``: for
-    the runs at positions ``keep`` (all when None), the last two rows so
-    far, then the next rows of a z_k + b z_{k-1}, written into ``rows`` (a
+    certificates ``certs`` (one per run; None for a run that failed, which
+    steps zero coefficients), and ``advance(rows, going)``: the last two rows
+    so far, then the next rows of a z_k + b z_{k-1}, written into ``rows`` (a
     (n + 2, runs, dim) array: the one buffer a ``_blocks`` call fills block
-    after block); with the rows each run made (all n).  ``ba`` holds the
-    certificates' columns as (b|a, run, coordinate)."""
-    ba = np.stack([(c.per_coordinate.b, c.per_coordinate.a) for c in certs], axis=1)
+    after block); with the rows each run made (all n): every lane, a stopped
+    run's too.  ``ba`` holds the certificates' columns as (b|a, run,
+    coordinate)."""
+    zero = np.zeros(p.dim)
+    ba = np.stack([(c.per_coordinate.b, c.per_coordinate.a) if c else (zero, zero)
+                   for c in certs], axis=1)
     first = np.stack([p.eigvecs.T @ (x - p.minimizer) for x in starts])
     first = np.repeat(first[:, None], len(certs), axis=1)
     last = first[[0, -1]]  # z_{k-1}, z_k
     work = np.empty_like(ba)
+    bz, az = work
 
-    def advance(rows: np.ndarray, keep) -> tuple:
+    def advance(rows: np.ndarray, going) -> tuple:
         # row k+1 = b z_{k-1} + a z_k from the window (z_{k-1}, z_k) above
         # it: each product and the sum rounded once, as in a z_k + b z_{k-1}
-        nonlocal ba, last, work
-        if keep is not None:
-            ba, last, work = ba[:, keep], last[:, keep], work[:, keep]
-        bz, az = work
+        nonlocal last
         rows[:2] = last  # the carry: the last block's bottom rows, in this buffer
         n = rows.shape[0] - 2
         pairs = np.ndarray((n, 2) + rows.shape[1:], buffer=rows,
@@ -365,43 +360,41 @@ def _eigenbasis_engine(p: QuadraticProblem, certs: list, starts):
 
 def _oracle_engine(obj: Objective, families: list, starts):
     """The starts, for each run of the family members ``families`` (an
-    (alpha, beta, gamma) per run), and ``advance(rows, keep)``: for the runs
-    at positions ``keep`` (all when None), the last two iterates so far,
-    then the next method steps through the gradient oracle, written into
-    ``rows`` (a (n + 2, runs, dim) array: the one buffer a ``_blocks`` call
-    fills block after block); with the rows each run made.  A run takes no
-    gradient at a row whose distance from the minimizer is not within the
-    threshold: its rows end there, and the block ends where no run is left."""
+    (alpha, beta, gamma) per run), and ``advance(rows, going)``: the last two
+    iterates so far, then the next method steps through the gradient oracle,
+    written into ``rows`` (a (n + 2, runs, dim) array: the one buffer a
+    ``_blocks`` call fills block after block); with the rows each run made.
+    Only the runs ``going`` take gradients, each up to a row whose distance
+    from the minimizer is not within the threshold: its rows end there, and
+    the block ends where no run is left."""
     xs = np.asarray(obj.minimizer, dtype=float)
     first = np.repeat(np.stack(starts)[:, None], len(families), axis=1)
     # one coefficient per entry: same-shape ufuncs, cheaper than broadcasting;
     # and no in-place ufunc, slow on one-entry rows
     al, be, ga = np.array(families).T[:, :, None].repeat(xs.shape[0], axis=2)
     prev, cur = first[0], first[-1]
+    grad = np.zeros_like(cur)
 
-    def advance(rows: np.ndarray, keep) -> tuple:
+    def advance(rows: np.ndarray, going) -> tuple:
         # x_{k+1} = x_k + beta d_k - alpha grad f(x_k + gamma d_k), the
         # family update of ``methods``, for all runs at once; the oracle
-        # once per run
-        nonlocal al, be, ga, prev, cur
-        if keep is not None:
-            al, be, ga, prev, cur = (a[keep] for a in (al, be, ga, prev, cur))
+        # once per run going on
+        nonlocal prev, cur
         rows[0], rows[1] = prev, cur  # prev is read before row 1 is written
         prev, cur = rows[0], rows[1]
-        grad = np.empty_like(cur)
-        live = list(range(cur.shape[0]))
-        ends = [rows.shape[0] - 2] * len(live)
+        live = list(going)
+        ends = [rows.shape[0] - 2] * len(families)
         for i, row in enumerate(rows[2:]):
             d = cur - prev
             y = ga * d + cur
             z = cur - xs  # the rows above the block were judged by the driver
-            for pos in live[:]:
-                zr = z[pos]
+            for r in live[:]:
+                zr = z[r]
                 if i and not math.sqrt(zr.dot(zr)) <= DIVERGENCE_THRESHOLD:
-                    live.remove(pos)
-                    ends[pos] = i
+                    live.remove(r)
+                    ends[r] = i
                 else:
-                    grad[pos] = obj.gradient(y[pos])
+                    grad[r] = obj.gradient(y[r])
             if not live:
                 return rows[:i + 2], ends
             np.subtract(be * d + cur, al * grad, out=row)

@@ -851,11 +851,12 @@ class TestScenarioCommand:
 
     @pytest.mark.parametrize("name,flag", UNREAD, ids=[f"{n}--{f}" for n, f in UNREAD])
     def test_unread_flag_is_refused(self, tmp_path, capsys, name, flag):
-        # refused before anything runs, not run with the scenario's own value
+        # a usage error, refused before anything runs, not run with the
+        # scenario's own value
         value = ROW_FLAGS[flag]
         out = tmp_path / "art"
         argv = ["scenario", name, f"--{flag}", *([value] if value else []), "--out", str(out)]
-        assert main(argv) == 1
+        assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.err == f"error: scenario {name} does not take --{flag}\n"
         assert captured.out == "" and not out.exists()
@@ -863,7 +864,7 @@ class TestScenarioCommand:
     def test_unread_config_key_is_refused(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("scenario = cosine\ndim = 5\nmu = 3\n", encoding="utf-8")
-        assert main(["scenario", "--config", str(cfg), "--out", str(tmp_path / "art")]) == 1
+        assert main(["scenario", "--config", str(cfg), "--out", str(tmp_path / "art")]) == 2
         captured = capsys.readouterr()
         assert captured.err == "error: scenario cosine does not take --dim, --mu\n"
         assert captured.out == "" and not (tmp_path / "art").exists()
@@ -919,10 +920,12 @@ class TestScenarioCommand:
         assert any(ln.startswith(line) for ln in out.splitlines())
         assert "verdict violation_found: FAIL\n" in out
 
-    def test_unknown_scenario(self, capsys):
-        rc = main(["scenario", "nope"])
+    def test_unknown_scenario(self, tmp_path, capsys):
+        rc = main(["scenario", "nope", "--out", str(tmp_path / "art")])
         assert rc == 2
-        assert "unknown scenario" in capsys.readouterr().err
+        known = ", ".join(sorted(SCENARIOS))
+        assert capsys.readouterr().err == f"error: unknown scenario 'nope' (known: {known})\n"
+        assert os.listdir(tmp_path) == []
 
     def test_missing_name(self, capsys):
         rc = main(["scenario"])

@@ -205,6 +205,19 @@ class TestCheckMonotone:
         nan_rep = check_monotone(flat([-1.0, -2.0]))
         assert math.isnan(nan_rep.max_ratio)
 
+    @pytest.mark.parametrize("series,line", [
+        (flat([-1.0, -2.0]), "yes (no step counted for a max ratio)"),
+        (LyapunovSeries(values=[1e-30, 5e-31], distance=np.ones(4)),
+         "yes (no step counted for a max ratio, 1 steps within roundoff left out)"),
+        (flat([math.inf, 0.5]), "NO (1 violations); first at k=2: V=inf -> 0.5 (excess nan); "
+                                "no step counted for a max ratio"),
+    ], ids=["yes", "yes-left-out", "NO"])
+    def test_no_counted_step_reads_no_nan(self, series, line):
+        # every V_k is within roundoff, negative or not finite: no ratio
+        rep = check_monotone(series)
+        assert math.isnan(rep.max_ratio)
+        assert rep.describe() == f"monotone decrease: {line}"
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_value_is_not_monotone(self, bad):
         for vals in ([1.0, bad, 2.0], [bad, 1.0], [1.0, bad], [bad]):

@@ -939,7 +939,24 @@ class TestBatchedRuns:
                 last[blk.run] = (rounds, len(blk.rows))
         return [(r, rows, most[r]) for r, rows in (last[i] for i in range(len(specs)))]
 
-    def test_divergence_stops_in_different_blocks(self):
+    @staticmethod
+    def advance_shapes(monkeypatch):
+        """A list that takes the shape of the rows array of every block the
+        eigenbasis engine steps from now on."""
+        shapes, engine = [], trace_module._eigenbasis_engine
+
+        def recording(*args):
+            first, advance = engine(*args)
+
+            def recorded(rows, going):
+                shapes.append(rows.shape)
+                return advance(rows, going)
+            return first, recorded
+
+        monkeypatch.setattr(trace_module, "_eigenbasis_engine", recording)
+        return shapes
+
+    def test_divergence_stops_in_different_blocks(self, monkeypatch):
         # gradient steps just past 2/L: the top coordinate's root -1.1,
         # -1.05 or -1.02 grows ever more slowly, so the runs diverge in
         # three different blocks
@@ -947,9 +964,21 @@ class TestBatchedRuns:
         specs = [MethodSpec(HB, alpha=alpha) for alpha in (0.021, 0.0205, 0.0202)]
         x0 = offset_start(p, seed=4, scale=5.0)
         want = self.assert_same(p, specs, x0, 5000)
-        assert all(len(tr) < 5000 and tr.diverged for tr in want)
+        assert [len(tr) for tr in want] == [284, 553, 1361] and all(tr.diverged for tr in want)
         ends = self.last_blocks(p, specs, x0, 5000)
         assert len({r for r, _, _ in ends}) == 3
+        # each run keeps its lane to the end: after the first stop (row 283)
+        # and the second (row 552), every block still has a full block's
+        # rows for all three lanes, up to the last stop (row 1360) or until
+        # iters cuts the last block (rows 1 to 999)
+        step = max(1, trace_module._CHUNK // 3)
+        full, (blocks, rest) = (step + 2, 3, 6), divmod(999, step)
+        shapes = self.advance_shapes(monkeypatch)
+        for iters, expected in ((5000, [full] * -(-1360 // step)),
+                                (1000, [full] * blocks + [(rest + 2, 3, 6)])):
+            shapes.clear()
+            list(trace_module._blocks(p, specs, x0, iters))
+            assert shapes == expected
 
     def test_divergence_mid_block_takes_the_solo_gradients(self):
         p = generate_quadratic(4, 1.0, 10.0, seed=2)
@@ -1008,6 +1037,19 @@ class TestBatchedRuns:
                                    ([overflow, foreign], "non-finite iterate produced")):
                 assert solo_outcome(p, specs, x0, 100) == (ValueError, message)
                 self.assert_same(p, specs, x0, 100)
+        # a run whose certificate failed keeps its lane, stepped with zero
+        # coefficients: the run before it is handed out whole, then the error
+        want = run_trace(p, fine, x0, 600)
+        shapes = self.advance_shapes(monkeypatch)
+        runs = trace_module._run_traces(p, [fine, foreign], x0, 600)
+        got = next(runs)
+        for name in ("objective_gap", "distance", "lyapunov"):
+            assert np.array_equal(getattr(got, name), getattr(want, name), equal_nan=True)
+        with pytest.raises(ValueError, match="^the certificate is of another spectrum$"):
+            next(runs)
+        block = max(1, trace_module._CHUNK // 2)  # rows 1 to 599 in blocks of two lanes
+        assert shapes == [(block + 2, 2, 1)] * 2 + [(599 - 2 * block + 2, 2, 1)]
+        assert np.array_equal(trace_rows(got), trace_rows(want))
 
 
 @st.composite
