@@ -24,8 +24,8 @@ import numpy as np
 from ._files import whole_file
 from .lyapunov import check_monotone
 from .methods import HB, NAG, NAGGS, TMM, MethodSpec, optimal_hyperparams
-from .problems import (_require_spectrum, generate_quadratic, load_problem,
-                       save_problem)
+from .problems import (_require_spectrum, _spectrum_grid, generate_quadratic,
+                       load_problem, save_problem)
 from .scenarios import (SCENARIOS, ScenarioConfig, _Refused, _require_finite_scale, _x0,
                         parse_config_file, run_scenario)
 from .spectral import (DEFAULT_TOL, _require_tolerance, analyze, certificate_csv_text,
@@ -161,8 +161,7 @@ def _cmd_analyze(o: dict) -> int:
     spec = spec or _method_spec(o, mu, L)  # tuned: rejects non-finite mu, L
     if path is None:
         _require_spectrum(mu, L)
-        npts = o["dim"]
-        eigvals = np.linspace(mu, L, npts) if npts > 1 else np.array([L])
+        eigvals = _spectrum_grid(mu, L, o["dim"])
     cert = analyze(spec, eigvals, tol=o["tolerance"])
     out = o["out"]
     if out is not None:

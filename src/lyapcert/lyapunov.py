@@ -58,14 +58,15 @@ class MonotonicityReport:
     def describe(self) -> str:
         counted = not math.isnan(self.max_ratio)
         rate = f"max ratio {self.max_ratio:.6g}" if counted else "no step counted for a max ratio"
-        left = f", {self.left_out} steps within roundoff left out" if self.left_out else ""
+        n = self.left_out
+        left = f", {n} step{'s' * (n > 1)} within roundoff left out" if n else ""
         if self.monotone:
             return f"monotone decrease: yes ({rate}{' over positive values' * counted}{left})"
         if not self.index.size:
             return "monotone decrease: NO (non-finite V or distance)"
         return (
-            f"monotone decrease: NO ({self.index.size} violations); first at "
-            f"k={self.index[0]}: V={self.v_prev[0]:.9g} -> {self.v_next[0]:.9g} "
+            f"monotone decrease: NO ({self.index.size} violation{'s' * (self.index.size > 1)}); "
+            f"first at k={self.index[0]}: V={self.v_prev[0]:.9g} -> {self.v_next[0]:.9g} "
             f"(excess {self.excess[0]:.3g}); {rate}{left}"
         )
 

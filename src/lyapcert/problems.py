@@ -126,6 +126,11 @@ def _require_spectrum(mu: float, L: float) -> None:
         raise ValueError(f"L - mu must be finite, got {L - mu}")
 
 
+def _spectrum_grid(mu: float, L: float, n: int) -> np.ndarray:
+    """n equally spaced eigenvalues on [mu, L]; L alone for one point."""
+    return np.linspace(mu, L, n) if n > 1 else np.array([float(L)])
+
+
 def generate_quadratic(dim: int, mu: float, L: float, seed: int) -> QuadraticProblem:
     """Build a random quadratic with an equally spaced spectrum on [mu, L].
 
@@ -142,10 +147,7 @@ def generate_quadratic(dim: int, mu: float, L: float, seed: int) -> QuadraticPro
     if L <= 0:
         raise ValueError("L must be positive")
     rng = np.random.default_rng(seed)
-    if dim == 1:
-        eigvals = np.array([float(L)])
-    else:
-        eigvals = np.linspace(mu, L, dim)
+    eigvals = _spectrum_grid(mu, L, dim)
     # only Q outlives the factorisation: its column signs are read off R
     q, r = np.linalg.qr(rng.standard_normal((dim, dim)))
     q *= np.where(np.diag(r) < 0, -1.0, 1.0)

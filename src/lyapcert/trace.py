@@ -11,21 +11,22 @@ time, with the (a, b) columns of all runs' certificates (each spec's made
 once, by ``spectral.analyze``) as one (2, runs, dim) array, so one multiply
 and one add make a row of every run.  Objective targets take the family
 update of ``methods`` for all runs in one set of ufunc calls
-and call the gradient oracle once per run and row, with no state beyond the
-last two iterates; a run takes no gradient at a row beyond the divergence
-threshold, so none is evaluated past its stop.  ``_blocks`` checks each
-finished block as arrays (non-finite rows, divergence, the iters-th row),
-cutting each run at its first hit in the order a step-by-step loop would
-meet them, and hands each run's part on with its gap, distance and V,
-computed once per block from a two-row carry.  A run's lane idles from its
-stop; a run that fails raises once the runs before it have finished, so a
-batch raises what its runs, made one after another, would raise first.
-A ``_blocks`` call allocates one rows buffer and the work arrays of the
-metrics once: each engine writes every block into that buffer, below the
-carry copied to its top, and the metrics are computed into the work arrays
-with ``out=``, so a long run allocates no block-sized array per block.  The
-rows a block hands on are a view into the buffer, valid until the next block
-is drawn; its gap, distance and V columns are arrays of their own.
+and call the gradient oracle once per run and row, from the last two
+iterates alone; a run takes no gradient at a row beyond the divergence
+threshold, so none is evaluated past its stop.  ``_blocks`` keeps the
+two-row carry, checks each finished block as arrays (non-finite rows,
+divergence, the iters-th row), cutting each run at its first hit in the
+order a step-by-step loop would meet them, and hands each run's part on
+with its gap, distance and V, computed once per block from the carry.  A
+run's lane idles from its stop; a run that fails raises once the runs before
+it have finished, so a batch raises what its runs, made one after another,
+would raise first.  A ``_blocks`` call allocates one rows buffer and the
+work arrays of the metrics once: the driver copies the carry to the top of
+that buffer, an engine only steps the rows below it, and the metrics are
+computed into the work arrays with ``out=``, so a long run allocates no
+block-sized array per block.  The rows a block hands on are a view into the
+buffer, valid until the next block is drawn; its gap, distance and V
+columns are arrays of their own.
 
 ``run_trace`` is the batch of one; the scenarios run their methods as one
 batch through ``_run_traces``.  A trace keeps the metric columns of its
@@ -195,6 +196,10 @@ def _blocks(target, specs, x0, iters: int, x1=None) -> Iterator[_Block]:
     Every block is written into one rows buffer, allocated in block shape
     with the metric work arrays once per call, so a block's ``rows`` are
     valid until the next block is drawn; its metric columns are new arrays.
+    The driver copies the carry to the buffer's top, and its threshold test
+    alone decides each run's last row; an engine only steps the rows below
+    the carry, and a lane's rows past its run's stop are cut before any
+    check, value call or output reads them.
     """
     if iters < 3:
         raise ValueError("iters must be >= 3 so V is defined at least once")
@@ -213,9 +218,7 @@ def _blocks(target, specs, x0, iters: int, x1=None) -> Iterator[_Block]:
     if x0.shape != (target.dim,):
         raise ValueError("x0 has wrong dimension")
     xs = np.asarray(target.minimizer, dtype=float)
-    # quadratic rows are centred eigen-coordinates; oracle rows are x itself,
-    # and no gradient is taken past the stopping row: the oracle engine stops
-    # a run at a row beyond the threshold
+    # quadratic rows are centred eigen-coordinates; oracle rows are x itself
     failed = {}  # run -> the error that ended it
     certs = [None] * len(specs)  # each run's certificate, on a quadratic
     if quadratic:
@@ -235,7 +238,6 @@ def _blocks(target, specs, x0, iters: int, x1=None) -> Iterator[_Block]:
 
     going = [r for r in range(len(specs)) if r not in failed]  # the runs going on
     n = 0  # rows recorded before this block
-    ends = [len(starts)] * len(specs)  # the rows each run has in the block
     step = max(1, _CHUNK // len(specs))  # the rows of a block after the starts
     # one rows buffer and the metric work arrays (two products of the V
     # terms, then the gap's; an objective's centred rows) in the call's block
@@ -250,11 +252,12 @@ def _blocks(target, specs, x0, iters: int, x1=None) -> Iterator[_Block]:
         # rows past a stop may overflow; they are cut before any output.
         # No yield inside: the error state must not leak to the consumer.
         with np.errstate(over="ignore", invalid="ignore"):
-            if n:  # the block, after rows n-2 and n-1 (x_{-1} = x0 for one start)
-                W, ends = advance(rows, going)
+            if n:  # the carry, rows n-2 and n-1 (x_{-1} = x0 for one start), then the block
+                rows[:2] = W[[0, -1]] if n == len(starts) else W[-2:]
+                W = advance(rows, going)
             else:
                 W = rows[:len(starts)]
-                W[...] = first
+                W[...] = first[:, None]  # each start in every lane
             block = W[2:] if n else W  # a row, then a run: (rows, runs, dim)
             m = block.shape[0]
             Wz = W if quadratic else np.subtract(W, xs, out=wz[0][:W.shape[0]])
@@ -271,15 +274,14 @@ def _blocks(target, specs, x0, iters: int, x1=None) -> Iterator[_Block]:
                 gaps = 0.5 * np.sum(np.multiply(gaps, Z, out=gaps), axis=-1)
             out, on = [], []
             for r in going:
-                mr = ends[r]
-                # the run stops on the block's row ``stop`` (mr, the rows it
-                # made: it goes on) at the first row beyond the threshold (a
-                # start: at the last start) or the iters-th row
-                far = _first(dist[:mr, r] > DIVERGENCE_THRESHOLD)
-                stop = max(far, len(starts) - 1 - n) if far < mr else mr
-                if n + mr == iters:
-                    stop = min(stop, mr - 1)
-                k = min(stop + 1, mr)  # rows kept
+                # the run stops on the block's row ``stop`` (m: it goes on) at
+                # the first row beyond the threshold (a start: at the last
+                # start) or the iters-th row
+                far = _first(dist[:, r] > DIVERGENCE_THRESHOLD)
+                stop = max(far, len(starts) - 1 - n) if far < m else m
+                if n + m == iters:
+                    stop = min(stop, m - 1)
+                k = min(stop + 1, m)  # rows kept
                 # the first row up to the stop with a non-finite entry, or an
                 # objective value, raises (starts are not checked); only a
                 # row with a non-finite norm can hold a non-finite entry
@@ -297,9 +299,9 @@ def _blocks(target, specs, x0, iters: int, x1=None) -> Iterator[_Block]:
                 if r in failed:
                     continue
                 out.append(_Block(r, block[:k, r], gap, dist[:k, r], v[:k, r],
-                                  last=stop < mr, diverged=far <= stop < mr,
+                                  last=stop < m, diverged=far <= stop < m,
                                   certificate=certs[r]))
-                if stop == mr:
+                if stop == m:
                     on.append(r)
         if not on:  # no run goes on: the work arrays go before the last blocks are read
             del bufs, t1, t2, wz, Wz, Z, z_k
@@ -324,66 +326,53 @@ def _lyapunov_rows(z_km2: np.ndarray, z_km1: np.ndarray, z_k: np.ndarray,
 
 
 def _eigenbasis_engine(p: QuadraticProblem, certs: list, starts):
-    """Centred eigen-coordinates of the starts, for each run of the
-    certificates ``certs`` (one per run; None for a run that failed, which
-    steps zero coefficients), and ``advance(rows, going)``: the last two rows
-    so far, then the next rows of a z_k + b z_{k-1}, written into ``rows`` (a
-    (n + 2, runs, dim) array: the one buffer a ``_blocks`` call fills block
-    after block); with the rows each run made (all n): every lane, a stopped
-    run's too.  ``ba`` holds the certificates' columns as (b|a, run,
-    coordinate)."""
+    """Centred eigen-coordinates of the starts, and ``advance(rows, going)``
+    for the runs of the certificates ``certs`` (one per run; None for a run
+    that failed, which steps zero coefficients).  ``rows`` is a (n + 2, runs,
+    dim) array whose top two rows hold z_{k-1} and z_k; ``advance`` fills the
+    n rows below them with the next rows of a z_k + b z_{k-1}, in every lane,
+    a stopped run's too, and returns ``rows``.  ``ba`` holds the
+    certificates' columns as (b|a, run, coordinate)."""
     zero = np.zeros(p.dim)
     ba = np.stack([(c.per_coordinate.b, c.per_coordinate.a) if c else (zero, zero)
                    for c in certs], axis=1)
-    first = np.stack([p.eigvecs.T @ (x - p.minimizer) for x in starts])
-    first = np.repeat(first[:, None], len(certs), axis=1)
-    last = first[[0, -1]]  # z_{k-1}, z_k
     work = np.empty_like(ba)
     bz, az = work
 
-    def advance(rows: np.ndarray, going) -> tuple:
+    def advance(rows: np.ndarray, going) -> np.ndarray:
         # row k+1 = b z_{k-1} + a z_k from the window (z_{k-1}, z_k) above
         # it: each product and the sum rounded once, as in a z_k + b z_{k-1}
-        nonlocal last
-        rows[:2] = last  # the carry: the last block's bottom rows, in this buffer
-        n = rows.shape[0] - 2
-        pairs = np.ndarray((n, 2) + rows.shape[1:], buffer=rows,
+        pairs = np.ndarray((rows.shape[0] - 2, 2) + rows.shape[1:], buffer=rows,
                            strides=(rows.strides[0],) + rows.strides)
         for pair, row in zip(pairs, rows[2:]):
             np.multiply(ba, pair, out=work)
             np.add(bz, az, out=row)
-        last = rows[-2:]
-        return rows, [n] * rows.shape[1]
+        return rows
 
-    return first, advance
+    return np.stack([p.eigvecs.T @ (x - p.minimizer) for x in starts]), advance
 
 
 def _oracle_engine(obj: Objective, families: list, starts):
-    """The starts, for each run of the family members ``families`` (an
-    (alpha, beta, gamma) per run), and ``advance(rows, going)``: the last two
-    iterates so far, then the next method steps through the gradient oracle,
-    written into ``rows`` (a (n + 2, runs, dim) array: the one buffer a
-    ``_blocks`` call fills block after block); with the rows each run made.
-    Only the runs ``going`` take gradients, each up to a row whose distance
-    from the minimizer is not within the threshold: its rows end there, and
-    the block ends where no run is left."""
+    """The starts, and ``advance(rows, going)`` for the runs of the family
+    members ``families`` (an (alpha, beta, gamma) per run).  ``rows`` is a
+    (n + 2, runs, dim) array whose top two rows hold x_{k-1} and x_k;
+    ``advance`` fills the rows below them with the next method steps through
+    the gradient oracle and returns the rows it filled.  Only the runs
+    ``going`` take gradients, each up to a row whose distance from the
+    minimizer is not within the threshold: the rows of a run past that row
+    are left as they fall, and the rows end where no run is left."""
     xs = np.asarray(obj.minimizer, dtype=float)
-    first = np.repeat(np.stack(starts)[:, None], len(families), axis=1)
     # one coefficient per entry: same-shape ufuncs, cheaper than broadcasting;
     # and no in-place ufunc, slow on one-entry rows
     al, be, ga = np.array(families).T[:, :, None].repeat(xs.shape[0], axis=2)
-    prev, cur = first[0], first[-1]
-    grad = np.zeros_like(cur)
+    grad = np.zeros_like(al)
 
-    def advance(rows: np.ndarray, going) -> tuple:
+    def advance(rows: np.ndarray, going) -> np.ndarray:
         # x_{k+1} = x_k + beta d_k - alpha grad f(x_k + gamma d_k), the
         # family update of ``methods``, for all runs at once; the oracle
         # once per run going on
-        nonlocal prev, cur
-        rows[0], rows[1] = prev, cur  # prev is read before row 1 is written
         prev, cur = rows[0], rows[1]
         live = list(going)
-        ends = [rows.shape[0] - 2] * len(families)
         for i, row in enumerate(rows[2:]):
             d = cur - prev
             y = ga * d + cur
@@ -392,16 +381,15 @@ def _oracle_engine(obj: Objective, families: list, starts):
                 zr = z[r]
                 if i and not math.sqrt(zr.dot(zr)) <= DIVERGENCE_THRESHOLD:
                     live.remove(r)
-                    ends[r] = i
                 else:
                     grad[r] = obj.gradient(y[r])
             if not live:
-                return rows[:i + 2], ends
+                return rows[:i + 2]
             np.subtract(be * d + cur, al * grad, out=row)
             prev, cur = cur, row
-        return rows, ends
+        return rows
 
-    return first, advance
+    return np.stack(starts), advance
 
 
 _CSV_HEADER = "iter,objective_gap,distance,lyapunov\n"

@@ -193,7 +193,7 @@ class TestCheckMonotone:
         rep = check_monotone(LyapunovSeries(values=vals, distance=np.ones(7)))
         assert rep.monotone and rep.max_ratio == 0.5 and rep.left_out == 1
         assert rep.describe() == ("monotone decrease: yes (max ratio 0.5 over positive values, "
-                                  "1 steps within roundoff left out)")
+                                  "1 step within roundoff left out)")
 
     def test_indices_respect_start(self):
         rep = check_monotone(flat([3.0, 1.0, 2.0], start_index=5))
@@ -208,8 +208,8 @@ class TestCheckMonotone:
     @pytest.mark.parametrize("series,line", [
         (flat([-1.0, -2.0]), "yes (no step counted for a max ratio)"),
         (LyapunovSeries(values=[1e-30, 5e-31], distance=np.ones(4)),
-         "yes (no step counted for a max ratio, 1 steps within roundoff left out)"),
-        (flat([math.inf, 0.5]), "NO (1 violations); first at k=2: V=inf -> 0.5 (excess nan); "
+         "yes (no step counted for a max ratio, 1 step within roundoff left out)"),
+        (flat([math.inf, 0.5]), "NO (1 violation); first at k=2: V=inf -> 0.5 (excess nan); "
                                 "no step counted for a max ratio"),
     ], ids=["yes", "yes-left-out", "NO"])
     def test_no_counted_step_reads_no_nan(self, series, line):

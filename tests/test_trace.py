@@ -720,9 +720,14 @@ class TestOracleBlocks:
         assert np.array_equal(rows, trace_rows(ref), equal_nan=True)
 
     @pytest.mark.parametrize("kind", KINDS)
-    @pytest.mark.parametrize("case", ["converging", "diverging", "x1"])
-    def test_matches_one_row_blocks(self, monkeypatch, kind, case):
-        p = generate_quadratic(4, 1.0, 10.0, seed=2)
+    @pytest.mark.parametrize("case,dim", [
+        pytest.param(case, dim, id=case if dim == 4 else f"{case}-d{dim}")
+        for dim in (4, 300) for case in ("converging", "diverging", "x1")])
+    def test_matches_one_row_blocks(self, monkeypatch, kind, case, dim):
+        # on a wide objective too, the engine's gate and the driver's
+        # threshold test stop a run on the same row: no gradient is taken
+        # past the stop, and no row past it is handed on
+        p = generate_quadratic(dim, 1.0, 10.0, seed=2)
         alpha = 1.0 if case == "diverging" else 0.1
         spec = MethodSpec(kind, alpha=alpha, beta=0.5, gamma=0.05 if kind == TMM else 0.0)
         x0 = offset_start(p, seed=1)
@@ -1025,6 +1030,32 @@ class TestBatchedRuns:
                                    ([overflow, coeffs], "non-finite iterate produced")):
                 assert solo_outcome(p, specs, x0, 100) == (ValueError, message)
                 self.assert_same(p, specs, x0, 100)
+
+    @pytest.mark.parametrize("objective", [False, True], ids=["quadratic", "objective"])
+    def test_advance_steps_only_the_rows_it_is_given(self, objective):
+        # an engine keeps no carry between calls: two buffers whose top rows
+        # hold different carries, stepped in either order, each get the rows
+        # of a one-block run from their own carry
+        p = self.QUADRATIC
+        target = quadratic_objective(p) if objective else p
+        specs = [MethodSpec(k, alpha=0.1, beta=0.5, gamma=0.05 if k == TMM else 0.0)
+                 for k in KINDS]
+        iters = 40  # the starts, then one block
+        assert iters - 2 <= trace_module._CHUNK // len(specs)
+        want = []
+        for x0, x1 in ((offset_start(p, seed=1), offset_start(p, seed=2)),
+                       (offset_start(p, seed=3, scale=5.0), offset_start(p, seed=4))):
+            _, rows = batch_outcome(target, specs, x0, iters, x1)
+            want.append(np.stack(rows, axis=1))
+        engine, runs = ((trace_module._oracle_engine, [_family(s) for s in specs]) if objective
+                        else (trace_module._eigenbasis_engine,
+                              [analyze(s, p.eigvals) for s in specs]))
+        for order in ((0, 1), (1, 0)):
+            _, advance = engine(target, runs, [p.minimizer])  # a fresh engine
+            for i in order:
+                rows = want[i].copy()
+                rows[2:] = np.nan
+                assert np.array_equal(advance(rows, list(range(len(specs)))), want[i])
 
     def test_a_foreign_certificate_fails_in_run_order(self, monkeypatch):
         monkeypatch.setattr(trace_module, "DIVERGENCE_THRESHOLD", math.inf)
