@@ -20,8 +20,8 @@ import numpy as np
 from ._files import whole_file
 from .lyapunov import check_monotone
 from .methods import (HB, NAG, NAGGS, TMM, KINDS, MethodSpec, optimal_hyperparams)
-from .problems import (QuadraticProblem, cosine_counterexample, exp_norm_objective,
-                       generate_quadratic, rosenbrock_objective)
+from .problems import (QuadraticProblem, _spectrum_grid, cosine_counterexample,
+                       exp_norm_objective, generate_quadratic, rosenbrock_objective)
 from .spectral import SpectralCertificate, analyze, certificate_csv_text, certificate_report_text
 from .svgplot import Panel, Series, render_svg
 from .trace import _run_traces, export_csv, run_trace
@@ -326,7 +326,7 @@ def _run_cosine(cfg: ScenarioConfig) -> ScenarioResult:
                      "contradicts the expected counterexample behaviour")
 
     # certificate over the [mu, L] interval as a 33-point grid (quadratic view)
-    cert = analyze(spec, np.linspace(obj.mu, obj.lipschitz, 33))
+    cert = analyze(spec, _spectrum_grid(obj.mu, obj.lipschitz, 33))
     lines.append(f"quadratic-view certificate on [mu, L]: eligible="
                  f"{'yes' if cert.eligible else 'no'} radius={cert.spectral_radius:.6g} "
                  f"(the violation above is what that certificate cannot promise here)")

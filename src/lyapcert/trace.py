@@ -2,8 +2,8 @@
 
 One driver, ``_blocks``, is the only step loop; only the row engine differs.
 It advances one or more runs that share a target, start(s) and ``iters``
-side by side: a block is a (rows, runs, dim) array, one run per method spec,
-and holds no more rows x runs than a block of one run does.
+side by side: a block is a (rows, runs, dim) array, one run per method spec;
+up to 256 runs, it holds no more rows x runs than a block of one run does.
 Quadratic targets advance in the eigenbasis so the recorded Lyapunov values
 keep full relative accuracy all the way down to underflow: the engine runs
 nothing but the recurrence z_{k+1} = a z_k + b z_{k-1}, a block of rows at a
@@ -17,12 +17,13 @@ threshold, so none is evaluated past its stop.  ``_blocks`` keeps the
 two-row carry, checks each finished block as arrays (non-finite rows,
 divergence, the iters-th row), cutting each run at its first hit in the
 order a step-by-step loop would meet them, and hands each run's part on
-with its gap, distance and V, computed once per block from the carry.  A
+with its gap, distance and V, computed once per block from the carry (the
+first block is the starts, below a carry of NaN: rows 0 and 1 have no V).  A
 run's lane idles from its stop; a run that fails raises once the runs before
 it have finished, so a batch raises what its runs, made one after another,
 would raise first.  A ``_blocks`` call allocates one rows buffer and the
 work arrays of the metrics once: the driver copies the carry to the top of
-that buffer, an engine only steps the rows below it, and the metrics are
+that buffer, an engine fills every row below it, and the metrics are
 computed into the work arrays with ``out=``, so a long run allocates no
 block-sized array per block.  The rows a block hands on are a view into the
 buffer, valid until the next block is drawn; its gap, distance and V
@@ -196,10 +197,12 @@ def _blocks(target, specs, x0, iters: int, x1=None) -> Iterator[_Block]:
     Every block is written into one rows buffer, allocated in block shape
     with the metric work arrays once per call, so a block's ``rows`` are
     valid until the next block is drawn; its metric columns are new arrays.
-    The driver copies the carry to the buffer's top, and its threshold test
-    alone decides each run's last row; an engine only steps the rows below
-    the carry, and a lane's rows past its run's stop are cut before any
-    check, value call or output reads them.
+    Every pass reads its block, distance and V from below a two-row carry
+    at the buffer's top: the first, the starts below a carry of NaN (rows 0
+    and 1 have no V); each later one, what ``advance(rows, going)`` fills
+    below the driver's copy of the carry.  The driver's threshold test alone
+    decides each run's last row; a lane's rows past its run's stop are cut
+    before any check, value call or output reads them.
     """
     if iters < 3:
         raise ValueError("iters must be >= 3 so V is defined at least once")
@@ -238,7 +241,7 @@ def _blocks(target, specs, x0, iters: int, x1=None) -> Iterator[_Block]:
 
     going = [r for r in range(len(specs)) if r not in failed]  # the runs going on
     n = 0  # rows recorded before this block
-    step = max(1, _CHUNK // len(specs))  # the rows of a block after the starts
+    step = max(len(starts), _CHUNK // len(specs))  # the most rows of a block
     # one rows buffer and the metric work arrays (two products of the V
     # terms, then the gap's; an objective's centred rows) in the call's block
     # shape, a lane per run; each block is a view of their top rows
@@ -253,22 +256,20 @@ def _blocks(target, specs, x0, iters: int, x1=None) -> Iterator[_Block]:
         # No yield inside: the error state must not leak to the consumer.
         with np.errstate(over="ignore", invalid="ignore"):
             if n:  # the carry, rows n-2 and n-1 (x_{-1} = x0 for one start), then the block
-                rows[:2] = W[[0, -1]] if n == len(starts) else W[-2:]
-                W = advance(rows, going)
-            else:
-                W = rows[:len(starts)]
-                W[...] = first[:, None]  # each start in every lane
-            block = W[2:] if n else W  # a row, then a run: (rows, runs, dim)
+                rows[:2] = W[[2, -1]] if n == len(starts) else W[-2:]
+                advance(rows, going)
+                W = rows
+            else:  # the starts, below a carry of NaN
+                W = rows[:len(starts) + 2]
+                W[:2] = math.nan
+                W[2:] = first[:, None]  # each start in every lane
+            block = W[2:]  # a row, then a run: (rows, runs, dim)
             m = block.shape[0]
             Wz = W if quadratic else np.subtract(W, xs, out=wz[0][:W.shape[0]])
-            Z = Wz[-m:]
+            Z = Wz[2:]
             dist = _row_norms(Z)
-            z_k = Wz[2:]  # the rows with a V: the block's (none of the starts')
-            v = _lyapunov_rows(Wz[:-2], Wz[1:-1], z_k, t1[:len(z_k)], t2[:len(z_k)])
-            if n == 1:  # row 1 has no V
-                v[0] = math.nan
-            if v.shape[0] < m:  # the starts have no V
-                v = np.concatenate([np.full((m - v.shape[0], v.shape[1]), math.nan), v])
+            v = _lyapunov_rows(Wz[:-2], Wz[1:-1], Z, t1[:m], t2[:m])
+            v[:max(0, 2 - n)] = math.nan  # rows 0 and 1 have no V
             if quadratic:
                 gaps = np.multiply(target.eigvals, Z, out=t1[:m])  # (eigvals * Z) * Z
                 gaps = 0.5 * np.sum(np.multiply(gaps, Z, out=gaps), axis=-1)
@@ -304,7 +305,7 @@ def _blocks(target, specs, x0, iters: int, x1=None) -> Iterator[_Block]:
                 if stop == m:
                     on.append(r)
         if not on:  # no run goes on: the work arrays go before the last blocks are read
-            del bufs, t1, t2, wz, Wz, Z, z_k
+            del bufs, t1, t2, wz, Wz, Z
         yield from out
         going = on
         n += m
@@ -331,7 +332,7 @@ def _eigenbasis_engine(p: QuadraticProblem, certs: list, starts):
     that failed, which steps zero coefficients).  ``rows`` is a (n + 2, runs,
     dim) array whose top two rows hold z_{k-1} and z_k; ``advance`` fills the
     n rows below them with the next rows of a z_k + b z_{k-1}, in every lane,
-    a stopped run's too, and returns ``rows``.  ``ba`` holds the
+    a stopped run's too, and returns nothing.  ``ba`` holds the
     certificates' columns as (b|a, run, coordinate)."""
     zero = np.zeros(p.dim)
     ba = np.stack([(c.per_coordinate.b, c.per_coordinate.a) if c else (zero, zero)
@@ -339,7 +340,7 @@ def _eigenbasis_engine(p: QuadraticProblem, certs: list, starts):
     work = np.empty_like(ba)
     bz, az = work
 
-    def advance(rows: np.ndarray, going) -> np.ndarray:
+    def advance(rows: np.ndarray, going) -> None:
         # row k+1 = b z_{k-1} + a z_k from the window (z_{k-1}, z_k) above
         # it: each product and the sum rounded once, as in a z_k + b z_{k-1}
         pairs = np.ndarray((rows.shape[0] - 2, 2) + rows.shape[1:], buffer=rows,
@@ -347,7 +348,6 @@ def _eigenbasis_engine(p: QuadraticProblem, certs: list, starts):
         for pair, row in zip(pairs, rows[2:]):
             np.multiply(ba, pair, out=work)
             np.add(bz, az, out=row)
-        return rows
 
     return np.stack([p.eigvecs.T @ (x - p.minimizer) for x in starts]), advance
 
@@ -356,18 +356,18 @@ def _oracle_engine(obj: Objective, families: list, starts):
     """The starts, and ``advance(rows, going)`` for the runs of the family
     members ``families`` (an (alpha, beta, gamma) per run).  ``rows`` is a
     (n + 2, runs, dim) array whose top two rows hold x_{k-1} and x_k;
-    ``advance`` fills the rows below them with the next method steps through
-    the gradient oracle and returns the rows it filled.  Only the runs
+    ``advance`` fills every row below them with the next method steps
+    through the gradient oracle, and returns nothing.  Only the runs
     ``going`` take gradients, each up to a row whose distance from the
-    minimizer is not within the threshold: the rows of a run past that row
-    are left as they fall, and the rows end where no run is left."""
+    minimizer is not within the threshold: a lane past that row steps on
+    with no new gradient, its rows left for the driver to cut."""
     xs = np.asarray(obj.minimizer, dtype=float)
     # one coefficient per entry: same-shape ufuncs, cheaper than broadcasting;
     # and no in-place ufunc, slow on one-entry rows
     al, be, ga = np.array(families).T[:, :, None].repeat(xs.shape[0], axis=2)
     grad = np.zeros_like(al)
 
-    def advance(rows: np.ndarray, going) -> np.ndarray:
+    def advance(rows: np.ndarray, going) -> None:
         # x_{k+1} = x_k + beta d_k - alpha grad f(x_k + gamma d_k), the
         # family update of ``methods``, for all runs at once; the oracle
         # once per run going on
@@ -383,11 +383,8 @@ def _oracle_engine(obj: Objective, families: list, starts):
                     live.remove(r)
                 else:
                     grad[r] = obj.gradient(y[r])
-            if not live:
-                return rows[:i + 2]
             np.subtract(be * d + cur, al * grad, out=row)
             prev, cur = cur, row
-        return rows
 
     return np.stack(starts), advance
 

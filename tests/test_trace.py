@@ -914,21 +914,26 @@ class TestBatchedRuns:
     @given(specs=st.lists(method_specs(), min_size=1, max_size=4),
            iters=st.integers(3, 700), x1=st.booleans(),
            threshold=st.sampled_from([trace_module.DIVERGENCE_THRESHOLD, 1e3, 30.0]),
-           scale=st.floats(0.1, 20.0))
-    def test_quadratic(self, specs, iters, x1, threshold, scale):
+           scale=st.floats(0.1, 20.0), chunk=st.sampled_from([512, 2, 1]))
+    def test_quadratic(self, specs, iters, x1, threshold, scale, chunk):
         # a low threshold stops diverging runs in their first blocks, and
-        # may stop a run at a start
+        # may stop a run at a start; a chunk of 2 or 1 makes blocks of one
+        # or two rows below the carry, the starts' block included
         p = self.QUADRATIC
         x0 = offset_start(p, seed=1, scale=scale)
-        with mock.patch.object(trace_module, "DIVERGENCE_THRESHOLD", threshold):
+        with mock.patch.object(trace_module, "DIVERGENCE_THRESHOLD", threshold), \
+                mock.patch.object(trace_module, "_CHUNK", chunk):
             self.assert_same(p, specs, x0, iters, offset_start(p, seed=2) if x1 else None)
 
     @given(specs=st.lists(method_specs(), min_size=1, max_size=4),
-           iters=st.integers(3, 400), rosenbrock=st.booleans(), scale=st.floats(0.05, 3.0))
-    def test_objective(self, specs, iters, rosenbrock, scale):
+           iters=st.integers(3, 400), rosenbrock=st.booleans(), scale=st.floats(0.05, 3.0),
+           x1=st.booleans(), chunk=st.sampled_from([512, 2, 1]))
+    def test_objective(self, specs, iters, rosenbrock, scale, x1, chunk):
         obj = rosenbrock_objective() if rosenbrock else exp_norm_objective(2)
         x0 = obj.minimizer + scale * np.array([0.6, -0.8])
-        self.assert_same(obj, specs, x0, iters)
+        with mock.patch.object(trace_module, "_CHUNK", chunk):
+            self.assert_same(obj, specs, x0, iters,
+                             obj.minimizer + scale * np.array([0.5, 0.7]) if x1 else None)
 
     @staticmethod
     def last_blocks(target, specs, x0, iters):
@@ -1055,7 +1060,8 @@ class TestBatchedRuns:
             for i in order:
                 rows = want[i].copy()
                 rows[2:] = np.nan
-                assert np.array_equal(advance(rows, list(range(len(specs)))), want[i])
+                advance(rows, list(range(len(specs))))
+                assert np.array_equal(rows, want[i])
 
     def test_a_foreign_certificate_fails_in_run_order(self, monkeypatch):
         monkeypatch.setattr(trace_module, "DIVERGENCE_THRESHOLD", math.inf)
