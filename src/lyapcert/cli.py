@@ -189,7 +189,10 @@ def _cmd_run(o: dict) -> int:
           f"final_distance={last.distance[-1]:.6g} "
           f"diverged={'yes' if last.diverged else 'no'}")
     lyap, dist = map(np.frombuffer, kept)
-    print(check_monotone(_lyapunov_series(lyap, dist)).describe())
+    verdict = check_monotone(_lyapunov_series(lyap, dist)).describe()
+    if last.diverged or not last.certificate.eligible:  # V is a bound on eligible runs only
+        verdict += "; V is not positive definite here and bounds no distance"
+    print(verdict)
     print(f"trace -> {out}")
     return 1 if last.diverged else 0
 

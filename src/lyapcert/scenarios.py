@@ -3,8 +3,8 @@
 Every scenario computes its traces, certificates (where a spectrum exists),
 SVG panels, report lines and verdicts, and hands them to one writer,
 ``_finish``, which writes the files into the output directory.
-A scenario whose setup is certificate-eligible fails loudly when any V
-violation beyond roundoff shows up.
+A quadratic scenario judges each run by what certifies it, and fails loudly
+when any V violation beyond roundoff shows up.
 """
 
 from __future__ import annotations
@@ -190,42 +190,30 @@ def _finish(cfg: ScenarioConfig, lines: list, verdicts: dict, traces: dict,
                           artifacts=artifacts, report_path=artifacts[-1])
 
 
-def _run_quadratic_family(cfg: ScenarioConfig, *, judged=None, tests=(), notes=(),
-                          none_judged=None) -> ScenarioResult:
+def _run_quadratic_family(cfg: ScenarioConfig, *, tests=(), notes=()) -> ScenarioResult:
     """Run every method of ``cfg`` on its quadratic, side by side in one
-    batch, and judge the runs as the scenario's row says.
-
-    Each method whose certificate ``judged(cert)`` admits (every method
-    when None) gets one verdict ``<kind>_<suffix>`` per ``(suffix,
-    test(cert, report, trace))`` in ``tests``, in that order; ``none_judged``
-    names a verdict that fails when no method is judged.  Each
-    ``note(trace)`` adds a line per method, and one more line, when tuned HB
-    and tuned NAG-GS both run, says that they are one method.
+    batch.  Each method gets a verdict ``<kind>_<suffix>`` from each
+    ``test(cert, report, trace) -> (suffix, value)`` in ``tests``, in that
+    order.  Each ``note(trace)`` adds a line per method, and one more line,
+    when tuned HB and tuned NAG-GS both run, says that they are one method.
     """
     problem = generate_quadratic(cfg.dim, cfg.mu, cfg.L, cfg.seed)
     x0 = _x0(problem.minimizer, cfg.x0_scale, cfg.seed)
     specs = _specs(cfg)
-    traces, certs, reports = {}, {}, {}
-    runs = _run_traces(problem, list(specs.values()), x0, cfg.iters)
-    for trace, kind in zip(runs, specs):
-        traces[kind] = trace
-        certs[kind] = trace.certificate
-        reports[kind] = check_monotone(trace.lyapunov_series())
-
     lines = [f"config: dim={cfg.dim} mu={cfg.mu:g} L={cfg.L:g} iters={cfg.iters} "
              f"seed={cfg.seed} x0_scale={cfg.x0_scale:g}"]
-    verdicts = {}
-    for kind, tr in traces.items():
-        cert, rep = certs[kind], reports[kind]
+    traces, certs, verdicts = {}, {}, {}
+    for tr, kind in zip(_run_traces(problem, list(specs.values()), x0, cfg.iters), specs):
+        traces[kind] = tr
+        cert = certs[kind] = tr.certificate
+        rep = check_monotone(tr.lyapunov_series())
         lines.append(
             f"{LABELS[kind]}: eligible={'yes' if cert.eligible else 'no'} "
             f"radius={cert.spectral_radius:.6g} rows={len(tr)} "
             f"terminal_V={tr.lyapunov[-1]:.6g} {rep.describe()}{' diverged=yes' * tr.diverged}")
-        if judged is None or judged(cert):
-            for suffix, test in tests:
-                verdicts[f"{kind.lower()}_{suffix}"] = bool(test(cert, rep, tr))
-    if none_judged is not None and not verdicts:
-        verdicts[none_judged] = False
+        for test in tests:
+            suffix, value = test(cert, rep, tr)
+            verdicts[f"{kind.lower()}_{suffix}"] = bool(value)
     lines += [f"{LABELS[kind]}: {note(tr)}" for note in notes for kind, tr in traces.items()]
     if cfg.optimal and cfg.alpha is None and traces.keys() >= {HB, NAGGS}:
         lines.append("NAG-GS: tuned NAG-GS is tuned HB: its family member (alpha(1 - beta), "
@@ -271,17 +259,18 @@ def find_tmm_witness(problem: QuadraticProblem, cert: SpectralCertificate, iters
     On a real-split coordinate i with roots l1, l2 the start z_0 = s,
     z_1 = s (l1 + l2) / 2 (s = ``scale``, every other coordinate zero) has
     V_2 = z_1^2 - z_2 z_0 = -s^2 (l1 - l2)^2 / 4 < 0, and V_{k+1} = -b V_k
-    then rises toward 0 at every step where -b lies in (0, 1).  The
-    coordinate is the real-split one with the largest -b, which contracts
-    slowest, so V rises for longest (for tuned TMM, lambda = mu).  Returns
-    (coordinate, trace, report), or None when every coordinate is a
-    conjugate pair: then V >= 0 from every start.
+    rises at step 2 if -b < 1, and toward 0 at every step if -b is in (0, 1).
+    The coordinate is the real-split one with the largest -b below 1, which
+    contracts slowest, so V rises longest (for tuned TMM, lambda = mu).
+    Returns (coordinate, trace, report), or None when no real-split -b is
+    below 1, as when every coordinate is a conjugate pair (V >= 0 always).
     """
     _require_finite_scale(scale)
     r = cert.per_coordinate
-    if r.conjugate_pair.all():
+    rising = ~r.conjugate_pair & (r.b > -1.0)
+    if not rising.any():
         return None
-    i = int(np.where(r.conjugate_pair, -np.inf, -r.b).argmax())
+    i = int(np.where(rising, -r.b, -np.inf).argmax())
     step = scale * problem.eigvecs[:, i]
     xs = problem.minimizer
     trace = run_trace(problem, cert, xs + step, iters,
@@ -340,6 +329,8 @@ def _run_tmm_witness(cfg: ScenarioConfig) -> ScenarioResult:
              f"seed={cfg.seed}",
              "method: TMM tuned; start on the real-split coordinate with the largest -b: "
              "z_0 = x0_scale, z_1 = x0_scale*(l1+l2)/2",
+             "start: deliberately not x_{-1} = x_0, from which V_k = (-b)^(k-1)*alpha*lambda*"
+             "z_0^2 falls where -b is in [0, 1]; V_2 < 0 needs a real split and z_1 != (a+b)*z_0",
              f"certificate: eligible={'yes' if cert.eligible else 'no'} "
              f"radius={cert.spectral_radius:.6g}"]
 
@@ -385,33 +376,42 @@ def _run_objective_family(cfg: ScenarioConfig, *, objective, title: str,
 _HYPER = dict(method=None, alpha=None, beta=None, gamma=None)
 _V_FLOOR = 1e-9  # the V that quadratic's terminal_V_below_floor asks each run to reach
 
+
+def _coverage(cert, rep, tr) -> tuple:
+    """What certifies V along an equal-start run, the only start a quadratic
+    scenario runs: an eligible certificate covers every pair of starts, and
+    ``equal_start_monotone`` with a radius below one covers x_{-1} = x_0;
+    ``certificate_eligible`` fails when neither does."""
+    if not cert.eligible and cert.equal_start_monotone and cert.spectral_radius < 1.0:
+        return "equal_start_monotone", True
+    return "certificate_eligible", cert.eligible
+
+
+def _v_monotone(cert, rep, tr) -> tuple:
+    return "V_monotone", rep.monotone
+
+
 # name: (runner, settings), where settings maps every field the scenario
 # reads, besides ``seed``, to its default.  A quadratic scenario's runner
-# names its judged methods, verdict tests ``(suffix, test(cert, report,
-# trace))`` and notes; every run goes to ``iters`` rows unless it diverges
+# names its verdict tests ``test(cert, report, trace) -> (suffix, value)``
+# and notes; every run goes to ``iters`` rows unless it diverges
 SCENARIOS = {
-    "fig1": (partial(_run_quadratic_family, judged=lambda cert: cert.method.kind != TMM,
-                     tests=(("certificate_eligible", lambda cert, rep, tr: cert.eligible),
-                            ("V_monotone", lambda cert, rep, tr: rep.monotone)),
+    "fig1": (partial(_run_quadratic_family, tests=(_coverage, _v_monotone),
                      notes=(_distance_rises,)),
              dict(dim=107, mu=1.0, L=1000.0, iters=2000, optimal=True, x0_scale=10.0, **_HYPER)),
-    "quadratic": (partial(_run_quadratic_family, judged=lambda cert: cert.eligible,
-                          tests=(("V_monotone", lambda cert, rep, tr: rep.monotone),
-                                 ("terminal_V_below_floor",
-                                  lambda cert, rep, tr: tr.lyapunov[-1] < _V_FLOOR)),
-                          none_judged="some_certificate_eligible"),
+    "quadratic": (partial(_run_quadratic_family,
+                          tests=(_coverage, _v_monotone, lambda cert, rep, tr:
+                                 ("terminal_V_below_floor", tr.lyapunov[-1] < _V_FLOOR))),
                   dict(dim=100, mu=1.0, L=1000.0, iters=300, optimal=True, x0_scale=10.0,
                        **_HYPER)),
-    "nonoptimal": (partial(_run_quadratic_family,
-                           tests=(("certificate_eligible", lambda cert, rep, tr: cert.eligible),
-                                  ("V_monotone", lambda cert, rep, tr: rep.monotone))),
+    "nonoptimal": (partial(_run_quadratic_family, tests=(_coverage, _v_monotone)),
                    dict(dim=50, mu=1.0, L=10.0, iters=40, optimal=False, x0_scale=10.0,
                         **_HYPER)),
     "convex-mu0": (partial(_run_quadratic_family,
-                           tests=(("certificate_ineligible",
-                                   lambda cert, rep, tr: not cert.eligible),
-                                  ("unit_eigenvalue_at_zero", lambda cert, rep, tr:
-                                   abs(float(cert.per_coordinate.rate[0]) - 1.0) <= 1e-9)),
+                           tests=(lambda cert, rep, tr: ("certificate_ineligible",
+                                                         not cert.eligible),
+                                  lambda cert, rep, tr: ("unit_eigenvalue_at_zero", abs(
+                                      float(cert.per_coordinate.rate[0]) - 1.0) <= 1e-9)),
                            notes=(_v_drop,)),
                    dict(dim=50, mu=0.0, L=10.0, iters=1000, optimal=False, x0_scale=10.0,
                         **_HYPER)),

@@ -17,6 +17,7 @@ from ._g17 import csv_rows
 from .methods import MethodSpec, coefficient_arrays
 
 DEFAULT_TOL = 1e-12
+_ULPS = 4 * np.finfo(float).eps  # how far below 0 a rounded -b may read
 
 
 def _require_tolerance(tol: float) -> None:
@@ -29,9 +30,11 @@ class SpectralCertificate:
     """Per-coordinate eigenstructure of a method on a spectrum.
 
     ``eligible`` means every coordinate carries a conjugate eigenvalue pair
-    and the overall spectral radius is strictly below one; that is exactly
-    the premise under which the three-point Lyapunov value is guaranteed to
-    decrease monotonically.  ``per_coordinate`` is a record array, one row
+    and the overall spectral radius is strictly below one: the three-point
+    value V is then nonnegative and falls from every pair of starts.
+    ``equal_start_monotone`` means every -b lies in [0, 1]: V is then
+    nonnegative and nonincreasing from every equal start x_{-1} = x_0
+    (``analyze`` derives both).  ``per_coordinate`` is a record array, one row
     per coordinate: ``lambda_w, a, b``, the dominant eigenvalue ``re, im``,
     the other one ``re2, -im``, its modulus ``rate``, and ``conjugate_pair``.
     """
@@ -40,6 +43,7 @@ class SpectralCertificate:
     per_coordinate: np.recarray
     spectral_radius: float
     eligible: bool
+    equal_start_monotone: bool
 
 
 def _half_root(a, b):
@@ -60,6 +64,28 @@ def analyze(spec: MethodSpec, eigvals: np.ndarray, tol: float = DEFAULT_TOL) -> 
     a positive discriminant inside that band counts as zero (the double root
     a/2).  A coordinate where a^2 or 4b overflows is never a pair; its real
     roots come from rescaled coefficients.
+
+    What V covers, on coordinate i (z = x - x* in the eigenbasis, V_k =
+    z_{k-1}^2 - z_k z_{k-2}, V_{k+1} = -b V_k): the first step from a pair of
+    starts (z_{-1}, z_0) is z_1 = a z_0 + b z_{-1}, so
+    V_1 = z_0^2 - a z_0 z_{-1} - b z_{-1}^2, a quadratic form with matrix
+    [[1, -a/2], [-a/2, -b]].  It is nonnegative for every pair iff its
+    determinant -b - a^2/4 >= 0, i.e. a^2 + 4b <= 0 (positive definite when
+    < 0): a conjugate pair.  The same form in (z_{k-2}, z_{k-1}) is V_k, so
+    on an eligible certificate V bounds the distance and falls by
+    -b = |lambda|^2 < 1 per step from every start.  From an equal start
+    z_{-1} = z_0, where a + b = 1 - alpha lambda (alpha the family's),
+    V_1 = (1 - a - b) z_0^2 = alpha lambda z_0^2 >= 0 and
+    V_k = (-b)^(k-1) alpha lambda z_0^2: V falls from every equal start iff
+    0 <= -b <= 1 on every coordinate with lambda > 0, whatever the
+    discriminant.  That is ``equal_start_monotone``, which says nothing of
+    convergence (a run with radius above one may still have falling V) and
+    nothing of the distance (V is not definite on a real split).  b is
+    rounded, so -b may read a few ulps below an exact 0 (tuned TMM at L):
+    the flag allows ``_ULPS``.  A -b of -t makes V_2 = -t V_1 and V_3 =
+    t^2 V_1, a rise of about t V_1 <= 4 t z_0^2 (alpha lambda = 1 - a - b <= 4
+    when |a| <= 2 and |b| <= 1), inside ``check_monotone``'s slack at that
+    step, 64 eps max(d)^2 >= 64 eps |z_0|^2, for t <= 4 eps.
     """
     lam = np.asarray(eigvals, dtype=float)
     if lam.ndim != 1 or lam.shape[0] < 1:
@@ -96,6 +122,7 @@ def analyze(spec: MethodSpec, eigvals: np.ndarray, tol: float = DEFAULT_TOL) -> 
             names="lambda_w,a,b,re,im,re2,rate,conjugate_pair"),
         spectral_radius=radius,
         eligible=bool(conj.all() and radius < 1.0),
+        equal_start_monotone=bool(((b <= _ULPS) & (b >= -1.0)).all()),
     )
 
 
@@ -116,6 +143,7 @@ def certificate_report_text(cert: SpectralCertificate) -> str:
         f"coordinates: {len(r)}",
         f"spectral_radius: {cert.spectral_radius:.12g}",
         f"eligible: {'yes' if cert.eligible else 'no'}",
+        f"equal_start_monotone: {'yes' if cert.equal_start_monotone else 'no'}",
     ]
     bad = r.lambda_w[~r.conjugate_pair]
     if bad.size:

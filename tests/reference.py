@@ -200,6 +200,7 @@ def certificate_report_text(cert):
         f"coordinates: {len(r)}",
         f"spectral_radius: {cert.spectral_radius:.12g}",
         f"eligible: {'yes' if cert.eligible else 'no'}",
+        f"equal_start_monotone: {'yes' if cert.equal_start_monotone else 'no'}",
     ]
     bad = r.lambda_w[~r.conjugate_pair]
     if bad.size:

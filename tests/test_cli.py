@@ -360,17 +360,21 @@ class TestRunAndCheck:
 def reference_run(tmp_path, kind, iters, *, dim=7, mu=1.0, L=50.0, spec=None,
                   seed=0, scale=10.0):
     """CSV bytes and stdout of ``run`` built from ``run_trace`` + ``export_csv``
-    + ``check_monotone``: the command as a whole trace in memory."""
+    + ``check_monotone``: the command as a whole trace in memory.  The
+    verdict line of a run that diverged or whose certificate is not eligible
+    says that V bounds no distance there."""
     problem = generate_quadratic(dim, mu, L, seed)
     spec = spec or optimal_hyperparams(kind, mu, L)
     tr = run_trace(problem, spec, _x0(problem.minimizer, scale, seed), iters)
     path = tmp_path / "reference.csv"
     export_csv(tr, path)
     out = tmp_path / "t.csv"
+    bound = tr.certificate.eligible and not tr.diverged
     text = (f"rows={len(tr)} final_gap={tr.objective_gap[-1]:.6g} "
             f"final_distance={tr.distance[-1]:.6g} "
             f"diverged={'yes' if tr.diverged else 'no'}\n"
-            f"{check_monotone(tr.lyapunov_series()).describe()}\n"
+            f"{check_monotone(tr.lyapunov_series()).describe()}"
+            f"{'' if bound else '; V is not positive definite here and bounds no distance'}\n"
             f"trace -> {out}\n")
     return path.read_bytes(), text, out
 
@@ -402,6 +406,15 @@ class TestStreamingRun:
         assert "diverged=yes" in text and text.startswith("rows=")
         assert int(text.split()[0][5:]) > 512  # stops past the first block
         assert out.read_bytes() == csv
+
+    def test_a_falling_v_that_bounds_nothing_says_so(self, tmp_path, capsys):
+        # radius 1.68: V falls at -b = 0.2 while the distance reaches 1.5e12
+        rc = main(["run", "--method", "hb", "--alpha", "0.03", "--beta", "0.2", "--dim", "50",
+                   "--mu", "1", "--L", "100", "--out", str(tmp_path / "t.csv")])
+        line = capsys.readouterr().out.splitlines()[1]
+        assert rc == 1
+        assert line.startswith("monotone decrease: yes (max ratio 0.200277 ")
+        assert line.endswith("; V is not positive definite here and bounds no distance")
 
     @pytest.mark.parametrize("existing", [None, b"old contents\n"])
     def test_raising_run_leaves_out_alone(self, tmp_path, capsys, monkeypatch, existing):
@@ -491,19 +504,22 @@ class TestOutputPins:
     ``linear`` built inside ``generate_quadratic``, numpy 2.4.6 on x86-64;
     the HB and NAG pins re-taken with the family's coefficient formula, and
     the ``run`` pins when its verdict line began to leave out the ratios of
-    V within roundoff (the CSVs unchanged); ``TestStreamingRun`` compares
+    V within roundoff (the CSVs unchanged); the TMM ``run`` pin when that
+    line began to say that V bounds no distance on an ineligible
+    certificate, and both ``analyze`` pins when the report gained its
+    ``equal_start_monotone`` line (the CSVs unchanged); ``TestStreamingRun`` compares
     ``run`` with ``export_csv``, which share one formatter, so only a pin
     catches a formatting change."""
 
     RUN = {
         HB: "9982af6031beb3f4021ef032ecc3ff2b426e177d559c8b2c0ffa083ba35b0905",
         NAG: "522c405a44b6af3293d5a3ce80c43f6d773892780ebaad7a3a851bb3bdbe4f88",
-        TMM: "9e30f4b4587be5b88b701f80aba8fdff81791b7f23bffaa67c42a27f0cf55173",
+        TMM: "a00fef2c1167bdaabc07585ea6d1865fa7df9bf09701632d0ba48cd3bd2361b8",
         NAGGS: "c95c84d9401b4863a393c7600c422cb1bc29f0f85a2b4bda7545353e3b231ce9",
     }
     ANALYZE = {
-        HB: (0, "5347799462c838d4ffbac929afc078ab8607ec0e44e9afbce4a78766c52ee527"),
-        TMM: (1, "3ebeb3484decd3074b05efde477b3ca3c849937604340fe903dd95c947f8920e"),
+        HB: (0, "98e8263b0465f8b4352e5bad1a996adb446056dfd293601c43b69064df93ee4a"),
+        TMM: (1, "021daa9b470633294ccdf929d0880c0c96686b4ec1ef0ad2df7580c31100d1a9"),
     }
 
     @staticmethod

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
 
-from lyapcert import (HB, NAG, NAGGS, LyapunovSeries, MethodSpec, MonotonicityReport,
-                      analyze, check_monotone, coefficient_arrays,
+from lyapcert import (HB, KINDS, NAG, NAGGS, TMM, LyapunovSeries, MethodSpec,
+                      MonotonicityReport, analyze, check_monotone, coefficient_arrays,
                       generate_quadratic, optimal_hyperparams, run_trace)
+from lyapcert.methods import _family
 from conftest import peak_bytes, random_eligible_coeffs
 from reference import per_coordinate_V, scalar_V, vector_V
 
@@ -381,6 +382,62 @@ class TestRoundoffBound:
         v[k + 1] = np.nextafter(allowed, math.inf)
         rep = check_monotone(LyapunovSeries(values=v, distance=d))
         assert 2 + k in rep.index.tolist()
+
+
+@st.composite
+def equal_start_runs(draw):
+    """A quadratic with a random spectrum [mu, L], a random family member on
+    it (tuned, or with alpha L up to 4 and beta up to 1.2; TMM's beta and
+    gamma of either sign) and a random equal start at a random scale."""
+    kind = draw(st.sampled_from(KINDS))
+    mu = draw(st.floats(0.0, 5.0))
+    L = mu + draw(st.floats(0.1, 100.0))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    p = generate_quadratic(draw(st.integers(2, 30)), mu, L, seed=seed)
+    if mu >= 0.01 and draw(st.booleans()):
+        spec = optimal_hyperparams(kind, mu, L)
+    else:
+        tmm = kind == TMM
+        spec = MethodSpec(kind, alpha=draw(st.floats(0.01, 4.0)) / L,
+                          beta=draw(st.floats(-0.5 if tmm else 0.0, 1.2)),
+                          gamma=draw(st.floats(-1.0, 2.0)) if tmm else 0.0)
+    scale = draw(st.floats(1e-3, 1e3))
+    x0 = p.minimizer + scale * np.random.default_rng(seed).standard_normal(p.dim)
+    return p, spec, x0
+
+
+class TestEqualStart:
+    """From x_{-1} = x_0 every coordinate's V is (-b)^(k-1) alpha lambda z_0^2
+    (alpha the family's; ``analyze`` derives it), and V of a run that the
+    certificate covers from that start is never flagged."""
+
+    @given(run=equal_start_runs())
+    def test_closed_form_matches_the_recorded_v(self, run):
+        p, spec, x0 = run
+        tr = run_trace(p, spec, x0, 60)
+        r = tr.certificate.per_coordinate
+        # each step's rounding enters V once and |b| <= 1 carries it on at
+        # most undamped: the recorded V is within the slacks summed so far
+        assume(np.abs(r.b).max() <= 1.0)
+        z0 = p.eigvecs.T @ (x0 - p.minimizer)  # the engine's start, bitwise
+        k = np.arange(2, len(tr))
+        with np.errstate(under="ignore"):
+            terms = np.power(-r.b, k[:, None] - 1.0) * (_family(spec)[0] * r.lambda_w * z0 * z0)
+        law = terms.sum(axis=1)
+        # d_{-2} = d_{-1} = d_0, and the last distance once more for row k's own step
+        d = np.concatenate([tr.distance[:1], tr.distance[:1], tr.distance, tr.distance[-1:]])
+        window = np.maximum.reduce([d[:-3], d[1:-2], d[2:-1], d[3:]])  # rows j-2 .. j+1
+        tol = np.cumsum(4 * _C * _U * window * window)[k]
+        tol += (p.dim + 8) * _U * np.abs(terms).sum(axis=1)  # the closed form's own rounding
+        assert np.all(np.abs(tr.lyapunov[2:] - law) <= tol)
+
+    @given(run=equal_start_runs())
+    def test_a_covered_run_is_never_flagged(self, run):
+        p, spec, x0 = run
+        cert = analyze(spec, p.eigvals)
+        assume(cert.eligible or (cert.equal_start_monotone and cert.spectral_radius < 1.0))
+        rep = check_monotone(run_trace(p, cert, x0, 300).lyapunov_series())
+        assert rep.monotone, rep.describe()
 
 
 class TestContractionIdentity:

@@ -9,6 +9,7 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, strategies as st
 
 from lyapcert import (HB, NAG, NAGGS, SCENARIOS, SUITABLE, TMM, MethodSpec,
                       ScenarioConfig, Trace, analyze, find_cosine_witness, find_tmm_witness,
@@ -117,10 +118,12 @@ class TestQuadraticScenarios:
     def test_quadratic_quick(self, tmp_path):
         res = run_quick("quadratic", tmp_path, dim=5, mu=1.0, L=16.0, iters=400)
         assert res.ok
-        for kind in ("hb", "nag", "naggs"):
+        for kind in ("hb", "nag", "tmm", "naggs"):
             assert res.verdicts[f"{kind}_V_monotone"]
             assert res.verdicts[f"{kind}_terminal_V_below_floor"]
-        assert "tmm_V_monotone" not in res.verdicts
+        # tuned TMM is judged too: its equal start is covered, not its certificate
+        assert res.verdicts["tmm_equal_start_monotone"]
+        assert "tmm_certificate_eligible" not in res.verdicts
 
     def test_nonoptimal_quick(self, tmp_path):
         res = run_quick("nonoptimal", tmp_path, dim=5, iters=200)
@@ -187,7 +190,7 @@ class TestQuadraticScenarios:
 class TestSizedRuns:
     """No stop but divergence and ``iters``: at their defaults quadratic and
     nonoptimal run every method for exactly ``iters`` rows, which is room
-    enough for quadratic's eligible runs to take V below its floor."""
+    enough for every quadratic run, tuned TMM's too, to take V below its floor."""
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 7919])
     @pytest.mark.parametrize("name", ["quadratic", "nonoptimal"])
@@ -199,7 +202,7 @@ class TestSizedRuns:
         if name == "quadratic":
             assert sorted(k for k in res.verdicts if k.endswith("_terminal_V_below_floor")) == [
                 "hb_terminal_V_below_floor", "nag_terminal_V_below_floor",
-                "naggs_terminal_V_below_floor"]
+                "naggs_terminal_V_below_floor", "tmm_terminal_V_below_floor"]
 
     @pytest.mark.parametrize("seed", [0, 7919])
     def test_slowest_start_reaches_the_floor(self, tmp_path, monkeypatch, seed):
@@ -297,6 +300,32 @@ class TestWitnessScenarios:
             assert find_tmm_witness(problem, eligible, 400, scale=s) is None
 
 
+    @given(mu=st.floats(0.0, 5.0), spread=st.floats(0.1, 100.0), dim=st.integers(2, 20),
+           seed=st.integers(0, 2 ** 32 - 1), alpha_l=st.floats(0.01, 4.0),
+           beta=st.floats(-0.5, 1.2), gamma=st.floats(-1.0, 2.0), scale=st.floats(1e-3, 1e3))
+    # real-split at both ends: -b = 1.2 at lambda = 0, where V_2 < 0 would fall, and 0.3 at L
+    @example(mu=0.0, spread=1.0, dim=5, seed=0, alpha_l=3.0, beta=1.2, gamma=0.3, scale=10.0)
+    def test_find_tmm_witness_is_flagged(self, mu, spread, dim, seed, alpha_l, beta, gamma,
+                                         scale):
+        # a TMM member with a real-split coordinate whose -b is in (0, 1):
+        # the witness start has V_2 < 0 and V_3 = -b V_2 above it
+        p = generate_quadratic(dim, mu, mu + spread, seed=seed)
+        spec = MethodSpec(TMM, alpha=alpha_l / (mu + spread), beta=beta, gamma=gamma)
+        cert = analyze(spec, p.eigvals)
+        r = cert.per_coordinate
+        assume(np.any(~r.conjugate_pair & (r.b < 0) & (r.b > -1)))
+        found = find_tmm_witness(p, cert, 10, scale)
+        assert found is not None
+        i, trace, rep = found
+        assert not r.conjugate_pair[i] and -1 < r.b[i]
+        # the rise at k = 2, (1 + b) s^2 (l1 - l2)^2 / 4, clears four times the
+        # slack there, 64 eps max(d_0 .. d_3)^2 with d_k <= s max(1, |l1|)^k
+        l1, l2 = r.re[i], r.re2[i]
+        assume((1 + r.b[i]) * (l1 - l2) ** 2 / 4 > 4 * 64 * np.finfo(float).eps
+               * max(1.0, abs(l1)) ** 6)
+        assert not rep.monotone and 2 in rep.index.tolist()
+
+
 class TestObjectiveScenarios:
     def test_expnorm_quick(self, tmp_path):
         res = run_quick("expnorm", tmp_path, iters=80)
@@ -336,7 +365,7 @@ DIGESTS = {
         "fig1_hb_certificate.csv":
             "3c9efdb38dc4566f01244d4b62f0ee82b662023e8480381875c90d5cb06b223b",
         "fig1_hb_certificate.txt":
-            "1a83762504f864399363e7d8074951eecc5083c03dc66a5236dd4f4841db299d",
+            "821187c3d57e7a45691c52f060ade557428367ac9f214b713db4ec8c8a46a882",
         "fig1_hb_trace.csv":
             "a21027d7376fd1cf7a5161dc81482775e9ceb5a9d65c9e5ddf47d9d2e35ee938",
         "fig1_lyapunov.svg":
@@ -344,25 +373,25 @@ DIGESTS = {
         "fig1_nag_certificate.csv":
             "9368174bd6c9efa595e402ff6f6779da5ddbb88d261f1a2bfdb02170297c89a3",
         "fig1_nag_certificate.txt":
-            "6a6b8bbef5bc807f37d29960cdb00325f7bf717302cee9d76b631d72ab0d787d",
+            "33ef43c1d790880daad71d0832083757d2aa3887d402e8a2ed6de97050f39754",
         "fig1_nag_trace.csv":
             "a03a52b585c4b971bb83380b56c00d8af1f8662be93f6e1d9c8b0125b741f410",
         "fig1_naggs_certificate.csv":
             "fe74c5f19d6f75181f8d122f61f38ec387846f67d4ff6678096dd69c3df4e197",
         "fig1_naggs_certificate.txt":
-            "f2f06379b9f75b68c329343b555c033ea108f20dab309578a4e7afd600ae27ba",
+            "c0110691d57282e907cf671a0dc2867f41d1e518bacb1aae1eb19e6528ce559b",
         "fig1_naggs_trace.csv":
             "ade3bb1ea1438cb06b673690e8680da9c6223a75d239e7fc478467dee584e943",
         "fig1_overview.svg":
             "a5d8005f5a692e3ee009b2d0f6959bec1f47b2e2012b5c106005cedb3d0f42a5",
         "fig1_report.txt":
-            "025f077e81d21725ea3c679ae0f5a2f47d6584f328add713b9ad7009d5bdaee5",
+            "b95b9ca9c5c31d5071c179023a63ec0df14bb3c53911ad429cb0c43f477f6bac",
         "fig1_spectrum.svg":
             "20ebd84019b084b5faf35ad292a002c1ba1baac77a42a846ff8de1232cf8f192",
         "fig1_tmm_certificate.csv":
             "522ae9b0306bc4fa537fa088019848f6ef4e65160fa993a5262f81f6bf96b3f9",
         "fig1_tmm_certificate.txt":
-            "c650173e0049afd2a224deacd59cacabe7b2b879b7bcf4bb52c306421c50e886",
+            "6c2e69ff761c09b935c8e4be547ea30da73991b9b33f2b75060e824873b20a25",
         "fig1_tmm_trace.csv":
             "503f23ea110ab4b914af6a35c4fe96b9a86a2f7edbfe5bcbf2efbb8de025534a",
     },
@@ -374,7 +403,7 @@ DIGESTS = {
         "quadratic_hb_certificate.csv":
             "85dc16e8186171380c0a84a42b512b42a12039e4523ef3b43944272e8f149cae",
         "quadratic_hb_certificate.txt":
-            "e4bdf200c2d27317c321ef87e1cbabf042cf467d939b026b5a4c66c9ebae2b17",
+            "542578c744ba0448be7781b2c365c352146f13f46f96a2c49301b3c745ab821b",
         "quadratic_hb_trace.csv":
             "455631a6881523967c05b8ad750f1cd6f87ec485c485db0a74a92340866c1a37",
         "quadratic_lyapunov.svg":
@@ -382,25 +411,25 @@ DIGESTS = {
         "quadratic_nag_certificate.csv":
             "0ddb3ad091cc1bc472599958d36438f21c846f6e6bc09787234a07690f818f53",
         "quadratic_nag_certificate.txt":
-            "efaa8a3a8b5c1dc5efd1b28dc9dec477517737492d9dc59c69f6a311514d9d1d",
+            "a122763128e814fc2cec2cbd881cdcf58cb19cacfc993c9ccdea75ff8f8f8aa9",
         "quadratic_nag_trace.csv":
             "32112be3ddf5f9f32811d536c0fff7baecc0ffa4473207aafd96d53f3b751810",
         "quadratic_naggs_certificate.csv":
             "6855c9b840d2c27a46428908ad8aa243520a0e5c13e32ca3b09969f0a808ff8c",
         "quadratic_naggs_certificate.txt":
-            "57d043a4481dce42e78f9ff05e7f29a02168af99a05f5194ad354dd1f750701f",
+            "a5af69177846ec2fc10d7aa133c33a7119e204a37ee6aaa002f2901ba6f1f63c",
         "quadratic_naggs_trace.csv":
             "57f7e4f48fb59dc190f7902dae3fa53cb540e44f4ca90a20c73ce4cf5f6a8060",
         "quadratic_overview.svg":
             "16b0217e52f215766a34a4cbccd4033895bcbb0eaad41e7cc196cb4444cdd298",
         "quadratic_report.txt":
-            "bbe27c445c407760566516bfdb8d4e754b6c11cdf2dbf728bb570c4e28dabec9",
+            "c85eb1e97b83f03e62162274c10807cb576df2048a243afaf7556192cdca5ca1",
         "quadratic_spectrum.svg":
             "e3ee8314380800ed51cb6d823bb9368b677ac9b235b0a622cca657138165dfae",
         "quadratic_tmm_certificate.csv":
             "8e766f06aa504fcd594b6bd505bb1cf160d501ee446887086b926403b7f378f8",
         "quadratic_tmm_certificate.txt":
-            "4da7b8001635b71654b4cd0ecdb80963c58e17e1f8e622a898317507591e4fc7",
+            "7cf83748d27073c0090e230bc70af9134e4e7ea59ce075bbfe8573497e37d60f",
         "quadratic_tmm_trace.csv":
             "b5ab71b3786468340a0c2679331e84f4921789412e70567e12a892a40a5a925c",
     },
@@ -412,7 +441,7 @@ DIGESTS = {
         "nonoptimal_hb_certificate.csv":
             "ac3e6b8057050f3a1683968245d770b6451e7a208c07e772a1d49167ed0237b0",
         "nonoptimal_hb_certificate.txt":
-            "2bd09503ce7e20bf4706b86cdc7df42f45e66691792da403ba9be41a1774d85d",
+            "8a6aa45710b0055188a97b909aa9fe1e4ba46d3ce6c54d141f12d07dfe261164",
         "nonoptimal_hb_trace.csv":
             "009b760e6ef7b71d8f7e962289176655fcbeb906d0d98169ce7c91bca84c92e6",
         "nonoptimal_lyapunov.svg":
@@ -420,13 +449,13 @@ DIGESTS = {
         "nonoptimal_nag_certificate.csv":
             "06b272ef0f14bafe0faa1aadde3e6841f632e94f1198aed0d055bc86c15cbdab",
         "nonoptimal_nag_certificate.txt":
-            "eff6b33f15d946eefce13f73166e215c0224708f9c12cdf395ed92574bfb0b2e",
+            "bff7e43ecf5b0f470f9c0ca305a29a21ff92870ead47db7c1d0236e3356b9a45",
         "nonoptimal_nag_trace.csv":
             "c2525797d49682a1d732e4f5fe8e6a613ab5540f52fb7b0ce26452a57af6df6d",
         "nonoptimal_naggs_certificate.csv":
             "276eaaf80394795240e8fa4161f146c78eb8d6dcc6e2a2cad1f9d7c1c18956de",
         "nonoptimal_naggs_certificate.txt":
-            "5880b6ed346348e29b77c692f6e3f02c2f8132a7baecf626df6e2691d92fa08b",
+            "9cd6721b32b213d66b027d15cdb4562faa46bc578f5c21ab482023dce041e8ea",
         "nonoptimal_naggs_trace.csv":
             "afcb0dea67440d6b3bc28a3121fae290adb226d4b6e2ae1642b4ea5eb05bcb98",
         "nonoptimal_overview.svg":
@@ -438,7 +467,7 @@ DIGESTS = {
         "nonoptimal_tmm_certificate.csv":
             "e531d576bdee72dc968ee197760d9ded209436b9eb5924b961aaecaa5f9d107f",
         "nonoptimal_tmm_certificate.txt":
-            "1c494b68313ff5dc52aeb2d163e910b9fbe785f35e9ec729820309b1baa6195b",
+            "b5399c7b86ad8f73394eb8fd83428520c667fd64d1135e466df7b8ec8fdae28b",
         "nonoptimal_tmm_trace.csv":
             "d1222743f06489a1116c9fe9c9fc98c057c5544720befd752e21779c679a5b42",
     },
@@ -450,7 +479,7 @@ DIGESTS = {
         "convex-mu0_hb_certificate.csv":
             "5c2a95dc1db6cf160697a7cd3ca05e5fcfce899e624140ccec1e15a4a3ba0e5a",
         "convex-mu0_hb_certificate.txt":
-            "b37fc73e2acaf9ecf57ef295bb9904447eb25b381f74c5c921b20dbf88847fe8",
+            "37240f478207f7cccd4fb89a368ff90316db0fe2a967f891b50e700888651930",
         "convex-mu0_hb_trace.csv":
             "cc5acd8a725dc3bf65d1369da095a30bb766ecd989fec4e3b1264a1236f5472e",
         "convex-mu0_lyapunov.svg":
@@ -458,13 +487,13 @@ DIGESTS = {
         "convex-mu0_nag_certificate.csv":
             "b77c055c87db28a5fc90e02c79c5f67dc5348f58abfb8c20a8ca186dde9f8443",
         "convex-mu0_nag_certificate.txt":
-            "bf7ad15cee9ec032082c3766d61ba05723b9e13069938a9adedd77f96233d67d",
+            "779a8c2c80bd73526bbe998f41b0e75234b5f92fb7f804902fbf414be40b9cc0",
         "convex-mu0_nag_trace.csv":
             "39937b991a8efff7fb2945d67669f62b0d89e20c4ec232a00107a13c904d79f8",
         "convex-mu0_naggs_certificate.csv":
             "1b1551b3b4ca074cf66e6e44f72d3f0dc61cfd94aeeed57c39f99e76b8d547e4",
         "convex-mu0_naggs_certificate.txt":
-            "8c8d16c44ec39a1653bbf5e16065554478ed884ed1291e162baf71f8ef35813d",
+            "87421f348c793ac81c46078958416f1d97a2703bec722a74e44c8e0e17b87370",
         "convex-mu0_naggs_trace.csv":
             "d11ed61339c2bae4e28ad55814dc9798496d4d0dd1b591797a7ebd95f8577c65",
         "convex-mu0_overview.svg":
@@ -476,7 +505,7 @@ DIGESTS = {
         "convex-mu0_tmm_certificate.csv":
             "165ca03d29b9503648920526ba98dc7adac56281da64c40a48c0b1d07de5b3bb",
         "convex-mu0_tmm_certificate.txt":
-            "9b5637cf3c9fee3d143d1c7e8a61a6a68fe00df1fcdcea141506fe037d336390",
+            "3a812e1054a39041b6ece6848d594f55bc5397d0a41ba45948a9ccbe03cf30d6",
         "convex-mu0_tmm_trace.csv":
             "ab479e34875204f2edff30ffa7d33b6b914a6fd2a52edcff90071b3e54fdbb79",
     },
@@ -486,7 +515,7 @@ DIGESTS = {
         "cosine_hb_certificate.csv":
             "f39076f5ff8537d24d29cda4f4bb79caa0418e5724131e31e3954503fb2647bb",
         "cosine_hb_certificate.txt":
-            "2a669f1a329be5f60b15dc534ea52c5543144a7fd5e0c691d146d584321046ab",
+            "1fe50c20da843d779da731e0e552f70754208ccb89a820c0a7bf56881e039bff",
         "cosine_hb_trace.csv":
             "f0a9fa92d01e5961ae18ef20f42495bdcf7fbac341543d61769a14c6b76cca6d",
         "cosine_lyapunov.svg":
@@ -500,11 +529,11 @@ DIGESTS = {
         "tmm-witness_lyapunov.svg":
             "9e08c51991187861962e53811c27e6dcb31cefcb15823a293262406dc50191e1",
         "tmm-witness_report.txt":
-            "336a82759202c1f1871030b91a258bef288ef93f80454273a4a5d5c6304aab9b",
+            "5bb03b1183989f860fe9d4c1904ea4cdd8df511a29d247060179772e5c2d11ce",
         "tmm-witness_tmm_certificate.csv":
             "8292709c52b4b9e1bd0e3fa377002a528a3fa1b3b3f0e39ffa0902787d8cbeaf",
         "tmm-witness_tmm_certificate.txt":
-            "235e3d404af3919ad606cd44a1d6b6a4db8043ad764b45f5d7caca25ccbe0fcf",
+            "001dff8435dd96c5e63826289921b5b0c3ff1ea360cef97b0a1974a94e1cfb6b",
         "tmm-witness_tmm_trace.csv":
             "f6787fa7083f05e1697d84ab8773029e0181d38c7c7c8031c66f13dea3524e53",
     },
@@ -578,24 +607,35 @@ class TestArtifactBytes:
 class TestVerdictRows:
     """The verdicts of each quadratic scenario, in report order, and its exit
     code at ``--dim 20 --iters 200`` (seed 0): for all four methods and for
-    each method alone.  A scenario with no verdict passes (fig1 judges no
-    TMM run); quadratic fails when no method is eligible."""
+    each method alone.  Every run is judged first by what covers it: tuned
+    TMM, whose certificate is not eligible, by ``equal_start_monotone``.  At
+    200 rows only TMM's V is below quadratic's floor."""
 
     VERDICTS = {
         ("fig1", None): (0, "hb_certificate_eligible: PASS, hb_V_monotone: PASS, "
                             "nag_certificate_eligible: PASS, nag_V_monotone: PASS, "
+                            "tmm_equal_start_monotone: PASS, tmm_V_monotone: PASS, "
                             "naggs_certificate_eligible: PASS, naggs_V_monotone: PASS"),
         ("fig1", HB): (0, "hb_certificate_eligible: PASS, hb_V_monotone: PASS"),
         ("fig1", NAG): (0, "nag_certificate_eligible: PASS, nag_V_monotone: PASS"),
-        ("fig1", TMM): (0, ""),
+        ("fig1", TMM): (0, "tmm_equal_start_monotone: PASS, tmm_V_monotone: PASS"),
         ("fig1", NAGGS): (0, "naggs_certificate_eligible: PASS, naggs_V_monotone: PASS"),
-        ("quadratic", None): (1, "hb_V_monotone: PASS, hb_terminal_V_below_floor: FAIL, "
-                                 "nag_V_monotone: PASS, nag_terminal_V_below_floor: FAIL, "
-                                 "naggs_V_monotone: PASS, naggs_terminal_V_below_floor: FAIL"),
-        ("quadratic", HB): (1, "hb_V_monotone: PASS, hb_terminal_V_below_floor: FAIL"),
-        ("quadratic", NAG): (1, "nag_V_monotone: PASS, nag_terminal_V_below_floor: FAIL"),
-        ("quadratic", TMM): (1, "some_certificate_eligible: FAIL"),
-        ("quadratic", NAGGS): (1, "naggs_V_monotone: PASS, naggs_terminal_V_below_floor: FAIL"),
+        ("quadratic", None): (1, "hb_certificate_eligible: PASS, hb_V_monotone: PASS, "
+                                 "hb_terminal_V_below_floor: FAIL, "
+                                 "nag_certificate_eligible: PASS, nag_V_monotone: PASS, "
+                                 "nag_terminal_V_below_floor: FAIL, "
+                                 "tmm_equal_start_monotone: PASS, tmm_V_monotone: PASS, "
+                                 "tmm_terminal_V_below_floor: PASS, "
+                                 "naggs_certificate_eligible: PASS, naggs_V_monotone: PASS, "
+                                 "naggs_terminal_V_below_floor: FAIL"),
+        ("quadratic", HB): (1, "hb_certificate_eligible: PASS, hb_V_monotone: PASS, "
+                               "hb_terminal_V_below_floor: FAIL"),
+        ("quadratic", NAG): (1, "nag_certificate_eligible: PASS, nag_V_monotone: PASS, "
+                                "nag_terminal_V_below_floor: FAIL"),
+        ("quadratic", TMM): (0, "tmm_equal_start_monotone: PASS, tmm_V_monotone: PASS, "
+                                "tmm_terminal_V_below_floor: PASS"),
+        ("quadratic", NAGGS): (1, "naggs_certificate_eligible: PASS, naggs_V_monotone: PASS, "
+                                  "naggs_terminal_V_below_floor: FAIL"),
         ("nonoptimal", None): (0, "hb_certificate_eligible: PASS, hb_V_monotone: PASS, "
                                   "nag_certificate_eligible: PASS, nag_V_monotone: PASS, "
                                   "tmm_certificate_eligible: PASS, tmm_V_monotone: PASS, "
@@ -621,6 +661,22 @@ class TestVerdictRows:
         ("convex-mu0", NAGGS): (0, "naggs_certificate_ineligible: PASS, "
                                    "naggs_unit_eigenvalue_at_zero: PASS"),
     }
+
+    @pytest.mark.parametrize("flags", [
+        # NAG at alpha 1.5 / L: -b = (1 - alpha lambda) beta reaches -0.45
+        ["--method", "nag", "--alpha", "0.0015", "--beta", "0.9"],
+        # HB at radius 1.68: -b = 0.2 is in [0, 1], but the run diverges
+        ["--method", "hb", "--alpha", "0.03", "--beta", "0.2", "--L", "100"],
+    ], ids=["nag-negative-b", "hb-radius-above-one"])
+    def test_a_run_nothing_covers_fails(self, tmp_path, capsys, flags):
+        # at fig1's defaults otherwise: neither the certificate nor the equal
+        # start covers the run, so its eligibility verdict fails
+        rc = main(["scenario", "fig1", *flags, "--out", str(tmp_path)])
+        out = capsys.readouterr().out.splitlines()
+        kind = flags[1]
+        assert rc == 1
+        assert f"verdict {kind}_certificate_eligible: FAIL" in out
+        assert not [ln for ln in out if "equal_start_monotone" in ln]
 
     @pytest.mark.parametrize("name,method", list(VERDICTS))
     def test_verdicts(self, tmp_path, capsys, name, method):

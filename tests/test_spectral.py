@@ -136,6 +136,32 @@ class TestAnalyze:
         assert not by_lam[4.0].conjugate_pair
         assert by_lam[2.5].conjugate_pair
 
+    @pytest.mark.parametrize("kappa", [10.0, 1e3, 1e6])
+    def test_every_tuned_method_is_equal_start_monotone(self, kappa):
+        # every tuned -b lies in [0, 1]; tuned TMM's -b(L) is 0 in exact
+        # arithmetic and may read a few ulps below it, which the flag allows
+        grid = np.linspace(1.0, kappa, 1001)
+        for kind in KINDS:
+            cert = analyze(optimal_hyperparams(kind, 1.0, kappa), grid)
+            assert cert.equal_start_monotone
+            assert cert.eligible == (kind != TMM)
+        tmm = analyze(optimal_hyperparams(TMM, 1.0, 1e6), np.linspace(1.0, 1e6, 1001))
+        assert -4 * np.finfo(float).eps <= (-tmm.per_coordinate.b).min() < 0.0
+
+    @pytest.mark.parametrize("spec,flag", [
+        (MethodSpec(HB, alpha=0.03, beta=0.2), True),  # radius 1.68: not eligible
+        (MethodSpec(HB, alpha=0.001, beta=1.0), True),
+        (MethodSpec(HB, alpha=0.001, beta=np.nextafter(1.0, 2.0)), False),
+        (MethodSpec(NAG, alpha=0.015, beta=0.9), False),  # -b reaches -0.45
+        (MethodSpec(TMM, alpha=0.01, beta=0.5, gamma=-0.1), True),
+        (MethodSpec(TMM, alpha=0.01, beta=0.05, gamma=0.1), False),  # -b(100) = -0.05
+    ])
+    def test_equal_start_flag_is_minus_b_in_unit_interval(self, spec, flag):
+        cert = analyze(spec, np.linspace(1.0, 100.0, 34))
+        assert cert.equal_start_monotone is flag
+        assert f"equal_start_monotone: {'yes' if flag else 'no'}\n" in \
+            certificate_report_text(cert)
+
     def test_zero_eigenvalue_gives_unit_rate(self):
         beta = 0.4
         spec = MethodSpec(HB, alpha=0.1, beta=beta)
@@ -284,7 +310,8 @@ class TestCertificateSerialization:
         # CSV + report bytes of the four tuned certificates (TMM's report
         # lists real-split coordinates with "(+23 more)"), fixed at the
         # scalar per-coordinate implementation; re-taken when HB and NAG moved
-        # to the family's coefficient formula (last-ulp evaluation order)
+        # to the family's coefficient formula (last-ulp evaluation order), and
+        # when the report gained its equal_start_monotone line (CSV unchanged)
         digest = hashlib.sha256()
         grid = np.linspace(1.0, 1000.0, 257)
         for kind in KINDS:
@@ -292,7 +319,7 @@ class TestCertificateSerialization:
             digest.update(certificate_csv_text(cert).encode())
             digest.update(certificate_report_text(cert).encode())
         assert digest.hexdigest() == \
-            "80451215c224530383ca5672d84e38e2a6bf12b46f2ee9d514cfb81d984f9f21"
+            "63add1c272031ffcee3a3ab4347b6996d9e48e1ae47d8f073824c02d46b83baa"
 
     def test_report_mentions_verdict(self):
         spec = optimal_hyperparams(HB, 1.0, 4.0)

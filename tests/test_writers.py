@@ -80,7 +80,7 @@ def edge_certificate(n: int) -> SpectralCertificate:
         method=MethodSpec(TMM, alpha=0.1, beta=0.5, gamma=0.25),
         per_coordinate=np.rec.fromarrays(
             cols + [conj], names="lambda_w,a,b,re,im,re2,rate,conjugate_pair"),
-        spectral_radius=1.0, eligible=False)
+        spectral_radius=1.0, eligible=False, equal_start_monotone=False)
 
 
 def assert_certificate_parity(cert):
