@@ -30,6 +30,7 @@ from .scenarios import (SCENARIOS, ScenarioConfig, _Refused, _require_finite_sca
                         parse_config_file, run_scenario)
 from .spectral import (DEFAULT_TOL, _require_tolerance, analyze, certificate_csv_text,
                        certificate_report_text)
+from . import trace
 from .trace import _blocks, _lyapunov_series, _stream_csv, series_from_csv
 
 _METHOD_NAMES = {
@@ -173,6 +174,9 @@ def _cmd_analyze(o: dict) -> int:
     return 0 if cert.eligible else 1
 
 
+_UNBOUNDED = "; V is not positive definite here and bounds no distance"
+
+
 def _cmd_run(o: dict) -> int:
     """run one method and export the trace CSV"""
     out = _require(o["out"], "--out")
@@ -191,7 +195,7 @@ def _cmd_run(o: dict) -> int:
     lyap, dist = map(np.frombuffer, kept)
     verdict = check_monotone(_lyapunov_series(lyap, dist)).describe()
     if last.diverged or not last.certificate.eligible:  # V is a bound on eligible runs only
-        verdict += "; V is not positive definite here and bounds no distance"
+        verdict += _UNBOUNDED
     print(verdict)
     print(f"trace -> {out}")
     return 1 if last.diverged else 0
@@ -217,13 +221,18 @@ def _cmd_check(o: dict) -> int:
     path = o["trace"]
     if path is None:
         raise UsageError("missing trace CSV path")
-    rep = check_monotone(series_from_csv(path))
-    print(rep.describe())
+    series = series_from_csv(path)
+    rep = check_monotone(series)
+    # the run's own stop rule: a last row beyond the threshold diverged
+    diverged = bool(series.distance[-1] > trace.DIVERGENCE_THRESHOLD)
+    if diverged:
+        print(f"final_distance={series.distance[-1]:.6g} diverged=yes")
+    print(rep.describe() + _UNBOUNDED * diverged)
     for k, v_prev, v_next, excess in zip(rep.index[:10], rep.v_prev, rep.v_next, rep.excess):
         print(f"  k={k}: V {v_prev:.9g} -> {v_next:.9g} (excess {excess:.3g})")
     if rep.index.size > 10:
         print(f"  ... {rep.index.size - 10} more")
-    return 0 if rep.monotone else 1
+    return 0 if rep.monotone and not diverged else 1
 
 
 # the method options ``_method_spec`` reads, shared by analyze and run

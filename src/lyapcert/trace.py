@@ -9,8 +9,12 @@ keep full relative accuracy all the way down to underflow: the engine runs
 nothing but the recurrence z_{k+1} = a z_k + b z_{k-1}, a block of rows at a
 time, with the (a, b) columns of all runs' certificates (each spec's made
 once, by ``spectral.analyze``) as one (2, runs, dim) array, so one multiply
-and one add make a row of every run.  Objective targets take the family
-update of ``methods`` for all runs in one set of ufunc calls
+and one add make a row of every run.  A settling eigen-coordinate (spectral
+radius at most 1 - 2^-20, lambda at most 2^600) reads exact 0 after its
+first two consecutive rows below 2^-900: every term such rows give the gap,
+distance and V underflows to +0 anyway (``_eigenbasis_engine`` derives it),
+so no recorded bit moves and no subnormal is stepped.  Objective targets
+take the family update of ``methods`` for all runs in one set of ufunc calls
 and call the gradient oracle once per run and row, from the last two
 iterates alone; a run takes no gradient at a row beyond the divergence
 threshold, so none is evaluated past its stop.  ``_blocks`` keeps the
@@ -57,6 +61,10 @@ from .spectral import SpectralCertificate, analyze
 
 DIVERGENCE_THRESHOLD = 1e12  # read at call time
 _CHUNK = 512  # rows x runs advanced between two checks
+# a settling eigen-coordinate reads 0 after two consecutive rows below _TAU;
+# it settles at radius <= 1 - _DELTA and lambda <= _LAMBDA_MAX, all three
+# derived in ``_eigenbasis_engine``
+_TAU, _DELTA, _LAMBDA_MAX = 2.0 ** -900, 2.0 ** -20, 2.0 ** 600
 
 
 @dataclass
@@ -89,7 +97,9 @@ class Trace:
         """Row k is x_k, rebuilt on every read (not kept: that is the memory
         a trace saves) from the engine's rows: the iterates themselves on an
         objective, centred eigen-coordinates on a quadratic, stepped from the
-        trace's certificate, not certified again."""
+        trace's certificate, not certified again.  A settled eigen-coordinate
+        reads exact 0 where the plain recurrence is below 2^-856 (see
+        ``_eigenbasis_engine``)."""
         target, spec, *rest = self.run
         spec = self.certificate or spec
         # each block's rows are a view into the buffer the next one overwrites
@@ -333,12 +343,45 @@ def _eigenbasis_engine(p: QuadraticProblem, certs: list, starts):
     dim) array whose top two rows hold z_{k-1} and z_k; ``advance`` fills the
     n rows below them with the next rows of a z_k + b z_{k-1}, in every lane,
     a stopped run's too, and returns nothing.  ``ba`` holds the
-    certificates' columns as (b|a, run, coordinate)."""
+    certificates' columns as (b|a, run, coordinate).
+
+    A coordinate settles when the spectral radius rho of M = [[a, b], [1, 0]]
+    is at most 1 - delta and its lambda at most 2^600.  After its first two
+    consecutive rows (the carry's included) below tau in magnitude, every
+    later row of a settling coordinate is written as 0.  rho comes from (a, b)
+    themselves, off by < 1e-7 < delta / 9: a certificate's ``rate`` reads a
+    real split inside its discriminant tolerance as |a| / 2.  With tau =
+    2^-900 and delta = 2^-20 the zeros move no recorded bit (s_k = (z_k,
+    z_{k-1}), max norm, u = eps / 2):
+
+    - rho < 1 gives |a| <= 2, |b| <= 1, ||M|| <= 3, and Cayley-Hamilton
+      gives ||M^j|| <= j rho^(j-1) (||M|| + rho), so sum_j ||M^j|| <=
+      1 + 4 / (1 - rho)^2 < 2^43 =: K, as 1 - rho > 8 delta / 9.
+    - A float step adds at most 7u ||s_k|| + 2^-1073 (two rounded products,
+      subnormal ones off by up to 2^-1075 each, and a rounded sum), so from
+      ||s_0|| < tau the plain recurrence stays below
+      K (tau + 2^-1073) / (1 - 7u K) < 2^-856.
+    - Every z^2, z_k z_{k-2} and (lambda z) z is then below 2^-1075 and rounds
+      to +-0, and each V or gap term to +0, as a zero row's do.  Sums of
+      terms equal term by term are equal in any order, and a dot product
+      with FMA adds each exact square to a nonnegative partial sum, which
+      it leaves as it is.
+
+    So every gap, distance and V, and every stop and error, is the plain
+    recurrence's.  Only the rows differ: they read 0 where the plain ones are
+    below 2^-856 and head for subnormal numbers, whose every multiply costs
+    a microcode assist.
+    """
     zero = np.zeros(p.dim)
     ba = np.stack([(c.per_coordinate.b, c.per_coordinate.a) if c else (zero, zero)
                    for c in certs], axis=1)
     work = np.empty_like(ba)
     bz, az = work
+    b, a = ba
+    with np.errstate(over="ignore"):  # a huge a is a radius of inf
+        rho = np.maximum(np.abs(a) / 2 + np.sqrt(np.maximum(a * a / 4 + b, 0.0)),
+                         np.sqrt(np.maximum(-b, 0.0)))
+    settles = (rho <= 1.0 - _DELTA) & (p.eigvals <= _LAMBDA_MAX)
 
     def advance(rows: np.ndarray, going) -> None:
         # row k+1 = b z_{k-1} + a z_k from the window (z_{k-1}, z_k) above
@@ -348,6 +391,18 @@ def _eigenbasis_engine(p: QuadraticProblem, certs: list, starts):
         for pair, row in zip(pairs, rows[2:]):
             np.multiply(ba, pair, out=work)
             np.add(bz, az, out=row)
+        # pair[j]: rows j and j + 1 below tau on a settling coordinate; a
+        # coordinate's rows from 2 past its first pair on are zeroed
+        low = rows < _TAU
+        low &= rows > -_TAU
+        low &= settles
+        pair = np.logical_and(low[:-1], low[1:], out=low[:-1])
+        if pair[:-1].any():
+            pair[-1] = True  # rows n and n + 1 zero no row of this block
+            first = pair.argmax(axis=0).astype(np.int32)  # int32: a faster compare
+            after = np.greater_equal(np.arange(len(rows) - 2, dtype=np.int32)[:, None, None],
+                                     first, out=low[:-2])
+            np.copyto(rows[2:], 0.0, where=after)
 
     return np.stack([p.eigvecs.T @ (x - p.minimizer) for x in starts]), advance
 

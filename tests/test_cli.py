@@ -15,7 +15,7 @@ import pytest
 from lyapcert import (HB, NAG, NAGGS, SCENARIOS, TMM, MethodSpec, check_monotone, cli,
                       export_csv, generate_quadratic, load_problem,
                       optimal_hyperparams, parse_config_file, read_trace_csv,
-                      run_trace)
+                      run_trace, series_from_csv)
 from lyapcert import trace as trace_module
 from lyapcert.scenarios import _x0
 from lyapcert.cli import UsageError, build_parser, main, parse_method
@@ -295,7 +295,30 @@ class TestRunAndCheck:
         capsys.readouterr()
         rc = main(["check", str(out)])
         assert rc == 0
-        assert "monotone decrease: yes" in capsys.readouterr().out
+        verdict = check_monotone(series_from_csv(out)).describe()
+        assert verdict.startswith("monotone decrease: yes")
+        assert capsys.readouterr().out == verdict + "\n"  # the verdict alone
+
+    @pytest.mark.parametrize("threshold, diverged", [(None, True), (1.5e12, False)])
+    def test_check_a_diverged_csv_says_so(self, tmp_path, capsys, monkeypatch, threshold,
+                                          diverged):
+        # radius 1.68: the run stops at distance 1.48e12 while V falls; read
+        # with a threshold above that distance, the CSV is one that converged
+        out = tmp_path / "div.csv"
+        assert main(["run", "--method", "hb", "--alpha", "0.03", "--beta", "0.2", "--dim", "50",
+                     "--mu", "1", "--L", "100", "--out", str(out)]) == 1
+        summary, verdict, _ = capsys.readouterr().out.splitlines()
+        distance = summary.split()[2]
+        assert distance == "final_distance=1.47557e+12"
+        assert verdict.endswith("; V is not positive definite here and bounds no distance")
+        if threshold is not None:
+            monkeypatch.setattr(trace_module, "DIVERGENCE_THRESHOLD", threshold)
+        rc = main(["check", str(out)])
+        text = capsys.readouterr().out
+        if diverged:
+            assert rc == 1 and text == f"{distance} diverged=yes\n{verdict}\n"
+        else:
+            assert rc == 0 and text == check_monotone(series_from_csv(out)).describe() + "\n"
 
     def test_check_flags_violations(self, tmp_path, capsys):
         path = tmp_path / "bad.csv"

@@ -210,9 +210,16 @@ def per_step_reference(p, spec, x0, iters, x1=None,
                        threshold=trace_module.DIVERGENCE_THRESHOLD):
     """The quadratic driver as one step at a time: each row is checked as it
     is made (non-finite, then divergence, then the iteration count), and the
-    metrics and iterates come from the stored rows."""
+    metrics and iterates come from the stored rows.  A coordinate whose
+    companion matrix has spectral radius at most 1 - delta, and lambda at
+    most its bound, steps to 0 from two consecutive rows below tau: the
+    engine's documented rows."""
     a, b = coefficient_arrays(spec, p.eigvals)
     q, xs = p.eigvecs, p.minimizer
+    companion = np.stack([np.stack([a, b], -1), np.stack([np.ones_like(a), 0 * b], -1)], -2)
+    settles = ((np.abs(np.linalg.eigvals(companion)).max(-1) <= 1 - trace_module._DELTA)
+               & (p.eigvals <= trace_module._LAMBDA_MAX))
+    tau = trace_module._TAU
     nstarts = 1 if x1 is None else 2
     prev = cur = q.T @ (x0 - xs)
     rows, diverged = [], False
@@ -221,7 +228,8 @@ def per_step_reference(p, spec, x0, iters, x1=None,
             if k == 1 and x1 is not None:
                 cur = q.T @ (x1 - xs)
             elif k >= nstarts:
-                cur, prev = a * cur + b * prev, cur
+                low = settles & (np.abs(cur) < tau) & (np.abs(prev) < tau)
+                cur, prev = np.where(low, 0.0, a * cur + b * prev), cur
                 if not np.all(np.isfinite(cur)):
                     raise ValueError("non-finite iterate produced")
             rows.append(cur)
@@ -1099,6 +1107,127 @@ def spectra(draw):
     q, _ = np.linalg.qr(rng.standard_normal((len(lam), len(lam))))
     return QuadraticProblem(eigvals=np.array(lam), eigvecs=q,
                             minimizer=rng.standard_normal(len(lam)))
+
+
+def centred(p):
+    """``p`` with its minimizer at the origin, so that starts of any size are
+    centred eigen-coordinates to the last bit."""
+    return QuadraticProblem(eigvals=p.eigvals, eigvecs=p.eigvecs, minimizer=np.zeros(p.dim))
+
+
+# tuned on [1e299, 1e300]: every coordinate converges, none may settle
+HUGE = QuadraticProblem(eigvals=np.array([1e299, 3e299, 1e300]), eigvecs=np.eye(3),
+                        minimizer=np.zeros(3))
+
+
+class TestSettledCoordinates:
+    """A settling eigen-coordinate steps to exact zeros after two consecutive
+    rows below tau, and no recorded bit moves: every column, stop and error
+    is that of the plain recurrence (tau = 0 turns the rule off), in a batch
+    and alone, whatever the block size."""
+
+    @staticmethod
+    def outcome(target, specs, x0, iters, x1=None, tau=trace_module._TAU, **patches):
+        """``batch_outcome`` with the trace module's ``_TAU`` at ``tau`` and
+        its other constants patched as given."""
+        with mock.patch.multiple(trace_module, _TAU=tau, **patches):
+            return batch_outcome(target, specs, x0, iters, x1)
+
+    @staticmethod
+    def columns(traces):
+        return [(tr.diverged, tr.objective_gap.tobytes(), tr.distance.tobytes(),
+                 tr.lyapunov.tobytes()) for tr in traces]
+
+    @staticmethod
+    def zeroed_only(on, off):
+        """Rows with the rule equal the plain ones but where they read +0,
+        and the plain ones there are below the derived bound 2^-856."""
+        same = (on == off) | (np.isnan(on) & np.isnan(off))
+        zero = (on.view(np.int64) == 0) & (np.abs(off) < 2.0 ** -856)
+        return bool(np.all(same | zero))
+
+    @given(p=st.one_of(spectra().map(centred), st.just(HUGE)),
+           specs=st.lists(st.one_of(method_specs(), st.sampled_from(KINDS)),
+                          min_size=1, max_size=3),
+           iters=st.integers(3, 300), log_scale=st.floats(-320.0, 3.0), x1=st.booleans(),
+           seed=st.integers(0, 2 ** 32 - 1), chunk=st.sampled_from([512, 2, 1]))
+    def test_no_recorded_bit_moves(self, p, specs, iters, log_scale, x1, seed, chunk):
+        # a kind alone is that kind tuned to the spectrum (for at most a
+        # 1000-fold spread), eligible; a drawn spec may be a real split or
+        # diverge.  Tuned on [mu / L, 1], then alpha / L: mu L overflows at
+        # L = 1e300
+        L = p.lipschitz
+        tuned = {k: optimal_hyperparams(k, max(p.mu / L, 1e-3), 1.0) for k in KINDS}
+        specs = [MethodSpec(s, alpha=tuned[s].alpha / L, beta=tuned[s].beta,
+                            gamma=tuned[s].gamma) if isinstance(s, str) else s for s in specs]
+        rng = np.random.default_rng(seed)
+        x0, second = (10.0 ** log_scale * v / np.linalg.norm(v)
+                      for v in rng.standard_normal((2, p.dim)))
+        x1 = second if x1 else None
+        with np.errstate(over="ignore", invalid="ignore", under="ignore"), \
+                mock.patch.object(trace_module, "_CHUNK", chunk):
+            on = self.outcome(p, specs, x0, iters, x1)
+            off = self.outcome(p, specs, x0, iters, x1, tau=0.0)
+            solo = solo_outcome(p, specs, x0, iters, x1=x1)
+            if isinstance(solo, tuple):  # an error
+                assert on == off == solo
+                return
+            solo_rows = [trace_rows(tr) for tr in solo]
+        assert self.columns(on[0]) == self.columns(off[0]) == self.columns(solo)
+        assert [r.tobytes() for r in on[1]] == [r.tobytes() for r in solo_rows]
+        assert all(map(self.zeroed_only, on[1], off[1]))
+
+    def test_settled_rows_are_zeros(self):
+        # tuned NAG on [1, 100] zeroes its fast coordinates from row 546 on,
+        # where the plain recurrence leaves subnormal noise from row 617
+        p = centred(generate_quadratic(9, 1.0, 100.0, seed=1))
+        specs = [optimal_hyperparams(NAG, 1.0, 100.0)]
+        x0 = offset_start(p, seed=2)
+        (_, (on,)), (_, (off,)) = (self.outcome(p, specs, x0, 1000, tau=tau)
+                                   for tau in (trace_module._TAU, 0.0))
+        zeroed = (on == 0) & (off != 0)
+        assert (np.abs(off[zeroed]) < np.finfo(float).tiny).any()
+        assert self.zeroed_only(on, off)
+
+    @pytest.mark.parametrize("p, kind, scale, tau, patches", [
+        # rows near 2^-500 have squares that are normal numbers
+        (centred(generate_quadratic(3, 1.0, 4.0, seed=0)), HB, 1.0, 2.0 ** -500, {}),
+        # lambda z^2 is a normal number at lambda = 1e300 and z = 1e-280
+        (HUGE, NAG, 1e-280, trace_module._TAU, {"_LAMBDA_MAX": math.inf}),
+    ], ids=["tau", "lambda"])
+    def test_a_looser_rule_moves_a_column(self, p, kind, scale, tau, patches):
+        spec = optimal_hyperparams(kind, p.lipschitz / 4, p.lipschitz)
+        x0 = scale * offset_start(p, seed=1)
+        plain, loose = (self.outcome(p, [spec], x0, 1200, tau=0.0),
+                        self.outcome(p, [spec], x0, 1200, tau=tau, **patches))
+        assert self.columns(loose[0]) != self.columns(plain[0])
+
+    @pytest.mark.parametrize("loose_certificate", [False, True])
+    def test_a_coordinate_above_the_rate_is_never_zeroed(self, loose_certificate):
+        # HB alpha 0.03, beta 0.2 on [1, 100]: the top coordinates have a real
+        # root beyond -1.6 and diverge from 1e-280, while those with rate at
+        # most 1 - delta are zeroed from row 1.  A certificate with
+        # tolerance 1 reads the top rate as |a| / 2 = 0.9: the engine takes
+        # its radius from (a, b) instead
+        p = centred(generate_quadratic(50, 1.0, 100.0, seed=0))
+        spec = MethodSpec(HB, alpha=0.03, beta=0.2)
+        cert = analyze(spec, p.eigvals, tol=1.0) if loose_certificate else analyze(spec, p.eigvals)
+        x0 = 1e-280 * offset_start(p, seed=1)
+        (tr,), (on,) = self.outcome(p, [cert], x0, 5000)
+        (plain,), (off,) = self.outcome(p, [cert], x0, 5000, tau=0.0)
+        assert tr.diverged and len(tr) > trace_module._CHUNK
+        assert self.columns([tr]) == self.columns([plain])
+        a, b = coefficient_arrays(spec, p.eigvals)
+        rho = np.array([np.abs(np.roots([1.0, -ai, -bi])).max() for ai, bi in zip(a, b)])
+        settles = rho <= 1 - trace_module._DELTA
+        assert rho[-1] > 1.6 and settles.any() and not settles.all()
+        assert (cert.per_coordinate.rate[-1] < 1) == loose_certificate
+        assert on[:, ~settles].tobytes() == off[:, ~settles].tobytes()
+        assert not on[1:, settles].any() and off[1:, settles].any()
+        # every coordinate let settle: the top ones are zeroed too, and the
+        # run no longer diverges
+        (zeroed,), _ = self.outcome(p, [cert], x0, 5000, _DELTA=-math.inf)
+        assert not zeroed.diverged
 
 
 class TestCertificateRuns:
