@@ -22,7 +22,7 @@ from dataclasses import MISSING, fields
 import numpy as np
 
 from ._files import whole_file
-from .lyapunov import check_monotone
+from .lyapunov import _bounds_distance, check_monotone
 from .methods import HB, NAG, NAGGS, TMM, MethodSpec, optimal_hyperparams
 from .problems import (_require_spectrum, _spectrum_grid, generate_quadratic,
                        load_problem, save_problem)
@@ -174,9 +174,6 @@ def _cmd_analyze(o: dict) -> int:
     return 0 if cert.eligible else 1
 
 
-_UNBOUNDED = "; V is not positive definite here and bounds no distance"
-
-
 def _cmd_run(o: dict) -> int:
     """run one method and export the trace CSV"""
     out = _require(o["out"], "--out")
@@ -193,10 +190,8 @@ def _cmd_run(o: dict) -> int:
           f"final_distance={last.distance[-1]:.6g} "
           f"diverged={'yes' if last.diverged else 'no'}")
     lyap, dist = map(np.frombuffer, kept)
-    verdict = check_monotone(_lyapunov_series(lyap, dist)).describe()
-    if last.diverged or not last.certificate.eligible:  # V is a bound on eligible runs only
-        verdict += _UNBOUNDED
-    print(verdict)
+    rep = check_monotone(_lyapunov_series(lyap, dist))
+    print(rep.describe(_bounds_distance(last.diverged, last.certificate)))
     print(f"trace -> {out}")
     return 1 if last.diverged else 0
 
@@ -227,9 +222,9 @@ def _cmd_check(o: dict) -> int:
     diverged = bool(series.distance[-1] > trace.DIVERGENCE_THRESHOLD)
     if diverged:
         print(f"final_distance={series.distance[-1]:.6g} diverged=yes")
-    print(rep.describe() + _UNBOUNDED * diverged)
-    for k, v_prev, v_next, excess in zip(rep.index[:10], rep.v_prev, rep.v_next, rep.excess):
-        print(f"  k={k}: V {v_prev:.9g} -> {v_next:.9g} (excess {excess:.3g})")
+    print(rep.describe(_bounds_distance(diverged, None)))  # a CSV has no certificate
+    for i in range(min(rep.index.size, 10)):
+        print(f"  {rep._step(i)}")
     if rep.index.size > 10:
         print(f"  ... {rep.index.size - 10} more")
     return 0 if rep.monotone and not diverged else 1

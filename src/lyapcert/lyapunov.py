@@ -55,20 +55,31 @@ class MonotonicityReport:
     max_ratio: float
     left_out: int
 
-    def describe(self) -> str:
+    def describe(self, bounds: bool = True) -> str:
+        """The verdict line; it ends in a caveat unless ``bounds`` (``_bounds_distance``)."""
         counted = not math.isnan(self.max_ratio)
         rate = f"max ratio {self.max_ratio:.6g}" if counted else "no step counted for a max ratio"
         n = self.left_out
         left = f", {n} step{'s' * (n > 1)} within roundoff left out" if n else ""
         if self.monotone:
-            return f"monotone decrease: yes ({rate}{' over positive values' * counted}{left})"
-        if not self.index.size:
-            return "monotone decrease: NO (non-finite V or distance)"
-        return (
-            f"monotone decrease: NO ({self.index.size} violation{'s' * (self.index.size > 1)}); "
-            f"first at k={self.index[0]}: V={self.v_prev[0]:.9g} -> {self.v_next[0]:.9g} "
-            f"(excess {self.excess[0]:.3g}); {rate}{left}"
-        )
+            line = f"monotone decrease: yes ({rate}{' over positive values' * counted}{left})"
+        elif not self.index.size:
+            line = "monotone decrease: NO (non-finite V or distance)"
+        else:
+            line = (f"monotone decrease: NO ({self.index.size} violation"
+                    f"{'s' * (self.index.size > 1)}); first at {self._step(0)}; {rate}{left}")
+        return line + "; V is not positive definite here and bounds no distance" * (not bounds)
+
+    def _step(self, i: int) -> str:
+        """Flagged step ``i``: the one wording of a step, in a verdict or a list."""
+        return (f"k={self.index[i]}: V={self.v_prev[i]:.9g} -> {self.v_next[i]:.9g} "
+                f"(excess {self.excess[i]:.3g})")
+
+
+def _bounds_distance(diverged: bool, certificate) -> bool:
+    """V bounds a run's distance iff it did not diverge and its certificate,
+    if it has one, is eligible."""
+    return not diverged and (certificate is None or certificate.eligible)
 
 
 def check_monotone(series: LyapunovSeries) -> MonotonicityReport:

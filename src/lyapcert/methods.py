@@ -83,8 +83,7 @@ def optimal_hyperparams(kind: str, mu: float, L: float) -> MethodSpec:
             beta=rho ** 2 / (2.0 - rho),
             gamma=rho ** 2 / ((1.0 + rho) * (2.0 - rho)),
         )
-    denom = L + mu + 2.0 * math.sqrt(mu * L)
-    return MethodSpec(NAGGS, alpha=(2.0 + 2.0 * math.sqrt(L / mu)) / denom, beta=(L - mu) / denom)
+    return MethodSpec(NAGGS, alpha=2.0 / (sm * (sL + sm)), beta=(sL - sm) / (sL + sm))
 
 
 def _family(spec: MethodSpec) -> tuple[float, float, float]:

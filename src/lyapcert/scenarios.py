@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from ._files import whole_file
-from .lyapunov import check_monotone
+from .lyapunov import _bounds_distance, check_monotone
 from .methods import (HB, NAG, NAGGS, TMM, KINDS, MethodSpec, optimal_hyperparams)
 from .problems import (QuadraticProblem, _spectrum_grid, cosine_counterexample,
                        exp_norm_objective, generate_quadratic, rosenbrock_objective)
@@ -118,9 +118,8 @@ def _specs(cfg: ScenarioConfig) -> dict:
     return specs
 
 
-def _first_violation(rep) -> str:
-    return (f"first violation at k={rep.index[0]} V {rep.v_prev[0]:.6g} -> "
-            f"{rep.v_next[0]:.6g} (excess {rep.excess[0]:.3g})")
+def _describe(rep, tr) -> str:  # the verdict line of trace ``tr``
+    return rep.describe(_bounds_distance(tr.diverged, tr.certificate))
 
 
 def _panels(name: str, traces: dict, certs: dict) -> dict:
@@ -209,8 +208,8 @@ def _run_quadratic_family(cfg: ScenarioConfig, *, tests=(), notes=()) -> Scenari
         rep = check_monotone(tr.lyapunov_series())
         lines.append(
             f"{LABELS[kind]}: eligible={'yes' if cert.eligible else 'no'} "
-            f"radius={cert.spectral_radius:.6g} rows={len(tr)} "
-            f"terminal_V={tr.lyapunov[-1]:.6g} {rep.describe()}{' diverged=yes' * tr.diverged}")
+            f"radius={cert.spectral_radius:.6g} rows={len(tr)}{' diverged=yes' * tr.diverged} "
+            f"terminal_V={tr.lyapunov[-1]:.6g} {_describe(rep, tr)}")
         for test in tests:
             suffix, value = test(cert, rep, tr)
             verdicts[f"{kind.lower()}_{suffix}"] = bool(value)
@@ -291,14 +290,10 @@ def _run_cosine(cfg: ScenarioConfig) -> ScenarioResult:
     traces, panels = {}, {}
     if found is not None:
         s, x0, trace, rep = found
-        lines.append(f"witness: seed={s} x0={x0[0]:.12g} {_first_violation(rep)}")
+        lines.append(f"witness: seed={s} x0={x0[0]:.12g} {_describe(rep, trace)}")
         traces[HB] = trace
-        panels = {
-            "lyapunov": Panel(title="cosine: Lyapunov value", kind="line-log", ylabel="V_k",
-                              series=[Series("HB", trace.lyapunov[2:])]),
-            "distance": Panel(title="cosine: distance to minimizer", kind="line-log",
-                              ylabel="|x_k - x*|", series=[Series("HB", trace.distance)]),
-        }
+        drawn = _panels("cosine", traces, {})
+        panels = {key: drawn[key] for key in ("lyapunov", "distance")}
 
         # exploratory: walk beta down from the tuned one (j = 0: the witness run)
         sweep = [MethodSpec(HB, alpha=spec.alpha, beta=spec.beta * (1.0 - j / 20.0))
@@ -341,8 +336,7 @@ def _run_tmm_witness(cfg: ScenarioConfig) -> ScenarioResult:
         i, trace, rep = found
         v2 = trace.lyapunov[2]
         lines.append(f"witness: coordinate {i} lambda={cert.per_coordinate.lambda_w[i]:.6g} "
-                     f"V_2={v2:.6g} {'<' if v2 < 0 else '>='} 0 "
-                     + (rep.describe() if rep.monotone else _first_violation(rep)))
+                     f"V_2={v2:.6g} {'<' if v2 < 0 else '>='} 0 {_describe(rep, trace)}")
         traces[TMM] = trace
         # the log panel draws values below 1e-16 at its floor, so plot -V
         panels["lyapunov"] = Panel(title="TMM witness: Lyapunov value", kind="line-log",
@@ -368,7 +362,7 @@ def _run_objective_family(cfg: ScenarioConfig, *, objective, title: str,
         rep = check_monotone(tr.lyapunov_series())
         verdicts[f"{kind.lower()}_completed"] = not tr.diverged
         lines.append(f"{LABELS[kind]}: rows={len(tr)} diverged={'yes' if tr.diverged else 'no'} "
-                     f"final_gap={tr.objective_gap[-1]:.6g} {rep.describe()}")
+                     f"final_gap={tr.objective_gap[-1]:.6g} {_describe(rep, tr)}")
     return _finish(cfg, lines, verdicts, traces, {}, _panels(cfg.name, traces, {}))
 
 

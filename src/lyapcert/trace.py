@@ -22,10 +22,10 @@ two-row carry, checks each finished block as arrays (non-finite rows,
 divergence, the iters-th row), cutting each run at its first hit in the
 order a step-by-step loop would meet them, and hands each run's part on
 with its gap, distance and V, computed once per block from the carry (the
-first block is the starts, below a carry of NaN: rows 0 and 1 have no V).  A
-run's lane idles from its stop; a run that fails raises once the runs before
-it have finished, so a batch raises what its runs, made one after another,
-would raise first.  A ``_blocks`` call allocates one rows buffer and the
+first block is the starts; rows 0 and 1 have no V).  A run's lane idles
+from its stop; a run that fails raises once the runs before it have
+finished, so a batch raises what its runs, made one after another, would
+raise first.  A ``_blocks`` call allocates one rows buffer and the
 work arrays of the metrics once: the driver copies the carry to the top of
 that buffer, an engine fills every row below it, and the metrics are
 computed into the work arrays with ``out=``, so a long run allocates no
@@ -208,11 +208,11 @@ def _blocks(target, specs, x0, iters: int, x1=None) -> Iterator[_Block]:
     with the metric work arrays once per call, so a block's ``rows`` are
     valid until the next block is drawn; its metric columns are new arrays.
     Every pass reads its block, distance and V from below a two-row carry
-    at the buffer's top: the first, the starts below a carry of NaN (rows 0
-    and 1 have no V); each later one, what ``advance(rows, going)`` fills
-    below the driver's copy of the carry.  The driver's threshold test alone
-    decides each run's last row; a lane's rows past its run's stop are cut
-    before any check, value call or output reads them.
+    at the buffer's top: the first, the starts (rows 0 and 1 have no V);
+    each later one, what ``advance(rows, going)`` fills below the driver's
+    copy of the carry.  The driver's threshold test alone decides each
+    run's last row; a lane's rows past its run's stop are cut before any
+    check, value call or output reads them.
     """
     if iters < 3:
         raise ValueError("iters must be >= 3 so V is defined at least once")
@@ -265,14 +265,14 @@ def _blocks(target, specs, x0, iters: int, x1=None) -> Iterator[_Block]:
         # rows past a stop may overflow; they are cut before any output.
         # No yield inside: the error state must not leak to the consumer.
         with np.errstate(over="ignore", invalid="ignore"):
-            if n:  # the carry, rows n-2 and n-1 (x_{-1} = x0 for one start), then the block
-                rows[:2] = W[[2, -1]] if n == len(starts) else W[-2:]
+            if n:  # the carry, rows n-2 and n-1, then the block
+                rows[:2] = W[-2:]
                 advance(rows, going)
                 W = rows
-            else:  # the starts, below a carry of NaN
+            else:  # the starts, each in every lane, below a carry of the first
                 W = rows[:len(starts) + 2]
-                W[:2] = math.nan
-                W[2:] = first[:, None]  # each start in every lane
+                W[2:] = first[:, None]
+                W[:2] = W[2]  # so x_{-1} = x0 for one start
             block = W[2:]  # a row, then a run: (rows, runs, dim)
             m = block.shape[0]
             Wz = W if quadratic else np.subtract(W, xs, out=wz[0][:W.shape[0]])

@@ -3,6 +3,7 @@ import errno
 import hashlib
 import importlib
 import os
+import pathlib
 import re
 import shutil
 import subprocess
@@ -16,6 +17,7 @@ from lyapcert import (HB, NAG, NAGGS, SCENARIOS, TMM, MethodSpec, check_monotone
                       export_csv, generate_quadratic, load_problem,
                       optimal_hyperparams, parse_config_file, read_trace_csv,
                       run_trace, series_from_csv)
+from lyapcert import scenarios
 from lyapcert import trace as trace_module
 from lyapcert.scenarios import _x0
 from lyapcert.cli import UsageError, build_parser, main, parse_method
@@ -141,6 +143,15 @@ class TestAnalyze:
                    "--mu", "1", "--L", "4"])
         assert rc == 1
         assert "eligible: no" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("method", ["hb", "nag", "nag-gs"])
+    def test_tuned_where_mu_times_L_overflows(self, capsys, method):
+        # mu L = 1e599: NAG-GS once formed sqrt(mu L), read alpha = 0 and exited 1
+        rc = main(["analyze", "--method", method, "--optimal", "--mu", "1e299",
+                   "--L", "1e300", "--dim", "3"])
+        captured = capsys.readouterr()
+        assert (rc, captured.err) == (0, "")
+        assert "eligible: yes" in captured.out
 
     def test_explicit_hyperparameters(self, capsys):
         rc = main(["analyze", "--method", "hb", "--alpha", "0.15",
@@ -332,7 +343,7 @@ class TestRunAndCheck:
     def test_check_lists_first_ten(self, tmp_path, capsys):
         # 14 flagged steps, two beside a NaN, and two rises that roundoff in
         # rows at distance 1 cannot explain (0 -> 1e-12, 12 -> 12.000000001):
-        # the first ten, then a count
+        # the first ten, each worded as the verdict words its first, then a count
         vals = ["1", "2", "1.5", "3.25", "-0", "0", "1e-12", "7", "nan", "4", "5", "6",
                 "7", "8", "9", "10", "11", "12.000000001"]
         path = tmp_path / "many.csv"
@@ -343,16 +354,16 @@ class TestRunAndCheck:
         assert capsys.readouterr().out == (
             "monotone decrease: NO (14 violations); first at k=2: V=1 -> 2 (excess 1); "
             "max ratio 7e+12\n"
-            "  k=2: V 1 -> 2 (excess 1)\n"
-            "  k=4: V 1.5 -> 3.25 (excess 1.75)\n"
-            "  k=7: V 0 -> 1e-12 (excess 9.86e-13)\n"
-            "  k=8: V 1e-12 -> 7 (excess 7)\n"
-            "  k=9: V 7 -> nan (excess nan)\n"
-            "  k=10: V nan -> 4 (excess nan)\n"
-            "  k=11: V 4 -> 5 (excess 1)\n"
-            "  k=12: V 5 -> 6 (excess 1)\n"
-            "  k=13: V 6 -> 7 (excess 1)\n"
-            "  k=14: V 7 -> 8 (excess 1)\n"
+            "  k=2: V=1 -> 2 (excess 1)\n"
+            "  k=4: V=1.5 -> 3.25 (excess 1.75)\n"
+            "  k=7: V=0 -> 1e-12 (excess 9.86e-13)\n"
+            "  k=8: V=1e-12 -> 7 (excess 7)\n"
+            "  k=9: V=7 -> nan (excess nan)\n"
+            "  k=10: V=nan -> 4 (excess nan)\n"
+            "  k=11: V=4 -> 5 (excess 1)\n"
+            "  k=12: V=5 -> 6 (excess 1)\n"
+            "  k=13: V=6 -> 7 (excess 1)\n"
+            "  k=14: V=7 -> 8 (excess 1)\n"
             "  ... 4 more\n")
 
     def test_check_missing_path(self, capsys):
@@ -530,7 +541,9 @@ class TestOutputPins:
     V within roundoff (the CSVs unchanged); the TMM ``run`` pin when that
     line began to say that V bounds no distance on an ineligible
     certificate, and both ``analyze`` pins when the report gained its
-    ``equal_start_monotone`` line (the CSVs unchanged); ``TestStreamingRun`` compares
+    ``equal_start_monotone`` line (the CSVs unchanged); the NAG-GS ``run`` pin
+    when tuned NAG-GS began to be formed from sqrt(mu) and sqrt(L) (last-ulp
+    rounding of alpha and beta, so its CSV moved); ``TestStreamingRun`` compares
     ``run`` with ``export_csv``, which share one formatter, so only a pin
     catches a formatting change."""
 
@@ -538,7 +551,7 @@ class TestOutputPins:
         HB: "9982af6031beb3f4021ef032ecc3ff2b426e177d559c8b2c0ffa083ba35b0905",
         NAG: "522c405a44b6af3293d5a3ce80c43f6d773892780ebaad7a3a851bb3bdbe4f88",
         TMM: "a00fef2c1167bdaabc07585ea6d1865fa7df9bf09701632d0ba48cd3bd2361b8",
-        NAGGS: "c95c84d9401b4863a393c7600c422cb1bc29f0f85a2b4bda7545353e3b231ce9",
+        NAGGS: "ddd80924d6265150638a02a77812a426dab200664a12bc7b0bb78e04650bc765",
     }
     ANALYZE = {
         HB: (0, "98e8263b0465f8b4352e5bad1a996adb446056dfd293601c43b69064df93ee4a"),
@@ -930,13 +943,16 @@ class TestScenarioCommand:
         assert captured.out == "" and os.listdir(tmp_path) == []
 
     def test_diverged_run_is_named_on_its_line(self, tmp_path, capsys):
-        # radius 1.1: the run goes to the divergence threshold, and says so
+        # radius 1.1: the run goes to the divergence threshold, says so
+        # before terminal_V, and its verdict says that V bounds no distance
         rc = main(["scenario", "quadratic", "--method", "hb", "--alpha", "0.0021",
                    "--out", str(tmp_path / "art")])
         out = capsys.readouterr().out.splitlines()
         assert rc == 1
         [line] = [ln for ln in out if ln.startswith("HB: ")]
-        assert re.fullmatch(r"HB: eligible=no radius=1\.1 rows=288 .* diverged=yes", line)
+        assert re.fullmatch(r"HB: eligible=no radius=1\.1 rows=288 diverged=yes terminal_V=\S+ "
+                            r"monotone decrease: .*; V is not positive definite here and "
+                            r"bounds no distance", line)
 
     def test_the_first_run_error_is_printed(self, tmp_path, capsys, monkeypatch):
         # HB's run fails on its first stepped row, NAG's alpha (1 + beta) lambda
@@ -970,6 +986,74 @@ class TestScenarioCommand:
         rc = main(["scenario"])
         assert rc == 2
         assert "missing scenario name" in capsys.readouterr().err
+
+
+SUFFIX = "; V is not positive definite here and bounds no distance"
+
+# the three runs every printer of a judged run is shown, from one start at
+# distance 10 on one quadratic (dim 6, spectrum [1, 100], seed 0): tuned HB
+# (eligible, converges), tuned TMM (not eligible, converges) and HB at
+# spectral radius 1.68 (diverges); V bounds the distance along the first only
+JUDGED = {
+    "eligible": (optimal_hyperparams(HB, 1.0, 100.0), ["--method", "hb", "--optimal"]),
+    "ineligible": (optimal_hyperparams(TMM, 1.0, 100.0), ["--method", "tmm", "--optimal"]),
+    "diverged": (MethodSpec(HB, alpha=0.03, beta=0.2),
+                 ["--method", "hb", "--alpha", "0.03", "--beta", "0.2"]),
+}
+SIZE = ["--dim", "6", "--mu", "1", "--L", "100", "--iters", "300"]
+
+
+class TestOneVerdictWording:
+    """Every line that words a judged run's verdict ends in ``SUFFIX`` exactly
+    when V bounds no distance along the run: the run diverged, or its
+    certificate is not eligible.  The objective runner and the TMM witness
+    cannot make all three runs themselves, so each is handed them."""
+
+    @staticmethod
+    def verdict_line(printer, flags, tr, tmp_path, capsys, monkeypatch) -> str:
+        """The verdict line ``printer`` prints of the run made by ``flags``,
+        which is ``tr``."""
+        csv, art = str(tmp_path / "t.csv"), str(tmp_path / "art")
+        if printer in ("run", "check"):
+            main(["run", *flags, *SIZE, "--out", csv])
+            if printer == "check":
+                capsys.readouterr()
+                main(["check", csv])
+        elif printer == "quadratic":
+            main(["scenario", "quadratic", *flags, *SIZE, "--out", art])
+        elif printer == "objective":
+            monkeypatch.setattr(scenarios, "_run_traces", lambda *args, **kw: iter([tr]))
+            main(["scenario", "rosenbrock", "--method", tr.run[1].kind, "--out", art])
+        else:
+            monkeypatch.setattr(scenarios, "find_tmm_witness", lambda *args: (
+                0, tr, check_monotone(tr.lyapunov_series())))
+            main(["scenario", "tmm-witness", "--dim", "6", "--L", "100", "--out", art])
+        [line] = [ln for ln in capsys.readouterr().out.splitlines()
+                  if "monotone decrease: " in ln]
+        return line
+
+    @pytest.mark.parametrize("case", sorted(JUDGED))
+    @pytest.mark.parametrize("printer", ["run", "check", "quadratic", "objective", "witness"])
+    def test_suffix_exactly_when_v_bounds_nothing(self, tmp_path, capsys, monkeypatch,
+                                                  printer, case):
+        spec, flags = JUDGED[case]
+        problem = generate_quadratic(6, 1.0, 100.0, 0)
+        tr = run_trace(problem, spec, _x0(problem.minimizer, 10.0, 0), 300)
+        assert (tr.certificate.eligible, tr.diverged) == {
+            "eligible": (True, False), "ineligible": (False, False),
+            "diverged": (False, True)}[case]
+        line = self.verdict_line(printer, flags, tr, tmp_path, capsys, monkeypatch)
+        # a CSV carries no certificate: check knows of divergence alone
+        bounds = case == "eligible" or (printer == "check" and case == "ineligible")
+        assert line.count(SUFFIX) == (not bounds)
+        assert line.endswith(SUFFIX) == (not bounds)
+
+    def test_each_wording_is_spelled_once(self):
+        src = pathlib.Path(scenarios.__file__).parent
+        text = "".join(f.read_text(encoding="utf-8") for f in sorted(src.glob("*.py")))
+        assert text.count("bounds no distance") == 1
+        assert text.count("(excess ") == 1
+        assert "first violation" not in text
 
 
 class TestCountFlags:

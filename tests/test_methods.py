@@ -75,6 +75,18 @@ class TestOptimalHyperparams:
         assert spec.alpha == pytest.approx(2.0 / 3.0, rel=1e-15)
         assert spec.beta == pytest.approx(1.0 / 3.0, rel=1e-15)
 
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_tunes_where_mu_times_L_overflows(self, kind):
+        # mu L = 1e599 is beyond the largest double, though mu and L are not:
+        # every kind is formed from sqrt(mu) and sqrt(L) and tunes there
+        mu, L = 1e299, 1e300
+        spec = optimal_hyperparams(kind, mu, L)
+        assert analyze(spec, np.array([mu, 5.5e299, L])).spectral_radius < 1.0
+        if kind == NAGGS:  # 2 / (1 + sqrt(10)) and (sqrt(10) - 1) / (sqrt(10) + 1)
+            assert spec.alpha * mu == pytest.approx(2.0 / (1.0 + np.sqrt(10.0)), rel=1e-14)
+            assert spec.beta == pytest.approx((np.sqrt(10.0) - 1.0) / (np.sqrt(10.0) + 1.0),
+                                              rel=1e-14)
+
     def test_hb_degenerate_mu_equals_L(self):
         spec = optimal_hyperparams(HB, 5.0, 5.0)
         assert spec.alpha == pytest.approx(0.2, rel=1e-15)

@@ -108,12 +108,14 @@ class TestQuadraticScenarios:
     def test_fig1_tmm_rate_is_resolved(self, tmp_path):
         # under a fixed floor of 1e-9 the default fig1 reported TMM's max
         # ratio as 2.1468e+21, a ratio of roundoff; the rate now leaves out
-        # the steps whose V is within the slack, and says how many
+        # the steps whose V is within the slack, and says how many; the
+        # certificate is not eligible, so the line says V bounds no distance
         line = next(ln for ln in report_text(run_quick("fig1", tmp_path)).splitlines()
                     if ln.startswith("TMM: eligible"))
         assert "e+21" not in line
         assert re.search(r"monotone decrease: yes \(max ratio 0\.9\d+ over positive values, "
-                         r"[1-9]\d* steps within roundoff left out\)$", line)
+                         r"[1-9]\d* steps within roundoff left out\); V is not positive "
+                         r"definite here and bounds no distance$", line)
 
     def test_quadratic_quick(self, tmp_path):
         res = run_quick("quadratic", tmp_path, dim=5, mu=1.0, L=16.0, iters=400)
@@ -277,7 +279,8 @@ class TestWitnessScenarios:
         assert rc == 0
         assert "verdict violation_found: PASS" in out
         assert re.search(r"^witness: coordinate 0 lambda=1 V_2=-0\.0234439 < 0 "
-                         r"first violation at k=2 ", out, re.M)
+                         r"monotone decrease: NO \(\d+ violations\); first at k=2: V=", out,
+                         re.M)
 
     def test_find_tmm_witness_starts_on_the_real_split(self):
         s, mu, L = 10.0, 1.0, 1000.0
@@ -377,15 +380,15 @@ DIGESTS = {
         "fig1_nag_trace.csv":
             "a03a52b585c4b971bb83380b56c00d8af1f8662be93f6e1d9c8b0125b741f410",
         "fig1_naggs_certificate.csv":
-            "fe74c5f19d6f75181f8d122f61f38ec387846f67d4ff6678096dd69c3df4e197",
+            "ea643fc19ed48744c78aa3ee4bc26e48895200146bf51749e70d8c6be9d8232c",
         "fig1_naggs_certificate.txt":
             "c0110691d57282e907cf671a0dc2867f41d1e518bacb1aae1eb19e6528ce559b",
         "fig1_naggs_trace.csv":
-            "ade3bb1ea1438cb06b673690e8680da9c6223a75d239e7fc478467dee584e943",
+            "72cc899a93add225a90759dac2aae73eb4e9cbc9fe1813ea7495dc3da94e02a2",
         "fig1_overview.svg":
             "a5d8005f5a692e3ee009b2d0f6959bec1f47b2e2012b5c106005cedb3d0f42a5",
         "fig1_report.txt":
-            "b95b9ca9c5c31d5071c179023a63ec0df14bb3c53911ad429cb0c43f477f6bac",
+            "3ea64f26f5de9827b76b42e29ed76fc95b3ace6a1e92976051159f604769985c",
         "fig1_spectrum.svg":
             "20ebd84019b084b5faf35ad292a002c1ba1baac77a42a846ff8de1232cf8f192",
         "fig1_tmm_certificate.csv":
@@ -423,7 +426,7 @@ DIGESTS = {
         "quadratic_overview.svg":
             "16b0217e52f215766a34a4cbccd4033895bcbb0eaad41e7cc196cb4444cdd298",
         "quadratic_report.txt":
-            "c85eb1e97b83f03e62162274c10807cb576df2048a243afaf7556192cdca5ca1",
+            "fbd188eef9ca8e812153c3715c3194035053b5d3cda5b7852cd60b8e232e9cb0",
         "quadratic_spectrum.svg":
             "e3ee8314380800ed51cb6d823bb9368b677ac9b235b0a622cca657138165dfae",
         "quadratic_tmm_certificate.csv":
@@ -499,7 +502,7 @@ DIGESTS = {
         "convex-mu0_overview.svg":
             "42c09529e350f9f951eb4d0633ebcfd21312b157b255349244053135918a6294",
         "convex-mu0_report.txt":
-            "f5e7000611db09b425b1ad303b6005de8dfabdfbec917208d1202e6d566a3d81",
+            "4340f0c31f056bfbf9aa83d791f3d9ecf239a7e24b5b47f95e771f5615cbfe30",
         "convex-mu0_spectrum.svg":
             "07d51c1421380dc239353bd80bcd077c2a4de0792a8cef234485f472c1849f1f",
         "convex-mu0_tmm_certificate.csv":
@@ -523,13 +526,13 @@ DIGESTS = {
         "cosine_overview.svg":
             "143a9db2d1c24a3056bc53800f9a07c48a19d218ebb1e8bd6b888e554f0ca678",
         "cosine_report.txt":
-            "b446c96f17806feb86f9677866589af9fbb97e830163ed83d1b2e8e984117631",
+            "537383832f3cd499e843cffb18ecb7f0516623f76c5de392f491ae678b86bfd7",
     },
     "tmm-witness": {
         "tmm-witness_lyapunov.svg":
             "9e08c51991187861962e53811c27e6dcb31cefcb15823a293262406dc50191e1",
         "tmm-witness_report.txt":
-            "5bb03b1183989f860fe9d4c1904ea4cdd8df511a29d247060179772e5c2d11ce",
+            "ed3030cec65f3ae24bfaca60b71dbd1d8d6dd31cb599ec1da9a51ee017d7c8b5",
         "tmm-witness_tmm_certificate.csv":
             "8292709c52b4b9e1bd0e3fa377002a528a3fa1b3b3f0e39ffa0902787d8cbeaf",
         "tmm-witness_tmm_certificate.txt":

@@ -310,8 +310,10 @@ class TestCertificateSerialization:
         # CSV + report bytes of the four tuned certificates (TMM's report
         # lists real-split coordinates with "(+23 more)"), fixed at the
         # scalar per-coordinate implementation; re-taken when HB and NAG moved
-        # to the family's coefficient formula (last-ulp evaluation order), and
-        # when the report gained its equal_start_monotone line (CSV unchanged)
+        # to the family's coefficient formula (last-ulp evaluation order),
+        # when the report gained its equal_start_monotone line (CSV unchanged),
+        # and when tuned NAG-GS began to be formed from sqrt(mu) and sqrt(L),
+        # which no longer overflows at mu L > 1.8e308 (last-ulp rounding)
         digest = hashlib.sha256()
         grid = np.linspace(1.0, 1000.0, 257)
         for kind in KINDS:
@@ -319,7 +321,7 @@ class TestCertificateSerialization:
             digest.update(certificate_csv_text(cert).encode())
             digest.update(certificate_report_text(cert).encode())
         assert digest.hexdigest() == \
-            "63add1c272031ffcee3a3ab4347b6996d9e48e1ae47d8f073824c02d46b83baa"
+            "61edb7c0714e3bbadecaf24e325f60675e20336b8f1a4f8d9465385e3b71b719"
 
     def test_report_mentions_verdict(self):
         spec = optimal_hyperparams(HB, 1.0, 4.0)
