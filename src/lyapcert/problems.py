@@ -7,6 +7,7 @@ import zipfile
 import zlib
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain, repeat, starmap
 from typing import Callable, Optional
 
 import numpy as np
@@ -98,11 +99,25 @@ class QuadraticProblem:
 
 @dataclass(frozen=True, eq=False)
 class Objective:
-    """Black-box objective given by value and gradient oracles; compared and
-    hashed by identity."""
+    """Black-box objective given by value and gradient oracles over stacks of
+    points; compared and hashed by identity.
+
+    ``value`` maps a stack of points, an array of shape (..., dim), to the
+    (...) array of their values, and ``gradient`` maps it to the (..., dim)
+    array of their gradients; a bare (dim,) point is a stack of none, with a
+    0-d value.  Each point's result must not depend on the rest of the
+    stack, to the bit: the trace driver takes the gradients of a batch's
+    live runs in one call per row and the values of a run's rows in one call
+    per block, and a batch equals its runs made one at a time only if the
+    oracles do not look past the point.  A row product such as ``x @ W``
+    over the stack is not batch-invariant (a BLAS matrix product differs
+    from its rows' products); the dot of one point's vectors
+    (``np.matmul(x[..., None, :], v[..., :, None])``) and elementwise ufuncs
+    are.
+    """
 
     dim: int
-    value: Callable[[np.ndarray], float]
+    value: Callable[[np.ndarray], np.ndarray]
     gradient: Callable[[np.ndarray], np.ndarray]
     minimizer: Optional[np.ndarray] = None
     mu: Optional[float] = None
@@ -164,25 +179,53 @@ def cosine_counterexample() -> Objective:
     """
     amp = 1.99 / 400.0
 
-    def value(x: np.ndarray) -> float:
-        t = float(np.asarray(x, dtype=float)[0])
-        return t * t + amp * math.cos(20.0 * t)
+    def value(x: np.ndarray) -> np.ndarray:
+        t = np.asarray(x, dtype=float)[..., 0]
+        with np.errstate(over="ignore"):
+            return t * t + amp * _inf_on_overflow(math.cos, 20.0 * t)
 
     def grad(x: np.ndarray) -> np.ndarray:
-        t = float(np.asarray(x, dtype=float)[0])
-        return np.array([2.0 * t - amp * 20.0 * math.sin(20.0 * t)])
+        return _each_point(lambda t: (2.0 * t - amp * 20.0 * math.sin(20.0 * t),), x)
 
     return Objective(dim=1, value=value, gradient=grad,
                      minimizer=np.zeros(1), mu=0.01, lipschitz=3.99)
 
 
-def _inf_on_overflow(fn: Callable[..., float], *args) -> float:
-    """``fn(*args)``, with ``inf`` where it overflows instead of an error, so
-    the trace driver reports the non-finite value or iterate it leads to."""
-    try:
-        return fn(*args)
+def _inf_on_overflow(fn: Callable[..., float], x: np.ndarray, *args) -> np.ndarray:
+    """``fn(t, *args)`` of each entry t of the array ``x``, in its shape, by
+    libm one entry at a time (numpy's SIMD ``exp`` differs from
+    ``math.exp``, and its square from ``pow``, in the last bit of some
+    arguments), with ``inf`` where it overflows instead of an error, so the
+    trace driver reports the non-finite value or iterate it leads to."""
+    def one(t: float) -> float:
+        try:
+            return fn(t, *args)
+        except OverflowError:
+            return math.inf
+
+    entries = x.ravel().tolist()
+    try:  # overflows are rare: one ``map`` first, and entry by entry after one
+        out = list(map(fn, entries, *map(repeat, args)))
     except OverflowError:
-        return math.inf
+        out = list(map(one, entries))
+    return np.array(out).reshape(x.shape)
+
+
+def _each_point(f: Callable[..., tuple], x: np.ndarray) -> np.ndarray:
+    """``f(*point)``, a gradient as a tuple, of each point of the stack ``x``
+    (..., d), in ``x``'s shape: Python float arithmetic and libm, as cheap as
+    numpy on the few points of a row, and an overflow is ``inf`` with no
+    warning."""
+    x = np.asarray(x, dtype=float)
+    out = chain.from_iterable(starmap(f, x.reshape(-1, x.shape[-1]).tolist()))
+    return np.fromiter(out, float, x.size).reshape(x.shape)
+
+
+def _squared_norms(x: np.ndarray) -> np.ndarray:
+    """Each point's dot x.x over the last axis, for a stack of any leading
+    shape in one call: the BLAS dot of ``x @ x`` and ``np.linalg.norm``, to
+    the bit, whatever else the stack holds."""
+    return np.matmul(x[..., None, :], x[..., :, None])[..., 0, 0]
 
 
 def exp_norm_objective(dim: int = 2) -> Objective:
@@ -190,13 +233,13 @@ def exp_norm_objective(dim: int = 2) -> Objective:
     if dim < 1:
         raise ValueError("dim must be >= 1")
 
-    def value(x: np.ndarray) -> float:
-        x = np.asarray(x, dtype=float)
-        return _inf_on_overflow(math.exp, float(x @ x))
+    def value(x: np.ndarray) -> np.ndarray:
+        return _inf_on_overflow(math.exp, _squared_norms(np.asarray(x, dtype=float)))
 
     def grad(x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        return 2.0 * _inf_on_overflow(math.exp, float(x @ x)) * x
+        with np.errstate(over="ignore", invalid="ignore"):  # inf * 0 is nan
+            return (2.0 * _inf_on_overflow(math.exp, _squared_norms(x)))[..., None] * x
 
     return Objective(dim=dim, value=value, gradient=grad, minimizer=np.zeros(dim))
 
@@ -204,18 +247,17 @@ def exp_norm_objective(dim: int = 2) -> Objective:
 def rosenbrock_objective() -> Objective:
     """Nonconvex 2-d Rosenbrock (1-x)^2 + 100 (y-x^2)^2 with minimizer (1, 1)."""
 
-    def value(x: np.ndarray) -> float:
-        a, b = float(x[0]), float(x[1])
+    def value(x: np.ndarray) -> np.ndarray:
+        x = np.asarray(x, dtype=float)
+        a, b = x[..., 0], x[..., 1]
         # pow(t, 2) is ``t ** 2``; the product t * t can differ in the last bit
-        return (_inf_on_overflow(pow, 1.0 - a, 2)
-                + 100.0 * _inf_on_overflow(pow, b - a * a, 2))
+        with np.errstate(over="ignore", invalid="ignore"):
+            return (_inf_on_overflow(pow, 1.0 - a, 2)
+                    + 100.0 * _inf_on_overflow(pow, b - a * a, 2))
 
     def grad(x: np.ndarray) -> np.ndarray:
-        a, b = float(x[0]), float(x[1])
-        return np.array([
-            -2.0 * (1.0 - a) - 400.0 * a * (b - a * a),
-            200.0 * (b - a * a),
-        ])
+        return _each_point(lambda a, b: (-2.0 * (1.0 - a) - 400.0 * a * (b - a * a),
+                                         200.0 * (b - a * a)), x)
 
     return Objective(dim=2, value=value, gradient=grad, minimizer=np.array([1.0, 1.0]))
 

@@ -15,23 +15,24 @@ first two consecutive rows below 2^-900: every term such rows give the gap,
 distance and V underflows to +0 anyway (``_eigenbasis_engine`` derives it),
 so no recorded bit moves and no subnormal is stepped.  Objective targets
 take the family update of ``methods`` for all runs in one set of ufunc calls
-and call the gradient oracle once per run and row, from the last two
-iterates alone; a run takes no gradient at a row beyond the divergence
-threshold, so none is evaluated past its stop.  ``_blocks`` keeps the
-two-row carry, checks each finished block as arrays (non-finite rows,
-divergence, the iters-th row), cutting each run at its first hit in the
-order a step-by-step loop would meet them, and hands each run's part on
-with its gap, distance and V, computed once per block from the carry (the
-first block is the starts; rows 0 and 1 have no V).  A run's lane idles
-from its stop; a run that fails raises once the runs before it have
-finished, so a batch raises what its runs, made one after another, would
-raise first.  A ``_blocks`` call allocates one rows buffer and the
+and one gradient call per row, on the stack of the live runs' points, from
+the last two iterates alone; a run takes no gradient at a row beyond the
+divergence threshold, so none is evaluated past its stop.  The driver calls
+the value oracle once per block and run, on the rows up to the run's
+stop.  ``_blocks`` keeps the two-row carry, checks each finished block as
+arrays (non-finite rows, divergence, the iters-th row), cutting each run at
+its first hit in the order a step-by-step loop would meet them, and hands
+each run's part on with its gap, distance and V, computed once per block
+from the carry (the first block is the starts; rows 0 and 1 have no V).  A
+run's lane idles from its stop; a run that fails raises once the runs before
+it have finished, so a batch raises what its runs, made one after another,
+would raise first.  A ``_blocks`` call allocates one rows buffer and the
 work arrays of the metrics once: the driver copies the carry to the top of
 that buffer, an engine fills every row below it, and the metrics are
 computed into the work arrays with ``out=``, so a long run allocates no
 block-sized array per block.  The rows a block hands on are a view into the
-buffer, valid until the next block is drawn; its gap, distance and V
-columns are arrays of their own.
+buffer, valid until the next block is drawn; its gap, distance and V columns
+are arrays of their own.
 
 ``run_trace`` is the batch of one; the scenarios run their methods as one
 batch through ``_run_traces``.  A trace keeps the metric columns of its
@@ -56,7 +57,7 @@ from ._files import whole_file
 from ._g17 import csv_rows
 from .lyapunov import LyapunovSeries
 from .methods import MethodSpec, _family
-from .problems import Objective, QuadraticProblem
+from .problems import Objective, QuadraticProblem, _squared_norms
 from .spectral import SpectralCertificate, analyze
 
 DIVERGENCE_THRESHOLD = 1e12  # read at call time
@@ -78,8 +79,8 @@ class Trace:
     spec, x0, iters, x1) of the run, alone, that made the trace.
     A trace keeps no row: ``iterates`` is computed again by replaying
     ``run`` on every read.  The engines are deterministic (an objective's
-    oracles are taken to be functions of their argument), so each read
-    gives the same bits.
+    oracles are taken to give each point's result whatever else its stack
+    holds), so each read gives the same bits.
     """
 
     objective_gap: np.ndarray
@@ -186,7 +187,34 @@ class _Block(NamedTuple):
 def _row_norms(Z: np.ndarray) -> np.ndarray:
     """Each row's ``np.linalg.norm``, to the bit: the root of its dot with
     itself, taken for all rows (of any leading shape) in one call."""
-    return np.sqrt(np.matmul(Z[..., None, :], Z[..., :, None])[..., 0, 0])
+    return np.sqrt(_squared_norms(Z))
+
+
+def _squared_threshold(t: float) -> float:
+    """The largest s whose rounded square root is at most ``t``: as the root
+    is monotone, ``s <= _squared_threshold(t)`` is ``sqrt(s) <= t`` for every
+    s >= 0, and NaN, so a row's dot with itself tests the driver's threshold
+    without taking the root."""
+    if not t >= 0.0:  # no root is at most t
+        return -math.inf
+    s = t * t
+    while math.sqrt(s) > t:
+        s = math.nextafter(s, 0.0)
+    while s < math.inf and math.sqrt(math.nextafter(s, math.inf)) <= t:
+        s = math.nextafter(s, math.inf)
+    return s
+
+
+def _oracle(fn, points: np.ndarray, shape: tuple) -> np.ndarray:
+    """``fn(points)`` as a float array, refused unless it has ``shape``: an
+    ``Objective``'s value of a stack of points (..., d) is (...), its
+    gradient (..., d)."""
+    out = np.asarray(fn(points), dtype=float)
+    if out.shape != shape:
+        raise ValueError(f"an Objective oracle maps a stack of points (..., d) to values "
+                         f"(...) and gradients (..., d); it gave shape {out.shape} for a "
+                         f"stack of shape {points.shape}")
+    return out
 
 
 def _blocks(target, specs, x0, iters: int, x1=None) -> Iterator[_Block]:
@@ -247,7 +275,7 @@ def _blocks(target, specs, x0, iters: int, x1=None) -> Iterator[_Block]:
         first, advance = _eigenbasis_engine(target, certs, starts)
     else:
         first, advance = _oracle_engine(target, [_family(s) for s in specs], starts)
-        f_star = float(target.value(xs))
+        f_star = float(_oracle(target.value, xs, ()))
 
     going = [r for r in range(len(specs)) if r not in failed]  # the runs going on
     n = 0  # rows recorded before this block
@@ -302,11 +330,11 @@ def _blocks(target, specs, x0, iters: int, x1=None) -> Iterator[_Block]:
                     failed[r] = ValueError("non-finite iterate produced")
                 if quadratic:
                     gap = gaps[:k, r]
-                else:
-                    values = [float(target.value(x)) for x in block[:bad, r]]
-                    if not all(map(math.isfinite, values)):
+                elif bad:  # else the run failed on the block's first row
+                    values = _oracle(target.value, block[:bad, r], (bad,))
+                    if not np.isfinite(values).all():
                         failed[r] = ValueError("non-finite objective value from the oracle")
-                    gap = np.array(values) - f_star
+                    gap = values - f_star
                 if r in failed:
                     continue
                 out.append(_Block(r, block[:k, r], gap, dist[:k, r], v[:k, r],
@@ -412,32 +440,46 @@ def _oracle_engine(obj: Objective, families: list, starts):
     members ``families`` (an (alpha, beta, gamma) per run).  ``rows`` is a
     (n + 2, runs, dim) array whose top two rows hold x_{k-1} and x_k;
     ``advance`` fills every row below them with the next method steps
-    through the gradient oracle, and returns nothing.  Only the runs
-    ``going`` take gradients, each up to a row whose distance from the
-    minimizer is not within the threshold: a lane past that row steps on
-    with no new gradient, its rows left for the driver to cut."""
+    through the gradient oracle, one call per row on the stack of the live
+    lanes' points, and returns nothing.  Only the runs ``going`` take
+    gradients, each up to a row whose distance from the minimizer is not
+    within the threshold (the driver's test, to the bit): a lane past that
+    row steps on with no new gradient, its rows left for the driver to
+    cut."""
     xs = np.asarray(obj.minimizer, dtype=float)
-    # one coefficient per entry: same-shape ufuncs, cheaper than broadcasting;
-    # and no in-place ufunc, slow on one-entry rows
+    runs = len(families)
+    # one coefficient per entry, and the minimizer in every lane: same-shape
+    # ufuncs, cheaper than broadcasting; and no in-place ufunc, slow on
+    # one-entry rows
     al, be, ga = np.array(families).T[:, :, None].repeat(xs.shape[0], axis=2)
+    xr = np.tile(xs, (runs, 1))
     grad = np.zeros_like(al)
+    lanes = np.arange(runs)
+    # a row's centred points as a (1, dim) matrix per lane, their dots with
+    # themselves as (1, 1): ``_row_norms``' product, to the bit
+    z, zz = np.empty((runs, 1, xs.shape[0])), np.empty((runs, 1, 1))
+    zrow, zt, squares = z[:, 0], z.transpose(0, 2, 1), zz[:, 0, 0]
 
     def advance(rows: np.ndarray, going) -> None:
         # x_{k+1} = x_k + beta d_k - alpha grad f(x_k + gamma d_k), the
         # family update of ``methods``, for all runs at once; the oracle
-        # once per run going on
+        # once, on the points of the lanes still live
         prev, cur = rows[0], rows[1]
-        live = list(going)
+        # the live lanes: a slice while every lane is, so no row is gathered
+        live = slice(None) if len(going) == runs else lanes[going]
+        within = _squared_threshold(DIVERGENCE_THRESHOLD)  # the largest dot within it
         for i, row in enumerate(rows[2:]):
             d = cur - prev
             y = ga * d + cur
-            z = cur - xs  # the rows above the block were judged by the driver
-            for r in live[:]:
-                zr = z[r]
-                if i and not math.sqrt(zr.dot(zr)) <= DIVERGENCE_THRESHOLD:
-                    live.remove(r)
-                else:
-                    grad[r] = obj.gradient(y[r])
+            if i:  # the rows above the block were judged by the driver
+                np.subtract(cur, xr, out=zrow)
+                np.matmul(z, zt, out=zz)
+                near = squares[live] <= within
+                if np.count_nonzero(near) < near.shape[0]:
+                    live = lanes[live][near]
+            points = y[live]
+            if points.shape[0]:
+                grad[live] = _oracle(obj.gradient, points, points.shape)
             np.subtract(be * d + cur, al * grad, out=row)
             prev, cur = cur, row
 

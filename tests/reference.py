@@ -9,7 +9,9 @@ Schur factorization behind the certificate, the three-point value V, and
 NAG-GS in its literal two-sequence form.  ``quadratic_objective`` puts a
 quadratic problem behind the value/gradient oracles in the full space, so
 the eigenbasis engine can be checked against the oracle engine, and
-``trace_rows`` replays a trace's run for the engine's rows.  The text
+``trace_rows`` replays a trace's run for the engine's rows.
+``OBJECTIVE_POINTS`` holds the packaged objectives' formulas one point at a
+time, on Python floats and libm: the bits their stacked oracles keep.  The text
 writers at the end format one row or point at a time, and ``svg_m4`` picks
 a polyline's points one pixel column at a time; the library's block writers
 must give the same bytes.
@@ -135,20 +137,62 @@ def naggs_iterates(gradient, alpha, beta, starts, rows):
     return np.stack(xs)
 
 
+def row_dot(a, b):
+    """Each point's dot a.b over the last axis, one BLAS dot per point, for
+    stacks of any leading shape: the same bits whatever else the stacks hold
+    (a matrix product over the stack would not keep them)."""
+    return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
+
+
 def quadratic_objective(p):
     """The problem ``0.5 x'Wx - linear'x + constant`` of a ``QuadraticProblem``
-    through the full-space oracles: value as written, gradient ``Wx - linear``."""
+    through the full-space oracles over stacks of points (..., d): value as
+    written, gradient ``Wx - linear``, with one matrix-vector product ``Wx``
+    and one ``row_dot`` per point, so a point's result is its own."""
     W, linear = p.W, p.linear
+
+    def product(x):
+        return np.matmul(W, x[..., :, None])[..., 0]
 
     def value(x):
         x = np.asarray(x, dtype=float)
-        return float(0.5 * (x @ (W @ x)) - linear @ x + p.constant)
+        return 0.5 * row_dot(x, product(x)) - row_dot(linear, x) + p.constant
 
     def gradient(x):
-        return W @ np.asarray(x, dtype=float) - linear
+        return product(np.asarray(x, dtype=float)) - linear
 
     return Objective(dim=p.dim, value=value, gradient=gradient,
                      minimizer=p.minimizer, mu=p.mu, lipschitz=p.lipschitz)
+
+
+def _inf_on_overflow(fn, *args):
+    try:
+        return fn(*args)
+    except OverflowError:
+        return math.inf
+
+
+def _cosine_point(x):
+    t, amp = float(x[0]), 1.99 / 400.0
+    return (t * t + amp * math.cos(20.0 * t),
+            np.array([2.0 * t - amp * 20.0 * math.sin(20.0 * t)]))
+
+
+def _exp_norm_point(x):
+    e = _inf_on_overflow(math.exp, float(x @ x))
+    with np.errstate(over="ignore", invalid="ignore"):  # inf * 0 is nan
+        return e, 2.0 * e * x
+
+
+def _rosenbrock_point(x):
+    a, b = float(x[0]), float(x[1])
+    return (_inf_on_overflow(pow, 1.0 - a, 2) + 100.0 * _inf_on_overflow(pow, b - a * a, 2),
+            np.array([-2.0 * (1.0 - a) - 400.0 * a * (b - a * a), 200.0 * (b - a * a)]))
+
+
+# each packaged objective's (value, gradient) at one point x of shape (dim,)
+OBJECTIVE_POINTS = {"cosine": _cosine_point, "expnorm": _exp_norm_point,
+                    "rosenbrock": _rosenbrock_point}
 
 
 def trace_rows(tr):

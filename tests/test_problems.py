@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from lyapcert import (Objective, QuadraticProblem, cosine_counterexample,
                       exp_norm_objective, generate_quadratic, load_problem,
                       rosenbrock_objective, save_problem)
 from conftest import fd_gradient, peak_bytes
-from reference import quadratic_objective
+from reference import OBJECTIVE_POINTS, quadratic_objective
 
 
 class TestGenerateQuadratic:
@@ -220,6 +221,51 @@ class TestOtherObjectives:
                 g = obj.gradient(x)
                 fd = fd_gradient(obj.value, x)
                 assert np.linalg.norm(g - fd) <= 1e-6 * max(1.0, np.linalg.norm(g))
+
+
+def bits(a) -> bytes:
+    """The bytes of a float array: equal bits, signed zeros and NaNs alike."""
+    return np.asarray(a, dtype=float).tobytes()
+
+
+class TestStackedOracles:
+    """A packaged objective's value of a stack of points (..., dim) is (...)
+    and its gradient (..., dim), each point's entry the bits of that point
+    evaluated alone and of its one-point formula on Python floats and libm
+    (``reference.OBJECTIVE_POINTS``).  Points where ``exp`` or a square
+    overflows give ``inf`` with no warning (the suite makes a RuntimeWarning
+    an error) and no exception."""
+
+    OBJECTIVES = {"cosine": (cosine_counterexample(), 1e300),
+                  "expnorm": (exp_norm_objective(3), 40.0),
+                  "rosenbrock": (rosenbrock_objective(), 1e300)}
+
+    @pytest.mark.parametrize("name", list(OBJECTIVES))
+    @given(shape=st.sampled_from([(), (1,), (3,), (1, 2), (4, 3)]), data=st.data())
+    def test_stack_is_its_points(self, name, shape, data):
+        obj, big = self.OBJECTIVES[name]
+        coord = st.one_of(st.floats(-3.0, 3.0), st.floats(-big, big),
+                          st.sampled_from([0.0, -0.0, 1.0, 27.0, -1.4e154, 1e200]).filter(
+                              lambda t: abs(t) <= big))
+        x = np.array(data.draw(st.lists(coord, min_size=obj.dim * int(np.prod(shape)),
+                                        max_size=obj.dim * int(np.prod(shape)))),
+                     dtype=float).reshape(shape + (obj.dim,))
+        values, grads = obj.value(x), obj.gradient(x)
+        assert np.shape(values) == shape and np.shape(grads) == x.shape
+        for idx in np.ndindex(shape):
+            value, grad = OBJECTIVE_POINTS[name](x[idx])
+            assert bits(values[idx]) == bits(obj.value(x[idx])) == bits(value)
+            assert bits(grads[idx]) == bits(obj.gradient(x[idx])) == bits(grad)
+
+    @pytest.mark.parametrize("name,point", [
+        ("cosine", [1.4e154]), ("cosine", [-1e300]), ("expnorm", [30.0, 0.0, 0.0]),
+        ("expnorm", [20.0, -20.0, 1.0]), ("rosenbrock", [1e160, 0.0]),
+        ("rosenbrock", [1.0, 1.4e154]), ("rosenbrock", [-1.4e154, 1.0])])
+    def test_an_overflow_is_inf(self, name, point):
+        obj, _ = self.OBJECTIVES[name]
+        x = np.array([point, point])  # a stack of two
+        assert obj.value(x).tolist() == [np.inf, np.inf]
+        assert obj.value(x[0]) == np.inf
 
 
 class TestSerialization:

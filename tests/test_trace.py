@@ -16,7 +16,7 @@ from lyapcert import (HB, KINDS, NAG, NAGGS, TMM, MethodSpec, Objective,
                       read_trace_csv, rosenbrock_objective, run_trace, series_from_csv)
 from conftest import peak_bytes, random_eligible_coeffs
 from reference import (eigenvalues, family_step, per_coordinate_V, quadratic_objective,
-                       schur, trace_rows, vector_V)
+                       row_dot, schur, trace_rows, vector_V)
 
 
 def offset_start(p, seed=0, scale=1.0):
@@ -105,11 +105,24 @@ class TestRunTraceQuadratic:
 
 class TestRunTraceObjective:
     def test_rejects_objective_without_minimizer(self):
-        obj = Objective(dim=1, value=lambda x: float(x[0] ** 2),
-                        gradient=lambda x: 2.0 * x)
+        obj = Objective(dim=1, value=lambda x: x[..., 0] ** 2, gradient=lambda x: 2.0 * x)
         spec = MethodSpec(HB, alpha=0.1, beta=0.1)
         with pytest.raises(ValueError, match="minimizer"):
             run_trace(obj, spec, np.array([1.0]), 10)
+
+    @pytest.mark.parametrize("which", ["value", "gradient"])
+    def test_a_per_point_oracle_is_refused_by_the_contract(self, which):
+        # oracles written for one point: a float for any stack, and the
+        # gradient of a stack's first point
+        per_point = {"value": lambda x: float(np.sum(x * x)),
+                     "gradient": lambda x: 2.0 * np.reshape(x, (-1, 2))[0]}
+        oracles = {"value": lambda x: row_dot(x, x), "gradient": lambda x: 2.0 * x,
+                   which: per_point[which]}
+        obj = Objective(dim=2, minimizer=np.zeros(2), **oracles)
+        with pytest.raises(ValueError, match=r"^an Objective oracle maps a stack of points "
+                                             r"\(\.\.\., d\) to values \(\.\.\.\) and "
+                                             r"gradients \(\.\.\., d\); it gave shape"):
+            run_trace(obj, MethodSpec(HB, alpha=0.1, beta=0.5), np.array([1.0, 0.5]), 50)
 
     @pytest.mark.parametrize("kind,params", [
         (HB, dict(alpha=0.15, beta=0.5)),
@@ -188,6 +201,18 @@ class TestMetricsPassBitIdentity:
         gaps = [float(obj.value(r)) - f_star for r in x]
         self.assert_matches(tr, gaps, [r - xs for r in x], lambda k: vector_V(
             x[k], x[k - 1], x[k - 2], xs))
+
+    @given(t=st.one_of(st.floats(allow_nan=True), st.sampled_from([1e12, 1e3, 30.0, 0.0])),
+           s=st.floats(0.0, math.inf), ulps=st.integers(-4, 4))
+    def test_squared_threshold_is_the_root_test(self, t, s, ulps):
+        # the engine's test of a row's dot with itself is the driver's
+        # test of its root, at any s and around the bound
+        bound = trace_module._squared_threshold(t)
+        near = bound if math.isfinite(bound) else s
+        for _ in range(abs(ulps)):
+            near = math.nextafter(near, math.copysign(math.inf, ulps))
+        for x in (s, abs(near), math.nan):
+            assert (x <= bound) == (math.sqrt(x) <= t)
 
     @pytest.mark.parametrize("dim", [1, 2, 3, 7, 16, 33, 100, 107, 2000])
     def test_row_norms(self, dim):
@@ -709,11 +734,13 @@ class TestOracleBlocks:
 
     @staticmethod
     def counting(p):
+        """The oracles of ``quadratic_objective(p)``, and a list that takes
+        the number of points of each gradient call."""
         obj = quadratic_objective(p)
         calls = []
 
         def gradient(x):
-            calls.append(1)
+            calls.append(x.shape[0])
             return obj.gradient(x)
 
         return Objective(dim=obj.dim, value=obj.value, gradient=gradient,
@@ -757,7 +784,7 @@ class TestOracleBlocks:
 
         def gradient(x):
             steps.append(1)
-            return obj.gradient(x) if len(steps) < 700 else np.full(3, np.nan)
+            return obj.gradient(x) if len(steps) < 700 else np.full(x.shape, np.nan)
 
         bad = Objective(dim=3, value=obj.value, gradient=gradient, minimizer=obj.minimizer)
         with pytest.raises(ValueError, match="non-finite iterate produced"):
@@ -782,15 +809,15 @@ class TestOracleBlocks:
             return len(calls)
 
         # NaN away from the minimizer: row 0 is bad, and no gradient is taken
-        assert gradients_taken(lambda x: float(x @ x) if abs(x[0]) < 0.5 else math.nan,
-                               600) == 0
+        assert gradients_taken(
+            lambda x: np.where(np.abs(x[..., 0]) < 0.5, row_dot(x, x), math.nan), 600) == 0
         # NaN within 1e-3 of the minimizer, first met at row ``bad``
-        good = Objective(dim=1, value=lambda x: float(x @ x), gradient=lambda x: 2.0 * x,
+        good = Objective(dim=1, value=lambda x: row_dot(x, x), gradient=lambda x: 2.0 * x,
                          minimizer=np.zeros(1))
         bad = int(np.argmax(run_trace(good, spec, np.array([1.0]), 2000).distance < 1e-3))
         assert bad > 0
-        taken = gradients_taken(lambda x: float(x @ x) if abs(x[0]) >= 1e-3 else math.nan,
-                                2000)
+        taken = gradients_taken(
+            lambda x: np.where(np.abs(x[..., 0]) >= 1e-3, row_dot(x, x), math.nan), 2000)
         assert bad <= taken < bad + trace_module._CHUNK
 
     def test_the_first_bad_row_names_the_error(self):
@@ -798,14 +825,15 @@ class TestOracleBlocks:
         # |x| < 1e-4 on: a bad value rows before the first non-finite iterate,
         # in the same block, names the error, whatever the block size
         spec = MethodSpec(HB, alpha=0.1, beta=0.5)
-        good = Objective(dim=1, value=lambda x: float(x @ x), gradient=lambda x: 2.0 * x,
+        good = Objective(dim=1, value=lambda x: row_dot(x, x), gradient=lambda x: 2.0 * x,
                          minimizer=np.zeros(1))
         dist = run_trace(good, spec, np.array([1.0]), 2000).distance
         nan_value, inf_gradient = int(np.argmax(dist < 1e-3)), int(np.argmax(dist < 1e-4))
         assert 0 < nan_value < inf_gradient < trace_module._CHUNK
-        bad = Objective(dim=1, value=lambda x: float(x @ x) if abs(x[0]) >= 1e-3 else math.nan,
-                        gradient=lambda x: 2.0 * x if abs(x[0]) >= 1e-4 else np.full(1, np.inf),
-                        minimizer=np.zeros(1))
+        bad = Objective(
+            dim=1, value=lambda x: np.where(np.abs(x[..., 0]) >= 1e-3, row_dot(x, x), math.nan),
+            gradient=lambda x: np.where(np.abs(x) >= 1e-4, 2.0 * x, np.inf),
+            minimizer=np.zeros(1))
         with pytest.raises(ValueError, match="^non-finite objective value from the oracle$"):
             run_trace(bad, spec, np.array([1.0]), 2000)
 
@@ -1013,11 +1041,56 @@ class TestBatchedRuns:
             solo.append(len(calls))
         calls.clear()
         runs = list(trace_module._run_traces(obj, specs, x0, 1300))
-        assert len(calls) == sum(solo)
+        assert sum(calls) == sum(solo)
         assert [len(tr) for tr in runs] == [n + 1 for n in solo]
         self.assert_same(obj, specs, x0, 1300)
         (r_nag, _, _), (r_hb, rows, most), _ = self.last_blocks(obj, specs, x0, 1300)
         assert r_hb < r_nag and rows < most  # HB leaves inside a block the others go on past
+
+    @pytest.mark.parametrize("lanes", [1, 4, 20])
+    def test_objective_batch_takes_each_live_lanes_points(self, lanes):
+        # the middle lane diverges inside a block, the others run to iters:
+        # the batch equals its solo runs; each row takes one gradient call
+        # holding the points of exactly the lanes still live, in lane order,
+        # and each block one value call per run holding its rows, so no
+        # point past a lane's stop reaches an oracle
+        p = generate_quadratic(3, 1.0, 10.0, seed=2)
+        obj = quadratic_objective(p)
+        specs = [MethodSpec(k, alpha=0.02 + 0.004 * j, beta=0.5, gamma=0.05 if k == TMM else 0.0)
+                 for j, k in zip(range(lanes), KINDS * 5)]
+        specs[lanes // 2] = MethodSpec(HB, alpha=0.25, beta=0.2)
+        x0 = offset_start(p, seed=1)
+        want = self.assert_same(obj, specs, x0, 1300)
+        stops = [len(tr) - 1 for tr in want]  # each run's last row
+        assert want[lanes // 2].diverged and stops.count(1299) == lanes - 1
+        assert stops[lanes // 2] % max(1, trace_module._CHUNK // lanes)  # not a block's last row
+        grads, values = [], []
+
+        def gradient(x):
+            grads.append(x.copy())
+            return obj.gradient(x)
+
+        def value(x):
+            values.append(x.copy())
+            return obj.value(x)
+
+        seen = Objective(dim=3, value=value, gradient=gradient, minimizer=obj.minimizer)
+        list(trace_module._run_traces(seen, specs, x0, 1300))
+        rows = [trace_rows(tr) for tr in want]
+        # a run's point at row k is y_k = x_k + gamma (x_k - x_{k-1}), x_{-1} = x_0
+        ys = [_family(spec)[2] * (x - np.vstack([x[:1], x[:-1]])) + x
+              for spec, x in zip(specs, rows)]
+        assert len(grads) == max(stops)
+        for k, points in enumerate(grads):
+            assert np.array_equal(points, np.stack([y[k] for y, s in zip(ys, stops) if k < s]))
+        assert values[0].shape == (3,)  # the minimizer's value, then the blocks'
+        done = [0] * lanes
+        blocks = [(blk.run, len(blk.rows)) for blk in trace_module._blocks(obj, specs, x0, 1300)]
+        assert len(values) == len(blocks) + 1
+        for (r, m), points in zip(blocks, values[1:]):
+            assert np.array_equal(points, rows[r][done[r]:done[r] + m])
+            done[r] += m
+        assert done == [s + 1 for s in stops]
 
     @pytest.mark.parametrize("objective", [False, True], ids=["quadratic", "objective"])
     def test_iters_at_block_edges(self, objective):
