@@ -16,13 +16,10 @@ import argparse
 import functools
 import os
 import sys
-from array import array
 from dataclasses import MISSING, fields
 
-import numpy as np
-
 from ._files import whole_file
-from .lyapunov import _bounds_distance, check_monotone
+from .lyapunov import _bounds_distance, _MonotoneScan
 from .methods import HB, NAG, NAGGS, TMM, MethodSpec, optimal_hyperparams
 from .problems import (_require_spectrum, _spectrum_grid, generate_quadratic,
                        load_problem, save_problem)
@@ -31,7 +28,7 @@ from .scenarios import (SCENARIOS, ScenarioConfig, _Refused, _require_finite_sca
 from .spectral import (DEFAULT_TOL, _require_tolerance, analyze, certificate_csv_text,
                        certificate_report_text)
 from . import trace
-from .trace import _blocks, _lyapunov_series, _stream_csv, series_from_csv
+from .trace import _blocks, _require_v, _scan_csv, _stream_csv
 
 _METHOD_NAMES = {
     "hb": HB, "heavy-ball": HB,
@@ -183,15 +180,14 @@ def _cmd_run(o: dict) -> int:
                else generate_quadratic(o["dim"], o["mu"], o["L"], o["seed"]))
     spec = spec or _method_spec(o, problem.mu, problem.lipschitz)
     x0 = _x0(problem.minimizer, o["x0-scale"], o["seed"])
-    kept = array("d"), array("d")  # V and the distances, for the verdict
-    rows, last = _stream_csv(_blocks(problem, (spec,), x0, o["iters"]), out, kept)
+    scan = _MonotoneScan(start=2)  # the verdict, fed as the CSV is written
+    rows, last = _stream_csv(_blocks(problem, (spec,), x0, o["iters"]), out, scan)
     # the summary first: a run cut before V is defined still shows it
     print(f"rows={rows} final_gap={last.objective_gap[-1]:.6g} "
           f"final_distance={last.distance[-1]:.6g} "
           f"diverged={'yes' if last.diverged else 'no'}")
-    lyap, dist = map(np.frombuffer, kept)
-    rep = check_monotone(_lyapunov_series(lyap, dist))
-    print(rep.describe(_bounds_distance(last.diverged, last.certificate)))
+    _require_v(rows)
+    print(scan.report().describe(_bounds_distance(last.diverged, last.certificate)))
     print(f"trace -> {out}")
     return 1 if last.diverged else 0
 
@@ -216,17 +212,16 @@ def _cmd_check(o: dict) -> int:
     path = o["trace"]
     if path is None:
         raise UsageError("missing trace CSV path")
-    series = series_from_csv(path)
-    rep = check_monotone(series)
+    rep, last = _scan_csv(path)
     # the run's own stop rule: a last row beyond the threshold diverged
-    diverged = bool(series.distance[-1] > trace.DIVERGENCE_THRESHOLD)
+    diverged = bool(last > trace.DIVERGENCE_THRESHOLD)
     if diverged:
-        print(f"final_distance={series.distance[-1]:.6g} diverged=yes")
+        print(f"final_distance={last:.6g} diverged=yes")
     print(rep.describe(_bounds_distance(diverged, None)))  # a CSV has no certificate
-    for i in range(min(rep.index.size, 10)):
+    for i in range(rep.index.size):  # the first ten
         print(f"  {rep._step(i)}")
-    if rep.index.size > 10:
-        print(f"  ... {rep.index.size - 10} more")
+    if rep.count > rep.index.size:
+        print(f"  ... {rep.count - rep.index.size} more")
     return 0 if rep.monotone and not diverged else 1
 
 

@@ -182,13 +182,23 @@ def cosine_counterexample() -> Objective:
     def value(x: np.ndarray) -> np.ndarray:
         t = np.asarray(x, dtype=float)[..., 0]
         with np.errstate(over="ignore"):
-            return t * t + amp * _inf_on_overflow(math.cos, 20.0 * t)
+            return t * t + amp * _inf_on_overflow(_cos, 20.0 * t)
 
     def grad(x: np.ndarray) -> np.ndarray:
-        return _each_point(lambda t: (2.0 * t - amp * 20.0 * math.sin(20.0 * t),), x)
+        return _each_point(lambda t: (2.0 * t - amp * 20.0 * _sin(20.0 * t),), x)
 
     return Objective(dim=1, value=value, gradient=grad,
                      minimizer=np.zeros(1), mu=0.01, lipschitz=3.99)
+
+
+def _nan_at_inf(fn: Callable[[float], float]) -> Callable[[float], float]:
+    """``fn``, ``math.cos`` or ``math.sin``, with C's NaN at +-inf, where
+    ``math`` raises ``ValueError``: a point so far out (|x| >= about 9e306
+    for cosine's 20 x) gives a non-finite result, which the driver refuses."""
+    return lambda t: math.nan if math.isinf(t) else fn(t)
+
+
+_cos, _sin = _nan_at_inf(math.cos), _nan_at_inf(math.sin)
 
 
 def _inf_on_overflow(fn: Callable[..., float], x: np.ndarray, *args) -> np.ndarray:

@@ -26,22 +26,26 @@ each run's part on with its gap, distance and V, computed once per block
 from the carry (the first block is the starts; rows 0 and 1 have no V).  A
 run's lane idles from its stop; a run that fails raises once the runs before
 it have finished, so a batch raises what its runs, made one after another,
-would raise first.  A ``_blocks`` call allocates one rows buffer and the
-work arrays of the metrics once: the driver copies the carry to the top of
-that buffer, an engine fills every row below it, and the metrics are
-computed into the work arrays with ``out=``, so a long run allocates no
-block-sized array per block.  The rows a block hands on are a view into the
-buffer, valid until the next block is drawn; its gap, distance and V columns
-are arrays of their own.
+would raise first.  A ``_blocks`` call allocates one rows buffer and a
+fixed scratch for the metrics once: the driver copies the carry to the top
+of that buffer, an engine fills every row below it, and V and the gap are
+computed through the scratch a few whole rows at a time (``_SCRATCH``
+numbers), so a long run allocates no block-sized array per block and the
+products stay in cache at any dim.  The rows a block hands on are a view
+into the buffer, valid until the next block is drawn; its gap, distance and
+V columns are arrays of their own.
 
 ``run_trace`` is the batch of one; the scenarios run their methods as one
 batch through ``_run_traces``.  A trace keeps the metric columns of its
 blocks and drops their rows: a ``Trace``, on either target, stores the
 arguments of its own run and replays it alone whenever ``iterates`` is
 read, so its memory does not grow with the rows' width.
-``lyapcert run`` streams instead: each block's CSV lines are written as the
-block arrives and only the V and distance columns are kept, and
-``read_trace_csv`` reads the file back a chunk of lines at a time.
+``lyapcert run`` streams instead and keeps no column: each block's CSV lines
+are written, and its V and distance cells fed to the verdict's
+``_MonotoneScan``, as the block arrives.  ``read_trace_csv`` reads the file
+back a chunk of lines at a time, and ``lyapcert check`` feeds each chunk to
+the same scan (``_scan_csv``), so neither command's memory grows with
+``iters``.
 """
 
 from __future__ import annotations
@@ -55,13 +59,18 @@ import numpy as np
 
 from ._files import whole_file
 from ._g17 import csv_rows
-from .lyapunov import LyapunovSeries
+from .lyapunov import LyapunovSeries, _MonotoneScan
 from .methods import MethodSpec, _family
 from .problems import Objective, QuadraticProblem, _squared_norms
 from .spectral import SpectralCertificate, analyze
 
 DIVERGENCE_THRESHOLD = 1e12  # read at call time
 _CHUNK = 512  # rows x runs advanced between two checks
+# numbers in each of the two scratch arrays of the V and gap products: 2^13
+# doubles are 64 KB, so both and the rows of z they read (as many again, and
+# two rows) stay within a 256 KB L2 cache at any dim, where products of a
+# whole block (514 rows, 0.4 MB each at dim 100) do not
+_SCRATCH = 1 << 13
 # a settling eigen-coordinate reads 0 after two consecutive rows below _TAU;
 # it settles at radius <= 1 - _DELTA and lambda <= _LAMBDA_MAX, all three
 # derived in ``_eigenbasis_engine``
@@ -114,10 +123,15 @@ class Trace:
 
 
 def _lyapunov_series(lyapunov, distance) -> LyapunovSeries:
-    """A run's series; only divergence ends a run before row 2, V's first."""
-    if len(distance) < 3:
-        raise ValueError(f"the run diverged at row {len(distance) - 1}, before V is defined")
+    """A run's series."""
+    _require_v(len(distance))
     return LyapunovSeries(lyapunov[2:], distance)
+
+
+def _require_v(rows: int) -> None:
+    """Only divergence ends a run before row 2, V's first."""
+    if rows < 3:
+        raise ValueError(f"the run diverged at row {rows - 1}, before V is defined")
 
 
 def run_trace(target: Union[QuadraticProblem, Objective],
@@ -233,8 +247,9 @@ def _blocks(target, specs, x0, iters: int, x1=None) -> Iterator[_Block]:
     raise first.  An exception raised by an oracle itself goes up at once.
 
     Every block is written into one rows buffer, allocated in block shape
-    with the metric work arrays once per call, so a block's ``rows`` are
-    valid until the next block is drawn; its metric columns are new arrays.
+    once per call, so a block's ``rows`` are valid until the next block is
+    drawn; its metric columns are new arrays, V's and the gap's made through
+    a scratch of ``_SCRATCH`` numbers (``_metric_rows``), not of a block.
     Every pass reads its block, distance and V from below a two-row carry
     at the buffer's top: the first, the starts (rows 0 and 1 have no V);
     each later one, what ``advance(rows, going)`` fills below the driver's
@@ -280,16 +295,19 @@ def _blocks(target, specs, x0, iters: int, x1=None) -> Iterator[_Block]:
     going = [r for r in range(len(specs)) if r not in failed]  # the runs going on
     n = 0  # rows recorded before this block
     step = max(len(starts), _CHUNK // len(specs))  # the most rows of a block
-    # one rows buffer and the metric work arrays (two products of the V
-    # terms, then the gap's; an objective's centred rows) in the call's block
+    # one rows buffer (and an objective's centred rows) in the call's block
     # shape, a lane per run; each block is a view of their top rows
-    bufs = [np.empty((step + 2, len(specs), target.dim)) for _ in range(3 if quadratic else 4)]
+    bufs = [np.empty((step + 2, len(specs), target.dim)) for _ in range(1 if quadratic else 2)]
+    # the scratch of the V and gap products: whole rows, up to a block's, to
+    # _SCRATCH numbers, or one row
+    sub = max(1, min(step, _SCRATCH // (len(specs) * target.dim)))
+    scratch = np.empty((2, sub, len(specs), target.dim))
     while True:
         if failed and (not going or min(failed) < going[0]):
             raise failed[min(failed)]
         if not going:
             return
-        rows, t1, t2, *wz = (b[:min(step, iters - n) + 2] for b in bufs)
+        rows, *wz = (b[:min(step, iters - n) + 2] for b in bufs)
         # rows past a stop may overflow; they are cut before any output.
         # No yield inside: the error state must not leak to the consumer.
         with np.errstate(over="ignore", invalid="ignore"):
@@ -306,11 +324,8 @@ def _blocks(target, specs, x0, iters: int, x1=None) -> Iterator[_Block]:
             Wz = W if quadratic else np.subtract(W, xs, out=wz[0][:W.shape[0]])
             Z = Wz[2:]
             dist = _row_norms(Z)
-            v = _lyapunov_rows(Wz[:-2], Wz[1:-1], Z, t1[:m], t2[:m])
+            v, gaps = _metric_rows(Wz, target.eigvals if quadratic else None, scratch)
             v[:max(0, 2 - n)] = math.nan  # rows 0 and 1 have no V
-            if quadratic:
-                gaps = np.multiply(target.eigvals, Z, out=t1[:m])  # (eigvals * Z) * Z
-                gaps = 0.5 * np.sum(np.multiply(gaps, Z, out=gaps), axis=-1)
             out, on = [], []
             for r in going:
                 # the run stops on the block's row ``stop`` (m: it goes on) at
@@ -342,8 +357,8 @@ def _blocks(target, specs, x0, iters: int, x1=None) -> Iterator[_Block]:
                                   certificate=certs[r]))
                 if stop == m:
                     on.append(r)
-        if not on:  # no run goes on: the work arrays go before the last blocks are read
-            del bufs, t1, t2, wz, Wz, Z
+        if not on:  # no run goes on: the buffers go before the last blocks are read
+            del bufs, scratch, wz, Wz, Z
         yield from out
         going = on
         n += m
@@ -354,14 +369,29 @@ def _first(mask: np.ndarray) -> int:
     return int(mask.argmax()) if mask.any() else mask.shape[0]
 
 
-def _lyapunov_rows(z_km2: np.ndarray, z_km1: np.ndarray, z_k: np.ndarray,
-                   out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
-    """V = sum_i z_{k-1,i}^2 - z_{k,i} z_{k-2,i} over the last axis; row-wise
-    on stacked rows, with the same summation (and bytes) as one row at a time.
-    The terms go to ``out`` and ``tmp``, work arrays of ``z_k``'s shape."""
-    terms = np.multiply(z_km1, z_km1, out=out)
-    terms -= np.multiply(z_k, z_km2, out=tmp)
-    return np.sum(terms, axis=-1)
+def _metric_rows(W: np.ndarray, eigvals: Optional[np.ndarray], scratch: np.ndarray):
+    """V_k = sum_i z_{k-1,i}^2 - z_{k,i} z_{k-2,i} of every row k of ``W[2:]``
+    (rows, runs, dim), from the two rows above it, and, given ``eigvals``,
+    the quadratic gap 0.5 sum_i (eigvals_i z_{k,i}) z_{k,i}; the gap is None
+    without them.  The products go to ``scratch`` (2, sub, runs, dim), sub
+    rows at a time: numpy sums each row along its own last axis, so the
+    split moves no bit, and every row's terms are those of one row alone."""
+    m, sub = W.shape[0] - 2, scratch.shape[1]
+    v = np.empty((m,) + W.shape[1:-1])
+    gaps = None if eigvals is None else np.empty_like(v)
+    terms, tmp = scratch
+    for i in range(0, m, sub):
+        j = min(i + sub, m)
+        z_k, z_km1, t, u = W[i + 2:j + 2], W[i + 1:j + 1], terms[:j - i], tmp[:j - i]
+        np.multiply(z_km1, z_km1, out=t)
+        np.subtract(t, np.multiply(z_k, W[i:j], out=u), out=t)
+        np.add.reduce(t, axis=-1, out=v[i:j])  # ``np.sum``
+        if gaps is not None:  # (eigvals * z) * z
+            np.multiply(eigvals, z_k, out=t)
+            np.add.reduce(np.multiply(t, z_k, out=t), axis=-1, out=gaps[i:j])
+    if gaps is not None:
+        gaps *= 0.5
+    return v, gaps
 
 
 def _eigenbasis_engine(p: QuadraticProblem, certs: list, starts):
@@ -504,10 +534,10 @@ def export_csv(trace: Trace, path) -> None:
     _stream_csv([trace], path)  # a Trace has the four columns of a block
 
 
-def _stream_csv(blocks: Iterable[_Block], path, kept=()):
+def _stream_csv(blocks: Iterable[_Block], path, scan: Optional[_MonotoneScan] = None):
     """Write the CSV of a run as its blocks arrive, holding no rows; a whole
-    ``Trace`` may stand in as a single block.  The V and distance cells go
-    to the two ``array('d')`` columns ``kept`` too, when they are given.
+    ``Trace`` may stand in as a single block.  Each block's V and distance
+    cells are fed to ``scan`` too, when it is given.
 
     The lines go to a temporary file beside ``path``, which replaces ``path``
     only once the run is complete; a run that raises leaves ``path`` as it
@@ -519,20 +549,29 @@ def _stream_csv(blocks: Iterable[_Block], path, kept=()):
         for blk in blocks:
             fh.writelines(_csv_chunks(n, blk.objective_gap, blk.distance, blk.lyapunov))
             n += blk.objective_gap.shape[0]
-            _extend(kept, (blk.lyapunov, blk.distance))
+            if scan is not None:
+                scan.feed(blk.lyapunov, blk.distance)
     return n, blk
 
 
 def read_trace_csv(path) -> dict:
     """Parse a trace CSV back into metric arrays (lyapunov NaN where empty);
-    blank lines are skipped.
+    blank lines are skipped.  ``_csv_columns`` reads it."""
+    cols = array("d"), array("d"), array("d")
+    for chunk in _csv_columns(path):
+        _extend(cols, chunk)
+    return dict(zip(("objective_gap", "distance", "lyapunov"), map(np.frombuffer, cols)))
+
+
+def _csv_columns(path) -> Iterator[tuple]:
+    """The gap, distance and lyapunov columns of a trace CSV's rows, a chunk
+    at a time.
 
     ``_parse_lines`` defines the format.  After the header the rows come in
     chunks of about 16 KB of text: numpy's C parser reads a chunk if every
     row in it parses as four numbers, and ``_parse_lines`` reads any other
     chunk, so the result and any error are always its own.
     """
-    cols = array("d"), array("d"), array("d")
     with open(path, "r", encoding="utf-8-sig") as fh:  # a byte-order mark is skipped
         header = next((ln for ln in fh if ln.strip()), "")
         if header.strip().split(",") != _CSV_HEADER.strip().split(","):
@@ -545,10 +584,11 @@ def read_trace_csv(path) -> dict:
             except ValueError:
                 rows = None
             if rows is None or rows.shape[1:] != (4,):
+                cols = array("d"), array("d"), array("d")
                 _parse_lines(lines, cols)
+                yield tuple(map(np.frombuffer, cols))
             else:
-                _extend(cols, rows[:, 1:].T)
-    return dict(zip(("objective_gap", "distance", "lyapunov"), map(np.frombuffer, cols)))
+                yield tuple(rows[:, 1:].T)
 
 
 def _parse_lines(lines, cols) -> None:
@@ -564,6 +604,21 @@ def _parse_lines(lines, cols) -> None:
         gaps.append(float(parts[1]))
         dists.append(float(parts[2]))
         lyap.append(float(parts[3]) if parts[3] else math.nan)
+
+
+def _scan_csv(path):
+    """``check_monotone(series_from_csv(path))`` and the series' last
+    distance, from a scan fed each chunk the reader parses, so memory does
+    not grow with the file; the same errors, in the same order."""
+    scan = _MonotoneScan()
+    for _, dist, lyap in _csv_columns(path):
+        scan.feed(lyap, dist)
+    report = scan.report()
+    if scan.start is None:
+        raise ValueError("trace CSV holds no Lyapunov values")
+    if scan.start < 2:
+        raise ValueError("V needs three iterates, so start_index >= 2")
+    return report, scan.d[-1]
 
 
 def series_from_csv(path) -> LyapunovSeries:

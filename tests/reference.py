@@ -174,8 +174,10 @@ def _inf_on_overflow(fn, *args):
 
 def _cosine_point(x):
     t, amp = float(x[0]), 1.99 / 400.0
-    return (t * t + amp * math.cos(20.0 * t),
-            np.array([2.0 * t - amp * 20.0 * math.sin(20.0 * t)]))
+    # C's cos and sin of +-inf are NaN, where ``math`` raises
+    c, s = (math.nan, math.nan) if math.isinf(20.0 * t) else (math.cos(20.0 * t),
+                                                              math.sin(20.0 * t))
+    return t * t + amp * c, np.array([2.0 * t - amp * 20.0 * s])
 
 
 def _exp_norm_point(x):

@@ -21,6 +21,7 @@ from lyapcert import scenarios
 from lyapcert import trace as trace_module
 from lyapcert.scenarios import _x0
 from lyapcert.cli import UsageError, build_parser, main, parse_method
+from conftest import peak_bytes
 
 VIOLATING_CSV = (
     "iter,objective_gap,distance,lyapunov\n"
@@ -527,6 +528,44 @@ class TestStreamingRun:
             tracemalloc.stop()
         assert rc == 0
         assert peak < iters * dim * 8 / 2
+
+
+class TestMemoryFlatInIters:
+    """``run`` feeds its verdict each block as it writes it, and ``check``
+    each chunk it parses: neither keeps a column, so their traced peaks at
+    2e3 and 2e5 rows agree within 256 KB (kept columns would cost 16 bytes
+    a row in ``run`` and 24 in ``check``, over 3 MB at 2e5 rows).  Tuned HB
+    on [1, 1.0001] reaches distance 0 at row 36, so the rows are short."""
+
+    ARGV = ["run", "--method", "hb", "--optimal", "--dim", "2", "--mu", "1",
+            "--L", "1.0001", "--x0-scale", "1", "--iters"]
+
+    @staticmethod
+    def peak(argv):
+        codes = []
+        peak = peak_bytes(lambda: codes.append(main(argv)))
+        assert codes == [0]
+        return peak
+
+    @pytest.fixture(scope="class")
+    def csvs(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("flat")
+        paths = [str(out / f"t{n}.csv") for n in (2000, 200_000)]
+        with contextlib.redirect_stdout(None):
+            for n, path in zip((2000, 200_000), paths):
+                assert main([*self.ARGV, str(n), "--out", path]) == 0
+        return paths
+
+    def test_run(self, tmp_path, capsys):
+        out = str(tmp_path / "t.csv")
+        self.peak([*self.ARGV, "3", "--out", out])  # one-time lazy imports are not counted
+        small, large = (self.peak([*self.ARGV, str(n), "--out", out]) for n in (2000, 200_000))
+        assert abs(large - small) <= 256 * 1024
+
+    def test_check(self, csvs, capsys):
+        self.peak(["check", csvs[0]])
+        small, large = (self.peak(["check", path]) for path in csvs)
+        assert abs(large - small) <= 256 * 1024
 
 
 class TestOutputPins:

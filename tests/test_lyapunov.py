@@ -7,6 +7,7 @@ from hypothesis import assume, given, strategies as st
 from lyapcert import (HB, KINDS, NAG, NAGGS, TMM, LyapunovSeries, MethodSpec,
                       MonotonicityReport, analyze, check_monotone, coefficient_arrays,
                       generate_quadratic, optimal_hyperparams, run_trace)
+from lyapcert.lyapunov import _MonotoneScan
 from lyapcert.methods import _family
 from conftest import peak_bytes, random_eligible_coeffs
 from reference import per_coordinate_V, scalar_V, vector_V
@@ -252,7 +253,8 @@ def slack(d):
 
 
 def loop_check_monotone(series):
-    """``check_monotone`` one step at a time, as a per-step reference."""
+    """``check_monotone`` one step at a time, as a per-step reference: the
+    count of flagged steps and the first ten of them."""
     v, d = series.values.tolist(), series.distance.tolist()
     finite = list(map(math.isfinite, v))
     flagged = []  # (index, v_prev, v_next, excess) of each flagged step
@@ -269,9 +271,9 @@ def loop_check_monotone(series):
             r = v[j + 1] / v[j]
             if math.isnan(max_ratio) or r > max_ratio:
                 max_ratio = r
-    index, v_prev, v_next, excess = zip(*flagged) if flagged else ((),) * 4
+    index, v_prev, v_next, excess = zip(*flagged[:10]) if flagged else ((),) * 4
     monotone = not flagged and all(finite) and all(map(math.isfinite, d))
-    return MonotonicityReport(monotone=monotone,
+    return MonotonicityReport(monotone=monotone, count=len(flagged),
                               index=np.array(index, dtype=np.intp),
                               v_prev=np.array(v_prev, dtype=float),
                               v_next=np.array(v_next, dtype=float),
@@ -292,6 +294,7 @@ class TestCheckMonotoneMatchesLoop:
     def assert_same(self, series):
         got, want = check_monotone(series), loop_check_monotone(series)
         assert got.monotone == want.monotone
+        assert got.count == want.count
         assert got.index.tolist() == want.index.tolist()
         assert self.columns(got) == self.columns(want)
         assert np.float64(got.max_ratio).tobytes() == np.float64(want.max_ratio).tobytes()
@@ -328,13 +331,79 @@ class TestCheckMonotoneMatchesLoop:
             self.assert_same(LyapunovSeries(values=vals, distance=np.full(len(vals) + 2, d)))
 
     def test_many_flagged_steps(self, rng):
-        # a rise at every even step: 1e5 flagged steps, held as columns
+        # a rise at every even step: 1e5 flagged steps, counted, the first
+        # ten held as columns
         vals = np.tile([1.0, 2.0], 100_000) * rng.uniform(0.9, 1.1, 200_000)
         rep = check_monotone(flat(vals))
+        assert rep.count == 100_000
         for col in (rep.index, rep.v_prev, rep.v_next, rep.excess):
-            assert isinstance(col, np.ndarray) and col.shape == (100_000,)
-        assert np.array_equal(rep.index, np.arange(2, 200_001, 2))
+            assert isinstance(col, np.ndarray) and col.shape == (10,)
+        assert np.array_equal(rep.index, np.arange(2, 22, 2))
+        assert rep.v_prev.tolist() == vals[:20:2].tolist()
+        assert rep.v_next.tolist() == vals[1:20:2].tolist()
         self.assert_same(flat(vals))
+
+
+def report_bits(rep):
+    """Everything a report says, as bytes where a float is: NaN equals NaN,
+    -0.0 differs from 0.0."""
+    return (rep.monotone, rep.count, TestCheckMonotoneMatchesLoop.columns(rep),
+            np.float64(rep.max_ratio).tobytes(), rep.left_out, rep.describe())
+
+
+SPECIAL = [math.nan, math.inf, -math.inf, 0.0, -0.0, 1e300, -1e300, 1e-300, -1e-300, 1.0]
+# values that flag some steps and pass others, ratios and left-out steps included
+CELL = st.one_of(st.sampled_from(SPECIAL), st.floats(-1e3, 1e3), st.floats(0.0, 1e-20))
+DIST = st.one_of(st.sampled_from(SPECIAL).map(abs), st.floats(0.0, 1e3))
+
+
+class TestScanSplits:
+    """``_MonotoneScan`` fed the rows of a series in any blocks gives
+    ``check_monotone``'s report, to the bit: the scan carries the last V and
+    the last three distances across a split."""
+
+    @staticmethod
+    def fed(scan, v, d, cuts):
+        for a, b in zip([0] + cuts, cuts + [len(v)]):
+            scan.feed(np.array(v[a:b], dtype=float), np.array(d[a:b], dtype=float))
+        return scan.report()
+
+    @given(vals=st.lists(CELL, min_size=1, max_size=40), falling=st.booleans(),
+           start=st.integers(2, 6), data=st.data())
+    def test_any_split_gives_the_report(self, vals, falling, start, data):
+        if falling:  # mostly decreasing: many steps pass and count for a ratio
+            vals = sorted(vals, key=abs, reverse=True)
+        dist = data.draw(st.lists(DIST, min_size=len(vals) + 2, max_size=len(vals) + 2))
+        want = report_bits(check_monotone(LyapunovSeries(vals, dist, start_index=start)))
+        # rows s-2 and s-1 carry a distance alone; cuts may fall on them
+        v = [math.nan, math.nan] + vals
+        cuts = sorted(data.draw(st.lists(st.integers(0, len(v)), max_size=6)))
+        assert report_bits(self.fed(_MonotoneScan(start - 2, start), v, dist, cuts)) == want
+
+    @pytest.mark.parametrize("vals", [[1.0, 0.0, 1.0, -0.0], [1.0, -0.0, 1.0, 0.0]])
+    def test_equal_maxima_keep_the_first(self, vals):
+        # ratios 0.0 and -0.0 are equal maxima: the first one's sign is kept
+        # whichever block holds each
+        series = flat(vals)
+        want = report_bits(check_monotone(series))
+        assert want[3] == np.float64(vals[1]).tobytes()
+        v = [math.nan, math.nan] + vals
+        for cut in range(len(v) + 1):
+            assert report_bits(self.fed(_MonotoneScan(0, 2), v, series.distance, [cut])) == want
+
+    @given(vals=st.lists(CELL, min_size=1, max_size=30).filter(lambda v: not math.isnan(v[0])),
+           lead=st.integers(2, 12), data=st.data())
+    def test_first_defined_v_starts_the_series(self, vals, lead, data):
+        # ``series_from_csv``'s rule: the rows before the first defined V
+        # give only the two distances before it, whatever the others hold
+        dist = data.draw(st.lists(DIST, min_size=lead + len(vals), max_size=lead + len(vals)))
+        want = report_bits(check_monotone(LyapunovSeries(vals, dist[lead - 2:],
+                                                         start_index=lead)))
+        v = [math.nan] * lead + vals
+        cuts = sorted(data.draw(st.lists(st.integers(0, len(v)), max_size=6)))
+        scan = _MonotoneScan()
+        assert report_bits(self.fed(scan, v, dist, cuts)) == want
+        assert scan.start == lead and np.float64(dist[-1]).tobytes() == scan.d[-1].tobytes()
 
 
 def eligible_run(a, b, x0, x1, steps):
@@ -380,8 +449,10 @@ class TestRoundoffBound:
         allowed = v[k] + slack(d[k:k + 4].tolist())
         assume(math.isfinite(allowed))
         v[k + 1] = np.nextafter(allowed, math.inf)
-        rep = check_monotone(LyapunovSeries(values=v, distance=d))
-        assert 2 + k in rep.index.tolist()
+        # a report lists only the first ten flagged steps, and a run with
+        # -b > 1 rises at every step: judge the series from step k on
+        rep = check_monotone(LyapunovSeries(values=v[k:], distance=d[k:], start_index=2 + k))
+        assert rep.index[0] == 2 + k
 
 
 @st.composite

@@ -265,8 +265,7 @@ def per_step_reference(p, spec, x0, iters, x1=None,
                 break
         Z = np.vstack(rows)
         lyap = np.full(len(rows), np.nan)
-        lyap[2:] = trace_module._lyapunov_rows(Z[:-2], Z[1:-1], Z[2:], np.empty_like(Z[2:]),
-                                               np.empty_like(Z[2:]))
+        lyap[2:] = np.sum(Z[1:-1] * Z[1:-1] - Z[2:] * Z[:-2], axis=1)
         return dict(rows=len(rows), diverged=diverged,
                     distance=np.array([math.sqrt(z.dot(z)) for z in rows]),
                     lyapunov=lyap, gap=0.5 * np.sum(p.eigvals * Z * Z, axis=1),
