@@ -14,34 +14,10 @@ from typing import Optional
 
 import numpy as np
 
-_C = 32  # the constant of a step's roundoff slack, derived in ``check_monotone``
+_C = 32  # the constant of a step's roundoff slack, derived in ``_judge``
 _4CU, _TINY = 2 * _C * float(np.finfo(float).eps), float(np.finfo(float).tiny)  # 4 C u, tiny
 _LISTED = 10  # the flagged steps a report lists, as ``lyapcert check`` prints them
 _PIECE = 1 << 12  # the rows a scan holds and judges at once: 32 KB a column
-
-
-@dataclass(frozen=True)
-class LyapunovSeries:
-    """V values along a trace from iterate index ``start_index`` (s), and the
-    distances d_{s-2} ... d_{s+n-1} of the iterates n values are made of."""
-
-    values: np.ndarray
-    distance: np.ndarray
-    start_index: int = 2
-
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
-        dist = np.asarray(self.distance, dtype=float)
-        if vals.ndim != 1:
-            raise ValueError("series values must be a vector")
-        if not vals.shape[0]:
-            raise ValueError("trace too short for a Lyapunov series")
-        if self.start_index < 2:
-            raise ValueError("V needs three iterates, so start_index >= 2")
-        if dist.shape != (vals.shape[0] + 2,):
-            raise ValueError("series needs two more distances than values")
-        object.__setattr__(self, "values", vals)
-        object.__setattr__(self, "distance", dist)
 
 
 @dataclass(frozen=True, eq=False)
@@ -88,68 +64,26 @@ def _bounds_distance(diverged: bool, certificate) -> bool:
     return not diverged and (certificate is None or certificate.eligible)
 
 
-def check_monotone(series: LyapunovSeries) -> MonotonicityReport:
-    """Flag every k with V_{k+1} > V_k + slack_k, every step into or out of a
-    NaN or infinite V, and every step whose slack is not finite; a series
-    holding a non-finite V or distance is never monotone.
-
-    slack_k = C u (S_k + S_{k+1}) + tiny, S_k = d_{k-1}^2 + d_k d_{k-2} (d the
-    distances, u = eps / 2, tiny the smallest normal double, for rows that
-    underflow), bounds what rounding adds to V_{k+1} - V_k.  C = 4 + h, to
-    first order and in the worst case, from two sources (z_k the centred
-    eigen-coordinates of a quadratic run):
-
-    - Summing V_k = sum_i z_{k-1,i}^2 - z_{k,i} z_{k-2,i} from the stored
-      rows: the products and the difference of term i round within 2u s_i,
-      s_i = z_{k-1,i}^2 + |z_{k,i} z_{k-2,i}|, and the sum rounds a term at
-      most h times more, so V_k is off by at most (2 + h) u S_k
-      (Cauchy-Schwarz) and a step's two values by (2 + h) u (S_k + S_{k+1}).
-      numpy sums a row in blocks of at most 128 terms, eight running sums
-      to a block, and adds the blocks pairwise: h <= 28 up to d = 2048.
-    - The recurrence: z_{k+1} = a z_k + b z_{k-1} + delta, with |delta_i| <=
-      u (|a z_{k,i}| + |b z_{k-1,i}| + |z_{k+1,i}|), gives V_{k+1} =
-      -b V_k - delta . z_{k-1}.  On an eligible coordinate (|a| <= 2,
-      0 <= -b < 1, V_k >= 0) -b V_k <= V_k, and |delta . z_{k-1}| <=
-      u (d_k^2 + 2 d_{k-1}^2 + d_{k+1} d_{k-1}) <= 2u (S_k + S_{k+1}).
-
-    The check bounds S_k + S_{k+1} by 4 max(d_{k-2}, ..., d_{k+1})^2, which
-    needs no second work array.  An objective run's oracle step rounds with
-    |x_k|, not |x_k - x*|, which the slack does not cover: V near that floor
-    can be flagged for rounding alone.
-
-    ``max_ratio`` is the largest V_{k+1} / V_k over the steps whose finite V_k
-    exceeds slack_k, NaN ratios skipped (nan if none is left), the first of
-    equal maxima winning; the other steps with V_k > 0 are ``left_out``.
-
-    This is ``_MonotoneScan`` fed the series once: rows s-2 and s-1 give
-    their distances alone, and row k from s on its V_k and d_k.
-    """
-    s = series.start_index
-    scan = _MonotoneScan(row=s - 2, start=s)
-    scan.feed(np.full(2, math.nan), series.distance[:2])
-    scan.feed(series.values, series.distance[2:])
-    return scan.report()
-
-
 class _MonotoneScan:
-    """``check_monotone`` of a series fed row by row, a block of rows at a
-    time, in memory that does not grow with the series: it carries the last
-    V and the last three distances, and keeps the count of flagged steps,
-    the first ``_LISTED``, the max ratio and the left-out count.  Any split of
-    the rows into blocks gives the same report, to the bit.
+    """The one monotonicity check: the rows of a run's V fed a block of rows
+    at a time and judged as ``_judge`` defines, in memory that does not
+    grow with the run.  It carries the last V and the last three distances,
+    and keeps the count of flagged steps, the first ``_LISTED``, the max
+    ratio and the left-out count.  Any split of the rows into blocks gives
+    the same report, to the bit.
 
-    ``feed`` takes the V and distance of each next row (iterate index
-    ``row`` on): the series starts at row ``start``, or, when it is None,
-    at the first row whose V is not NaN (``series_from_csv``'s rule); rows
-    before it give only the distances d_{s-2} and d_{s-1}.  Rows wait in a
-    buffer of ``_PIECE`` rows and are judged a full buffer at a time, so
-    small blocks cost a copy each, and the work arrays stay small;
-    ``report`` judges the rest, and ``start`` and ``d`` are those of every
-    row fed once it has.
+    ``feed`` takes the V and distance of each next row, from iterate index 0
+    on: the series starts at row ``start``, or, when it is None, at the
+    first row whose V is not NaN (``lyapcert check``'s rule for a CSV); rows
+    before it give only the distances d_{s-2} and d_{s-1}.  A series holding
+    a non-finite V or distance is never monotone.  Rows wait in a buffer of
+    ``_PIECE`` rows and are judged a full buffer at a time, so small blocks
+    cost a copy each, and the work arrays stay small; ``report`` judges the
+    rest, and ``start`` and ``d`` are those of every row fed once it has.
     """
 
-    def __init__(self, row: int = 0, start: Optional[int] = None):
-        self.row, self.start = row, start  # row: the first row not judged yet
+    def __init__(self, start: Optional[int] = None):
+        self.row, self.start = 0, start  # row: the first row not judged yet
         self.v = np.empty(0)  # the last V of the series, none before its start
         self.d = np.full(3, math.nan)  # the distances of the last three rows judged
         self.finite = True  # every V and distance of the series so far
@@ -210,9 +144,41 @@ class _MonotoneScan:
 
 
 def _judge(v: np.ndarray, d: np.ndarray):
-    """The steps of the series (v, d) as ``check_monotone`` defines them:
-    the flagged steps' positions and excesses, the largest counted ratio
-    (nan if none) and the left-out count."""
+    """The steps of the series v_0, v_1, ... (V_s, V_{s+1}, ...) with the
+    distances d (d_{s-2}, d_{s-1}, ...): the flagged steps' positions and
+    excesses, the largest counted ratio (nan if none) and the left-out count.
+
+    Step k is flagged when V_{k+1} > V_k + slack_k, when it goes into or out
+    of a NaN or infinite V, and when its slack is not finite.
+
+    slack_k = C u (S_k + S_{k+1}) + tiny, S_k = d_{k-1}^2 + d_k d_{k-2} (d the
+    distances, u = eps / 2, tiny the smallest normal double, for rows that
+    underflow), bounds what rounding adds to V_{k+1} - V_k.  C = 4 + h, to
+    first order and in the worst case, from two sources (z_k the centred
+    eigen-coordinates of a quadratic run):
+
+    - Summing V_k = sum_i z_{k-1,i}^2 - z_{k,i} z_{k-2,i} from the stored
+      rows: the products and the difference of term i round within 2u s_i,
+      s_i = z_{k-1,i}^2 + |z_{k,i} z_{k-2,i}|, and the sum rounds a term at
+      most h times more, so V_k is off by at most (2 + h) u S_k
+      (Cauchy-Schwarz) and a step's two values by (2 + h) u (S_k + S_{k+1}).
+      numpy sums a row in blocks of at most 128 terms, eight running sums
+      to a block, and adds the blocks pairwise: h <= 28 up to d = 2048.
+    - The recurrence: z_{k+1} = a z_k + b z_{k-1} + delta, with |delta_i| <=
+      u (|a z_{k,i}| + |b z_{k-1,i}| + |z_{k+1,i}|), gives V_{k+1} =
+      -b V_k - delta . z_{k-1}.  On an eligible coordinate (|a| <= 2,
+      0 <= -b < 1, V_k >= 0) -b V_k <= V_k, and |delta . z_{k-1}| <=
+      u (d_k^2 + 2 d_{k-1}^2 + d_{k+1} d_{k-1}) <= 2u (S_k + S_{k+1}).
+
+    The check bounds S_k + S_{k+1} by 4 max(d_{k-2}, ..., d_{k+1})^2, which
+    needs no second work array.  An objective run's oracle step rounds with
+    |x_k|, not |x_k - x*|, which the slack does not cover: V near that floor
+    can be flagged for rounding alone.
+
+    The max ratio is the largest V_{k+1} / V_k over the steps whose finite
+    V_k exceeds slack_k, NaN ratios skipped, the first of equal maxima
+    winning; the other steps with V_k > 0 are left out.
+    """
     finite = np.isfinite(v)
     prev, nxt = v[:-1], v[1:]
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite steps are flagged

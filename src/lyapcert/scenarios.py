@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from ._files import whole_file
-from .lyapunov import _bounds_distance, check_monotone
+from .lyapunov import _bounds_distance
 from .methods import (HB, NAG, NAGGS, TMM, KINDS, MethodSpec, optimal_hyperparams)
 from .problems import (QuadraticProblem, _spectrum_grid, cosine_counterexample,
                        exp_norm_objective, generate_quadratic, rosenbrock_objective)
@@ -118,8 +118,8 @@ def _specs(cfg: ScenarioConfig) -> dict:
     return specs
 
 
-def _describe(rep, tr) -> str:  # the verdict line of trace ``tr``
-    return rep.describe(_bounds_distance(tr.diverged, tr.certificate))
+def _describe(tr) -> str:  # the verdict line of trace ``tr``
+    return tr.report.describe(_bounds_distance(tr.diverged, tr.certificate))
 
 
 def _panels(name: str, traces: dict, certs: dict) -> dict:
@@ -192,7 +192,7 @@ def _finish(cfg: ScenarioConfig, lines: list, verdicts: dict, traces: dict,
 def _run_quadratic_family(cfg: ScenarioConfig, *, tests=(), notes=()) -> ScenarioResult:
     """Run every method of ``cfg`` on its quadratic, side by side in one
     batch.  Each method gets a verdict ``<kind>_<suffix>`` from each
-    ``test(cert, report, trace) -> (suffix, value)`` in ``tests``, in that
+    ``test(cert, trace) -> (suffix, value)`` in ``tests``, in that
     order.  Each ``note(trace)`` adds a line per method, and one more line,
     when tuned HB and tuned NAG-GS both run, says that they are one method.
     """
@@ -205,13 +205,12 @@ def _run_quadratic_family(cfg: ScenarioConfig, *, tests=(), notes=()) -> Scenari
     for tr, kind in zip(_run_traces(problem, list(specs.values()), x0, cfg.iters), specs):
         traces[kind] = tr
         cert = certs[kind] = tr.certificate
-        rep = check_monotone(tr.lyapunov_series())
         lines.append(
             f"{LABELS[kind]}: eligible={'yes' if cert.eligible else 'no'} "
             f"radius={cert.spectral_radius:.6g} rows={len(tr)}{' diverged=yes' * tr.diverged} "
-            f"terminal_V={tr.lyapunov[-1]:.6g} {_describe(rep, tr)}")
+            f"terminal_V={tr.lyapunov[-1]:.6g} {_describe(tr)}")
         for test in tests:
-            suffix, value = test(cert, rep, tr)
+            suffix, value = test(cert, tr)
             verdicts[f"{kind.lower()}_{suffix}"] = bool(value)
     lines += [f"{LABELS[kind]}: {note(tr)}" for note in notes for kind, tr in traces.items()]
     if cfg.optimal and cfg.alpha is None and traces.keys() >= {HB, NAGGS}:
@@ -236,16 +235,16 @@ def _v_drop(tr) -> str:
 
 def find_cosine_witness(seed: int = 0, iters: int = 400):
     """Search ``COSINE_SEEDS`` seeded starts in [-2, 2] for a V violation of tuned
-    HB on the cosine objective.  Returns (seed_index, x0, trace, report) or None."""
+    HB on the cosine objective.  Returns (seed_index, x0, trace, trace.report)
+    or None."""
     obj = cosine_counterexample()
     spec = optimal_hyperparams(HB, obj.mu, obj.lipschitz)
     for s in range(COSINE_SEEDS):
         rng = np.random.default_rng([seed, s, 11])
         x0 = rng.uniform(-2.0, 2.0, size=1)
         trace = run_trace(obj, spec, x0, iters)
-        rep = check_monotone(trace.lyapunov_series())
-        if not rep.monotone:
-            return s, x0, trace, rep
+        if not trace.report.monotone:
+            return s, x0, trace, trace.report
     return None
 
 
@@ -261,7 +260,7 @@ def find_tmm_witness(problem: QuadraticProblem, cert: SpectralCertificate, iters
     rises at step 2 if -b < 1, and toward 0 at every step if -b is in (0, 1).
     The coordinate is the real-split one with the largest -b below 1, which
     contracts slowest, so V rises longest (for tuned TMM, lambda = mu).
-    Returns (coordinate, trace, report), or None when no real-split -b is
+    Returns (coordinate, trace, trace.report), or None when no real-split -b is
     below 1, as when every coordinate is a conjugate pair (V >= 0 always).
     """
     _require_finite_scale(scale)
@@ -274,7 +273,7 @@ def find_tmm_witness(problem: QuadraticProblem, cert: SpectralCertificate, iters
     xs = problem.minimizer
     trace = run_trace(problem, cert, xs + step, iters,
                       x1=xs + (r.re[i] + r.re2[i]) / 2.0 * step)
-    return i, trace, check_monotone(trace.lyapunov_series())
+    return i, trace, trace.report
 
 
 def _run_cosine(cfg: ScenarioConfig) -> ScenarioResult:
@@ -289,8 +288,8 @@ def _run_cosine(cfg: ScenarioConfig) -> ScenarioResult:
     verdicts = {"violation_found": found is not None}
     traces, panels = {}, {}
     if found is not None:
-        s, x0, trace, rep = found
-        lines.append(f"witness: seed={s} x0={x0[0]:.12g} {_describe(rep, trace)}")
+        s, x0, trace, _ = found
+        lines.append(f"witness: seed={s} x0={x0[0]:.12g} {_describe(trace)}")
         traces[HB] = trace
         drawn = _panels("cosine", traces, {})
         panels = {key: drawn[key] for key in ("lyapunov", "distance")}
@@ -299,7 +298,7 @@ def _run_cosine(cfg: ScenarioConfig) -> ScenarioResult:
         sweep = [MethodSpec(HB, alpha=spec.alpha, beta=spec.beta * (1.0 - j / 20.0))
                  for j in range(1, 21)]
         for spec_j, tr_j in zip(sweep, _run_traces(obj, sweep, x0, iters)):
-            if check_monotone(tr_j.lyapunov_series()).monotone:
+            if tr_j.report.monotone:
                 lines.append(f"exploratory: from this x0, V turns monotone at beta <= "
                              f"{spec_j.beta:.12g} (tuned beta {spec.beta:.12g})")
                 break
@@ -333,10 +332,10 @@ def _run_tmm_witness(cfg: ScenarioConfig) -> ScenarioResult:
     verdicts = {"violation_found": found is not None and not found[2].monotone}
     traces, panels = {}, {}
     if found is not None:
-        i, trace, rep = found
+        i, trace, _ = found
         v2 = trace.lyapunov[2]
         lines.append(f"witness: coordinate {i} lambda={cert.per_coordinate.lambda_w[i]:.6g} "
-                     f"V_2={v2:.6g} {'<' if v2 < 0 else '>='} 0 {_describe(rep, trace)}")
+                     f"V_2={v2:.6g} {'<' if v2 < 0 else '>='} 0 {_describe(trace)}")
         traces[TMM] = trace
         # the log panel draws values below 1e-16 at its floor, so plot -V
         panels["lyapunov"] = Panel(title="TMM witness: Lyapunov value", kind="line-log",
@@ -359,10 +358,9 @@ def _run_objective_family(cfg: ScenarioConfig, *, objective, title: str,
     lines = [title, f"config: iters={cfg.iters} seed={cfg.seed} x0_scale={cfg.x0_scale:g}"]
     for tr, kind in zip(_run_traces(objective, list(specs.values()), x0, cfg.iters), specs):
         traces[kind] = tr
-        rep = check_monotone(tr.lyapunov_series())
         verdicts[f"{kind.lower()}_completed"] = not tr.diverged
         lines.append(f"{LABELS[kind]}: rows={len(tr)} diverged={'yes' if tr.diverged else 'no'} "
-                     f"final_gap={tr.objective_gap[-1]:.6g} {_describe(rep, tr)}")
+                     f"final_gap={tr.objective_gap[-1]:.6g} {_describe(tr)}")
     return _finish(cfg, lines, verdicts, traces, {}, _panels(cfg.name, traces, {}))
 
 
@@ -371,7 +369,7 @@ _HYPER = dict(method=None, alpha=None, beta=None, gamma=None)
 _V_FLOOR = 1e-9  # the V that quadratic's terminal_V_below_floor asks each run to reach
 
 
-def _coverage(cert, rep, tr) -> tuple:
+def _coverage(cert, tr) -> tuple:
     """What certifies V along an equal-start run, the only start a quadratic
     scenario runs: an eligible certificate covers every pair of starts, and
     ``equal_start_monotone`` with a radius below one covers x_{-1} = x_0;
@@ -381,20 +379,20 @@ def _coverage(cert, rep, tr) -> tuple:
     return "certificate_eligible", cert.eligible
 
 
-def _v_monotone(cert, rep, tr) -> tuple:
-    return "V_monotone", rep.monotone
+def _v_monotone(cert, tr) -> tuple:
+    return "V_monotone", tr.report.monotone
 
 
 # name: (runner, settings), where settings maps every field the scenario
 # reads, besides ``seed``, to its default.  A quadratic scenario's runner
-# names its verdict tests ``test(cert, report, trace) -> (suffix, value)``
+# names its verdict tests ``test(cert, trace) -> (suffix, value)``
 # and notes; every run goes to ``iters`` rows unless it diverges
 SCENARIOS = {
     "fig1": (partial(_run_quadratic_family, tests=(_coverage, _v_monotone),
                      notes=(_distance_rises,)),
              dict(dim=107, mu=1.0, L=1000.0, iters=2000, optimal=True, x0_scale=10.0, **_HYPER)),
     "quadratic": (partial(_run_quadratic_family,
-                          tests=(_coverage, _v_monotone, lambda cert, rep, tr:
+                          tests=(_coverage, _v_monotone, lambda cert, tr:
                                  ("terminal_V_below_floor", tr.lyapunov[-1] < _V_FLOOR))),
                   dict(dim=100, mu=1.0, L=1000.0, iters=300, optimal=True, x0_scale=10.0,
                        **_HYPER)),
@@ -402,9 +400,8 @@ SCENARIOS = {
                    dict(dim=50, mu=1.0, L=10.0, iters=40, optimal=False, x0_scale=10.0,
                         **_HYPER)),
     "convex-mu0": (partial(_run_quadratic_family,
-                           tests=(lambda cert, rep, tr: ("certificate_ineligible",
-                                                         not cert.eligible),
-                                  lambda cert, rep, tr: ("unit_eigenvalue_at_zero", abs(
+                           tests=(lambda cert, tr: ("certificate_ineligible", not cert.eligible),
+                                  lambda cert, tr: ("unit_eigenvalue_at_zero", abs(
                                       float(cert.per_coordinate.rate[0]) - 1.0) <= 1e-9)),
                            notes=(_v_drop,)),
                    dict(dim=50, mu=0.0, L=10.0, iters=1000, optimal=False, x0_scale=10.0,

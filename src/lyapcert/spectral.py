@@ -84,7 +84,7 @@ def analyze(spec: MethodSpec, eigvals: np.ndarray, tol: float = DEFAULT_TOL) -> 
     rounded, so -b may read a few ulps below an exact 0 (tuned TMM at L):
     the flag allows ``_ULPS``.  A -b of -t makes V_2 = -t V_1 and V_3 =
     t^2 V_1, a rise of about t V_1 <= 4 t z_0^2 (alpha lambda = 1 - a - b <= 4
-    when |a| <= 2 and |b| <= 1), inside ``check_monotone``'s slack at that
+    when |a| <= 2 and |b| <= 1), inside ``lyapunov._judge``'s slack at that
     step, 64 eps max(d)^2 >= 64 eps |z_0|^2, for t <= 4 eps.
     """
     lam = np.asarray(eigvals, dtype=float)

@@ -42,10 +42,11 @@ arguments of its own run and replays it alone whenever ``iterates`` is
 read, so its memory does not grow with the rows' width.
 ``lyapcert run`` streams instead and keeps no column: each block's CSV lines
 are written, and its V and distance cells fed to the verdict's
-``_MonotoneScan``, as the block arrives.  ``read_trace_csv`` reads the file
-back a chunk of lines at a time, and ``lyapcert check`` feeds each chunk to
+``_MonotoneScan``, as the block arrives.  ``lyapcert check`` reads the file
+back a chunk of lines at a time (``_csv_columns``) and feeds each chunk to
 the same scan (``_scan_csv``), so neither command's memory grows with
-``iters``.
+``iters``.  ``Trace.report`` is that scan fed a trace's whole columns: one
+verdict path for ``run``, ``check`` and the scenarios.
 """
 
 from __future__ import annotations
@@ -53,13 +54,14 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator, NamedTuple, Optional, Union
 
 import numpy as np
 
 from ._files import whole_file
 from ._g17 import csv_rows
-from .lyapunov import LyapunovSeries, _MonotoneScan
+from .lyapunov import MonotonicityReport, _MonotoneScan
 from .methods import MethodSpec, _family
 from .problems import Objective, QuadraticProblem, _squared_norms
 from .spectral import SpectralCertificate, analyze
@@ -118,14 +120,15 @@ class Trace:
             return rows
         return rows @ target.eigvecs.T + target.minimizer
 
-    def lyapunov_series(self) -> LyapunovSeries:
-        return _lyapunov_series(self.lyapunov, self.distance)
-
-
-def _lyapunov_series(lyapunov, distance) -> LyapunovSeries:
-    """A run's series."""
-    _require_v(len(distance))
-    return LyapunovSeries(lyapunov[2:], distance)
+    @cached_property
+    def report(self) -> MonotonicityReport:
+        """The verdict on V along the run: the scan ``lyapcert run`` feeds
+        block by block, fed the whole ``lyapunov`` and ``distance`` columns
+        (V from row 2 on)."""
+        _require_v(len(self.distance))
+        scan = _MonotoneScan(start=2)
+        scan.feed(self.lyapunov, self.distance)
+        return scan.report()
 
 
 def _require_v(rows: int) -> None:
@@ -554,18 +557,9 @@ def _stream_csv(blocks: Iterable[_Block], path, scan: Optional[_MonotoneScan] = 
     return n, blk
 
 
-def read_trace_csv(path) -> dict:
-    """Parse a trace CSV back into metric arrays (lyapunov NaN where empty);
-    blank lines are skipped.  ``_csv_columns`` reads it."""
-    cols = array("d"), array("d"), array("d")
-    for chunk in _csv_columns(path):
-        _extend(cols, chunk)
-    return dict(zip(("objective_gap", "distance", "lyapunov"), map(np.frombuffer, cols)))
-
-
 def _csv_columns(path) -> Iterator[tuple]:
-    """The gap, distance and lyapunov columns of a trace CSV's rows, a chunk
-    at a time.
+    """The gap, distance and lyapunov columns (NaN where the cell is empty)
+    of a trace CSV's rows, a chunk at a time; blank lines are skipped.
 
     ``_parse_lines`` defines the format.  After the header the rows come in
     chunks of about 16 KB of text: numpy's C parser reads a chunk if every
@@ -607,9 +601,10 @@ def _parse_lines(lines, cols) -> None:
 
 
 def _scan_csv(path):
-    """``check_monotone(series_from_csv(path))`` and the series' last
-    distance, from a scan fed each chunk the reader parses, so memory does
-    not grow with the file; the same errors, in the same order."""
+    """The verdict on a trace CSV and its last distance, from a scan fed
+    each chunk the reader parses, so memory does not grow with the file.
+    The series is every row from the first defined V on, so a later empty
+    or NaN cell fails the check."""
     scan = _MonotoneScan()
     for _, dist, lyap in _csv_columns(path):
         scan.feed(lyap, dist)
@@ -617,18 +612,6 @@ def _scan_csv(path):
     if scan.start is None:
         raise ValueError("trace CSV holds no Lyapunov values")
     if scan.start < 2:
-        raise ValueError("V needs three iterates, so start_index >= 2")
+        raise ValueError("V needs three iterates, so a trace CSV's first V is on row 2 or later")
     return report, scan.d[-1]
 
-
-def series_from_csv(path) -> LyapunovSeries:
-    """Rebuild the Lyapunov series of an exported trace: every value from the
-    first defined one on, so a later empty or NaN cell fails the check."""
-    data = read_trace_csv(path)
-    vals = data["lyapunov"]
-    defined = np.where(~np.isnan(vals))[0]
-    if defined.shape[0] < 1:
-        raise ValueError("trace CSV holds no Lyapunov values")
-    start = int(defined[0])
-    return LyapunovSeries(values=vals[start:], distance=data["distance"][start - 2:],
-                          start_index=start)

@@ -10,6 +10,8 @@ NAG-GS in its literal two-sequence form.  ``quadratic_objective`` puts a
 quadratic problem behind the value/gradient oracles in the full space, so
 the eigenbasis engine can be checked against the oracle engine, and
 ``trace_rows`` replays a trace's run for the engine's rows.
+``check_monotone`` judges a bare V series with the library's one scan, and
+``read_trace_csv`` reads a whole trace CSV through the library's chunk reader.
 ``OBJECTIVE_POINTS`` holds the packaged objectives' formulas one point at a
 time, on Python floats and libm: the bits their stacked oracles keep.  The text
 writers at the end format one row or point at a time, and ``svg_m4`` picks
@@ -22,7 +24,8 @@ import math
 import numpy as np
 
 from lyapcert import Objective
-from lyapcert.trace import _blocks
+from lyapcert.lyapunov import _MonotoneScan
+from lyapcert.trace import _blocks, _csv_columns
 
 DEFAULT_TOL = 1e-12
 
@@ -204,6 +207,46 @@ def trace_rows(tr):
     target, spec, *rest = tr.run
     # each block's rows are a view into the buffer the next one overwrites
     return np.concatenate([blk.rows.copy() for blk in _blocks(target, (spec,), *rest)])
+
+
+def check_monotone(values, distance, start_index=2):
+    """The report of the V series ``values`` from iterate index
+    ``start_index`` (s), whose n values are made of the iterates at the
+    distances d_{s-2} ... d_{s+n-1} (``distance``): the library's scan fed
+    the series as a run's rows from row 0, once, rows s-2 and s-1 giving
+    their distances alone and the rows before them nothing it reads."""
+    vals = np.asarray(values, dtype=float)
+    dist = np.asarray(distance, dtype=float)
+    if vals.ndim != 1:
+        raise ValueError("series values must be a vector")
+    if not vals.shape[0]:
+        raise ValueError("trace too short for a Lyapunov series")
+    if start_index < 2:
+        raise ValueError("V needs three iterates, so start_index >= 2")
+    if dist.shape != (vals.shape[0] + 2,):
+        raise ValueError("series needs two more distances than values")
+    scan = _MonotoneScan(start=start_index)
+    scan.feed(np.full(start_index, math.nan),
+              np.concatenate((np.full(start_index - 2, math.nan), dist[:2])))
+    scan.feed(vals, dist[2:])
+    return scan.report()
+
+
+def report_bits(rep):
+    """Everything a report says, as bytes where a float is: NaN equals NaN,
+    -0.0 differs from 0.0."""
+    cols = (rep.index, rep.v_prev, rep.v_next, rep.excess)
+    assert all(isinstance(c, np.ndarray) and c.ndim == 1 for c in cols)
+    return (rep.monotone, rep.count, [(c.dtype, c.tobytes()) for c in cols],
+            np.float64(rep.max_ratio).tobytes(), rep.left_out, rep.describe())
+
+
+def read_trace_csv(path):
+    """A trace CSV's gap, distance and lyapunov columns (NaN where the cell
+    is empty), whole: the chunks of the library's reader joined."""
+    chunks = list(_csv_columns(path))
+    return {key: np.concatenate([c[i] for c in chunks] + [np.empty(0)])
+            for i, key in enumerate(("objective_gap", "distance", "lyapunov"))}
 
 
 def family_step(obj, family, cur, prev):

@@ -13,15 +13,22 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from lyapcert import (HB, NAG, NAGGS, SCENARIOS, TMM, MethodSpec, check_monotone, cli,
+from lyapcert import (HB, NAG, NAGGS, SCENARIOS, TMM, MethodSpec, cli,
                       export_csv, generate_quadratic, load_problem,
-                      optimal_hyperparams, parse_config_file, read_trace_csv,
-                      run_trace, series_from_csv)
+                      optimal_hyperparams, parse_config_file, run_trace)
 from lyapcert import scenarios
 from lyapcert import trace as trace_module
 from lyapcert.scenarios import _x0
 from lyapcert.cli import UsageError, build_parser, main, parse_method
 from conftest import peak_bytes
+from reference import check_monotone, read_trace_csv
+
+
+def csv_verdict(path) -> str:
+    """The verdict line of the run CSV at ``path``, read whole and judged from
+    row 2, V's first."""
+    data = read_trace_csv(path)
+    return check_monotone(data["lyapunov"][2:], data["distance"]).describe()
 
 VIOLATING_CSV = (
     "iter,objective_gap,distance,lyapunov\n"
@@ -307,7 +314,7 @@ class TestRunAndCheck:
         capsys.readouterr()
         rc = main(["check", str(out)])
         assert rc == 0
-        verdict = check_monotone(series_from_csv(out)).describe()
+        verdict = csv_verdict(out)
         assert verdict.startswith("monotone decrease: yes")
         assert capsys.readouterr().out == verdict + "\n"  # the verdict alone
 
@@ -330,7 +337,7 @@ class TestRunAndCheck:
         if diverged:
             assert rc == 1 and text == f"{distance} diverged=yes\n{verdict}\n"
         else:
-            assert rc == 0 and text == check_monotone(series_from_csv(out)).describe() + "\n"
+            assert rc == 0 and text == csv_verdict(out) + "\n"
 
     def test_check_flags_violations(self, tmp_path, capsys):
         path = tmp_path / "bad.csv"
@@ -395,7 +402,7 @@ class TestRunAndCheck:
 def reference_run(tmp_path, kind, iters, *, dim=7, mu=1.0, L=50.0, spec=None,
                   seed=0, scale=10.0):
     """CSV bytes and stdout of ``run`` built from ``run_trace`` + ``export_csv``
-    + ``check_monotone``: the command as a whole trace in memory.  The
+    + ``Trace.report``: the command as a whole trace in memory.  The
     verdict line of a run that diverged or whose certificate is not eligible
     says that V bounds no distance there."""
     problem = generate_quadratic(dim, mu, L, seed)
@@ -408,7 +415,7 @@ def reference_run(tmp_path, kind, iters, *, dim=7, mu=1.0, L=50.0, spec=None,
     text = (f"rows={len(tr)} final_gap={tr.objective_gap[-1]:.6g} "
             f"final_distance={tr.distance[-1]:.6g} "
             f"diverged={'yes' if tr.diverged else 'no'}\n"
-            f"{check_monotone(tr.lyapunov_series()).describe()}"
+            f"{tr.report.describe()}"
             f"{'' if bound else '; V is not positive definite here and bounds no distance'}\n"
             f"trace -> {out}\n")
     return path.read_bytes(), text, out
@@ -1065,7 +1072,7 @@ class TestOneVerdictWording:
             main(["scenario", "rosenbrock", "--method", tr.run[1].kind, "--out", art])
         else:
             monkeypatch.setattr(scenarios, "find_tmm_witness", lambda *args: (
-                0, tr, check_monotone(tr.lyapunov_series())))
+                0, tr, tr.report))
             main(["scenario", "tmm-witness", "--dim", "6", "--L", "100", "--out", art])
         [line] = [ln for ln in capsys.readouterr().out.splitlines()
                   if "monotone decrease: " in ln]

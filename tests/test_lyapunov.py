@@ -4,13 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
 
-from lyapcert import (HB, KINDS, NAG, NAGGS, TMM, LyapunovSeries, MethodSpec,
-                      MonotonicityReport, analyze, check_monotone, coefficient_arrays,
-                      generate_quadratic, optimal_hyperparams, run_trace)
+from lyapcert import (HB, KINDS, NAG, NAGGS, TMM, MethodSpec, MonotonicityReport, analyze,
+                      coefficient_arrays, generate_quadratic, optimal_hyperparams, run_trace)
 from lyapcert.lyapunov import _MonotoneScan
 from lyapcert.methods import _family
 from conftest import peak_bytes, random_eligible_coeffs
-from reference import per_coordinate_V, scalar_V, vector_V
+from reference import check_monotone, per_coordinate_V, report_bits, scalar_V, vector_V
 
 
 def iterate_scalar(a, b, x0, x1, steps):
@@ -133,23 +132,23 @@ class TestContractionFactor:
 
 
 def flat(vals, start_index=2):
-    """The series of ``vals`` with every distance 0: the slack is tiny alone."""
+    """The series of ``vals`` with every distance 0, as ``check_monotone``'s
+    arguments: the slack is tiny alone."""
     vals = np.asarray(vals, dtype=float)
-    return LyapunovSeries(values=vals, distance=np.zeros(vals.shape[0] + 2),
-                          start_index=start_index)
+    return vals, np.zeros(vals.shape[0] + 2), start_index
 
 
 class TestCheckMonotone:
     def test_geometric_is_monotone(self):
         vals = 2.0 * 0.5 ** np.arange(20)
-        rep = check_monotone(flat(vals))
+        rep = check_monotone(*flat(vals))
         assert rep.monotone
         assert rep.index.size == rep.excess.size == rep.left_out == 0
         assert rep.max_ratio == pytest.approx(0.5, rel=1e-12)
         assert "yes" in rep.describe()
 
     def test_single_violation(self):
-        rep = check_monotone(flat([1.0, 2.0]))
+        rep = check_monotone(*flat([1.0, 2.0]))
         assert not rep.monotone
         assert rep.index.tolist() == [2]
         assert rep.v_prev.tolist() == [1.0]
@@ -161,17 +160,15 @@ class TestCheckMonotone:
     def test_tolerance_band(self):
         # with every distance 1 the slack is 4 * 32 * u (+ tiny): 64 eps
         eps = np.finfo(float).eps
-        inside = LyapunovSeries(values=[1.0, 1.0 + 64 * eps], distance=np.ones(4))
-        outside = LyapunovSeries(values=[1.0, 1.0 + 66 * eps], distance=np.ones(4))
-        assert check_monotone(inside).monotone
-        assert check_monotone(outside).index.tolist() == [2]
+        assert check_monotone([1.0, 1.0 + 64 * eps], np.ones(4)).monotone
+        assert check_monotone([1.0, 1.0 + 66 * eps], np.ones(4)).index.tolist() == [2]
 
     def test_small_rises_are_flagged(self):
         # a fixed floor of 1e-9 let this series pass; its distances make
         # the slack about 1e-25
         vals = [1e-10, 2e-10, 8e-10]
         for dist in (np.zeros(5), np.sqrt([1e-10, 1e-10, 1e-10, 2e-10, 8e-10])):
-            rep = check_monotone(LyapunovSeries(values=vals, distance=dist))
+            rep = check_monotone(vals, dist)
             assert not rep.monotone and rep.index.tolist() == [2, 3]
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
@@ -181,52 +178,52 @@ class TestCheckMonotone:
         for at, steps in ((0, [2]), (2, [2, 3]), (4, [3])):
             dist = np.ones(5)
             dist[at] = bad
-            rep = check_monotone(LyapunovSeries(values=[4.0, 2.0, 1.0], distance=dist))
+            rep = check_monotone([4.0, 2.0, 1.0], dist)
             assert not rep.monotone and rep.index.tolist() == steps
             assert np.isnan(rep.excess).all()
             assert rep.describe().startswith("monotone decrease: NO")
-        one = LyapunovSeries(values=[1.0], distance=[1.0, bad, 1.0])
-        assert check_monotone(one).describe() == "monotone decrease: NO (non-finite V or distance)"
+        one = check_monotone([1.0], [1.0, bad, 1.0])
+        assert one.describe() == "monotone decrease: NO (non-finite V or distance)"
 
     def test_rate_leaves_out_values_within_roundoff(self):
         # V at 1e-30 sits below the slack of distances near 1: its ratio is
         # roundoff, left out of the rate and counted
         vals = [1.0, 0.5, 0.25, 1e-30, 5e-31]
-        rep = check_monotone(LyapunovSeries(values=vals, distance=np.ones(7)))
+        rep = check_monotone(vals, np.ones(7))
         assert rep.monotone and rep.max_ratio == 0.5 and rep.left_out == 1
         assert rep.describe() == ("monotone decrease: yes (max ratio 0.5 over positive values, "
                                   "1 step within roundoff left out)")
 
     def test_indices_respect_start(self):
-        rep = check_monotone(flat([3.0, 1.0, 2.0], start_index=5))
+        rep = check_monotone(*flat([3.0, 1.0, 2.0], start_index=5))
         assert rep.index.tolist() == [6]
 
     def test_max_ratio_over_positive_values(self):
-        rep = check_monotone(flat([4.0, 2.0, 1.0]))
+        rep = check_monotone(*flat([4.0, 2.0, 1.0]))
         assert rep.max_ratio == pytest.approx(0.5)
-        nan_rep = check_monotone(flat([-1.0, -2.0]))
+        nan_rep = check_monotone(*flat([-1.0, -2.0]))
         assert math.isnan(nan_rep.max_ratio)
 
     @pytest.mark.parametrize("series,line", [
         (flat([-1.0, -2.0]), "yes (no step counted for a max ratio)"),
-        (LyapunovSeries(values=[1e-30, 5e-31], distance=np.ones(4)),
+        (([1e-30, 5e-31], np.ones(4)),
          "yes (no step counted for a max ratio, 1 step within roundoff left out)"),
         (flat([math.inf, 0.5]), "NO (1 violation); first at k=2: V=inf -> 0.5 (excess nan); "
                                 "no step counted for a max ratio"),
     ], ids=["yes", "yes-left-out", "NO"])
     def test_no_counted_step_reads_no_nan(self, series, line):
         # every V_k is within roundoff, negative or not finite: no ratio
-        rep = check_monotone(series)
+        rep = check_monotone(*series)
         assert math.isnan(rep.max_ratio)
         assert rep.describe() == f"monotone decrease: {line}"
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_value_is_not_monotone(self, bad):
         for vals in ([1.0, bad, 2.0], [bad, 1.0], [1.0, bad], [bad]):
-            rep = check_monotone(flat(vals))
+            rep = check_monotone(*flat(vals))
             assert not rep.monotone, vals
             assert rep.describe().startswith("monotone decrease: NO"), vals
-        rep = check_monotone(flat([1.0, bad, 0.5]))
+        rep = check_monotone(*flat([1.0, bad, 0.5]))
         assert rep.index.tolist() == [2, 3]
 
     def test_peak_memory(self):
@@ -235,9 +232,9 @@ class TestCheckMonotone:
         # each); the out-of-place arithmetic and fancy-indexed ratio
         # operands once held 3.4 times the series
         vals = np.exp(-np.arange(200_000) / 1e4)
-        series = LyapunovSeries(values=vals, distance=np.exp(-np.arange(-2, 200_000) / 2e4))
-        check_monotone(series)
-        assert peak_bytes(lambda: check_monotone(series)) < 2 * vals.nbytes
+        dist = np.exp(-np.arange(-2, 200_000) / 2e4)
+        check_monotone(vals, dist)
+        assert peak_bytes(lambda: check_monotone(vals, dist)) < 2 * vals.nbytes
 
 
 _C, _U, _TINY = 32, float(np.finfo(float).eps) / 2, float(np.finfo(float).tiny)
@@ -252,10 +249,10 @@ def slack(d):
     return m * m * (4 * _C * _U) + _TINY
 
 
-def loop_check_monotone(series):
+def loop_check_monotone(values, distance, start_index=2):
     """``check_monotone`` one step at a time, as a per-step reference: the
     count of flagged steps and the first ten of them."""
-    v, d = series.values.tolist(), series.distance.tolist()
+    v, d = np.asarray(values, dtype=float).tolist(), np.asarray(distance, dtype=float).tolist()
     finite = list(map(math.isfinite, v))
     flagged = []  # (index, v_prev, v_next, excess) of each flagged step
     max_ratio, left_out = math.nan, 0
@@ -264,7 +261,7 @@ def loop_check_monotone(series):
         judged = finite[j] and math.isfinite(s)
         allowed = v[j] + s if judged else math.nan
         if v[j + 1] > allowed or not (judged and finite[j + 1]):
-            flagged.append((series.start_index + j, v[j], v[j + 1], v[j + 1] - allowed))
+            flagged.append((start_index + j, v[j], v[j + 1], v[j + 1] - allowed))
         if judged and 0 < v[j] <= s:
             left_out += 1
         if judged and v[j] > s and not math.isnan(v[j + 1]):
@@ -291,8 +288,8 @@ class TestCheckMonotoneMatchesLoop:
         assert all(isinstance(c, np.ndarray) and c.ndim == 1 for c in cols)
         return [(c.dtype, c.tobytes()) for c in cols]
 
-    def assert_same(self, series):
-        got, want = check_monotone(series), loop_check_monotone(series)
+    def assert_same(self, *series):
+        got, want = check_monotone(*series), loop_check_monotone(*series)
         assert got.monotone == want.monotone
         assert got.count == want.count
         assert got.index.tolist() == want.index.tolist()
@@ -315,8 +312,7 @@ class TestCheckMonotoneMatchesLoop:
             dist = rng.uniform(0.0, 1.0, n + 2) * math.sqrt(scale) * 10.0 ** rng.uniform(0, 8)
             for j in rng.choice(n + 2, size=int(rng.integers(0, 2)), replace=True):
                 dist[j] = [math.nan, math.inf, 0.0, 1e200][int(rng.integers(4))]
-            self.assert_same(LyapunovSeries(values=vals, distance=dist,
-                                            start_index=2 + trial % 4))
+            self.assert_same(vals, dist, 2 + trial % 4)
 
     @pytest.mark.parametrize("vals", [
         [1.0], [math.nan], [math.inf], [-1.0, -2.0, -3.0], [0.0, 0.0, 0.0],
@@ -328,27 +324,20 @@ class TestCheckMonotoneMatchesLoop:
     ])
     def test_edge_series(self, vals):
         for d in (0.0, 1.0, 1e-150, 1e160):
-            self.assert_same(LyapunovSeries(values=vals, distance=np.full(len(vals) + 2, d)))
+            self.assert_same(vals, np.full(len(vals) + 2, d))
 
     def test_many_flagged_steps(self, rng):
         # a rise at every even step: 1e5 flagged steps, counted, the first
         # ten held as columns
         vals = np.tile([1.0, 2.0], 100_000) * rng.uniform(0.9, 1.1, 200_000)
-        rep = check_monotone(flat(vals))
+        rep = check_monotone(*flat(vals))
         assert rep.count == 100_000
         for col in (rep.index, rep.v_prev, rep.v_next, rep.excess):
             assert isinstance(col, np.ndarray) and col.shape == (10,)
         assert np.array_equal(rep.index, np.arange(2, 22, 2))
         assert rep.v_prev.tolist() == vals[:20:2].tolist()
         assert rep.v_next.tolist() == vals[1:20:2].tolist()
-        self.assert_same(flat(vals))
-
-
-def report_bits(rep):
-    """Everything a report says, as bytes where a float is: NaN equals NaN,
-    -0.0 differs from 0.0."""
-    return (rep.monotone, rep.count, TestCheckMonotoneMatchesLoop.columns(rep),
-            np.float64(rep.max_ratio).tobytes(), rep.left_out, rep.describe())
+        self.assert_same(*flat(vals))
 
 
 SPECIAL = [math.nan, math.inf, -math.inf, 0.0, -0.0, 1e300, -1e300, 1e-300, -1e-300, 1.0]
@@ -358,9 +347,9 @@ DIST = st.one_of(st.sampled_from(SPECIAL).map(abs), st.floats(0.0, 1e3))
 
 
 class TestScanSplits:
-    """``_MonotoneScan`` fed the rows of a series in any blocks gives
-    ``check_monotone``'s report, to the bit: the scan carries the last V and
-    the last three distances across a split."""
+    """``_MonotoneScan`` fed the rows of a series in any blocks gives the
+    report of the series fed whole (``check_monotone``), to the bit: the
+    scan carries the last V and the last three distances across a split."""
 
     @staticmethod
     def fed(scan, v, d, cuts):
@@ -374,31 +363,32 @@ class TestScanSplits:
         if falling:  # mostly decreasing: many steps pass and count for a ratio
             vals = sorted(vals, key=abs, reverse=True)
         dist = data.draw(st.lists(DIST, min_size=len(vals) + 2, max_size=len(vals) + 2))
-        want = report_bits(check_monotone(LyapunovSeries(vals, dist, start_index=start)))
-        # rows s-2 and s-1 carry a distance alone; cuts may fall on them
-        v = [math.nan, math.nan] + vals
+        want = report_bits(check_monotone(vals, dist, start_index=start))
+        # rows s-2 and s-1 carry a distance alone, the rows before them
+        # nothing; cuts may fall on any of them
+        v = [math.nan] * start + vals
+        d = [math.nan] * (start - 2) + dist
         cuts = sorted(data.draw(st.lists(st.integers(0, len(v)), max_size=6)))
-        assert report_bits(self.fed(_MonotoneScan(start - 2, start), v, dist, cuts)) == want
+        assert report_bits(self.fed(_MonotoneScan(start), v, d, cuts)) == want
 
     @pytest.mark.parametrize("vals", [[1.0, 0.0, 1.0, -0.0], [1.0, -0.0, 1.0, 0.0]])
     def test_equal_maxima_keep_the_first(self, vals):
         # ratios 0.0 and -0.0 are equal maxima: the first one's sign is kept
         # whichever block holds each
         series = flat(vals)
-        want = report_bits(check_monotone(series))
+        want = report_bits(check_monotone(*series))
         assert want[3] == np.float64(vals[1]).tobytes()
         v = [math.nan, math.nan] + vals
         for cut in range(len(v) + 1):
-            assert report_bits(self.fed(_MonotoneScan(0, 2), v, series.distance, [cut])) == want
+            assert report_bits(self.fed(_MonotoneScan(2), v, series[1], [cut])) == want
 
     @given(vals=st.lists(CELL, min_size=1, max_size=30).filter(lambda v: not math.isnan(v[0])),
            lead=st.integers(2, 12), data=st.data())
     def test_first_defined_v_starts_the_series(self, vals, lead, data):
-        # ``series_from_csv``'s rule: the rows before the first defined V
+        # ``lyapcert check``'s rule: the rows before the first defined V
         # give only the two distances before it, whatever the others hold
         dist = data.draw(st.lists(DIST, min_size=lead + len(vals), max_size=lead + len(vals)))
-        want = report_bits(check_monotone(LyapunovSeries(vals, dist[lead - 2:],
-                                                         start_index=lead)))
+        want = report_bits(check_monotone(vals, dist[lead - 2:], start_index=lead))
         v = [math.nan] * lead + vals
         cuts = sorted(data.draw(st.lists(st.integers(0, len(v)), max_size=6)))
         scan = _MonotoneScan()
@@ -411,7 +401,7 @@ def eligible_run(a, b, x0, x1, steps):
     x_{-1} = ``x0``, x_0 = ``x1``: the rows the series is made of."""
     xs = iterate_scalar(a, b, x0, x1, steps)
     vals = np.array([scalar_V(xs[k], xs[k - 1], xs[k - 2]) for k in range(2, len(xs))])
-    return LyapunovSeries(values=vals, distance=np.abs(xs))
+    return vals, np.abs(xs)
 
 
 class TestRoundoffBound:
@@ -423,7 +413,7 @@ class TestRoundoffBound:
     def test_eligible_scalar_run_is_never_flagged(self, a, margin, x0, x1):
         b = -(a * a / 4.0 + margin)
         assume(-b < 1.0)
-        rep = check_monotone(eligible_run(a, b, x0, x1, 300))
+        rep = check_monotone(*eligible_run(a, b, x0, x1, 300))
         assert rep.monotone, rep.describe()
 
     @given(kind=st.sampled_from([HB, NAG, NAGGS]), dim=st.integers(1, 300),
@@ -437,21 +427,20 @@ class TestRoundoffBound:
         x0, x1 = p.minimizer + scale * rng.standard_normal((2, dim))
         tr = run_trace(p, spec, x0, 400, x1=x1)
         assume(tr.certificate.eligible)
-        rep = check_monotone(tr.lyapunov_series())
+        rep = tr.report
         assert rep.monotone, rep.describe()
 
     @given(a=st.floats(-1.99, 1.99), margin=st.floats(0.0, 1.0),
            x0=st.floats(-1e100, 1e100), x1=st.floats(-1e100, 1e100),
            k=st.integers(0, 60))
     def test_rise_above_the_slack_is_flagged(self, a, margin, x0, x1, k):
-        series = eligible_run(a, -(a * a / 4.0 + margin), x0, x1, 62)
-        v, d = series.values.copy(), series.distance
+        v, d = eligible_run(a, -(a * a / 4.0 + margin), x0, x1, 62)
         allowed = v[k] + slack(d[k:k + 4].tolist())
         assume(math.isfinite(allowed))
         v[k + 1] = np.nextafter(allowed, math.inf)
         # a report lists only the first ten flagged steps, and a run with
         # -b > 1 rises at every step: judge the series from step k on
-        rep = check_monotone(LyapunovSeries(values=v[k:], distance=d[k:], start_index=2 + k))
+        rep = check_monotone(v[k:], d[k:], start_index=2 + k)
         assert rep.index[0] == 2 + k
 
 
@@ -507,7 +496,7 @@ class TestEqualStart:
         p, spec, x0 = run
         cert = analyze(spec, p.eigvals)
         assume(cert.eligible or (cert.equal_start_monotone and cert.spectral_radius < 1.0))
-        rep = check_monotone(run_trace(p, cert, x0, 300).lyapunov_series())
+        rep = run_trace(p, cert, x0, 300).report
         assert rep.monotone, rep.describe()
 
 
@@ -553,7 +542,7 @@ class TestContractionIdentity:
         for _ in range(50):
             a, b = random_eligible_coeffs(rng)
             x0 = rng.uniform(-5.0, 5.0)
-            assert check_monotone(eligible_run(a, b, x0, x0, 500)).monotone
+            assert check_monotone(*eligible_run(a, b, x0, x0, 500)).monotone
 
 
 class TestVectorRates:
@@ -584,33 +573,35 @@ class TestVectorRates:
 
 
 class TestLyapunovSeriesValidation:
+    """The reference ``check_monotone`` refuses what is not a series."""
+
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
-            LyapunovSeries(values=np.array([]), distance=np.zeros(2))
+            check_monotone(values=np.array([]), distance=np.zeros(2))
 
     def test_rejects_early_start(self):
         with pytest.raises(ValueError):
-            LyapunovSeries(values=np.array([1.0]), distance=np.zeros(3), start_index=1)
+            check_monotone(values=np.array([1.0]), distance=np.zeros(3), start_index=1)
 
     def test_rejects_negative_tolerance(self):
         # the slack comes from the distances: the series takes no tolerance
         with pytest.raises(TypeError):
-            LyapunovSeries(values=np.array([1.0]), distance=np.zeros(3), tolerance=-1e-9)
+            check_monotone(values=np.array([1.0]), distance=np.zeros(3), tolerance=-1e-9)
 
     @pytest.mark.parametrize("tol", [math.nan, math.inf])
     def test_rejects_non_finite_tolerance(self, tol):
         # a NaN or infinite allowance would pass every step, 1 -> 5 -> 9 too:
         # no tolerance is taken, and a NaN or infinite distance fails
         with pytest.raises(TypeError):
-            LyapunovSeries(values=np.array([1.0, 5.0, 9.0]), distance=np.zeros(5), tolerance=tol)
-        series = LyapunovSeries(values=np.array([1.0, 0.5, 0.25]), distance=np.full(5, tol))
-        assert check_monotone(series).index.tolist() == [2, 3]
+            check_monotone(values=np.array([1.0, 5.0, 9.0]), distance=np.zeros(5), tolerance=tol)
+        rep = check_monotone(values=np.array([1.0, 0.5, 0.25]), distance=np.full(5, tol))
+        assert rep.index.tolist() == [2, 3]
 
     @pytest.mark.parametrize("size", [0, 2, 4, 6])
     def test_rejects_distances_of_another_length(self, size):
         with pytest.raises(ValueError, match="two more distances than values"):
-            LyapunovSeries(values=np.ones(3), distance=np.ones(size))
+            check_monotone(values=np.ones(3), distance=np.ones(size))
 
     def test_rejects_matrix(self):
         with pytest.raises(ValueError):
-            LyapunovSeries(values=np.ones((2, 2)), distance=np.zeros(4))
+            check_monotone(values=np.ones((2, 2)), distance=np.zeros(4))

@@ -14,10 +14,11 @@ from hypothesis import assume, example, given, strategies as st
 from lyapcert import (HB, NAG, NAGGS, SCENARIOS, SUITABLE, TMM, MethodSpec,
                       ScenarioConfig, Trace, analyze, find_cosine_witness, find_tmm_witness,
                       generate_quadratic, optimal_hyperparams, parse_config_file,
-                      read_trace_csv, run_scenario)
+                      run_scenario)
 from lyapcert import scenarios, svgplot
 from lyapcert.cli import main
 from lyapcert.scenarios import _specs, _with_row
+from reference import read_trace_csv
 
 
 def run_quick(name, out, **overrides):

@@ -10,13 +10,14 @@ from hypothesis import given, strategies as st
 from lyapcert import trace as trace_module
 from lyapcert.methods import _family
 from lyapcert import (HB, KINDS, NAG, NAGGS, TMM, MethodSpec, Objective,
-                      QuadraticProblem, analyze, check_monotone, coefficient_arrays,
+                      QuadraticProblem, analyze, coefficient_arrays,
                       cosine_counterexample, exp_norm_objective, export_csv,
                       find_tmm_witness, generate_quadratic, optimal_hyperparams,
-                      read_trace_csv, rosenbrock_objective, run_trace, series_from_csv)
+                      rosenbrock_objective, run_trace)
 from conftest import peak_bytes, random_eligible_coeffs
-from reference import (eigenvalues, family_step, per_coordinate_V, quadratic_objective,
-                       row_dot, schur, trace_rows, vector_V)
+from reference import (check_monotone, eigenvalues, family_step, per_coordinate_V,
+                       quadratic_objective, read_trace_csv, report_bits, row_dot, schur,
+                       trace_rows, vector_V)
 
 
 def offset_start(p, seed=0, scale=1.0):
@@ -31,8 +32,7 @@ class TestRunTraceQuadratic:
         tr = run_trace(p, spec, offset_start(p), 200)
         assert len(tr) == 200
         assert not tr.diverged
-        series = tr.lyapunov_series()
-        assert check_monotone(series).monotone
+        assert tr.report.monotone
         v2 = tr.lyapunov[2]
         assert v2 > 0
         assert tr.lyapunov[199] <= v2 * (1.0 / 9.0 + 1e-3) ** 190
@@ -605,10 +605,10 @@ class TestLyapunovSeriesAccess:
         p = generate_quadratic(3, 1.0, 4.0, seed=0)
         spec = optimal_hyperparams(HB, 1.0, 4.0)
         tr = run_trace(p, spec, offset_start(p), 3)
-        series = tr.lyapunov_series()
-        assert series.values.shape == (1,)
-        assert series.start_index == 2
-        assert not np.any(np.isnan(series.values))
+        # rows 0 and 1 have no V: the report judges the one V of row 2 alone
+        assert not np.isnan(tr.lyapunov[2])
+        assert tr.report.monotone and tr.report.count == 0
+        assert report_bits(tr.report) == report_bits(check_monotone(tr.lyapunov[2:], tr.distance))
 
 
 class TestCsvRoundTrip:
@@ -648,13 +648,11 @@ class TestCsvRoundTrip:
         tr = self.make_trace()
         path = tmp_path / "t.csv"
         export_csv(tr, path)
-        on_disk = check_monotone(series_from_csv(path))
-        live = check_monotone(tr.lyapunov_series())
-        assert on_disk.describe() == live.describe()
-        series = series_from_csv(path)
-        assert series.start_index == 2
+        on_disk, last = trace_module._scan_csv(path)
+        assert on_disk.describe() == tr.report.describe()
         # the slack reads the CSV's distance column, from two rows before V
-        assert series.distance.tobytes() == tr.distance.tobytes()
+        assert report_bits(on_disk) == report_bits(tr.report)
+        assert last == tr.distance[-1]
 
     def test_deterministic_bytes(self, tmp_path):
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -677,7 +675,7 @@ class TestCsvRoundTrip:
         path.write_text("iter,objective_gap,distance,lyapunov\n0,1,1,\n1,1,1,\n",
                         encoding="utf-8")
         with pytest.raises(ValueError, match="trace CSV holds no Lyapunov values"):
-            series_from_csv(path)
+            trace_module._scan_csv(path)
 
     def test_rejects_foreign_csv(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -689,7 +687,7 @@ class TestCsvRoundTrip:
     def test_series_refuses_a_bad_tolerance_before_reading(self, tmp_path, value):
         # the slack comes from the distance column: no tolerance is taken
         with pytest.raises(TypeError):
-            series_from_csv(tmp_path / "missing.csv", tolerance=value)
+            trace_module._scan_csv(tmp_path / "missing.csv", tolerance=value)
 
     # an exported trace longer than one chunk, whose later chunks numpy's
     # parser reads, and a hand-written one whose empty cell after the first V
@@ -723,8 +721,8 @@ class TestCsvRoundTrip:
             for key in want:
                 assert np.array_equal(got[key], want[key], equal_nan=True)
         assert len(want["distance"]) == len(rows) == (600 if exported else 5)
-        assert (check_monotone(series_from_csv(marked)).describe()
-                == check_monotone(series_from_csv(plain)).describe())
+        assert (trace_module._scan_csv(marked)[0].describe()
+                == trace_module._scan_csv(plain)[0].describe())
 
 
 class TestOracleBlocks:
@@ -1464,6 +1462,53 @@ class TestReaderParity:
             path = tmp_path / "t.csv"
             path.write_text(self.HEAD + "0,1,1,\n1,1,1,\n2,1,1,0.5\n"
                             f"3,1,1,{cell}\n4,1,1,0.25\n", encoding="utf-8")
-            series = series_from_csv(path)
-            assert series.start_index == 2 and np.isnan(series.values[1])
-            assert not check_monotone(series).monotone
+            rep, _ = trace_module._scan_csv(path)
+            # the series starts at row 2: the steps into and out of row 3
+            assert not rep.monotone and rep.index.tolist() == [2, 3]
+
+
+class TestTraceReport:
+    """``Trace.report`` is ``lyapcert run``'s scan fed the trace's whole
+    columns: on either target, in any batch, it is the report of the
+    trace's V series fed once (``reference.check_monotone``), to the bit."""
+
+    @staticmethod
+    def assert_reports(target, specs, x0, iters, x1=None):
+        traces = []
+        try:  # the traces of the runs before one that fails
+            traces.extend(trace_module._run_traces(target, specs, x0, iters, x1=x1))
+        except ValueError:
+            pass
+        for tr in traces:
+            want = check_monotone(tr.lyapunov[2:], tr.distance)
+            assert report_bits(tr.report) == report_bits(want)
+            assert tr.report is tr.report  # judged once
+
+    # up to 5000 rows: whole pieces of the scan and a part of one
+    @given(specs=st.lists(method_specs(), min_size=1, max_size=4),
+           iters=st.integers(3, 5000), x1=st.booleans(), scale=st.floats(0.1, 20.0))
+    def test_quadratic(self, specs, iters, x1, scale):
+        p = TestBatchedRuns.QUADRATIC
+        self.assert_reports(p, specs, offset_start(p, seed=1, scale=scale), iters,
+                            offset_start(p, seed=2) if x1 else None)
+
+    @given(specs=st.lists(method_specs(), min_size=1, max_size=4),
+           iters=st.integers(3, 600), x1=st.booleans(), scale=st.floats(0.05, 3.0),
+           make=st.sampled_from([cosine_counterexample, exp_norm_objective,
+                                 rosenbrock_objective]))
+    def test_objective(self, specs, iters, x1, scale, make):
+        obj = make()
+        way = np.array([0.6, -0.8])[:obj.minimizer.shape[0]]
+        self.assert_reports(obj, specs, obj.minimizer + scale * way, iters,
+                            obj.minimizer + scale * way[::-1] if x1 else None)
+
+    @pytest.mark.parametrize("far, row", [("x0", 0), ("x1", 1)])
+    def test_run_cut_before_v_raises(self, far, row):
+        # a start beyond the divergence threshold ends the run before row 2
+        p = TestBatchedRuns.QUADRATIC
+        near, beyond = offset_start(p), offset_start(p, scale=1e13)
+        x0, x1 = (beyond, None) if far == "x0" else (near, beyond)
+        tr = run_trace(p, optimal_hyperparams(HB, 1.0, 10.0), x0, 50, x1=x1)
+        assert tr.diverged and len(tr) == row + 1
+        with pytest.raises(ValueError, match=f"the run diverged at row {row}, before V is defined"):
+            tr.report
