@@ -61,7 +61,9 @@ def optimal_hyperparams(kind: str, mu: float, L: float) -> MethodSpec:
     """Classical per-method tuned hyperparameters for a [mu, L] spectrum.
 
     Requires mu > 0; for mu == L the methods degenerate to a plain gradient
-    step (HB/NAG get beta = 0).
+    step (HB/NAG get beta = 0).  A spectrum so large that HB's (sqrt(L) +
+    sqrt(mu))^2 overflows, or NAG-GS's sqrt(mu) (sqrt(L) + sqrt(mu)) with it
+    (its alpha then reads 0), is refused by name.
     """
     if kind not in KINDS:
         raise ValueError(f"unknown method kind {kind!r}")
@@ -71,19 +73,21 @@ def optimal_hyperparams(kind: str, mu: float, L: float) -> MethodSpec:
     if L < mu:
         raise ValueError("L must be >= mu")
     sL, sm = math.sqrt(L), math.sqrt(mu)
-    if kind == HB:
-        return MethodSpec(HB, alpha=4.0 / (sL + sm) ** 2, beta=((sL - sm) / (sL + sm)) ** 2)
-    if kind == NAG:
-        return MethodSpec(NAG, alpha=1.0 / L, beta=(sL - sm) / (sL + sm))
-    if kind == TMM:
-        rho = 1.0 - sm / sL
-        return MethodSpec(
-            TMM,
-            alpha=(1.0 + rho) / L,
-            beta=rho ** 2 / (2.0 - rho),
-            gamma=rho ** 2 / ((1.0 + rho) * (2.0 - rho)),
-        )
-    return MethodSpec(NAGGS, alpha=2.0 / (sm * (sL + sm)), beta=(sL - sm) / (sL + sm))
+    try:
+        if kind == HB:
+            hyper = 4.0 / (sL + sm) ** 2, ((sL - sm) / (sL + sm)) ** 2, 0.0
+        elif kind == NAG:
+            hyper = 1.0 / L, (sL - sm) / (sL + sm), 0.0
+        elif kind == TMM:
+            rho = 1.0 - sm / sL
+            hyper = (1.0 + rho) / L, rho ** 2 / (2.0 - rho), rho ** 2 / ((1.0 + rho) * (2.0 - rho))
+        else:
+            hyper = 2.0 / (sm * (sL + sm)), (sL - sm) / (sL + sm), 0.0
+    except OverflowError:  # a float's ** raises where * gives inf
+        hyper = (0.0,)
+    if not hyper[0] > 0.0:
+        raise ValueError(f"tuned {kind} hyperparameters overflow for mu={mu:g}, L={L:g}")
+    return MethodSpec(kind, *hyper)
 
 
 def _family(spec: MethodSpec) -> tuple[float, float, float]:

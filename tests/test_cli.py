@@ -123,6 +123,23 @@ class TestGenerate:
         assert captured.out == ""
         assert os.listdir(tmp_path) == []
 
+    @pytest.mark.parametrize("argv", [
+        ["run", "--method", "hb", "--optimal", "--dim", "3", "--out", "t.csv"],
+        ["run", "--method", "nag-gs", "--optimal", "--dim", "3", "--out", "t.csv"],
+        ["analyze", "--method", "hb", "--optimal", "--dim", "3"],
+        ["analyze", "--method", "nag-gs", "--optimal", "--dim", "3"],
+        ["scenario", "quadratic", "--out", "art"],
+    ], ids=["run-hb", "run-nag-gs", "analyze-hb", "analyze-nag-gs", "scenario"])
+    def test_spectrum_too_large_to_tune(self, tmp_path, monkeypatch, capsys, argv):
+        # (sqrt(L) + sqrt(mu))^2 overflows: once a traceback, for NAG-GS
+        # "alpha must be positive"
+        monkeypatch.chdir(tmp_path)
+        assert main([*argv, "--mu", "1e308", "--L", "1.7e308"]) == 1
+        kind = "NAGGS" if "nag-gs" in argv else "HB"
+        assert capsys.readouterr() == (
+            "", f"error: tuned {kind} hyperparameters overflow for mu=1e+308, L=1.7e+308\n")
+        assert os.listdir(tmp_path) == []
+
     @pytest.mark.parametrize("command,rc", [("analyze", 1), ("run", 0)])
     def test_wide_spectrum_round_trips(self, tmp_path, capsys, command, rc):
         # entries past 1.3e154: the sum of squares of each norm the load

@@ -87,6 +87,20 @@ class TestOptimalHyperparams:
             assert spec.beta == pytest.approx((np.sqrt(10.0) - 1.0) / (np.sqrt(10.0) + 1.0),
                                               rel=1e-14)
 
+    @given(kind=st.sampled_from(KINDS), ends=st.lists(
+        st.floats(1e300, np.finfo(float).max), min_size=2, max_size=2))
+    def test_largest_spectra_tune_or_are_refused(self, kind, ends):
+        # (sqrt(L) + sqrt(mu))^2 overflows from mu = L = 4.5e307 on: HB's
+        # alpha cannot be formed, and NAG-GS's reads 0; both are named
+        mu, L = sorted(ends)
+        try:
+            spec = optimal_hyperparams(kind, mu, L)
+        except ValueError as exc:
+            assert kind in (HB, NAGGS)
+            assert str(exc) == f"tuned {kind} hyperparameters overflow for mu={mu:g}, L={L:g}"
+        else:
+            assert 0.0 < spec.alpha < np.inf
+
     def test_hb_degenerate_mu_equals_L(self):
         spec = optimal_hyperparams(HB, 5.0, 5.0)
         assert spec.alpha == pytest.approx(0.2, rel=1e-15)

@@ -1510,5 +1510,5 @@ class TestTraceReport:
         x0, x1 = (beyond, None) if far == "x0" else (near, beyond)
         tr = run_trace(p, optimal_hyperparams(HB, 1.0, 10.0), x0, 50, x1=x1)
         assert tr.diverged and len(tr) == row + 1
-        with pytest.raises(ValueError, match=f"the run diverged at row {row}, before V is defined"):
+        with pytest.raises(ValueError, match=f"diverged at row {row}, before V is defined"):
             tr.report
