@@ -37,8 +37,9 @@ class MonotonicityReport:
     max_ratio: float
     left_out: int
 
-    def describe(self, bounds: bool = True) -> str:
-        """The verdict line; it ends in a caveat unless ``bounds`` (``_bounds_distance``)."""
+    def describe(self, caveat: Optional[str] = None) -> str:
+        """The verdict line; it ends in ``caveat``, when given: the clause
+        ``_bounds_distance`` gives a run whose distance V does not bound."""
         counted = not math.isnan(self.max_ratio)
         rate = f"max ratio {self.max_ratio:.6g}" if counted else "no step counted for a max ratio"
         n = self.left_out
@@ -50,7 +51,7 @@ class MonotonicityReport:
         else:
             line = (f"monotone decrease: NO ({self.count} violation"
                     f"{'s' * (self.count > 1)}); first at {self._step(0)}; {rate}{left}")
-        return line + "; V is not positive definite here and bounds no distance" * (not bounds)
+        return line if caveat is None else f"{line}; {caveat}"
 
     def _step(self, i: int) -> str:
         """Flagged step ``i``: the one wording of a step, in a verdict or a list."""
@@ -58,10 +59,18 @@ class MonotonicityReport:
                 f"(excess {self.excess[i]:.3g})")
 
 
-def _bounds_distance(diverged: bool, certificate) -> bool:
-    """V bounds a run's distance iff it did not diverge and its certificate,
-    if it has one, is eligible."""
-    return not diverged and (certificate is None or certificate.eligible)
+def _bounds_distance(diverged: bool, certificate) -> Optional[str]:
+    """None when V bounds a run's distance: the run did not diverge and its
+    certificate is eligible.  Otherwise the clause that says why not."""
+    if diverged:
+        return "the run diverged"
+    if certificate is None:
+        return "no certificate covers this run"
+    if not certificate.per_coordinate.conjugate_pair.all():
+        return "V is not positive definite here and bounds no distance"
+    if not certificate.eligible:  # every coordinate a pair: the radius is at least one
+        return "the spectral radius is not below one"
+    return None
 
 
 class _MonotoneScan:

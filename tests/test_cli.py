@@ -24,6 +24,25 @@ from conftest import peak_bytes
 from reference import check_monotone, read_trace_csv
 
 
+# the clause a verdict line ends in when V bounds no distance, by its cause
+DIVERGED = "; the run diverged"
+UNCERTIFIED = "; no certificate covers this run"
+INDEFINITE = "; V is not positive definite here and bounds no distance"
+RADIUS = "; the spectral radius is not below one"
+
+
+def caveat(diverged, cert) -> str:
+    """The clause that ends the verdict line of a run: empty when V bounds
+    its distance."""
+    if diverged:
+        return DIVERGED
+    if cert is None:
+        return UNCERTIFIED
+    if not cert.per_coordinate.conjugate_pair.all():
+        return INDEFINITE
+    return RADIUS if cert.spectral_radius >= 1.0 else ""
+
+
 def csv_verdict(path) -> str:
     """The verdict line of the run CSV at ``path``, read whole and judged from
     row 2, V's first."""
@@ -333,7 +352,8 @@ class TestRunAndCheck:
         assert rc == 0
         verdict = csv_verdict(out)
         assert verdict.startswith("monotone decrease: yes")
-        assert capsys.readouterr().out == verdict + "\n"  # the verdict alone
+        # the verdict alone: a CSV carries no certificate
+        assert capsys.readouterr().out == verdict + UNCERTIFIED + "\n"
 
     @pytest.mark.parametrize("threshold, diverged", [(None, True), (1.5e12, False)])
     def test_check_a_diverged_csv_says_so(self, tmp_path, capsys, monkeypatch, threshold,
@@ -346,7 +366,7 @@ class TestRunAndCheck:
         summary, verdict, _ = capsys.readouterr().out.splitlines()
         distance = summary.split()[2]
         assert distance == "final_distance=1.47557e+12"
-        assert verdict.endswith("; V is not positive definite here and bounds no distance")
+        assert verdict.endswith(DIVERGED)
         if threshold is not None:
             monkeypatch.setattr(trace_module, "DIVERGENCE_THRESHOLD", threshold)
         rc = main(["check", str(out)])
@@ -354,7 +374,7 @@ class TestRunAndCheck:
         if diverged:
             assert rc == 1 and text == f"{distance} diverged=yes\n{verdict}\n"
         else:
-            assert rc == 0 and text == csv_verdict(out) + "\n"
+            assert rc == 0 and text == csv_verdict(out) + UNCERTIFIED + "\n"
 
     def test_check_flags_violations(self, tmp_path, capsys):
         path = tmp_path / "bad.csv"
@@ -378,7 +398,7 @@ class TestRunAndCheck:
         assert main(["check", str(path)]) == 1
         assert capsys.readouterr().out == (
             "monotone decrease: NO (14 violations); first at k=2: V=1 -> 2 (excess 1); "
-            "max ratio 7e+12\n"
+            "max ratio 7e+12; no certificate covers this run\n"
             "  k=2: V=1 -> 2 (excess 1)\n"
             "  k=4: V=1.5 -> 3.25 (excess 1.75)\n"
             "  k=7: V=0 -> 1e-12 (excess 9.86e-13)\n"
@@ -421,19 +441,17 @@ def reference_run(tmp_path, kind, iters, *, dim=7, mu=1.0, L=50.0, spec=None,
     """CSV bytes and stdout of ``run`` built from ``run_trace`` + ``export_csv``
     + ``Trace.report``: the command as a whole trace in memory.  The
     verdict line of a run that diverged or whose certificate is not eligible
-    says that V bounds no distance there."""
+    ends in the clause of that cause."""
     problem = generate_quadratic(dim, mu, L, seed)
     spec = spec or optimal_hyperparams(kind, mu, L)
     tr = run_trace(problem, spec, _x0(problem.minimizer, scale, seed), iters)
     path = tmp_path / "reference.csv"
     export_csv(tr, path)
     out = tmp_path / "t.csv"
-    bound = tr.certificate.eligible and not tr.diverged
     text = (f"rows={len(tr)} final_gap={tr.objective_gap[-1]:.6g} "
             f"final_distance={tr.distance[-1]:.6g} "
             f"diverged={'yes' if tr.diverged else 'no'}\n"
-            f"{tr.report.describe()}"
-            f"{'' if bound else '; V is not positive definite here and bounds no distance'}\n"
+            f"{tr.report.describe()}{caveat(tr.diverged, tr.certificate)}\n"
             f"trace -> {out}\n")
     return path.read_bytes(), text, out
 
@@ -473,7 +491,7 @@ class TestStreamingRun:
         line = capsys.readouterr().out.splitlines()[1]
         assert rc == 1
         assert line.startswith("monotone decrease: yes (max ratio 0.200277 ")
-        assert line.endswith("; V is not positive definite here and bounds no distance")
+        assert line.endswith(DIVERGED)
 
     @pytest.mark.parametrize("existing", [None, b"old contents\n"])
     def test_raising_run_leaves_out_alone(self, tmp_path, capsys, monkeypatch, existing):
@@ -1007,15 +1025,14 @@ class TestScenarioCommand:
 
     def test_diverged_run_is_named_on_its_line(self, tmp_path, capsys):
         # radius 1.1: the run goes to the divergence threshold, says so
-        # before terminal_V, and its verdict says that V bounds no distance
+        # before terminal_V, and its verdict names the divergence
         rc = main(["scenario", "quadratic", "--method", "hb", "--alpha", "0.0021",
                    "--out", str(tmp_path / "art")])
         out = capsys.readouterr().out.splitlines()
         assert rc == 1
         [line] = [ln for ln in out if ln.startswith("HB: ")]
         assert re.fullmatch(r"HB: eligible=no radius=1\.1 rows=288 diverged=yes terminal_V=\S+ "
-                            r"monotone decrease: .*; V is not positive definite here and "
-                            r"bounds no distance", line)
+                            r"monotone decrease: .*; the run diverged", line)
 
     def test_the_first_run_error_is_printed(self, tmp_path, capsys, monkeypatch):
         # HB's run fails on its first stepped row, NAG's alpha (1 + beta) lambda
@@ -1051,8 +1068,6 @@ class TestScenarioCommand:
         assert "missing scenario name" in capsys.readouterr().err
 
 
-SUFFIX = "; V is not positive definite here and bounds no distance"
-
 # the three runs every printer of a judged run is shown, from one start at
 # distance 10 on one quadratic (dim 6, spectrum [1, 100], seed 0): tuned HB
 # (eligible, converges), tuned TMM (not eligible, converges) and HB at
@@ -1067,10 +1082,11 @@ SIZE = ["--dim", "6", "--mu", "1", "--L", "100", "--iters", "300"]
 
 
 class TestOneVerdictWording:
-    """Every line that words a judged run's verdict ends in ``SUFFIX`` exactly
-    when V bounds no distance along the run: the run diverged, or its
-    certificate is not eligible.  The objective runner and the TMM witness
-    cannot make all three runs themselves, so each is handed them."""
+    """Every line that words a judged run's verdict ends in the clause of
+    the cause when V bounds no distance along the run: the run diverged, no
+    certificate covers it (a CSV's), or its certificate is not eligible.
+    The objective runner and the TMM witness cannot make all three runs
+    themselves, so each is handed them."""
 
     @staticmethod
     def verdict_line(printer, flags, tr, tmp_path, capsys, monkeypatch) -> str:
@@ -1107,16 +1123,76 @@ class TestOneVerdictWording:
             "diverged": (False, True)}[case]
         line = self.verdict_line(printer, flags, tr, tmp_path, capsys, monkeypatch)
         # a CSV carries no certificate: check knows of divergence alone
-        bounds = case == "eligible" or (printer == "check" and case == "ineligible")
-        assert line.count(SUFFIX) == (not bounds)
-        assert line.endswith(SUFFIX) == (not bounds)
+        clause = {"eligible": "", "ineligible": INDEFINITE, "diverged": DIVERGED}[case]
+        if printer == "check" and case != "diverged":
+            clause = UNCERTIFIED
+        assert clause == caveat(tr.diverged, None if printer == "check" else tr.certificate)
+        assert line.endswith(clause)
+        assert [c for c in (DIVERGED, UNCERTIFIED, INDEFINITE, RADIUS) if c in line] == \
+            ([clause] if clause else [])
 
     def test_each_wording_is_spelled_once(self):
         src = pathlib.Path(scenarios.__file__).parent
         text = "".join(f.read_text(encoding="utf-8") for f in sorted(src.glob("*.py")))
         assert text.count("bounds no distance") == 1
+        for clause in (DIVERGED, UNCERTIFIED, INDEFINITE, RADIUS):
+            assert text.count(f'"{clause[2:]}"') == 1
         assert text.count("(excess ") == 1
         assert "first violation" not in text
+
+
+class TestCaveatCauses:
+    """A verdict line names why V bounds no distance along its run, one
+    cause per test; the clause moves no verdict and no exit code."""
+
+    @staticmethod
+    def run_line(tmp_path, capsys, *flags):
+        rc = main(["run", *flags, "--out", str(tmp_path / "t.csv")])
+        return rc, capsys.readouterr().out.splitlines()[1]
+
+    @pytest.mark.parametrize("beta, verdict", [
+        ("1.0", "monotone decrease: yes (max ratio 1 over positive values)"),
+        ("1.02", "monotone decrease: NO (47 violations); "),
+    ])
+    def test_radius_not_below_one(self, tmp_path, capsys, beta, verdict):
+        # every coordinate a conjugate pair of radius sqrt(beta): V is
+        # positive definite, constant at beta 1 and rising by 2% a step above
+        rc, line = self.run_line(tmp_path, capsys, "--method", "hb", "--alpha", "0.1",
+                                 "--beta", beta, "--dim", "5", "--mu", "1", "--L", "10",
+                                 "--iters", "50")
+        assert rc == 0
+        assert line.startswith(verdict) and line.endswith(RADIUS)
+
+    def test_real_split(self, tmp_path, capsys):
+        # tuned TMM on [1, 100] splits real at lambda = mu; the run converges
+        rc, line = self.run_line(tmp_path, capsys, "--method", "tmm", "--optimal", "--dim", "50",
+                                 "--mu", "1", "--L", "100", "--iters", "300")
+        assert rc == 0
+        assert line.startswith("monotone decrease: yes ") and line.endswith(INDEFINITE)
+
+    def test_diverged(self, tmp_path, capsys):
+        # radius 1.68 with a real split: the divergence is named, in run and
+        # in check on its CSV alike
+        rc, line = self.run_line(tmp_path, capsys, "--method", "hb", "--alpha", "0.03",
+                                 "--beta", "0.2", "--dim", "50", "--mu", "1", "--L", "100")
+        assert rc == 1 and line.endswith(DIVERGED)
+        assert main(["check", str(tmp_path / "t.csv")]) == 1
+        assert capsys.readouterr().out.splitlines()[1] == line
+
+    @pytest.mark.parametrize("argv, rc", [
+        (["check"], 0),
+        (["scenario", "expnorm", "--iters", "100"], 0),
+        (["scenario", "rosenbrock", "--iters", "200"], 0),
+        (["scenario", "cosine", "--iters", "100"], 0),
+    ], ids=["check", "expnorm", "rosenbrock", "cosine"])
+    def test_no_certificate(self, tmp_path, capsys, argv, rc):
+        # a CSV carries no certificate, and an objective has no spectrum
+        csv = str(tmp_path / "t.csv")
+        assert main(["run", "--method", "hb", "--optimal", "--dim", "6", "--out", csv]) == 0
+        capsys.readouterr()
+        assert main([*argv, csv] if argv == ["check"] else [*argv, "--out", str(tmp_path)]) == rc
+        lines = [ln for ln in capsys.readouterr().out.splitlines() if "monotone decrease: " in ln]
+        assert lines and all(ln.endswith(UNCERTIFIED) for ln in lines)
 
 
 class TestCountFlags:

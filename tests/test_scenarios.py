@@ -527,7 +527,7 @@ DIGESTS = {
         "cosine_overview.svg":
             "143a9db2d1c24a3056bc53800f9a07c48a19d218ebb1e8bd6b888e554f0ca678",
         "cosine_report.txt":
-            "537383832f3cd499e843cffb18ecb7f0516623f76c5de392f491ae678b86bfd7",
+            "019fdf579418bad582e689b2a63adac5e9e377809baf688458c33b8c9cfefa2c",
     },
     "tmm-witness": {
         "tmm-witness_lyapunov.svg":
@@ -557,7 +557,7 @@ DIGESTS = {
         "expnorm_overview.svg":
             "e8ae0b62821804d7dbf9b64c07eeda75f894dbc99967cb973325e254827fa49b",
         "expnorm_report.txt":
-            "5f7198b867d527794c598bb7ef7d1ffaafcee60c9bca1a64dcc827fb9717ee6f",
+            "9fd1dfd04ced881c630e16ba6f94f48fce2d550978173ff377cfd62022830569",
         "expnorm_tmm_trace.csv":
             "e0917e1406dc834c96408a4fa936f39406da75c5b3dda2740d197ef353d8920e",
     },
@@ -577,7 +577,7 @@ DIGESTS = {
         "rosenbrock_overview.svg":
             "f3cf3995ef36356f4f30da07f890ef77443da4d0fbd0a3740a44d553a7a34378",
         "rosenbrock_report.txt":
-            "ffcf913b90153d18b37681f0211c48f3049d13723aa78cf4525c51d90d2b1c57",
+            "7a33723efbb58c519f9a52fd151665cc35a2261724d440a491ffa261ab8b4490",
         "rosenbrock_tmm_trace.csv":
             "5b48a6ab01af2f126bc669650da2054b78db3246587fd32a36ab5f20804d1822",
     },
