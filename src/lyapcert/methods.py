@@ -73,6 +73,7 @@ def optimal_hyperparams(kind: str, mu: float, L: float) -> MethodSpec:
     if L < mu:
         raise ValueError("L must be >= mu")
     sL, sm = math.sqrt(L), math.sqrt(mu)
+    overflow = ValueError(f"tuned {kind} hyperparameters overflow for mu={mu:g}, L={L:g}")
     try:
         if kind == HB:
             hyper = 4.0 / (sL + sm) ** 2, ((sL - sm) / (sL + sm)) ** 2, 0.0
@@ -84,9 +85,9 @@ def optimal_hyperparams(kind: str, mu: float, L: float) -> MethodSpec:
         else:
             hyper = 2.0 / (sm * (sL + sm)), (sL - sm) / (sL + sm), 0.0
     except OverflowError:  # a float's ** raises where * gives inf
-        hyper = (0.0,)
-    if not hyper[0] > 0.0:
-        raise ValueError(f"tuned {kind} hyperparameters overflow for mu={mu:g}, L={L:g}")
+        raise overflow from None
+    if not hyper[0] > 0.0:  # NAG-GS: 2 / inf
+        raise overflow
     return MethodSpec(kind, *hyper)
 
 

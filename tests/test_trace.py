@@ -677,6 +677,13 @@ class TestCsvRoundTrip:
         with pytest.raises(ValueError, match="trace CSV holds no Lyapunov values"):
             trace_module._scan_csv(path)
 
+    def test_series_needs_three_iterates(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("iter,objective_gap,distance,lyapunov\n0,1,1,\n1,1,1,0.5\n2,1,1,0.25\n",
+                        encoding="utf-8")
+        with pytest.raises(ValueError, match="a trace CSV's first V is on row 2 or later"):
+            trace_module._scan_csv(path)
+
     def test_rejects_foreign_csv(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("x,y\n1,2\n", encoding="utf-8")
