@@ -24,7 +24,7 @@ from .problems import (QuadraticProblem, _spectrum_grid, cosine_counterexample,
                        exp_norm_objective, generate_quadratic, rosenbrock_objective)
 from .spectral import SpectralCertificate, analyze, certificate_csv_text, certificate_report_text
 from .svgplot import Panel, Series, render_svg
-from .trace import _run_traces, export_csv, run_trace
+from .trace import _run_traces, export_csv
 
 LABELS = {HB: "HB", NAG: "NAG", TMM: "TMM", NAGGS: "NAG-GS"}
 
@@ -242,7 +242,7 @@ def find_cosine_witness(seed: int = 0, iters: int = 400):
     for s in range(COSINE_SEEDS):
         rng = np.random.default_rng([seed, s, 11])
         x0 = rng.uniform(-2.0, 2.0, size=1)
-        trace = run_trace(obj, spec, x0, iters)
+        [trace] = _run_traces(obj, (spec,), x0, iters)
         if not trace.report.monotone:
             return s, x0, trace, trace.report
     return None
@@ -271,8 +271,8 @@ def find_tmm_witness(problem: QuadraticProblem, cert: SpectralCertificate, iters
     i = int(np.where(rising, -r.b, -np.inf).argmax())
     step = scale * problem.eigvecs[:, i]
     xs = problem.minimizer
-    trace = run_trace(problem, cert, xs + step, iters,
-                      x1=xs + (r.re[i] + r.re2[i]) / 2.0 * step)
+    [trace] = _run_traces(problem, (cert,), xs + step, iters,
+                          x1=xs + (r.re[i] + r.re2[i]) / 2.0 * step)
     return i, trace, trace.report
 
 

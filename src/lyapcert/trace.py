@@ -36,10 +36,9 @@ into the buffer, valid until the next block is drawn; its gap, distance and
 V columns are arrays of their own.
 
 ``run_trace`` is the batch of one; the scenarios run their methods as one
-batch through ``_run_traces``.  A trace keeps the metric columns of its
-blocks and drops their rows: a ``Trace``, on either target, stores the
-arguments of its own run and replays it alone whenever ``iterates`` is
-read, so its memory does not grow with the rows' width.
+batch through ``_run_traces``.  A ``Trace`` is the metric columns of its
+run's blocks: their rows are dropped, so its memory does not grow with the
+rows' width, and it keeps no reference to its target.
 ``lyapcert run`` streams instead and keeps no column: each block's CSV lines
 are written, and its V and distance cells fed to the verdict's
 ``_MonotoneScan``, as the block arrives.  ``lyapcert check`` reads the file
@@ -81,17 +80,12 @@ _TAU, _DELTA, _LAMBDA_MAX = 2.0 ** -900, 2.0 ** -20, 2.0 ** 600
 
 @dataclass
 class Trace:
-    """Per-iterate metrics of one run, and its iterates on request.
+    """Per-iterate metrics of one run.
 
     ``objective_gap``, ``distance`` and ``lyapunov`` hold one value per
     recorded iterate; ``lyapunov[k]`` is defined from k = 2 on (NaN before
     that).  ``certificate`` is the certificate whose (a, b) a quadratic run
-    stepped, None on an objective.  ``run`` is the argument tuple (target,
-    spec, x0, iters, x1) of the run, alone, that made the trace.
-    A trace keeps no row: ``iterates`` is computed again by replaying
-    ``run`` on every read.  The engines are deterministic (an objective's
-    oracles are taken to give each point's result whatever else its stack
-    holds), so each read gives the same bits.
+    stepped, None on an objective.  A trace keeps no row.
     """
 
     objective_gap: np.ndarray
@@ -99,26 +93,9 @@ class Trace:
     lyapunov: np.ndarray
     diverged: bool
     certificate: Optional[SpectralCertificate]
-    run: tuple
 
     def __len__(self) -> int:
         return self.objective_gap.shape[0]
-
-    @property
-    def iterates(self) -> np.ndarray:
-        """Row k is x_k, rebuilt on every read (not kept: that is the memory
-        a trace saves) from the engine's rows: the iterates themselves on an
-        objective, centred eigen-coordinates on a quadratic, stepped from the
-        trace's certificate, not certified again.  A settled eigen-coordinate
-        reads exact 0 where the plain recurrence is below 2^-856 (see
-        ``_eigenbasis_engine``)."""
-        target, spec, *rest = self.run
-        spec = self.certificate or spec
-        # each block's rows are a view into the buffer the next one overwrites
-        rows = np.concatenate([blk.rows.copy() for blk in _blocks(target, (spec,), *rest)])
-        if not isinstance(target, QuadraticProblem):
-            return rows
-        return rows @ target.eigvecs.T + target.minimizer
 
     @cached_property
     def report(self) -> MonotonicityReport:
@@ -158,10 +135,6 @@ def _run_traces(target, specs, x0, iters: int, *, x1=None) -> Iterator[Trace]:
     traces come in the order of ``specs``, each once it and those before it
     are complete, so a caller that judges each as it comes meets the errors
     of calls made one after another, in the same order."""
-    # copies of the starts: a caller changing its arrays later must not
-    # change the rows a trace replays
-    x0 = np.array(x0, dtype=float)
-    x1 = None if x1 is None else np.array(x1, dtype=float)
     cols = [(array("d"), array("d"), array("d")) for _ in specs]
     # (diverged, certificate) of each complete run not yet handed out; r: the next
     done, r = {}, 0
@@ -170,8 +143,7 @@ def _run_traces(target, specs, x0, iters: int, *, x1=None) -> Iterator[Trace]:
         if blk.last:
             done[blk.run] = blk.diverged, blk.certificate
         while r in done:
-            yield Trace(*map(np.frombuffer, cols[r]), *done.pop(r),
-                        (target, specs[r], x0, iters, x1))
+            yield Trace(*map(np.frombuffer, cols[r]), *done.pop(r))
             cols[r] = None
             r += 1
 

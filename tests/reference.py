@@ -9,7 +9,7 @@ Schur factorization behind the certificate, the three-point value V, and
 NAG-GS in its literal two-sequence form.  ``quadratic_objective`` puts a
 quadratic problem behind the value/gradient oracles in the full space, so
 the eigenbasis engine can be checked against the oracle engine, and
-``trace_rows`` replays a trace's run for the engine's rows.
+``trace_rows`` and ``trace_iterates`` make a run again for its rows.
 ``check_monotone`` judges a bare V series with the library's one scan, and
 ``read_trace_csv`` reads a whole trace CSV through the library's chunk reader.
 ``OBJECTIVE_POINTS`` holds the packaged objectives' formulas one point at a
@@ -23,7 +23,7 @@ import math
 
 import numpy as np
 
-from lyapcert import Objective
+from lyapcert import Objective, QuadraticProblem
 from lyapcert.lyapunov import _MonotoneScan
 from lyapcert.trace import _blocks, _csv_columns
 
@@ -200,13 +200,22 @@ OBJECTIVE_POINTS = {"cosine": _cosine_point, "expnorm": _exp_norm_point,
                     "rosenbrock": _rosenbrock_point}
 
 
-def trace_rows(tr):
-    """The engine's rows of a trace, replayed from its ``run`` through the
-    trace driver: centred eigen-coordinates of a quadratic run, the iterates
-    of an objective run."""
-    target, spec, *rest = tr.run
+def trace_rows(target, spec, x0, iters, x1=None):
+    """The engine's rows of the run ``run_trace(target, spec, x0, iters,
+    x1=x1)``, made again through the trace driver: centred eigen-coordinates
+    of a quadratic run, the iterates of an objective run."""
     # each block's rows are a view into the buffer the next one overwrites
-    return np.concatenate([blk.rows.copy() for blk in _blocks(target, (spec,), *rest)])
+    return np.concatenate([blk.rows.copy() for blk in _blocks(target, (spec,), x0, iters, x1)])
+
+
+def trace_iterates(target, spec, x0, iters, x1=None):
+    """The iterates x_k of that run: ``trace_rows`` taken back to the full
+    space on a quadratic.  A settled eigen-coordinate reads exact 0 where
+    the plain recurrence is below 2^-856 (see ``_eigenbasis_engine``)."""
+    rows = trace_rows(target, spec, x0, iters, x1)
+    if not isinstance(target, QuadraticProblem):
+        return rows
+    return rows @ target.eigvecs.T + target.minimizer
 
 
 def check_monotone(values, distance, start_index=2):

@@ -44,8 +44,8 @@ def test_public_surface_is_pinned():
     assert public(p) == ["W", "constant", "dim", "eigvals", "eigvecs", "linear",
                          "lipschitz", "minimizer", "mu"]
     tr = lyapcert.run_trace(p, lyapcert.MethodSpec(lyapcert.HB, alpha=0.5), p.minimizer, 3)
-    assert public(tr) == ["certificate", "distance", "diverged", "iterates", "lyapunov",
-                          "objective_gap", "report", "run"]
+    assert public(tr) == ["certificate", "distance", "diverged", "lyapunov", "objective_gap",
+                          "report"]
 
 
 def test_star_import():

@@ -1102,7 +1102,7 @@ class TestOneVerdictWording:
             main(["scenario", "quadratic", *flags, *SIZE, "--out", art])
         elif printer == "objective":
             monkeypatch.setattr(scenarios, "_run_traces", lambda *args, **kw: iter([tr]))
-            main(["scenario", "rosenbrock", "--method", tr.run[1].kind, "--out", art])
+            main(["scenario", "rosenbrock", "--method", tr.certificate.method.kind, "--out", art])
         else:
             monkeypatch.setattr(scenarios, "find_tmm_witness", lambda *args: (
                 0, tr, tr.report))

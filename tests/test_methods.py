@@ -7,7 +7,8 @@ from lyapcert import (HB, KINDS, NAG, NAGGS, TMM, MethodSpec, analyze,
                       generate_quadratic, optimal_hyperparams,
                       rosenbrock_objective, run_trace)
 from lyapcert.methods import _family
-from reference import family_step, naggs_iterates, quadratic_objective, trace_rows
+from reference import (family_step, naggs_iterates, quadratic_objective, trace_iterates,
+                       trace_rows)
 
 
 def coefficients(spec, lam):
@@ -243,7 +244,8 @@ class TestStepEngines:
         tr = run_trace(p, spec, p.minimizer + 1.0, 3)
         assert tr.distance[0] == 1.0
         assert tr.distance[1] == pytest.approx(1.0 / 9.0, rel=1e-15)
-        assert tr.iterates[1, 0] - p.minimizer[0] == pytest.approx(1.0 / 9.0, rel=1e-14)
+        x = trace_iterates(p, spec, p.minimizer + 1.0, 3)
+        assert x[1, 0] - p.minimizer[0] == pytest.approx(1.0 / 9.0, rel=1e-14)
 
     def test_step_quadratic_first_step_is_gradient_step(self):
         # equal starts make a + b the whole first step: 1 - h lam, a gradient
@@ -256,8 +258,8 @@ class TestStepEngines:
             h = al * (1.0 - be) if kind == NAGGS else al
             expected = x0 - h * quadratic_objective(p).gradient(x0)
             for target in (p, quadratic_objective(p)):
-                tr = run_trace(target, spec, x0, 3)
-                assert np.allclose(tr.iterates[1], expected, atol=1e-12), kind
+                x = trace_iterates(target, spec, x0, 3)
+                assert np.allclose(x[1], expected, atol=1e-12), kind
 
     def test_step_quadratic_matches_eigenbasis_conjugation(self, rng):
         p = generate_quadratic(8, 1.0, 12.0, seed=4)
@@ -267,18 +269,18 @@ class TestStepEngines:
             a, b = coefficient_arrays(spec, p.eigvals)
             x_prev = p.minimizer + rng.standard_normal(8)
             x_cur = p.minimizer + rng.standard_normal(8)
-            tr = run_trace(p, spec, x_prev, 3, x1=x_cur)
+            x = trace_iterates(p, spec, x_prev, 3, x1=x_cur)
             hat_next = a * (q.T @ (x_cur - p.minimizer)) + b * (q.T @ (x_prev - p.minimizer))
-            assert np.allclose(q.T @ (tr.iterates[2] - p.minimizer), hat_next, atol=1e-10)
+            assert np.allclose(q.T @ (x[2] - p.minimizer), hat_next, atol=1e-10)
 
     def test_hb_general_matches_quadratic(self, rng):
         p = generate_quadratic(5, 1.0, 9.0, seed=6)
         spec = MethodSpec(HB, alpha=0.15, beta=0.4)
         x_prev = p.minimizer + rng.standard_normal(5)
         x_cur = p.minimizer + rng.standard_normal(5)
-        g = run_trace(quadratic_objective(p), spec, x_prev, 12, x1=x_cur)
-        q = run_trace(p, spec, x_prev, 12, x1=x_cur)
-        assert np.allclose(g.iterates, q.iterates, atol=1e-12)
+        g = trace_iterates(quadratic_objective(p), spec, x_prev, 12, x1=x_cur)
+        q = trace_iterates(p, spec, x_prev, 12, x1=x_cur)
+        assert np.allclose(g, q, atol=1e-12)
 
     def test_nag_beta_zero_is_gradient_descent(self, rng):
         obj = quadratic_objective(generate_quadratic(4, 1.0, 6.0, seed=7))
@@ -330,11 +332,12 @@ class TestFamily:
         obj = rosenbrock_objective()
         alpha, beta = 5e-4, 0.5
         x0 = np.array([0.7, 1.4])
-        tr = run_trace(obj, MethodSpec(NAGGS, alpha=alpha, beta=beta), x0, 4001, x1=x1)
+        spec = MethodSpec(NAGGS, alpha=alpha, beta=beta)
+        tr = run_trace(obj, spec, x0, 4001, x1=x1)
         assert len(tr) == 4001 and not tr.diverged
         starts = (x0,) if x1 is None else (x0, x1)
         ref = naggs_iterates(obj.gradient, alpha, beta, starts, len(tr))
-        assert np.max(np.abs(trace_rows(tr) - ref)) <= 1e-13
+        assert np.max(np.abs(trace_rows(obj, spec, x0, 4001, x1) - ref)) <= 1e-13
 
     @pytest.mark.parametrize("engine", ["eigenbasis", "oracle", "cosine"])
     def test_nag_is_tmm_with_gamma_beta(self, engine, rng):
@@ -348,7 +351,8 @@ class TestFamily:
         for start in ({}, {"x1": x1}):
             a = run_trace(target, nag, x0, 300, **start)
             b = run_trace(target, tmm, x0, 300, **start)
-            assert np.array_equal(trace_rows(a), trace_rows(b))
+            assert np.array_equal(trace_rows(target, nag, x0, 300, **start),
+                                  trace_rows(target, tmm, x0, 300, **start))
             assert np.array_equal(a.lyapunov, b.lyapunov, equal_nan=True)
 
 

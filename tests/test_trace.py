@@ -1,6 +1,8 @@
+import gc
 import math
 import os
 import tracemalloc
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -17,7 +19,7 @@ from lyapcert import (HB, KINDS, NAG, NAGGS, TMM, MethodSpec, Objective,
 from conftest import peak_bytes, random_eligible_coeffs
 from reference import (check_monotone, eigenvalues, family_step, per_coordinate_V,
                        quadratic_objective, read_trace_csv, report_bits, row_dot, schur,
-                       trace_rows, vector_V)
+                       trace_iterates, trace_rows, vector_V)
 
 
 def offset_start(p, seed=0, scale=1.0):
@@ -40,8 +42,9 @@ class TestRunTraceQuadratic:
     def test_exact_gradient_step_hits_minimizer(self):
         p = generate_quadratic(1, 1.0, 1.0, seed=0)
         spec = MethodSpec(HB, alpha=1.0, beta=0.0)
-        tr = run_trace(p, spec, p.minimizer + np.array([2.0]), 10)
-        assert np.allclose(tr.iterates[1], p.minimizer, atol=1e-12)
+        x0 = p.minimizer + np.array([2.0])
+        tr = run_trace(p, spec, x0, 10)
+        assert np.allclose(trace_iterates(p, spec, x0, 10)[1], p.minimizer, atol=1e-12)
         assert np.allclose(tr.distance[1:], 0.0, atol=1e-12)
         assert np.allclose(tr.objective_gap[1:], 0.0, atol=1e-12)
         assert np.allclose(tr.lyapunov[2:], 0.0, atol=1e-24)
@@ -49,8 +52,9 @@ class TestRunTraceQuadratic:
     def test_start_at_minimizer_stays_there(self):
         p = generate_quadratic(5, 1.0, 10.0, seed=1)
         spec = optimal_hyperparams(NAG, 1.0, 10.0)
-        tr = run_trace(p, spec, p.minimizer.copy(), 8)
-        assert np.allclose(tr.iterates, np.tile(p.minimizer, (8, 1)), atol=1e-12)
+        tr = run_trace(p, spec, p.minimizer, 8)
+        assert np.allclose(trace_iterates(p, spec, p.minimizer, 8), np.tile(p.minimizer, (8, 1)),
+                           atol=1e-12)
         assert np.allclose(tr.distance, 0.0)
         assert np.allclose(tr.lyapunov[2:], 0.0)
 
@@ -86,9 +90,9 @@ class TestRunTraceQuadratic:
         spec = optimal_hyperparams(HB, 1.0, 4.0)
         x0 = offset_start(p, seed=5)
         x1 = offset_start(p, seed=6)
-        tr = run_trace(p, spec, x0, 20, x1=x1)
-        assert np.allclose(tr.iterates[0], x0, atol=1e-10)
-        assert np.allclose(tr.iterates[1], x1, atol=1e-10)
+        x = trace_iterates(p, spec, x0, 20, x1=x1)
+        assert np.allclose(x[0], x0, atol=1e-10)
+        assert np.allclose(x[1], x1, atol=1e-10)
         with pytest.raises(ValueError):
             run_trace(p, spec, x0, 20, x1=np.zeros(3))
 
@@ -100,7 +104,7 @@ class TestRunTraceQuadratic:
         with pytest.raises(TypeError, match="v_floor"):
             run_trace(p, spec, x0, 2000, v_floor=1e-6)
         tr = run_trace(p, spec, x0, 2000)
-        assert len(tr) == 2000 and len(tr.run) == 5
+        assert len(tr) == 2000
 
 
 class TestRunTraceObjective:
@@ -135,9 +139,11 @@ class TestRunTraceObjective:
         spec = MethodSpec(kind, **params)
         x0 = offset_start(p, seed=7)
         for x1 in (None, offset_start(p, seed=8)):
+            obj = quadratic_objective(p)
             tr_q = run_trace(p, spec, x0, 30, x1=x1)
-            tr_o = run_trace(quadratic_objective(p), spec, x0, 30, x1=x1)
-            assert np.max(np.abs(tr_q.iterates - tr_o.iterates)) <= 1e-8
+            tr_o = run_trace(obj, spec, x0, 30, x1=x1)
+            x_q, x_o = (trace_iterates(t, spec, x0, 30, x1=x1) for t in (p, obj))
+            assert np.max(np.abs(x_q - x_o)) <= 1e-8
             assert np.max(np.abs(tr_q.distance - tr_o.distance)) <= 1e-8
 
     def test_objective_divergence_flags(self):
@@ -196,7 +202,7 @@ class TestMetricsPassBitIdentity:
         x0 = offset_start(p, seed=1)
         x1 = offset_start(p, seed=2) if variant == "x1" else None
         tr = run_trace(obj, spec, x0, 300, x1=x1)
-        x, xs = tr.iterates, p.minimizer
+        x, xs = trace_rows(obj, spec, x0, 300, x1=x1), p.minimizer
         f_star = float(obj.value(xs))
         gaps = [float(obj.value(r)) - f_star for r in x]
         self.assert_matches(tr, gaps, [r - xs for r in x], lambda k: vector_V(
@@ -279,14 +285,15 @@ class TestChunkedDriver:
     CHUNK = trace_module._CHUNK
 
     @staticmethod
-    def assert_same(tr, ref):
+    def assert_same(tr, ref, run):
+        # ``run``: the (target, spec, x0, iters, x1) that made ``tr``
         assert len(tr) == ref["rows"]
         assert tr.diverged == ref["diverged"]
         assert np.array_equal(tr.distance, ref["distance"])
         assert np.array_equal(tr.lyapunov, ref["lyapunov"], equal_nan=True)
         assert np.array_equal(tr.objective_gap, ref["gap"])
-        assert np.array_equal(trace_rows(tr), ref["eigen"], equal_nan=True)
-        assert np.array_equal(tr.iterates, ref["iterates"], equal_nan=True)
+        assert np.array_equal(trace_rows(*run), ref["eigen"], equal_nan=True)
+        assert np.array_equal(trace_iterates(*run), ref["iterates"], equal_nan=True)
 
     @staticmethod
     def stop_rows(with_x1):
@@ -320,7 +327,8 @@ class TestChunkedDriver:
         for iters in (3, self.CHUNK - 1, self.CHUNK, self.CHUNK + 1, 2 * self.CHUNK + 3):
             tr = run_trace(p, spec, x0, iters, x1=x1)
             assert len(tr) == iters
-            self.assert_same(tr, per_step_reference(p, spec, x0, iters, x1=x1))
+            self.assert_same(tr, per_step_reference(p, spec, x0, iters, x1=x1),
+                             (p, spec, x0, iters, x1))
 
     @pytest.mark.parametrize("with_x1", [False, True])
     def test_divergence_stop_rows(self, monkeypatch, with_x1):
@@ -335,7 +343,8 @@ class TestChunkedDriver:
             tr = run_trace(p, spec, x0, 3 * self.CHUNK, x1=x1)
             assert len(tr) == row + 1 and tr.diverged
             self.assert_same(tr, per_step_reference(p, spec, x0, 3 * self.CHUNK,
-                                                    x1=x1, threshold=threshold))
+                                                    x1=x1, threshold=threshold),
+                             (p, spec, x0, 3 * self.CHUNK, x1))
 
     def overflowing(self, with_x1, row):
         """The diverging run, with its starts scaled so that ``row`` is its
@@ -375,7 +384,7 @@ class TestChunkedDriver:
                 tr = run_trace(p, spec, x0, row, x1=x1)
                 ref = per_step_reference(p, spec, x0, row, x1=x1, threshold=math.inf)
             assert len(tr) == row and not tr.diverged
-            self.assert_same(tr, ref)
+            self.assert_same(tr, ref, (p, spec, x0, row, x1))
 
     @staticmethod
     def one_step_overflow(start, second=None):
@@ -405,7 +414,8 @@ class TestChunkedDriver:
             tr = run_trace(p, spec, x0, 100, x1=x1)
             assert len(tr) == 3 and tr.diverged
             self.assert_same(tr, per_step_reference(p, spec, x0, 100, x1=x1,
-                                                    threshold=threshold))
+                                                    threshold=threshold),
+                             (p, spec, x0, 100, x1))
 
     @pytest.mark.parametrize("with_x1", [False, True])
     @pytest.mark.parametrize("start", [1e150, math.inf])
@@ -416,13 +426,14 @@ class TestChunkedDriver:
         monkeypatch.setattr(trace_module, "DIVERGENCE_THRESHOLD", 1e100)
         tr = run_trace(p, spec, x0, 100, x1=x1)
         assert len(tr) == (2 if with_x1 else 1) and tr.diverged
-        self.assert_same(tr, per_step_reference(p, spec, x0, 100, x1=x1, threshold=1e100))
+        self.assert_same(tr, per_step_reference(p, spec, x0, 100, x1=x1, threshold=1e100),
+                         (p, spec, x0, 100, x1))
 
     def test_huge_iters_with_early_stop(self):
         p, spec, x0, _ = self.diverging(False)
         tr = run_trace(p, spec, x0, 10 ** 9)
         assert len(tr) < 100 and tr.diverged
-        self.assert_same(tr, per_step_reference(p, spec, x0, 10 ** 9))
+        self.assert_same(tr, per_step_reference(p, spec, x0, 10 ** 9), (p, spec, x0, 10 ** 9))
 
 
 def oracle_reference(obj, spec, x0, iters, x1=None,
@@ -443,19 +454,16 @@ def oracle_reference(obj, spec, x0, iters, x1=None,
 
 
 class TestRowsOnRead:
-    """A trace holds its metric columns and no rows: ``iterates`` replays
-    the run on every read, and ``trace_rows`` replays the engine's rows from
-    ``run``, to the bits of a run that kept them, on a quadratic and through
-    an objective's oracles."""
+    """A trace holds its metric columns, no rows and not its target; the
+    driver's rows, made again by ``trace_rows``, are the bits of a run that
+    kept them, on a quadratic and through an objective's oracles."""
 
     @staticmethod
-    def assert_replayed(tr, ref):
+    def assert_replayed(tr, ref, run):
+        # ``run``: the (target, spec, x0, iters, x1) that made ``tr``
         assert all(np.ndim(v) <= 1 for v in vars(tr).values() if isinstance(v, np.ndarray))
-        first = tr.iterates
-        assert tr.iterates is not first  # computed again, not cached
-        for iterates in (first, tr.iterates):
-            assert np.array_equal(iterates, ref["iterates"], equal_nan=True)
-        assert np.array_equal(trace_rows(tr), ref["eigen"], equal_nan=True)
+        assert np.array_equal(trace_iterates(*run), ref["iterates"], equal_nan=True)
+        assert np.array_equal(trace_rows(*run), ref["eigen"], equal_nan=True)
         assert len(tr) == ref["rows"] and tr.diverged == ref["diverged"]
 
     @pytest.mark.parametrize("start,second,rows", [
@@ -465,7 +473,8 @@ class TestRowsOnRead:
         monkeypatch.setattr(trace_module, "DIVERGENCE_THRESHOLD", 1e100)
         tr = run_trace(p, spec, x0, 100, x1=x1)
         assert len(tr) == rows and tr.diverged
-        self.assert_replayed(tr, per_step_reference(p, spec, x0, 100, x1=x1, threshold=1e100))
+        self.assert_replayed(tr, per_step_reference(p, spec, x0, 100, x1=x1, threshold=1e100),
+                             (p, spec, x0, 100, x1))
 
     def test_second_start(self):
         p = generate_quadratic(12, 1.0, 100.0, seed=0)
@@ -473,14 +482,20 @@ class TestRowsOnRead:
         i, tr, _ = find_tmm_witness(p, cert, 80)
         r, step = cert.per_coordinate, 10.0 * p.eigvecs[:, i]  # the witness's starts
         x0, x1 = p.minimizer + step, p.minimizer + (r.re[i] + r.re2[i]) / 2.0 * step
-        self.assert_replayed(tr, per_step_reference(p, cert.method, x0, 80, x1=x1))
+        self.assert_replayed(tr, per_step_reference(p, cert.method, x0, 80, x1=x1),
+                             (p, cert, x0, 80, x1))
 
-    def test_starts_are_copied(self):
-        p, spec, x0, _ = TestChunkedDriver.converging(False)
-        tr = run_trace(p, spec, x0, 50)
-        want = trace_rows(tr)
-        x0 += 1.0
-        assert np.array_equal(trace_rows(tr), want)
+    @pytest.mark.parametrize("objective", [False, True], ids=["quadratic", "objective"])
+    def test_a_kept_trace_keeps_no_target(self, objective):
+        # nothing of a trace refers to its target, so a problem's eigvecs
+        # (d^2 numbers) go with the problem, whatever traces are kept
+        p = generate_quadratic(50, 1.0, 100.0, seed=0)
+        target = quadratic_objective(p) if objective else p
+        gone = weakref.ref(target)
+        tr = run_trace(target, optimal_hyperparams(HB, 1.0, 100.0), offset_start(p), 50)
+        del p, target
+        gc.collect()
+        assert gone() is None and len(tr) == 50 and tr.report.monotone
 
     @pytest.mark.parametrize("case", ["converging", "diverging", "x1", "expnorm"])
     def test_objective(self, case):
@@ -494,8 +509,8 @@ class TestRowsOnRead:
         x1 = x0 + 0.1 if case == "x1" else None
         tr = run_trace(obj, spec, x0, 2 * trace_module._CHUNK + 3, x1=x1)
         assert tr.diverged == (case == "diverging")
-        self.assert_replayed(tr, oracle_reference(obj, spec, x0, 2 * trace_module._CHUNK + 3,
-                                                  x1=x1))
+        run = (obj, spec, x0, 2 * trace_module._CHUNK + 3, x1)
+        self.assert_replayed(tr, oracle_reference(*run[:4], x1=x1), run)
 
     @staticmethod
     def peak_of_run(target, spec, x0, iters):
@@ -588,7 +603,7 @@ class TestSchurCoordinate:
             l1, l2 = eigenvalues(a, b)
             x0, x1 = p.minimizer + rng.uniform(-5.0, 5.0, size=(2, 1))
             tr = run_trace(p, spec, x0, 12, x1=x1)
-            z = trace_rows(tr)[:, 0]
+            z = trace_rows(p, spec, x0, 12, x1)[:, 0]
             w = [(U.conj().T @ [z[k], z[k - 1]])[1] for k in range(1, len(z))]
             for k in range(1, len(z) - 1):
                 # relative to the squared size of the iterates V is made of
@@ -752,11 +767,13 @@ class TestOracleBlocks:
                          lipschitz=obj.lipschitz), calls
 
     @staticmethod
-    def assert_same(tr, rows, ref):
+    def assert_same(tr, rows, run):
+        # ``run``: the (target, spec, x0, iters, x1) of the reference trace
+        ref = run_trace(*run[:4], x1=run[4])
         assert len(tr) == len(ref) and tr.diverged == ref.diverged
         for name in ("objective_gap", "distance", "lyapunov"):
             assert np.array_equal(getattr(tr, name), getattr(ref, name), equal_nan=True)
-        assert np.array_equal(rows, trace_rows(ref), equal_nan=True)
+        assert np.array_equal(rows, trace_rows(*run), equal_nan=True)
 
     @pytest.mark.parametrize("kind", KINDS)
     @pytest.mark.parametrize("case,dim", [
@@ -777,9 +794,9 @@ class TestOracleBlocks:
         assert len(tr) < 1300 if case == "diverging" else len(tr) == 1300
         # one gradient per stepped row: none past the stop
         assert len(calls) == len(tr) - (2 if case == "x1" else 1)
-        rows = trace_rows(tr)  # replayed before the patch, in chunked blocks
+        rows = trace_rows(obj, spec, x0, 1300, x1)  # made before the patch, in chunked blocks
         monkeypatch.setattr(trace_module, "_CHUNK", 1)
-        self.assert_same(tr, rows, run_trace(quadratic_objective(p), spec, x0, 1300, x1=x1))
+        self.assert_same(tr, rows, (quadratic_objective(p), spec, x0, 1300, x1))
 
     def test_non_finite_gradient_raises(self):
         p = generate_quadratic(3, 1.0, 10.0, seed=2)
@@ -868,9 +885,10 @@ class TestLawOfV:
         obj, L, scale = self.OBJECTIVES[name]
         spec = MethodSpec(kind, alpha=step / L, beta=beta, gamma=gamma if kind == TMM else 0.0)
         v = np.random.default_rng(direction).standard_normal(obj.dim)
-        tr = run_trace(obj, spec, obj.minimizer + offset * scale * v / np.linalg.norm(v), iters)
+        x0 = obj.minimizer + offset * scale * v / np.linalg.norm(v)
+        tr = run_trace(obj, spec, x0, iters)
         al, be, ga = _family(spec)
-        x = trace_rows(tr)
+        x = trace_rows(obj, spec, x0, iters)
         z = x - obj.minimizer
         y = ga * (x - np.vstack([x[:1], x[:-1]])) + x  # x_{-1} = x_0
         g = np.array([obj.gradient(row) for row in y[:-1]])
@@ -942,13 +960,12 @@ class TestBatchedRuns:
             return None
         traces, rows = got
         assert len(traces) == len(want)
-        for tr, blk_rows, ref in zip(traces, rows, want):
+        for tr, blk_rows, ref, spec in zip(traces, rows, want, specs):
             assert len(tr) == len(ref) and tr.diverged == ref.diverged
             for name in ("objective_gap", "distance", "lyapunov"):
                 assert np.array_equal(getattr(tr, name), getattr(ref, name), equal_nan=True)
-            ref_rows = trace_rows(ref)
-            assert np.array_equal(trace_rows(tr), ref_rows, equal_nan=True)
-            assert np.array_equal(blk_rows, ref_rows, equal_nan=True)
+            assert np.array_equal(blk_rows, trace_rows(target, spec, x0, iters, x1),
+                                  equal_nan=True)
         return want
 
     @given(specs=st.lists(method_specs(), min_size=1, max_size=4),
@@ -1080,7 +1097,7 @@ class TestBatchedRuns:
 
         seen = Objective(dim=3, value=value, gradient=gradient, minimizer=obj.minimizer)
         list(trace_module._run_traces(seen, specs, x0, 1300))
-        rows = [trace_rows(tr) for tr in want]
+        rows = [trace_rows(obj, spec, x0, 1300) for spec in specs]
         # a run's point at row k is y_k = x_k + gamma (x_k - x_{k-1}), x_{-1} = x_0
         ys = [_family(spec)[2] * (x - np.vstack([x[:1], x[:-1]])) + x
               for spec, x in zip(specs, rows)]
@@ -1171,7 +1188,6 @@ class TestBatchedRuns:
             next(runs)
         block = max(1, trace_module._CHUNK // 2)  # rows 1 to 599 in blocks of two lanes
         assert shapes == [(block + 2, 2, 1)] * 2 + [(599 - 2 * block + 2, 2, 1)]
-        assert np.array_equal(trace_rows(got), trace_rows(want))
 
 
 @st.composite
@@ -1249,7 +1265,7 @@ class TestSettledCoordinates:
             if isinstance(solo, tuple):  # an error
                 assert on == off == solo
                 return
-            solo_rows = [trace_rows(tr) for tr in solo]
+            solo_rows = [trace_rows(p, spec, x0, iters, x1) for spec in specs]
         assert self.columns(on[0]) == self.columns(off[0]) == self.columns(solo)
         assert [r.tobytes() for r in on[1]] == [r.tobytes() for r in solo_rows]
         assert all(map(self.zeroed_only, on[1], off[1]))
@@ -1341,18 +1357,11 @@ class TestCertificateRuns:
             run_trace(obj, cert, x0, iters)
         assert run_trace(obj, spec, x0, iters).certificate is None
 
-    def test_iterates_replay_from_the_certificate(self, monkeypatch):
-        p = generate_quadratic(4, 1.0, 10.0, seed=0)
-        tr = run_trace(p, optimal_hyperparams(NAG, 1.0, 10.0), offset_start(p), 20)
-        want = tr.iterates
-        monkeypatch.setattr(trace_module, "analyze", None)  # no second certificate
-        assert np.array_equal(tr.iterates, want)
-
     def test_the_witness_runs_from_its_certificate(self):
         p = generate_quadratic(12, 1.0, 100.0, seed=0)
         cert = analyze(optimal_hyperparams(TMM, 1.0, 100.0), p.eigvals)
         _, tr, _ = find_tmm_witness(p, cert, 80)
-        assert tr.certificate is cert and tr.run[1] is cert
+        assert tr.certificate is cert
 
 
 def list_reader_reference(path) -> dict:
