@@ -63,7 +63,8 @@ def optimal_hyperparams(kind: str, mu: float, L: float) -> MethodSpec:
     Requires mu > 0; for mu == L the methods degenerate to a plain gradient
     step (HB/NAG get beta = 0).  A spectrum so large that HB's (sqrt(L) +
     sqrt(mu))^2 overflows, or NAG-GS's sqrt(mu) (sqrt(L) + sqrt(mu)) with it
-    (its alpha then reads 0), is refused by name.
+    (its alpha then reads 0), is refused by name, and so is one so small
+    (subnormal) that any kind's alpha overflows to inf.
     """
     if kind not in KINDS:
         raise ValueError(f"unknown method kind {kind!r}")
@@ -86,7 +87,7 @@ def optimal_hyperparams(kind: str, mu: float, L: float) -> MethodSpec:
             hyper = 2.0 / (sm * (sL + sm)), (sL - sm) / (sL + sm), 0.0
     except OverflowError:  # a float's ** raises where * gives inf
         raise overflow from None
-    if not hyper[0] > 0.0:  # NAG-GS: 2 / inf
+    if not 0.0 < hyper[0] < math.inf:  # NAG-GS: 2 / inf; a subnormal L: 1 / L
         raise overflow
     return MethodSpec(kind, *hyper)
 

@@ -535,13 +535,15 @@ def _csv_columns(path) -> Iterator[tuple]:
 
     ``_parse_lines`` defines the format.  After the header the rows come in
     chunks of about 16 KB of text: numpy's C parser reads a chunk if every
-    row in it parses as four numbers, and ``_parse_lines`` reads any other
-    chunk, so the result and any error are always its own.
+    row in it parses as four numbers and each row's iter is its index, and
+    ``_parse_lines`` reads any other chunk, so the result and any error are
+    always its own.
     """
     with open(path, "r", encoding="utf-8-sig") as fh:  # a byte-order mark is skipped
         header = next((ln for ln in fh if ln.strip()), "")
         if header.strip().split(",") != _CSV_HEADER.strip().split(","):
             raise ValueError("not a trace CSV")
+        n = 0  # rows read
         while lines := fh.readlines(1 << 14):
             if not any(map(str.strip, lines)):  # loadtxt warns on a chunk of blank lines
                 continue
@@ -549,17 +551,22 @@ def _csv_columns(path) -> Iterator[tuple]:
                 rows = np.loadtxt(lines, delimiter=",", dtype=float, comments=None, ndmin=2)
             except ValueError:
                 rows = None
-            if rows is None or rows.shape[1:] != (4,):
-                cols = array("d"), array("d"), array("d")
-                _parse_lines(lines, cols)
-                yield tuple(map(np.frombuffer, cols))
+            if (rows is not None and rows.shape[1:] == (4,)
+                    and (rows[:, 0] == np.arange(n, n + rows.shape[0])).all()):
+                cols = tuple(rows[:, 1:].T)
             else:
-                yield tuple(rows[:, 1:].T)
+                cols = array("d"), array("d"), array("d")
+                _parse_lines(lines, cols, n)
+                cols = tuple(map(np.frombuffer, cols))
+            n += cols[0].shape[0]
+            yield cols
 
 
-def _parse_lines(lines, cols) -> None:
+def _parse_lines(lines, cols, n: int) -> None:
     """Append the gap, distance and lyapunov cells of the trace rows among
-    ``lines`` to ``cols``, one line at a time; blank lines are skipped."""
+    ``lines``, the first of them row ``n``, to ``cols``, one line at a time;
+    blank lines are skipped.  A row whose iter is not its index is refused:
+    rows are missing or out of order."""
     gaps, dists, lyap = cols
     for ln in map(str.strip, lines):
         if not ln:
@@ -567,6 +574,10 @@ def _parse_lines(lines, cols) -> None:
         parts = ln.split(",")
         if len(parts) != 4:
             raise ValueError("malformed trace row")
+        if float(parts[0]) != n:
+            raise ValueError(f"trace row {n} has iter {parts[0].strip()}: rows are missing "
+                             "or out of order")
+        n += 1
         gaps.append(float(parts[1]))
         dists.append(float(parts[2]))
         lyap.append(float(parts[3]) if parts[3] else math.nan)

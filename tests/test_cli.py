@@ -159,6 +159,15 @@ class TestGenerate:
             "", f"error: tuned {kind} hyperparameters overflow for mu=1e+308, L=1.7e+308\n")
         assert os.listdir(tmp_path) == []
 
+    @pytest.mark.parametrize("kind", ["hb", "nag", "tmm", "nag-gs"])
+    def test_spectrum_too_small_to_tune(self, capsys, kind):
+        # 1 / L overflows on a subnormal spectrum: once "alpha must be finite"
+        argv = ["analyze", "--method", kind, "--optimal", "--dim", "3"]
+        assert main([*argv, "--mu", "1e-310", "--L", "2e-310"]) == 1
+        name = {"hb": "HB", "nag": "NAG", "tmm": "TMM", "nag-gs": "NAGGS"}[kind]
+        assert capsys.readouterr() == (
+            "", f"error: tuned {name} hyperparameters overflow for mu=1e-310, L=2e-310\n")
+
     @pytest.mark.parametrize("command,rc", [("analyze", 1), ("run", 0)])
     def test_wide_spectrum_round_trips(self, tmp_path, capsys, command, rc):
         # entries past 1.3e154: the sum of squares of each norm the load
@@ -434,6 +443,22 @@ class TestRunAndCheck:
         rc = main(["check", str(path)])
         assert rc == 1
         assert "monotone decrease: NO" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("cut,error", [
+        (slice(11, 21), "trace row 10 has iter 20"), (slice(2, 3), "trace row 1 has iter 2")])
+    def test_check_refuses_missing_rows(self, tmp_path, capsys, cut, error):
+        # once "yes" for rows 0-9 and 20-49, judged as consecutive, and for a
+        # missing row 1 "first V is on row 2 or later"
+        out = tmp_path / "t.csv"
+        main(["run", "--method", "nag", "--optimal", "--dim", "5", "--iters", "50",
+              "--out", str(out)])
+        lines = out.read_text(encoding="utf-8").splitlines(keepends=True)
+        del lines[cut]
+        out.write_text("".join(lines), encoding="utf-8")
+        capsys.readouterr()
+        assert main(["check", str(out)]) == 1
+        assert capsys.readouterr() == (
+            "", f"error: {error}: rows are missing or out of order\n")
 
 
 def reference_run(tmp_path, kind, iters, *, dim=7, mu=1.0, L=50.0, spec=None,

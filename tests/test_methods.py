@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
 from lyapcert import (HB, KINDS, NAG, NAGGS, TMM, MethodSpec, analyze,
                       coefficient_arrays, cosine_counterexample,
@@ -99,6 +99,22 @@ class TestOptimalHyperparams:
         except ValueError as exc:
             assert kind in (HB, NAGGS)
             assert str(exc) == f"tuned {kind} hyperparameters overflow for mu={mu:g}, L={L:g}"
+        else:
+            assert 0.0 < spec.alpha < np.inf
+
+    @given(kind=st.sampled_from(KINDS), ends=st.lists(
+        st.floats(np.finfo(float).smallest_subnormal, 1e-300), min_size=2, max_size=2))
+    @example(kind=NAG, ends=[1e-310, 2e-310])
+    def test_smallest_spectra_tune_or_are_refused(self, kind, ends):
+        # alpha is about 1 / L (NAG-GS's 1 / sqrt(mu L)), which overflows
+        # on a subnormal spectrum: refused by name, once "alpha must be
+        # finite"; a normal mu tunes
+        mu, L = sorted(ends)
+        try:
+            spec = optimal_hyperparams(kind, mu, L)
+        except ValueError as exc:
+            assert str(exc) == f"tuned {kind} hyperparameters overflow for mu={mu:g}, L={L:g}"
+            assert mu < np.finfo(float).tiny
         else:
             assert 0.0 < spec.alpha < np.inf
 

@@ -725,9 +725,9 @@ class TestCsvRoundTrip:
         marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
         by_line, parse = [], trace_module._parse_lines
 
-        def counted(lines, cols):
+        def counted(lines, cols, n):
             by_line.extend(filter(None, map(str.strip, lines)))
-            return parse(lines, cols)
+            return parse(lines, cols, n)
 
         monkeypatch.setattr(trace_module, "_parse_lines", counted)
         want = read_trace_csv(plain)
@@ -1365,16 +1365,20 @@ class TestCertificateRuns:
 
 
 def list_reader_reference(path) -> dict:
-    """The reader as it was: every stripped non-blank line in a list first."""
+    """The reader as it was: every stripped non-blank line in a list first;
+    a row's iter is its index."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = [ln.strip() for ln in fh if ln.strip()]
     if not lines or lines[0].split(",") != ["iter", "objective_gap", "distance", "lyapunov"]:
         raise ValueError("not a trace CSV")
     gaps, dists, lyap = [], [], []
-    for ln in lines[1:]:
+    for n, ln in enumerate(lines[1:]):
         parts = ln.split(",")
         if len(parts) != 4:
             raise ValueError("malformed trace row")
+        if float(parts[0]) != n:
+            raise ValueError(f"trace row {n} has iter {parts[0].strip()}: rows are missing "
+                             "or out of order")
         gaps.append(float(parts[1]))
         dists.append(float(parts[2]))
         lyap.append(float(parts[3]) if parts[3] else math.nan)
@@ -1436,10 +1440,16 @@ class TestReaderParity:
         HEAD + "0,1,1,\n1,1,1,\n2,1,1,0.5\n3,1,1,nan\n4,1,1,0.25\n",
         HEAD + "0,1,1,\r\n1,1,1,\r\n 2, 1,1,0.5 \r\n",
         HEAD + "0,1,1,\n1,1,1,\n2,1,1,0.5,9\n",
+        HEAD + "".join(f"{k},1,1,{'' if k < 2 else 1.0 / k}\n" for k in range(50)
+                       if not 10 < k < 21),
+        HEAD + "0,1,1,\n2,1,1,0.5\n3,1,1,0.25\n",
+        HEAD + "0,1,1,\n1,1,1,\n1,1,1,0.5\n",
+        HEAD + "0,1,1,\n1.5,1,1,\n",
     ], ids=["empty", "blank-lines-only", "foreign-header", "short-header",
             "header-only", "blank-lines", "ragged-short", "ragged-long",
             "bad-number", "empty-cell-after-v", "nan-cell-after-v", "crlf-spaces",
-            "wide-row-with-v"])
+            "wide-row-with-v", "rows-missing", "row-1-missing", "row-repeated",
+            "fractional-iter"])
     def test_hand_written_files(self, tmp_path, text):
         path = tmp_path / "t.csv"
         path.write_bytes(text.encode("utf-8"))
@@ -1448,29 +1458,32 @@ class TestReaderParity:
     @classmethod
     def chunks(cls, *rows):
         """HEAD and then, for each row pattern in ``rows``, the lines of one
-        chunk of the reader: ``readlines(1 << 14)`` ends a chunk with the line
-        that takes it past 16 KB."""
+        chunk of the reader (``readlines(1 << 14)`` ends a chunk with the line
+        that takes it past 16 KB), and the index of the next row."""
         text, k = cls.HEAD, 0
         for row in rows:
             size = 0
             while size <= 1 << 14:
                 line = row.format(k)
-                text, size, k = text + line, size + len(line), k + 1
-        return text
+                text, size, k = text + line, size + len(line), k + bool(line.strip())
+        return text, k
 
     # the line parser reads the first chunk (no V yet) and numpy's parser the
     # second; a later chunk holds what numpy's parser cannot read as rows of
     # four numbers
     @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("rows, tail", [
-        (("{},1,1,\n", "{},1,1,0.5\n"), "9000,1,1,\n9001,1,1,0.25\n"),
-        (("{},1,1,\n", "{},1,1,0.5\n", "{},1,1,0.5,9\n"), ""),
-        (("{},1,1,\n", "{},1,1,0.5\n"), "9000,1,1,0.5\n9001,1,x,0.25\n"),
-        (("{},1,1,\n", "{},1,1,0.5\n", "\n"), "9000,1,1,0.25\n"),
-    ], ids=["empty-v-cell", "wide-rows", "bad-number", "blank-chunk"])
-    def test_later_chunks(self, tmp_path, rows, tail):
+    @pytest.mark.parametrize("rows, tail, skip", [
+        (("{},1,1,\n", "{},1,1,0.5\n"), "{},1,1,\n{},1,1,0.25\n", 0),
+        (("{},1,1,\n", "{},1,1,0.5\n", "{},1,1,0.5,9\n"), "", 0),
+        (("{},1,1,\n", "{},1,1,0.5\n"), "{},1,1,0.5\n{},1,x,0.25\n", 0),
+        (("{},1,1,\n", "{},1,1,0.5\n", "\n"), "{},1,1,0.25\n", 0),
+        (("{},1,1,\n", "{},1,1,0.5\n"), "{},1,1,0.5\n{},1,1,0.25\n", 1),
+    ], ids=["empty-v-cell", "wide-rows", "bad-number", "blank-chunk", "row-skipped"])
+    def test_later_chunks(self, tmp_path, rows, tail, skip):
+        # the tail's rows are numbered on from the chunks', ``skip`` rows past
+        text, k = self.chunks(*rows)
         path = tmp_path / "t.csv"
-        path.write_bytes((self.chunks(*rows) + tail).encode("utf-8"))
+        path.write_bytes((text + tail.format(k + skip, k + skip + 1)).encode("utf-8"))
         self.assert_same(path)
 
     def test_cell_after_first_v_fails_check(self, tmp_path):
